@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .io import (
     export_csv,
     export_obj,
     load_config,
-    max_threads,
     write_report,
 )
 from .report import ResidualReport
@@ -208,12 +206,8 @@ def _cmd_pair_check(cfg) -> int:
         return _fail("the matched sphere partner is built for K=a=1, c=0, eps=1")
     fam_s = gal.PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1,
                           rho=fam.rho, theta=fam.theta, phases=fam.phases)
-    workers = max_threads(2)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        fut_r = pool.submit(_run_ribaucour_pipeline, cfg, fam)
-        fut_s = pool.submit(_run_ribaucour_pipeline, cfg, fam_s)
-        _, _, _, fr = fut_r.result()
-        _, _, _, fs = fut_s.result()
+    _, _, _, fr = _run_ribaucour_pipeline(cfg, fam)
+    _, _, _, fs = _run_ribaucour_pipeline(cfg, fam_s)
     iso = isometry_check(fr, fs)
     _, _, _, lam_r = holonomic_data(fr)
     _, _, _, lam_s = holonomic_data(fs)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ambient import SpaceFormSpec, UmbilicalSlice, geodesic
 from .errors import (
@@ -509,6 +508,8 @@ def helix(c_h, c_model, s_samples, amplitude, phase=0.0, slope=0.0,
     two coordinates come from the unit-speed condition, integrated to high
     accuracy.
     """
+    from scipy.integrate import solve_ivp  # only user in the package; slow to import
+
     if c_model <= 0:
         raise InvalidParams("helix construction implemented on round models only")
     R2 = 1.0 / c_model

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -301,14 +300,3 @@ def dump_schema(path):
     """Write the config JSON schema (shipped documentation of the format)."""
     write_report(CONFIG_SCHEMA, path)
 
-
-def max_threads(default=None):
-    """Thread cap from SPACEFORM_LAB_THREADS (None = unlimited/default)."""
-    raw = os.environ.get("SPACEFORM_LAB_THREADS", "")
-    if not raw:
-        return default
-    try:
-        val = int(raw)
-    except ValueError:
-        return default
-    return max(1, val)

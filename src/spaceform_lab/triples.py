@@ -45,31 +45,62 @@ def delta_inner(delta, x, y, axis=0):
     return np.sum(d.reshape(shape) * np.asarray(x) * np.asarray(y), axis=axis)
 
 
-class _CubicInterp:
-    """Componentwise cubic interpolation of sampled fields (spline order 3)."""
+# Cubic B-spline weights of the stencil nodes floor(x) - 1 .. floor(x) + 2 as
+# polynomials in t = x - floor(x): weights = [1, t, t^2, t^3] @ _BSPLINE.
+_BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
+                     [-3.0, 0.0, 3.0, 0.0],
+                     [3.0, -6.0, 3.0, 0.0],
+                     [-1.0, 3.0, -3.0, 1.0]]) / 6.0
 
-    def __init__(self, samples, grid):
-        flat = samples.reshape((-1,) + tuple(grid.n))
-        self._coeffs = [ndimage.spline_filter(c, order=3, mode="nearest") for c in flat]
-        self._lead = samples.shape[: samples.ndim - 3]
-        self._grid = grid
+
+class _CubicSpline:
+    """Tensor-product cubic B-spline of the 15 components of (v, h, V).
+
+    The coefficients are the ``spline_filter(order=3, mode="nearest")``
+    prefilter of each component, stored as one (nodes, 15) array in the order
+    v (3), h (9, row-major), V (3).  The spline is separable, so all components
+    share each point's 4x4x4 stencil: one gather of 64 coefficient rows and one
+    weighted sum per point.
+
+    Outside the box ``map_coordinates(mode="nearest")`` clamps each stencil
+    index to [0, n - 1], not the coordinate.  Here the coefficients are padded
+    with three copies of their edge layer on every side and the stencil's base
+    index floor(x) is clamped to [-2, n]: every stencil then lies inside the
+    padded array, and each of its nodes reads the coefficient that its
+    clamped index would.
+    """
+
+    PAD = 3
+
+    def __init__(self, v, h, V, grid):
+        n = tuple(grid.n)
+        samples = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
+                                  V.reshape((3,) + n)])
+        coeffs = np.stack(
+            [ndimage.spline_filter(c, order=3, mode="nearest") for c in samples], axis=-1
+        )
+        coeffs = np.pad(coeffs, [(self.PAD, self.PAD)] * 3 + [(0, 0)], mode="edge")
+        self._coeffs = coeffs.reshape(-1, 15)
+        p = coeffs.shape
+        self._stride = np.array([p[1] * p[2], p[2], 1])
+        step = np.arange(-1, 3)
+        self._stencil = (self.PAD * self._stride.sum() + step[:, None, None] * self._stride[0]
+                         + step[None, :, None] * self._stride[1] + step[None, None, :]).ravel()
+        self._lo = np.asarray(grid.lo, dtype=float)
+        self._spacing = np.asarray(grid.spacing, dtype=float)
+        self._n = np.asarray(n, dtype=float)
 
     def __call__(self, points):
-        points = np.asarray(points, dtype=float)
-        idx = np.stack(
-            [
-                (points[..., a] - self._grid.lo[a]) / self._grid.spacing[a]
-                for a in range(3)
-            ]
-        )
-        flat_idx = idx.reshape(3, -1)
-        out = np.stack(
-            [
-                ndimage.map_coordinates(c, flat_idx, order=3, prefilter=False, mode="nearest")
-                for c in self._coeffs
-            ]
-        )
-        return out.reshape(self._lead + points.shape[:-1])
+        """Values at points (..., 3) as a (points, 15) array."""
+        x = (points.reshape(-1, 3) - self._lo) / self._spacing
+        base = np.floor(x)
+        w = ((x - base)[..., None] ** np.arange(4)) @ _BSPLINE          # (B, axis, 4)
+        wt = (w[:, 0, :, None, None] * w[:, 1, None, :, None]
+              * w[:, 2, None, None, :]).reshape(-1, 1, 64)
+        # fmax/fmin send a NaN coordinate to a valid stencil; its weights are NaN
+        first = np.fmin(np.fmax(base, -2.0), self._n).astype(np.intp) @ self._stride
+        rows = np.take(self._coeffs, first[:, None] + self._stencil, axis=0)
+        return (wt @ rows)[:, 0, :]
 
 
 @dataclass
@@ -169,8 +200,8 @@ class TripleField:
     def eval_at(self, points):
         """(v, h, V) at arbitrary points, shape (..., 3) -> components last.
 
-        Uses the closed forms when available, else componentwise cubic
-        interpolation of the samples.
+        Uses the closed forms when available, else one tensor-product cubic
+        spline of all 15 sampled components (``mode="nearest"`` boundary).
         """
         points = np.asarray(points, dtype=float)
         if self.closed_form:
@@ -183,17 +214,11 @@ class TripleField:
             return v, h, V
         if self._interp is None:
             self._sample()
-            self._interp = (
-                _CubicInterp(self._v, self.grid),
-                _CubicInterp(self._h, self.grid),
-                _CubicInterp(self._V, self.grid),
-            )
-        iv, ih, iV = self._interp
-        v = np.moveaxis(iv(points), 0, -1)
-        V = np.moveaxis(iV(points), 0, -1)
-        h = ih(points).reshape((3, 3) + points.shape[:-1])
-        h = np.moveaxis(np.moveaxis(h, 0, -1), 0, -1)
-        return v, h, V
+            self._interp = _CubicSpline(self._v, self._h, self._V, self.grid)
+        out = self._interp(points)
+        lead = points.shape[:-1]
+        return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
+                out[:, 12:].reshape(lead + (3,)))
 
     def with_grid(self, grid: ParameterGrid) -> "TripleField":
         """Resample a closed-form triple on another grid."""

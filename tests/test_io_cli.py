@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from spaceform_lab.io import (
     export_csv,
     export_obj,
     load_config,
-    max_threads,
     parse_config,
 )
 
@@ -145,20 +145,6 @@ class TestExportObj:
         pos = np.concatenate([grid.points(), np.zeros(grid.n + (1,))], axis=-1)
         with pytest.raises(BadProjection):
             export_obj(pos, grid, 2, 0.0, (0, 1, 1), str(tmp_path / "x.obj"))
-
-
-class TestMaxThreads:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("SPACEFORM_LAB_THREADS", raising=False)
-        assert max_threads(3) == 3
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SPACEFORM_LAB_THREADS", "2")
-        assert max_threads(8) == 2
-
-    def test_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("SPACEFORM_LAB_THREADS", "many")
-        assert max_threads(4) == 4
 
 
 RIBAUCOUR_DOC = {
@@ -343,6 +329,12 @@ class TestConfigRoundTrip:
         out = tmp_path / "schema.json"
         dump_schema(str(out))
         assert json.loads(out.read_text())["type"] == "object"
+
+    def test_shipped_schema_matches_config_schema(self):
+        from spaceform_lab.io import CONFIG_SCHEMA
+
+        path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == CONFIG_SCHEMA
 
 
 def test_raw_state_k2_target_from_classification(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
@@ -379,3 +380,80 @@ class TestSampledEvaluation:
         v, _, _ = t.eval_at(pts)
         ref = np.moveaxis(v_fn(pts[:, 0], pts[:, 1], pts[:, 2]), 0, -1)
         assert np.array_equal(v, ref)
+
+
+def _map_coordinates_eval(t, points):
+    """Reference (v, h, V): one map_coordinates call per component on its own
+    spline_filter coefficients, components last."""
+    n = t.grid.n
+    comps = np.concatenate([t.v.reshape((3,) + n), t.h.reshape((9,) + n),
+                            t.V.reshape((3,) + n)])
+    idx = np.stack([(points[..., a] - t.grid.lo[a]) / t.grid.spacing[a]
+                    for a in range(3)]).reshape(3, -1)
+    out = np.stack(
+        [ndimage.map_coordinates(ndimage.spline_filter(c, order=3, mode="nearest"), idx,
+                                 order=3, prefilter=False, mode="nearest")
+         for c in comps], axis=-1)
+    lead = points.shape[:-1]
+    return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
+            out[:, 12:].reshape(lead + (3,)))
+
+
+class TestFusedSplineEquivalence:
+    """The fused 15-component spline against per-component map_coordinates."""
+
+    GRID = ParameterGrid((-1.0, -0.5, 0.2), (1.0, 0.7, 0.9), (7, 9, 11), (3, 4, 5))
+    NAN_COMPONENT = (1, 2)          # h[1, 2] has one NaN node
+
+    @classmethod
+    def _triple(cls):
+        rng = np.random.default_rng(17)
+        n = cls.GRID.n
+        v = 1.0 + rng.normal(size=(3,) + n)
+        h = rng.normal(size=(3, 3) + n)
+        V = 3.0 * rng.normal(size=(3,) + n)
+        h[cls.NAN_COMPONENT + (2, 5, 7)] = np.nan
+        return TripleField.from_samples(cls.GRID, (1, -1, 1), FLAT, v, h, V)
+
+    @classmethod
+    def _points(cls):
+        g = cls.GRID
+        lo, hi = np.array(g.lo), np.array(g.hi)
+        rng = np.random.default_rng(23)
+        interior = lo + (hi - lo) * rng.uniform(size=(30, 3))
+        corners = np.array([[(lo, hi)[b][a] for a, b in enumerate(bits)]
+                            for bits in itertools.product((0, 1), repeat=3)])
+        faces = interior[:6].copy()
+        for a in range(3):
+            faces[2 * a, a] = lo[a]
+            faces[2 * a + 1, a] = hi[a]
+        nudged = np.concatenate([np.nextafter(corners, -np.inf),
+                                 np.nextafter(corners, np.inf)])
+        far = np.concatenate([interior[:6] - 3.0, interior[6:12] + 5.0,
+                              interior[12:18] * np.array([4.0, -6.0, 1.0])])
+        return np.concatenate([interior, corners, faces, nudged, far])
+
+    def _assert_matches(self, t, pts):
+        got = t.eval_at(pts)
+        ref = _map_coordinates_eval(t, pts)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.array_equal(np.isnan(g), np.isnan(r))
+            scale = np.nanmax(np.abs(r))
+            np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_interior_faces_corners_outside_and_nan(self):
+        pts = np.concatenate([self._points(), [[np.nan, 0.0, 0.5]]])
+        self._assert_matches(self._triple(), pts)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
+    def test_input_shapes(self, shape):
+        pts = self._points()[: int(np.prod(shape[:-1], dtype=int))].reshape(shape)
+        self._assert_matches(self._triple(), pts)
+
+    def test_nan_stays_in_its_component(self):
+        _, h, _ = self._triple().eval_at(self._points())
+        nan = np.isnan(h)
+        assert nan[(slice(None),) + self.NAN_COMPONENT].all()
+        nan[(slice(None),) + self.NAN_COMPONENT] = False
+        assert not nan.any()
