@@ -43,18 +43,6 @@ from .verify import (
     schouten_codazzi_residual,
 )
 
-_GALLERY_ITEMS = {
-    "problemstar_e1_Cneg": "trivial seed v=(1,0,0), V=sqrt(-C)(0,1,0), delta=(1,-1,1)",
-    "problemstar_e1_Cpos": "trivial seed v=(1,0,0), V=sqrt(C)(0,0,1), delta=(1,-1,1)",
-    "problemstar_em1_Cpos": "trivial seed v=(0,1,0), V=sqrt(C)(0,0,1), delta=(1,-1,1)",
-    "problemstar_em1_Cneg": "trivial seed v=(0,0,1), V=sqrt(-C)(1,0,0), delta=(-1,-1,-1)",
-    "cflat": "trivial seed v=(0,1,1), V=(1,0,0), delta=(1,-1,1) (c=0)",
-    "r4_pair": "printed flat-target transformed hypersurface (theta parameter)",
-    "s4_pair": "printed sphere-target transformed hypersurface (reference up to signs)",
-    "cflat_K_minus1": "printed conformally flat hypersurface, K=-1 branch",
-}
-
-
 def _fail(msg) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
@@ -272,9 +260,10 @@ def _cmd_export(cfg) -> int:
 
 def _cmd_gallery(args) -> int:
     if args.action == "list":
-        width = max(len(k) for k in _GALLERY_ITEMS)
-        for name, desc in _GALLERY_ITEMS.items():
-            print(f"{name:<{width}}  {desc}")
+        names = gal.SEED_KINDS + gal.EXPLICIT_NAMES
+        width = max(len(k) for k in names)
+        for name in names:
+            print(f"{name:<{width}}  {gal.DESCRIPTIONS[name]}")
         return 0
     name = args.name
     if name is None:
@@ -291,10 +280,9 @@ def _cmd_gallery(args) -> int:
 
         grid = ParameterGrid.centered(1.0, (5, 5, 5))
         C = args.C
-        if C is None:
-            C = {"problemstar_e1_Cneg": -1.0, "problemstar_e1_Cpos": 1.0,
-                 "problemstar_em1_Cpos": 1.0, "problemstar_em1_Cneg": -1.0,
-                 "cflat": None}[name]
+        sign = gal._SEED_TABLE[name][3]          # the default C is the unit of its sign
+        if C is None and sign is not None:
+            C = float(sign)
         t = gal.trivial_seed(name, grid, c=args.c, s=args.s, C=C)
         v, h, V = t.at(grid.base)
         print(f"v = {tuple(v)}  V = {tuple(V)}  delta = {t.delta}")

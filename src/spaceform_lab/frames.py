@@ -17,10 +17,9 @@ import numpy as np
 
 from ._sweep import sweep_integrate
 from .ambient import SpaceFormSpec
-from .errors import PreconditionFailed
-from .grid import ParameterGrid, partial_derivative
+from .grid import ParameterGrid, grid_partials, induced_metric_tensor
 from .report import ResidualReport
-from .triples import TripleField, triple_residuals
+from .triples import TripleField, check_sweep_input
 
 DEFAULT_MAX_STEP = 1e-2
 DEFAULT_INTEGRABILITY_TOL = 1e-8
@@ -121,12 +120,7 @@ def integrate_frame(triple: TripleField, init: FrameState, grid: ParameterGrid =
     grid = grid or triple.grid
     if not grid.same_as(triple.grid):
         triple = triple.with_grid(grid) if triple.closed_form else triple
-    if integrability_tol is not None:
-        res = triple_residuals(triple)
-        if res.overall_max > integrability_tol:
-            raise PreconditionFailed(
-                f"seed residual {res.overall_max:.3e} exceeds {integrability_tol:.1e}"
-            )
+    check_sweep_input(triple, integrability_tol)
     states, _ = sweep_integrate(grid, tuple(sweep_order), init.as_array(),
                                 _frame_rhs(triple), max_step)
     return FrameField(grid, states, triple, tuple(sweep_order), max_step)
@@ -181,13 +175,7 @@ def induced_metric(ff: FrameField):
     Returns (g, report) with g of shape (3, 3) + grid.n.
     """
     ff.grid.require_resolution(5)
-    sig = ff.triple.spec.ambient.sig_array
-    sp = ff.grid.spacing
-    df = [partial_derivative(ff.f, a, sp[a]) for a in range(3)]
-    g = np.empty((3, 3) + tuple(ff.grid.n))
-    for i in range(3):
-        for j in range(3):
-            g[i, j] = np.sum(df[i] * df[j] * sig, axis=-1)
+    g = induced_metric_tensor(grid_partials(ff.f, ff.grid), ff.triple.spec.ambient.sig_array)
     v = ff.triple.v
     report = ResidualReport(metadata={"stencil": "order-2 central/one-sided"})
     off = np.stack([g[i, j] for i in range(3) for j in range(3) if i != j])

@@ -23,19 +23,11 @@ from .errors import (
     SingularOrbit,
     SingularPsi,
 )
-from .frames import FrameState
+from .frames import FrameState, standard_frame_state
 from .grid import ParameterGrid, partial_derivative
 from .report import ResidualReport
 from .ribaucour import RibaucourState
 from .triples import TripleField
-
-SEED_KINDS = (
-    "problemstar_e1_Cneg",
-    "problemstar_e1_Cpos",
-    "problemstar_em1_Cpos",
-    "problemstar_em1_Cneg",
-    "cflat",
-)
 
 # (v slot, V slot, delta, sign of C); slots are 0-based
 _SEED_TABLE = {
@@ -44,6 +36,19 @@ _SEED_TABLE = {
     "problemstar_em1_Cpos": (1, 2, (1, -1, 1), +1),
     "problemstar_em1_Cneg": (2, 0, (-1, -1, -1), -1),
     "cflat": (None, None, (1, -1, 1), None),
+}
+SEED_KINDS = tuple(_SEED_TABLE)
+
+# one line per gallery item (seed kinds, then printed lists), for ``gallery list``
+DESCRIPTIONS = {
+    "problemstar_e1_Cneg": "trivial seed v=(1,0,0), V=sqrt(-C)(0,1,0), delta=(1,-1,1)",
+    "problemstar_e1_Cpos": "trivial seed v=(1,0,0), V=sqrt(C)(0,0,1), delta=(1,-1,1)",
+    "problemstar_em1_Cpos": "trivial seed v=(0,1,0), V=sqrt(C)(0,0,1), delta=(1,-1,1)",
+    "problemstar_em1_Cneg": "trivial seed v=(0,0,1), V=sqrt(-C)(1,0,0), delta=(-1,-1,-1)",
+    "cflat": "trivial seed v=(0,1,1), V=(1,0,0), delta=(1,-1,1) (c=0)",
+    "r4_pair": "printed flat-target transformed hypersurface (theta parameter)",
+    "s4_pair": "printed sphere-target transformed hypersurface (reference up to signs)",
+    "cflat_K_minus1": "printed conformally flat hypersurface, K=-1 branch",
 }
 
 
@@ -71,10 +76,7 @@ def seed_frame_state(kind, spec: SpaceFormSpec) -> FrameState:
 
     Problem-star seeds take N(0) = eps E4; the conformally flat seed takes
     N(0) = E4."""
-    dim = spec.dim
-    E = np.eye(dim)
-    sign = 1 if kind == "cflat" else spec.eps
-    return FrameState(spec.base_point(), E[0], E[1], E[2], sign * E[3])
+    return standard_frame_state(spec, 1 if kind == "cflat" else spec.eps)
 
 
 def closed_form_frame(kind, spec: SpaceFormSpec, C=None):

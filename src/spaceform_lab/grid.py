@@ -13,6 +13,7 @@ second derivatives compose two first-derivative passes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,3 +154,24 @@ def grid_partials(field, grid: ParameterGrid):
     ``field`` has shape grid.n + trailing; returns a list of three arrays.
     """
     return [partial_derivative(field, a, grid.spacing[a]) for a in range(3)]
+
+
+def induced_metric_tensor(df, sig):
+    """g_ij = sum over the trailing axis of df_i df_j sig, shape (3, 3) + grid.n.
+
+    ``df`` is the ``grid_partials`` list of a position field.  Entries with
+    i <= j are computed and mirrored, which is exact: products commute.
+    """
+    g = np.empty((3, 3) + df[0].shape[:-1])
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        g[i, j] = g[j, i] = np.sum(df[i] * df[j] * sig, axis=-1)
+    return g
+
+
+def stencil_halo(mask):
+    """``mask`` grown by three nodes along every axis (the 7x7x7 box): the
+    nodes that residuals composed from several stencils exclude around a
+    masked node."""
+    from scipy import ndimage
+
+    return ndimage.binary_dilation(mask, structure=np.ones((7, 7, 7), dtype=bool))

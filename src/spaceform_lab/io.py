@@ -54,11 +54,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {"c": _NUM, "s": {"type": "integer", "enum": [0, 1]}},
         },
-        "target": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"c": _NUM, "s": {"type": "integer", "enum": [0, 1]}},
-        },
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -124,9 +119,7 @@ CONFIG_SCHEMA = {
                 "report": {"type": "string"},
             },
         },
-        "rng_seed": {"type": "integer"},
         "max_step": _NUM,
-        "theta": _NUM,
     },
 }
 
@@ -138,13 +131,10 @@ class ExperimentConfig:
     seed: dict
     grid: ParameterGrid
     ambient: dict = field(default_factory=lambda: {"c": 0.0, "s": 0})
-    target: dict = None
     ribaucour: dict = None
     tolerances: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-    rng_seed: int = 0
     max_step: float = 1e-2
-    theta: float = math.pi / 4
 
     def __post_init__(self):
         tol = dict(DEFAULT_TOLERANCES)
@@ -171,8 +161,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     g = doc["grid"]
     grid = ParameterGrid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"]),
                          tuple(g["base"]) if "base" in g else None)
-    kwargs = {k: doc[k] for k in ("ambient", "target", "ribaucour", "tolerances",
-                                  "outputs", "rng_seed", "max_step", "theta")
+    kwargs = {k: doc[k] for k in ("ambient", "ribaucour", "tolerances", "outputs", "max_step")
               if k in doc}
     return ExperimentConfig(seed=doc["seed"], grid=grid, **kwargs)
 

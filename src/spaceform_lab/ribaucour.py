@@ -24,17 +24,14 @@ from .errors import (
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
-    PreconditionFailed,
     SingularPhi,
     SingularPsi,
 )
-from .frames import FrameField
+from .frames import DEFAULT_MAX_STEP, FrameField
 from .grid import ParameterGrid
 from .report import ResidualReport
-from .triples import TripleField, delta_inner, triple_residuals
+from .triples import TripleField, check_sweep_input, delta_inner
 from .verify import ImmersionSample
-
-DEFAULT_MAX_STEP = 1e-2
 
 # state layout: [gamma1, gamma2, gamma3, v'1, v'2, v'3, phi, psi, beta]
 _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
@@ -242,12 +239,7 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     sweep descendants with them; integration continues on the other lines.
     """
     grid = grid or triple.grid
-    if integrability_tol is not None:
-        res = triple_residuals(triple)
-        if res.overall_max > integrability_tol:
-            raise PreconditionFailed(
-                f"seed residual {res.overall_max:.3e} exceeds {integrability_tol:.1e}"
-            )
+    check_sweep_input(triple, integrability_tol)
     mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
     if K2target is None:
         K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),

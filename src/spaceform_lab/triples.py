@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .ambient import SpaceFormSpec
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     PreconditionFailed,
     UmbilicSetError,
 )
-from .grid import ParameterGrid, partial_derivative
+from .grid import ParameterGrid, grid_partials, partial_derivative, stencil_halo
 from .report import ResidualReport
 
 CANONICAL_DELTA = (1, -1, 1)
@@ -73,6 +72,8 @@ class _CubicSpline:
     PAD = 3
 
     def __init__(self, v, h, V, grid):
+        from scipy import ndimage
+
         n = tuple(grid.n)
         samples = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
                                   V.reshape((3,) + n)])
@@ -239,8 +240,39 @@ def _stencil_safe_mask(t: TripleField) -> np.ndarray:
     valid = t.valid_mask()
     if t.masked is None or not t.masked.any():
         return valid
-    bad = ndimage.binary_dilation(t.masked, structure=np.ones((7, 7, 7), dtype=bool))
-    return valid & ~bad
+    return valid & ~stencil_halo(t.masked)
+
+
+def h_from_v(v, spacing):
+    """h_ij = (1/v_i) dv_j/du_i by the module stencil, shape (3, 3) + grid.n."""
+    h = np.empty((3, 3) + v.shape[1:])
+    for i in range(3):
+        for j in range(3):
+            h[i, j] = partial_derivative(v[j], i, spacing[i]) / v[i]
+    return h
+
+
+def compatibility_residuals(v, h, V, spacing, eps, c):
+    """Residual stacks of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
+    3.iv (6) of sampled (v, h, V) in a space form with (eps, c).
+
+    Only the derivatives the equations read are taken: 12 of the 27 dh_ij/du_a
+    and the 6 off-diagonal dV_i/du_j.
+    """
+    def d(values, a):
+        return partial_derivative(values, a, spacing[a])
+
+    res_ii = []
+    for i, k in itertools.permutations(range(3), 2):
+        j = 3 - i - k
+        res_ii.append(d(h[i, k], j) - h[i, j] * h[j, k])
+    res_iii = []
+    for i, j in itertools.combinations(range(3), 2):
+        k = 3 - i - j
+        res_iii.append(d(h[i, j], i) + d(h[j, i], j) + h[k, i] * h[k, j]
+                       + eps * V[i] * V[j] + c * v[i] * v[j])
+    res_iv = [d(V[i], j) - h[j, i] * V[j] for i, j in itertools.permutations(range(3), 2)]
+    return np.stack(res_ii), np.stack(res_iii), np.stack(res_iv)
 
 
 def triple_residuals(t: TripleField) -> ResidualReport:
@@ -252,51 +284,57 @@ def triple_residuals(t: TripleField) -> ResidualReport:
     t.grid.require_resolution(5)
     v, h, V = t.v, t.h, t.V
     delta = t.delta
-    eps, c = t.spec.eps, t.spec.c
     sp = t.grid.spacing
 
-    dv = np.stack([np.stack([partial_derivative(v[i], a, sp[a]) for a in range(3)])
-                   for i in range(3)])          # dv[i, a] = dv_i/du_a
-    dV = np.stack([np.stack([partial_derivative(V[i], a, sp[a]) for a in range(3)])
-                   for i in range(3)])
-    dh = np.stack([np.stack([np.stack([partial_derivative(h[i, j], a, sp[a])
-                                       for a in range(3)])
-                             for j in range(3)])
-                   for i in range(3)])          # dh[i, j, a] = dh_ij/du_a
+    dv = [grid_partials(v[i], t.grid) for i in range(3)]      # dv[i][a] = dv_i/du_a
+    res_ii, res_iii, res_iv = compatibility_residuals(v, h, V, sp, t.spec.eps, t.spec.c)
 
     mask = _stencil_safe_mask(t)
     report = ResidualReport(metadata={"stencil": "order-2 central/one-sided",
                                       "spacing": list(sp)})
 
-    res_i, res_ii, res_iv = [], [], []
-    for i, j in itertools.permutations(range(3), 2):
-        res_i.append(dv[i, j] - h[j, i] * v[j])
-        res_iv.append(dV[i, j] - h[j, i] * V[j])
-    for i, k in itertools.permutations(range(3), 2):
-        j = 3 - i - k
-        res_ii.append(dh[i, k, j] - h[i, j] * h[j, k])
-    res_iii = []
-    for i, j in itertools.combinations(range(3), 2):
-        k = 3 - i - j
-        res_iii.append(dh[i, j, i] + dh[j, i, j] + h[k, i] * h[k, j]
-                       + eps * V[i] * V[j] + c * v[i] * v[j])
+    res_i = [dv[i][j] - h[j, i] * v[j] for i, j in itertools.permutations(range(3), 2)]
     res_4, res_5 = [], []
     for i in range(3):
         j, k = [a for a in range(3) if a != i]
-        res_4.append(delta[i] * dv[i, i] + delta[j] * h[i, j] * v[j]
+        res_4.append(delta[i] * dv[i][i] + delta[j] * h[i, j] * v[j]
                      + delta[k] * h[i, k] * v[k])
-        res_5.append(delta[i] * dV[i, i] + delta[j] * h[i, j] * V[j]
+        res_5.append(delta[i] * partial_derivative(V[i], i, sp[i]) + delta[j] * h[i, j] * V[j]
                      + delta[k] * h[i, k] * V[k])
 
     stackmask = np.broadcast_to(mask, (6,) + mask.shape)
     trimask = np.broadcast_to(mask, (3,) + mask.shape)
     report.add("3.i", np.stack(res_i), stackmask)
-    report.add("3.ii", np.stack(res_ii), stackmask)
-    report.add("3.iii", np.stack(res_iii), trimask)
-    report.add("3.iv", np.stack(res_iv), stackmask)
+    report.add("3.ii", res_ii, stackmask)
+    report.add("3.iii", res_iii, trimask)
+    report.add("3.iv", res_iv, stackmask)
     report.add("4", np.stack(res_4), trimask)
     report.add("5", np.stack(res_5), trimask)
     return report
+
+
+def check_sweep_input(t: TripleField, integrability_tol):
+    """Raise PreconditionFailed unless ``t`` can drive a sweep.
+
+    Sampled data must be finite at every node: the spline prefilter of
+    ``eval_at`` spreads one non-finite sample to every value it returns.
+    With ``integrability_tol`` set, the largest triple residual must not
+    exceed it either.
+    """
+    if not t.closed_form:
+        finite = (np.isfinite(t.v).all(axis=0) & np.isfinite(t.h).all(axis=(0, 1))
+                  & np.isfinite(t.V).all(axis=0))
+        if not finite.all():
+            raise PreconditionFailed(
+                f"sampled triple is non-finite at {int((~finite).sum())} nodes; "
+                "interpolating it would give NaN over the whole box"
+            )
+    if integrability_tol is not None:
+        res = triple_residuals(t)
+        if res.overall_max > integrability_tol:
+            raise PreconditionFailed(
+                f"seed residual {res.overall_max:.3e} exceeds {integrability_tol:.1e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -484,12 +522,7 @@ def triple_from_curvatures(lams, delta, spec: SpaceFormSpec, grid: ParameterGrid
         v[j] = np.sqrt(radicand)
 
     V = lam * v
-    h = np.empty((3, 3) + tuple(grid.n))
-    sp = grid.spacing
-    for i in range(3):
-        for j in range(3):
-            h[i, j] = partial_derivative(v[j], i, sp[i]) / v[i]
-    return TripleField.from_samples(grid, delta, spec, v, h, V)
+    return TripleField.from_samples(grid, delta, spec, v, h_from_v(v, grid.spacing), V)
 
 
 def permute_triple(t: TripleField, perm) -> TripleField:

@@ -22,9 +22,16 @@ from .errors import (
     NonHolonomicSample,
     UmbilicSetError,
 )
-from .grid import ParameterGrid, partial_derivative, second_derivative
+from .grid import (
+    ParameterGrid,
+    grid_partials,
+    induced_metric_tensor,
+    partial_derivative,
+    second_derivative,
+    stencil_halo,
+)
 from .report import ResidualReport
-from .triples import TripleField
+from .triples import TripleField, compatibility_residuals, h_from_v
 
 DISTINCT_GUARD = 1e-4
 
@@ -65,11 +72,6 @@ class FundamentalForms:
     valid: np.ndarray               # grid.n bool (metric nondegenerate)
 
 
-def _first_derivatives(sample: ImmersionSample):
-    sp = sample.grid.spacing
-    return [partial_derivative(sample.positions, a, sp[a]) for a in range(3)]
-
-
 def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForms:
     """I by first differences; N from the orthogonality system with sign fixed
     by continuity from the base node; II from second differences.
@@ -86,22 +88,14 @@ def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForm
             grid, np.where(finite[..., None], sample.positions, 0.0), spec,
             ~finite,
         )
-    df = _first_derivatives(sample)
-
-    I = np.empty((3, 3) + tuple(grid.n))
-    for i in range(3):
-        for j in range(3):
-            I[i, j] = np.sum(df[i] * df[j] * sig, axis=-1)
+    df = grid_partials(sample.positions, grid)
+    I = induced_metric_tensor(df, sig)
 
     detI = np.abs(np.linalg.det(np.moveaxis(I.reshape(3, 3, -1), -1, 0)))
     scale = np.maximum(np.abs(I).reshape(9, -1).max(axis=0) ** 3, 1e-300)
     valid = ((detI / scale) > det_tol).reshape(grid.n) & sample.valid_mask()
     if not finite.all():
-        from scipy import ndimage
-
-        touched = ndimage.binary_dilation(~finite,
-                                          structure=np.ones((7, 7, 7), dtype=bool))
-        valid &= ~touched
+        valid &= ~stencil_halo(~finite)
     if not valid.any():
         raise DegenerateMetric("first fundamental form is singular at every node")
 
@@ -184,12 +178,7 @@ def holonomic_data(sample: ImmersionSample, forms: FundamentalForms = None,
     v = np.sqrt(np.where(diag > 0, diag, np.nan))
     lam = np.stack([II[i, i] for i in range(3)]) / diag
     V = lam * v
-    h = np.empty((3, 3) + tuple(sample.grid.n))
-    sp = sample.grid.spacing
-    for i in range(3):
-        for j in range(3):
-            h[i, j] = partial_derivative(v[j], i, sp[i]) / v[i]
-    return v, h, V, lam
+    return v, h_from_v(v, sample.grid.spacing), V, lam
 
 
 def principal_curvature_fields(sample: ImmersionSample, forms: FundamentalForms = None):
@@ -218,28 +207,11 @@ def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3,
     """
     forms = fundamental_forms(sample)
     v, h, V, _ = holonomic_data(sample, forms, offdiag_tol)
-    eps, c = sample.spec.eps, sample.spec.c
     sp = sample.grid.spacing
-    dh = np.stack([np.stack([np.stack([partial_derivative(h[i, j], a, sp[a])
-                                       for a in range(3)])
-                             for j in range(3)])
-                   for i in range(3)])
-    dV = np.stack([np.stack([partial_derivative(V[i], a, sp[a]) for a in range(3)])
-                   for i in range(3)])
+    res_ii, res_iii, res_iv = compatibility_residuals(v, h, V, sp, sample.spec.eps,
+                                                      sample.spec.c)
     report = ResidualReport(metadata={"spacing": list(sp),
                                       "stencil": "order-2 central/one-sided"})
-    res_ii = []
-    for i, k in itertools.permutations(range(3), 2):
-        j = 3 - i - k
-        res_ii.append(dh[i, k, j] - h[i, j] * h[j, k])
-    res_iii = []
-    for i, j in itertools.combinations(range(3), 2):
-        k = 3 - i - j
-        res_iii.append(dh[i, j, i] + dh[j, i, j] + h[k, i] * h[k, j]
-                       + eps * V[i] * V[j] + c * v[i] * v[j])
-    res_iv = []
-    for i, j in itertools.permutations(range(3), 2):
-        res_iv.append(dV[i, j] - h[j, i] * V[j])
     ok = forms.valid.copy()
     m = int(interior_margin)
     if m > 0:
@@ -247,9 +219,9 @@ def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3,
         interior[m:-m, m:-m, m:-m] = True
         ok &= interior
     report.metadata["interior_margin"] = m
-    report.add("3.ii", np.stack(res_ii), np.broadcast_to(ok, (6,) + ok.shape))
-    report.add("3.iii", np.stack(res_iii), np.broadcast_to(ok, (3,) + ok.shape))
-    report.add("3.iv", np.stack(res_iv), np.broadcast_to(ok, (6,) + ok.shape))
+    report.add("3.ii", res_ii, np.broadcast_to(ok, (6,) + ok.shape))
+    report.add("3.iii", res_iii, np.broadcast_to(ok, (3,) + ok.shape))
+    report.add("3.iv", res_iv, np.broadcast_to(ok, (6,) + ok.shape))
     return report
 
 
@@ -344,16 +316,10 @@ def isometry_check(a: ImmersionSample, b: ImmersionSample) -> ResidualReport:
     """Compare induced metrics of two immersions on one grid."""
     if not a.grid.same_as(b.grid):
         raise GridMismatch("samples live on different grids")
-    siga = a.spec.ambient.sig_array
-    sigb = b.spec.ambient.sig_array
-    dfa = _first_derivatives(a)
-    dfb = _first_derivatives(b)
-    diffs = []
-    for i in range(3):
-        for j in range(i, 3):
-            Ia = np.sum(dfa[i] * dfa[j] * siga, axis=-1)
-            Ib = np.sum(dfb[i] * dfb[j] * sigb, axis=-1)
-            diffs.append(Ia - Ib)
+    Ia = induced_metric_tensor(grid_partials(a.positions, a.grid), a.spec.ambient.sig_array)
+    Ib = induced_metric_tensor(grid_partials(b.positions, b.grid), b.spec.ambient.sig_array)
+    pairs = itertools.combinations_with_replacement(range(3), 2)
+    diffs = [Ia[i, j] - Ib[i, j] for i, j in pairs]
     ok = a.valid_mask() & b.valid_mask()
     report = ResidualReport(metadata={"spacing": list(a.grid.spacing)})
     report.add("metric_difference", np.stack(diffs),

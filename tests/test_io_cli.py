@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,14 @@ class TestLoadConfig:
         assert cfg.tolerances["integrability"] == 1e-8
         assert cfg.tolerances["report"] == 1e-6
         assert cfg.grid.n == (21, 21, 21)
-        assert cfg.rng_seed == 0
+
+    @pytest.mark.parametrize("key, value", [("target", {"c": 1.0, "s": 0}),
+                                            ("theta", 0.5), ("rng_seed", 0)])
+    def test_removed_keys_rejected(self, tmp_path, key, value):
+        # nothing read these top-level keys; the family carries theta
+        doc = dict(MINIMAL, **{key: value})
+        with pytest.raises(SchemaError):
+            load_config(write_config(tmp_path, doc))
 
     def test_bad_type_pointer(self, tmp_path):
         doc = dict(MINIMAL)
@@ -335,6 +345,18 @@ class TestConfigRoundTrip:
 
         path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
         assert json.loads(path.read_text(encoding="utf-8")) == CONFIG_SCHEMA
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, not at module level
+    code = ("import sys, spaceform_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_raw_state_k2_target_from_classification(tmp_path):

@@ -9,6 +9,7 @@ from spaceform_lab.errors import (
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
+    PreconditionFailed,
     SingularPhi,
     SingularPsi,
 )
@@ -283,6 +284,19 @@ class TestMasking:
         fp = transform_immersion(ff, rf)
         assert np.isnan(fp.positions[rf.masked]).all()
         assert np.isfinite(fp.positions[rf.valid_mask()]).all()
+
+    def test_retransform_of_masked_triple_raises(self):
+        # NaN samples at masked nodes would spread through the spline to the
+        # whole box; both sweeps refuse such a triple and say how many nodes
+        grid = ParameterGrid.centered(1.0, 11)
+        t, rf = self._masked_run(grid)
+        tt = transformed_triple(t, rf)
+        count = f"at {int(tt.masked.sum())} nodes"
+        with pytest.raises(PreconditionFailed, match=count):
+            integrate_ribaucour(tt, rf.state_at(grid.base), grid, K2target=1.0)
+        with pytest.raises(PreconditionFailed, match=count):
+            integrate_frame(tt, seed_frame_state("problemstar_e1_Cneg", t.spec), grid,
+                            integrability_tol=None)
 
     def test_empty_domain_raises(self):
         grid = ParameterGrid.centered(1.0, 5)
