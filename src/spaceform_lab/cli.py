@@ -24,7 +24,6 @@ from .io import (
     load_config,
     write_report,
 )
-from .report import ResidualReport
 from .ribaucour import (
     RibaucourState,
     integrate_ribaucour,
@@ -35,7 +34,6 @@ from .ribaucour import (
 )
 from .triples import TripleField, classify, first_integrals, triple_residuals
 from .verify import (
-    ImmersionSample,
     holonomic_data,
     hj_relation_residual,
     isometry_check,

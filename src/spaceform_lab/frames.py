@@ -11,7 +11,7 @@ Along the u_a line the state (f, X1, X2, X3, N) evolves by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     SingularPsi,
 )
 from .frames import FrameState, standard_frame_state
-from .grid import ParameterGrid, partial_derivative
+from .grid import ParameterGrid
 from .report import ResidualReport
 from .ribaucour import RibaucourState
 from .triples import TripleField

@@ -188,23 +188,31 @@ def export_csv(field_values, grid: ParameterGrid, path, masked=None):
     Masked nodes are skipped; a fully masked field writes the header only.
     """
     field_values = _as_node_table(field_values, grid)
+    keep = ~_node_mask(masked, grid)
     m = field_values.shape[-1]
     header = "u1,u2,u3," + ",".join(f"x{i + 1}" for i in range(m))
     pts = grid.points()
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            n1, n2, n3 = grid.n
-            for i in range(n1):
-                for j in range(n2):
-                    for k in range(n3):
-                        if masked is not None and masked[i, j, k]:
-                            continue
-                        row = [_fmt(c) for c in pts[i, j, k]]
-                        row += [_fmt(c) for c in field_values[i, j, k]]
-                        fh.write(",".join(row) + "\n")
+            # one axis-0 slab at a time: repr of a Python float is _fmt, and a
+            # slab's rows cost far less memory than the whole table's
+            for i in range(grid.n[0]):
+                table = np.concatenate([pts[i], field_values[i]], axis=-1)
+                rows = table.reshape(-1, 3 + m)[keep[i].ravel()].tolist()
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _node_mask(masked, grid):
+    """``masked`` as a boolean array of shape grid.n (all False for None)."""
+    if masked is None:
+        return np.zeros(grid.n, dtype=bool)
+    masked = np.asarray(masked, dtype=bool)
+    if masked.shape != tuple(grid.n):
+        raise IoError(f"mask shape {masked.shape} does not match grid {grid.n}")
+    return masked
 
 
 def _as_node_table(values, grid):
@@ -232,9 +240,7 @@ def export_obj(positions, grid: ParameterGrid, axis, value, projection, path,
     index = [slice(None)] * 3
     index[axis] = sl
     sheet = positions[tuple(index)]
-    ok = np.isfinite(sheet).all(axis=-1)
-    if masked is not None:
-        ok &= ~masked[tuple(index)]
+    ok = np.isfinite(sheet).all(axis=-1) & ~_node_mask(masked, grid)[tuple(index)]
     n1, n2 = sheet.shape[:2]
     vid = np.zeros((n1, n2), dtype=int)
     lines = []

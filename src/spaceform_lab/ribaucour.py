@@ -29,7 +29,6 @@ from .errors import (
 )
 from .frames import DEFAULT_MAX_STEP, FrameField
 from .grid import ParameterGrid
-from .report import ResidualReport
 from .triples import TripleField, check_sweep_input, delta_inner
 from .verify import ImmersionSample
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import SpaceFormSpec, on_space_form
+from .ambient import SpaceFormSpec
 from .errors import (
     DegenerateMetric,
     DegenerateTriple,
@@ -75,6 +75,11 @@ class FundamentalForms:
 def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForms:
     """I by first differences; N from the orthogonality system with sign fixed
     by continuity from the base node; II from second differences.
+
+    N comes from the generalized cross product (cofactor vector) of the
+    dim - 1 rows df_1, df_2, df_3, and f when c != 0: times the signature it
+    spans their signature-orthogonal complement.  It is scaled to Euclidean
+    unit length for the causal-character test, then to unit signature norm.
     """
     grid = sample.grid
     grid.require_resolution(5)
@@ -91,21 +96,24 @@ def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForm
     df = grid_partials(sample.positions, grid)
     I = induced_metric_tensor(df, sig)
 
-    detI = np.abs(np.linalg.det(np.moveaxis(I.reshape(3, 3, -1), -1, 0)))
-    scale = np.maximum(np.abs(I).reshape(9, -1).max(axis=0) ** 3, 1e-300)
-    valid = ((detI / scale) > det_tol).reshape(grid.n) & sample.valid_mask()
+    detI = np.abs(sum(a * b for a, b in zip(I[0], _cofactor_vector(I[1:]))))
+    scale = np.maximum(np.abs(I).max(axis=(0, 1)) ** 3, 1e-300)
+    valid = ((detI / scale) > det_tol) & sample.valid_mask()
     if not finite.all():
         valid &= ~stencil_halo(~finite)
     if not valid.any():
         raise DegenerateMetric("first fundamental form is singular at every node")
 
-    # normal: signature-orthogonal complement of (df_1, df_2, df_3[, f])
-    rows = [d * sig for d in df]
+    # normal: signature-orthogonal complement of (df_1, df_2, df_3[, f]).
+    # <row, n>_sig = row . (sig n), so sig n is the Euclidean cross product.
+    rows = list(df)
     if spec.c != 0:
-        rows.append(sample.positions * sig)
-    M = np.stack(rows, axis=-2)                       # grid.n + (k, dim)
-    _, _, vh = np.linalg.svd(M)
-    n0 = vh[..., -1, :]                               # Euclidean unit nullvector
+        rows.append(sample.positions)
+    cross = _cofactor_vector([np.moveaxis(r, -1, 0) for r in rows])
+    norm = np.sqrt(sum(x * x for x in cross))
+    degenerate = norm == 0          # dependent rows, e.g. zero-filled masked nodes
+    n0 = np.stack(cross, axis=-1) * (sig / np.where(degenerate, 1.0, norm)[..., None])
+    n0[degenerate] = np.eye(spec.dim)[-1]             # finite; such nodes are invalid
     nn = np.sum(n0 * n0 * sig, axis=-1)
     bad_causal = np.abs(nn) < 1e-14
     valid &= ~bad_causal
@@ -151,6 +159,38 @@ def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForm
         dmix = partial_derivative(df[i], j, sp[j])
         II[i, j] = II[j, i] = np.sum(dmix * N * sig, axis=-1)
     return FundamentalForms(I, II, N, valid)
+
+
+def _cofactor_vector(rows):
+    """Generalized cross product of k rows in R^(k+1), each a sequence of k+1
+    component arrays: component j is (-1)^j times the minor without column j,
+    Euclidean-orthogonal to every row and zero exactly when they are dependent.
+
+    The minors are Laplace expansions along the rows from the last one up;
+    each level reuses the minors of the level below.
+    """
+    dim = len(rows) + 1
+    minors = {(j,): rows[-1][j] for j in range(dim)}
+    for r, row in enumerate(reversed(rows[:-1]), start=2):
+        minors = {cols: _expand_minor(row, cols, minors)
+                  for cols in itertools.combinations(range(dim), r)}
+    cross = []
+    for j in range(dim):
+        minor = minors[tuple(c for c in range(dim) if c != j)]
+        cross.append(-minor if j % 2 else minor)
+    return cross
+
+
+def _expand_minor(row, cols, minors):
+    """Laplace expansion of the minor on columns ``cols`` along ``row``."""
+    total = row[cols[0]] * minors[cols[1:]]
+    for a in range(1, len(cols)):
+        term = row[cols[a]] * minors[cols[:a] + cols[a + 1:]]
+        if a % 2:
+            total -= term
+        else:
+            total += term
+    return total
 
 
 def holonomic_data(sample: ImmersionSample, forms: FundamentalForms = None,

@@ -125,6 +125,60 @@ class TestExportCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _per_node_csv(values, grid, masked=None):
+    """The CSV text of ``export_csv`` formatted one node at a time."""
+    values = np.asarray(values, dtype=float).reshape(tuple(grid.n) + (-1,))
+    lines = ["u1,u2,u3," + ",".join(f"x{i + 1}" for i in range(values.shape[-1]))]
+    pts = grid.points()
+    for node in np.ndindex(*grid.n):
+        if masked is None or not masked[node]:
+            cells = list(pts[node]) + list(values[node])
+            lines.append(",".join(repr(float(x)) for x in cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestExportCsvBytes:
+    GRID = ParameterGrid((-1.0, 0.0, 0.25), (1.0, 0.3, 2.0), (3, 4, 5))
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2)
+
+    def _values(self, trailing):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=self.GRID.n + trailing) * 10.0 ** rng.integers(
+            -8, 9, size=self.GRID.n + trailing)
+        flat = values.reshape(-1)
+        flat[[3 * k + 1 for k in range(len(self.SPECIAL))]] = self.SPECIAL
+        return values
+
+    @pytest.mark.parametrize("trailing", [(), (1,), (5,)])
+    @pytest.mark.parametrize("partly_masked", [False, True])
+    def test_matches_per_node_formatting(self, tmp_path, trailing, partly_masked):
+        values = self._values(trailing)
+        masked = None
+        if partly_masked:
+            masked = np.random.default_rng(5).uniform(size=self.GRID.n) < 0.3
+            masked[0] = False
+            masked[-1] = True
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path), masked)
+        assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
+
+
+class TestMaskShape:
+    GRID = ParameterGrid((0, 0, 0), (1, 1, 1), (3, 3, 3))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_export_csv_rejects(self, tmp_path, n):
+        with pytest.raises(IoError, match=rf"\({n}, {n}, {n}\).*\(3, 3, 3\)"):
+            export_csv(np.zeros((3, 3, 3, 2)), self.GRID, str(tmp_path / "x.csv"),
+                       masked=np.zeros((n, n, n), dtype=bool))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_export_obj_rejects(self, tmp_path, n):
+        with pytest.raises(IoError, match=rf"\({n}, {n}, {n}\).*\(3, 3, 3\)"):
+            export_obj(self.GRID.points(), self.GRID, 2, 0.0, (0, 1, 2),
+                       str(tmp_path / "x.obj"), masked=np.zeros((n, n, n), dtype=bool))
+
+
 class TestExportObj:
     def _grid(self):
         return ParameterGrid((0, 0, 0), (1, 1, 1), (2, 2, 2))

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ import pytest
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import DegenerateTriple, GridMismatch, NonHolonomicSample
 from spaceform_lab.gallery import PhiFamily, closed_form_transform, phi_state
-from spaceform_lab.grid import ParameterGrid
+from spaceform_lab.grid import (
+    ParameterGrid,
+    grid_partials,
+    induced_metric_tensor,
+    partial_derivative,
+    second_derivative,
+    stencil_halo,
+)
 from spaceform_lab.ribaucour import integrate_ribaucour, transformed_triple
 from spaceform_lab.triples import TripleField, permute_triple
 from spaceform_lab.verify import (
@@ -221,3 +230,96 @@ class TestMaskedSamples:
         lam = principal_curvature_fields(sm, forms)
         dev = np.abs(np.abs(lam) - 0.5)
         assert dev[:, forms.valid].max() < 1e-3
+
+
+def _svd_forms(sample):
+    """``fundamental_forms`` with np.linalg.det for det I and the normal taken
+    as the last right singular vector of (df_1, df_2, df_3[, f]) * sig.
+
+    Same zero-filling, causal test, base sign and sweep-order alignment.
+    """
+    grid, spec = sample.grid, sample.spec
+    sig = spec.ambient.sig_array
+    finite = sample.valid_mask()
+    pos = np.where(finite[..., None], sample.positions, 0.0)
+    df = grid_partials(pos, grid)
+    I = induced_metric_tensor(df, sig)
+    detI = np.abs(np.linalg.det(np.moveaxis(I, (0, 1), (-2, -1))))
+    valid = (detI / np.maximum(np.abs(I).max(axis=(0, 1)) ** 3, 1e-300) > 1e-12) & finite
+    valid &= ~stencil_halo(~finite)
+    rows = [d * sig for d in df] + ([pos * sig] if spec.c != 0 else [])
+    n0 = np.linalg.svd(np.stack(rows, axis=-2))[2][..., -1, :]
+    nn = np.sum(n0 * n0 * sig, axis=-1)
+    valid &= np.abs(nn) >= 1e-14
+    N = n0 / np.sqrt(np.abs(np.where(np.abs(nn) < 1e-14, 1.0, nn)))[..., None]
+    base = grid.base
+    if N[base][np.argmax(np.abs(N[base]))] < 0:
+        N[base] = -N[base]
+    for axis in range(3):
+        # the base line, then its sheets, then the volume, outward from the base
+        at = tuple(base[a] if a > axis else slice(None) for a in range(3))
+        for step in (1, -1):
+            for i in range(base[axis] + step, grid.n[axis] if step > 0 else -1, step):
+                nxt = at[:axis] + (i,) + at[axis + 1:]
+                prev = at[:axis] + (i - step,) + at[axis + 1:]
+                flip = spec.eps * np.sum(N[prev] * N[nxt] * sig, axis=-1) < 0
+                N[nxt] = np.where(flip[..., None], -N[nxt], N[nxt])
+    II = np.empty((3, 3) + tuple(grid.n))
+    h = grid.spacing
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        d2 = (second_derivative(pos, i, h[i]) if i == j
+              else partial_derivative(df[i], j, h[j]))
+        II[i, j] = II[j, i] = np.sum(d2 * N * sig, axis=-1)
+    return I, II, N, valid
+
+
+class TestCrossProductNormal:
+    """The cofactor normal and det I of ``fundamental_forms`` against an SVD
+    null vector and np.linalg.det."""
+
+    GRID = ParameterGrid.centered(0.004, 21, (0.1, 0.4, 0.2))
+    NAN_NODES = ((2, 5, 7), (15, 6, 17), (10, 10, 1), (19, 19, 19), (5, 16, 10))
+    FAMILIES = {
+        "r4": dict(kind="problemstar", K=1.0, a=1.0, c=0.0, eps=1),
+        "s4": dict(kind="problemstar_sphere", K=-2.0, c=1.0, eps=1),
+        "lorentz": dict(kind="problemstar", K=2.0, a=1.0, c=0.0, eps=-1),
+    }
+
+    def _sample(self, family, nan_nodes):
+        fam = PhiFamily(rho=1.0, theta=0.5, **self.FAMILIES[family])
+        pos = closed_form_transform(fam)(self.GRID.points())
+        if nan_nodes:
+            for node in self.NAN_NODES:
+                pos[node] = np.nan
+        return ImmersionSample(self.GRID, pos, fam.spec)
+
+    @pytest.mark.parametrize("nan_nodes", [False, True])
+    @pytest.mark.parametrize("family", ["r4", "s4", "lorentz"])
+    def test_matches_svd_reference(self, family, nan_nodes):
+        sample = self._sample(family, nan_nodes)
+        forms = fundamental_forms(sample)
+        I_ref, II_ref, N_ref, valid_ref = _svd_forms(sample)
+        assert np.array_equal(forms.I, I_ref)
+        assert np.array_equal(forms.valid, valid_ref)
+        assert bool(forms.valid.all()) == (not nan_nodes)
+        assert np.isfinite(forms.N).all()
+        ok = forms.valid
+        np.testing.assert_allclose(forms.N[ok], N_ref[ok], rtol=0, atol=1e-13)
+        II, II_ref = forms.II[:, :, ok], II_ref[:, :, ok]
+        np.testing.assert_allclose(II, II_ref, rtol=0, atol=1e-12 * np.abs(II_ref).max())
+
+    def test_holds_no_memory_after_return(self):
+        sample = self._sample("s4", nan_nodes=True)
+        fundamental_forms(sample)
+        gc.disable()
+        try:
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            forms = fundamental_forms(sample)
+            del forms
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # a quarter of one grid-sized float array: no minors outlive the call
+        assert retained < 2 * int(np.prod(self.GRID.n))
