@@ -40,7 +40,7 @@ for c in (0.0, 1.0):
     exact = closed_form_frame("problemstar_e1_Cneg", spec, -1.0)(grid.points())
     err = np.abs(frame.states - exact).max()
     gram = frame_gram_residual(frame).overall_max
-    path = path_independence_residual(seed, init)["grid"].max
+    path = path_independence_residual(frame)["grid"].max
     print(f"c = {c:+.0f}: closed-form error {err:.2e}, "
           f"orthonormality drift {gram:.2e}, sweep-order dependence {path:.2e}")
 
@@ -49,6 +49,7 @@ from spaceform_lab.triples import TripleField
 
 broken = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
                               v=(0, 1, 1), V=(1, 0.5, 0.2))
-rep = path_independence_residual(broken, seed_frame_state("cflat", broken.spec))
+rep = path_independence_residual(
+    integrate_frame(broken, seed_frame_state("cflat", broken.spec), integrability_tol=None))
 print(f"injected compatibility violation 0.1 -> far-corner difference "
       f"{rep['far_corner'].max:.2e}")

@@ -115,7 +115,7 @@ def _cmd_integrate_frame(cfg) -> int:
     from .frames import frame_gram_residual, induced_metric
 
     gram = frame_gram_residual(ff)
-    path = path_independence_residual(triple, init, cfg.grid, cfg.max_step)
+    path = path_independence_residual(ff)
     _, metric_rep = induced_metric(ff)
     if cfg.outputs.get("csv"):
         export_csv(ff.f, cfg.grid, cfg.outputs["csv"])
@@ -126,6 +126,7 @@ def _cmd_integrate_frame(cfg) -> int:
 
 
 def _run_ribaucour_pipeline(cfg, fam=None):
+    """Seed triple, Ribaucour field and frame init; the seed must be integrable."""
     fam = fam or _family(cfg)
     if fam is not None:
         triple = fam.seed_triple(cfg.grid)
@@ -152,17 +153,22 @@ def _run_ribaucour_pipeline(cfg, fam=None):
         init = seed_state(triple, cfg.grid.base, request, k2)
         frame_init = _frame_init(cfg, name, triple.spec)
     rf = integrate_ribaucour(triple, init, cfg.grid, max_step=cfg.max_step,
-                             mask_tol=cfg.tolerances["mask"], K2target=k2)
+                             mask_tol=cfg.tolerances["mask"], K2target=k2,
+                             integrability_tol=cfg.tolerances["integrability"])
+    return triple, rf, frame_init
+
+
+def _fprime(cfg, triple, rf, frame_init):
+    """The transformed immersion F'; the Ribaucour sweep has checked the seed."""
     ff = integrate_frame(triple, frame_init, cfg.grid, max_step=cfg.max_step,
-                         integrability_tol=cfg.tolerances["integrability"])
-    fprime = transform_immersion(ff, rf)
-    return triple, rf, ff, fprime
+                         integrability_tol=None)
+    return transform_immersion(ff, rf)
 
 
 def _cmd_ribaucour(cfg) -> int:
     if not cfg.ribaucour:
         return _fail("ribaucour section missing from config")
-    triple, rf, ff, fprime = _run_ribaucour_pipeline(cfg)
+    triple, rf, frame_init = _run_ribaucour_pipeline(cfg)
     drift = invariant_drift(rf)
     tt = transformed_triple(triple, rf)
     out = {
@@ -175,11 +181,13 @@ def _cmd_ribaucour(cfg) -> int:
                                              "C": cls.C}
     except SpaceformLabError as exc:
         out["transformed_classification"] = {"error": str(exc)}
-    if cfg.outputs.get("csv"):
-        export_csv(fprime.positions, cfg.grid, cfg.outputs["csv"], rf.masked)
-    if cfg.outputs.get("obj"):
-        export_obj(fprime.positions, cfg.grid, 2, cfg.grid.base_point[2],
-                   (0, 1, 2), cfg.outputs["obj"], rf.masked)
+    if cfg.outputs.get("csv") or cfg.outputs.get("obj"):
+        fprime = _fprime(cfg, triple, rf, frame_init).positions
+        if cfg.outputs.get("csv"):
+            export_csv(fprime, cfg.grid, cfg.outputs["csv"], rf.masked)
+        if cfg.outputs.get("obj"):
+            export_obj(fprime, cfg.grid, 2, cfg.grid.base_point[2], (0, 1, 2),
+                       cfg.outputs["obj"], rf.masked)
     ok = drift.overall <= cfg.tolerances["report"]
     return _finish(out, cfg, ok)
 
@@ -192,8 +200,8 @@ def _cmd_pair_check(cfg) -> int:
         return _fail("the matched sphere partner is built for K=a=1, c=0, eps=1")
     fam_s = gal.PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1,
                           rho=fam.rho, theta=fam.theta, phases=fam.phases)
-    _, _, _, fr = _run_ribaucour_pipeline(cfg, fam)
-    _, _, _, fs = _run_ribaucour_pipeline(cfg, fam_s)
+    fr = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam))
+    fs = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam_s))
     iso = isometry_check(fr, fs)
     _, _, _, lam_r = holonomic_data(fr)
     _, _, _, lam_s = holonomic_data(fs)
@@ -215,7 +223,7 @@ def _cmd_cflat_check(cfg) -> int:
     fam = _family(cfg)
     if fam is None or fam.kind != "cflat":
         return _fail("cflat-check needs a 'cflat' family in the config")
-    triple, rf, ff, fprime = _run_ribaucour_pipeline(cfg, fam)
+    triple, rf, frame_init = _run_ribaucour_pipeline(cfg, fam)
     tt = transformed_triple(triple, rf)
     hj = hj_relation_residual(tt)
     sc = schouten_codazzi_residual(tt)
@@ -226,15 +234,16 @@ def _cmd_cflat_check(cfg) -> int:
     except SpaceformLabError as exc:
         out["classification"] = {"error": str(exc)}
     if cfg.outputs.get("csv"):
-        export_csv(fprime.positions, cfg.grid, cfg.outputs["csv"], rf.masked)
+        export_csv(_fprime(cfg, triple, rf, frame_init).positions, cfg.grid,
+                   cfg.outputs["csv"], rf.masked)
     ok = hj <= cfg.tolerances["report"]
     return _finish(out, cfg, ok)
 
 
 def _cmd_export(cfg) -> int:
     if cfg.ribaucour:
-        _, rf, _, fprime = _run_ribaucour_pipeline(cfg)
-        values, masked = fprime.positions, rf.masked
+        triple, rf, frame_init = _run_ribaucour_pipeline(cfg)
+        values, masked = _fprime(cfg, triple, rf, frame_init).positions, rf.masked
     else:
         triple, name = _seed_triple(cfg)
         init = _frame_init(cfg, name, triple.spec)

@@ -112,15 +112,14 @@ def _frame_rhs(triple: TripleField):
 def integrate_frame(triple: TripleField, init: FrameState, grid: ParameterGrid = None,
                     sweep_order=(0, 1, 2), max_step=DEFAULT_MAX_STEP,
                     integrability_tol=DEFAULT_INTEGRABILITY_TOL) -> FrameField:
-    """Sweep-integrate the frame system from the base node.
+    """Sweep-integrate the frame system from the base node over the triple's grid.
 
+    ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
     ``integrability_tol=None`` skips the seed-residual precondition (used by
     the diagnostics that deliberately integrate non-solutions).
     """
     grid = grid or triple.grid
-    if not grid.same_as(triple.grid):
-        triple = triple.with_grid(grid) if triple.closed_form else triple
-    check_sweep_input(triple, integrability_tol)
+    check_sweep_input(triple, grid, integrability_tol)
     states, _ = sweep_integrate(grid, tuple(sweep_order), init.as_array(),
                                 _frame_rhs(triple), max_step)
     return FrameField(grid, states, triple, tuple(sweep_order), max_step)
@@ -150,20 +149,19 @@ def frame_gram_residual(ff: FrameField) -> ResidualReport:
     return report
 
 
-def path_independence_residual(triple: TripleField, init: FrameState,
-                               grid: ParameterGrid = None, max_step=DEFAULT_MAX_STEP,
-                               integrability_tol=None) -> ResidualReport:
-    """Integrate with sweep orders (u1,u2,u3) and (u3,u2,u1) and compare positions.
+def path_independence_residual(ff: FrameField) -> ResidualReport:
+    """Integrate ``ff``'s triple in the reversed sweep order and compare positions.
 
-    Complete integrability makes the sweep order irrelevant up to scheme
-    error; a violated compatibility equation shows up here as a bulk
-    difference.
+    The reversed sweep starts from ``ff``'s state at the base node with the
+    same step bound and no integrability precondition.  Complete
+    integrability makes the sweep order irrelevant up to scheme error; a
+    violated compatibility equation shows up here as a bulk difference.
     """
-    grid = grid or triple.grid
-    fwd = integrate_frame(triple, init, grid, (0, 1, 2), max_step, integrability_tol)
-    rev = integrate_frame(triple, init, grid, (2, 1, 0), max_step, integrability_tol)
-    diff = np.abs(fwd.f - rev.f)
-    report = ResidualReport(metadata={"max_step": max_step})
+    grid = ff.grid
+    rev = integrate_frame(ff.triple, ff.state_at(grid.base), grid,
+                          tuple(reversed(ff.sweep_order)), ff.max_step, None)
+    diff = np.abs(ff.f - rev.f)
+    report = ResidualReport(metadata={"max_step": ff.max_step})
     report.add("far_corner", diff[grid.far_corner])
     report.add("grid", diff)
     return report

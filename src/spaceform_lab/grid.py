@@ -103,12 +103,9 @@ class ParameterGrid:
         if any(k < minimum for k in self.n):
             raise GridTooCoarse(f"need at least {minimum} nodes per axis, have {self.n}")
 
-    def same_as(self, other, tol=0.0) -> bool:
-        return (
-            self.n == other.n
-            and all(abs(a - b) <= tol for a, b in zip(self.lo, other.lo))
-            and all(abs(a - b) <= tol for a, b in zip(self.hi, other.hi))
-        )
+    def same_as(self, other) -> bool:
+        """Same nodes: equal n, lo and hi (the base may differ)."""
+        return self.n == other.n and self.lo == other.lo and self.hi == other.hi
 
 
 def partial_derivative(values, axis, spacing):

@@ -16,6 +16,7 @@ from .ambient import SpaceFormSpec
 from .errors import (
     BranchViolation,
     DegenerateTriple,
+    GridMismatch,
     InvalidParams,
     NotAFirstIntegralSolution,
     PreconditionFailed,
@@ -221,14 +222,6 @@ class TripleField:
         return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
                 out[:, 12:].reshape(lead + (3,)))
 
-    def with_grid(self, grid: ParameterGrid) -> "TripleField":
-        """Resample a closed-form triple on another grid."""
-        if not self.closed_form:
-            raise InvalidParams("only closed-form triples can be regridded")
-        return TripleField.from_functions(
-            grid, self.delta, self.spec, self.v_fn, self.V_fn, self.h_fn
-        )
-
     def valid_mask(self) -> np.ndarray:
         if self.masked is None:
             return np.ones(self.grid.n, dtype=bool)
@@ -313,14 +306,21 @@ def triple_residuals(t: TripleField) -> ResidualReport:
     return report
 
 
-def check_sweep_input(t: TripleField, integrability_tol):
-    """Raise PreconditionFailed unless ``t`` can drive a sweep.
+def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
+    """Raise unless ``t`` can drive a sweep over ``grid``.
 
-    Sampled data must be finite at every node: the spline prefilter of
-    ``eval_at`` spreads one non-finite sample to every value it returns.
+    A sweep runs on the triple's own grid: any other grid raises
+    GridMismatch, whether ``t`` is sampled or closed-form.  Sampled data must
+    be finite at every node (else PreconditionFailed): the spline prefilter
+    of ``eval_at`` spreads one non-finite sample to every value it returns.
     With ``integrability_tol`` set, the largest triple residual must not
-    exceed it either.
+    exceed it either (else PreconditionFailed).
     """
+    if not grid.same_as(t.grid):
+        raise GridMismatch(
+            f"sweep grid {grid.lo}..{grid.hi} x {grid.n} is not the triple's grid "
+            f"{t.grid.lo}..{t.grid.hi} x {t.grid.n}"
+        )
     if not t.closed_form:
         finite = (np.isfinite(t.v).all(axis=0) & np.isfinite(t.h).all(axis=(0, 1))
                   & np.isfinite(t.V).all(axis=0))

@@ -34,6 +34,8 @@ from .report import ResidualReport
 from .triples import TripleField, compatibility_residuals, h_from_v
 
 DISTINCT_GUARD = 1e-4
+DET_TOL = 1e-12             # relative det(I) under which the metric counts as singular
+INTERIOR_MARGIN = 3         # face layers left out of the Gauss-Codazzi aggregation
 
 
 @dataclass
@@ -72,7 +74,7 @@ class FundamentalForms:
     valid: np.ndarray               # grid.n bool (metric nondegenerate)
 
 
-def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForms:
+def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     """I by first differences; N from the orthogonality system with sign fixed
     by continuity from the base node; II from second differences.
 
@@ -98,7 +100,7 @@ def fundamental_forms(sample: ImmersionSample, det_tol=1e-12) -> FundamentalForm
 
     detI = np.abs(sum(a * b for a, b in zip(I[0], _cofactor_vector(I[1:]))))
     scale = np.maximum(np.abs(I).max(axis=(0, 1)) ** 3, 1e-300)
-    valid = ((detI / scale) > det_tol) & sample.valid_mask()
+    valid = ((detI / scale) > DET_TOL) & sample.valid_mask()
     if not finite.all():
         valid &= ~stencil_halo(~finite)
     if not valid.any():
@@ -235,13 +237,12 @@ def principal_curvature_fields(sample: ImmersionSample, forms: FundamentalForms 
     return np.moveaxis(lam, 0, -1).reshape((3,) + tuple(sample.grid.n))
 
 
-def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3,
-                           interior_margin=3) -> ResidualReport:
+def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3) -> ResidualReport:
     """Residuals of the compatibility equations from extracted (v, h, V).
 
     The extraction chain composes stencils (positions -> metric -> h -> dh),
     whose truncation error jumps between the one-sided face formulas and the
-    central interior ones; nodes within ``interior_margin`` of a face are
+    central interior ones; nodes within ``INTERIOR_MARGIN`` of a face are
     therefore excluded from the aggregation, keeping the reported residual
     h^2-scaled.
     """
@@ -252,12 +253,9 @@ def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3,
                                                       sample.spec.c)
     report = ResidualReport(metadata={"spacing": list(sp),
                                       "stencil": "order-2 central/one-sided"})
-    ok = forms.valid.copy()
-    m = int(interior_margin)
-    if m > 0:
-        interior = np.zeros_like(ok)
-        interior[m:-m, m:-m, m:-m] = True
-        ok &= interior
+    m = INTERIOR_MARGIN
+    ok = np.zeros_like(forms.valid)
+    ok[m:-m, m:-m, m:-m] = forms.valid[m:-m, m:-m, m:-m]
     report.metadata["interior_margin"] = m
     report.add("3.ii", res_ii, np.broadcast_to(ok, (6,) + ok.shape))
     report.add("3.iii", res_iii, np.broadcast_to(ok, (3,) + ok.shape))

@@ -78,15 +78,17 @@ def test_criterion_2_complete_integrability(grid21):
     for kind in ("problemstar_e1_Cneg", "cflat"):
         C = -1.0 if kind != "cflat" else None
         t = trivial_seed(kind, grid21, c=0.0, s=0, C=C)
-        rep = path_independence_residual(t, seed_frame_state(kind, t.spec), grid21)
+        rep = path_independence_residual(integrate_frame(t, seed_frame_state(kind, t.spec),
+                                                         grid21))
         results.append(rep["grid"].max)
     clean = max(results)
     # inject a constant 0.1 into compatibility equation (3.iii) of the
     # conformally flat seed: V = (1, 0.5, 0.2) gives eps V_2 V_3 = 0.1
     bad = TripleField.constant(grid21, (1, -1, 1), SpaceFormSpec(0.0, 0),
                                v=(0, 1, 1), V=(1, 0.5, 0.2))
-    broken = path_independence_residual(bad, seed_frame_state("cflat", bad.spec),
-                                        grid21)["far_corner"].max
+    broken = path_independence_residual(
+        integrate_frame(bad, seed_frame_state("cflat", bad.spec), grid21,
+                        integrability_tol=None))["far_corner"].max
     ok = clean <= 1e-8 and broken > 1e-3
     criterion(2, "sweep order is irrelevant for seeds, obstructed for non-solutions",
               ok, f"clean {clean:.2e} <= 1e-8, injected violation {broken:.2e} > 1e-3")

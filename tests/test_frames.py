@@ -118,27 +118,30 @@ class TestFrameGram:
 class TestPathIndependence:
     def test_seed62(self, grid21):
         t = seed62(grid21)
-        rep = path_independence_residual(t, seed_frame_state("problemstar_e1_Cneg",
-                                                             t.spec))
+        ff = integrate_frame(t, seed_frame_state("problemstar_e1_Cneg", t.spec))
+        rep = path_independence_residual(ff)
         assert rep["grid"].max <= 1e-8
         assert rep["far_corner"].max <= rep["grid"].max
 
     def test_seedcf(self, grid21):
         t = seedcf(grid21)
-        rep = path_independence_residual(t, seed_frame_state("cflat", t.spec))
+        ff = integrate_frame(t, seed_frame_state("cflat", t.spec))
+        rep = path_independence_residual(ff)
         assert rep["grid"].max <= 1e-8
 
     def test_injected_violation_detected(self, grid21):
         # V = (1, 0.5, 0.2) puts +0.1 into compatibility equation (3.iii)
         bad = TripleField.constant(grid21, (1, -1, 1), FLAT, v=(0, 1, 1),
                                    V=(1, 0.5, 0.2))
-        rep = path_independence_residual(bad, seed_frame_state("cflat", FLAT))
+        ff = integrate_frame(bad, seed_frame_state("cflat", FLAT), integrability_tol=None)
+        rep = path_independence_residual(ff)
         assert rep["far_corner"].max > 1e-3
 
     def test_minimal_grid(self):
         grid = ParameterGrid((0, 0, 0), (1e-6, 1e-6, 1e-6), (2, 2, 2))
         t = seedcf(grid)
-        rep = path_independence_residual(t, seed_frame_state("cflat", t.spec))
+        ff = integrate_frame(t, seed_frame_state("cflat", t.spec), integrability_tol=None)
+        rep = path_independence_residual(ff)
         assert rep["grid"].max < 1e-15
 
 

@@ -429,3 +429,60 @@ def test_raw_state_k2_target_from_classification(tmp_path):
     assert run(["ribaucour", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["invariant_drift"]["K2"] <= 1e-8
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+class TestSweepCount:
+    """Each subcommand integrates each field once, and only what it reports."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        from spaceform_lab import frames, ribaucour
+
+        calls = []
+        for module in (frames, ribaucour):
+            def counted(*args, _inner=module.sweep_integrate, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sweep_integrate", counted)
+        return calls
+
+    # pair-check exits 2 at 9^3: its pair-Gauss residual misses the 1e-5 gate
+    @pytest.mark.parametrize("cmd, config, outputs, code, expected", [
+        ("verify-triple", "seed62", (), 0, 0),
+        ("integrate-frame", "seed62", (), 0, 2),
+        ("ribaucour", "pipeline62", ("csv", "obj"), 0, 2),
+        ("pair-check", "pair62", (), 2, 4),
+        ("cflat-check", "cflat", (), 0, 1),
+        ("export", "pipeline62", ("csv",), 0, 2),
+    ])
+    def test_demo_config_at_9(self, tmp_path, sweeps, cmd, config, outputs, code,
+                              expected):
+        doc = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+        doc["grid"]["n"] = [9, 9, 9]
+        doc["grid"]["base"] = [4, 4, 4]
+        doc["outputs"] = {k: str(tmp_path / f"out.{k}") for k in outputs}
+        assert run([cmd, "--config", write_config(tmp_path, doc)]) == code
+        assert len(sweeps) == expected
+        for k in outputs:
+            assert (tmp_path / f"out.{k}").stat().st_size > 0
+
+    def test_non_integrable_seed_fails_without_outputs(self, tmp_path, sweeps, capsys):
+        # V = (1, 0.5, 0.2) leaves 0.5 in equation (3.iii); no frame is asked
+        # for, so the Ribaucour sweep must refuse the seed on its own
+        doc = {
+            "seed": {"triple": {"v": [0, 1, 1], "V": [1, 0.5, 0.2],
+                                "delta": [1, -1, 1]}},
+            "ambient": {"c": 0.0, "s": 0},
+            "grid": {"lo": [-1, -1, -1], "hi": [1, 1, 1], "n": [9, 9, 9],
+                     "base": [4, 4, 4]},
+            "ribaucour": {"state": {"gamma": [0.5, 0.0, 0.0], "vprime": [0.0, 0.0, 1.0],
+                                    "phi": 1.0, "beta": 0.0},
+                          "k2_target": 1.0},
+        }
+        assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
+        assert "seed residual 5.000e-01 exceeds 1.0e-08" in capsys.readouterr().err
+        assert sweeps == []

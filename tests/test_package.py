@@ -1,9 +1,16 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import spaceform_lab
 
 PACKAGE = Path(spaceform_lab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_no_unused_module_imports():
@@ -27,3 +34,13 @@ def test_no_unused_module_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unused, unused
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # demos write their exports to the temporary directory
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]

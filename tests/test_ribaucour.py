@@ -356,3 +356,34 @@ class TestParallelTriple:
         t = trivial_seed("problemstar_e1_Cneg", grid21, c=0.0, s=0, C=-1.0)
         with pytest.raises(FlatAmbientUnsupported):
             parallel_triple(t, 0.1)
+
+
+class TestSweepGrid:
+    """A sweep runs on its triple's own grid; any other box is refused."""
+
+    BOX_A = ParameterGrid.centered(0.4, 9)
+    BOX_B = ParameterGrid.centered(0.4, 9, (0.1, 0.0, 0.0))   # same n, other nodes
+
+    def _sweeps(self, t, fam, grid):
+        with pytest.raises(GridMismatch):
+            integrate_ribaucour(t, phi_state(fam, grid.base_point), grid, K2target=1.0)
+        with pytest.raises(GridMismatch):
+            integrate_frame(t, fam.frame_init(), grid, integrability_tol=None)
+
+    def test_sampled_triple_on_another_box(self, fam62):
+        t = fam62.seed_triple(self.BOX_A)
+        rf = integrate_ribaucour(t, phi_state(fam62, self.BOX_A.base_point), K2target=1.0)
+        tt = transformed_triple(t, rf)
+        assert not tt.closed_form and tt.masked is None
+        self._sweeps(tt, fam62, self.BOX_B)
+
+    def test_closed_form_triple_on_another_box(self, fam62):
+        self._sweeps(fam62.seed_triple(self.BOX_A), fam62, self.BOX_B)
+
+    def test_equal_grid_accepted(self, fam62):
+        t = fam62.seed_triple(self.BOX_A)
+        grid = ParameterGrid.centered(0.4, 9)
+        assert grid is not t.grid
+        rf = integrate_ribaucour(t, phi_state(fam62, grid.base_point), grid, K2target=1.0)
+        ff = integrate_frame(t, fam62.frame_init(), grid)
+        assert ff.grid is grid and rf.grid is grid

@@ -288,6 +288,28 @@ class TestTripleFromCurvatures:
         back = t.V / t.v
         assert np.abs(back - lam).max() < 1e-12
 
+    def test_problem_star_recovers_transformed_triple(self, fam62):
+        # lambda' = V'/v' of a transformed Problem-* triple on the pair62 box;
+        # the branch takes the positive root, so it must give |v'|
+        from spaceform_lab.gallery import phi_state
+        from spaceform_lab.ribaucour import integrate_ribaucour
+
+        grid = ParameterGrid.centered(0.004, 11, (0.1, 0.4, 0.2))
+        t = fam62.seed_triple(grid)
+        rf = integrate_ribaucour(t, phi_state(fam62, grid.base_point), grid,
+                                 K2target=1.0)
+        tt = transformed_triple(t, rf)
+        cls = classify(tt)
+        assert cls.kind == "ProblemStar" and cls.eps_hat == 1
+        assert cls.C == pytest.approx(-1.0, abs=1e-8)
+        assert (tt.v < 0).all()
+        back = triple_from_curvatures(tt.V / tt.v, tt.delta, tt.spec, grid,
+                                      problem_star=(cls.eps_hat, cls.C))
+        assert np.abs(back.v - np.abs(tt.v)).max() < 1e-12
+        K = first_integrals(back, grid.base).as_tuple()
+        assert K == pytest.approx((1.0, 0.0, -1.0), abs=1e-8)
+        assert classify(back).kind == "ProblemStar"     # constant over the box
+
     def test_branch_violation(self):
         g = grid9()
         lam = np.broadcast_to(np.array([-1.0, 0.0, 1.0]).reshape(3, 1, 1, 1),
