@@ -6,6 +6,10 @@ third from every node of that sheet.  Lines advance node to node with classic
 4th-order Runge-Kutta substeps so the effective step never exceeds
 ``max_step``.  Within each line the evaluation order is fixed, so outputs are
 byte-identical for identical inputs.
+
+The lines of one axis phase march together as one batch state of shape
+``state_shape + (B,)``: the batch axis is last, so every state component the
+right-hand sides read or write is a contiguous run of B values.
 """
 
 from __future__ import annotations
@@ -19,31 +23,42 @@ from .errors import NonFiniteState
 
 
 def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen):
-    """Advance the batch state y from u_from to u_to along one axis.
+    """Advance the batch state y (state_shape + (B,)) from u_from to u_to
+    along one axis; ``y`` itself is not modified.
 
-    Overflow inside a step is tolerated here; callers detect non-finite
-    states on node arrival.
+    Stages and the combine run in place: one ``stage`` buffer per march, and
+    the k arrays returned by ``rhs`` are reused as accumulators, in the order
+    y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  Overflow inside
+    a step is tolerated here; callers detect non-finite states on node arrival.
     """
     span = u_to - u_from
     nsub = max(1, math.ceil(abs(span) / max_step))
     dt = span / nsub
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    hold = frozen is not None and frozen.any()
+    stage = np.empty_like(y)
     u = u_from
+    p0 = pts.copy()
+    p0[:, axis] = u
+    pm = pts.copy()
+    p1 = pts.copy()
     for _ in range(nsub):
-        p0 = pts.copy()
-        p0[:, axis] = u
-        pm = pts.copy()
-        pm[:, axis] = u + 0.5 * dt
-        p1 = pts.copy()
+        pm[:, axis] = u + half
         p1[:, axis] = u + dt
         k1 = rhs(p0, y)
-        k2 = rhs(pm, y + 0.5 * dt * k1)
-        k3 = rhs(pm, y + 0.5 * dt * k2)
-        k4 = rhs(p1, y + dt * k3)
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if frozen is not None and frozen.any():
-            y_new[frozen] = y[frozen]
+        k2 = rhs(pm, np.add(y, np.multiply(half, k1, out=stage), out=stage))
+        k3 = rhs(pm, np.add(y, np.multiply(half, k2, out=stage), out=stage))
+        k4 = rhs(p1, np.add(y, np.multiply(dt, k3, out=stage), out=stage))
+        k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+        k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
+        k4 = np.add(k3, k4, out=k4)
+        y_new = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
+        if hold:
+            y_new[..., frozen] = y[..., frozen]
         y = y_new
         u += dt
+        p0, p1 = p1, p0        # this substep's end points start the next one
     return y
 
 
@@ -51,10 +66,11 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
                     on_nonfinite="raise"):
     """Integrate a pointwise ODE system over the whole grid.
 
-    rhs(points (B, 3), Y (B,) + state_shape, axis) -> dY.
-    ``node_check(Y) -> bool array`` flags nodes to mask (evaluated on arrival);
-    masked lines freeze and the flag propagates along the sweep.
-    Returns (states grid.n + state_shape, masked bool array).
+    ``rhs(points (B, 3), Y state_shape + (B,), axis)`` returns dY as a fresh
+    array of Y's shape (the march accumulates into it).
+    ``node_check(Y state_shape + (B,)) -> (B,) bool`` flags nodes to mask
+    (evaluated on arrival); masked lines freeze and the flag propagates along
+    the sweep.  Returns (states grid.n + state_shape, masked bool array).
     """
     n = grid.n
     y0 = np.asarray(y0, dtype=float)
@@ -63,7 +79,7 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
     states[grid.base] = y0
     masked = np.zeros(n, dtype=bool)
 
-    if node_check is not None and node_check(y0[None])[0]:
+    if node_check is not None and node_check(y0[..., None])[0]:
         masked[grid.base] = True
 
     done = []
@@ -71,7 +87,7 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
         ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
         starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
         B = len(starts)
-        y_start = states[tuple(starts.T)]
+        y_start = np.moveaxis(states[tuple(starts.T)], 0, -1)
         bad_start = masked[tuple(starts.T)]
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         ax_vals = grid.axis(axis)
@@ -89,7 +105,7 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     y = rk4_march(_rhs, pts_start, axis, ax_vals[idx], ax_vals[nxt],
                                   y, max_step, frozen=bad)
-                nonfinite = ~np.isfinite(y.reshape(B, -1)).all(axis=1)
+                nonfinite = ~np.isfinite(y.reshape(-1, B)).all(axis=0)
                 if nonfinite.any() and not bad[nonfinite].all():
                     if on_nonfinite == "raise":
                         raise NonFiniteState(
@@ -100,7 +116,7 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
                     bad |= node_check(y)
                 write = starts.copy()
                 write[:, axis] = nxt
-                states[tuple(write.T)] = y
+                states[tuple(write.T)] = np.moveaxis(y, -1, 0)
                 masked[tuple(write.T)] |= bad
                 idx = nxt
         done.append(axis)

@@ -89,21 +89,20 @@ def _frame_rhs(triple: TripleField):
 
     def rhs(pts, Y, axis):
         v, h, V = triple.eval_at(pts)
-        f = Y[:, 0]
-        X = Y[:, 1:4]
-        N = Y[:, 4]
         a = axis
-        Xa = X[:, a]
+        va = v[:, a]
+        Va = V[:, a]
+        Xa = Y[1 + a]
         dY = np.empty_like(Y)
-        dY[:, 0] = v[:, a, None] * Xa
-        dXa = eps * V[:, a, None] * N - c * v[:, a, None] * f
+        dY[0] = va * Xa
+        dXa = eps * Va * Y[4] - c * va * Y[0]
         for i in range(3):
             if i == a:
                 continue
-            dY[:, 1 + i] = h[:, i, a, None] * Xa
-            dXa = dXa - h[:, i, a, None] * X[:, i]
-        dY[:, 1 + a] = dXa
-        dY[:, 4] = -V[:, a, None] * Xa
+            dY[1 + i] = h[:, i, a] * Xa
+            dXa = dXa - h[:, i, a] * Y[1 + i]
+        dY[1 + a] = dXa
+        dY[4] = -Va * Xa
         return dY
 
     return rhs

@@ -14,6 +14,7 @@ second derivatives compose two first-derivative passes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ class ParameterGrid:
             raise InvalidParams("grid needs 3 components per field")
         if any(k < 2 for k in n):
             raise InvalidParams("need at least 2 samples per axis")
+        if not all(math.isfinite(x) for x in lo + hi):
+            raise InvalidParams(f"grid bounds must be finite, got lo={lo}, hi={hi}")
         if any(a >= b for a, b in zip(lo, hi)):
             raise InvalidParams("lo must be strictly below hi componentwise")
         base = self.base if self.base is not None else (0, 0, 0)

@@ -173,41 +173,37 @@ def _ribaucour_rhs(triple: TripleField):
 
     def rhs(pts, Y, axis):
         v, h, V = triple.eval_at(pts)
-        g = Y[:, _G]
-        vp = Y[:, _VP]
-        phi = Y[:, _PHI]
-        psi = Y[:, _PSI]
-        beta = Y[:, _BETA]
+        g = Y[_G]
+        vp = Y[_VP]
+        phi = Y[_PHI]
+        psi = Y[_PSI]
+        beta = Y[_BETA]
         a = axis
         dY = np.empty_like(Y)
-        ga = g[:, a]
-        vpa = vp[:, a]
+        dvp = dY[_VP]
+        ga = g[a]
+        vpa = vp[a]
+        va = v[:, a]
+        Va = V[:, a]
         inv_phi = 1.0 / phi
+        ratio = ga * inv_phi
 
-        # h'_aj = h_aj + (v'_j - v_j) gamma_a / phi
-        hp = h[:, a, :] + (vp - v) * (ga * inv_phi)[:, None]
-
-        dga = (v[:, a] - vpa) * psi + beta * V[:, a] - c * phi * v[:, a]
+        dga = (va - vpa) * psi + beta * Va - c * phi * va
+        acc = np.zeros(Y.shape[-1])
         for j in range(3):
             if j == a:
                 continue
-            dY[:, j] = h[:, j, a] * ga           # (ii) with i = j, j = a
-            dga = dga - h[:, j, a] * g[:, j]
-        dY[:, a] = dga
+            dY[j] = h[:, j, a] * ga              # (ii) with i = j, j = a
+            dga = dga - h[:, j, a] * g[j]
+            hp = h[:, a, j] + (vp[j] - v[:, j]) * ratio   # h'_aj
+            dvp[j] = hp * vpa                    # (vi)
+            acc = acc + delta[j] * hp * vp[j]
+        dY[a] = dga
+        dvp[a] = -delta[a] * acc                 # (vii)
 
-        dvp = np.empty_like(vp)
-        acc = np.zeros(len(Y))
-        for j in range(3):
-            if j == a:
-                continue
-            dvp[:, j] = hp[:, j] * vpa           # (vi)
-            acc = acc + delta[j] * hp[:, j] * vp[:, j]
-        dvp[:, a] = -delta[a] * acc              # (vii)
-        dY[:, _VP] = dvp
-
-        dY[:, _PHI] = v[:, a] * ga               # (i)
-        dY[:, _PSI] = -ga * vpa * psi * inv_phi  # (v), non-log form
-        dY[:, _BETA] = -eps * V[:, a] * ga       # (iv)
+        dY[_PHI] = va * ga                       # (i)
+        dY[_PSI] = -ga * vpa * psi * inv_phi     # (v), non-log form
+        dY[_BETA] = -eps * Va * ga               # (iv)
         return dY
 
     return rhs
@@ -231,7 +227,7 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
                                      np.asarray(init.vprime)))
 
     def node_check(Y):
-        return (np.abs(Y[..., _PHI]) < mask_tol) | (np.abs(Y[..., _PSI]) < mask_tol)
+        return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
 
     states, masked = sweep_integrate(grid, (0, 1, 2), init.as_array(),
                                      _ribaucour_rhs(triple), max_step,

@@ -152,13 +152,17 @@ class TripleField:
         v = np.asarray(v, dtype=float)
         V = np.asarray(V, dtype=float)
 
+        def filled(values, u1, u2, u3):
+            out = np.empty((3,) + np.broadcast(u1, u2, u3).shape)
+            for i in range(3):
+                out[i] = values[i]
+            return out
+
         def v_fn(u1, u2, u3):
-            shape = np.broadcast(u1, u2, u3).shape
-            return np.broadcast_to(v.reshape((3,) + (1,) * len(shape)), (3,) + shape).copy()
+            return filled(v, u1, u2, u3)
 
         def V_fn(u1, u2, u3):
-            shape = np.broadcast(u1, u2, u3).shape
-            return np.broadcast_to(V.reshape((3,) + (1,) * len(shape)), (3,) + shape).copy()
+            return filled(V, u1, u2, u3)
 
         def h_fn(u1, u2, u3):
             shape = np.broadcast(u1, u2, u3).shape
@@ -208,11 +212,11 @@ class TripleField:
         points = np.asarray(points, dtype=float)
         if self.closed_form:
             u1, u2, u3 = points[..., 0], points[..., 1], points[..., 2]
-            v = np.moveaxis(np.asarray(self.v_fn(u1, u2, u3), dtype=float), 0, -1)
-            V = np.moveaxis(np.asarray(self.V_fn(u1, u2, u3), dtype=float), 0, -1)
-            h = np.moveaxis(
-                np.moveaxis(np.asarray(self.h_fn(u1, u2, u3), dtype=float), 0, -1), 0, -1
-            )
+            lead = tuple(range(1, points.ndim))
+            v = np.asarray(self.v_fn(u1, u2, u3), dtype=float).transpose(lead + (0,))
+            V = np.asarray(self.V_fn(u1, u2, u3), dtype=float).transpose(lead + (0,))
+            h = np.asarray(self.h_fn(u1, u2, u3), dtype=float).transpose(
+                tuple(a + 1 for a in lead) + (0, 1))
             return v, h, V
         if self._interp is None:
             self._sample()

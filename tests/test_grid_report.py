@@ -25,6 +25,19 @@ class TestParameterGrid:
         with pytest.raises(InvalidParams):
             ParameterGrid((0, 0, 0), (1, 1, 1), (5, 5, 5), base=(5, 0, 0))
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((np.nan, 0, 0), (1, 1, 1)),
+        ((0, -np.inf, 0), (1, 1, 1)),
+        ((0, 0, np.inf), (1, 1, 1)),
+        ((0, 0, 0), (np.nan, 1, 1)),
+        ((0, 0, 0), (1, np.inf, 1)),
+        ((0, 0, 0), (1, 1, -np.inf)),
+    ])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # nan and -inf in lo or +inf in hi pass the lo < hi check
+        with pytest.raises(InvalidParams, match="finite"):
+            ParameterGrid(lo, hi, (3, 3, 3))
+
     def test_require_resolution(self):
         g = ParameterGrid((0, 0, 0), (1, 1, 1), (4, 5, 5))
         with pytest.raises(GridTooCoarse):

@@ -1,0 +1,335 @@
+"""The lattice sweep engine against its batch-first reference, bit for bit, and
+the number of triple evaluations a sweep makes.
+
+The reference below is the engine as it was before sweep states were carried
+batch-last: lines march as (B,) + state_shape arrays, every RK4 stage is a
+fresh array, and the two right-hand sides slice per-line columns.  The
+batch-last engine performs the same floating-point operations in the same
+order, so its states must match the reference's byte for byte.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from spaceform_lab.ambient import SpaceFormSpec
+from spaceform_lab.errors import NonFiniteState
+from spaceform_lab.frames import DEFAULT_MAX_STEP, integrate_frame, standard_frame_state
+from spaceform_lab.gallery import PhiFamily, phi_state, trivial_seed
+from spaceform_lab.grid import ParameterGrid
+from spaceform_lab.ribaucour import (
+    RibaucourState,
+    default_mask_tol,
+    integrate_ribaucour,
+    seed_state,
+    transformed_triple,
+)
+from spaceform_lab.triples import TripleField
+
+# ---------------------------------------------------------------------------
+# batch-first reference engine
+# ---------------------------------------------------------------------------
+
+
+def _ref_rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen):
+    span = u_to - u_from
+    nsub = max(1, math.ceil(abs(span) / max_step))
+    dt = span / nsub
+    u = u_from
+    for _ in range(nsub):
+        p0 = pts.copy()
+        p0[:, axis] = u
+        pm = pts.copy()
+        pm[:, axis] = u + 0.5 * dt
+        p1 = pts.copy()
+        p1[:, axis] = u + dt
+        k1 = rhs(p0, y)
+        k2 = rhs(pm, y + 0.5 * dt * k1)
+        k3 = rhs(pm, y + 0.5 * dt * k2)
+        k4 = rhs(p1, y + dt * k3)
+        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if frozen is not None and frozen.any():
+            y_new[frozen] = y[frozen]
+        y = y_new
+        u += dt
+    return y
+
+
+def _ref_sweep(grid, order, y0, rhs, max_step, node_check=None, on_nonfinite="raise"):
+    n = grid.n
+    y0 = np.asarray(y0, dtype=float)
+    states = np.full(tuple(n) + y0.shape, np.nan)
+    states[grid.base] = y0
+    masked = np.zeros(n, dtype=bool)
+    if node_check is not None and node_check(y0[None])[0]:
+        masked[grid.base] = True
+    done = []
+    for axis in order:
+        ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
+        starts = np.array(list(itertools.product(*ranges)), dtype=int)
+        B = len(starts)
+        y_start = states[tuple(starts.T)]
+        bad_start = masked[tuple(starts.T)]
+        pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
+        ax_vals = grid.axis(axis)
+        for direction in (+1, -1):
+            y = y_start.copy()
+            bad = bad_start.copy()
+            idx = grid.base[axis]
+            while 0 <= idx + direction < n[axis]:
+                nxt = idx + direction
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    y = _ref_rk4_march(lambda p, s: rhs(p, s, axis), pts_start, axis,
+                                       ax_vals[idx], ax_vals[nxt], y, max_step, bad)
+                nonfinite = ~np.isfinite(y.reshape(B, -1)).all(axis=1)
+                if nonfinite.any() and not bad[nonfinite].all():
+                    if on_nonfinite == "raise":
+                        raise NonFiniteState(
+                            f"state overflowed along axis {axis} at node {nxt}")
+                    bad |= nonfinite
+                if node_check is not None:
+                    bad |= node_check(y)
+                write = starts.copy()
+                write[:, axis] = nxt
+                states[tuple(write.T)] = y
+                masked[tuple(write.T)] |= bad
+                idx = nxt
+        done.append(axis)
+    return states, masked
+
+
+def _ref_frame_rhs(triple):
+    eps = float(triple.spec.eps)
+    c = float(triple.spec.c)
+
+    def rhs(pts, Y, axis):
+        v, h, V = triple.eval_at(pts)
+        f, X, N, a = Y[:, 0], Y[:, 1:4], Y[:, 4], axis
+        Xa = X[:, a]
+        dY = np.empty_like(Y)
+        dY[:, 0] = v[:, a, None] * Xa
+        dXa = eps * V[:, a, None] * N - c * v[:, a, None] * f
+        for i in range(3):
+            if i == a:
+                continue
+            dY[:, 1 + i] = h[:, i, a, None] * Xa
+            dXa = dXa - h[:, i, a, None] * X[:, i]
+        dY[:, 1 + a] = dXa
+        dY[:, 4] = -V[:, a, None] * Xa
+        return dY
+
+    return rhs
+
+
+def _ref_ribaucour_rhs(triple):
+    eps = float(triple.spec.eps)
+    c = float(triple.spec.c)
+    delta = np.asarray(triple.delta, dtype=float)
+
+    def rhs(pts, Y, axis):
+        v, h, V = triple.eval_at(pts)
+        g, vp, phi, psi, beta, a = Y[:, 0:3], Y[:, 3:6], Y[:, 6], Y[:, 7], Y[:, 8], axis
+        dY = np.empty_like(Y)
+        ga = g[:, a]
+        vpa = vp[:, a]
+        inv_phi = 1.0 / phi
+        hp = h[:, a, :] + (vp - v) * (ga * inv_phi)[:, None]
+        dga = (v[:, a] - vpa) * psi + beta * V[:, a] - c * phi * v[:, a]
+        for j in range(3):
+            if j == a:
+                continue
+            dY[:, j] = h[:, j, a] * ga
+            dga = dga - h[:, j, a] * g[:, j]
+        dY[:, a] = dga
+        dvp = np.empty_like(vp)
+        acc = np.zeros(len(Y))
+        for j in range(3):
+            if j == a:
+                continue
+            dvp[:, j] = hp[:, j] * vpa
+            acc = acc + delta[j] * hp[:, j] * vp[:, j]
+        dvp[:, a] = -delta[a] * acc
+        dY[:, 3:6] = dvp
+        dY[:, 6] = v[:, a] * ga
+        dY[:, 7] = -ga * vpa * psi * inv_phi
+        dY[:, 8] = -eps * V[:, a] * ga
+        return dY
+
+    return rhs
+
+
+def ref_frame(triple, init, sweep_order=(0, 1, 2)):
+    return _ref_sweep(triple.grid, sweep_order, init.as_array(), _ref_frame_rhs(triple),
+                      DEFAULT_MAX_STEP)
+
+
+def ref_ribaucour(triple, init, mask_tol=None):
+    grid = triple.grid
+    tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
+
+    def node_check(Y):
+        return (np.abs(Y[..., 6]) < tol) | (np.abs(Y[..., 7]) < tol)
+
+    return _ref_sweep(grid, (0, 1, 2), init.as_array(), _ref_ribaucour_rhs(triple),
+                      DEFAULT_MAX_STEP, node_check, "mask")
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+THETA = math.pi / 4
+FAMILIES = {
+    "r4_problemstar": PhiFamily("problemstar", K=1.0, a=1.0, c=0.0, eps=1, theta=THETA),
+    "s4_problemstar_sphere": PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1,
+                                       theta=THETA),
+    "r4_cflat": PhiFamily("cflat", K=-1.0, c=0.0, eps=1, theta=THETA),
+}
+
+
+def _assert_same(states_masked, ref):
+    states, masked = states_masked
+    ref_states, ref_masked = ref
+    assert states.shape == ref_states.shape
+    assert states.tobytes() == ref_states.tobytes()
+    assert np.array_equal(masked, ref_masked)
+
+
+def _frame_result(ff):
+    return ff.states, np.zeros(ff.grid.n, dtype=bool)
+
+
+def _ribaucour_result(rf):
+    return rf.states, rf.masked if rf.masked is not None else np.zeros(rf.grid.n, bool)
+
+
+def _closed_form_case(name):
+    fam = FAMILIES[name]
+    grid = ParameterGrid.centered(1.0, 9)
+    return fam, fam.seed_triple(grid), phi_state(fam, grid.base_point)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_closed_form_seeds(self, name):
+        fam, t, init = _closed_form_case(name)
+        _assert_same(_frame_result(integrate_frame(t, fam.frame_init())),
+                     ref_frame(t, fam.frame_init()))
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    def test_reversed_sweep_order(self):
+        fam, t, _ = _closed_form_case("s4_problemstar_sphere")
+        ff = integrate_frame(t, fam.frame_init(), sweep_order=(2, 1, 0))
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), (2, 1, 0)))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_transformed_triple(self, name):
+        # sampled data with h != 0 (every term of both right-hand sides is live);
+        # the S^4 and cflat re-transforms also mask lines where phi or psi vanish
+        fam, t, init = _closed_form_case(name)
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        tt = transformed_triple(t, rf)
+        assert not tt.closed_form and np.abs(tt.h).max() > 0.1
+        ff = integrate_frame(tt, fam.frame_init(), integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(tt, fam.frame_init()))
+        init2 = rf.state_at(tt.grid.base)
+        rf2 = integrate_ribaucour(tt, init2, K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf2), ref_ribaucour(tt, init2))
+
+    def test_mask_tol_freezes_lines(self):
+        grid = ParameterGrid.centered(1.0, 9)
+        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
+        init = seed_state(t, grid.base, req, K2target=1.0)
+        rf = integrate_ribaucour(t, init, mask_tol=0.05, K2target=1.0)
+        assert rf.masked is not None and rf.masked.any() and not rf.masked.all()
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init, mask_tol=0.05))
+
+    def _overflowing_triple(self):
+        # exponential growth along u1 overflows on a long line
+        grid = ParameterGrid((0, 0, 0), (60.0, 1, 1), (31, 5, 5))
+        return TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1),
+                                    v=(0, 1, 1), V=(30.0, 0, 0))
+
+    def test_nonfinite_lines_masked(self):
+        t = self._overflowing_triple()
+        init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3, beta=0.3)
+        rf = integrate_ribaucour(t, init, K2target=1.0)
+        assert rf.masked is not None and rf.masked.any()
+        assert not np.isfinite(rf.states[rf.masked]).all()
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    def test_nonfinite_state_raises(self):
+        t = self._overflowing_triple()
+        init = standard_frame_state(t.spec)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, init)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_frame(t, init, integrability_tol=None)
+        assert str(err.value) == str(ref_err.value)
+
+
+# ---------------------------------------------------------------------------
+# triple evaluations per sweep
+# ---------------------------------------------------------------------------
+
+
+def _axis_substeps(grid, axis, max_step):
+    """RK4 substeps over every node interval of one axis (both directions)."""
+    nodes = grid.axis(axis)
+    return sum(max(1, math.ceil(abs(b - a) / max_step)) for a, b in zip(nodes[:-1], nodes[1:]))
+
+
+def _count_eval_at(triple):
+    """Wrap the instance's ``eval_at`` with call and point counters."""
+    counts = {"calls": 0, "points": 0}
+    inner = triple.eval_at
+
+    def eval_at(points):
+        counts["calls"] += 1
+        counts["points"] += len(points)
+        return inner(points)
+
+    triple.eval_at = eval_at
+    return counts
+
+
+class TestEvalCount:
+    """Each RK4 substep evaluates the triple four times, once per stage, for
+    all lines of the axis phase at once."""
+
+    GRID = ParameterGrid((-0.2, -0.25, -0.15), (0.2, 0.15, 0.25), (5, 7, 6), (2, 3, 1))
+    STEP = 0.03
+
+    def _expected(self, order):
+        grid = self.GRID
+        substeps = [_axis_substeps(grid, a, self.STEP) for a in order]
+        lines = [math.prod(grid.n[a] for a in order[:k]) for k in range(3)]
+        return 4 * sum(substeps), 4 * sum(s * b for s, b in zip(substeps, lines))
+
+    def _counted_triple(self, fam, sampled):
+        t = fam.seed_triple(self.GRID)
+        if sampled:
+            t = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
+        return t, _count_eval_at(t)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_frame_sweep(self, order, sampled):
+        fam = FAMILIES["r4_problemstar"]
+        t, counts = self._counted_triple(fam, sampled)
+        integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=self.STEP)
+        calls, points = self._expected(order)
+        assert (counts["calls"], counts["points"]) == (calls, points)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_ribaucour_sweep(self, sampled):
+        fam = FAMILIES["s4_problemstar_sphere"]
+        t, counts = self._counted_triple(fam, sampled)
+        integrate_ribaucour(t, phi_state(fam, self.GRID.base_point), max_step=self.STEP,
+                            K2target=fam.K2target)
+        calls, points = self._expected((0, 1, 2))
+        assert (counts["calls"], counts["points"]) == (calls, points)

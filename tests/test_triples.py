@@ -396,6 +396,30 @@ class TestSampledEvaluation:
         check(0.95, 5e-3)
         check(0.5, 1e-5)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
+    def test_closed_form_eval_matches_moveaxis(self, shape):
+        t, (v_fn, h_fn, V_fn) = self._smooth_triple(closed_form=True)
+        pts = np.random.default_rng(2).uniform(-1, 1, size=shape)
+        u = pts[..., 0], pts[..., 1], pts[..., 2]
+        v, h, V = t.eval_at(pts)
+        assert np.array_equal(v, np.moveaxis(v_fn(*u), 0, -1))
+        assert np.array_equal(V, np.moveaxis(V_fn(*u), 0, -1))
+        assert np.array_equal(h, np.moveaxis(np.moveaxis(h_fn(*u), 0, -1), 0, -1))
+
+    @pytest.mark.parametrize("u", [
+        (0.5, -0.25, 1.0),
+        (np.linspace(0, 1, 4), 0.5, np.zeros(4)),
+        (np.zeros((2, 1)), np.ones((1, 5)), 0.0),
+    ])
+    def test_constant_triple_bytes(self, u):
+        v, V = np.array([1.0, -0.0, 2.5]), np.array([np.sqrt(2.0), 0.0, -3.0])
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=v, V=V)
+        shape = np.broadcast(*u).shape
+        for fn, ref in ((t.v_fn, v), (t.V_fn, V)):
+            want = np.broadcast_to(ref.reshape((3,) + (1,) * len(shape)), (3,) + shape).copy()
+            got = fn(*u)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_closed_form_eval_is_exact(self):
         t, (v_fn, _, _) = self._smooth_triple(closed_form=True)
         pts = np.array([[0.123, -0.456, 0.789]])
