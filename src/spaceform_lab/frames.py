@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweep import sweep_integrate
-from .ambient import SpaceFormSpec
+from .ambient import SpaceFormSpec, sig_inner
 from .grid import ParameterGrid, grid_partials, induced_metric_tensor
 from .report import ResidualReport
 from .triples import TripleField, check_sweep_input
@@ -137,7 +137,7 @@ def frame_gram_residual(ff: FrameField) -> ResidualReport:
     dev = np.zeros((m, m) + tuple(ff.grid.n))
     for a in range(m):
         for b in range(a, m):
-            g = np.sum(vectors[a] * vectors[b] * sig, axis=-1)
+            g = sig_inner(vectors[a], vectors[b], sig)
             t = target[a] if a == b else 0.0
             dev[a, b] = dev[b, a] = g - t
     report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": "RK4 sweep"})

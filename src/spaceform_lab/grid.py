@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ambient import sig_inner
 from .errors import GridTooCoarse, InvalidParams
 
 
@@ -164,14 +165,20 @@ def induced_metric_tensor(df, sig):
     """
     g = np.empty((3, 3) + df[0].shape[:-1])
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        g[i, j] = g[j, i] = np.sum(df[i] * df[j] * sig, axis=-1)
+        g[i, j] = g[j, i] = sig_inner(df[i], df[j], sig)
     return g
 
 
 def stencil_halo(mask):
     """``mask`` grown by three nodes along every axis (the 7x7x7 box): the
     nodes that residuals composed from several stencils exclude around a
-    masked node."""
-    from scipy import ndimage
-
-    return ndimage.binary_dilation(mask, structure=np.ones((7, 7, 7), dtype=bool))
+    masked node.  The box is separable: a max over seven nodes along each
+    axis in turn."""
+    grown = np.array(mask, dtype=bool)
+    for axis in range(grown.ndim):
+        src = np.moveaxis(grown.copy(), axis, 0)
+        dst = np.moveaxis(grown, axis, 0)
+        for s in range(1, 4):
+            dst[s:] |= src[:-s]
+            dst[:-s] |= src[s:]
+    return grown

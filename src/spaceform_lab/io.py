@@ -7,6 +7,7 @@ shortest round-trip formatting so identical runs give byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -177,11 +178,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a double."""
-    return repr(float(x))
-
-
 def export_csv(field_values, grid: ParameterGrid, path, masked=None):
     """Write one row per node: u1,u2,u3,x1,...,xm in lexicographic node order.
 
@@ -191,16 +187,20 @@ def export_csv(field_values, grid: ParameterGrid, path, masked=None):
     keep = ~_node_mask(masked, grid)
     m = field_values.shape[-1]
     header = "u1,u2,u3," + ",".join(f"x{i + 1}" for i in range(m))
-    pts = grid.points()
+    u1, u2, u3 = ([repr(x) for x in grid.axis(a).tolist()] for a in range(3))
+    tails = list(map(",".join, itertools.product(u2, u3)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            # one axis-0 slab at a time: repr of a Python float is _fmt, and a
-            # slab's rows cost far less memory than the whole table's
+            # one axis-0 slab at a time, which keeps memory flat; C iterators
+            # join each row from the "u2,u3" tails and the value columns
             for i in range(grid.n[0]):
-                table = np.concatenate([pts[i], field_values[i]], axis=-1)
-                rows = table.reshape(-1, 3 + m)[keep[i].ravel()].tolist()
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+                columns = field_values[i].reshape(-1, m).T.tolist()
+                rows = zip(itertools.repeat(u1[i]), tails, *(map(repr, c) for c in columns))
+                text = "\n".join(itertools.compress(map(",".join, rows),
+                                                    keep[i].ravel().tolist()))
+                if text:
+                    fh.write(text + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -241,25 +241,14 @@ def export_obj(positions, grid: ParameterGrid, axis, value, projection, path,
     index[axis] = sl
     sheet = positions[tuple(index)]
     ok = np.isfinite(sheet).all(axis=-1) & ~_node_mask(masked, grid)[tuple(index)]
-    n1, n2 = sheet.shape[:2]
-    vid = np.zeros((n1, n2), dtype=int)
-    lines = []
-    count = 0
-    for i in range(n1):
-        for j in range(n2):
-            if not ok[i, j]:
-                continue
-            count += 1
-            vid[i, j] = count
-            x, y, z = (sheet[i, j, p] for p in projection)
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            corners = (vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1])
-            if all(c > 0 for c in corners):
-                a, b, c, d = corners
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
+    # vertices numbered from 1 in row-major order; quads (i, j), (i+1, j),
+    # (i+1, j+1), (i, j+1) with all four corners kept, split along a-c
+    vid = np.cumsum(ok).reshape(ok.shape)
+    lines = ["v {!r} {!r} {!r}".format(*p) for p in sheet[ok][:, list(projection)].tolist()]
+    corners = (vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:])
+    quad = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    quads = np.stack([c[quad] for c in corners], axis=-1).tolist()
+    lines += ["f {0} {1} {2}\nf {0} {2} {3}".format(*q) for q in quads]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import SpaceFormSpec
+from .ambient import SpaceFormSpec, sig_inner
 from .errors import (
     DegenerateMetric,
     DegenerateTriple,
@@ -61,7 +61,7 @@ class ImmersionSample:
     def on_form_residual(self) -> float:
         if self.spec.c == 0:
             return 0.0
-        ip = np.sum(self.positions**2 * self.spec.ambient.sig_array, axis=-1)
+        ip = sig_inner(self.positions, self.positions, self.spec.ambient.sig_array)
         dev = np.abs(ip - 1.0 / self.spec.c)
         return float(dev[self.valid_mask()].max())
 
@@ -116,7 +116,7 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     degenerate = norm == 0          # dependent rows, e.g. zero-filled masked nodes
     n0 = np.stack(cross, axis=-1) * (sig / np.where(degenerate, 1.0, norm)[..., None])
     n0[degenerate] = np.eye(spec.dim)[-1]             # finite; such nodes are invalid
-    nn = np.sum(n0 * n0 * sig, axis=-1)
+    nn = sig_inner(n0, n0, sig)
     bad_causal = np.abs(nn) < 1e-14
     valid &= ~bad_causal
     denom = np.sqrt(np.abs(np.where(bad_causal, 1.0, nn)))
@@ -135,7 +135,7 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     def _align(slice_next, slice_prev):
         prev = N[slice_prev]
         nxt = N[slice_next]
-        dot = np.sum(prev * nxt * sig, axis=-1) * eps
+        dot = sig_inner(prev, nxt, sig) * eps
         N[slice_next] = np.where((dot < 0)[..., None], -nxt, nxt)
 
     for axis, frozen in ((0, {1: base[1], 2: base[2]}), (1, {2: base[2]}), (2, {})):
@@ -156,10 +156,10 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     sp = grid.spacing
     for i in range(3):
         d2 = second_derivative(sample.positions, i, sp[i])
-        II[i, i] = np.sum(d2 * N * sig, axis=-1)
+        II[i, i] = sig_inner(d2, N, sig)
     for i, j in itertools.combinations(range(3), 2):
         dmix = partial_derivative(df[i], j, sp[j])
-        II[i, j] = II[j, i] = np.sum(dmix * N * sig, axis=-1)
+        II[i, j] = II[j, i] = sig_inner(dmix, N, sig)
     return FundamentalForms(I, II, N, valid)
 
 
@@ -237,7 +237,8 @@ def principal_curvature_fields(sample: ImmersionSample, forms: FundamentalForms 
     return np.moveaxis(lam, 0, -1).reshape((3,) + tuple(sample.grid.n))
 
 
-def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3) -> ResidualReport:
+def gauss_codazzi_residual(sample: ImmersionSample, forms: FundamentalForms = None,
+                           offdiag_tol=1e-3) -> ResidualReport:
     """Residuals of the compatibility equations from extracted (v, h, V).
 
     The extraction chain composes stencils (positions -> metric -> h -> dh),
@@ -246,7 +247,7 @@ def gauss_codazzi_residual(sample: ImmersionSample, offdiag_tol=1e-3) -> Residua
     therefore excluded from the aggregation, keeping the reported residual
     h^2-scaled.
     """
-    forms = fundamental_forms(sample)
+    forms = forms or fundamental_forms(sample)
     v, h, V, _ = holonomic_data(sample, forms, offdiag_tol)
     sp = sample.grid.spacing
     res_ii, res_iii, res_iv = compatibility_residuals(v, h, V, sp, sample.spec.eps,

@@ -12,6 +12,7 @@ from spaceform_lab.ambient import (
     geodesic,
     inner,
     on_space_form,
+    sig_inner,
 )
 from spaceform_lab.errors import DimensionError, InvalidParams, InvalidTangent
 
@@ -54,6 +55,57 @@ class TestInner:
         lhs = inner(sp, a * x + b * y, z)
         rhs = a * inner(sp, x, z) + b * inner(sp, y, z)
         assert lhs == pytest.approx(rhs, abs=1e-7 * (1 + abs(lhs)))
+
+
+class TestSigInner:
+    """``sig_inner`` must give the bytes of ``np.sum(x * y * sig, axis=-1)``.
+    It adds whole components in order from +0.0, which is what numpy's
+    reduction does over a short trailing axis; these cases guard that."""
+
+    SPECIAL = (1e16, -1e16, 1.0, -1.0, -0.0, 0.0, math.inf, -math.inf, math.nan, 3e-17)
+
+    def _data(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 17, size=shape)
+        flat = x.reshape(-1)
+        picks = rng.integers(0, len(self.SPECIAL), size=flat.size)
+        use = rng.uniform(size=flat.size) < 0.5
+        flat[use] = np.asarray(self.SPECIAL)[picks[use]]
+        return x
+
+    @staticmethod
+    def _assert_same(x, y, sig):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = np.sum(x * y * sig, axis=-1)
+            got = sig_inner(x, y, sig)
+        assert np.shape(got) == np.shape(expect)
+        assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("lead", [(), (7,), (5, 6, 7)])
+    def test_bytes_equal_trailing_sum(self, dim, lead):
+        sig = np.where(np.arange(dim) % 2, -1.0, 1.0)
+        for seed in range(40):
+            x = self._data(lead + (dim,), seed)
+            y = self._data(lead + (dim,), seed + 1000)
+            self._assert_same(x, y, sig)
+            self._assert_same(x[..., ::-1], y[..., ::-1], sig)
+
+    @pytest.mark.parametrize("row", [
+        (1e16, 1.0, -1e16, 1.0),            # in order: ((1e16 + 1) - 1e16) + 1 = 1
+        (1.0, 1e16, -1e16, -1.0),
+        (-0.0, -0.0, -0.0, -0.0),           # +0.0 start: the sum is +0.0
+        (math.inf, -math.inf, math.nan, 1.0),   # which NaN wins depends on order
+        (math.nan, math.inf, -math.inf, -0.0),
+    ])
+    @pytest.mark.parametrize("lead", [(), (7,), (5, 6, 7)])
+    def test_edge_rows(self, row, lead):
+        x = np.broadcast_to(np.asarray(row), lead + (4,)).copy()
+        self._assert_same(x, np.ones(4), np.ones(4))
+
+    def test_inner_uses_ordered_sum(self):
+        x = np.array([1e16, 1.0, -1e16, 1.0])
+        assert inner(SignedSpace((1, 1, 1, 1)), x, np.ones(4)) == 1.0
 
 
 class TestSpaceFormSpec:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from spaceform_lab.errors import GridTooCoarse, InvalidParams
-from spaceform_lab.grid import ParameterGrid, partial_derivative, second_derivative
+from spaceform_lab.grid import (
+    ParameterGrid,
+    partial_derivative,
+    second_derivative,
+    stencil_halo,
+)
 from spaceform_lab.report import ResidualReport
 
 
@@ -71,6 +76,49 @@ class TestStencils:
         with pytest.raises(GridTooCoarse):
             second_derivative(np.zeros(3), 0, 0.1)
 
+
+
+def _dilation_halo(mask):
+    """The 7x7x7 box halo by ``scipy.ndimage.binary_dilation``."""
+    from scipy import ndimage
+
+    return ndimage.binary_dilation(mask, structure=np.ones((7, 7, 7), dtype=bool))
+
+
+class TestStencilHalo:
+    @pytest.mark.parametrize("shape", [(9, 10, 11), (2, 3, 4), (6, 7, 8), (13, 2, 5)])
+    @pytest.mark.parametrize("density", [0.01, 0.05, 0.3])
+    def test_random_masks(self, shape, density):
+        rng = np.random.default_rng(int(density * 100) + sum(shape))
+        for _ in range(5):
+            mask = rng.uniform(size=shape) < density
+            got = stencil_halo(mask)
+            assert got.dtype == bool
+            assert np.array_equal(got, _dilation_halo(mask))
+
+    @pytest.mark.parametrize("node", [(0, 0, 0), (8, 9, 10), (0, 9, 0), (4, 0, 10),
+                                      (0, 5, 5), (4, 9, 5), (4, 5, 6), (3, 3, 3)])
+    def test_single_face_and_corner_nodes(self, node):
+        mask = np.zeros((9, 10, 11), dtype=bool)
+        mask[node] = True
+        got = stencil_halo(mask)
+        assert np.array_equal(got, _dilation_halo(mask))
+        box = tuple(slice(max(i - 3, 0), i + 4) for i in node)
+        assert got[box].all() and got.sum() == got[box].size
+
+    @pytest.mark.parametrize("shape", [(9, 10, 11), (2, 2, 2), (3, 5, 6)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_constant_masks(self, shape, fill):
+        mask = np.full(shape, fill)
+        got = stencil_halo(mask)
+        assert np.array_equal(got, mask)
+        assert np.array_equal(got, _dilation_halo(mask))
+
+    def test_input_not_modified(self):
+        mask = np.zeros((8, 8, 8), dtype=bool)
+        mask[4, 4, 4] = True
+        stencil_halo(mask)
+        assert mask.sum() == 1
 
 class TestResidualReport:
     def test_max_mean_argmax(self):

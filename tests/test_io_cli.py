@@ -162,6 +162,25 @@ class TestExportCsvBytes:
         export_csv(values, self.GRID, str(path), masked)
         assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
 
+    @pytest.mark.parametrize("slab", [0, 1, 2])
+    def test_fully_masked_slab(self, tmp_path, slab):
+        values = self._values((4,))
+        masked = np.zeros(self.GRID.n, dtype=bool)
+        masked[slab] = True
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path), masked)
+        assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
+
+    @pytest.mark.parametrize("slab", [0, 1, 2])
+    def test_slab_keeps_only_last_row(self, tmp_path, slab):
+        values = self._values((2,))
+        masked = np.zeros(self.GRID.n, dtype=bool)
+        masked[slab] = True
+        masked[slab, -1, -1] = False
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path), masked)
+        assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
+
 
 class TestMaskShape:
     GRID = ParameterGrid((0, 0, 0), (1, 1, 1), (3, 3, 3))
@@ -209,6 +228,105 @@ class TestExportObj:
         pos = np.concatenate([grid.points(), np.zeros(grid.n + (1,))], axis=-1)
         with pytest.raises(BadProjection):
             export_obj(pos, grid, 2, 0.0, (0, 1, 1), str(tmp_path / "x.obj"))
+
+
+def _per_node_obj(positions, grid, axis, value, projection, masked=None):
+    """The OBJ text of ``export_obj`` formatted one node and one quad at a time."""
+    index = [slice(None)] * 3
+    index[axis] = int(np.argmin(np.abs(grid.axis(axis) - value)))
+    sheet = positions[tuple(index)]
+    ok = np.isfinite(sheet).all(axis=-1)
+    if masked is not None:
+        ok &= ~masked[tuple(index)]
+    n1, n2 = sheet.shape[:2]
+    vid = np.zeros((n1, n2), dtype=int)
+    lines = []
+    count = 0
+    for i in range(n1):
+        for j in range(n2):
+            if ok[i, j]:
+                count += 1
+                vid[i, j] = count
+                lines.append("v " + " ".join(repr(float(sheet[i, j, p])) for p in projection))
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            a, b, c, d = vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]
+            if min(a, b, c, d) > 0:
+                lines += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+
+
+class TestExportObjBytes:
+    GRID = ParameterGrid((-1.0, 0.0, 0.25), (1.0, 0.3, 2.0), (4, 5, 6))
+    SPECIAL = (math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2)
+
+    def _positions(self, grid, dim=5, nan_node=None):
+        rng = np.random.default_rng(17)
+        pos = rng.normal(size=grid.n + (dim,)) * 10.0 ** rng.integers(
+            -8, 9, size=grid.n + (dim,))
+        flat = pos.reshape(-1)
+        flat[[7 * k + 2 for k in range(len(self.SPECIAL))]] = self.SPECIAL
+        if nan_node is not None:
+            pos[nan_node + (1,)] = math.nan
+        return pos
+
+    def _check(self, tmp_path, grid, pos, axis, value, projection, masked=None):
+        path = tmp_path / "mesh.obj"
+        export_obj(pos, grid, axis, value, projection, str(path), masked=masked)
+        expect = _per_node_obj(pos, grid, axis, value, projection, masked)
+        assert path.read_bytes() == expect
+        return expect
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("projection", [(0, 1, 2), (3, 0, 4), (2, 1, 0)])
+    def test_unmasked(self, tmp_path, axis, projection):
+        grid = self.GRID
+        pos = self._positions(grid)
+        mid = grid.axis(axis)[grid.n[axis] // 2] + 1e-3
+        self._check(tmp_path, grid, pos, axis, mid, projection)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_masked_corner(self, tmp_path, axis):
+        grid = self.GRID
+        masked = np.zeros(grid.n, dtype=bool)
+        masked[0, 0, 0] = masked[-1, -1, -1] = True
+        masked[-1, 0, -1] = True
+        for value in (grid.lo[axis], grid.hi[axis]):
+            self._check(tmp_path, grid, self._positions(grid), axis, value, (4, 1, 3),
+                        masked)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_nan_node(self, tmp_path, axis):
+        grid = self.GRID
+        pos = self._positions(grid, nan_node=(2, 3, 4))
+        expect = self._check(tmp_path, grid, pos, axis, grid.axis(axis)[(2, 3, 4)[axis]],
+                             (0, 1, 2))
+        assert b"nan" not in expect
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_interior_hole(self, tmp_path, axis):
+        grid = ParameterGrid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (6, 7, 8))
+        masked = np.zeros(grid.n, dtype=bool)
+        masked[2:4, 3:5, 3:5] = True
+        expect = self._check(tmp_path, grid, self._positions(grid), axis,
+                             grid.axis(axis)[3], (1, 2, 3), masked)
+        assert expect.count(b"\nf ") > 0
+
+    def test_fully_masked_sheet_is_empty(self, tmp_path):
+        grid = self.GRID
+        masked = np.zeros(grid.n, dtype=bool)
+        masked[:, :, 0] = True
+        assert self._check(tmp_path, grid, self._positions(grid), 2, grid.lo[2],
+                           (0, 1, 2), masked) == b""
+
+    @pytest.mark.parametrize("n, axis", [((2, 5, 3), 2), ((4, 2, 6), 0), ((2, 3, 2), 1)])
+    def test_two_by_n_sheet(self, tmp_path, n, axis):
+        grid = ParameterGrid((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), n)
+        masked = np.zeros(grid.n, dtype=bool)
+        masked[(0,) * 3] = True
+        for mask in (None, masked):
+            self._check(tmp_path, grid, self._positions(grid, dim=4), axis, 0.4,
+                        (2, 0, 3), mask)
 
 
 RIBAUCOUR_DOC = {

@@ -1,11 +1,13 @@
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spaceform_lab import verify as verify_module
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import DegenerateTriple, GridMismatch, NonHolonomicSample
 from spaceform_lab.gallery import PhiFamily, closed_form_transform, phi_state
@@ -98,6 +100,30 @@ class TestGaussCodazzi:
         pos = closed_form_transform(famcf)(grid.points())
         rep = gauss_codazzi_residual(ImmersionSample(grid, pos, famcf.spec))
         assert rep.overall_max <= 1e-5
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_passed_forms_are_not_recomputed(self, famcf, monkeypatch, masked):
+        grid = ParameterGrid.centered(0.006, 21, (0.1, 0.4, 0.2))
+        pos = closed_form_transform(famcf)(grid.points())
+        mask = None
+        if masked:
+            mask = np.zeros(grid.n, dtype=bool)
+            mask[2, 17, 5] = True
+        sample = ImmersionSample(grid, pos, famcf.spec, mask)
+        forms = fundamental_forms(sample)
+        expect = gauss_codazzi_residual(sample)
+        calls = []
+
+        def counted(*args, _inner=verify_module.fundamental_forms, **kwargs):
+            calls.append(args)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "fundamental_forms", counted)
+        got = gauss_codazzi_residual(sample, forms)
+        assert calls == []
+        assert json.dumps(got.as_dict()) == json.dumps(expect.as_dict())
+        gauss_codazzi_residual(sample)
+        assert len(calls) == 1
 
     def test_random_smooth_non_solution(self):
         grid = ParameterGrid.centered(0.5, 9)
