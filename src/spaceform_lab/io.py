@@ -229,12 +229,17 @@ def export_obj(positions, grid: ParameterGrid, axis, value, projection, path,
     """Export one grid slice as a triangulated OBJ mesh.
 
     ``axis``/``value`` select the slice (nearest node); ``projection`` picks
-    three distinct ambient coordinates for x, y, z.  Masked nodes drop every
+    three distinct ambient coordinates for x, y, z, each an int in
+    [0, positions.shape[-1]) (else BadProjection).  Masked nodes drop every
     incident face.
     """
-    if len(set(projection)) != 3:
-        raise BadProjection(f"projection coordinates must be distinct, got {projection}")
     positions = np.asarray(positions, dtype=float)
+    dim = positions.shape[-1]
+    if (len(projection) != 3 or len(set(projection)) != 3
+            or not all(isinstance(k, (int, np.integer)) and 0 <= k < dim for k in projection)):
+        raise BadProjection(
+            f"projection must be three distinct coordinates in [0, {dim}), got {projection}"
+        )
     ax_vals = grid.axis(axis)
     sl = int(np.argmin(np.abs(ax_vals - value)))
     index = [slice(None)] * 3

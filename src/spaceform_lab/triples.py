@@ -59,15 +59,29 @@ class _CubicSpline:
     The coefficients are the ``spline_filter(order=3, mode="nearest")``
     prefilter of each component, stored as one (nodes, 15) array in the order
     v (3), h (9, row-major), V (3).  The spline is separable, so all components
-    share each point's 4x4x4 stencil: one gather of 64 coefficient rows and one
-    weighted sum per point.
+    share each point's 4x4x4 stencil.
 
-    Outside the box ``map_coordinates(mode="nearest")`` clamps each stencil
-    index to [0, n - 1], not the coordinate.  Here the coefficients are padded
-    with three copies of their edge layer on every side and the stencil's base
-    index floor(x) is clamped to [-2, n]: every stencil then lies inside the
-    padded array, and each of its nodes reads the coefficient that its
-    clamped index would.
+    Two paths evaluate it, chosen per call from the points alone:
+
+    - **Line path.**  When, for some axis a, every point's two other
+      coordinates equal node values of the grid exactly (as on the lines a
+      sweep marches along), the spline restricted to each such line is a 1-D
+      cubic.  Its coefficients are precomputed: for each axis a, the tensor
+      coefficients with the two other axes contracted by the node stencil
+      [1, 4, 1]/6, stored as an (n_b, n_c, n_a + 2 PAD, 15) table (b < c the
+      other axes).  A point costs one gather of 4 adjacent rows and a 4-weight
+      sum.  The tables hold 3 n^2 (n + 6) 15 doubles on an n^3 grid, about
+      28 MB at 41^3.
+    - **Tensor path.**  Any other call gathers 64 coefficient rows per point
+      and takes one weighted sum.
+
+    The tables are restrictions of the tensor coefficients, so both paths
+    agree to rounding.  Outside the box ``map_coordinates(mode="nearest")``
+    clamps each stencil index to [0, n - 1], not the coordinate.  Here the
+    coefficients are padded with three copies of their edge layer on every
+    side and the stencil's base index floor(x) is clamped to [-2, n]: every
+    stencil then lies inside the padded array, and each of its nodes reads
+    the coefficient that its clamped index would.
     """
 
     PAD = 3
@@ -92,17 +106,67 @@ class _CubicSpline:
         self._spacing = np.asarray(grid.spacing, dtype=float)
         self._n = np.asarray(n, dtype=float)
 
+        self._nodes = np.concatenate([grid.axis(a) for a in range(3)])
+        self._offset = np.cumsum((0,) + n[:2])
+        self._top = self._n - 1.0
+        self._lines = []
+        for a in range(3):
+            line = np.moveaxis(coeffs, a, 2)            # (b, c, a, 15) with b < c
+            line = _at_nodes(_at_nodes(line, 0, self.PAD), 1, self.PAD)
+            stride = np.zeros(3, dtype=np.intp)         # row of node (j, k, 0) on axis a
+            stride[[i for i in range(3) if i != a]] = (line.shape[1] * line.shape[2],
+                                                       line.shape[2])
+            self._lines.append((np.ascontiguousarray(line).reshape(-1, 15), stride))
+        self._line_step = np.arange(4) + (self.PAD - 1)
+
     def __call__(self, points):
         """Values at points (..., 3) as a (points, 15) array."""
-        x = (points.reshape(-1, 3) - self._lo) / self._spacing
-        base = np.floor(x)
-        w = ((x - base)[..., None] ** np.arange(4)) @ _BSPLINE          # (B, axis, 4)
+        p = points.reshape(-1, 3)
+        x = (p - self._lo) / self._spacing
+        # clamped before the cast: a NaN or infinite coordinate gets some index,
+        # then fails the node test
+        node = np.fmin(np.fmax(np.rint(x), 0.0), self._top).astype(np.intp)
+        on = (self._nodes[node + self._offset] == p).all(axis=0).tolist()
+        off = [a for a in range(3) if not on[a]]
+        if len(off) > 1:
+            return self._tensor(x)
+        return self._line(off[0] if off else 0, x, node)
+
+    def _tensor(self, x):
+        base, w = _stencil(x, self._n)                                    # w (B, axis, 4)
         wt = (w[:, 0, :, None, None] * w[:, 1, None, :, None]
               * w[:, 2, None, None, :]).reshape(-1, 1, 64)
-        # fmax/fmin send a NaN coordinate to a valid stencil; its weights are NaN
-        first = np.fmin(np.fmax(base, -2.0), self._n).astype(np.intp) @ self._stride
-        rows = np.take(self._coeffs, first[:, None] + self._stencil, axis=0)
+        rows = np.take(self._coeffs, (base @ self._stride)[:, None] + self._stencil, axis=0)
         return (wt @ rows)[:, 0, :]
+
+    def _line(self, a, x, node):
+        """Points on grid lines along axis a; ``node`` holds their node indices."""
+        table, stride = self._lines[a]
+        base, w = _stencil(x[:, a], self._n[a])                           # w (B, 4)
+        rows = np.take(table, (node @ stride + base)[:, None] + self._line_step, axis=0)
+        return (w[:, None, :] @ rows)[:, 0, :]
+
+
+def _stencil(x, n):
+    """Stencil base index floor(x), clamped to [-2, n], and the cubic B-spline
+    weights (x.shape + (4,)) of coordinates x in node units."""
+    base = np.floor(x)
+    with np.errstate(invalid="ignore"):          # x = +-inf: inf - inf, NaN weights
+        w = ((x - base)[..., None] ** np.arange(4)) @ _BSPLINE
+    # fmax/fmin send a NaN coordinate to a valid stencil; its weights are NaN
+    return np.fmin(np.fmax(base, -2.0), n).astype(np.intp), w
+
+
+def _at_nodes(coeffs, axis, pad):
+    """Contract ``axis`` of edge-padded coefficients to the spline's values at
+    the unpadded nodes: the B-spline weights [1, 4, 1]/6 at t = 0."""
+    w0, w1, w2 = _BSPLINE[0, :3]
+    m = coeffs.shape[axis] - 2 * pad
+
+    def shifted(s):
+        return coeffs[(slice(None),) * axis + (slice(pad + s, pad + s + m),)]
+
+    return w0 * shifted(-1) + w1 * shifted(0) + w2 * shifted(1)
 
 
 @dataclass
@@ -207,7 +271,13 @@ class TripleField:
         """(v, h, V) at arbitrary points, shape (..., 3) -> components last.
 
         Uses the closed forms when available, else one tensor-product cubic
-        spline of all 15 sampled components (``mode="nearest"`` boundary).
+        spline of all 15 sampled components (``mode="nearest"`` boundary),
+        built on the first call.  A call whose points all lie on grid lines
+        along one axis (the two other coordinates exactly node values, as in
+        every sweep) reads that axis's precomputed line table: 4 coefficient
+        rows per point.  Any other call takes the 64-row tensor path.  Both
+        agree to rounding; the line tables cost 3 n^2 (n + 6) 15 doubles on an
+        n^3 grid (about 28 MB at 41^3).  See ``_CubicSpline``.
         """
         points = np.asarray(points, dtype=float)
         if self.closed_form:

@@ -223,11 +223,13 @@ class TestExportObj:
         assert sum(1 for l in lines if l.startswith("v ")) == 3
         assert sum(1 for l in lines if l.startswith("f ")) == 0
 
-    def test_bad_projection(self, tmp_path):
+    @pytest.mark.parametrize("projection", [(0, 1, 1), (4, -1, 0), (0, 1, 9)],
+                             ids=["repeated", "negative", "past_dim"])
+    def test_bad_projection(self, tmp_path, projection):
         grid = self._grid()
-        pos = np.concatenate([grid.points(), np.zeros(grid.n + (1,))], axis=-1)
+        pos = np.concatenate([grid.points(), np.zeros(grid.n + (2,))], axis=-1)
         with pytest.raises(BadProjection):
-            export_obj(pos, grid, 2, 0.0, (0, 1, 1), str(tmp_path / "x.obj"))
+            export_obj(pos, grid, 2, 0.0, projection, str(tmp_path / "x.obj"))
 
 
 def _per_node_obj(positions, grid, axis, value, projection, masked=None):

@@ -1,5 +1,6 @@
-"""The lattice sweep engine against its batch-first reference, bit for bit, and
-the number of triple evaluations a sweep makes.
+"""The lattice sweep engine against its batch-first reference, bit for bit, the
+number of triple evaluations a sweep makes, and the spline path those
+evaluations take on sampled data.
 
 The reference below is the engine as it was before sweep states were carried
 batch-last: lines march as (B,) + state_shape arrays, every RK4 stage is a
@@ -26,7 +27,7 @@ from spaceform_lab.ribaucour import (
     seed_state,
     transformed_triple,
 )
-from spaceform_lab.triples import TripleField
+from spaceform_lab.triples import TripleField, _CubicSpline
 
 # ---------------------------------------------------------------------------
 # batch-first reference engine
@@ -333,3 +334,33 @@ class TestEvalCount:
                             K2target=fam.K2target)
         calls, points = self._expected((0, 1, 2))
         assert (counts["calls"], counts["points"]) == (calls, points)
+
+
+class TestSampledSweepsOnLines:
+    """A sweep evaluates a sampled triple only on grid lines, so every call
+    takes the spline's line path: the tensor path is made to raise."""
+
+    GRID = TestEvalCount.GRID           # base (2, 3, 1): both directions on every axis
+
+    @pytest.fixture(autouse=True)
+    def no_tensor_path(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("sweep left the grid lines")
+        monkeypatch.setattr(_CubicSpline, "_tensor", refuse)
+
+    def _sampled(self, fam):
+        t = fam.seed_triple(self.GRID)
+        return TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_frame_sweep(self, order):
+        fam = FAMILIES["r4_problemstar"]
+        ff = integrate_frame(self._sampled(fam), fam.frame_init(), sweep_order=order,
+                             max_step=TestEvalCount.STEP)
+        assert np.isfinite(ff.states).all()
+
+    def test_ribaucour_sweep(self):
+        fam = FAMILIES["s4_problemstar_sphere"]
+        rf = integrate_ribaucour(self._sampled(fam), phi_state(fam, self.GRID.base_point),
+                                 max_step=TestEvalCount.STEP, K2target=fam.K2target)
+        assert np.isfinite(rf.states).all()

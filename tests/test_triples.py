@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import transformed_triple
 from spaceform_lab.triples import (
     TripleField,
+    _CubicSpline,
     classify,
     companion_V,
     delta_inner,
@@ -503,3 +505,105 @@ class TestFusedSplineEquivalence:
         assert nan[(slice(None),) + self.NAN_COMPONENT].all()
         nan[(slice(None),) + self.NAN_COMPONENT] = False
         assert not nan.any()
+
+
+class TestLinePath:
+    """Calls whose points all lie on grid lines along one axis take the
+    per-axis line tables; they must agree with the 64-row tensor path."""
+
+    GRID = TestFusedSplineEquivalence.GRID
+    OFF_GRID = [[0.1, 0.05, 0.5]]
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """The evaluation path of each ``_CubicSpline`` call, in call order."""
+        log = []
+        for name in ("_line", "_tensor"):
+            def spy(self, *args, _inner=getattr(_CubicSpline, name), _name=name):
+                log.append(_name)
+                return _inner(self, *args)
+            monkeypatch.setattr(_CubicSpline, name, spy)
+        return log
+
+    @classmethod
+    def _line_points(cls, axis, where):
+        """Every grid line along ``axis``, sampled at nodes, at midpoints, or
+        outside the box below or above."""
+        g = cls.GRID
+        nodes = g.axis(axis)
+        span = g.hi[axis] - g.lo[axis]
+        swept = {
+            "nodes": nodes,
+            "midpoints": 0.5 * (nodes[:-1] + nodes[1:]),
+            "below": g.lo[axis] - span * np.array([1e-3, 0.1, 0.3, 2.0]),
+            "above": g.hi[axis] + span * np.array([1e-3, 0.1, 0.3, 2.0]),
+        }[where]
+        coords = [g.axis(a) for a in range(3)]
+        coords[axis] = swept
+        return np.array(list(itertools.product(*coords)))
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        scale = np.nanmax(np.abs(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
+
+    def _both_paths(self, t, pts, taken):
+        line = np.concatenate([c.reshape(len(pts), -1) for c in t.eval_at(pts)], axis=1)
+        assert taken[-1] == "_line"
+        mixed = np.concatenate([pts, self.OFF_GRID])
+        tensor = np.concatenate([c.reshape(len(mixed), -1) for c in t.eval_at(mixed)], axis=1)
+        assert taken[-1] == "_tensor"
+        return line, tensor[:-1]
+
+    @pytest.mark.parametrize("where", ["nodes", "midpoints", "below", "above"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_matches_tensor_path(self, axis, where, taken):
+        t = TestFusedSplineEquivalence._triple()
+        pts = self._line_points(axis, where)
+        line, tensor = self._both_paths(t, pts, taken)
+        self._assert_close(line, tensor)
+        if where != "nodes":
+            # the whole-box reference, away from the nodes where the swept
+            # coordinate of the tensor path may round to the stencil below
+            ref = _map_coordinates_eval(t, pts)
+            self._assert_close(line, np.concatenate(
+                [c.reshape(len(pts), -1) for c in ref], axis=1))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_nan_stays_in_its_component(self, axis, taken):
+        _, h, _ = TestFusedSplineEquivalence._triple().eval_at(self._line_points(axis, "midpoints"))
+        assert taken == ["_line"]
+        nan = np.isnan(h)
+        component = (slice(None),) + TestFusedSplineEquivalence.NAN_COMPONENT
+        assert nan[component].all()
+        nan[component] = False
+        assert not nan.any()
+
+    def test_nan_off_axis_coordinate_takes_tensor_path(self, taken):
+        t = TestFusedSplineEquivalence._triple()
+        pts = self._line_points(0, "midpoints")
+        line, _ = self._both_paths(t, pts, taken)
+        pts[3, 2] = np.nan
+        got = np.concatenate([c.reshape(len(pts), -1) for c in t.eval_at(pts)], axis=1)
+        assert taken[-1] == "_tensor"
+        assert np.isnan(got[3]).all()
+        self._assert_close(np.delete(got, 3, axis=0), np.delete(line, 3, axis=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_raise_no_warning(self, bad, taken):
+        t = TestFusedSplineEquivalence._triple()
+        pts = self._line_points(1, "midpoints")[:5]
+        swept, off_axis = pts.copy(), pts.copy()
+        swept[2, 1] = bad
+        off_axis[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = t.eval_at(swept)
+            assert taken[-1] == "_line"
+            tensor = t.eval_at(np.concatenate([swept, self.OFF_GRID]))
+            t.eval_at(off_axis)
+            assert taken[-1] == "_tensor"
+            t.eval_at(np.full((1, 3), bad))
+        for got, ref in zip(line, tensor):
+            self._assert_close(got.reshape(len(swept), -1), ref[:-1].reshape(len(swept), -1))
