@@ -9,7 +9,17 @@ byte-identical for identical inputs.
 
 The lines of one axis phase march together as one batch state of shape
 ``state_shape + (B,)``: the batch axis is last, so every state component the
-right-hand sides read or write is a contiguous run of B values.
+right-hand sides read or write is a contiguous run of B values.  On arrival
+at a node, the batch is written to the node layer through a basic-index view
+of the state array.
+
+Right-hand-side contract: ``rhs`` leaves its state argument Y unmodified and
+returns dY as a fresh array of Y's shape, which the march then reuses as an
+accumulator.  The frame and Ribaucour right-hand sides write each component
+of dY once, in place (a ufunc ``out=`` into its slice), and keep scratch
+products in a component that is not yet written; they do the same
+floating-point operations in the same order as the expression form, so
+states are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import InvalidParams, NonFiniteState
 
 
 def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen):
@@ -70,8 +80,11 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
     array of Y's shape (the march accumulates into it).
     ``node_check(Y state_shape + (B,)) -> (B,) bool`` flags nodes to mask
     (evaluated on arrival); masked lines freeze and the flag propagates along
-    the sweep.  Returns (states grid.n + state_shape, masked bool array).
+    the sweep.  ``max_step`` must be positive and finite (InvalidParams).
+    Returns (states grid.n + state_shape, masked bool array).
     """
+    if not (math.isfinite(max_step) and max_step > 0):
+        raise InvalidParams(f"max_step must be positive and finite, got {max_step}")
     n = grid.n
     y0 = np.asarray(y0, dtype=float)
     state_shape = y0.shape
@@ -87,8 +100,15 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
         ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
         starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
         B = len(starts)
-        y_start = np.moveaxis(states[tuple(starts.T)], 0, -1)
-        bad_start = masked[tuple(starts.T)]
+        # a node layer of this phase is the basic-index view states[at] of
+        # shape done_shape + state_shape; its lines are in C order over the
+        # done axes, as in ``starts``
+        done_shape = tuple(n[a] for a in sorted(done))
+        lead = tuple(range(len(done)))
+        trail = tuple(range(-len(done), 0))
+        at = [slice(None) if a in done else grid.base[a] for a in range(3)]
+        y_start = np.moveaxis(states[tuple(at)], lead, trail).reshape(state_shape + (B,))
+        bad_start = masked[tuple(at)].reshape(B)
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
@@ -114,10 +134,10 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
                     bad |= nonfinite
                 if node_check is not None:
                     bad |= node_check(y)
-                write = starts.copy()
-                write[:, axis] = nxt
-                states[tuple(write.T)] = np.moveaxis(y, -1, 0)
-                masked[tuple(write.T)] |= bad
+                at[axis] = nxt
+                states[tuple(at)] = np.moveaxis(y.reshape(state_shape + done_shape),
+                                                trail, lead)
+                masked[tuple(at)] |= bad.reshape(done_shape)
                 idx = nxt
         done.append(axis)
     return states, masked

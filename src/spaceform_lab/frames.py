@@ -94,15 +94,18 @@ def _frame_rhs(triple: TripleField):
         Va = V[:, a]
         Xa = Y[1 + a]
         dY = np.empty_like(Y)
-        dY[0] = va * Xa
-        dXa = eps * Va * Y[4] - c * va * Y[0]
+        dXa = dY[1 + a]
+        tmp = dY[4]                      # scratch until dN is written last
+        np.multiply(va, Xa, out=dY[0])
+        np.multiply(eps * Va, Y[4], out=dXa)
+        np.subtract(dXa, np.multiply(c * va, Y[0], out=tmp), out=dXa)
         for i in range(3):
             if i == a:
                 continue
-            dY[1 + i] = h[:, i, a] * Xa
-            dXa = dXa - h[:, i, a] * Y[1 + i]
-        dY[1 + a] = dXa
-        dY[4] = -Va * Xa
+            hia = h[:, i, a]
+            np.multiply(hia, Xa, out=dY[1 + i])
+            np.subtract(dXa, np.multiply(hia, Y[1 + i], out=tmp), out=dXa)
+        np.multiply(-Va, Xa, out=dY[4])
         return dY
 
     return rhs

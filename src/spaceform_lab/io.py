@@ -120,7 +120,7 @@ CONFIG_SCHEMA = {
                 "report": {"type": "string"},
             },
         },
-        "max_step": _NUM,
+        "max_step": {"type": "number", "exclusiveMinimum": 0},
     },
 }
 
@@ -159,6 +159,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     numbers = [v for part in ("lo", "hi") for v in doc["grid"][part]]
     if not all(math.isfinite(x) for x in numbers):
         raise SchemaError("grid corners must be finite", "/grid")
+    for key, value in doc.get("tolerances", {}).items():
+        if not math.isfinite(value):
+            raise SchemaError("tolerances must be finite", f"/tolerances/{key}")
+    if not math.isfinite(doc.get("max_step", 1.0)):
+        raise SchemaError("max_step must be finite", "/max_step")
     g = doc["grid"]
     grid = ParameterGrid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"]),
                          tuple(g["base"]) if "base" in g else None)

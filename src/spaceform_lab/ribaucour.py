@@ -179,31 +179,42 @@ def _ribaucour_rhs(triple: TripleField):
         psi = Y[_PSI]
         beta = Y[_BETA]
         a = axis
-        dY = np.empty_like(Y)
-        dvp = dY[_VP]
         ga = g[a]
         vpa = vp[a]
         va = v[:, a]
         Va = V[:, a]
-        inv_phi = 1.0 / phi
-        ratio = ga * inv_phi
+        dY = np.empty_like(Y)
+        dvp = dY[_VP]
+        dga = dY[a]
+        acc = dvp[a]
+        # dphi, dpsi and dbeta are written last: until then their rows hold
+        # inv_phi, ratio and the scratch products
+        inv_phi = np.divide(1.0, phi, out=dY[_PSI])
+        ratio = np.multiply(ga, inv_phi, out=dY[_PHI])
+        tmp = dY[_BETA]
 
-        dga = (va - vpa) * psi + beta * Va - c * phi * va
-        acc = np.zeros(Y.shape[-1])
+        np.multiply(np.subtract(va, vpa, out=dga), psi, out=dga)
+        np.add(dga, np.multiply(beta, Va, out=tmp), out=dga)
+        np.subtract(dga, np.multiply(np.multiply(c, phi, out=tmp), va, out=tmp), out=dga)
+        acc.fill(0.0)
         for j in range(3):
             if j == a:
                 continue
-            dY[j] = h[:, j, a] * ga              # (ii) with i = j, j = a
-            dga = dga - h[:, j, a] * g[j]
-            hp = h[:, a, j] + (vp[j] - v[:, j]) * ratio   # h'_aj
-            dvp[j] = hp * vpa                    # (vi)
-            acc = acc + delta[j] * hp * vp[j]
-        dY[a] = dga
-        dvp[a] = -delta[a] * acc                 # (vii)
+            hja = h[:, j, a]
+            np.multiply(hja, ga, out=dY[j])                          # (ii) with i = j, j = a
+            np.subtract(dga, np.multiply(hja, g[j], out=tmp), out=dga)
+            hp = dvp[j]                                              # h'_aj
+            np.multiply(np.subtract(vp[j], v[:, j], out=hp), ratio, out=hp)
+            np.add(h[:, a, j], hp, out=hp)
+            np.multiply(np.multiply(delta[j], hp, out=tmp), vp[j], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(hp, vpa, out=hp)                             # (vi)
+        np.multiply(-delta[a], acc, out=acc)                         # (vii)
 
-        dY[_PHI] = va * ga                       # (i)
-        dY[_PSI] = -ga * vpa * psi * inv_phi     # (v), non-log form
-        dY[_BETA] = -eps * Va * ga               # (iv)
+        np.multiply(va, ga, out=dY[_PHI])                            # (i)
+        np.multiply(np.multiply(np.negative(ga, out=tmp), vpa, out=tmp), psi, out=tmp)
+        np.multiply(tmp, inv_phi, out=dY[_PSI])                      # (v), non-log form
+        np.multiply(-eps * Va, ga, out=dY[_BETA])                    # (iv)
         return dY
 
     return rhs

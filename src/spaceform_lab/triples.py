@@ -216,21 +216,30 @@ class TripleField:
         v = np.asarray(v, dtype=float)
         V = np.asarray(V, dtype=float)
 
-        def filled(values, u1, u2, u3):
-            out = np.empty((3,) + np.broadcast(u1, u2, u3).shape)
-            for i in range(3):
-                out[i] = values[i]
+        vcol = v.reshape(3, 1)
+        Vcol = V.reshape(3, 1)
+
+        def shape_of(u1, u2, u3):
+            # the sweeps pass three arrays of one shape: skip np.broadcast
+            shape = getattr(u1, "shape", None)
+            if shape is None or not (shape == getattr(u2, "shape", None)
+                                     == getattr(u3, "shape", None)):
+                shape = np.broadcast(u1, u2, u3).shape
+            return shape
+
+        def filled(col, u1, u2, u3):
+            out = np.empty((3,) + shape_of(u1, u2, u3))
+            out.reshape(3, -1)[...] = col
             return out
 
         def v_fn(u1, u2, u3):
-            return filled(v, u1, u2, u3)
+            return filled(vcol, u1, u2, u3)
 
         def V_fn(u1, u2, u3):
-            return filled(V, u1, u2, u3)
+            return filled(Vcol, u1, u2, u3)
 
         def h_fn(u1, u2, u3):
-            shape = np.broadcast(u1, u2, u3).shape
-            return np.zeros((3, 3) + shape)
+            return np.zeros((3, 3) + shape_of(u1, u2, u3))
 
         return cls.from_functions(grid, delta, spec, v_fn, V_fn, h_fn)
 

@@ -82,6 +82,21 @@ class TestLoadConfig:
         with pytest.raises(SchemaError):
             parse_config(doc)
 
+    @pytest.mark.parametrize("max_step", [0, -0.5, math.nan, math.inf])
+    def test_max_step_positive_and_finite(self, max_step):
+        doc = dict(MINIMAL, max_step=max_step)
+        with pytest.raises(SchemaError) as err:
+            parse_config(doc)
+        assert err.value.pointer == "/max_step"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["integrability", "mask", "report"])
+    def test_nonfinite_tolerance_rejected(self, key, value):
+        doc = dict(MINIMAL, tolerances={key: value})
+        with pytest.raises(SchemaError) as err:
+            parse_config(doc)
+        assert err.value.pointer == f"/tolerances/{key}"
+
 
 class TestExportCsv:
     def test_constant_field_rows(self, tmp_path):
@@ -358,6 +373,11 @@ class TestCli:
         cfg = write_config(tmp_path, doc)
         assert run(["verify-triple", "--config", cfg]) == 1
 
+    def test_zero_max_step_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MINIMAL, max_step=0))
+        assert run(["integrate-frame", "--config", cfg]) == 1
+        assert "/max_step" in capsys.readouterr().err
+
     def test_ribaucour_pipeline_and_reports(self, tmp_path):
         doc = json.loads(json.dumps(RIBAUCOUR_DOC))
         doc["outputs"] = {"report": str(tmp_path / "rep.json"),
@@ -605,4 +625,19 @@ class TestSweepCount:
         }
         assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
         assert "seed residual 5.000e-01 exceeds 1.0e-08" in capsys.readouterr().err
+        assert sweeps == []
+
+    def test_nan_integrability_tolerance_fails_before_sweeps(self, tmp_path, sweeps, capsys):
+        # a NaN tolerance would make "residual > tol" false and let the
+        # non-integrable seed through
+        doc = {
+            "seed": {"triple": {"v": [0, 1, 1], "V": [1, 0.5, 0.2],
+                                "delta": [1, -1, 1]}},
+            "ambient": {"c": 0.0, "s": 0},
+            "grid": {"lo": [-1, -1, -1], "hi": [1, 1, 1], "n": [9, 9, 9],
+                     "base": [4, 4, 4]},
+            "tolerances": {"integrability": math.nan},
+        }
+        assert run(["integrate-frame", "--config", write_config(tmp_path, doc)]) == 1
+        assert "/tolerances/integrability" in capsys.readouterr().err
         assert sweeps == []

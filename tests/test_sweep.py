@@ -15,13 +15,20 @@ import math
 import numpy as np
 import pytest
 
+from spaceform_lab._sweep import rk4_march
 from spaceform_lab.ambient import SpaceFormSpec
-from spaceform_lab.errors import NonFiniteState
-from spaceform_lab.frames import DEFAULT_MAX_STEP, integrate_frame, standard_frame_state
+from spaceform_lab.errors import InvalidParams, NonFiniteState
+from spaceform_lab.frames import (
+    DEFAULT_MAX_STEP,
+    _frame_rhs,
+    integrate_frame,
+    standard_frame_state,
+)
 from spaceform_lab.gallery import PhiFamily, phi_state, trivial_seed
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     RibaucourState,
+    _ribaucour_rhs,
     default_mask_tol,
     integrate_ribaucour,
     seed_state,
@@ -212,6 +219,25 @@ def _closed_form_case(name):
     return fam, fam.seed_triple(grid), phi_state(fam, grid.base_point)
 
 
+def _layer_case(name, where, sampled):
+    """A family's triple and Ribaucour seed on the non-cubic ``TestEvalCount.GRID``
+    (base (2, 3, 1)) or on the same box with its base on two faces (0, 3, 5),
+    where one direction of axes 0 and 2 is empty.  The sampled triple is the
+    family's transformed triple, so h != 0 there."""
+    fam = FAMILIES[name]
+    grid = TestEvalCount.GRID
+    if where == "face":
+        grid = ParameterGrid(grid.lo, grid.hi, grid.n, (0, 3, 5))
+    t = fam.seed_triple(grid)
+    init = phi_state(fam, grid.base_point)
+    if sampled:
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        t = transformed_triple(t, rf)
+        assert t.masked is None and np.abs(t.h).max() > 0
+        init = rf.state_at(grid.base)
+    return fam, t, init
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_closed_form_seeds(self, name):
@@ -271,6 +297,92 @@ class TestBitIdentity:
         with pytest.raises(NonFiniteState) as err:
             integrate_frame(t, init, integrability_tol=None)
         assert str(err.value) == str(ref_err.value)
+
+    # node layers are written through basic-index views of the state array:
+    # axes done out of order, done axes of unequal length, empty directions
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("where", ["off_centre", "face"])
+    def test_layer_write_frame(self, where, order, sampled):
+        fam, t, _ = _layer_case("r4_problemstar", where, sampled)
+        ff = integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), order))
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("where", ["off_centre", "face"])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_layer_write_ribaucour(self, name, where, sampled):
+        fam, t, init = _layer_case(name, where, sampled)
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+
+class TestInputsUntouched:
+    """``rk4_march`` and both right-hand sides only read the state they are
+    given; each right-hand side returns a fresh dY, bit for bit the batch-first
+    reference's, also where the state holds -0.0, inf and NaN."""
+
+    B = 24
+
+    def _case(self):
+        fam, t, init = _closed_form_case("s4_problemstar_sphere")
+        tt = transformed_triple(t, integrate_ribaucour(t, init, K2target=fam.K2target))
+        rng = np.random.default_rng(5)
+        pts = np.stack([rng.choice(tt.grid.axis(a), self.B) for a in range(3)], axis=-1)
+        return tt, pts, rng
+
+    @staticmethod
+    def _state(rng, shape):
+        Y = rng.normal(size=shape)
+        Y[..., 0] = -0.0
+        Y[..., 1] = np.inf
+        Y.reshape(-1, Y.shape[-1])[1::2, 2] = np.nan
+        return Y
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("engine", ["frame", "ribaucour"])
+    def test_rhs(self, engine, axis):
+        t, pts, rng = self._case()
+        if engine == "frame":
+            rhs, ref_rhs, shape = _frame_rhs(t), _ref_frame_rhs(t), (5, t.spec.dim)
+        else:
+            rhs, ref_rhs, shape = _ribaucour_rhs(t), _ref_ribaucour_rhs(t), (9,)
+        Y = self._state(rng, shape + (self.B,))
+        if engine == "ribaucour":
+            # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
+            # start from +0.0 as the reference's does
+            Y[3:6, 3:15] = -0.0
+        before = Y.tobytes()
+        with np.errstate(all="ignore"):
+            dY = rhs(pts, Y, axis)
+            ref = ref_rhs(pts, np.moveaxis(Y, -1, 0), axis)
+        assert Y.tobytes() == before
+        assert not np.shares_memory(dY, Y)
+        assert dY.shape == Y.shape
+        assert dY.tobytes() == np.moveaxis(ref, 0, -1).tobytes()
+
+    def test_rk4_march(self):
+        t, pts, rng = self._case()
+        rhs = _frame_rhs(t)
+        Y = rng.normal(size=(5, t.spec.dim, self.B))
+        frozen = np.arange(self.B) % 3 == 0
+        before = Y.tobytes()
+        u = t.grid.axis(1)
+        y = rk4_march(lambda p, s: rhs(p, s, 1), pts, 1, u[4], u[5], Y, 0.02, frozen)
+        assert Y.tobytes() == before
+        assert not np.shares_memory(y, Y)
+        assert y[..., frozen].tobytes() == Y[..., frozen].tobytes()
+        assert not np.array_equal(y[..., ~frozen], Y[..., ~frozen])
+
+
+class TestMaxStep:
+    @pytest.mark.parametrize("max_step", [0.0, -0.5, math.nan, math.inf])
+    def test_invalid_max_step_raises(self, max_step):
+        fam, t, init = _closed_form_case("r4_problemstar")
+        with pytest.raises(InvalidParams, match="max_step"):
+            integrate_frame(t, fam.frame_init(), max_step=max_step)
+        with pytest.raises(InvalidParams, match="max_step"):
+            integrate_ribaucour(t, init, max_step=max_step, K2target=fam.K2target)
 
 
 # ---------------------------------------------------------------------------
