@@ -46,18 +46,48 @@ class SignedSpace:
         return np.asarray(self.signature, dtype=float)
 
 
-def sig_inner(x, y, sig):
-    """sum_i x_i y_i sig_i over the last axis, one batched add per component.
+def sig_inner(x, y, sig, axis=-1):
+    """sum_i x_i y_i sig_i over the component axis ``axis``, one batched add
+    per component.
 
-    The bytes equal ``np.sum(x * y * sig, axis=-1)``, signed zeros and NaN
-    signs included: for a short trailing axis numpy starts from +0.0 and adds
-    the components in order.  Adding whole components avoids that
-    reduction's per-node inner loop.
+    Two layouts meet here: trailing components, ``grid.n + (dim,)``, and
+    contiguous component planes, ``(dim,) + grid.n`` with ``axis=0``.  The
+    bytes, in either layout, equal those of the trailing-axis sum
+    ``np.sum(x * y * sig, axis=-1)``, signed zeros and NaN signs included:
+    for a short trailing axis numpy starts from +0.0 and adds the components
+    in order, and the first NaN of that chain is the one it returns.
+
+    Each product (x_i y_i) sig_i goes into one scratch plane, and the running
+    sum starts from +0.0 and adds the planes in order.  No whole-array
+    ``x * y * sig`` is formed, and adding whole planes avoids the reduction's
+    per-node inner loop.  numpy's contiguous loops pick between two NaN
+    operands by SIMD lane (the lanes past the last full vector return the
+    second operand, and an in-place add on a tiny output returns the other
+    one again), so nodes whose sum is NaN are summed again out of place in
+    the strided order, where the running sum's NaN always wins.  Where x_i
+    and y_i are both NaN with different bits, the product's NaN is whichever
+    numpy's multiply returns at that position; no layout-free rule exists
+    for it.
     """
-    p = x * y * sig
-    out = np.zeros(p.shape[:-1])
-    for k in range(p.shape[-1]):
-        out = out + p[..., k]
+    x, y = np.asarray(x), np.asarray(y)
+    full = np.broadcast(x, y).shape
+    shape = full[:axis] + (full[axis + 1:] if axis != -1 else ())
+    at = (slice(None),) * axis if axis >= 0 else (Ellipsis,)
+    rest = (slice(None),) * (-1 - axis) if axis < 0 else ()
+    out, scratch = np.zeros(shape), np.empty(shape)
+    for k in range(len(sig)):
+        np.multiply(x[at + (k,) + rest], y[at + (k,) + rest], out=scratch)
+        np.multiply(scratch, sig[k], out=scratch)
+        np.add(out, scratch, out=out)
+    nan = np.isnan(out)
+    if nan.any():
+        # (nodes, dim) rows in C order, so each component is a strided column
+        x, y = (np.moveaxis(np.broadcast_to(a, full), axis, -1)[nan] for a in (x, y))
+        p = x * y * sig
+        redo = np.zeros(len(p))
+        for k in range(len(sig)):
+            redo = redo + p[:, k]
+        out[nan] = redo
     return out
 
 

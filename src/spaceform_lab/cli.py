@@ -34,6 +34,7 @@ from .ribaucour import (
 )
 from .triples import TripleField, classify, first_integrals, triple_residuals
 from .verify import (
+    fundamental_forms,
     holonomic_data,
     hj_relation_residual,
     isometry_check,
@@ -203,9 +204,11 @@ def _cmd_pair_check(cfg) -> int:
     fr = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam))
     fs = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam_s))
     iso = isometry_check(fr, fs)
-    _, _, _, lam_r = holonomic_data(fr)
-    _, _, _, lam_s = holonomic_data(fs)
-    pair = pair_gauss_relation(lam_r, lam_s, fam.c, fam_s.c, fam.eps, fam_s.eps)
+    forms_r, forms_s = fundamental_forms(fr), fundamental_forms(fs)
+    _, _, _, lam_r = holonomic_data(fr, forms_r)
+    _, _, _, lam_s = holonomic_data(fs, forms_s)
+    pair = pair_gauss_relation(lam_r, lam_s, fam.c, fam_s.c, fam.eps, fam_s.eps,
+                               forms_r.valid & forms_s.valid)
     match = gal.signed_component_match(
         fs.positions, gal.explicit_fprime("s4_pair", fam.theta, cfg.grid.points()))
     out = {

@@ -113,39 +113,34 @@ class ParameterGrid:
 
 
 def partial_derivative(values, axis, spacing):
-    """Second-order first derivative along one of the first three axes."""
+    """Second-order first derivative along one grid axis of ``values``
+    (axes 0-2 in the trailing layout, 1-3 on component planes)."""
     return np.gradient(values, spacing, axis=axis, edge_order=2)
 
 
 def second_derivative(values, axis, spacing):
-    """Second-order pure second derivative along one axis."""
+    """Second-order pure second derivative along one axis.
+
+    The interior is written into the output with ``out=``, no temporaries;
+    every node sees the operations of the stencils in the module docstring,
+    in that order.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[axis] < 4:
         raise GridTooCoarse("second derivative stencil needs 4 nodes per axis")
     out = np.empty_like(values)
     h2 = spacing * spacing
+    f = np.moveaxis(values, axis, 0)
+    d2 = np.moveaxis(out, axis, 0)
 
-    def take(i):
-        index = [slice(None)] * values.ndim
-        index[axis] = i
-        return values[tuple(index)]
+    mid = d2[1:-1]
+    np.multiply(2.0, f[1:-1], out=mid)
+    np.subtract(f[2:], mid, out=mid)
+    np.add(mid, f[:-2], out=mid)
+    np.divide(mid, h2, out=mid)
 
-    interior = [slice(None)] * values.ndim
-    interior[axis] = slice(1, -1)
-    plus = [slice(None)] * values.ndim
-    plus[axis] = slice(2, None)
-    minus = [slice(None)] * values.ndim
-    minus[axis] = slice(0, -2)
-    out[tuple(interior)] = (
-        values[tuple(plus)] - 2.0 * values[tuple(interior)] + values[tuple(minus)]
-    ) / h2
-
-    first = [slice(None)] * values.ndim
-    first[axis] = 0
-    out[tuple(first)] = (2 * take(0) - 5 * take(1) + 4 * take(2) - take(3)) / h2
-    last = [slice(None)] * values.ndim
-    last[axis] = -1
-    out[tuple(last)] = (2 * take(-1) - 5 * take(-2) + 4 * take(-3) - take(-4)) / h2
+    d2[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+    d2[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
     return out
 
 
@@ -157,15 +152,20 @@ def grid_partials(field, grid: ParameterGrid):
     return [partial_derivative(field, a, grid.spacing[a]) for a in range(3)]
 
 
-def induced_metric_tensor(df, sig):
-    """g_ij = sum over the trailing axis of df_i df_j sig, shape (3, 3) + grid.n.
+def induced_metric_tensor(df, sig, axis=-1):
+    """g_ij = sum over the component axis of df_i df_j sig, shape (3, 3) + grid.n.
 
-    ``df`` is the ``grid_partials`` list of a position field.  Entries with
-    i <= j are computed and mirrored, which is exact: products commute.
+    ``df`` holds the three first partials of a position field, each with its
+    components on ``axis``: the trailing axis of ``grid_partials`` of
+    ``grid.n + (dim,)`` positions, or axis 0 on ``(dim,) + grid.n`` component
+    planes.  Entries with i <= j are computed and mirrored, which is exact:
+    products commute.
     """
-    g = np.empty((3, 3) + df[0].shape[:-1])
+    shape = list(df[0].shape)
+    del shape[axis]
+    g = np.empty((3, 3) + tuple(shape))
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        g[i, j] = g[j, i] = sig_inner(df[i], df[j], sig)
+        g[i, j] = g[j, i] = sig_inner(df[i], df[j], sig, axis)
     return g
 
 

@@ -5,6 +5,24 @@ integrators), so it can serve as the second route of every dual-route check:
 fundamental forms by divided differences, Gauss-Codazzi residuals, the paired
 Gauss relation, the Schouten-Codazzi conformal-flatness criterion, and
 isometry comparison.
+
+Layout.  ``fundamental_forms`` and ``isometry_check`` move each sample's
+positions once to contiguous component planes, ``(dim,) + grid.n``, and take
+the partials, the metric, II and <N, N> sums, the normal and its cofactor rows
+on those planes.  Every signature sum is ``ambient.sig_inner(..., axis=0)``:
+it adds the products (x_i y_i) sig_i from +0.0 in component order, so the
+results have the bytes of the trailing-layout sums.  The normal's sign is
+aligned one sweep phase at a time (``_align_normal``).  ``FundamentalForms.N``
+is handed back as ``grid.n + (dim,)``.
+
+Masking.  A node is kept where ``valid_mask()`` holds (finite positions, not
+flagged) and no node outside it lies within three nodes along every axis
+(``grid.stencil_halo``), the reach of the composed stencils.  Positions
+outside ``valid_mask()`` are zero-filled before any stencil, so the dense
+algebra stays finite and kept nodes keep their bytes.  ``fundamental_forms``
+also drops nodes with a singular metric or a null normal from ``valid``;
+``isometry_check`` reports the nodes both samples keep; ``pair_gauss_relation``
+takes such a mask as ``valid``.
 """
 
 from __future__ import annotations
@@ -24,7 +42,6 @@ from .errors import (
 )
 from .grid import (
     ParameterGrid,
-    grid_partials,
     induced_metric_tensor,
     partial_derivative,
     second_derivative,
@@ -82,27 +99,18 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     dim - 1 rows df_1, df_2, df_3, and f when c != 0: times the signature it
     spans their signature-orthogonal complement.  It is scaled to Euclidean
     unit length for the causal-character test, then to unit signature norm.
+    The work runs on component planes (module docstring); the returned N is
+    a ``grid.n + (dim,)`` view of them.
     """
     grid = sample.grid
     grid.require_resolution(5)
     spec = sample.spec
     sig = spec.ambient.sig_array
-    finite = sample.valid_mask()
-    if not finite.all():
-        # zero-fill masked positions so the dense linear algebra below stays
-        # finite; every touched node is excluded through ``valid``
-        sample = ImmersionSample(
-            grid, np.where(finite[..., None], sample.positions, 0.0), spec,
-            ~finite,
-        )
-    df = grid_partials(sample.positions, grid)
-    I = induced_metric_tensor(df, sig)
+    pos, df, I, ok = _metric(sample)
 
     detI = np.abs(sum(a * b for a, b in zip(I[0], _cofactor_vector(I[1:]))))
     scale = np.maximum(np.abs(I).max(axis=(0, 1)) ** 3, 1e-300)
-    valid = ((detI / scale) > DET_TOL) & sample.valid_mask()
-    if not finite.all():
-        valid &= ~stencil_halo(~finite)
+    valid = ((detI / scale) > DET_TOL) & ok
     if not valid.any():
         raise DegenerateMetric("first fundamental form is singular at every node")
 
@@ -110,57 +118,89 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     # <row, n>_sig = row . (sig n), so sig n is the Euclidean cross product.
     rows = list(df)
     if spec.c != 0:
-        rows.append(sample.positions)
-    cross = _cofactor_vector([np.moveaxis(r, -1, 0) for r in rows])
+        rows.append(pos)
+    cross = _cofactor_vector(rows)
     norm = np.sqrt(sum(x * x for x in cross))
     degenerate = norm == 0          # dependent rows, e.g. zero-filled masked nodes
-    n0 = np.stack(cross, axis=-1) * (sig / np.where(degenerate, 1.0, norm)[..., None])
-    n0[degenerate] = np.eye(spec.dim)[-1]             # finite; such nodes are invalid
-    nn = sig_inner(n0, n0, sig)
+    norm[degenerate] = 1.0
+    N = np.empty_like(pos)
+    for k in range(spec.dim):
+        np.multiply(cross[k], sig[k] / norm, out=N[k])
+    N[:, degenerate] = np.eye(spec.dim)[-1][:, None]  # finite; such nodes are invalid
+    nn = sig_inner(N, N, sig, axis=0)
     bad_causal = np.abs(nn) < 1e-14
     valid &= ~bad_causal
-    denom = np.sqrt(np.abs(np.where(bad_causal, 1.0, nn)))
-    N = n0 / denom[..., None]
-
-    # deterministic sign at base, then continuity alignment in sweep order:
-    # the base axis-0 line first, then axis-1 sheets, then the axis-2 volume,
-    # so every node is aligned against exactly one already-fixed parent.
-    base = grid.base
-    nb = N[base]
-    lead = int(np.argmax(np.abs(nb)))
-    if nb[lead] < 0:
-        N[base] = -nb
-    eps = float(spec.eps)
-
-    def _align(slice_next, slice_prev):
-        prev = N[slice_prev]
-        nxt = N[slice_next]
-        dot = sig_inner(prev, nxt, sig) * eps
-        N[slice_next] = np.where((dot < 0)[..., None], -nxt, nxt)
-
-    for axis, frozen in ((0, {1: base[1], 2: base[2]}), (1, {2: base[2]}), (2, {})):
-        for direction in (1, -1):
-            i = base[axis]
-            while 0 <= i + direction < grid.n[axis]:
-                sl_prev = [slice(None)] * 3
-                sl_next = [slice(None)] * 3
-                for a, val in frozen.items():
-                    sl_prev[a] = val
-                    sl_next[a] = val
-                sl_prev[axis] = i
-                sl_next[axis] = i + direction
-                _align(tuple(sl_next), tuple(sl_prev))
-                i += direction
+    nn[bad_causal] = 1.0
+    np.divide(N, np.sqrt(np.abs(nn)), out=N)
+    _align_normal(N, grid, sig, spec.eps)
 
     II = np.empty((3, 3) + tuple(grid.n))
     sp = grid.spacing
     for i in range(3):
-        d2 = second_derivative(sample.positions, i, sp[i])
-        II[i, i] = sig_inner(d2, N, sig)
+        II[i, i] = sig_inner(second_derivative(pos, i + 1, sp[i]), N, sig, axis=0)
     for i, j in itertools.combinations(range(3), 2):
-        dmix = partial_derivative(df[i], j, sp[j])
-        II[i, j] = II[j, i] = sig_inner(dmix, N, sig)
-    return FundamentalForms(I, II, N, valid)
+        dmix = partial_derivative(df[i], j + 1, sp[j])
+        II[i, j] = II[j, i] = sig_inner(dmix, N, sig, axis=0)
+    return FundamentalForms(I, II, np.moveaxis(N, 0, -1), valid)
+
+
+def _metric(sample: ImmersionSample):
+    """Positions as component planes, their first partials, the induced metric
+    and the nodes the masking rule keeps (module docstring).
+
+    The positions are moved to contiguous ``(dim,) + grid.n`` planes once and
+    zero-filled outside ``valid_mask()``, so the dense algebra stays finite.
+    """
+    grid = sample.grid
+    ok = sample.valid_mask()
+    pos = np.moveaxis(sample.positions, -1, 0).copy()
+    if not ok.all():
+        pos[:, ~ok] = 0.0
+        ok &= ~stencil_halo(~ok)
+    df = [partial_derivative(pos, a + 1, grid.spacing[a]) for a in range(3)]
+    return pos, df, induced_metric_tensor(df, sample.spec.ambient.sig_array, axis=0), ok
+
+
+def _align_normal(N, grid: ParameterGrid, sig, eps):
+    """Fix the sign of the unit normal planes ``N`` in place: deterministic at
+    the base node, then by continuity in sweep order.
+
+    The base axis-0 line is aligned first, then the axis-1 sheets from it,
+    then the axis-2 volume from them; each node follows its neighbour one
+    step nearer the base on its line.  A phase takes the dots
+    eps <N_k, N_k+1> of all its links in one call and propagates the signs
+    along the lines: a node keeps its neighbour's sign where the dot is > 0,
+    takes the opposite where it is < 0, and restarts at +1 where it is 0 or
+    NaN.  That is the rule of aligning one node at a time by
+    ``where(dot < 0, -N, N)`` against the aligned neighbour, whose dot is
+    the neighbour's sign times this one.
+    """
+    base = grid.base
+    nb = N[(slice(None),) + base]
+    if nb[int(np.argmax(np.abs(nb)))] < 0:
+        np.negative(nb, out=nb)
+    for axis in range(3):
+        # the phase's lines: along ``axis``, at the base index of later axes
+        at = (slice(None),) + tuple(base[a] if a > axis else slice(None) for a in range(3))
+        phase = N[at]
+        links = (slice(None),) * (axis + 1)
+        dot = sig_inner(phase[links + (slice(None, -1),)], phase[links + (slice(1, None),)],
+                        sig, axis=0)
+        dot = np.moveaxis(dot * eps, axis, 0)
+        b = base[axis]
+        flip = np.zeros((grid.n[axis],) + dot.shape[1:], dtype=bool)
+        flip[b + 1:] = _flips(dot[b:])
+        flip[:b] = _flips(dot[:b][::-1])[::-1]
+        np.negative(phase, out=phase, where=np.moveaxis(flip, 0, axis))
+
+
+def _flips(dot):
+    """Sign flips of the nodes one to len(dot) links away from an aligned node,
+    ``dot[k]`` being the link into node k + 1 (rule of ``_align_normal``)."""
+    neg = np.cumsum(dot < 0, axis=0)
+    restart = ~((dot > 0) | (dot < 0))
+    since = neg - np.maximum.accumulate(np.where(restart, neg, 0), axis=0)
+    return (since & 1).astype(bool)
 
 
 def _cofactor_vector(rows):
@@ -274,20 +314,28 @@ class PairReport:
     report: ResidualReport
 
 
-def pair_gauss_relation(lam, mu, c, c_tilde, eps, eps_tilde) -> PairReport:
-    """Residual of c + eps l_i l_j = c~ + eps~ m_i m_j for every unordered pair."""
+def pair_gauss_relation(lam, mu, c, c_tilde, eps, eps_tilde, valid=None) -> PairReport:
+    """Residual of c + eps l_i l_j = c~ + eps~ m_i m_j for every unordered pair.
+
+    ``valid`` (grid shape, True = keep), e.g. the ``valid`` of both samples'
+    fundamental forms, restricts the report; the residual array keeps every
+    node.
+    """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if lam.shape != mu.shape:
         raise GridMismatch("curvature fields must share one grid")
+    if valid is not None and np.shape(valid) != lam.shape[1:]:
+        raise GridMismatch(f"valid shape {np.shape(valid)} != grid shape {lam.shape[1:]}")
     res = np.zeros((3, 3) + lam.shape[1:])
     for i, j in itertools.combinations(range(3), 2):
         r = c + eps * lam[i] * lam[j] - c_tilde - eps_tilde * mu[i] * mu[j]
         res[i, j] = r
         res[j, i] = r
+    pairs = np.stack([res[i, j] for i, j in itertools.combinations(range(3), 2)])
     report = ResidualReport()
-    report.add("pair_gauss", np.stack([res[i, j] for i, j in
-                                       itertools.combinations(range(3), 2)]))
+    report.add("pair_gauss", pairs,
+               None if valid is None else np.broadcast_to(valid, pairs.shape))
     return PairReport(lam, mu, res, report)
 
 
@@ -352,14 +400,18 @@ def hj_relation_residual(t: TripleField) -> float:
 
 
 def isometry_check(a: ImmersionSample, b: ImmersionSample) -> ResidualReport:
-    """Compare induced metrics of two immersions on one grid."""
+    """Compare induced metrics of two immersions on one grid.
+
+    The metrics come from ``fundamental_forms``' code, with its masking rule:
+    a node counts where both samples keep it (module docstring).
+    """
     if not a.grid.same_as(b.grid):
         raise GridMismatch("samples live on different grids")
-    Ia = induced_metric_tensor(grid_partials(a.positions, a.grid), a.spec.ambient.sig_array)
-    Ib = induced_metric_tensor(grid_partials(b.positions, b.grid), b.spec.ambient.sig_array)
+    _, _, Ia, ok_a = _metric(a)
+    _, _, Ib, ok_b = _metric(b)
     pairs = itertools.combinations_with_replacement(range(3), 2)
     diffs = [Ia[i, j] - Ib[i, j] for i, j in pairs]
-    ok = a.valid_mask() & b.valid_mask()
+    ok = ok_a & ok_b
     report = ResidualReport(metadata={"spacing": list(a.grid.spacing)})
     report.add("metric_difference", np.stack(diffs),
                np.broadcast_to(ok, (len(diffs),) + ok.shape))

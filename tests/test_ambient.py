@@ -108,6 +108,67 @@ class TestSigInner:
         assert inner(SignedSpace((1, 1, 1, 1)), x, np.ones(4)) == 1.0
 
 
+class TestSigInnerLayouts:
+    """``sig_inner`` on trailing components and on contiguous component planes
+    (``axis=0``) must both give the bytes of the trailing-axis ``np.sum``, on
+    data full of +-0.0, +-inf, NaN of both signs and subnormals.
+
+    numpy's contiguous loops pick between two NaN operands by SIMD lane, so
+    its axis-0 reduction is a reference only where the sum is not NaN, and a
+    product of two NaN with different bits has no layout-free value: the
+    cases keep one NaN payload per product."""
+
+    SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               -1e-310, 2.2250738585072014e-308, 1e16, -1e16, 1.0, -1.0)
+
+    def _data(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2,) + shape) * 10.0 ** rng.integers(-320, 300, (2,) + shape)
+        for a in (x, y):
+            use = rng.uniform(size=shape) < 0.6
+            a[use] = np.asarray(self.SPECIAL)[rng.integers(0, len(self.SPECIAL), shape)][use]
+        both = np.isnan(x) & np.isnan(y)
+        y[both] = x[both]
+        return x, y
+
+    @pytest.mark.parametrize("lead, dim, seeds", [
+        ((), 4, 200), ((), 5, 200), ((1,), 4, 200), ((1,), 5, 200), ((41, 41, 41), 5, 3),
+    ])
+    def test_both_layouts(self, lead, dim, seeds):
+        sig = np.where(np.arange(dim) == dim - 1, -1.0, 1.0)
+        nan_sums = 0
+        for seed in range(seeds):
+            x, y = self._data(lead + (dim,), seed)
+            xp, yp = (np.moveaxis(a, -1, 0).copy() for a in (x, y))
+            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+                expect = np.sum(x * y * sig, axis=-1)
+                planes = np.sum(xp * yp * sig.reshape((dim,) + (1,) * len(lead)), axis=0)
+                got = sig_inner(x, y, sig)
+                got_planes = sig_inner(xp, yp, sig, axis=0)
+            assert np.shape(got) == np.shape(got_planes) == lead
+            assert np.asarray(got).tobytes() == expect.tobytes()
+            assert np.asarray(got_planes).tobytes() == expect.tobytes()
+            num = ~np.isnan(expect)
+            assert np.asarray(got_planes)[num].tobytes() == np.asarray(planes)[num].tobytes()
+            nan_sums += int((~num).sum())
+        assert nan_sums > 0
+
+    def test_no_whole_array_products(self):
+        import tracemalloc
+
+        x, y = np.random.default_rng(0).normal(size=(2, 5, 41, 41, 41))
+        sig = np.array([1.0, 1.0, 1.0, -1.0, 1.0])
+        plane = 41 ** 3 * 8
+        tracemalloc.start()
+        try:
+            sig_inner(x, y, sig, axis=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sum and one scratch plane; x * y * sig alone would be 5 planes
+        assert peak < 2.5 * plane
+
+
 class TestSpaceFormSpec:
     def test_flat_model(self):
         spec = SpaceFormSpec(0.0, 1)

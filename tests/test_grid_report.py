@@ -4,6 +4,8 @@ import pytest
 from spaceform_lab.errors import GridTooCoarse, InvalidParams
 from spaceform_lab.grid import (
     ParameterGrid,
+    grid_partials,
+    induced_metric_tensor,
     partial_derivative,
     second_derivative,
     stencil_halo,
@@ -71,6 +73,46 @@ class TestStencils:
             errs.append(np.abs(d2 + np.sin(x)).max())
         # halving h divides the error by about 4
         assert errs[0] / errs[1] > 3.0
+
+    @staticmethod
+    def _slice_formula(values, axis, h):
+        """The stencils of the module docstring as whole-slice expressions."""
+        f = np.moveaxis(values, axis, 0)
+        out = np.empty_like(f)
+        h2 = h * h
+        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
+        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+        return np.moveaxis(out, 0, axis)
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((4,), 0), ((9,), 0), ((4, 6, 5), 0), ((7, 6, 5), 1), ((7, 6, 4), 2),
+        ((5, 11, 9, 4), 1), ((5, 11, 9, 4), 3),
+    ])
+    def test_second_derivative_matches_slice_formula(self, shape, axis):
+        rng = np.random.default_rng(len(shape) * 10 + axis)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300, -1e300, np.nan])
+        for _ in range(20):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+            use = rng.uniform(size=shape) < 0.3
+            x[use] = special[rng.integers(0, len(special), size=shape)][use]
+            h = float(rng.uniform(1e-3, 2.0))
+            with np.errstate(all="ignore"):
+                got = second_derivative(x, axis, h)
+                expect = self._slice_formula(x, axis, h)
+            # bytes equal except NaN payloads, which numpy picks by SIMD lane
+            nan = np.isnan(expect)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    def test_induced_metric_both_layouts(self):
+        grid = ParameterGrid.centered(0.5, (6, 7, 5))
+        pos = np.random.default_rng(4).normal(size=grid.n + (5,))
+        sig = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+        trailing = induced_metric_tensor(grid_partials(pos, grid), sig)
+        planes = np.moveaxis(pos, -1, 0).copy()
+        df = [partial_derivative(planes, a + 1, grid.spacing[a]) for a in range(3)]
+        assert induced_metric_tensor(df, sig, axis=0).tobytes() == trailing.tobytes()
 
     def test_second_derivative_needs_four_nodes(self):
         with pytest.raises(GridTooCoarse):

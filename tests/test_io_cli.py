@@ -431,6 +431,27 @@ class TestCli:
         assert rep["sphere_constraint_max"] <= 1e-8
         assert len(rep["printed_s4_component_match"]) == 5
 
+    def test_pair_check_forms_once_per_sample(self, tmp_path, monkeypatch):
+        # the forms feed holonomic_data and the pair-Gauss mask, so each sample's
+        # are computed once
+        from spaceform_lab import cli, verify
+
+        samples = []
+
+        def counted(sample, _inner=verify.fundamental_forms):
+            samples.append(sample)
+            return _inner(sample)
+
+        monkeypatch.setattr(cli, "fundamental_forms", counted)
+        monkeypatch.setattr(verify, "fundamental_forms", counted)
+        doc = json.loads(json.dumps(RIBAUCOUR_DOC))
+        doc["grid"] = {"lo": [0.095, 0.395, 0.195], "hi": [0.105, 0.405, 0.205],
+                       "n": [11, 11, 11], "base": [5, 5, 5]}
+        doc["tolerances"] = {"report": 1e-5}
+        assert run(["pair-check", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(samples) == 2
+        assert [s.spec.c for s in samples] == [0.0, 1.0]
+
     def test_export_obj_and_csv(self, tmp_path):
         doc = json.loads(json.dumps(RIBAUCOUR_DOC))
         doc["outputs"] = {"csv": str(tmp_path / "out.csv"),

@@ -19,6 +19,7 @@ from spaceform_lab.grid import (
     second_derivative,
     stencil_halo,
 )
+from spaceform_lab.report import ResidualReport
 from spaceform_lab.ribaucour import integrate_ribaucour, transformed_triple
 from spaceform_lab.triples import TripleField, permute_triple
 from spaceform_lab.verify import (
@@ -258,6 +259,71 @@ class TestMaskedSamples:
         assert dev[:, forms.valid].max() < 1e-3
 
 
+class TestMaskedPairCheck:
+    """The pair-check chain on the pair62 box at 21^3, R4 sample against its S4
+    partner, with one NaN node in the R4 sample."""
+
+    GRID = ParameterGrid.centered(0.004, 21, (0.1, 0.4, 0.2))
+    NODE = (3, 5, 7)
+
+    @pytest.fixture(scope="class")
+    def pair(self, fam62, fam_s4):
+        pos = closed_form_transform(fam62)(self.GRID.points())
+        clean = ImmersionSample(self.GRID, pos.copy(), fam62.spec)
+        pos[self.NODE] = np.nan
+        fr = ImmersionSample(self.GRID, pos, fam62.spec)
+        fs = ImmersionSample(self.GRID, closed_form_transform(fam_s4)(self.GRID.points()),
+                             fam_s4.spec)
+        return clean, fr, fs
+
+    def test_isometry_skips_masked_node_and_halo(self, pair):
+        clean, fr, fs = pair
+        rep = isometry_check(fr, fs)
+        # a NaN node used to spread to its stencil neighbours and the max read nan
+        assert math.isfinite(rep.overall_max)
+        assert rep.overall_max <= 1e-6              # the pair-check gate
+        halo = stencil_halo(~fr.valid_mask())
+        assert halo.sum() == 7 ** 3
+        assert not halo[rep["metric_difference"].argmax[1:]]
+        # outside the halo the metric difference keeps the clean sample's bytes
+        Ia, Ib = (induced_metric_tensor(grid_partials(x.positions, self.GRID),
+                                        x.spec.ambient.sig_array) for x in (clean, fs))
+        diffs = np.stack([Ia[i, j] - Ib[i, j] for i, j in
+                          itertools.combinations_with_replacement(range(3), 2)])
+        expect = ResidualReport().add("metric_difference", diffs,
+                                      np.broadcast_to(~halo, diffs.shape))
+        assert rep.entries == expect.entries
+
+    def test_pair_gauss_drops_invalid_nodes(self, pair):
+        _, fr, fs = pair
+        forms_r, forms_s = fundamental_forms(fr), fundamental_forms(fs)
+        lam_r = holonomic_data(fr, forms_r)[3]
+        lam_s = holonomic_data(fs, forms_s)[3]
+        args = (lam_r, lam_s, 0.0, 1.0, 1, 1)
+        assert pair_gauss_relation(*args).report.overall_max > 1e10
+        valid = forms_r.valid & forms_s.valid
+        assert not valid[self.NODE]
+        rep = pair_gauss_relation(*args, valid=valid)
+        assert rep.report.overall_max <= 1e-5       # the pair-check gate
+        entry = rep.report["pair_gauss"]
+        assert valid[entry.argmax[1:]]
+        # the residual array keeps every node
+        assert rep.residual.tobytes() == pair_gauss_relation(*args).residual.tobytes()
+
+    def test_pair_gauss_valid_shape_checked(self):
+        lam = np.ones((3, 4, 4, 4))
+        with pytest.raises(GridMismatch):
+            pair_gauss_relation(lam, lam, 0.0, 0.0, 1, 1, valid=np.ones((4, 4, 5), bool))
+
+    def test_pair_gauss_all_valid_same_report(self):
+        rng = np.random.default_rng(3)
+        lam, mu = rng.normal(size=(2, 3, 6, 5, 4))
+        plain = pair_gauss_relation(lam, mu, 0.0, 1.0, 1, 1)
+        kept = pair_gauss_relation(lam, mu, 0.0, 1.0, 1, 1, np.ones((6, 5, 4), bool))
+        assert kept.report.entries == plain.report.entries
+        assert kept.residual.tobytes() == plain.residual.tobytes()
+
+
 def _svd_forms(sample):
     """``fundamental_forms`` with np.linalg.det for det I and the normal taken
     as the last right singular vector of (df_1, df_2, df_3[, f]) * sig.
@@ -349,3 +415,150 @@ class TestCrossProductNormal:
             gc.enable()
         # a quarter of one grid-sized float array: no minors outlive the call
         assert retained < 2 * int(np.prod(self.GRID.n))
+
+
+def _trailing_sig_sum(x, y, sig):
+    """The signature inner product over the trailing axis, as whole-array
+    products and in-order adds from +0.0."""
+    p = x * y * sig
+    out = np.zeros(p.shape[:-1])
+    for k in range(p.shape[-1]):
+        out = out + p[..., k]
+    return out
+
+
+def _trailing_metric(sample):
+    """Zero-filled ``grid.n + (dim,)`` positions, their partials, the metric
+    and the kept nodes (finite, outside the stencil halo)."""
+    finite = sample.valid_mask()
+    pos = np.where(finite[..., None], sample.positions, 0.0)
+    df = grid_partials(pos, sample.grid)
+    sig = sample.spec.ambient.sig_array
+    I = np.empty((3, 3) + tuple(sample.grid.n))
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        I[i, j] = I[j, i] = _trailing_sig_sum(df[i], df[j], sig)
+    return pos, df, I, finite & ~stencil_halo(~finite)
+
+
+def _trailing_align(N, grid, sig, eps):
+    """Sign of ``grid.n + (dim,)`` normals fixed at the base, then one node
+    slice at a time against its already aligned neighbour, in sweep order."""
+    base = grid.base
+    nb = N[base]
+    if nb[int(np.argmax(np.abs(nb)))] < 0:
+        N[base] = -nb
+    for axis in range(3):
+        at = tuple(base[a] if a > axis else slice(None) for a in range(3))
+        for step in (1, -1):
+            for i in range(base[axis] + step, grid.n[axis] if step > 0 else -1, step):
+                nxt = at[:axis] + (i,) + at[axis + 1:]
+                prev = at[:axis] + (i - step,) + at[axis + 1:]
+                dot = _trailing_sig_sum(N[prev], N[nxt], sig) * eps
+                N[nxt] = np.where((dot < 0)[..., None], -N[nxt], N[nxt])
+
+
+def _trailing_forms(sample):
+    """``fundamental_forms`` in the trailing layout, with the normal aligned
+    one node slice at a time against its already aligned neighbour."""
+    grid, spec = sample.grid, sample.spec
+    sig = spec.ambient.sig_array
+    pos, df, I, kept = _trailing_metric(sample)
+    detI = np.abs(sum(a * b for a, b in zip(I[0], verify_module._cofactor_vector(I[1:]))))
+    scale = np.maximum(np.abs(I).max(axis=(0, 1)) ** 3, 1e-300)
+    valid = ((detI / scale) > verify_module.DET_TOL) & kept
+    rows = list(df) + ([pos] if spec.c != 0 else [])
+    cross = verify_module._cofactor_vector([np.moveaxis(r, -1, 0) for r in rows])
+    norm = np.sqrt(sum(x * x for x in cross))
+    degenerate = norm == 0
+    n0 = np.stack(cross, axis=-1) * (sig / np.where(degenerate, 1.0, norm)[..., None])
+    n0[degenerate] = np.eye(spec.dim)[-1]
+    nn = _trailing_sig_sum(n0, n0, sig)
+    bad_causal = np.abs(nn) < 1e-14
+    valid &= ~bad_causal
+    N = n0 / np.sqrt(np.abs(np.where(bad_causal, 1.0, nn)))[..., None]
+    _trailing_align(N, grid, sig, spec.eps)
+    II = np.empty((3, 3) + tuple(grid.n))
+    h = grid.spacing
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        d2 = (second_derivative(pos, i, h[i]) if i == j
+              else partial_derivative(df[i], j, h[j]))
+        II[i, j] = II[j, i] = _trailing_sig_sum(d2, N, sig)
+    return I, II, N, valid
+
+
+class TestComponentPlaneReference:
+    """``fundamental_forms`` and ``isometry_check`` run on contiguous component
+    planes with batched normal alignment; here they must give the bytes of the
+    trailing-layout code with per-slice alignment, kept above."""
+
+    FAMILIES = TestCrossProductNormal.FAMILIES
+    GRIDS = {
+        "pair62_21": TestCrossProductNormal.GRID,
+        # off-centre base, so both directions of every sweep phase run; the
+        # S4 partner is degenerate on its u2 = 0 plane here
+        "unit_box": ParameterGrid((-1, -1, -1), (1, 1, 1), (11, 13, 9), (2, 7, 4)),
+    }
+
+    def _sample(self, family, grid, masked):
+        fam = PhiFamily(rho=1.0, theta=0.5, **self.FAMILIES[family])
+        g = self.GRIDS[grid]
+        pos = closed_form_transform(fam)(g.points())
+        flags = None
+        if masked:
+            pos[2, 5, 7] = np.nan
+            pos[-1, 0, 3] = -np.inf
+            flags = np.zeros(g.n, dtype=bool)
+            flags[6, 6, 1] = True
+        return ImmersionSample(g, pos, fam.spec, flags)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("family", ["r4", "s4", "lorentz"])
+    def test_forms_bytes(self, family, grid, masked):
+        sample = self._sample(family, grid, masked)
+        forms = fundamental_forms(sample)
+        I, II, N, valid = _trailing_forms(sample)
+        assert forms.N.shape == tuple(sample.grid.n) + (sample.spec.dim,)
+        for got, expect in ((forms.I, I), (forms.II, II), (forms.N, N),
+                            (forms.valid, valid)):
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+        assert bool(valid.all()) == (not masked and (family, grid) != ("s4", "unit_box"))
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("base", [(0, 0, 0), (3, 6, 2), (6, 8, 4)])
+    def test_alignment_rule(self, base, eps):
+        # random raw normals: dots of both signs, exact zeros (orthogonal
+        # neighbours), NaN and signed zeros, so every branch of the rule runs
+        grid = ParameterGrid((0, 0, 0), (1, 1, 1), (7, 9, 5), base)
+        sig = np.array([1.0, 1.0, 1.0, -1.0, 1.0])
+        rng = np.random.default_rng(sum(base) + 10 * (eps > 0))
+        for _ in range(20):
+            N = rng.normal(size=grid.n + (5,))
+            ortho = rng.uniform(size=grid.n) < 0.15
+            N[ortho] = np.eye(5)[rng.integers(0, 2, size=grid.n)][ortho] * \
+                np.where(rng.uniform(size=grid.n) < 0.5, -1.0, 1.0)[ortho][:, None]
+            N[rng.uniform(size=grid.n) < 0.03] = np.nan
+            N[rng.uniform(size=grid.n) < 0.03] = -0.0
+            expect = N.copy()
+            _trailing_align(expect, grid, sig, eps)
+            planes = np.moveaxis(N, -1, 0).copy()
+            verify_module._align_normal(planes, grid, sig, eps)
+            assert np.moveaxis(planes, 0, -1).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("pair", [("r4", "s4"), ("lorentz", "r4")])
+    def test_isometry_entries(self, pair, grid, masked):
+        a = self._sample(pair[0], grid, masked)
+        b = self._sample(pair[1], grid, False)
+        *_, Ia, kept_a = _trailing_metric(a)
+        *_, Ib, kept_b = _trailing_metric(b)
+        diffs = np.stack([Ia[i, j] - Ib[i, j] for i, j in
+                          itertools.combinations_with_replacement(range(3), 2)])
+        ok = kept_a & kept_b
+        expect = ResidualReport().add("metric_difference", diffs,
+                                      np.broadcast_to(ok, diffs.shape))
+        got = isometry_check(a, b)
+        assert got.entries == expect.entries
+        assert got.metadata == {"spacing": list(a.grid.spacing)}
