@@ -7,8 +7,11 @@ its standard output and standard error) and one per file it wrote.
 
     python scripts/demo_digests.py                    # this checkout
     python scripts/demo_digests.py --root OTHER_DIR   # another checkout's src/ and demos/
+    python scripts/demo_digests.py --against OTHER_DIR
 
-Diff the output of two checkouts, or of two runs of one, to show that demo
+``--against`` runs both checkouts (``--root`` and OTHER_DIR), each in its own
+process, prints only the lines that differ (``-`` for OTHER_DIR, ``+`` for
+``--root``) and exits 1 if any differ, so it shows directly whether demo
 outputs are byte-identical.
 """
 
@@ -16,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,12 +45,32 @@ def run_captured(run, argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def digest_lines(root: Path) -> list:
+    """This script's output for ``root``, from a process of its own."""
+    out = subprocess.run([sys.executable, __file__, "--root", str(root)],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def compare(other: Path, root: Path) -> int:
+    diff = [line for line in difflib.unified_diff(digest_lines(other), digest_lines(root),
+                                                 lineterm="", n=0)
+            if line.startswith(("-", "+")) and not line.startswith(("---", "+++"))]
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ and demos/configs/ are used")
+    parser.add_argument("--against", metavar="OTHER_DIR",
+                        help="print only the lines that differ from OTHER_DIR's")
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
+    if args.against:
+        return compare(Path(args.against).resolve(), root)
     sys.path.insert(0, str(root / "src"))
     from spaceform_lab.cli import run
 

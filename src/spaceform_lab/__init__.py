@@ -34,6 +34,7 @@ from .ribaucour import (
     RibaucourField,
     RibaucourState,
     integrate_ribaucour,
+    integrate_with_frame,
     invariant_drift,
     parallel_triple,
     seed_state,

@@ -15,11 +15,29 @@ of the state array.
 
 Right-hand-side contract: ``rhs`` leaves its state argument Y unmodified and
 returns dY as a fresh array of Y's shape, which the march then reuses as an
-accumulator.  The frame and Ribaucour right-hand sides write each component
-of dY once, in place (a ufunc ``out=`` into its slice), and keep scratch
-products in a component that is not yet written; they do the same
+accumulator.
+
+In-place bodies.  The frame and Ribaucour systems each have a body
+``body(v, h, V, Y, dY, axis)`` that reads the triple values (v, h, V) of the
+stage points and its own state rows Y, and writes every component of its
+rows dY once, in place (a ufunc ``out=`` into its slice); scratch products
+live in a component that is not yet written.  A body does the same
 floating-point operations in the same order as the expression form, so
-states are unchanged bit for bit.
+states are unchanged bit for bit.  A one-system right-hand side evaluates
+the triple, allocates dY and runs its body.
+
+Stacked states.  Systems driven by the same triple on the same grid march as
+one state whose leading axis stacks their rows, e.g. the 9 Ribaucour rows
+followed by the 5 dim frame rows.  Their right-hand side evaluates the
+triple once per RK stage, allocates one dY and runs each body on row views
+of Y and dY, so a stacked sweep makes the ``eval_at`` calls of one sweep and
+its rows are bit for bit those of separate sweeps.
+
+Masked rows.  ``mask_rows`` names the leading state rows that masking
+governs.  A ``node_check`` flag or a non-finite value in those rows masks the
+line: the flag propagates along the sweep, and the line's masked rows freeze
+while its other rows keep integrating, as they would in a sweep of their own.
+A non-finite value in any other row raises NonFiniteState.
 """
 
 from __future__ import annotations
@@ -32,9 +50,10 @@ import numpy as np
 from .errors import InvalidParams, NonFiniteState
 
 
-def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen):
+def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen, rows=None):
     """Advance the batch state y (state_shape + (B,)) from u_from to u_to
-    along one axis; ``y`` itself is not modified.
+    along one axis; ``y`` itself is not modified.  The lines flagged in
+    ``frozen`` keep their first ``rows`` state rows (all rows when None).
 
     Stages and the combine run in place: one ``stage`` buffer per march, and
     the k arrays returned by ``rhs`` are reused as accumulators, in the order
@@ -65,22 +84,23 @@ def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen):
         k4 = np.add(k3, k4, out=k4)
         y_new = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
         if hold:
-            y_new[..., frozen] = y[..., frozen]
+            y_new[:rows, ..., frozen] = y[:rows, ..., frozen]
         y = y_new
         u += dt
         p0, p1 = p1, p0        # this substep's end points start the next one
     return y
 
 
-def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
-                    on_nonfinite="raise"):
+def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None, mask_rows=0):
     """Integrate a pointwise ODE system over the whole grid.
 
     ``rhs(points (B, 3), Y state_shape + (B,), axis)`` returns dY as a fresh
     array of Y's shape (the march accumulates into it).
     ``node_check(Y state_shape + (B,)) -> (B,) bool`` flags nodes to mask
-    (evaluated on arrival); masked lines freeze and the flag propagates along
-    the sweep.  ``max_step`` must be positive and finite (InvalidParams).
+    (evaluated on arrival).  Masking governs the first ``mask_rows`` rows of
+    the state's leading axis (module docstring); a non-finite value in the
+    other rows raises NonFiniteState.  ``max_step`` must be positive and
+    finite (InvalidParams).
     Returns (states grid.n + state_shape, masked bool array).
     """
     if not (math.isfinite(max_step) and max_step > 0):
@@ -124,14 +144,13 @@ def sweep_integrate(grid, order, y0, rhs, max_step, node_check=None,
                 nxt = idx + direction
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     y = rk4_march(_rhs, pts_start, axis, ax_vals[idx], ax_vals[nxt],
-                                  y, max_step, frozen=bad)
-                nonfinite = ~np.isfinite(y.reshape(-1, B)).all(axis=0)
-                if nonfinite.any() and not bad[nonfinite].all():
-                    if on_nonfinite == "raise":
-                        raise NonFiniteState(
-                            f"state overflowed along axis {axis} at node {nxt}"
-                        )
-                    bad |= nonfinite
+                                  y, max_step, bad, mask_rows)
+                if mask_rows < len(y) and not np.isfinite(y[mask_rows:]).all():
+                    raise NonFiniteState(
+                        f"state overflowed along axis {axis} at node {nxt}"
+                    )
+                if mask_rows:
+                    bad |= ~np.isfinite(y[:mask_rows].reshape(-1, B)).all(axis=0)
                 if node_check is not None:
                     bad |= node_check(y)
                 at[axis] = nxt

@@ -3,7 +3,8 @@
 Subcommands: verify-triple, integrate-frame, ribaucour, pair-check,
 cflat-check, gallery (list | eval), export.  Exit codes: 0 success with all
 residuals under the configured thresholds, 2 threshold violation (reports are
-still written), 1 usage or configuration error.
+still written), 1 usage or configuration error.  A non-holonomic sample in
+pair-check is a verdict too: exit 2, with the error in the report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import gallery as gal
 from .ambient import SpaceFormSpec
-from .errors import SpaceformLabError
+from .errors import NonHolonomicSample, SpaceformLabError
 from .frames import integrate_frame, path_independence_residual, standard_frame_state
 from .io import (
     export_csv,
@@ -27,6 +28,7 @@ from .io import (
 from .ribaucour import (
     RibaucourState,
     integrate_ribaucour,
+    integrate_with_frame,
     invariant_drift,
     seed_state,
     transform_immersion,
@@ -126,8 +128,10 @@ def _cmd_integrate_frame(cfg) -> int:
     return _finish(out, cfg, ok)
 
 
-def _run_ribaucour_pipeline(cfg, fam=None):
-    """Seed triple, Ribaucour field and frame init; the seed must be integrable."""
+def _run_ribaucour_pipeline(cfg, fam=None, fprime=False):
+    """Seed triple, Ribaucour field and, with ``fprime``, the transformed
+    immersion F' (else None); the seed must be integrable.  F' needs the
+    seed's frame, which the Ribaucour sweep then carries in its state."""
     fam = fam or _family(cfg)
     if fam is not None:
         triple = fam.seed_triple(cfg.grid)
@@ -153,23 +157,19 @@ def _run_ribaucour_pipeline(cfg, fam=None):
                                  raw["phi"], raw.get("psi", 0.0), raw["beta"])
         init = seed_state(triple, cfg.grid.base, request, k2)
         frame_init = _frame_init(cfg, name, triple.spec)
-    rf = integrate_ribaucour(triple, init, cfg.grid, max_step=cfg.max_step,
-                             mask_tol=cfg.tolerances["mask"], K2target=k2,
-                             integrability_tol=cfg.tolerances["integrability"])
-    return triple, rf, frame_init
-
-
-def _fprime(cfg, triple, rf, frame_init):
-    """The transformed immersion F'; the Ribaucour sweep has checked the seed."""
-    ff = integrate_frame(triple, frame_init, cfg.grid, max_step=cfg.max_step,
-                         integrability_tol=None)
-    return transform_immersion(ff, rf)
+    kw = dict(grid=cfg.grid, max_step=cfg.max_step, mask_tol=cfg.tolerances["mask"],
+              K2target=k2, integrability_tol=cfg.tolerances["integrability"])
+    if not fprime:
+        return triple, integrate_ribaucour(triple, init, **kw), None
+    rf, ff = integrate_with_frame(triple, init, frame_init, **kw)
+    return triple, rf, transform_immersion(ff, rf)
 
 
 def _cmd_ribaucour(cfg) -> int:
     if not cfg.ribaucour:
         return _fail("ribaucour section missing from config")
-    triple, rf, frame_init = _run_ribaucour_pipeline(cfg)
+    write_fprime = bool(cfg.outputs.get("csv") or cfg.outputs.get("obj"))
+    triple, rf, fprime = _run_ribaucour_pipeline(cfg, fprime=write_fprime)
     drift = invariant_drift(rf)
     tt = transformed_triple(triple, rf)
     out = {
@@ -182,13 +182,11 @@ def _cmd_ribaucour(cfg) -> int:
                                              "C": cls.C}
     except SpaceformLabError as exc:
         out["transformed_classification"] = {"error": str(exc)}
-    if cfg.outputs.get("csv") or cfg.outputs.get("obj"):
-        fprime = _fprime(cfg, triple, rf, frame_init).positions
-        if cfg.outputs.get("csv"):
-            export_csv(fprime, cfg.grid, cfg.outputs["csv"], rf.masked)
-        if cfg.outputs.get("obj"):
-            export_obj(fprime, cfg.grid, 2, cfg.grid.base_point[2], (0, 1, 2),
-                       cfg.outputs["obj"], rf.masked)
+    if cfg.outputs.get("csv"):
+        export_csv(fprime.positions, cfg.grid, cfg.outputs["csv"], rf.masked)
+    if cfg.outputs.get("obj"):
+        export_obj(fprime.positions, cfg.grid, 2, cfg.grid.base_point[2], (0, 1, 2),
+                   cfg.outputs["obj"], rf.masked)
     ok = drift.overall <= cfg.tolerances["report"]
     return _finish(out, cfg, ok)
 
@@ -201,24 +199,30 @@ def _cmd_pair_check(cfg) -> int:
         return _fail("the matched sphere partner is built for K=a=1, c=0, eps=1")
     fam_s = gal.PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1,
                           rho=fam.rho, theta=fam.theta, phases=fam.phases)
-    fr = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam))
-    fs = _fprime(cfg, *_run_ribaucour_pipeline(cfg, fam_s))
-    iso = isometry_check(fr, fs)
+    fr = _run_ribaucour_pipeline(cfg, fam, fprime=True)[2]
+    fs = _run_ribaucour_pipeline(cfg, fam_s, fprime=True)[2]
     forms_r, forms_s = fundamental_forms(fr), fundamental_forms(fs)
-    _, _, _, lam_r = holonomic_data(fr, forms_r)
-    _, _, _, lam_s = holonomic_data(fs, forms_s)
-    pair = pair_gauss_relation(lam_r, lam_s, fam.c, fam_s.c, fam.eps, fam_s.eps,
-                               forms_r.valid & forms_s.valid)
+    iso = isometry_check(fr, fs, forms_r, forms_s)
+    try:
+        _, _, _, lam_r = holonomic_data(fr, forms_r)
+        _, _, _, lam_s = holonomic_data(fs, forms_s)
+    except NonHolonomicSample as exc:
+        # a numerical verdict on the samples, reported like the others
+        pair_gauss, pair_max = {"error": str(exc)}, math.inf
+    else:
+        pair = pair_gauss_relation(lam_r, lam_s, fam.c, fam_s.c, fam.eps, fam_s.eps,
+                                   forms_r.valid & forms_s.valid)
+        pair_gauss, pair_max = pair.report.as_dict(), pair.report.overall_max
     match = gal.signed_component_match(
         fs.positions, gal.explicit_fprime("s4_pair", fam.theta, cfg.grid.points()))
     out = {
         "isometry": iso.as_dict(),
-        "pair_gauss": pair.report.as_dict(),
+        "pair_gauss": pair_gauss,
         "printed_s4_component_match": match,
         "sphere_constraint_max": fs.on_form_residual(),
     }
     ok = (iso.overall_max <= cfg.tolerances["report"]
-          and pair.report.overall_max <= 10 * cfg.tolerances["report"])
+          and pair_max <= 10 * cfg.tolerances["report"])
     return _finish(out, cfg, ok)
 
 
@@ -226,7 +230,8 @@ def _cmd_cflat_check(cfg) -> int:
     fam = _family(cfg)
     if fam is None or fam.kind != "cflat":
         return _fail("cflat-check needs a 'cflat' family in the config")
-    triple, rf, frame_init = _run_ribaucour_pipeline(cfg, fam)
+    triple, rf, fprime = _run_ribaucour_pipeline(cfg, fam,
+                                                 fprime=bool(cfg.outputs.get("csv")))
     tt = transformed_triple(triple, rf)
     hj = hj_relation_residual(tt)
     sc = schouten_codazzi_residual(tt)
@@ -237,16 +242,15 @@ def _cmd_cflat_check(cfg) -> int:
     except SpaceformLabError as exc:
         out["classification"] = {"error": str(exc)}
     if cfg.outputs.get("csv"):
-        export_csv(_fprime(cfg, triple, rf, frame_init).positions, cfg.grid,
-                   cfg.outputs["csv"], rf.masked)
+        export_csv(fprime.positions, cfg.grid, cfg.outputs["csv"], rf.masked)
     ok = hj <= cfg.tolerances["report"]
     return _finish(out, cfg, ok)
 
 
 def _cmd_export(cfg) -> int:
     if cfg.ribaucour:
-        triple, rf, frame_init = _run_ribaucour_pipeline(cfg)
-        values, masked = _fprime(cfg, triple, rf, frame_init).positions, rf.masked
+        _, rf, fprime = _run_ribaucour_pipeline(cfg, fprime=True)
+        values, masked = fprime.positions, rf.masked
     else:
         triple, name = _seed_triple(cfg)
         init = _frame_init(cfg, name, triple.spec)

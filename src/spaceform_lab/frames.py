@@ -83,17 +83,16 @@ class FrameField:
         return FrameState.from_array(self.states[tuple(idx)])
 
 
-def _frame_rhs(triple: TripleField):
+def _frame_body(triple: TripleField):
+    """In-place frame body on (5, dim, B) rows (``_sweep`` module docstring)."""
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
 
-    def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
+    def body(v, h, V, Y, dY, axis):
         a = axis
         va = v[:, a]
         Va = V[:, a]
         Xa = Y[1 + a]
-        dY = np.empty_like(Y)
         dXa = dY[1 + a]
         tmp = dY[4]                      # scratch until dN is written last
         np.multiply(va, Xa, out=dY[0])
@@ -106,6 +105,17 @@ def _frame_rhs(triple: TripleField):
             np.multiply(hia, Xa, out=dY[1 + i])
             np.subtract(dXa, np.multiply(hia, Y[1 + i], out=tmp), out=dXa)
         np.multiply(-Va, Xa, out=dY[4])
+
+    return body
+
+
+def _frame_rhs(triple: TripleField):
+    body = _frame_body(triple)
+
+    def rhs(pts, Y, axis):
+        v, h, V = triple.eval_at(pts)
+        dY = np.empty_like(Y)
+        body(v, h, V, Y, dY, axis)
         return dY
 
     return rhs

@@ -21,19 +21,21 @@ import numpy as np
 from ._sweep import sweep_integrate
 from .errors import (
     ConstraintUnsatisfiable,
+    DimensionError,
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
     SingularPhi,
     SingularPsi,
 )
-from .frames import DEFAULT_MAX_STEP, FrameField
+from .frames import DEFAULT_MAX_STEP, FrameField, FrameState, _frame_body
 from .grid import ParameterGrid
 from .triples import TripleField, check_sweep_input, delta_inner
 from .verify import ImmersionSample
 
 # state layout: [gamma1, gamma2, gamma3, v'1, v'2, v'3, phi, psi, beta]
 _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
+_NROWS = 9
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,13 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
     return RibaucourState(tuple(gamma), tuple(vprime), phi, psi, beta)
 
 
-def _ribaucour_rhs(triple: TripleField):
+def _ribaucour_body(triple: TripleField):
+    """In-place Ribaucour body on (9, B) rows (``_sweep`` module docstring)."""
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
     delta = np.asarray(triple.delta, dtype=float)
 
-    def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
+    def body(v, h, V, Y, dY, axis):
         g = Y[_G]
         vp = Y[_VP]
         phi = Y[_PHI]
@@ -183,7 +185,6 @@ def _ribaucour_rhs(triple: TripleField):
         vpa = vp[a]
         va = v[:, a]
         Va = V[:, a]
-        dY = np.empty_like(Y)
         dvp = dY[_VP]
         dga = dY[a]
         acc = dvp[a]
@@ -215,9 +216,74 @@ def _ribaucour_rhs(triple: TripleField):
         np.multiply(np.multiply(np.negative(ga, out=tmp), vpa, out=tmp), psi, out=tmp)
         np.multiply(tmp, inv_phi, out=dY[_PSI])                      # (v), non-log form
         np.multiply(-eps * Va, ga, out=dY[_BETA])                    # (iv)
+
+    return body
+
+
+def _ribaucour_rhs(triple: TripleField):
+    body = _ribaucour_body(triple)
+
+    def rhs(pts, Y, axis):
+        v, h, V = triple.eval_at(pts)
+        dY = np.empty_like(Y)
+        body(v, h, V, Y, dY, axis)
         return dY
 
     return rhs
+
+
+def _stacked_rhs(triple: TripleField):
+    """Ribaucour rows, then the 5 dim frame rows: one triple evaluation and
+    one dY per stage, each body on row views (``_sweep`` module docstring)."""
+    ribaucour = _ribaucour_body(triple)
+    frame = _frame_body(triple)
+    dim = triple.spec.dim
+
+    def rhs(pts, Y, axis):
+        v, h, V = triple.eval_at(pts)
+        dY = np.empty(Y.shape)          # C order: its frame rows reshape to a view
+        B = Y.shape[1]
+        ribaucour(v, h, V, Y[:_NROWS], dY[:_NROWS], axis)
+        frame(v, h, V, Y[_NROWS:].reshape(5, dim, B), dY[_NROWS:].reshape(5, dim, B),
+              axis)
+        return dY
+
+    return rhs
+
+
+def _sweep_ribaucour(triple, init, frame_init, grid, max_step, mask_tol, K2target,
+                     integrability_tol):
+    """The Ribaucour sweep, with the frame rows stacked after its own when
+    ``frame_init`` is given; returns (RibaucourField, frame states or None)."""
+    grid = grid or triple.grid
+    check_sweep_input(triple, grid, integrability_tol)
+    mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
+    if K2target is None:
+        K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
+                                     np.asarray(init.vprime)))
+
+    def node_check(Y):
+        return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
+
+    y0, rhs = init.as_array(), _ribaucour_rhs(triple)
+    frame_shape = (5, triple.spec.dim)
+    if frame_init is not None:
+        frame_y0 = frame_init.as_array()
+        if frame_y0.shape != frame_shape:
+            raise DimensionError(f"frame state has shape {frame_y0.shape}; the "
+                                 f"triple's space form needs {frame_shape}")
+        y0 = np.concatenate([y0, frame_y0.ravel()])
+        rhs = _stacked_rhs(triple)
+    states, masked = sweep_integrate(grid, (0, 1, 2), y0, rhs, max_step,
+                                     node_check=node_check, mask_rows=_NROWS)
+    frame_states = None
+    if frame_init is not None:
+        frame_states = np.ascontiguousarray(states[..., _NROWS:]).reshape(
+            tuple(grid.n) + frame_shape)
+        states = np.ascontiguousarray(states[..., :_NROWS])
+    rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
+                        masked if masked.any() else None)
+    return rf, frame_states
 
 
 def integrate_ribaucour(triple: TripleField, init: RibaucourState,
@@ -230,21 +296,27 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     Nodes where |phi| or |psi| falls below ``mask_tol`` are masked and their
     sweep descendants with them; integration continues on the other lines.
     """
-    grid = grid or triple.grid
-    check_sweep_input(triple, grid, integrability_tol)
-    mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
-    if K2target is None:
-        K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
-                                     np.asarray(init.vprime)))
+    rf, _ = _sweep_ribaucour(triple, init, None, grid, max_step, mask_tol, K2target,
+                             integrability_tol)
+    return rf
 
-    def node_check(Y):
-        return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
 
-    states, masked = sweep_integrate(grid, (0, 1, 2), init.as_array(),
-                                     _ribaucour_rhs(triple), max_step,
-                                     node_check=node_check, on_nonfinite="mask")
-    return RibaucourField(grid, states, triple, float(K2target), mask_tol,
-                          masked if masked.any() else None)
+def integrate_with_frame(triple: TripleField, init: RibaucourState,
+                         frame_init: FrameState, grid: ParameterGrid = None,
+                         max_step=DEFAULT_MAX_STEP, mask_tol=None, K2target=None,
+                         integrability_tol=None):
+    """The Ribaucour field and the moving frame of ``triple`` from one sweep.
+
+    Returns (RibaucourField, FrameField): bit for bit what
+    ``integrate_ribaucour(triple, init, ...)`` and ``integrate_frame(triple,
+    frame_init, sweep_order=(0, 1, 2), max_step=max_step)`` return, from one
+    evaluation of the triple per RK stage.  The seed is checked once.  Masked
+    Ribaucour lines freeze the Ribaucour rows only: the frame is integrated
+    at every node, and a frame overflow raises NonFiniteState.
+    """
+    rf, frame_states = _sweep_ribaucour(triple, init, frame_init, grid, max_step,
+                                        mask_tol, K2target, integrability_tol)
+    return rf, FrameField(rf.grid, frame_states, triple, (0, 1, 2), max_step)
 
 
 @dataclass(frozen=True)

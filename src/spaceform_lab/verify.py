@@ -20,9 +20,10 @@ flagged) and no node outside it lies within three nodes along every axis
 (``grid.stencil_halo``), the reach of the composed stencils.  Positions
 outside ``valid_mask()`` are zero-filled before any stencil, so the dense
 algebra stays finite and kept nodes keep their bytes.  ``fundamental_forms``
-also drops nodes with a singular metric or a null normal from ``valid``;
-``isometry_check`` reports the nodes both samples keep; ``pair_gauss_relation``
-takes such a mask as ``valid``.
+also drops nodes with a singular metric or a null normal from ``valid`` (the
+nodes the masking rule keeps stay in ``kept``); ``isometry_check`` reports
+the nodes both samples keep; ``pair_gauss_relation`` takes such a mask as
+``valid``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class FundamentalForms:
     II: np.ndarray                  # (3, 3) + grid.n
     N: np.ndarray                   # grid.n + (dim,)
     valid: np.ndarray               # grid.n bool (metric nondegenerate)
+    kept: np.ndarray                # grid.n bool (masking rule, before det and causal tests)
 
 
 def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
@@ -141,7 +143,7 @@ def fundamental_forms(sample: ImmersionSample) -> FundamentalForms:
     for i, j in itertools.combinations(range(3), 2):
         dmix = partial_derivative(df[i], j + 1, sp[j])
         II[i, j] = II[j, i] = sig_inner(dmix, N, sig, axis=0)
-    return FundamentalForms(I, II, np.moveaxis(N, 0, -1), valid)
+    return FundamentalForms(I, II, np.moveaxis(N, 0, -1), valid, ok)
 
 
 def _metric(sample: ImmersionSample):
@@ -399,16 +401,20 @@ def hj_relation_residual(t: TripleField) -> float:
     return float(dev[t.valid_mask()].max())
 
 
-def isometry_check(a: ImmersionSample, b: ImmersionSample) -> ResidualReport:
+def isometry_check(a: ImmersionSample, b: ImmersionSample,
+                   forms_a: FundamentalForms = None,
+                   forms_b: FundamentalForms = None) -> ResidualReport:
     """Compare induced metrics of two immersions on one grid.
 
     The metrics come from ``fundamental_forms``' code, with its masking rule:
-    a node counts where both samples keep it (module docstring).
+    a node counts where both samples keep it (module docstring).  A sample's
+    forms, when given, supply its metric and kept nodes in place of computing
+    them again.
     """
     if not a.grid.same_as(b.grid):
         raise GridMismatch("samples live on different grids")
-    _, _, Ia, ok_a = _metric(a)
-    _, _, Ib, ok_b = _metric(b)
+    Ia, ok_a = (forms_a.I, forms_a.kept) if forms_a is not None else _metric(a)[2:]
+    Ib, ok_b = (forms_b.I, forms_b.kept) if forms_b is not None else _metric(b)[2:]
     pairs = itertools.combinations_with_replacement(range(3), 2)
     diffs = [Ia[i, j] - Ib[i, j] for i, j in pairs]
     ok = ok_a & ok_b

@@ -452,6 +452,40 @@ class TestCli:
         assert len(samples) == 2
         assert [s.spec.c for s in samples] == [0.0, 1.0]
 
+    def test_pair_check_metric_once_per_sample(self, tmp_path, monkeypatch):
+        # isometry_check takes the metric and kept nodes from the forms
+        from spaceform_lab import verify
+
+        samples = []
+
+        def counted(sample, _inner=verify._metric):
+            samples.append(sample)
+            return _inner(sample)
+
+        monkeypatch.setattr(verify, "_metric", counted)
+        doc = json.loads(json.dumps(RIBAUCOUR_DOC))
+        doc["grid"] = {"lo": [0.095, 0.395, 0.195], "hi": [0.105, 0.405, 0.205],
+                       "n": [11, 11, 11], "base": [5, 5, 5]}
+        doc["tolerances"] = {"report": 1e-5}
+        assert run(["pair-check", "--config", write_config(tmp_path, doc)]) == 0
+        assert [s.spec.c for s in samples] == [0.0, 1.0]
+
+    def test_pair_check_non_holonomic_sample(self, tmp_path, capsys):
+        # on [-1,1]^3 the sampled metric is not diagonal within holonomic_data's
+        # tolerance: a numerical verdict, so exit 2 with the report written
+        doc = json.loads((DEMO_CONFIGS / "pipeline62.json").read_text())
+        doc["grid"]["n"] = [9, 9, 9]
+        doc["grid"]["base"] = [4, 4, 4]
+        doc["outputs"] = {"report": str(tmp_path / "pair.json")}
+        assert run(["pair-check", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == ""
+        rep = json.loads((tmp_path / "pair.json").read_text())
+        assert list(rep) == ["isometry", "pair_gauss", "printed_s4_component_match",
+                             "sphere_constraint_max"]
+        assert rep["pair_gauss"] == {
+            "error": "metric off-diagonal is 4.22e-02 of the diagonal scale"}
+        assert math.isfinite(rep["isometry"]["entries"]["metric_difference"]["max"])
+
     def test_export_obj_and_csv(self, tmp_path):
         doc = json.loads(json.dumps(RIBAUCOUR_DOC))
         doc["outputs"] = {"csv": str(tmp_path / "out.csv"),
@@ -596,7 +630,8 @@ DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 class TestSweepCount:
-    """Each subcommand integrates each field once, and only what it reports."""
+    """Each subcommand integrates each field once, and only what it reports.
+    F' needs the frame and the Ribaucour field of one seed: they share a sweep."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -604,21 +639,33 @@ class TestSweepCount:
 
         calls = []
         for module in (frames, ribaucour):
-            def counted(*args, _inner=module.sweep_integrate, **kwargs):
-                calls.append(1)
-                return _inner(*args, **kwargs)
+            def counted(grid, order, y0, *args, _inner=module.sweep_integrate, **kwargs):
+                # the systems a sweep carries, told apart by their state shape
+                shape = np.shape(y0)
+                calls.append("frame" if len(shape) == 2 else
+                             "ribaucour" if shape == (9,) else "ribaucour+frame")
+                return _inner(grid, order, y0, *args, **kwargs)
 
             monkeypatch.setattr(module, "sweep_integrate", counted)
         return calls
+
+    SYSTEMS = {
+        "verify-triple": [],
+        "integrate-frame": ["frame", "frame"],      # the frame and its reversed sweep
+        "ribaucour": ["ribaucour+frame"],
+        "pair-check": ["ribaucour+frame", "ribaucour+frame"],     # R^4, then S^4
+        "cflat-check": ["ribaucour"],
+        "export": ["ribaucour+frame"],
+    }
 
     # pair-check exits 2 at 9^3: its pair-Gauss residual misses the 1e-5 gate
     @pytest.mark.parametrize("cmd, config, outputs, code, expected", [
         ("verify-triple", "seed62", (), 0, 0),
         ("integrate-frame", "seed62", (), 0, 2),
-        ("ribaucour", "pipeline62", ("csv", "obj"), 0, 2),
-        ("pair-check", "pair62", (), 2, 4),
+        ("ribaucour", "pipeline62", ("csv", "obj"), 0, 1),
+        ("pair-check", "pair62", (), 2, 2),
         ("cflat-check", "cflat", (), 0, 1),
-        ("export", "pipeline62", ("csv",), 0, 2),
+        ("export", "pipeline62", ("csv",), 0, 1),
     ])
     def test_demo_config_at_9(self, tmp_path, sweeps, cmd, config, outputs, code,
                               expected):
@@ -628,6 +675,7 @@ class TestSweepCount:
         doc["outputs"] = {k: str(tmp_path / f"out.{k}") for k in outputs}
         assert run([cmd, "--config", write_config(tmp_path, doc)]) == code
         assert len(sweeps) == expected
+        assert sweeps == self.SYSTEMS[cmd]
         for k in outputs:
             assert (tmp_path / f"out.{k}").stat().st_size > 0
 

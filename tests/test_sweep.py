@@ -17,7 +17,7 @@ import pytest
 
 from spaceform_lab._sweep import rk4_march
 from spaceform_lab.ambient import SpaceFormSpec
-from spaceform_lab.errors import InvalidParams, NonFiniteState
+from spaceform_lab.errors import DimensionError, InvalidParams, NonFiniteState
 from spaceform_lab.frames import (
     DEFAULT_MAX_STEP,
     _frame_rhs,
@@ -31,6 +31,7 @@ from spaceform_lab.ribaucour import (
     _ribaucour_rhs,
     default_mask_tol,
     integrate_ribaucour,
+    integrate_with_frame,
     seed_state,
     transformed_triple,
 )
@@ -476,3 +477,116 @@ class TestSampledSweepsOnLines:
         rf = integrate_ribaucour(self._sampled(fam), phi_state(fam, self.GRID.base_point),
                                  max_step=TestEvalCount.STEP, K2target=fam.K2target)
         assert np.isfinite(rf.states).all()
+
+
+# ---------------------------------------------------------------------------
+# the frame and Ribaucour systems stacked in one sweep
+# ---------------------------------------------------------------------------
+
+
+class TestStackedSweep:
+    """``integrate_with_frame`` marches the Ribaucour and frame rows as one
+    state: both fields must have the bytes of the separate sweeps, masking must
+    freeze the Ribaucour rows only, and the triple is evaluated once per stage."""
+
+    FAMILIES = dict(FAMILIES, r4_problemstar_eps_minus1=PhiFamily(
+        "problemstar", K=2.0, a=1.0, c=0.0, eps=-1, theta=THETA))
+    GRIDS = {"unit_box": ParameterGrid.centered(1.0, 9), "off_centre": TestEvalCount.GRID}
+
+    @staticmethod
+    def _assert_separate(t, init, frame_init, **kw):
+        rf, ff = integrate_with_frame(t, init, frame_init, **kw)
+        ref_rf = integrate_ribaucour(t, init, **kw)
+        kw.pop("K2target", None)
+        kw.pop("mask_tol", None)
+        ref_ff = integrate_frame(t, frame_init, integrability_tol=None, **kw)
+        _assert_same(_ribaucour_result(rf), _ribaucour_result(ref_rf))
+        _assert_same(_frame_result(ff), _frame_result(ref_ff))
+        assert (rf.K2target, rf.mask_tol) == (ref_rf.K2target, ref_rf.mask_tol)
+        assert ff.masked is None and (ff.sweep_order, ff.max_step) == (
+            ref_ff.sweep_order, ref_ff.max_step)
+        assert ff.triple is t and ff.grid.same_as(ref_ff.grid)
+        return rf, ff
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_bytes_of_separate_sweeps(self, name, grid):
+        fam = self.FAMILIES[name]
+        g = self.GRIDS[grid]
+        t = fam.seed_triple(g)
+        self._assert_separate(t, phi_state(fam, g.base_point), fam.frame_init(),
+                              K2target=fam.K2target)
+
+    def test_sampled_retransform_with_masked_lines(self):
+        # the S^4 re-transform masks lines where phi or psi vanish
+        fam, t, init = _closed_form_case("s4_problemstar_sphere")
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        tt = transformed_triple(t, rf)
+        rf2, _ = self._assert_separate(tt, rf.state_at(tt.grid.base), fam.frame_init(),
+                                       K2target=fam.K2target)
+        assert rf2.masked is not None and rf2.masked.any()
+
+    def test_masked_nodes_keep_integrating_the_frame(self):
+        grid = ParameterGrid.centered(1.0, 9)
+        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
+        init = seed_state(t, grid.base, req, K2target=1.0)
+        rf, ff = self._assert_separate(t, init, standard_frame_state(t.spec),
+                                       mask_tol=0.05, K2target=1.0)
+        masked = rf.masked
+        assert masked is not None and masked.any() and not masked.all()
+        # the axis-1 line from a masked node of the base line: its Ribaucour
+        # rows are frozen, its frame rows turn (V_2 = 1)
+        i = int(np.argmax(masked[:, 4, 4]))
+        line = (i, slice(4, None), 4)
+        assert masked[line].all()
+        rows = rf.states[line]
+        assert {r.tobytes() for r in rows} == {rows[0].tobytes()}
+        assert np.isfinite(ff.states[line]).all()
+        assert len(np.unique(ff.N[line], axis=0)) == len(rows)
+
+    def test_frame_overflow_raises(self):
+        # the Ribaucour rows overflow too and are masked; the frame rows raise
+        t = TestBitIdentity()._overflowing_triple()
+        init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3, beta=0.3)
+        frame_init = standard_frame_state(t.spec)
+        with pytest.raises(NonFiniteState) as ref_err:
+            integrate_frame(t, frame_init, integrability_tol=None)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_with_frame(t, init, frame_init, K2target=1.0)
+        assert str(err.value) == str(ref_err.value)
+
+    def test_frame_of_another_dimension_raises(self):
+        fam, t, init = _closed_form_case("s4_problemstar_sphere")
+        r4_frame = FAMILIES["r4_problemstar"].frame_init()
+        with pytest.raises(DimensionError, match=r"\(5, 5\)"):
+            integrate_with_frame(t, init, r4_frame, K2target=fam.K2target)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_eval_at_once_per_stage(self, sampled):
+        fam = FAMILIES["s4_problemstar_sphere"]
+        grid = TestEvalCount.GRID
+        init = phi_state(fam, grid.base_point)
+        seen = {}
+        for kind in ("separate", "stacked"):
+            t = fam.seed_triple(grid)
+            if sampled:
+                t = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
+            calls = seen[kind] = []
+            inner = t.eval_at
+
+            def eval_at(points, _inner=inner, _calls=calls):
+                _calls.append(np.array(points))
+                return _inner(points)
+
+            t.eval_at = eval_at
+            if kind == "separate":
+                integrate_ribaucour(t, init, max_step=TestEvalCount.STEP,
+                                    K2target=fam.K2target)
+            else:
+                integrate_with_frame(t, init, fam.frame_init(), max_step=TestEvalCount.STEP,
+                                     K2target=fam.K2target)
+        calls, points = TestEvalCount()._expected((0, 1, 2))
+        assert len(seen["stacked"]) == calls
+        assert sum(len(p) for p in seen["stacked"]) == points
+        assert [p.tobytes() for p in seen["stacked"]] == [p.tobytes() for p in seen["separate"]]

@@ -562,3 +562,18 @@ class TestComponentPlaneReference:
         got = isometry_check(a, b)
         assert got.entries == expect.entries
         assert got.metadata == {"spacing": list(a.grid.spacing)}
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("pair", [("r4", "s4"), ("lorentz", "r4")])
+    def test_isometry_from_forms(self, pair, grid, masked):
+        # the forms' metric and kept nodes, not their ``valid`` nodes: the S4
+        # sample's singular u2 = 0 plane on the unit box still counts
+        a = self._sample(pair[0], grid, masked)
+        b = self._sample(pair[1], grid, False)
+        forms_a, forms_b = fundamental_forms(a), fundamental_forms(b)
+        got = isometry_check(a, b, forms_a, forms_b)
+        expect = isometry_check(a, b)
+        assert got.entries == expect.entries
+        assert got.metadata == expect.metadata
+        assert isometry_check(a, b, forms_a).entries == expect.entries
