@@ -153,8 +153,9 @@ def _run_ribaucour_pipeline(cfg, fam=None, fprime=False):
                 raise SpaceformLabError(
                     "seed classifies as Neither; set ribaucour.k2_target explicitly"
                 )
+        # psi is not requested: seed_state forces it from K1 = 0
         request = RibaucourState(tuple(raw["gamma"]), tuple(raw["vprime"]),
-                                 raw["phi"], raw.get("psi", 0.0), raw["beta"])
+                                 raw["phi"], 0.0, raw["beta"])
         init = seed_state(triple, cfg.grid.base, request, k2)
         frame_init = _frame_init(cfg, name, triple.spec)
     kw = dict(grid=cfg.grid, max_step=cfg.max_step, mask_tol=cfg.tolerances["mask"],

@@ -502,16 +502,16 @@ class HelixProfile:
 
 
 def helix(c_h, c_model, s_samples, amplitude, phase=0.0, slope=0.0,
-          alpha0=0.0, rtol=1e-12, atol=1e-12) -> HelixProfile:
+          alpha0=0.0) -> HelixProfile:
     """Construct a c_h-helix on the round model Q^2(c_model), c_model > 0.
 
     The height function is the oscillator solution with the given amplitude
     and phase (affine ``amplitude + slope*s`` when c_h = 0); the remaining
-    two coordinates come from the unit-speed condition, integrated to high
-    accuracy.
+    two coordinates come from the unit-speed condition.  The azimuth alpha,
+    alpha0 at the first sample, has a derivative that depends on s alone, so
+    it is a quadrature: 10-point Gauss-Legendre on each sample interval and a
+    cumulative sum.
     """
-    from scipy.integrate import solve_ivp  # only user in the package; slow to import
-
     if c_model <= 0:
         raise InvalidParams("helix construction implemented on round models only")
     R2 = 1.0 / c_model
@@ -532,26 +532,23 @@ def helix(c_h, c_model, s_samples, amplitude, phase=0.0, slope=0.0,
         dgv = lambda t: amplitude * w * np.sinh(w * np.asarray(t) + phase)
         d2gv = lambda t: amplitude * w**2 * np.cosh(w * np.asarray(t) + phase)
 
-    def alpha_rhs(t, _):
-        g = float(gv(t))
-        dg = float(dgv(t))
-        r2 = R2 - g * g
-        if r2 <= 0:
-            raise InvalidParams("height exceeds the model radius on the range")
-        dr = -g * dg / math.sqrt(r2)
-        rad = 1.0 - dg * dg - dr * dr
-        if rad < 0:
-            raise InvalidParams("unit-speed condition fails on the range")
-        return [math.sqrt(rad) / math.sqrt(r2)]
-
-    s0, s1 = float(s_samples.min()), float(s_samples.max())
-    sol = solve_ivp(alpha_rhs, (s0, s1), [alpha0], t_eval=s_samples,
-                    rtol=rtol, atol=atol, dense_output=False, method="DOP853")
-    if not sol.success:
-        raise InvalidParams(f"azimuth integration failed: {sol.message}")
-    g = gv(s_samples)
-    r = np.sqrt(R2 - g * g)
-    alpha = sol.y[0]
+    x, weights = np.polynomial.legendre.leggauss(10)
+    half = 0.5 * np.diff(s_samples)[:, None]
+    nodes = 0.5 * (s_samples[:-1] + s_samples[1:])[:, None] + half * x
+    # the checks also read the samples, where the quadrature nodes never fall
+    t = np.concatenate([nodes.ravel(), s_samples])
+    g, dg = gv(t), dgv(t)
+    r2 = R2 - g * g
+    if np.any(r2 <= 0):
+        raise InvalidParams("height exceeds the model radius on the range")
+    dr = -g * dg / np.sqrt(r2)
+    rad = 1.0 - dg * dg - dr * dr
+    if np.any(rad < 0):
+        raise InvalidParams("unit-speed condition fails on the range")
+    dalpha = (np.sqrt(rad) / np.sqrt(r2))[:nodes.size].reshape(nodes.shape)
+    alpha = alpha0 + np.concatenate([[0.0], np.cumsum(half[:, 0] * (dalpha @ weights))])
+    g = g[nodes.size:]
+    r = np.sqrt(r2[nodes.size:])
     coords = np.stack([g, r * np.cos(alpha), r * np.sin(alpha)], axis=-1)
     return HelixProfile(c_h, c_model, s_samples, coords, gv, dgv, d2gv)
 

@@ -91,7 +91,6 @@ CONFIG_SCHEMA = {
                         "gamma": _VEC3,
                         "vprime": _VEC3,
                         "phi": _NUM,
-                        "psi": _NUM,
                         "beta": _NUM,
                     },
                 },

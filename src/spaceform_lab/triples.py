@@ -17,6 +17,7 @@ from .errors import (
     BranchViolation,
     DegenerateTriple,
     GridMismatch,
+    GridTooCoarse,
     InvalidParams,
     NotAFirstIntegralSolution,
     PreconditionFailed,
@@ -45,8 +46,8 @@ def delta_inner(delta, x, y, axis=0):
     return np.sum(d.reshape(shape) * np.asarray(x) * np.asarray(y), axis=axis)
 
 
-# Cubic B-spline weights of the stencil nodes floor(x) - 1 .. floor(x) + 2 as
-# polynomials in t = x - floor(x): weights = [1, t, t^2, t^3] @ _BSPLINE.
+# Cubic B-spline weights of the stencil nodes base - 1 .. base + 2 as
+# polynomials in t = x - base: weights = [1, t, t^2, t^3] @ _BSPLINE.
 _BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
                      [-3.0, 0.0, 3.0, 0.0],
                      [3.0, -6.0, 3.0, 0.0],
@@ -54,12 +55,22 @@ _BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
 
 
 class _CubicSpline:
-    """Tensor-product cubic B-spline of the 15 components of (v, h, V).
+    """Tensor-product not-a-knot cubic spline of the 15 components of (v, h, V).
 
-    The coefficients are the ``spline_filter(order=3, mode="nearest")``
-    prefilter of each component, stored as one (nodes, 15) array in the order
-    v (3), h (9, row-major), V (3).  The spline is separable, so all components
-    share each point's 4x4x4 stencil.
+    Along each axis with n nodes the spline is a cubic B-spline with knots at
+    the nodes and n + 2 coefficients: n rows interpolate the samples and two
+    rows make the third derivative continuous at the second and the
+    second-to-last node (the not-a-knot condition), so the two end pieces
+    are the cubics through the first four and the last four nodes.  The
+    coefficients are the samples contracted on each axis with the inverse of
+    that system (``_not_a_knot``), stored as one ((n0+2)(n1+2)(n2+2), 15)
+    array in the order v (3), h (9, row-major), V (3).  The spline is
+    separable, so all components share each point's 4x4x4 stencil.
+
+    Outside the box the end pieces extend: the stencil's base index floor(x)
+    is clamped to [0, n - 2], so a point below the box evaluates the first
+    piece's cubic and a point above it the last one's.  Every axis needs at
+    least 4 nodes (else GridTooCoarse).
 
     Two paths evaluate it, chosen per call from the points alone:
 
@@ -68,39 +79,32 @@ class _CubicSpline:
       sweep marches along), the spline restricted to each such line is a 1-D
       cubic.  Its coefficients are precomputed: for each axis a, the tensor
       coefficients with the two other axes contracted by the node stencil
-      [1, 4, 1]/6, stored as an (n_b, n_c, n_a + 2 PAD, 15) table (b < c the
+      [1, 4, 1]/6, stored as an (n_b, n_c, n_a + 2, 15) table (b < c the
       other axes).  A point costs one gather of 4 adjacent rows and a 4-weight
-      sum.  The tables hold 3 n^2 (n + 6) 15 doubles on an n^3 grid, about
-      28 MB at 41^3.
+      sum.  The tables hold 3 n^2 (n + 2) 15 doubles on an n^3 grid, about
+      26 MB at 41^3.
     - **Tensor path.**  Any other call gathers 64 coefficient rows per point
       and takes one weighted sum.
 
-    The tables are restrictions of the tensor coefficients, so both paths
-    agree to rounding.  Outside the box ``map_coordinates(mode="nearest")``
-    clamps each stencil index to [0, n - 1], not the coordinate.  Here the
-    coefficients are padded with three copies of their edge layer on every
-    side and the stencil's base index floor(x) is clamped to [-2, n]: every
-    stencil then lies inside the padded array, and each of its nodes reads
-    the coefficient that its clamped index would.
+    The tables are restrictions of the tensor coefficients with the same base
+    clamp, so both paths agree to rounding, outside the box too.
     """
 
-    PAD = 3
-
     def __init__(self, v, h, V, grid):
-        from scipy import ndimage
-
         n = tuple(grid.n)
-        samples = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
-                                  V.reshape((3,) + n)])
-        coeffs = np.stack(
-            [ndimage.spline_filter(c, order=3, mode="nearest") for c in samples], axis=-1
-        )
-        coeffs = np.pad(coeffs, [(self.PAD, self.PAD)] * 3 + [(0, 0)], mode="edge")
+        if min(n) < 4:
+            raise GridTooCoarse(f"a not-a-knot cubic spline needs at least 4 nodes per axis, "
+                                f"have {n}")
+        coeffs = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
+                                 V.reshape((3,) + n)])
+        for a in range(3):                              # contracts axis 1, appends it last
+            coeffs = np.tensordot(coeffs, _not_a_knot(n[a]), axes=(1, 1))
+        coeffs = np.ascontiguousarray(np.moveaxis(coeffs, 0, -1))   # (n0+2, n1+2, n2+2, 15)
         self._coeffs = coeffs.reshape(-1, 15)
         p = coeffs.shape
         self._stride = np.array([p[1] * p[2], p[2], 1])
-        step = np.arange(-1, 3)
-        self._stencil = (self.PAD * self._stride.sum() + step[:, None, None] * self._stride[0]
+        step = np.arange(4)
+        self._stencil = (step[:, None, None] * self._stride[0]
                          + step[None, :, None] * self._stride[1] + step[None, None, :]).ravel()
         self._lo = np.asarray(grid.lo, dtype=float)
         self._spacing = np.asarray(grid.spacing, dtype=float)
@@ -112,12 +116,12 @@ class _CubicSpline:
         self._lines = []
         for a in range(3):
             line = np.moveaxis(coeffs, a, 2)            # (b, c, a, 15) with b < c
-            line = _at_nodes(_at_nodes(line, 0, self.PAD), 1, self.PAD)
+            line = _at_nodes(_at_nodes(line, 0), 1)
             stride = np.zeros(3, dtype=np.intp)         # row of node (j, k, 0) on axis a
             stride[[i for i in range(3) if i != a]] = (line.shape[1] * line.shape[2],
                                                        line.shape[2])
             self._lines.append((np.ascontiguousarray(line).reshape(-1, 15), stride))
-        self._line_step = np.arange(4) + (self.PAD - 1)
+        self._line_step = np.arange(4)
 
     def __call__(self, points):
         """Values at points (..., 3) as a (points, 15) array."""
@@ -147,24 +151,47 @@ class _CubicSpline:
         return (w[:, None, :] @ rows)[:, 0, :]
 
 
+def _not_a_knot(n):
+    """The (n + 2, n) matrix from samples at n >= 4 nodes to the coefficients
+    of their not-a-knot cubic B-spline interpolant.
+
+    It is the inverse of the system whose rows 1..n interpolate the samples
+    ([1, 4, 1]/6 on coefficients i .. i + 2) and whose rows 0 and n + 1 make
+    the third-derivative jump at the nodes 1 and n - 2 vanish ([1, -4, 6, -4, 1]
+    on coefficients 0 .. 4 and n - 3 .. n + 1), restricted to its sample columns.
+    """
+    system = np.zeros((n + 2, n + 2))
+    rows = np.arange(n)
+    for k, w in enumerate(_BSPLINE[0, :3]):
+        system[rows + 1, rows + k] = w
+    jump = [1.0, -4.0, 6.0, -4.0, 1.0]
+    system[0, :5] = jump
+    system[-1, -5:] = jump
+    return np.linalg.solve(system, np.eye(n + 2)[:, 1:-1])
+
+
 def _stencil(x, n):
-    """Stencil base index floor(x), clamped to [-2, n], and the cubic B-spline
-    weights (x.shape + (4,)) of coordinates x in node units."""
-    base = np.floor(x)
-    with np.errstate(invalid="ignore"):          # x = +-inf: inf - inf, NaN weights
-        w = ((x - base)[..., None] ** np.arange(4)) @ _BSPLINE
-    # fmax/fmin send a NaN coordinate to a valid stencil; its weights are NaN
-    return np.fmin(np.fmax(base, -2.0), n).astype(np.intp), w
+    """Stencil base index floor(x), clamped to [0, n - 2], and the cubic
+    B-spline weights (x.shape + (4,)) of coordinates x in node units.
+
+    Outside [0, n - 1] the weights are the end piece's polynomial.  NaN and
+    infinite coordinates get a valid base and NaN weights."""
+    # fmax/fmin send a NaN coordinate to a valid stencil
+    base = np.fmin(np.fmax(np.floor(x), 0.0), n - 2.0)
+    t = x - base
+    t[np.isinf(t)] = np.nan                      # inf weights would turn 0 * inf into warnings
+    w = (t[..., None] ** np.arange(4)) @ _BSPLINE
+    return base.astype(np.intp), w
 
 
-def _at_nodes(coeffs, axis, pad):
-    """Contract ``axis`` of edge-padded coefficients to the spline's values at
-    the unpadded nodes: the B-spline weights [1, 4, 1]/6 at t = 0."""
+def _at_nodes(coeffs, axis):
+    """Contract ``axis`` of the n + 2 coefficients to the spline's values at
+    the n nodes: the B-spline weights [1, 4, 1]/6 at t = 0."""
     w0, w1, w2 = _BSPLINE[0, :3]
-    m = coeffs.shape[axis] - 2 * pad
+    m = coeffs.shape[axis] - 2
 
     def shifted(s):
-        return coeffs[(slice(None),) * axis + (slice(pad + s, pad + s + m),)]
+        return coeffs[(slice(None),) * axis + (slice(1 + s, 1 + s + m),)]
 
     return w0 * shifted(-1) + w1 * shifted(0) + w2 * shifted(1)
 
@@ -279,14 +306,16 @@ class TripleField:
     def eval_at(self, points):
         """(v, h, V) at arbitrary points, shape (..., 3) -> components last.
 
-        Uses the closed forms when available, else one tensor-product cubic
-        spline of all 15 sampled components (``mode="nearest"`` boundary),
-        built on the first call.  A call whose points all lie on grid lines
-        along one axis (the two other coordinates exactly node values, as in
-        every sweep) reads that axis's precomputed line table: 4 coefficient
-        rows per point.  Any other call takes the 64-row tensor path.  Both
-        agree to rounding; the line tables cost 3 n^2 (n + 6) 15 doubles on an
-        n^3 grid (about 28 MB at 41^3).  See ``_CubicSpline``.
+        Uses the closed forms when available, else one tensor-product
+        not-a-knot cubic spline of all 15 sampled components, built on the
+        first call (GridTooCoarse if an axis has fewer than 4 nodes).  Outside
+        the box its end pieces extend: each axis continues the cubic of its
+        first or last cell.  A call whose points all lie on grid lines along
+        one axis (the two other coordinates exactly node values, as in every
+        sweep) reads that axis's precomputed line table: 4 coefficient rows
+        per point.  Any other call takes the 64-row tensor path.  Both agree
+        to rounding; the line tables cost 3 n^2 (n + 2) 15 doubles on an n^3
+        grid (about 26 MB at 41^3).  See ``_CubicSpline``.
         """
         points = np.asarray(points, dtype=float)
         if self.closed_form:
@@ -393,11 +422,17 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     """Raise unless ``t`` can drive a sweep over ``grid``.
 
     A sweep runs on the triple's own grid: any other grid raises
-    GridMismatch, whether ``t`` is sampled or closed-form.  Sampled data must
-    be finite at every node (else PreconditionFailed): the spline prefilter
-    of ``eval_at`` spreads one non-finite sample to every value it returns.
-    With ``integrability_tol`` set, the largest triple residual must not
-    exceed it either (else PreconditionFailed).
+    GridMismatch, whether ``t`` is sampled or closed-form.  With
+    ``integrability_tol`` set, the largest triple residual must not exceed it
+    either (else PreconditionFailed).
+
+    Sampled data must be finite at every node (else PreconditionFailed).  A
+    sweep reads them through the not-a-knot cubic spline of ``eval_at``,
+    whose prefilter spreads one non-finite sample to every value it returns,
+    inside the box and on the end pieces that extend outside it.  The spline
+    needs 4 nodes per axis (else GridTooCoarse at the first evaluation), and
+    its line tables cost 3 n^2 (n + 2) 15 doubles on an n^3 grid (about
+    26 MB at 41^3).
     """
     if not grid.same_as(t.grid):
         raise GridMismatch(

@@ -378,6 +378,45 @@ class TestHelix:
         with pytest.raises(InvalidParams):
             helix(2.0, 1.0, np.linspace(0, 1, 11), amplitude=1.5)
 
+    def test_height_reaching_radius_at_a_sample_rejected(self):
+        # amplitude 1 reaches the radius at s = 0 only, a sample and no
+        # quadrature node
+        with pytest.raises(InvalidParams, match="radius"):
+            helix(2.0, 1.0, np.linspace(0, 1, 11), amplitude=1.0)
+
+    def test_unit_speed_failure_rejected(self):
+        # |gv'| = 1.5 > 1: no unit-speed curve has this height
+        with pytest.raises(InvalidParams, match="unit-speed"):
+            helix(0.0, 1.0, np.linspace(0, 0.2, 11), amplitude=0.2, slope=1.5)
+
+    # the profiles of this module and of acceptance criterion 10, and a
+    # hyperbolic one
+    @pytest.mark.parametrize("c_h, s, kwargs", [
+        (0.0, np.linspace(0, 1.0, 201), dict(amplitude=0.2, slope=0.3)),
+        (2.0, np.linspace(0.1, 0.9, 201), dict(amplitude=0.6)),
+        (2.0, np.linspace(0.1, 0.6, 11), dict(amplitude=0.6)),
+        (2.0, np.linspace(0.2, 0.22, 21), dict(amplitude=0.6)),
+        (-1.0, np.linspace(0.0, 0.5, 31), dict(amplitude=0.3, phase=0.2, alpha0=0.4)),
+    ])
+    def test_matches_dop853(self, c_h, s, kwargs):
+        from scipy.integrate import solve_ivp
+
+        prof = helix(c_h, 1.0, s, **kwargs)
+
+        def alpha_rhs(t, _):
+            g, dg = float(prof.gv(t)), float(prof.dgv(t))
+            r2 = 1.0 - g * g
+            dr = -g * dg / math.sqrt(r2)
+            return [math.sqrt(1.0 - dg * dg - dr * dr) / math.sqrt(r2)]
+
+        sol = solve_ivp(alpha_rhs, (s[0], s[-1]), [kwargs.get("alpha0", 0.0)], t_eval=s,
+                        rtol=1e-12, atol=1e-12, method="DOP853")
+        assert sol.success
+        g = prof.gv(s)
+        r = np.sqrt(1.0 - g * g)
+        ref = np.stack([g, r * np.cos(sol.y[0]), r * np.sin(sol.y[0])], axis=-1)
+        assert np.abs(prof.coords - ref).max() <= 1e-11
+
 
 class TestRotationHypersurface:
     def _profile(self):

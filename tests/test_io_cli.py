@@ -597,7 +597,6 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported by the functions that use it, not at module level
     code = ("import sys, spaceform_lab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -608,9 +607,8 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_raw_state_k2_target_from_classification(tmp_path):
-    # no explicit k2_target: the ProblemStar seed fixes it at eps_hat = 1
-    doc = {
+def _raw_state_doc(tmp_path):
+    return {
         "seed": {"gallery": "problemstar_e1_Cneg", "C": -1.0},
         "ambient": {"c": 0.0, "s": 0},
         "grid": {"lo": [-0.4, -0.4, -0.4], "hi": [0.4, 0.4, 0.4],
@@ -620,10 +618,26 @@ def test_raw_state_k2_target_from_classification(tmp_path):
                                 "phi": 1.0, "beta": 0.0}},
         "outputs": {"report": str(tmp_path / "rep.json")},
     }
-    cfg = write_config(tmp_path, doc)
+
+
+def test_raw_state_k2_target_from_classification(tmp_path):
+    # no explicit k2_target: the ProblemStar seed fixes it at eps_hat = 1
+    cfg = write_config(tmp_path, _raw_state_doc(tmp_path))
     assert run(["ribaucour", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["invariant_drift"]["K2"] <= 1e-8
+
+
+def test_raw_state_psi_rejected(tmp_path, capsys):
+    # seed_state forces psi from K1 = 0, so a requested psi would be ignored
+    doc = _raw_state_doc(tmp_path)
+    doc["ribaucour"]["state"]["psi"] = 0.5
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/ribaucour/state"
+    assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
+    assert "psi" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"

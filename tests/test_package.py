@@ -44,3 +44,34 @@ def test_demo_runs(demo, tmp_path):
     out = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_package_runs_without_scipy():
+    """Every module imports, a sampled triple evaluates on and off grid
+    lines, and a helix builds, with no scipy module loaded."""
+    code = """
+import importlib, pkgutil, sys
+import numpy as np
+import spaceform_lab
+for mod in pkgutil.iter_modules(spaceform_lab.__path__):
+    importlib.import_module("spaceform_lab." + mod.name)
+from spaceform_lab.ambient import SpaceFormSpec
+from spaceform_lab.gallery import helix
+from spaceform_lab.grid import ParameterGrid
+from spaceform_lab.triples import TripleField
+grid = ParameterGrid.centered(1.0, 5)
+rng = np.random.default_rng(0)
+t = TripleField.from_samples(grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
+                             rng.normal(size=(3,) + grid.n), rng.normal(size=(3, 3) + grid.n),
+                             rng.normal(size=(3,) + grid.n))
+t.eval_at(np.array([[0.1, 0.5, -0.5], [0.3, 0.0, 1.0]]))
+t.eval_at(np.array([[0.1, 0.2, -0.3]]))
+helix(2.0, 1.0, np.linspace(0.1, 0.6, 11), amplitude=0.6)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"

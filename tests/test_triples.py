@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
+from scipy.interpolate import make_interp_spline
 
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     BranchViolation,
     DegenerateTriple,
+    GridTooCoarse,
     NotAFirstIntegralSolution,
     PreconditionFailed,
     UmbilicSetError,
@@ -354,8 +355,8 @@ class TestFirstIntegralDriftBound:
 
 
 class TestSampledEvaluation:
-    def _smooth_triple(self, closed_form=True):
-        grid = ParameterGrid.centered(1.0, 21)
+    def _smooth_triple(self, closed_form=True, n=21):
+        grid = ParameterGrid.centered(1.0, n)
 
         def v_fn(u1, u2, u3):
             return np.stack([1.0 + 0.2 * np.sin(u1), np.cosh(0.3 * u2),
@@ -393,10 +394,38 @@ class TestSampledEvaluation:
             assert np.abs(V - V_ref).max() < tol
             assert np.abs(h - h_ref).max() < tol
 
-        # spline boundary effects decay geometrically away from the faces:
-        # the edge layer is boundary-condition limited, the interior is h^4
-        check(0.95, 5e-3)
+        # the not-a-knot end pieces keep the edge layer at the interior's h^4
+        check(0.95, 5e-6)
         check(0.5, 1e-5)
+
+    def test_midpoint_error_is_fourth_order(self):
+        """At the midpoints of every cell of every grid line, end cells
+        included, the spline error falls like h^4 under refinement."""
+        errors = []
+        for n in (11, 21, 41):
+            ts, _ = self._smooth_triple(closed_form=False, n=n)
+            tc, _ = self._smooth_triple(closed_form=True, n=n)
+            error = 0.0
+            for axis in range(3):
+                coords = [ts.grid.axis(a) for a in range(3)]
+                coords[axis] = 0.5 * (coords[axis][:-1] + coords[axis][1:])
+                pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, 3)
+                error = max(error, np.abs(_rows(ts.eval_at(pts), pts)
+                                          - _rows(tc.eval_at(pts), pts)).max())
+            errors.append(error)
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert (orders >= 3.5).all(), (errors, orders)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_three_node_axis_is_too_coarse(self, axis):
+        n = [5, 5, 5]
+        n[axis] = 3
+        grid = ParameterGrid((-1.0,) * 3, (1.0,) * 3, tuple(n))
+        ones = np.ones((3,) + grid.n)
+        t = TripleField.from_samples(grid, (1, -1, 1), FLAT, ones, np.zeros((3, 3) + grid.n),
+                                     ones)
+        with pytest.raises(GridTooCoarse):
+            t.eval_at(np.zeros((1, 3)))
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
     def test_closed_form_eval_matches_moveaxis(self, shape):
@@ -430,25 +459,44 @@ class TestSampledEvaluation:
         assert np.array_equal(v, ref)
 
 
-def _map_coordinates_eval(t, points):
-    """Reference (v, h, V): one map_coordinates call per component on its own
-    spline_filter coefficients, components last."""
+def _not_a_knot_eval(t, points):
+    """Reference (v, h, V), components last: the tensor-product spline as
+    scipy's not-a-knot interpolant (``make_interp_spline(k=3)``) on each axis.
+
+    The spline is linear in the samples and separable, so its value is the
+    samples contracted with one row of per-axis weights per point: the 1-D
+    interpolants of the unit vectors, which extend their end pieces outside
+    the box."""
     n = t.grid.n
     comps = np.concatenate([t.v.reshape((3,) + n), t.h.reshape((9,) + n),
                             t.V.reshape((3,) + n)])
-    idx = np.stack([(points[..., a] - t.grid.lo[a]) / t.grid.spacing[a]
-                    for a in range(3)]).reshape(3, -1)
-    out = np.stack(
-        [ndimage.map_coordinates(ndimage.spline_filter(c, order=3, mode="nearest"), idx,
-                                 order=3, prefilter=False, mode="nearest")
-         for c in comps], axis=-1)
+    p = points.reshape(-1, 3)
+    w = [make_interp_spline(t.grid.axis(a), np.eye(n[a]), k=3)(p[:, a]) for a in range(3)]
+    out = np.einsum("pi,pj,pk,cijk->pc", *w, comps)
     lead = points.shape[:-1]
     return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
             out[:, 12:].reshape(lead + (3,)))
 
 
+def _rows(vhV, points):
+    """(v, h, V) at points as one (points, 15) array."""
+    count = int(np.prod(points.shape[:-1], dtype=int))
+    return np.concatenate([c.reshape(count, -1) for c in vhV], axis=1)
+
+
+def _assert_close(got, ref):
+    """Rows are points: NaN where the reference is NaN, else within 1e-13 of
+    it relative to the largest component of its own point (far outside the
+    box the extended end pieces reach 1e14, which must not set the scale of
+    the points inside)."""
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    scale = np.fmax.reduce(np.abs(ref), axis=1, keepdims=True)
+    # |got - ref| <= 1e-13 |ref| + 1e-13 scale, row by row
+    np.testing.assert_allclose(got / scale, ref / scale, rtol=1e-13, atol=1e-13)
+
+
 class TestFusedSplineEquivalence:
-    """The fused 15-component spline against per-component map_coordinates."""
+    """The fused 15-component spline against scipy's not-a-knot interpolant."""
 
     GRID = ParameterGrid((-1.0, -0.5, 0.2), (1.0, 0.7, 0.9), (7, 9, 11), (3, 4, 5))
     NAN_COMPONENT = (1, 2)          # h[1, 2] has one NaN node
@@ -483,12 +531,10 @@ class TestFusedSplineEquivalence:
 
     def _assert_matches(self, t, pts):
         got = t.eval_at(pts)
-        ref = _map_coordinates_eval(t, pts)
+        ref = _not_a_knot_eval(t, pts)
         for g, r in zip(got, ref):
             assert g.shape == r.shape
-            assert np.array_equal(np.isnan(g), np.isnan(r))
-            scale = np.nanmax(np.abs(r))
-            np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-13 * scale)
+        _assert_close(_rows(got, pts), _rows(ref, pts))
 
     def test_interior_faces_corners_outside_and_nan(self):
         pts = np.concatenate([self._points(), [[np.nan, 0.0, 0.5]]])
@@ -542,11 +588,7 @@ class TestLinePath:
         coords[axis] = swept
         return np.array(list(itertools.product(*coords)))
 
-    @staticmethod
-    def _assert_close(got, ref):
-        assert np.array_equal(np.isnan(got), np.isnan(ref))
-        scale = np.nanmax(np.abs(ref))
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
+    _assert_close = staticmethod(_assert_close)
 
     def _both_paths(self, t, pts, taken):
         line = np.concatenate([c.reshape(len(pts), -1) for c in t.eval_at(pts)], axis=1)
@@ -566,9 +608,7 @@ class TestLinePath:
         if where != "nodes":
             # the whole-box reference, away from the nodes where the swept
             # coordinate of the tensor path may round to the stencil below
-            ref = _map_coordinates_eval(t, pts)
-            self._assert_close(line, np.concatenate(
-                [c.reshape(len(pts), -1) for c in ref], axis=1))
+            self._assert_close(line, _rows(_not_a_knot_eval(t, pts), pts))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_nan_stays_in_its_component(self, axis, taken):
