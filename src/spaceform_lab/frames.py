@@ -17,9 +17,10 @@ import numpy as np
 
 from ._sweep import sweep_integrate
 from .ambient import SpaceFormSpec, sig_inner
+from .errors import DimensionError
 from .grid import ParameterGrid, grid_partials, induced_metric_tensor
 from .report import ResidualReport
-from .triples import TripleField, check_sweep_input
+from .triples import TripleField
 
 DEFAULT_MAX_STEP = 1e-2
 DEFAULT_INTEGRABILITY_TOL = 1e-8
@@ -64,7 +65,6 @@ class FrameField:
     triple: TripleField
     sweep_order: tuple = (0, 1, 2)
     max_step: float = DEFAULT_MAX_STEP
-    masked: np.ndarray = None
 
     @property
     def f(self) -> np.ndarray:
@@ -83,42 +83,37 @@ class FrameField:
         return FrameState.from_array(self.states[tuple(idx)])
 
 
-def _frame_body(triple: TripleField):
-    """In-place frame body on (5, dim, B) rows (``_sweep`` module docstring)."""
+def _frame_body(triple: TripleField, y0):
+    """In-place frame body on the (5 dim, B) rows of f, X1, X2, X3, N (``_sweep``
+    module docstring); a y0 of another shape than (5, dim) raises DimensionError."""
+    dim = triple.spec.dim
+    if y0.shape != (5, dim):
+        raise DimensionError(f"frame state has shape {y0.shape}; the triple's "
+                             f"space form needs {(5, dim)}")
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
+    f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
+    X = (X1, X2, X3)
 
     def body(v, h, V, Y, dY, axis):
         a = axis
         va = v[:, a]
         Va = V[:, a]
-        Xa = Y[1 + a]
-        dXa = dY[1 + a]
-        tmp = dY[4]                      # scratch until dN is written last
-        np.multiply(va, Xa, out=dY[0])
-        np.multiply(eps * Va, Y[4], out=dXa)
-        np.subtract(dXa, np.multiply(c * va, Y[0], out=tmp), out=dXa)
+        Xa = Y[X[a]]
+        dXa = dY[X[a]]
+        tmp = dY[N]                      # scratch until dN is written last
+        np.multiply(va, Xa, out=dY[f])
+        np.multiply(eps * Va, Y[N], out=dXa)
+        np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
         for i in range(3):
             if i == a:
                 continue
             hia = h[:, i, a]
-            np.multiply(hia, Xa, out=dY[1 + i])
-            np.subtract(dXa, np.multiply(hia, Y[1 + i], out=tmp), out=dXa)
-        np.multiply(-Va, Xa, out=dY[4])
+            np.multiply(hia, Xa, out=dY[X[i]])
+            np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
+        np.multiply(-Va, Xa, out=dY[N])
 
     return body
-
-
-def _frame_rhs(triple: TripleField):
-    body = _frame_body(triple)
-
-    def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
-        dY = np.empty_like(Y)
-        body(v, h, V, Y, dY, axis)
-        return dY
-
-    return rhs
 
 
 def integrate_frame(triple: TripleField, init: FrameState, grid: ParameterGrid = None,
@@ -128,12 +123,13 @@ def integrate_frame(triple: TripleField, init: FrameState, grid: ParameterGrid =
 
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
     ``integrability_tol=None`` skips the seed-residual precondition (used by
-    the diagnostics that deliberately integrate non-solutions).
+    the diagnostics that deliberately integrate non-solutions).  A frame of
+    another dimension than the triple's space form raises DimensionError.
     """
     grid = grid or triple.grid
-    check_sweep_input(triple, grid, integrability_tol)
-    states, _ = sweep_integrate(grid, tuple(sweep_order), init.as_array(),
-                                _frame_rhs(triple), max_step)
+    (states,), _ = sweep_integrate(triple, grid, tuple(sweep_order),
+                                   [(_frame_body, init.as_array())], max_step,
+                                   integrability_tol)
     return FrameField(grid, states, triple, tuple(sweep_order), max_step)
 
 
@@ -154,10 +150,7 @@ def frame_gram_residual(ff: FrameField) -> ResidualReport:
             t = target[a] if a == b else 0.0
             dev[a, b] = dev[b, a] = g - t
     report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": "RK4 sweep"})
-    mask = None
-    if ff.masked is not None:
-        mask = np.broadcast_to(~ff.masked, dev.shape)
-    report.add("gram", dev, mask)
+    report.add("gram", dev)
     return report
 
 

@@ -26,7 +26,7 @@ from .errors import (
 from .frames import FrameState, standard_frame_state
 from .grid import ParameterGrid
 from .report import ResidualReport
-from .ribaucour import RibaucourState
+from .ribaucour import RibaucourState, _point_transform
 from .triples import TripleField
 
 # (v slot, V slot, delta, sign of C); slots are 0-based
@@ -363,7 +363,9 @@ def phi_state(fam: PhiFamily, u, psi_tol=1e-12) -> RibaucourState:
 
 
 def closed_form_transform(fam: PhiFamily):
-    """Exact transformed immersion F' of a family (independent of the integrators).
+    """Exact transformed immersion F' of a family (independent of the integrators):
+    the point transform of ``ribaucour.transform_immersion`` applied to the
+    family's closed-form frame and state.
 
     Returns a callable mapping points (..., 3) to ambient vectors.
     """
@@ -377,10 +379,7 @@ def closed_form_transform(fam: PhiFamily):
         X = states[..., 1:4, :]
         N = states[..., 4, :]
         gamma, _, phi, psi, beta = fam.state_arrays(points)
-        corr = np.einsum("...i,...id->...d", gamma, X) + beta[..., None] * N
-        if c != 0:
-            corr = corr + c * phi[..., None] * f
-        return f - corr / psi[..., None]
+        return _point_transform(f, X, N, gamma, phi, psi, beta, c)
 
     return fprime
 

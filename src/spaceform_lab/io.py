@@ -49,6 +49,7 @@ CONFIG_SCHEMA = {
                 {"required": ["gallery"], "not": {"required": ["triple"]}},
                 {"required": ["triple"], "not": {"required": ["gallery"]}},
             ],
+            "dependentRequired": {"C": ["gallery"]},
         },
         "ambient": {
             "type": "object",
@@ -100,6 +101,7 @@ CONFIG_SCHEMA = {
                 {"required": ["family"], "not": {"required": ["state"]}},
                 {"required": ["state"], "not": {"required": ["family"]}},
             ],
+            "dependentRequired": {"k2_target": ["state"]},
         },
         "tolerances": {
             "type": "object",

@@ -21,7 +21,6 @@ import numpy as np
 from ._sweep import sweep_integrate
 from .errors import (
     ConstraintUnsatisfiable,
-    DimensionError,
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
@@ -30,12 +29,11 @@ from .errors import (
 )
 from .frames import DEFAULT_MAX_STEP, FrameField, FrameState, _frame_body
 from .grid import ParameterGrid
-from .triples import TripleField, check_sweep_input, delta_inner
+from .triples import TripleField, delta_inner
 from .verify import ImmersionSample
 
 # state layout: [gamma1, gamma2, gamma3, v'1, v'2, v'3, phi, psi, beta]
 _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
-_NROWS = 9
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,9 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
     return RibaucourState(tuple(gamma), tuple(vprime), phi, psi, beta)
 
 
-def _ribaucour_body(triple: TripleField):
-    """In-place Ribaucour body on (9, B) rows (``_sweep`` module docstring)."""
+def _ribaucour_body(triple: TripleField, y0):
+    """In-place Ribaucour body on (9, B) rows (``_sweep`` module docstring);
+    y0 is any RibaucourState's 9 values, so it needs no check."""
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
     delta = np.asarray(triple.delta, dtype=float)
@@ -220,43 +219,11 @@ def _ribaucour_body(triple: TripleField):
     return body
 
 
-def _ribaucour_rhs(triple: TripleField):
-    body = _ribaucour_body(triple)
-
-    def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
-        dY = np.empty_like(Y)
-        body(v, h, V, Y, dY, axis)
-        return dY
-
-    return rhs
-
-
-def _stacked_rhs(triple: TripleField):
-    """Ribaucour rows, then the 5 dim frame rows: one triple evaluation and
-    one dY per stage, each body on row views (``_sweep`` module docstring)."""
-    ribaucour = _ribaucour_body(triple)
-    frame = _frame_body(triple)
-    dim = triple.spec.dim
-
-    def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
-        dY = np.empty(Y.shape)          # C order: its frame rows reshape to a view
-        B = Y.shape[1]
-        ribaucour(v, h, V, Y[:_NROWS], dY[:_NROWS], axis)
-        frame(v, h, V, Y[_NROWS:].reshape(5, dim, B), dY[_NROWS:].reshape(5, dim, B),
-              axis)
-        return dY
-
-    return rhs
-
-
-def _sweep_ribaucour(triple, init, frame_init, grid, max_step, mask_tol, K2target,
-                     integrability_tol):
-    """The Ribaucour sweep, with the frame rows stacked after its own when
-    ``frame_init`` is given; returns (RibaucourField, frame states or None)."""
+def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
+                     integrability_tol, *others):
+    """The Ribaucour field of ``triple`` and the states of the ``others``
+    systems (``_sweep`` module docstring), stacked after its rows in one sweep."""
     grid = grid or triple.grid
-    check_sweep_input(triple, grid, integrability_tol)
     mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
     if K2target is None:
         K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
@@ -265,25 +232,12 @@ def _sweep_ribaucour(triple, init, frame_init, grid, max_step, mask_tol, K2targe
     def node_check(Y):
         return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
 
-    y0, rhs = init.as_array(), _ribaucour_rhs(triple)
-    frame_shape = (5, triple.spec.dim)
-    if frame_init is not None:
-        frame_y0 = frame_init.as_array()
-        if frame_y0.shape != frame_shape:
-            raise DimensionError(f"frame state has shape {frame_y0.shape}; the "
-                                 f"triple's space form needs {frame_shape}")
-        y0 = np.concatenate([y0, frame_y0.ravel()])
-        rhs = _stacked_rhs(triple)
-    states, masked = sweep_integrate(grid, (0, 1, 2), y0, rhs, max_step,
-                                     node_check=node_check, mask_rows=_NROWS)
-    frame_states = None
-    if frame_init is not None:
-        frame_states = np.ascontiguousarray(states[..., _NROWS:]).reshape(
-            tuple(grid.n) + frame_shape)
-        states = np.ascontiguousarray(states[..., :_NROWS])
+    (states, *other_states), masked = sweep_integrate(
+        triple, grid, (0, 1, 2), [(_ribaucour_body, init.as_array()), *others],
+        max_step, integrability_tol, node_check)
     rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
                         masked if masked.any() else None)
-    return rf, frame_states
+    return rf, other_states
 
 
 def integrate_ribaucour(triple: TripleField, init: RibaucourState,
@@ -296,7 +250,7 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     Nodes where |phi| or |psi| falls below ``mask_tol`` are masked and their
     sweep descendants with them; integration continues on the other lines.
     """
-    rf, _ = _sweep_ribaucour(triple, init, None, grid, max_step, mask_tol, K2target,
+    rf, _ = _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                              integrability_tol)
     return rf
 
@@ -314,8 +268,9 @@ def integrate_with_frame(triple: TripleField, init: RibaucourState,
     Ribaucour lines freeze the Ribaucour rows only: the frame is integrated
     at every node, and a frame overflow raises NonFiniteState.
     """
-    rf, frame_states = _sweep_ribaucour(triple, init, frame_init, grid, max_step,
-                                        mask_tol, K2target, integrability_tol)
+    rf, (frame_states,) = _ribaucour_sweep(triple, init, grid, max_step, mask_tol,
+                                           K2target, integrability_tol,
+                                           (_frame_body, frame_init.as_array()))
     return rf, FrameField(rf.grid, frame_states, triple, (0, 1, 2), max_step)
 
 
@@ -361,18 +316,23 @@ def invariant_drift(rf: RibaucourField) -> InvariantDrift:
     )
 
 
+def _point_transform(f, X, N, gamma, phi, psi, beta, c):
+    """F' = f - (sum_i gamma_i X_i + beta N + c phi f) / psi, nodewise: positions
+    f, N (..., dim), directions X (..., 3, dim), gamma (..., 3), scalars (...)."""
+    correction = np.einsum("...i,...id->...d", gamma, X)
+    correction += beta[..., None] * N
+    if c != 0:
+        correction += c * phi[..., None] * f
+    return f - correction / psi[..., None]
+
+
 def transform_immersion(ff: FrameField, rf: RibaucourField) -> ImmersionSample:
     """Apply F' = F - (1/psi)(sum_i gamma_i X_i + beta N + c phi F) nodewise."""
     if not ff.grid.same_as(rf.grid):
         raise GridMismatch("frame and transformation fields live on different grids")
     spec = ff.triple.spec
-    c = spec.c
-    g = rf.states[..., _G]
-    correction = np.einsum("...i,...id->...d", g, ff.X)
-    correction += rf.beta[..., None] * ff.N
-    if c != 0:
-        correction += c * rf.phi[..., None] * ff.f
-    fprime = ff.f - correction / rf.psi[..., None]
+    fprime = _point_transform(ff.f, ff.X, ff.N, rf.states[..., _G], rf.phi, rf.psi,
+                              rf.beta, spec.c)
     masked = rf.masked
     if masked is not None:
         fprime = np.where(masked[..., None], np.nan, fprime)

@@ -640,6 +640,32 @@ def test_raw_state_psi_rejected(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
+def test_k2_target_beside_family_rejected(tmp_path, capsys):
+    # a family fixes its own K2 target: ribaucour.k2_target would be ignored
+    doc = _raw_state_doc(tmp_path)
+    doc["ribaucour"] = {"family": {"kind": "problemstar", "K": 1.0, "a": 1.0},
+                        "k2_target": 1.0}
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/ribaucour"
+    assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
+    assert "k2_target" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_seed_C_beside_triple_rejected(tmp_path, capsys):
+    # C selects the member of a gallery seed: an inline triple would ignore it
+    doc = _raw_state_doc(tmp_path)
+    doc["seed"] = {"triple": {"v": [0, 1, 1], "V": [1, 0, 0], "delta": [1, -1, 1]},
+                   "C": -1.0}
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/seed"
+    assert run(["verify-triple", "--config", write_config(tmp_path, doc)]) == 1
+    assert "'C'" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
@@ -652,13 +678,15 @@ class TestSweepCount:
         from spaceform_lab import frames, ribaucour
 
         calls = []
+        names = {frames._frame_body: "frame", ribaucour._ribaucour_body: "ribaucour"}
         for module in (frames, ribaucour):
-            def counted(grid, order, y0, *args, _inner=module.sweep_integrate, **kwargs):
-                # the systems a sweep carries, told apart by their state shape
-                shape = np.shape(y0)
-                calls.append("frame" if len(shape) == 2 else
-                             "ribaucour" if shape == (9,) else "ribaucour+frame")
-                return _inner(grid, order, y0, *args, **kwargs)
+            def counted(triple, grid, order, systems, *args,
+                        _inner=module.sweep_integrate, **kwargs):
+                # the systems a sweep carries, told apart by their bodies; a
+                # sweep that refuses its triple raises and is not counted
+                out = _inner(triple, grid, order, systems, *args, **kwargs)
+                calls.append("+".join(names[body] for body, _ in systems))
+                return out
 
             monkeypatch.setattr(module, "sweep_integrate", counted)
         return calls

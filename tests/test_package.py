@@ -36,6 +36,24 @@ def test_no_unused_module_imports():
     assert not unused, unused
 
 
+def test_one_sweep_engine():
+    """``_sweep.py`` is the only module that evaluates a triple pointwise or
+    checks a sweep's input: every system a triple drives is swept there."""
+    callers = {"eval_at": set(), "check_sweep_input": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "eval_at":
+                callers["eval_at"].add(path.name)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == "check_sweep_input":
+                callers["check_sweep_input"].add(path.name)
+    assert callers == {"eval_at": {"_sweep.py"}, "check_sweep_input": {"_sweep.py"}}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # demos write their exports to the temporary directory

@@ -15,12 +15,18 @@ import math
 import numpy as np
 import pytest
 
-from spaceform_lab._sweep import rk4_march
+from spaceform_lab._sweep import rk4_march, stacked_rhs
 from spaceform_lab.ambient import SpaceFormSpec
-from spaceform_lab.errors import DimensionError, InvalidParams, NonFiniteState
+from spaceform_lab.errors import (
+    DimensionError,
+    GridMismatch,
+    InvalidParams,
+    NonFiniteState,
+    PreconditionFailed,
+)
 from spaceform_lab.frames import (
     DEFAULT_MAX_STEP,
-    _frame_rhs,
+    _frame_body,
     integrate_frame,
     standard_frame_state,
 )
@@ -28,7 +34,7 @@ from spaceform_lab.gallery import PhiFamily, phi_state, trivial_seed
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     RibaucourState,
-    _ribaucour_rhs,
+    _ribaucour_body,
     default_mask_tol,
     integrate_ribaucour,
     integrate_with_frame,
@@ -319,9 +325,9 @@ class TestBitIdentity:
 
 
 class TestInputsUntouched:
-    """``rk4_march`` and both right-hand sides only read the state they are
-    given; each right-hand side returns a fresh dY, bit for bit the batch-first
-    reference's, also where the state holds -0.0, inf and NaN."""
+    """``rk4_march`` and the right-hand side ``stacked_rhs`` builds only read the
+    state they are given; the right-hand side returns a fresh dY, bit for bit
+    the batch-first reference's, also where the state holds -0.0, inf and NaN."""
 
     B = 24
 
@@ -341,35 +347,39 @@ class TestInputsUntouched:
         return Y
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    @pytest.mark.parametrize("engine", ["frame", "ribaucour"])
+    @pytest.mark.parametrize("engine", ["frame", "ribaucour", "ribaucour+frame"])
     def test_rhs(self, engine, axis):
         t, pts, rng = self._case()
-        if engine == "frame":
-            rhs, ref_rhs, shape = _frame_rhs(t), _ref_frame_rhs(t), (5, t.spec.dim)
-        else:
-            rhs, ref_rhs, shape = _ribaucour_rhs(t), _ref_ribaucour_rhs(t), (9,)
-        Y = self._state(rng, shape + (self.B,))
-        if engine == "ribaucour":
+        systems = {"frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
+                   "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}
+        parts = [systems[name] for name in engine.split("+")]
+        rhs, y0, blocks = stacked_rhs(t, [(body, np.zeros(shape)) for body, _, shape in parts])
+        Ys = [self._state(rng, shape + (self.B,)) for _, _, shape in parts]
+        if engine.startswith("ribaucour"):
             # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
             # start from +0.0 as the reference's does
-            Y[3:6, 3:15] = -0.0
+            Ys[0][3:6, 3:15] = -0.0
+        Y = np.concatenate([part.reshape(-1, self.B) for part in Ys])
         before = Y.tobytes()
         with np.errstate(all="ignore"):
             dY = rhs(pts, Y, axis)
-            ref = ref_rhs(pts, np.moveaxis(Y, -1, 0), axis)
+            refs = [ref_rhs(pts, np.moveaxis(part, -1, 0), axis)
+                    for (_, ref_rhs, _), part in zip(parts, Ys)]
         assert Y.tobytes() == before
         assert not np.shares_memory(dY, Y)
-        assert dY.shape == Y.shape
-        assert dY.tobytes() == np.moveaxis(ref, 0, -1).tobytes()
+        assert dY.shape == Y.shape == (len(y0), self.B)
+        for rows, ref in zip(blocks, refs):
+            assert dY[rows].tobytes() == np.moveaxis(ref, 0, -1).tobytes()
 
     def test_rk4_march(self):
         t, pts, rng = self._case()
-        rhs = _frame_rhs(t)
-        Y = rng.normal(size=(5, t.spec.dim, self.B))
+        shape = (5, t.spec.dim)
+        rhs, _, _ = stacked_rhs(t, [(_frame_body, np.zeros(shape))])
+        Y = rng.normal(size=(math.prod(shape), self.B))
         frozen = np.arange(self.B) % 3 == 0
         before = Y.tobytes()
         u = t.grid.axis(1)
-        y = rk4_march(lambda p, s: rhs(p, s, 1), pts, 1, u[4], u[5], Y, 0.02, frozen)
+        y = rk4_march(rhs, pts, 1, u[4], u[5], Y, 0.02, frozen)
         assert Y.tobytes() == before
         assert not np.shares_memory(y, Y)
         assert y[..., frozen].tobytes() == Y[..., frozen].tobytes()
@@ -503,8 +513,7 @@ class TestStackedSweep:
         _assert_same(_ribaucour_result(rf), _ribaucour_result(ref_rf))
         _assert_same(_frame_result(ff), _frame_result(ref_ff))
         assert (rf.K2target, rf.mask_tol) == (ref_rf.K2target, ref_rf.mask_tol)
-        assert ff.masked is None and (ff.sweep_order, ff.max_step) == (
-            ref_ff.sweep_order, ref_ff.max_step)
+        assert (ff.sweep_order, ff.max_step) == (ref_ff.sweep_order, ref_ff.max_step)
         assert ff.triple is t and ff.grid.same_as(ref_ff.grid)
         return rf, ff
 
@@ -561,6 +570,22 @@ class TestStackedSweep:
         r4_frame = FAMILIES["r4_problemstar"].frame_init()
         with pytest.raises(DimensionError, match=r"\(5, 5\)"):
             integrate_with_frame(t, init, r4_frame, K2target=fam.K2target)
+        with pytest.raises(DimensionError, match=r"\(5, 5\)"):
+            integrate_frame(t, r4_frame)
+
+    def test_triple_checked_before_frame_dimension(self):
+        # the sweep checks its triple before its systems see their states
+        fam, t, init = _closed_form_case("s4_problemstar_sphere")
+        r4_frame = FAMILIES["r4_problemstar"].frame_init()
+        with pytest.raises(GridMismatch):
+            integrate_with_frame(t, init, r4_frame, ParameterGrid.centered(1.0, 7),
+                                 K2target=fam.K2target)
+        # V = (1, 0.5, 0.2) leaves 0.5 in equation (3.iii)
+        bad = TripleField.constant(t.grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
+                                   v=(0, 1, 1), V=(1, 0.5, 0.2))
+        with pytest.raises(PreconditionFailed):
+            integrate_with_frame(bad, init, fam.frame_init(), K2target=1.0,
+                                 integrability_tol=1e-8)
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_eval_at_once_per_stage(self, sampled):
