@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gallery as gal
 from .ambient import SpaceFormSpec
-from .errors import NonHolonomicSample, SpaceformLabError
+from .errors import NonHolonomicSample, SchemaError, SpaceformLabError
 from .frames import integrate_frame, path_independence_residual, standard_frame_state
 from .io import (
     export_csv,
@@ -50,6 +50,7 @@ def _fail(msg) -> int:
 
 
 def _seed_triple(cfg):
+    _family(cfg)                    # a family beside the seed must be the seed's own
     amb = cfg.ambient
     if "gallery" in cfg.seed:
         name = cfg.seed["gallery"]
@@ -62,6 +63,8 @@ def _seed_triple(cfg):
 
 
 def _family(cfg):
+    """The config's Ribaucour family, or None.  The family builds its own seed,
+    so ``seed`` must name that seed and its C (else SchemaError at /seed)."""
     fam_cfg = (cfg.ribaucour or {}).get("family")
     if fam_cfg is None:
         return None
@@ -69,8 +72,15 @@ def _family(cfg):
     if "phases" in fam_cfg:
         kw["phases"] = tuple(fam_cfg["phases"])
     amb = cfg.ambient
-    return gal.PhiFamily(fam_cfg["kind"], c=amb.get("c", 0.0),
-                         eps=1 - 2 * amb.get("s", 0), **kw)
+    fam = gal.PhiFamily(fam_cfg["kind"], c=amb.get("c", 0.0),
+                        eps=1 - 2 * amb.get("s", 0), **kw)
+    own = {"gallery": fam.seed_kind}
+    if fam.C is not None:
+        own["C"] = fam.C
+    if cfg.seed != own:
+        raise SchemaError(f"seed {cfg.seed} is not the {fam.kind} family's own seed {own}",
+                          "/seed")
+    return fam
 
 
 def _frame_init(cfg, seed_name, spec):

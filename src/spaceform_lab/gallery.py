@@ -29,6 +29,10 @@ from .report import ResidualReport
 from .ribaucour import RibaucourState, _point_transform
 from .triples import TripleField
 
+_PSI_TOL = 1e-12        # |psi| under which phi_state raises SingularPsi
+_DENOM_TOL = 1e-12      # |denominator| under which a printed list raises SingularDenominator
+_ORBIT_TOL = 1e-12      # |g1| under which a rotation orbit degenerates (SingularOrbit)
+
 # (v slot, V slot, delta, sign of C); slots are 0-based
 _SEED_TABLE = {
     "problemstar_e1_Cneg": (0, 1, (1, -1, 1), -1),
@@ -351,11 +355,11 @@ class PhiFamily:
         return gamma, vprime, phi, psi, beta
 
 
-def phi_state(fam: PhiFamily, u, psi_tol=1e-12) -> RibaucourState:
+def phi_state(fam: PhiFamily, u) -> RibaucourState:
     """The closed-form transformation state of a family at one point."""
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma, vprime, phi, psi, beta = fam.state_arrays(np.asarray(u, dtype=float))
-    if not np.isfinite(psi) or abs(float(psi)) < psi_tol:
+    if not np.isfinite(psi) or abs(float(psi)) < _PSI_TOL:
         raise SingularPsi(f"psi is singular at u = {tuple(np.asarray(u))}")
     return RibaucourState(tuple(np.atleast_1d(gamma.squeeze())),
                           tuple(np.atleast_1d(vprime.squeeze())),
@@ -410,7 +414,7 @@ def signed_component_match(sample_a, sample_b):
 EXPLICIT_NAMES = ("r4_pair", "s4_pair", "cflat_K_minus1")
 
 
-def explicit_fprime(which, theta, points, denom_tol=1e-12):
+def explicit_fprime(which, theta, points):
     """Literal evaluation of the printed coordinate functions.
 
     r4_pair drops one stray amplitude factor from its fourth component (an
@@ -428,7 +432,7 @@ def explicit_fprime(which, theta, points, denom_tol=1e-12):
         g = 2.0 * ct * np.cosh(u1)
         hinv = (2.0 * ct**2 * np.cosh(u1) ** 2 - np.sin(r2 * u2) ** 2
                 + 2.0 * st**2 * np.cosh(u3) ** 2)
-        _check_denom(hinv, denom_tol)
+        _check_denom(hinv)
         gh = g / hinv
         return np.stack([
             u1 - 2.0 * gh * ct * np.sinh(u1),
@@ -443,7 +447,7 @@ def explicit_fprime(which, theta, points, denom_tol=1e-12):
         g = 2.0 * ct * np.cosh(u1)
         hinv = (2.0 * ct**2 * np.cos(u1) ** 2 - np.sin(r2 * u2) ** 2
                 + 2.0 * st**2 * np.cosh(u3) ** 2)
-        _check_denom(hinv, denom_tol)
+        _check_denom(hinv)
         gh = g / hinv
         return np.stack([
             np.sin(u1) + gh * ct * (np.cos(u1) * np.sinh(u1)
@@ -459,7 +463,7 @@ def explicit_fprime(which, theta, points, denom_tol=1e-12):
         g = np.cosh(u2) - st * np.cos(u3)
         hinv = (ct**2 * np.cos(r2 * u1) ** 2 - 2.0 * np.cosh(u2) ** 2
                 + 2.0 * st**2 * np.cos(u3) ** 2)
-        _check_denom(hinv, denom_tol)
+        _check_denom(hinv)
         gh = g / hinv
         return np.stack([
             2.0 * ct * gh * (r2 * np.cos(r2 * u1) * np.sin(u1)
@@ -473,8 +477,8 @@ def explicit_fprime(which, theta, points, denom_tol=1e-12):
     raise InvalidParams(f"unknown printed surface {which!r}; choose from {EXPLICIT_NAMES}")
 
 
-def _check_denom(hinv, tol):
-    if np.any(np.abs(hinv) < tol):
+def _check_denom(hinv):
+    if np.any(np.abs(hinv) < _DENOM_TOL):
         raise SingularDenominator("printed denominator vanishes on the requested points")
 
 
@@ -595,8 +599,7 @@ def height_ode_residual(profile: HelixProfile, c_h=None) -> ResidualReport:
 ROTATION_TYPES = ("spherical", "hyperbolic", "parabolic")
 
 
-def rotation_hypersurface(rtype, profile: HelixProfile, s_idx, u1, u2,
-                          orbit_tol=1e-12):
+def rotation_hypersurface(rtype, profile: HelixProfile, s_idx, u1, u2):
     """Rotation hypersurface through a profile curve in span{e1, e4, e5}.
 
     spherical:  f = (g1 p1(u), g1 p2(u), g1 p3(u), g4, g5), p the standard
@@ -610,7 +613,7 @@ def rotation_hypersurface(rtype, profile: HelixProfile, s_idx, u1, u2,
         raise InvalidParams(f"unknown rotation type {rtype!r}")
     gamma = profile.coords[np.asarray(s_idx, dtype=int)]
     g1, g4, g5 = gamma[:, 0], gamma[:, 1], gamma[:, 2]
-    if np.any(np.abs(g1) < orbit_tol):
+    if np.any(np.abs(g1) < _ORBIT_TOL):
         raise SingularOrbit("profile meets the fixed plane of the rotation")
     U1, U2 = np.meshgrid(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float),
                          indexing="ij")

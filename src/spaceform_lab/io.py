@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .errors import BadProjection, IoError, SchemaError
@@ -144,11 +143,13 @@ class ExperimentConfig:
         self.tolerances = tol
 
 
-def _pointer(err: jsonschema.ValidationError) -> str:
+def _pointer(err) -> str:
     return "/" + "/".join(str(p) for p in err.absolute_path)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    import jsonschema               # slow to import, and only validation needs it
+
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:

@@ -69,8 +69,3 @@ class ResidualReport:
             "entries": {k: v.as_dict() for k, v in self.entries.items()},
             "metadata": self.metadata,
         }
-
-    def lines(self):
-        width = max((len(k) for k in self.entries), default=0)
-        for name, e in self.entries.items():
-            yield f"{name:<{width}}  max={e.max:.3e}  mean={e.mean:.3e}  argmax={e.argmax}"

@@ -29,6 +29,7 @@ from .report import ResidualReport
 CANONICAL_DELTA = (1, -1, 1)
 ALL_MINUS_DELTA = (-1, -1, -1)
 DEFAULT_CLASSIFY_TOL = 1e-6
+_DISTINCT_GAP = 1e-10   # principal-curvature gap under which triple_from_curvatures raises
 
 
 def _check_delta(delta):
@@ -55,39 +56,35 @@ _BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
 
 
 class _CubicSpline:
-    """Tensor-product not-a-knot cubic spline of the 15 components of (v, h, V).
+    """Not-a-knot cubic spline of the 15 components of (v, h, V), evaluated on
+    grid lines.
 
-    Along each axis with n nodes the spline is a cubic B-spline with knots at
-    the nodes and n + 2 coefficients: n rows interpolate the samples and two
-    rows make the third derivative continuous at the second and the
-    second-to-last node (the not-a-knot condition), so the two end pieces
-    are the cubics through the first four and the last four nodes.  The
-    coefficients are the samples contracted on each axis with the inverse of
-    that system (``_not_a_knot``), stored as one ((n0+2)(n1+2)(n2+2), 15)
-    array in the order v (3), h (9, row-major), V (3).  The spline is
-    separable, so all components share each point's 4x4x4 stencil.
+    A point is on a grid line along axis a when its two other coordinates
+    equal node values of the grid exactly, as on every line a sweep marches
+    along.  On such a line the spline is the 1-D not-a-knot cubic of that
+    line's samples: a cubic B-spline with knots at the nodes and n + 2
+    coefficients, n of them interpolating the samples and two making the
+    third derivative continuous at the second and the second-to-last node,
+    so the two end pieces are the cubics through the first four and the last
+    four nodes.  It is also the tensor-product not-a-knot spline of the whole
+    box restricted to that line.  Its error falls like h^4, end cells
+    included.
+
+    For each axis a the coefficients of every line are the samples contracted
+    on axis a with the inverse of that system (``_not_a_knot``), stored as an
+    (n_b, n_c, n_a + 2, 15) table (b < c the other axes) in the order v (3),
+    h (9, row-major), V (3).  A point costs one gather of 4 adjacent rows and
+    a 4-weight sum.  The tables hold 3 n^2 (n + 2) 15 doubles on an n^3 grid,
+    about 26 MB at 41^3.
 
     Outside the box the end pieces extend: the stencil's base index floor(x)
     is clamped to [0, n - 2], so a point below the box evaluates the first
-    piece's cubic and a point above it the last one's.  Every axis needs at
-    least 4 nodes (else GridTooCoarse).
-
-    Two paths evaluate it, chosen per call from the points alone:
-
-    - **Line path.**  When, for some axis a, every point's two other
-      coordinates equal node values of the grid exactly (as on the lines a
-      sweep marches along), the spline restricted to each such line is a 1-D
-      cubic.  Its coefficients are precomputed: for each axis a, the tensor
-      coefficients with the two other axes contracted by the node stencil
-      [1, 4, 1]/6, stored as an (n_b, n_c, n_a + 2, 15) table (b < c the
-      other axes).  A point costs one gather of 4 adjacent rows and a 4-weight
-      sum.  The tables hold 3 n^2 (n + 2) 15 doubles on an n^3 grid, about
-      26 MB at 41^3.
-    - **Tensor path.**  Any other call gathers 64 coefficient rows per point
-      and takes one weighted sum.
-
-    The tables are restrictions of the tensor coefficients with the same base
-    clamp, so both paths agree to rounding, outside the box too.
+    piece's cubic and a point above it the last one's.  A non-finite sample
+    makes every value on the lines through its node NaN in its component.
+    Every axis needs at least 4 nodes (else GridTooCoarse).  A call whose
+    points leave the nodes on more than one axis, NaN and infinite
+    coordinates included, raises PreconditionFailed: the spline has no value
+    off the grid lines.
     """
 
     def __init__(self, v, h, V, grid):
@@ -95,28 +92,18 @@ class _CubicSpline:
         if min(n) < 4:
             raise GridTooCoarse(f"a not-a-knot cubic spline needs at least 4 nodes per axis, "
                                 f"have {n}")
-        coeffs = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
-                                 V.reshape((3,) + n)])
-        for a in range(3):                              # contracts axis 1, appends it last
-            coeffs = np.tensordot(coeffs, _not_a_knot(n[a]), axes=(1, 1))
-        coeffs = np.ascontiguousarray(np.moveaxis(coeffs, 0, -1))   # (n0+2, n1+2, n2+2, 15)
-        self._coeffs = coeffs.reshape(-1, 15)
-        p = coeffs.shape
-        self._stride = np.array([p[1] * p[2], p[2], 1])
-        step = np.arange(4)
-        self._stencil = (step[:, None, None] * self._stride[0]
-                         + step[None, :, None] * self._stride[1] + step[None, None, :]).ravel()
+        samples = np.concatenate([v.reshape((3,) + n), h.reshape((9,) + n),
+                                  V.reshape((3,) + n)])
         self._lo = np.asarray(grid.lo, dtype=float)
         self._spacing = np.asarray(grid.spacing, dtype=float)
         self._n = np.asarray(n, dtype=float)
-
         self._nodes = np.concatenate([grid.axis(a) for a in range(3)])
         self._offset = np.cumsum((0,) + n[:2])
         self._top = self._n - 1.0
         self._lines = []
         for a in range(3):
-            line = np.moveaxis(coeffs, a, 2)            # (b, c, a, 15) with b < c
-            line = _at_nodes(_at_nodes(line, 0), 1)
+            # (15, b, c, a + 2) -> (b, c, a + 2, 15) with b < c
+            line = np.moveaxis(np.tensordot(samples, _not_a_knot(n[a]), axes=(1 + a, 1)), 0, -1)
             stride = np.zeros(3, dtype=np.intp)         # row of node (j, k, 0) on axis a
             stride[[i for i in range(3) if i != a]] = (line.shape[1] * line.shape[2],
                                                        line.shape[2])
@@ -124,7 +111,8 @@ class _CubicSpline:
         self._line_step = np.arange(4)
 
     def __call__(self, points):
-        """Values at points (..., 3) as a (points, 15) array."""
+        """Values at points (..., 3) on grid lines along one axis, as a
+        (points, 15) array."""
         p = points.reshape(-1, 3)
         x = (p - self._lo) / self._spacing
         # clamped before the cast: a NaN or infinite coordinate gets some index,
@@ -133,18 +121,11 @@ class _CubicSpline:
         on = (self._nodes[node + self._offset] == p).all(axis=0).tolist()
         off = [a for a in range(3) if not on[a]]
         if len(off) > 1:
-            return self._tensor(x)
-        return self._line(off[0] if off else 0, x, node)
-
-    def _tensor(self, x):
-        base, w = _stencil(x, self._n)                                    # w (B, axis, 4)
-        wt = (w[:, 0, :, None, None] * w[:, 1, None, :, None]
-              * w[:, 2, None, None, :]).reshape(-1, 1, 64)
-        rows = np.take(self._coeffs, (base @ self._stride)[:, None] + self._stencil, axis=0)
-        return (wt @ rows)[:, 0, :]
-
-    def _line(self, a, x, node):
-        """Points on grid lines along axis a; ``node`` holds their node indices."""
+            raise PreconditionFailed(
+                f"points leave the grid nodes on axes {off}; a sampled triple is "
+                "evaluated only on grid lines along one axis"
+            )
+        a = off[0] if off else 0
         table, stride = self._lines[a]
         base, w = _stencil(x[:, a], self._n[a])                           # w (B, 4)
         rows = np.take(table, (node @ stride + base)[:, None] + self._line_step, axis=0)
@@ -182,18 +163,6 @@ def _stencil(x, n):
     t[np.isinf(t)] = np.nan                      # inf weights would turn 0 * inf into warnings
     w = (t[..., None] ** np.arange(4)) @ _BSPLINE
     return base.astype(np.intp), w
-
-
-def _at_nodes(coeffs, axis):
-    """Contract ``axis`` of the n + 2 coefficients to the spline's values at
-    the n nodes: the B-spline weights [1, 4, 1]/6 at t = 0."""
-    w0, w1, w2 = _BSPLINE[0, :3]
-    m = coeffs.shape[axis] - 2
-
-    def shifted(s):
-        return coeffs[(slice(None),) * axis + (slice(1 + s, 1 + s + m),)]
-
-    return w0 * shifted(-1) + w1 * shifted(0) + w2 * shifted(1)
 
 
 @dataclass
@@ -304,18 +273,11 @@ class TripleField:
         return self.v[:, i, j, k], self.h[:, :, i, j, k], self.V[:, i, j, k]
 
     def eval_at(self, points):
-        """(v, h, V) at arbitrary points, shape (..., 3) -> components last.
+        """(v, h, V) at points, shape (..., 3) -> components last.
 
-        Uses the closed forms when available, else one tensor-product
-        not-a-knot cubic spline of all 15 sampled components, built on the
-        first call (GridTooCoarse if an axis has fewer than 4 nodes).  Outside
-        the box its end pieces extend: each axis continues the cubic of its
-        first or last cell.  A call whose points all lie on grid lines along
-        one axis (the two other coordinates exactly node values, as in every
-        sweep) reads that axis's precomputed line table: 4 coefficient rows
-        per point.  Any other call takes the 64-row tensor path.  Both agree
-        to rounding; the line tables cost 3 n^2 (n + 2) 15 doubles on an n^3
-        grid (about 26 MB at 41^3).  See ``_CubicSpline``.
+        Uses the closed forms when available.  Sampled data are read through
+        ``_CubicSpline``, built on the first call, whose docstring states
+        where it can be evaluated, its accuracy and its costs.
         """
         points = np.asarray(points, dtype=float)
         if self.closed_form:
@@ -427,12 +389,9 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     either (else PreconditionFailed).
 
     Sampled data must be finite at every node (else PreconditionFailed).  A
-    sweep reads them through the not-a-knot cubic spline of ``eval_at``,
-    whose prefilter spreads one non-finite sample to every value it returns,
-    inside the box and on the end pieces that extend outside it.  The spline
-    needs 4 nodes per axis (else GridTooCoarse at the first evaluation), and
-    its line tables cost 3 n^2 (n + 2) 15 doubles on an n^3 grid (about
-    26 MB at 41^3).
+    sweep reads them through ``_CubicSpline``, where a non-finite sample
+    spreads along the grid lines through its node, and the sweep carries it
+    on from there.
     """
     if not grid.same_as(t.grid):
         raise GridMismatch(
@@ -445,7 +404,7 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
         if not finite.all():
             raise PreconditionFailed(
                 f"sampled triple is non-finite at {int((~finite).sum())} nodes; "
-                "interpolating it would give NaN over the whole box"
+                "interpolating it would give NaN on every grid line through them"
             )
     if integrability_tol is not None:
         res = triple_residuals(t)
@@ -607,7 +566,7 @@ def companion_V(t: TripleField, tol=DEFAULT_CLASSIFY_TOL) -> np.ndarray:
 
 
 def triple_from_curvatures(lams, delta, spec: SpaceFormSpec, grid: ParameterGrid,
-                           problem_star=None, distinct_guard=1e-10) -> TripleField:
+                           problem_star=None) -> TripleField:
     """Recover the holonomic data from principal-curvature fields.
 
     Conformally flat branch (default): v_j = sqrt(delta_j / ((l_j - l_i)(l_j - l_k))).
@@ -625,7 +584,7 @@ def triple_from_curvatures(lams, delta, spec: SpaceFormSpec, grid: ParameterGrid
 
     for i, j in itertools.combinations(range(3), 2):
         gap = np.min(np.abs(lam[i] - lam[j]))
-        if gap < distinct_guard:
+        if gap < _DISTINCT_GAP:
             raise UmbilicSetError(f"principal curvatures {i} and {j} coincide (gap {gap:.2e})")
 
     v = np.empty_like(lam)

@@ -51,7 +51,7 @@ from .grid import (
 from .report import ResidualReport
 from .triples import TripleField, compatibility_residuals, h_from_v
 
-DISTINCT_GUARD = 1e-4
+DISTINCT_GUARD = 1e-4      # relative curvature gap under which Schouten-Codazzi skips a node
 DET_TOL = 1e-12             # relative det(I) under which the metric counts as singular
 INTERIOR_MARGIN = 3         # face layers left out of the Gauss-Codazzi aggregation
 
@@ -363,7 +363,7 @@ def companion_curvatures(lam, c, c_tilde, eps, eps_tilde):
     return mu
 
 
-def schouten_codazzi_residual(t: TripleField, distinct_guard=DISTINCT_GUARD) -> ResidualReport:
+def schouten_codazzi_residual(t: TripleField) -> ResidualReport:
     """Residual of the Codazzi property of the Schouten tensor.
 
     phi_j = v_j (l_i l_j + l_k l_j - l_i l_k); conformal flatness of the
@@ -377,7 +377,7 @@ def schouten_codazzi_residual(t: TripleField, distinct_guard=DISTINCT_GUARD) -> 
     lmax = np.maximum(np.max(np.abs(lam), axis=0), 1e-300)
     gap = np.min(np.stack([np.abs(lam[i] - lam[j]) for i, j in
                            itertools.combinations(range(3), 2)]), axis=0)
-    keep = (gap >= distinct_guard * lmax) & t.valid_mask()
+    keep = (gap >= DISTINCT_GUARD * lmax) & t.valid_mask()
     if not keep.any():
         raise UmbilicSetError("no nodes with three distinct principal curvatures")
 
@@ -386,7 +386,7 @@ def schouten_codazzi_residual(t: TripleField, distinct_guard=DISTINCT_GUARD) -> 
         i, k = [a for a in range(3) if a != j]
         phi[j] = v[j] * (lam[i] * lam[j] + lam[k] * lam[j] - lam[i] * lam[k])
     sp = t.grid.spacing
-    report = ResidualReport(metadata={"spacing": list(sp), "guard": distinct_guard})
+    report = ResidualReport(metadata={"spacing": list(sp), "guard": DISTINCT_GUARD})
     res = []
     for i, j in itertools.permutations(range(3), 2):
         res.append(partial_derivative(phi[j], i, sp[i]) - h[i, j] * phi[i])

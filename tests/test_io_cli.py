@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spaceform_lab import cli as cli_module
 from spaceform_lab.cli import run
 from spaceform_lab.errors import BadProjection, IoError, SchemaError
 from spaceform_lab.grid import ParameterGrid
@@ -597,8 +598,11 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the CLI loads neither scipy nor jsonschema: the config
+    validator imports jsonschema when it first validates a document."""
     code = ("import sys, spaceform_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -664,6 +668,28 @@ def test_seed_C_beside_triple_rejected(tmp_path, capsys):
     assert run(["verify-triple", "--config", write_config(tmp_path, doc)]) == 1
     assert "'C'" in capsys.readouterr().err
     assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["verify-triple", "integrate-frame", "ribaucour",
+                                 "pair-check", "export"])
+@pytest.mark.parametrize("seed", [
+    {"gallery": "problemstar_e1_Cpos", "C": 1.0},           # another gallery seed
+    {"gallery": "problemstar_e1_Cneg", "C": -2.0},          # another C
+    {"triple": {"v": [1, 0, 0], "V": [0, 1, 0], "delta": [1, -1, 1]}},
+], ids=["gallery", "C", "triple"])
+def test_seed_beside_family_must_be_its_own(tmp_path, capsys, cmd, seed):
+    # the family builds its own seed: any other seed would be checked by some
+    # subcommands and ignored by the ones that transform
+    doc = json.loads(json.dumps(RIBAUCOUR_DOC))
+    doc["seed"] = seed
+    doc["outputs"] = {"report": str(tmp_path / "rep.json"), "csv": str(tmp_path / "f.csv")}
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SchemaError) as err:
+        cli_module._family(load_config(cfg))
+    assert err.value.pointer == "/seed"
+    assert run([cmd, "--config", cfg]) == 1
+    assert "(at /seed)" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists() and not (tmp_path / "f.csv").exists()
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"

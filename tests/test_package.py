@@ -65,8 +65,9 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_package_runs_without_scipy():
-    """Every module imports, a sampled triple evaluates on and off grid
-    lines, and a helix builds, with no scipy module loaded."""
+    """Every module imports, a sampled triple evaluates on grid lines (and
+    refuses a point off them), and a helix builds, with no scipy module
+    loaded."""
     code = """
 import importlib, pkgutil, sys
 import numpy as np
@@ -74,6 +75,7 @@ import spaceform_lab
 for mod in pkgutil.iter_modules(spaceform_lab.__path__):
     importlib.import_module("spaceform_lab." + mod.name)
 from spaceform_lab.ambient import SpaceFormSpec
+from spaceform_lab.errors import PreconditionFailed
 from spaceform_lab.gallery import helix
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.triples import TripleField
@@ -82,8 +84,16 @@ rng = np.random.default_rng(0)
 t = TripleField.from_samples(grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
                              rng.normal(size=(3,) + grid.n), rng.normal(size=(3, 3) + grid.n),
                              rng.normal(size=(3,) + grid.n))
-t.eval_at(np.array([[0.1, 0.5, -0.5], [0.3, 0.0, 1.0]]))
-t.eval_at(np.array([[0.1, 0.2, -0.3]]))
+for a in range(3):
+    pts = np.array([[0.5, 0.0, -0.5], [-1.0, 1.0, 0.5]])
+    pts[:, a] = [0.1, 1.3]
+    assert np.isfinite(np.concatenate([c.reshape(2, -1) for c in t.eval_at(pts)], 1)).all()
+try:
+    t.eval_at(np.array([[0.1, 0.2, -0.3]]))
+except PreconditionFailed:
+    pass
+else:
+    raise AssertionError("a point off the grid lines evaluated")
 helix(2.0, 1.0, np.linspace(0.1, 0.6, 11), amplitude=0.6)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

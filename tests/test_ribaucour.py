@@ -286,8 +286,9 @@ class TestMasking:
         assert np.isfinite(fp.positions[rf.valid_mask()]).all()
 
     def test_retransform_of_masked_triple_raises(self):
-        # NaN samples at masked nodes would spread through the spline to the
-        # whole box; both sweeps refuse such a triple and say how many nodes
+        # NaN samples at masked nodes would spread through the spline along
+        # the grid lines through them; both sweeps refuse such a triple and
+        # say how many nodes
         grid = ParameterGrid.centered(1.0, 11)
         t, rf = self._masked_run(grid)
         tt = transformed_triple(t, rf)

@@ -41,7 +41,7 @@ from spaceform_lab.ribaucour import (
     seed_state,
     transformed_triple,
 )
-from spaceform_lab.triples import TripleField, _CubicSpline
+from spaceform_lab.triples import TripleField
 
 # ---------------------------------------------------------------------------
 # batch-first reference engine
@@ -460,16 +460,10 @@ class TestEvalCount:
 
 
 class TestSampledSweepsOnLines:
-    """A sweep evaluates a sampled triple only on grid lines, so every call
-    takes the spline's line path: the tensor path is made to raise."""
+    """A sweep evaluates a sampled triple only on grid lines: the spline
+    raises PreconditionFailed for any call that leaves them."""
 
     GRID = TestEvalCount.GRID           # base (2, 3, 1): both directions on every axis
-
-    @pytest.fixture(autouse=True)
-    def no_tensor_path(self, monkeypatch):
-        def refuse(self, x):
-            raise AssertionError("sweep left the grid lines")
-        monkeypatch.setattr(_CubicSpline, "_tensor", refuse)
 
     def _sampled(self, fam):
         t = fam.seed_triple(self.GRID)

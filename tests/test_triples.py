@@ -22,7 +22,6 @@ from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import transformed_triple
 from spaceform_lab.triples import (
     TripleField,
-    _CubicSpline,
     classify,
     companion_V,
     delta_inner,
@@ -384,15 +383,21 @@ class TestSampledEvaluation:
         rng = np.random.default_rng(5)
 
         def check(reach, tol):
-            pts = rng.uniform(-reach, reach, size=(40, 3))
-            v, h, V = ts.eval_at(pts)
-            u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-            v_ref = np.moveaxis(v_fn(u1, u2, u3), 0, -1)
-            V_ref = np.moveaxis(V_fn(u1, u2, u3), 0, -1)
-            h_ref = np.moveaxis(np.moveaxis(h_fn(u1, u2, u3), 0, -1), 0, -1)
-            assert np.abs(v - v_ref).max() < tol
-            assert np.abs(V - V_ref).max() < tol
-            assert np.abs(h - h_ref).max() < tol
+            # on grid lines along each axis: node values (the grid is a cube)
+            # within reach off the axis, a uniform coordinate along it
+            nodes = ts.grid.axis(0)
+            nodes = nodes[np.abs(nodes) <= reach]
+            for axis in range(3):
+                pts = rng.choice(nodes, size=(40, 3))
+                pts[:, axis] = rng.uniform(-reach, reach, size=40)
+                v, h, V = ts.eval_at(pts)
+                u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
+                v_ref = np.moveaxis(v_fn(u1, u2, u3), 0, -1)
+                V_ref = np.moveaxis(V_fn(u1, u2, u3), 0, -1)
+                h_ref = np.moveaxis(np.moveaxis(h_fn(u1, u2, u3), 0, -1), 0, -1)
+                assert np.abs(v - v_ref).max() < tol
+                assert np.abs(V - V_ref).max() < tol
+                assert np.abs(h - h_ref).max() < tol
 
         # the not-a-knot end pieces keep the edge layer at the interior's h^4
         check(0.95, 5e-6)
@@ -459,23 +464,48 @@ class TestSampledEvaluation:
         assert np.array_equal(v, ref)
 
 
-def _not_a_knot_eval(t, points):
-    """Reference (v, h, V), components last: the tensor-product spline as
-    scipy's not-a-knot interpolant (``make_interp_spline(k=3)``) on each axis.
-
-    The spline is linear in the samples and separable, so its value is the
-    samples contracted with one row of per-axis weights per point: the 1-D
-    interpolants of the unit vectors, which extend their end pieces outside
-    the box."""
+def _components(t):
+    """The 15 sampled components of (v, h, V) as one (15,) + grid.n stack."""
     n = t.grid.n
-    comps = np.concatenate([t.v.reshape((3,) + n), t.h.reshape((9,) + n),
-                            t.V.reshape((3,) + n)])
-    p = points.reshape(-1, 3)
-    w = [make_interp_spline(t.grid.axis(a), np.eye(n[a]), k=3)(p[:, a]) for a in range(3)]
-    out = np.einsum("pi,pj,pk,cijk->pc", *w, comps)
+    return np.concatenate([t.v.reshape((3,) + n), t.h.reshape((9,) + n),
+                           t.V.reshape((3,) + n)])
+
+
+def _split(out, points):
+    """A (points, 15) array as (v, h, V), components last."""
     lead = points.shape[:-1]
     return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
             out[:, 12:].reshape(lead + (3,)))
+
+
+def _not_a_knot_eval(t, points, axis):
+    """Reference (v, h, V), components last, at points on grid lines along
+    ``axis``: scipy's not-a-knot interpolant (``make_interp_spline(k=3)``) of
+    each point's line samples, which extends its end pieces outside the box.
+
+    The interpolant is linear in the samples, so its value is the line's
+    samples contracted with the 1-D interpolants of the unit vectors."""
+    g = t.grid
+    p = points.reshape(-1, 3)
+    index = []                      # each point's node on the two other axes
+    for b in range(3):
+        if b != axis:
+            i = np.argmin(np.abs(g.axis(b)[:, None] - p[:, b]), axis=0)
+            assert np.array_equal(g.axis(b)[i], p[:, b]), "a point is off the grid lines"
+            index.append(i)
+    lines = np.moveaxis(_components(t), 1 + axis, -1)[(slice(None), *index)]  # (15, points, n_a)
+    w = make_interp_spline(g.axis(axis), np.eye(g.n[axis]), k=3)(p[:, axis])
+    return _split(np.einsum("pi,cpi->pc", w, lines), points)
+
+
+def _tensor_eval(t, points):
+    """Reference (v, h, V), components last: the tensor-product not-a-knot
+    spline of the whole box, as scipy's interpolant on each axis contracted
+    with the samples (finite samples only: it spreads a NaN everywhere)."""
+    p = points.reshape(-1, 3)
+    w = [make_interp_spline(t.grid.axis(a), np.eye(t.grid.n[a]), k=3)(p[:, a])
+         for a in range(3)]
+    return _split(np.einsum("pi,pj,pk,cijk->pc", *w, _components(t)), points)
 
 
 def _rows(vhV, points):
@@ -495,81 +525,100 @@ def _assert_close(got, ref):
     np.testing.assert_allclose(got / scale, ref / scale, rtol=1e-13, atol=1e-13)
 
 
+def _line_points(grid, axis, swept):
+    """Every grid line along ``axis``, sampled at the ``swept`` coordinates."""
+    coords = [grid.axis(a) for a in range(3)]
+    coords[axis] = np.asarray(swept, dtype=float)
+    return np.array(list(itertools.product(*coords)))
+
+
 class TestFusedSplineEquivalence:
-    """The fused 15-component spline against scipy's not-a-knot interpolant."""
+    """The fused 15-component spline against scipy's not-a-knot interpolant of
+    each grid line's samples."""
 
     GRID = ParameterGrid((-1.0, -0.5, 0.2), (1.0, 0.7, 0.9), (7, 9, 11), (3, 4, 5))
     NAN_COMPONENT = (1, 2)          # h[1, 2] has one NaN node
+    NAN_NODE = (2, 5, 7)
 
     @classmethod
-    def _triple(cls):
+    def _triple(cls, nan=True):
         rng = np.random.default_rng(17)
         n = cls.GRID.n
         v = 1.0 + rng.normal(size=(3,) + n)
         h = rng.normal(size=(3, 3) + n)
         V = 3.0 * rng.normal(size=(3,) + n)
-        h[cls.NAN_COMPONENT + (2, 5, 7)] = np.nan
+        if nan:
+            h[cls.NAN_COMPONENT + cls.NAN_NODE] = np.nan
         return TripleField.from_samples(cls.GRID, (1, -1, 1), FLAT, v, h, V)
 
     @classmethod
-    def _points(cls):
-        g = cls.GRID
-        lo, hi = np.array(g.lo), np.array(g.hi)
-        rng = np.random.default_rng(23)
-        interior = lo + (hi - lo) * rng.uniform(size=(30, 3))
-        corners = np.array([[(lo, hi)[b][a] for a, b in enumerate(bits)]
-                            for bits in itertools.product((0, 1), repeat=3)])
-        faces = interior[:6].copy()
-        for a in range(3):
-            faces[2 * a, a] = lo[a]
-            faces[2 * a + 1, a] = hi[a]
-        nudged = np.concatenate([np.nextafter(corners, -np.inf),
-                                 np.nextafter(corners, np.inf)])
-        far = np.concatenate([interior[:6] - 3.0, interior[6:12] + 5.0,
-                              interior[12:18] * np.array([4.0, -6.0, 1.0])])
-        return np.concatenate([interior, corners, faces, nudged, far])
+    def _swept(cls, axis):
+        """Swept coordinates along ``axis``: the nodes (the faces among them),
+        midpoints, each node nudged by one ulp either way, and points far
+        outside the box."""
+        nodes = cls.GRID.axis(axis)
+        lo, hi = nodes[0], nodes[-1]
+        span = hi - lo
+        return np.concatenate([
+            nodes,
+            0.5 * (nodes[:-1] + nodes[1:]),
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            [lo - 3.0, lo - 0.3 * span, hi + 0.1 * span, hi + 5.0, 4.0 * hi, -6.0 * hi],
+        ])
 
-    def _assert_matches(self, t, pts):
+    @classmethod
+    def _points(cls, axis):
+        return _line_points(cls.GRID, axis, cls._swept(axis))
+
+    def _assert_matches(self, t, pts, axis):
         got = t.eval_at(pts)
-        ref = _not_a_knot_eval(t, pts)
+        ref = _not_a_knot_eval(t, pts, axis)
         for g, r in zip(got, ref):
             assert g.shape == r.shape
         _assert_close(_rows(got, pts), _rows(ref, pts))
 
     def test_interior_faces_corners_outside_and_nan(self):
-        pts = np.concatenate([self._points(), [[np.nan, 0.0, 0.5]]])
-        self._assert_matches(self._triple(), pts)
+        t = self._triple()
+        for axis in range(3):
+            nan = self._points(axis)[:1].copy()
+            nan[0, axis] = np.nan
+            self._assert_matches(t, np.concatenate([self._points(axis), nan]), axis)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
     def test_input_shapes(self, shape):
-        pts = self._points()[: int(np.prod(shape[:-1], dtype=int))].reshape(shape)
-        self._assert_matches(self._triple(), pts)
+        count = int(np.prod(shape[:-1], dtype=int))
+        pts = self._points(1)[::7][:count].reshape(shape)
+        self._assert_matches(self._triple(), pts, 1)
 
     def test_nan_stays_in_its_component(self):
-        _, h, _ = self._triple().eval_at(self._points())
-        nan = np.isnan(h)
-        assert nan[(slice(None),) + self.NAN_COMPONENT].all()
-        nan[(slice(None),) + self.NAN_COMPONENT] = False
-        assert not nan.any()
+        t = self._triple()
+        for axis in range(3):
+            _assert_nan_on_lines_through(self, t, self._points(axis), axis)
+
+
+def _assert_nan_on_lines_through(cls, t, pts, axis):
+    """The NaN sample of ``cls`` is NaN on the lines along ``axis`` through its
+    node, in its component only, and every other value is finite."""
+    vhV = _rows(t.eval_at(pts), pts)
+    node = np.array([cls.GRID.axis(a)[i] for a, i in enumerate(cls.NAN_NODE)])
+    others = [a for a in range(3) if a != axis]
+    through = (pts[:, others] == node[others]).all(axis=1)
+    assert through.any() and not through.all()
+    column = 3 + 3 * cls.NAN_COMPONENT[0] + cls.NAN_COMPONENT[1]
+    nan = np.isnan(vhV)
+    assert nan[through, column].all()
+    nan[through, column] = False
+    assert not nan.any()
 
 
 class TestLinePath:
-    """Calls whose points all lie on grid lines along one axis take the
-    per-axis line tables; they must agree with the 64-row tensor path."""
+    """Each grid line's 1-D not-a-knot spline is the tensor-product not-a-knot
+    spline of the whole box restricted to that line, and a call whose points
+    leave the grid lines raises."""
 
     GRID = TestFusedSplineEquivalence.GRID
     OFF_GRID = [[0.1, 0.05, 0.5]]
-
-    @pytest.fixture
-    def taken(self, monkeypatch):
-        """The evaluation path of each ``_CubicSpline`` call, in call order."""
-        log = []
-        for name in ("_line", "_tensor"):
-            def spy(self, *args, _inner=getattr(_CubicSpline, name), _name=name):
-                log.append(_name)
-                return _inner(self, *args)
-            monkeypatch.setattr(_CubicSpline, name, spy)
-        return log
 
     @classmethod
     def _line_points(cls, axis, where):
@@ -584,54 +633,38 @@ class TestLinePath:
             "below": g.lo[axis] - span * np.array([1e-3, 0.1, 0.3, 2.0]),
             "above": g.hi[axis] + span * np.array([1e-3, 0.1, 0.3, 2.0]),
         }[where]
-        coords = [g.axis(a) for a in range(3)]
-        coords[axis] = swept
-        return np.array(list(itertools.product(*coords)))
+        return _line_points(g, axis, swept)
 
-    _assert_close = staticmethod(_assert_close)
-
-    def _both_paths(self, t, pts, taken):
-        line = np.concatenate([c.reshape(len(pts), -1) for c in t.eval_at(pts)], axis=1)
-        assert taken[-1] == "_line"
-        mixed = np.concatenate([pts, self.OFF_GRID])
-        tensor = np.concatenate([c.reshape(len(mixed), -1) for c in t.eval_at(mixed)], axis=1)
-        assert taken[-1] == "_tensor"
-        return line, tensor[:-1]
+    @staticmethod
+    def _values(t, pts):
+        return _rows(t.eval_at(pts), pts)
 
     @pytest.mark.parametrize("where", ["nodes", "midpoints", "below", "above"])
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_matches_tensor_path(self, axis, where, taken):
-        t = TestFusedSplineEquivalence._triple()
+    def test_matches_tensor_path(self, axis, where):
+        t = TestFusedSplineEquivalence._triple(nan=False)
         pts = self._line_points(axis, where)
-        line, tensor = self._both_paths(t, pts, taken)
-        self._assert_close(line, tensor)
-        if where != "nodes":
-            # the whole-box reference, away from the nodes where the swept
-            # coordinate of the tensor path may round to the stencil below
-            self._assert_close(line, _rows(_not_a_knot_eval(t, pts), pts))
+        _assert_close(self._values(t, pts), _rows(_tensor_eval(t, pts), pts))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_nan_stays_in_its_component(self, axis, taken):
-        _, h, _ = TestFusedSplineEquivalence._triple().eval_at(self._line_points(axis, "midpoints"))
-        assert taken == ["_line"]
-        nan = np.isnan(h)
-        component = (slice(None),) + TestFusedSplineEquivalence.NAN_COMPONENT
-        assert nan[component].all()
-        nan[component] = False
-        assert not nan.any()
+    def test_nan_stays_in_its_component(self, axis):
+        _assert_nan_on_lines_through(TestFusedSplineEquivalence,
+                                     TestFusedSplineEquivalence._triple(),
+                                     self._line_points(axis, "midpoints"), axis)
 
-    def test_nan_off_axis_coordinate_takes_tensor_path(self, taken):
+    def test_nan_off_axis_coordinate_raises(self):
         t = TestFusedSplineEquivalence._triple()
         pts = self._line_points(0, "midpoints")
-        line, _ = self._both_paths(t, pts, taken)
         pts[3, 2] = np.nan
-        got = np.concatenate([c.reshape(len(pts), -1) for c in t.eval_at(pts)], axis=1)
-        assert taken[-1] == "_tensor"
-        assert np.isnan(got[3]).all()
-        self._assert_close(np.delete(got, 3, axis=0), np.delete(line, 3, axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionFailed, match="grid lines"):
+                t.eval_at(pts)
+            with pytest.raises(PreconditionFailed, match="grid lines"):
+                t.eval_at(np.concatenate([self._line_points(0, "midpoints"), self.OFF_GRID]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coordinates_raise_no_warning(self, bad, taken):
+    def test_non_finite_coordinates_raise_no_warning(self, bad):
         t = TestFusedSplineEquivalence._triple()
         pts = self._line_points(1, "midpoints")[:5]
         swept, off_axis = pts.copy(), pts.copy()
@@ -639,11 +672,10 @@ class TestLinePath:
         off_axis[2, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            line = t.eval_at(swept)
-            assert taken[-1] == "_line"
-            tensor = t.eval_at(np.concatenate([swept, self.OFF_GRID]))
-            t.eval_at(off_axis)
-            assert taken[-1] == "_tensor"
-            t.eval_at(np.full((1, 3), bad))
-        for got, ref in zip(line, tensor):
-            self._assert_close(got.reshape(len(swept), -1), ref[:-1].reshape(len(swept), -1))
+            line = self._values(t, swept)
+            for points in (off_axis, np.full((1, 3), bad)):
+                with pytest.raises(PreconditionFailed, match="grid lines"):
+                    t.eval_at(points)
+        assert np.isnan(line[2]).all()
+        keep = [0, 1, 3, 4]
+        _assert_close(line[keep], self._values(t, pts)[keep])

@@ -9,7 +9,12 @@ import pytest
 
 from spaceform_lab import verify as verify_module
 from spaceform_lab.ambient import SpaceFormSpec
-from spaceform_lab.errors import DegenerateTriple, GridMismatch, NonHolonomicSample
+from spaceform_lab.errors import (
+    DegenerateMetric,
+    DegenerateTriple,
+    GridMismatch,
+    NonHolonomicSample,
+)
 from spaceform_lab.gallery import PhiFamily, closed_form_transform, phi_state
 from spaceform_lab.grid import (
     ParameterGrid,
@@ -70,6 +75,17 @@ class TestFundamentalForms:
     def test_flat_plane_vanishing_II(self):
         forms = fundamental_forms(flat_plane_sample())
         assert np.abs(forms.II).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["constant", "independent_of_u3"])
+    def test_singular_metric_everywhere_raises(self, case):
+        grid = ParameterGrid.centered(0.5, 7)
+        X1, X2, _ = grid.meshes()
+        if case == "constant":
+            pos = np.broadcast_to([0.1, 0.2, 0.3, 0.4], tuple(grid.n) + (4,)).copy()
+        else:
+            pos = np.stack([X1, X2, X1 * X2, 0.2 + 0 * X1], axis=-1)
+        with pytest.raises(DegenerateMetric):
+            fundamental_forms(ImmersionSample(grid, pos, FLAT))
 
     def test_normal_continuity(self):
         s = sphere_patch_sample()
