@@ -68,12 +68,11 @@ def _family(cfg):
     fam_cfg = (cfg.ribaucour or {}).get("family")
     if fam_cfg is None:
         return None
-    kw = {k: fam_cfg[k] for k in ("K", "a", "rho", "theta") if k in fam_cfg}
-    if "phases" in fam_cfg:
-        kw["phases"] = tuple(fam_cfg["phases"])
+    kw = dict(fam_cfg)              # the schema's family keys are PhiFamily's fields
+    if "phases" in kw:
+        kw["phases"] = tuple(kw["phases"])
     amb = cfg.ambient
-    fam = gal.PhiFamily(fam_cfg["kind"], c=amb.get("c", 0.0),
-                        eps=1 - 2 * amb.get("s", 0), **kw)
+    fam = gal.PhiFamily(c=amb.get("c", 0.0), eps=1 - 2 * amb.get("s", 0), **kw)
     own = {"gallery": fam.seed_kind}
     if fam.C is not None:
         own["C"] = fam.C

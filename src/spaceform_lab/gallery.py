@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,8 @@ def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
     if kind == "cflat":
         if c != 0:
             raise InvalidParams("the conformally flat seed requires c = 0")
+        if C is not None:
+            raise InvalidParams("the conformally flat seed takes no C")
         return TripleField.constant(grid, (1, -1, 1), spec, v=(0, 1, 1), V=(1, 0, 0))
     p, q, delta, c_sign = _SEED_TABLE[kind]
     if C is None or C * c_sign <= 0:
@@ -172,113 +175,115 @@ def closed_form_frame(kind, spec: SpaceFormSpec, C=None):
 # phi-ODE families
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("problemstar", "problemstar_sphere", "cflat")
+# (phi_i shape, its derivative) of one axis: cosh for k_i > 0, sin or cos for k_i < 0
+_COSH = (np.cosh, np.sinh)
+_SIN = (np.sin, np.cos)
+_COS = (np.cos, lambda t: -np.sin(t))
+
+
+class _FamilyKind(NamedTuple):
+    seed_kind: str
+    ks: Callable            # family -> (k1, k2, k3) of phi_i'' = k_i phi_i
+    signs: tuple            # the sign each k_i must have
+    axes: tuple             # (shape, derivative) of each phi_i
+    ambient: tuple          # the fixed (c, eps), or None
+    default_a: float        # a when none is given; None: the kind takes no a
+    C: Callable             # family -> the seed's C (None: the seed has no C)
+    K2target: float
+
+
+_FAMILY_TABLE = {
+    "problemstar": _FamilyKind(
+        "problemstar_e1_Cneg",
+        lambda f: (f.K * f.a - f.c, -(f.eps * f.a**2 + f.K * f.a), f.K * f.a),
+        (1, -1, 1), (_COSH, _SIN, _COSH), None, 1.0, lambda f: -f.a**2, 1.0),
+    "problemstar_sphere": _FamilyKind(
+        "problemstar_e1_Cpos",
+        lambda f: (-(1.0 + f.K), f.K, -(1.0 + f.K)),
+        (1, -1, 1), (_COSH, _SIN, _COSH), (1.0, 1), None, lambda f: 1.0, 1.0),
+    "cflat": _FamilyKind(
+        "cflat",
+        lambda f: (f.K - f.eps, -f.K, f.K),
+        (-1, 1, -1), (_COS, _COSH, _COS), (0.0, 1), None, lambda f: None, 0.0),
+}
+FAMILY_KINDS = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
 class PhiFamily:
     """One-parameter-per-axis solutions feeding the transformation system.
 
-    problemstar:        seed v=(1,0,0), V=a(0,1,0) in Q^4(c); needs
-                        K a > 0, K a - c > 0, eps a^2 + K a > 0.
-    problemstar_sphere: seed v=(1,0,0), V=(0,0,1) in S^4 (c=1); needs K < -1.
-    cflat:              seed v=(0,1,1), V=(1,0,0) in R^4 (c=0); needs K < 0,
-                        eps = 1.
+    problemstar:        seed v=(1,0,0), V=a(0,1,0) in Q^4(c), C = -a^2.
+    problemstar_sphere: seed v=(1,0,0), V=(0,0,1) in S^4 (c=1, eps=1).
+    cflat:              seed v=(0,1,1), V=(1,0,0) in R^4 (c=0, eps=1).
 
-    rho scales all amplitudes, theta splits them; phases shift each phi_i.
+    The branch rule is the signs of the k_i in phi_i'' = k_i phi_i
+    (``ode_coefficients``): (+, -, +) for both Problem-* kinds, (-, +, -) for
+    cflat.  Only problemstar takes ``a`` (a > 0, default 1).  rho scales all
+    amplitudes, theta splits them; phases shift each phi_i.
     """
 
     kind: str
     K: float
     rho: float = 1.0
     theta: float = math.pi / 4
-    a: float = 1.0
+    a: float = None
     c: float = 0.0
     eps: int = 1
     phases: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        row = _FAMILY_TABLE.get(self.kind)
+        if row is None:
             raise InvalidParams(f"unknown family kind {self.kind!r}")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise InvalidParams("rho must be positive")
-        if self.kind == "problemstar":
-            if self.a <= 0:
-                raise InvalidParams("a = sqrt(-C) must be positive")
-            for name, val in (("K a", self.K * self.a),
-                              ("K a - c", self.K * self.a - self.c),
-                              ("eps a^2 + K a", self.eps * self.a**2 + self.K * self.a)):
-                if val <= 0:
-                    raise InvalidParams(f"family branch needs {name} > 0, got {val}")
-        elif self.kind == "problemstar_sphere":
-            if self.K >= -1:
-                raise InvalidParams("sphere family needs K < -1")
-            if self.c != 1.0 or self.eps != 1:
-                raise InvalidParams("sphere family is built in S^4: c = 1, eps = 1")
-        else:
-            if self.K >= 0:
-                raise InvalidParams("conformally flat family needs K < 0")
-            if self.c != 0.0 or self.eps != 1:
-                raise InvalidParams("conformally flat family lives in R^4 with eps = 1")
+        if self.a is None:
+            object.__setattr__(self, "a", row.default_a)
+        elif row.default_a is None:
+            raise InvalidParams(f"the {self.kind} family takes no a")
+        elif not self.a > 0:
+            raise InvalidParams(f"a = sqrt(-C) must be positive, got {self.a}")
+        if row.ambient is not None and (self.c, self.eps) != row.ambient:
+            raise InvalidParams(f"the {self.kind} family is built in (c, eps) = {row.ambient}")
+        for i, (k, sign) in enumerate(zip(self.ode_coefficients(), row.signs)):
+            if not k * sign > 0:         # NaN fails too
+                raise InvalidParams(f"the {self.kind} family branch needs "
+                                    f"k{i + 1} {'>' if sign > 0 else '<'} 0, got {k}")
+
+    @property
+    def _row(self) -> _FamilyKind:
+        return _FAMILY_TABLE[self.kind]
 
     # -- oscillator data ----------------------------------------------------
 
     @property
     def omegas(self):
-        """Frequencies (w1, w2, w3) of the three phi ODEs on the valid branch."""
-        if self.kind == "problemstar":
-            return (math.sqrt(self.K * self.a - self.c),
-                    math.sqrt(self.eps * self.a**2 + self.K * self.a),
-                    math.sqrt(self.K * self.a))
-        if self.kind == "problemstar_sphere":
-            return (math.sqrt(-1.0 - self.K), math.sqrt(-self.K),
-                    math.sqrt(-1.0 - self.K))
-        return (math.sqrt(self.eps - self.K), math.sqrt(-self.K),
-                math.sqrt(-self.K))
+        """Frequencies (w1, w2, w3) = sqrt|k_i| of the three phi ODEs."""
+        return tuple(math.sqrt(abs(k)) for k in self.ode_coefficients())
 
     @property
     def amplitudes(self):
         w1, w2, w3 = self.omegas
-        if self.kind == "cflat":
-            return (self.rho * (w2 / w1) * math.cos(self.theta),
-                    self.rho,
-                    self.rho * math.sin(self.theta))
         return (self.rho * (w2 / w1) * math.cos(self.theta),
                 self.rho,
                 self.rho * (w2 / w3) * math.sin(self.theta))
 
     def phi(self, i, x):
         """phi_i(x) (0-based component index)."""
-        w = self.omegas[i]
-        r = self.amplitudes[i]
-        arg = np.asarray(x, dtype=float) * w + self.phases[i]
-        if self.kind == "problemstar":
-            shape = (np.cosh, np.sin, np.cosh)[i]
-        elif self.kind == "problemstar_sphere":
-            shape = (np.cosh, np.sin, np.cosh)[i]
-        else:
-            shape = (np.cos, np.cosh, np.cos)[i]
-        return r * shape(arg)
+        shape, _ = self._row.axes[i]
+        arg = np.asarray(x, dtype=float) * self.omegas[i] + self.phases[i]
+        return self.amplitudes[i] * shape(arg)
 
     def dphi(self, i, x):
+        _, d = self._row.axes[i]
         w = self.omegas[i]
-        r = self.amplitudes[i]
         arg = np.asarray(x, dtype=float) * w + self.phases[i]
-        if self.kind == "cflat":
-            d = (lambda t: -np.sin(t), np.sinh, lambda t: -np.sin(t))[i]
-        else:
-            d = (np.sinh, np.cos, np.sinh)[i]
-        return r * w * d(arg)
+        return self.amplitudes[i] * w * d(arg)
 
     def ode_coefficients(self):
         """k_i in phi_i'' = k_i phi_i."""
-        if self.kind == "problemstar":
-            return (self.K * self.a - self.c,
-                    -(self.eps * self.a**2 + self.K * self.a),
-                    self.K * self.a)
-        if self.kind == "problemstar_sphere":
-            return (-(1.0 + self.K), self.K, -(1.0 + self.K))
-        return (self.K - self.eps, -self.K, self.K)
+        return self._row.ks(self)
 
     def brackets(self, x=(0.0, 0.0, 0.0)):
         """The three conserved bracket values phi_i'^2 - k_i phi_i^2."""
@@ -292,17 +297,11 @@ class PhiFamily:
 
     @property
     def seed_kind(self) -> str:
-        return {"problemstar": "problemstar_e1_Cneg",
-                "problemstar_sphere": "problemstar_e1_Cpos",
-                "cflat": "cflat"}[self.kind]
+        return self._row.seed_kind
 
     @property
     def C(self):
-        if self.kind == "problemstar":
-            return -self.a**2
-        if self.kind == "problemstar_sphere":
-            return 1.0
-        return None
+        return self._row.C(self)
 
     @property
     def spec(self) -> SpaceFormSpec:
@@ -310,7 +309,7 @@ class PhiFamily:
 
     @property
     def K2target(self) -> float:
-        return 0.0 if self.kind == "cflat" else 1.0
+        return self._row.K2target
 
     def seed_triple(self, grid: ParameterGrid) -> TripleField:
         return trivial_seed(self.seed_kind, grid, c=self.c,
@@ -330,21 +329,7 @@ class PhiFamily:
         u = [points[..., i] for i in range(3)]
         p = [self.phi(i, u[i]) for i in range(3)]
         dp = [self.dphi(i, u[i]) for i in range(3)]
-        if self.kind == "problemstar":
-            ka = self.K * self.a
-            phi = p[0] / ka
-            beta = (self.eps / self.K) * p[1]
-            gamma = np.stack([dp[0] / ka, -dp[1] / ka, dp[2] / ka], axis=-1)
-            psi = (p[0] ** 2 - p[1] ** 2 + p[2] ** 2) / (2.0 * p[0])
-            vprime = np.stack([1.0 - p[0] / psi, -p[1] / psi, -p[2] / psi], axis=-1)
-        elif self.kind == "problemstar_sphere":
-            phi = -p[0] / self.K
-            beta = p[2] / self.K
-            gamma = np.stack([-dp[0] / self.K, dp[1] / self.K, -dp[2] / self.K],
-                             axis=-1)
-            psi = (p[0] ** 2 - p[1] ** 2 + p[2] ** 2) / (2.0 * p[0])
-            vprime = np.stack([1.0 - p[0] / psi, -p[1] / psi, -p[2] / psi], axis=-1)
-        else:
+        if self.kind == "cflat":
             phi = (p[2] - p[1]) / self.K
             beta = (self.eps / self.K) * p[0]
             gamma = np.stack([-dp[0] / self.K, -dp[1] / self.K, dp[2] / self.K],
@@ -352,6 +337,15 @@ class PhiFamily:
             psi = (p[0] ** 2 - p[1] ** 2 + p[2] ** 2) / (2.0 * (p[2] - p[1]))
             vprime = np.stack([p[0] / psi, 1.0 - p[1] / psi, 1.0 - p[2] / psi],
                               axis=-1)
+            return gamma, vprime, phi, psi, beta
+        # both Problem-* kinds: phi = p1 / d and gamma = (dp1, -dp2, dp3) / d
+        sphere = self.kind == "problemstar_sphere"
+        d = -self.K if sphere else self.K * self.a
+        phi = p[0] / d
+        beta = p[2] / self.K if sphere else (self.eps / self.K) * p[1]
+        gamma = np.stack([dp[0] / d, -dp[1] / d, dp[2] / d], axis=-1)
+        psi = (p[0] ** 2 - p[1] ** 2 + p[2] ** 2) / (2.0 * p[0])
+        vprime = np.stack([1.0 - p[0] / psi, -p[1] / psi, -p[2] / psi], axis=-1)
         return gamma, vprime, phi, psi, beta
 
 

@@ -73,7 +73,7 @@ CONFIG_SCHEMA = {
                 "family": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["kind"],
+                    "required": ["kind", "K"],
                     "properties": {
                         "kind": {"type": "string"},
                         "K": _NUM,
@@ -147,6 +147,15 @@ def _pointer(err) -> str:
     return "/" + "/".join(str(p) for p in err.absolute_path)
 
 
+def _non_finite(node, pointer=""):
+    """Pointers of the numbers in ``node`` that are not finite, in document order."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield pointer
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _non_finite(value, f"{pointer}/{key}")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     import jsonschema               # slow to import, and only validation needs it
 
@@ -158,14 +167,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if err.context:
             err = max(err.context, key=lambda e: len(list(e.absolute_path)))
         raise SchemaError(err.message, _pointer(err))
-    numbers = [v for part in ("lo", "hi") for v in doc["grid"][part]]
-    if not all(math.isfinite(x) for x in numbers):
-        raise SchemaError("grid corners must be finite", "/grid")
-    for key, value in doc.get("tolerances", {}).items():
-        if not math.isfinite(value):
-            raise SchemaError("tolerances must be finite", f"/tolerances/{key}")
-    if not math.isfinite(doc.get("max_step", 1.0)):
-        raise SchemaError("max_step must be finite", "/max_step")
+    pointer = next(_non_finite(doc), None)
+    if pointer is not None:
+        raise SchemaError("every number must be finite", pointer)
     g = doc["grid"]
     grid = ParameterGrid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n"]),
                          tuple(g["base"]) if "base" in g else None)

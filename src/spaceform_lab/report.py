@@ -57,9 +57,8 @@ class ResidualReport:
 
     @property
     def overall_max(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(e.max for e in self.entries.values())
+        """The largest entry max, 0 with no entries, NaN if any entry is NaN."""
+        return float(np.max([0.0, *(e.max for e in self.entries.values())]))
 
     def ok(self, threshold) -> bool:
         return self.overall_max <= threshold

@@ -282,7 +282,8 @@ class InvariantDrift:
 
     @property
     def overall(self) -> float:
-        return max(self.K1, self.K2, self.Omega)
+        """The largest drift, NaN if any is NaN."""
+        return float(np.max((self.K1, self.K2, self.Omega)))
 
 
 def invariant_fields(rf: RibaucourField):

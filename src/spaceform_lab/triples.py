@@ -408,7 +408,7 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
             )
     if integrability_tol is not None:
         res = triple_residuals(t)
-        if res.overall_max > integrability_tol:
+        if not res.overall_max <= integrability_tol:     # NaN fails too
             raise PreconditionFailed(
                 f"seed residual {res.overall_max:.3e} exceeds {integrability_tol:.1e}"
             )

@@ -68,6 +68,10 @@ class TestTrivialSeeds:
         with pytest.raises(InvalidParams):
             trivial_seed("cflat", grid21, c=1.0, s=0)
 
+    def test_cflat_takes_no_C(self, grid21):
+        with pytest.raises(InvalidParams, match="takes no C"):
+            trivial_seed("cflat", grid21, c=0.0, s=0, C=7.0)
+
     def test_unknown_kind(self, grid21):
         with pytest.raises(InvalidParams):
             trivial_seed("moebius", grid21)
@@ -163,6 +167,26 @@ class TestPhiFamilies:
             PhiFamily("cflat", K=0.5, c=0.0, eps=1)
         with pytest.raises(InvalidParams):
             PhiFamily("cflat", K=-1.0, c=1.0, eps=1)
+
+    @pytest.mark.parametrize("fam_kw", [
+        dict(kind="problemstar_sphere", K=-2.0, c=1.0, eps=1, a=1.0),
+        dict(kind="cflat", K=-1.0, c=0.0, eps=1, a=5.0),
+    ])
+    def test_a_only_for_problemstar(self, fam_kw):
+        with pytest.raises(InvalidParams, match="takes no a"):
+            PhiFamily(**fam_kw)
+        assert PhiFamily("problemstar", K=1.0).a == 1.0
+
+    @pytest.mark.parametrize("fam_kw", [
+        dict(kind="problemstar", K=math.nan, c=0.0, eps=1),
+        dict(kind="problemstar", K=1.0, a=math.nan, c=0.0, eps=1),
+        dict(kind="problemstar_sphere", K=math.nan, c=1.0, eps=1),
+        dict(kind="cflat", K=math.nan, c=0.0, eps=1),
+    ])
+    def test_nan_parameters_rejected(self, fam_kw):
+        # every branch condition is false for NaN, so each kind used to accept it
+        with pytest.raises(InvalidParams):
+            PhiFamily(**fam_kw)
 
     def test_phi_odes_satisfied(self):
         fam = PhiFamily("problemstar", K=1.2, a=0.9, c=0.3, eps=1, rho=0.7,

@@ -190,6 +190,14 @@ class TestResidualReport:
         assert rep.overall_max == 1e-7
         assert rep.ok(1e-6) and not rep.ok(1e-8)
 
+    @pytest.mark.parametrize("values", [(0.0, np.nan), (np.nan, 0.0)])
+    def test_nan_entry_fails_in_either_order(self, values):
+        rep = ResidualReport()
+        for name, value in zip("ab", values):
+            rep.add(name, np.array([value]))
+        assert np.isnan(rep.overall_max)
+        assert not rep.ok(1.0)
+
     def test_round_trip_dict(self):
         rep = ResidualReport(metadata={"scheme": "rk4"})
         rep.add("a", np.array([0.5]))

@@ -98,6 +98,32 @@ class TestLoadConfig:
             parse_config(doc)
         assert err.value.pointer == f"/tolerances/{key}"
 
+    FINITE_STATE = {"gamma": [0.1, 0.0, 0.0], "vprime": [0.0, 0.0, 1.0],
+                    "phi": 1.0, "beta": 0.0}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pointer, extra", [
+        ("/ambient/c", {"ambient": {"c": 0.0, "s": 0}}),
+        ("/seed/C", {}),
+        ("/seed/triple/v/1", {"seed": {"triple": {"v": [1.0, 0.0, 0.0], "V": [0.0, 1.0, 0.0],
+                                                  "delta": [1, -1, 1]}}}),
+        ("/ribaucour/family/theta",
+         {"ribaucour": {"family": {"kind": "problemstar", "K": 1.0, "theta": 0.5}}}),
+        ("/ribaucour/state/gamma/0", {"ribaucour": {"state": FINITE_STATE}}),
+        ("/ribaucour/k2_target", {"ribaucour": {"state": FINITE_STATE, "k2_target": 1.0}}),
+    ])
+    def test_nonfinite_number_pointer(self, pointer, extra, value):
+        doc = json.loads(json.dumps(dict(MINIMAL, **extra)))
+        parse_config(doc)                           # valid while the number is finite
+        *path, last = pointer[1:].split("/")
+        node = doc
+        for key in path:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        with pytest.raises(SchemaError) as err:
+            parse_config(doc)
+        assert err.value.pointer == pointer
+
 
 class TestExportCsv:
     def test_constant_field_rows(self, tmp_path):
@@ -690,6 +716,39 @@ def test_seed_beside_family_must_be_its_own(tmp_path, capsys, cmd, seed):
     assert run([cmd, "--config", cfg]) == 1
     assert "(at /seed)" in capsys.readouterr().err
     assert not (tmp_path / "rep.json").exists() and not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("cmd, pointer, edit", [
+    # NaN curvature: 3.iii reads NaN, and the report used to pass it
+    ("verify-triple", "/ambient/c", lambda doc: doc["ambient"].update(c=math.nan)),
+    ("ribaucour", "/ribaucour/family", lambda doc: doc["ribaucour"]["family"].pop("K")),
+], ids=["nan_c", "family_without_K"])
+def test_config_rejected_at_pointer(tmp_path, capsys, cmd, pointer, edit):
+    doc = json.loads(json.dumps(RIBAUCOUR_DOC))
+    doc["outputs"] = {"report": str(tmp_path / "rep.json")}
+    edit(doc)
+    assert run([cmd, "--config", write_config(tmp_path, doc)]) == 1
+    assert f"(at {pointer})" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("seed, ambient, family, key", [
+    # only the Problem-* seeds have a C, and only problemstar reads a
+    ({"gallery": "cflat", "C": 7.0}, {"c": 0.0}, None, "C"),
+    ({"gallery": "cflat"}, {"c": 0.0}, {"kind": "cflat", "K": -1.0, "a": 5.0}, "a"),
+    ({"gallery": "problemstar_e1_Cpos", "C": 1.0}, {"c": 1.0},
+     {"kind": "problemstar_sphere", "K": -2.0, "a": 1.0}, "a"),
+], ids=["cflat_seed_C", "cflat_family_a", "sphere_family_a"])
+def test_key_the_kind_does_not_read_rejected(tmp_path, capsys, seed, ambient, family, key):
+    doc = {"seed": seed, "ambient": ambient, "grid": RIBAUCOUR_DOC["grid"],
+           "outputs": {"report": str(tmp_path / "rep.json")}}
+    if family is not None:
+        doc["ribaucour"] = {"family": family}
+    assert run(["verify-triple", "--config", write_config(tmp_path, doc)]) == 1
+    assert f"takes no {key}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+    (family or seed).pop(key)                   # the same config without the key runs
+    assert run(["verify-triple", "--config", write_config(tmp_path, doc)]) == 0
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"

@@ -103,3 +103,23 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          text=True)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_family_parser_matches_cli(monkeypatch):
+    """``bench/workloads.family`` copies ``cli._family``: on every benchmark
+    config with a family, both build the same ``PhiFamily``."""
+    from spaceform_lab import cli
+    from spaceform_lab.io import parse_config
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    checked = 0
+    for workload in workloads.WORKLOADS.values():
+        for seed in range(3):
+            for doc in workload.configs(workloads.theta_for(seed)).values():
+                cfg = parse_config(doc)
+                if "family" in (cfg.ribaucour or {}):
+                    assert workloads.family(cfg) == cli._family(cfg)
+                    checked += 1
+    assert checked

@@ -17,6 +17,7 @@ from spaceform_lab.frames import integrate_frame
 from spaceform_lab.gallery import PhiFamily, phi_state, seed_frame_state, trivial_seed
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
+    InvariantDrift,
     RibaucourState,
     integrate_ribaucour,
     invariant_drift,
@@ -143,6 +144,11 @@ class TestInvariants:
         _, _, rf, _ = pipeline62
         d = invariant_drift(rf)
         assert d.K1 <= 1e-8 and d.K2 <= 1e-8 and d.Omega <= 1e-8
+
+    @pytest.mark.parametrize("drifts", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0),
+                                        (0.0, 0.0, math.nan)])
+    def test_nan_drift_is_the_overall(self, drifts):
+        assert math.isnan(InvariantDrift(*drifts).overall)
 
     def test_zero_field(self, grid21):
         t = trivial_seed("problemstar_e1_Cneg", grid21, c=0.0, s=0, C=-1.0)

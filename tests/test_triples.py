@@ -22,6 +22,7 @@ from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import transformed_triple
 from spaceform_lab.triples import (
     TripleField,
+    check_sweep_input,
     classify,
     companion_V,
     delta_inner,
@@ -56,6 +57,14 @@ class TestTripleResiduals:
     def test_seedcf_exact(self):
         rep = triple_residuals(seedcf(grid9()))
         assert rep.overall_max == 0.0
+
+    def test_nan_curvature_fails_the_sweep_precondition(self):
+        # c = NaN makes only 3.iii NaN, behind finite entries
+        g = grid9()
+        t = trivial_seed("problemstar_e1_Cneg", g, c=math.nan, s=0, C=-1.0)
+        assert math.isnan(triple_residuals(t)["3.iii"].max)
+        with pytest.raises(PreconditionFailed):
+            check_sweep_input(t, g, 1e-8)
 
     def test_perturbed_h12_hits_the_stencil(self):
         # bump h_12 by +0.1 at one interior node of the conformally flat seed
