@@ -118,6 +118,8 @@ class SpaceFormSpec:
     def __post_init__(self):
         if self.s not in (0, 1):
             raise InvalidParams(f"index s must be 0 or 1, got {self.s}")
+        if not math.isfinite(self.c):
+            raise InvalidParams(f"curvature c must be finite, got {self.c}")
 
     @property
     def eps(self) -> int:

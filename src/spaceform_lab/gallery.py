@@ -69,7 +69,7 @@ def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
             raise InvalidParams("the conformally flat seed takes no C")
         return TripleField.constant(grid, (1, -1, 1), spec, v=(0, 1, 1), V=(1, 0, 0))
     p, q, delta, c_sign = _SEED_TABLE[kind]
-    if C is None or C * c_sign <= 0:
+    if C is None or not C * c_sign > 0:      # NaN fails too
         raise InvalidParams(f"seed {kind} needs C with sign {c_sign:+d}, got {C}")
     v = np.zeros(3)
     v[p] = 1.0
@@ -123,7 +123,7 @@ def closed_form_frame(kind, spec: SpaceFormSpec, C=None):
         return frame
 
     p, q, _, c_sign = _SEED_TABLE[kind]
-    if C is None or C * c_sign <= 0:
+    if C is None or not C * c_sign > 0:      # NaN fails too
         raise InvalidParams(f"seed {kind} needs C with sign {c_sign:+d}")
     b = math.sqrt(abs(C))
     eps = spec.eps

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionFailed,
     UmbilicSetError,
 )
-from .grid import ParameterGrid, grid_partials, partial_derivative, stencil_halo
+from .grid import ParameterGrid, partial_derivative, stencil_halo
 from .report import ResidualReport
 
 CANONICAL_DELTA = (1, -1, 1)
@@ -208,9 +208,16 @@ class TripleField:
 
     @classmethod
     def constant(cls, grid, delta, spec, v, V):
-        """Constant closed-form triple with h = 0."""
+        """Constant closed-form triple with h = 0.
+
+        Each callable returns one read-only array per batch shape and hands
+        it out again while the shape repeats, as it does for every call of a
+        sweep's axis phase."""
         v = np.asarray(v, dtype=float)
         V = np.asarray(V, dtype=float)
+        if v.size != 3 or V.size != 3:
+            raise InvalidParams(f"a constant triple needs 3 values of v and of V, "
+                                f"got {v.size} and {V.size}")
 
         vcol = v.reshape(3, 1)
         Vcol = V.reshape(3, 1)
@@ -223,21 +230,28 @@ class TripleField:
                 shape = np.broadcast(u1, u2, u3).shape
             return shape
 
-        def filled(col, u1, u2, u3):
-            out = np.empty((3,) + shape_of(u1, u2, u3))
+        def filled(col, shape):
+            out = np.empty((3,) + shape)
             out.reshape(3, -1)[...] = col
             return out
 
-        def v_fn(u1, u2, u3):
-            return filled(vcol, u1, u2, u3)
+        def reused(make):
+            last_shape, last = None, None
 
-        def V_fn(u1, u2, u3):
-            return filled(Vcol, u1, u2, u3)
+            def fn(u1, u2, u3):
+                nonlocal last_shape, last
+                shape = shape_of(u1, u2, u3)
+                if shape != last_shape:
+                    last = make(shape)
+                    last.flags.writeable = False
+                    last_shape = shape
+                return last
+            return fn
 
-        def h_fn(u1, u2, u3):
-            return np.zeros((3, 3) + shape_of(u1, u2, u3))
-
-        return cls.from_functions(grid, delta, spec, v_fn, V_fn, h_fn)
+        return cls.from_functions(grid, delta, spec,
+                                  v_fn=reused(lambda shape: filled(vcol, shape)),
+                                  V_fn=reused(lambda shape: filled(Vcol, shape)),
+                                  h_fn=reused(lambda shape: np.zeros((3, 3) + shape)))
 
     # --- sampled views ----------------------------------------------------
 
@@ -275,7 +289,9 @@ class TripleField:
     def eval_at(self, points):
         """(v, h, V) at points, shape (..., 3) -> components last.
 
-        Uses the closed forms when available.  Sampled data are read through
+        Uses the closed forms when available.  The values of a
+        ``TripleField.constant`` triple are read-only and may be shared
+        between calls.  Sampled data are read through
         ``_CubicSpline``, built on the first call, whose docstring states
         where it can be evaluated, its accuracy and its costs.
         """
@@ -319,9 +335,10 @@ def h_from_v(v, spacing):
     return h
 
 
-def compatibility_residuals(v, h, V, spacing, eps, c):
-    """Residual stacks of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
-    3.iv (6) of sampled (v, h, V) in a space form with (eps, c).
+def _compatibility_rows(v, h, V, spacing, eps, c):
+    """Residual rows of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
+    3.iv (6) of sampled (v, h, V) in a space form with (eps, c), one grid
+    plane at a time, in that order.
 
     Only the derivatives the equations read are taken: 12 of the 27 dh_ij/du_a
     and the 6 off-diagonal dV_i/du_j.
@@ -329,17 +346,52 @@ def compatibility_residuals(v, h, V, spacing, eps, c):
     def d(values, a):
         return partial_derivative(values, a, spacing[a])
 
-    res_ii = []
     for i, k in itertools.permutations(range(3), 2):
         j = 3 - i - k
-        res_ii.append(d(h[i, k], j) - h[i, j] * h[j, k])
-    res_iii = []
+        yield d(h[i, k], j) - h[i, j] * h[j, k]
     for i, j in itertools.combinations(range(3), 2):
         k = 3 - i - j
-        res_iii.append(d(h[i, j], i) + d(h[j, i], j) + h[k, i] * h[k, j]
-                       + eps * V[i] * V[j] + c * v[i] * v[j])
-    res_iv = [d(V[i], j) - h[j, i] * V[j] for i, j in itertools.permutations(range(3), 2)]
-    return np.stack(res_ii), np.stack(res_iii), np.stack(res_iv)
+        yield (d(h[i, j], i) + d(h[j, i], j) + h[k, i] * h[k, j]
+               + eps * V[i] * V[j] + c * v[i] * v[j])
+    for i, j in itertools.permutations(range(3), 2):
+        yield d(V[i], j) - h[j, i] * V[j]
+
+
+def _stacks(rows, counts):
+    """The next counts[0], counts[1], ... rows of ``rows``, one stack each."""
+    return [np.stack(list(itertools.islice(rows, n))) for n in counts]
+
+
+def compatibility_residuals(v, h, V, spacing, eps, c):
+    """Residual stacks of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
+    3.iv (6) of sampled (v, h, V) in a space form with (eps, c)."""
+    return tuple(_stacks(_compatibility_rows(v, h, V, spacing, eps, c), (6, 3, 6)))
+
+
+# the entries of triple_residuals and their row counts, in the order of _triple_rows
+_TRIPLE_ENTRIES = (("3.i", 6), ("3.ii", 6), ("3.iii", 3), ("3.iv", 6), ("4", 3), ("5", 3))
+
+
+def _triple_rows(t: TripleField):
+    """Residual rows of every equation of ``triple_residuals``, one grid plane
+    at a time, in the order of ``_TRIPLE_ENTRIES``."""
+    t.grid.require_resolution(5)
+    v, h, V = t.v, t.h, t.V
+    delta = t.delta
+    sp = t.grid.spacing
+
+    def d(values, a):
+        return partial_derivative(values, a, sp[a])
+
+    for i, j in itertools.permutations(range(3), 2):
+        yield d(v[i], j) - h[j, i] * v[j]
+    yield from _compatibility_rows(v, h, V, sp, t.spec.eps, t.spec.c)
+    for i in range(3):
+        j, k = [a for a in range(3) if a != i]
+        yield delta[i] * d(v[i], i) + delta[j] * h[i, j] * v[j] + delta[k] * h[i, k] * v[k]
+    for i in range(3):
+        j, k = [a for a in range(3) if a != i]
+        yield delta[i] * d(V[i], i) + delta[j] * h[i, j] * V[j] + delta[k] * h[i, k] * V[k]
 
 
 def triple_residuals(t: TripleField) -> ResidualReport:
@@ -348,36 +400,25 @@ def triple_residuals(t: TripleField) -> ResidualReport:
     Entries: '3.i', '3.ii', '3.iii', '3.iv', '4', '5'.  Derivatives follow
     the module stencil (central interior, one-sided faces, both order 2).
     """
-    t.grid.require_resolution(5)
-    v, h, V = t.v, t.h, t.V
-    delta = t.delta
-    sp = t.grid.spacing
-
-    dv = [grid_partials(v[i], t.grid) for i in range(3)]      # dv[i][a] = dv_i/du_a
-    res_ii, res_iii, res_iv = compatibility_residuals(v, h, V, sp, t.spec.eps, t.spec.c)
-
+    rows = _triple_rows(t)
     mask = _stencil_safe_mask(t)
     report = ResidualReport(metadata={"stencil": "order-2 central/one-sided",
-                                      "spacing": list(sp)})
-
-    res_i = [dv[i][j] - h[j, i] * v[j] for i, j in itertools.permutations(range(3), 2)]
-    res_4, res_5 = [], []
-    for i in range(3):
-        j, k = [a for a in range(3) if a != i]
-        res_4.append(delta[i] * dv[i][i] + delta[j] * h[i, j] * v[j]
-                     + delta[k] * h[i, k] * v[k])
-        res_5.append(delta[i] * partial_derivative(V[i], i, sp[i]) + delta[j] * h[i, j] * V[j]
-                     + delta[k] * h[i, k] * V[k])
-
-    stackmask = np.broadcast_to(mask, (6,) + mask.shape)
-    trimask = np.broadcast_to(mask, (3,) + mask.shape)
-    report.add("3.i", np.stack(res_i), stackmask)
-    report.add("3.ii", res_ii, stackmask)
-    report.add("3.iii", res_iii, trimask)
-    report.add("3.iv", res_iv, stackmask)
-    report.add("4", np.stack(res_4), trimask)
-    report.add("5", np.stack(res_5), trimask)
+                                      "spacing": list(t.grid.spacing)})
+    names, counts = zip(*_TRIPLE_ENTRIES)
+    for name, stack in zip(names, _stacks(rows, counts)):
+        report.add(name, stack, np.broadcast_to(mask, stack.shape))
     return report
+
+
+def _largest_residual(t: TripleField) -> float:
+    """``triple_residuals(t).overall_max``, read one residual row at a time."""
+    keep = _stencil_safe_mask(t)
+    worst = 0.0
+    for row in _triple_rows(t):
+        # NaN propagates through np.maximum; no kept node leaves 0.0
+        worst = np.maximum(worst, np.max(np.abs(row, out=row), where=keep, initial=0.0))
+        del row                                     # hold one row while the next is made
+    return float(worst)
 
 
 def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
@@ -386,7 +427,9 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     A sweep runs on the triple's own grid: any other grid raises
     GridMismatch, whether ``t`` is sampled or closed-form.  With
     ``integrability_tol`` set, the largest triple residual must not exceed it
-    either (else PreconditionFailed).
+    either (else PreconditionFailed).  That one number is
+    ``triple_residuals(t).overall_max``, read from the same residual rows one
+    grid plane at a time, with no report built.
 
     Sampled data must be finite at every node (else PreconditionFailed).  A
     sweep reads them through ``_CubicSpline``, where a non-finite sample
@@ -407,10 +450,10 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
                 "interpolating it would give NaN on every grid line through them"
             )
     if integrability_tol is not None:
-        res = triple_residuals(t)
-        if not res.overall_max <= integrability_tol:     # NaN fails too
+        worst = _largest_residual(t)
+        if not worst <= integrability_tol:               # NaN fails too
             raise PreconditionFailed(
-                f"seed residual {res.overall_max:.3e} exceeds {integrability_tol:.1e}"
+                f"seed residual {worst:.3e} exceeds {integrability_tol:.1e}"
             )
 
 

@@ -189,6 +189,11 @@ class TestSpaceFormSpec:
         assert spec.ambient.index == s + spec.eps0
         assert spec.ambient.index == index
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curvature_rejected(self, c):
+        with pytest.raises(InvalidParams, match="finite"):
+            SpaceFormSpec(c, 0)
+
     def test_base_point_on_form(self):
         for c in (1.0, -1.0, 0.25, -2.0):
             spec = SpaceFormSpec(c, 0)

@@ -64,6 +64,14 @@ class TestTrivialSeeds:
         with pytest.raises(InvalidParams):
             trivial_seed("problemstar_em1_Cpos", grid21, C=-1.0)
 
+    @pytest.mark.parametrize("kind", ["problemstar_e1_Cneg", "problemstar_em1_Cpos"])
+    def test_nan_C_rejected(self, kind, grid21):
+        # C * sign <= 0 is false for NaN: the check must read "not > 0"
+        with pytest.raises(InvalidParams):
+            trivial_seed(kind, grid21, C=math.nan)
+        with pytest.raises(InvalidParams):
+            closed_form_frame(kind, SpaceFormSpec(0.0, 0), C=math.nan)
+
     def test_cflat_needs_flat_ambient(self, grid21):
         with pytest.raises(InvalidParams):
             trivial_seed("cflat", grid21, c=1.0, s=0)

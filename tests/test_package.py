@@ -38,8 +38,10 @@ def test_no_unused_module_imports():
 
 def test_one_sweep_engine():
     """``_sweep.py`` is the only module that evaluates a triple pointwise or
-    checks a sweep's input: every system a triple drives is swept there."""
-    callers = {"eval_at": set(), "check_sweep_input": set()}
+    checks a sweep's input: every system a triple drives is swept there.
+    Only ``cli.py`` builds the triple residual report (``verify-triple``): the
+    sweep gate reads its one number without the report."""
+    callers = {"eval_at": set(), "check_sweep_input": set(), "triple_residuals": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -49,9 +51,10 @@ def test_one_sweep_engine():
             if isinstance(func, ast.Attribute) and func.attr == "eval_at":
                 callers["eval_at"].add(path.name)
             name = getattr(func, "attr", getattr(func, "id", None))
-            if name == "check_sweep_input":
-                callers["check_sweep_input"].add(path.name)
-    assert callers == {"eval_at": {"_sweep.py"}, "check_sweep_input": {"_sweep.py"}}
+            if name in ("check_sweep_input", "triple_residuals"):
+                callers[name].add(path.name)
+    assert callers == {"eval_at": {"_sweep.py"}, "check_sweep_input": {"_sweep.py"},
+                       "triple_residuals": {"cli.py"}}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])

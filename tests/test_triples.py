@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,15 +14,17 @@ from spaceform_lab.errors import (
     BranchViolation,
     DegenerateTriple,
     GridTooCoarse,
+    InvalidParams,
     NotAFirstIntegralSolution,
     PreconditionFailed,
     UmbilicSetError,
 )
-from spaceform_lab.gallery import PhiFamily, trivial_seed
+from spaceform_lab.gallery import SEED_KINDS, PhiFamily, phi_state, trivial_seed
 from spaceform_lab.grid import ParameterGrid
-from spaceform_lab.ribaucour import transformed_triple
+from spaceform_lab.ribaucour import integrate_ribaucour, transformed_triple
 from spaceform_lab.triples import (
     TripleField,
+    _largest_residual,
     check_sweep_input,
     classify,
     companion_V,
@@ -49,6 +52,17 @@ def seedcf(grid):
     return trivial_seed("cflat", grid, c=0.0, s=0)
 
 
+def nan_c_seed(grid):
+    """seed62 in a space form whose c is NaN.  SpaceFormSpec refuses such a c,
+    so it is set past the check: a triple handed one must still fail the
+    sweep gate."""
+    t = seed62(grid)
+    spec = SpaceFormSpec(0.0, 0)
+    object.__setattr__(spec, "c", math.nan)
+    t.spec = spec
+    return t
+
+
 class TestTripleResiduals:
     def test_seed62_exact(self):
         rep = triple_residuals(seed62(grid9()))
@@ -61,7 +75,7 @@ class TestTripleResiduals:
     def test_nan_curvature_fails_the_sweep_precondition(self):
         # c = NaN makes only 3.iii NaN, behind finite entries
         g = grid9()
-        t = trivial_seed("problemstar_e1_Cneg", g, c=math.nan, s=0, C=-1.0)
+        t = nan_c_seed(g)
         assert math.isnan(triple_residuals(t)["3.iii"].max)
         with pytest.raises(PreconditionFailed):
             check_sweep_input(t, g, 1e-8)
@@ -102,6 +116,112 @@ class TestTripleResiduals:
             maxima.append(rep.overall_max)
         assert maxima[0] / maxima[1] > 3.0
         assert maxima[1] < 2e-2
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestSweepGate:
+    """The gate of ``check_sweep_input`` reads ``triple_residuals(t).overall_max``
+    bit for bit, one residual row at a time."""
+
+    def _assert_gate_is_report_max(self, t):
+        worst = triple_residuals(t).overall_max
+        assert _bits(_largest_residual(t)) == _bits(worst)
+        if worst > 0:
+            check_sweep_input(t, t.grid, worst)
+            message = re.escape(f"seed residual {worst:.3e} exceeds")
+            with pytest.raises(PreconditionFailed, match=message):
+                check_sweep_input(t, t.grid, np.nextafter(worst, 0.0))
+        return worst
+
+    @pytest.mark.parametrize("n", [11, 21])
+    @pytest.mark.parametrize("kind", SEED_KINDS)
+    def test_gallery_seeds(self, kind, n):
+        C = None if kind == "cflat" else (-1.0 if kind.endswith("Cneg") else 2.0)
+        t = trivial_seed(kind, ParameterGrid.centered(1.0, n), C=C)
+        assert self._assert_gate_is_report_max(t) == 0.0
+        check_sweep_input(t, t.grid, 0.0)
+
+    def test_injected_violation(self):
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=(0, 1, 1), V=(1, 0.5, 0.2))
+        assert self._assert_gate_is_report_max(t) == 0.5
+        with pytest.raises(PreconditionFailed, match="seed residual 5.000e-01 exceeds 1.0e-08"):
+            check_sweep_input(t, t.grid, 1e-8)
+
+    def test_transformed_triple(self, famcf):
+        grid = ParameterGrid.centered(0.2, 9, (0.1, 0.4, 0.2))
+        t = famcf.seed_triple(grid)
+        rf = integrate_ribaucour(t, phi_state(famcf, grid.base_point), grid, K2target=0.0)
+        tt = transformed_triple(t, rf)
+        assert not tt.closed_form
+        assert self._assert_gate_is_report_max(tt) > 0
+
+    @pytest.mark.parametrize("block", [np.s_[2:4, 3:6, 1:3], np.s_[:, :, :]])
+    def test_masked_block(self, block):
+        # a partial mask keeps the nodes whose stencils avoid it; a full one
+        # keeps none, and every entry reads 0
+        g = ParameterGrid.centered(1.0, 11)
+        rng = np.random.default_rng(5)
+        masked = np.zeros(g.n, dtype=bool)
+        masked[block] = True
+        t = TripleField.from_samples(g, (1, -1, 1), SpaceFormSpec(0.5, 1),
+                                     rng.normal(size=(3,) + g.n),
+                                     rng.normal(size=(3, 3) + g.n),
+                                     rng.normal(size=(3,) + g.n), masked=masked)
+        worst = self._assert_gate_is_report_max(t)
+        assert (worst > 0) == (not masked.all())
+
+    def test_nan_curvature(self):
+        t = nan_c_seed(grid9())
+        worst = _largest_residual(t)
+        assert math.isnan(worst) and _bits(worst) == _bits(triple_residuals(t).overall_max)
+        with pytest.raises(PreconditionFailed, match="seed residual nan exceeds"):
+            check_sweep_input(t, t.grid, 1e-8)
+
+    def test_gate_holds_few_grid_planes(self):
+        import tracemalloc
+
+        t = seed62(ParameterGrid.centered(1.0, 21))
+        t.v, t.h, t.V                                    # sample before measuring
+        check_sweep_input(t, t.grid, 1e-8)
+        plane = np.prod(t.grid.n) * 8
+        tracemalloc.start()
+        try:
+            check_sweep_input(t, t.grid, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * plane, peak / plane
+
+
+class TestConstantTriple:
+    @pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_wrong_lengths_are_typed(self, bad):
+        with pytest.raises(InvalidParams, match="3 values"):
+            TripleField.constant(grid9(), (1, -1, 1), FLAT, v=bad, V=(0, 1, 0))
+        with pytest.raises(InvalidParams, match="3 values"):
+            TripleField.constant(grid9(), (1, -1, 1), FLAT, v=(0, 1, 0), V=bad)
+
+    def test_same_shape_values_are_shared_and_read_only(self):
+        v, V = (1.0, -0.5, 2.0), (0.0, 3.0, -1.0)
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=v, V=V)
+        pts = np.random.default_rng(3).uniform(-1, 1, size=(41, 3))
+        first = t.eval_at(pts)
+        for got in (t.eval_at(pts.copy()), t.eval_at(pts + 0.5)):
+            for a, b in zip(first, got):
+                assert np.shares_memory(a, b) and not b.flags.writeable
+        for a in first:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        # a new shape refills once, and the old shape's values come back intact
+        for shape in ((7, 3), (41, 3)):
+            got_v, got_h, got_V = t.eval_at(np.zeros(shape))
+            lead = shape[:-1]
+            assert np.array_equal(got_v, np.broadcast_to(v, lead + (3,)))
+            assert np.array_equal(got_V, np.broadcast_to(V, lead + (3,)))
+            assert np.array_equal(got_h, np.zeros(lead + (3, 3)))
 
 
 class TestFirstIntegrals:
