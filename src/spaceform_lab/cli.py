@@ -293,9 +293,14 @@ def _cmd_gallery(args) -> int:
     if name is None:
         return _fail("gallery eval needs --name")
     if name in gal.EXPLICIT_NAMES:
-        at = [float(x) for x in args.at.split(",")]
-        if len(at) != 3:
-            return _fail("--at needs three comma-separated coordinates")
+        try:
+            at = [float(x) for x in args.at.split(",")]
+        except ValueError:
+            at = []
+        if len(at) != 3 or not all(math.isfinite(x) for x in at):
+            return _fail(f"--at needs three finite comma-separated coordinates, got {args.at!r}")
+        if not math.isfinite(args.theta):
+            return _fail(f"--theta must be finite, got {args.theta}")
         vec = gal.explicit_fprime(name, args.theta, np.array(at))
         print("(" + ", ".join(repr(float(x) + 0.0) for x in vec) + ")")
         return 0

@@ -44,7 +44,7 @@ class BranchViolation(SpaceformLabError):
 
 
 class NotAFirstIntegralSolution(SpaceformLabError):
-    """The conserved sums drift across the grid beyond tolerance."""
+    """The conserved sums drift across the grid beyond tolerance, or are not finite."""
 
 
 class PreconditionFailed(SpaceformLabError):

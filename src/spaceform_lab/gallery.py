@@ -57,6 +57,15 @@ DESCRIPTIONS = {
 }
 
 
+def _seed_C(kind, C):
+    """C of a problem-star seed kind: a finite number of the kind's sign
+    (else InvalidParams)."""
+    c_sign = _SEED_TABLE[kind][3]
+    if C is None or not (math.isfinite(C) and C * c_sign > 0):
+        raise InvalidParams(f"seed {kind} needs a finite C with sign {c_sign:+d}, got {C}")
+    return C
+
+
 def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
     """Constant solution with h = 0 from the menu of known starting data."""
     if kind not in _SEED_TABLE:
@@ -68,13 +77,11 @@ def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
         if C is not None:
             raise InvalidParams("the conformally flat seed takes no C")
         return TripleField.constant(grid, (1, -1, 1), spec, v=(0, 1, 1), V=(1, 0, 0))
-    p, q, delta, c_sign = _SEED_TABLE[kind]
-    if C is None or not C * c_sign > 0:      # NaN fails too
-        raise InvalidParams(f"seed {kind} needs C with sign {c_sign:+d}, got {C}")
+    p, q, delta, _ = _SEED_TABLE[kind]
     v = np.zeros(3)
     v[p] = 1.0
     V = np.zeros(3)
-    V[q] = math.sqrt(abs(C))
+    V[q] = math.sqrt(abs(_seed_C(kind, C)))
     return TripleField.constant(grid, delta, spec, v=v, V=V)
 
 
@@ -122,10 +129,8 @@ def closed_form_frame(kind, spec: SpaceFormSpec, C=None):
 
         return frame
 
-    p, q, _, c_sign = _SEED_TABLE[kind]
-    if C is None or not C * c_sign > 0:      # NaN fails too
-        raise InvalidParams(f"seed {kind} needs C with sign {c_sign:+d}")
-    b = math.sqrt(abs(C))
+    p, q, _, _ = _SEED_TABLE[kind]
+    b = math.sqrt(abs(_seed_C(kind, C)))
     eps = spec.eps
     c = spec.c
     dim = spec.dim

@@ -370,8 +370,9 @@ def transformed_triple(t: TripleField, rf: RibaucourField) -> TripleField:
 def parallel_triple(t: TripleField, tau) -> TripleField:
     """Holonomic pair of the parallel hypersurface at signed distance tau.
 
-    (v, V) maps by the rotation/boost with rate sqrt|c|, h is unchanged;
-    requires nonzero ambient curvature.
+    (v, V) maps by the rotation/boost with rate sqrt|c|, h is unchanged, and
+    a constant triple gives a constant triple; requires nonzero ambient
+    curvature.
     """
     if t.spec.c == 0:
         raise FlatAmbientUnsupported("parallel families need c != 0 in this model")
@@ -382,19 +383,10 @@ def parallel_triple(t: TripleField, tau) -> TripleField:
     else:
         cp, sp = math.cosh(root * tau), math.sinh(root * tau)
 
-    if t.closed_form:
-        v_fn, V_fn, h_fn = t.v_fn, t.V_fn, t.h_fn
-
-        def v_new(u1, u2, u3):
-            return cp * v_fn(u1, u2, u3) - (sp / root) * V_fn(u1, u2, u3)
-
-        def V_new(u1, u2, u3):
-            return check * root * sp * v_fn(u1, u2, u3) + cp * V_fn(u1, u2, u3)
-
-        return TripleField.from_functions(t.grid, t.delta, t.spec, v_new, V_new, h_fn)
-
-    v, h, V = t.v, t.h, t.V
+    v, V = t.constant_values if t.closed_form else (t.v, t.V)
     v_new = cp * v - (sp / root) * V
     V_new = check * root * sp * v + cp * V
-    return TripleField.from_samples(t.grid, t.delta, t.spec, v_new, h.copy(), V_new,
+    if t.closed_form:
+        return TripleField.constant(t.grid, t.delta, t.spec, v_new, V_new)
+    return TripleField.from_samples(t.grid, t.delta, t.spec, v_new, t.h.copy(), V_new,
                                     t.masked)

@@ -167,34 +167,31 @@ def _stencil(x, n):
 
 @dataclass
 class TripleField:
-    """The holonomic data (v, h, V) on a 3-parameter box.
+    """The holonomic data (v, h, V) on a 3-parameter box, in one of two
+    representations.
 
-    Closed-form fields carry callables taking broadcastable coordinate arrays
-    (u1, u2, u3) and returning component-first stacks; sampled fields carry
-    the arrays directly.  ``masked`` (optional, True = excluded) marks nodes
-    invalidated by singularities upstream.
+    A sampled triple (``from_samples``) holds the arrays v (3,) + grid.n,
+    h (3, 3) + grid.n and V (3,) + grid.n.  A constant triple (``constant``)
+    holds only its two 3-vectors v and V, with h = 0; its grid arrays are
+    filled from them on first use.  ``masked`` (optional, True = excluded)
+    marks nodes of a sampled triple invalidated by singularities upstream.
     """
 
     grid: ParameterGrid
     delta: tuple
     spec: SpaceFormSpec
-    v_fn: callable = None
-    h_fn: callable = None
-    V_fn: callable = None
     _v: np.ndarray = field(default=None, repr=False)
     _h: np.ndarray = field(default=None, repr=False)
     _V: np.ndarray = field(default=None, repr=False)
     masked: np.ndarray = None
+    _vV: tuple = field(default=None, repr=False)    # (v, V) of a constant triple
 
     def __post_init__(self):
         self.delta = _check_delta(self.delta)
-        self._interp = None
+        self._interp = None         # a sampled triple's spline
+        self._batch = None          # a constant triple's (shape, (v, h, V)) of its last batch
 
     # --- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_functions(cls, grid, delta, spec, v_fn, V_fn, h_fn):
-        return cls(grid, delta, spec, v_fn=v_fn, h_fn=h_fn, V_fn=V_fn)
 
     @classmethod
     def from_samples(cls, grid, delta, spec, v, h, V, masked=None):
@@ -208,63 +205,40 @@ class TripleField:
 
     @classmethod
     def constant(cls, grid, delta, spec, v, V):
-        """Constant closed-form triple with h = 0.
-
-        Each callable returns one read-only array per batch shape and hands
-        it out again while the shape repeats, as it does for every call of a
-        sweep's axis phase."""
-        v = np.asarray(v, dtype=float)
-        V = np.asarray(V, dtype=float)
+        """Constant triple with h = 0, stored as its two 3-vectors v and V."""
+        v = np.array(v, dtype=float).ravel()
+        V = np.array(V, dtype=float).ravel()
         if v.size != 3 or V.size != 3:
             raise InvalidParams(f"a constant triple needs 3 values of v and of V, "
                                 f"got {v.size} and {V.size}")
-
-        vcol = v.reshape(3, 1)
-        Vcol = V.reshape(3, 1)
-
-        def shape_of(u1, u2, u3):
-            # the sweeps pass three arrays of one shape: skip np.broadcast
-            shape = getattr(u1, "shape", None)
-            if shape is None or not (shape == getattr(u2, "shape", None)
-                                     == getattr(u3, "shape", None)):
-                shape = np.broadcast(u1, u2, u3).shape
-            return shape
-
-        def filled(col, shape):
-            out = np.empty((3,) + shape)
-            out.reshape(3, -1)[...] = col
-            return out
-
-        def reused(make):
-            last_shape, last = None, None
-
-            def fn(u1, u2, u3):
-                nonlocal last_shape, last
-                shape = shape_of(u1, u2, u3)
-                if shape != last_shape:
-                    last = make(shape)
-                    last.flags.writeable = False
-                    last_shape = shape
-                return last
-            return fn
-
-        return cls.from_functions(grid, delta, spec,
-                                  v_fn=reused(lambda shape: filled(vcol, shape)),
-                                  V_fn=reused(lambda shape: filled(Vcol, shape)),
-                                  h_fn=reused(lambda shape: np.zeros((3, 3) + shape)))
+        return cls(grid, delta, spec, _vV=(v, V))
 
     # --- sampled views ----------------------------------------------------
 
     @property
     def closed_form(self) -> bool:
-        return self.v_fn is not None
+        """True for a constant triple, the one closed form."""
+        return self._vV is not None
+
+    @property
+    def constant_values(self):
+        """(v, V) of a constant triple, two 3-vectors."""
+        return self._vV
+
+    def _filled(self, shape):
+        """Read-only (v, h, V) of a constant triple at every point of ``shape``,
+        components first."""
+        v, V = self._vV
+        out = np.empty((3,) + shape), np.zeros((3, 3) + shape), np.empty((3,) + shape)
+        out[0].reshape(3, -1)[...] = v[:, None]
+        out[2].reshape(3, -1)[...] = V[:, None]
+        for values in out:
+            values.flags.writeable = False
+        return out
 
     def _sample(self):
         if self._v is None:
-            U = self.grid.meshes()
-            self._v = np.asarray(self.v_fn(*U), dtype=float)
-            self._h = np.asarray(self.h_fn(*U), dtype=float)
-            self._V = np.asarray(self.V_fn(*U), dtype=float)
+            self._v, self._h, self._V = self._filled(tuple(self.grid.n))
 
     @property
     def v(self) -> np.ndarray:
@@ -289,26 +263,27 @@ class TripleField:
     def eval_at(self, points):
         """(v, h, V) at points, shape (..., 3) -> components last.
 
-        Uses the closed forms when available.  The values of a
-        ``TripleField.constant`` triple are read-only and may be shared
-        between calls.  Sampled data are read through
-        ``_CubicSpline``, built on the first call, whose docstring states
-        where it can be evaluated, its accuracy and its costs.
+        A constant triple fills its values once per batch shape and hands
+        the same read-only arrays out again while the shape repeats, as it
+        does for every call of a sweep's axis phase.  A sampled triple is
+        read through ``_CubicSpline``, built on the first call, whose
+        docstring states where it can be evaluated, its accuracy and its
+        costs.
         """
         points = np.asarray(points, dtype=float)
+        lead = points.shape[:-1]
         if self.closed_form:
-            u1, u2, u3 = points[..., 0], points[..., 1], points[..., 2]
-            lead = tuple(range(1, points.ndim))
-            v = np.asarray(self.v_fn(u1, u2, u3), dtype=float).transpose(lead + (0,))
-            V = np.asarray(self.V_fn(u1, u2, u3), dtype=float).transpose(lead + (0,))
-            h = np.asarray(self.h_fn(u1, u2, u3), dtype=float).transpose(
-                tuple(a + 1 for a in lead) + (0, 1))
-            return v, h, V
+            if self._batch is None or self._batch[0] != lead:
+                v, h, V = self._filled(lead)
+                axes = tuple(range(1, len(lead) + 1))
+                self._batch = lead, (v.transpose(axes + (0,)),
+                                     h.transpose(tuple(a + 1 for a in axes) + (0, 1)),
+                                     V.transpose(axes + (0,)))
+            return self._batch[1]
         if self._interp is None:
             self._sample()
             self._interp = _CubicSpline(self._v, self._h, self._V, self.grid)
         out = self._interp(points)
-        lead = points.shape[:-1]
         return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
                 out[:, 12:].reshape(lead + (3,)))
 
@@ -425,7 +400,7 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     """Raise unless ``t`` can drive a sweep over ``grid``.
 
     A sweep runs on the triple's own grid: any other grid raises
-    GridMismatch, whether ``t`` is sampled or closed-form.  With
+    GridMismatch, whether ``t`` is sampled or constant.  With
     ``integrability_tol`` set, the largest triple residual must not exceed it
     either (else PreconditionFailed).  That one number is
     ``triple_residuals(t).overall_max``, read from the same residual rows one
@@ -532,18 +507,25 @@ def classify(t: TripleField, tol=DEFAULT_CLASSIFY_TOL) -> Classification:
     target curvature is reported for both choices eps_tilde = +-1 through
     C = eps_tilde (c - c_tilde).  ConformallyFlat: ~ (0, 0, 1) with delta a
     permutation of (1, -1, 1).
+
+    Raises NotAFirstIntegralSolution when the sums drift over the valid nodes
+    by more than ``tol`` (relative), or when K at the base node, a drift or a
+    target curvature c_tilde is not finite.
     """
-    K1f, K2f, K3f = first_integral_fields(t)
+    with np.errstate(over="ignore", invalid="ignore"):    # non-finite sums raise below
+        K1f, K2f, K3f = first_integral_fields(t)
     valid = t.valid_mask()
     base = t.grid.base
     if not valid[base]:
         raise PreconditionFailed("grid base node is masked")
     K = FirstIntegralTriple(float(K1f[base]), float(K2f[base]), float(K3f[base]))
+    if not np.isfinite(K.as_tuple()).all():
+        raise NotAFirstIntegralSolution(f"first integrals K = {K.as_tuple()} are not finite")
     drift = 0.0
     for f, b in ((K1f, K.K1), (K2f, K.K2), (K3f, K.K3)):
         dev = float(np.max(np.abs(f[valid] - b))) if valid.any() else 0.0
         scale = max(1.0, abs(b))
-        if dev > tol * scale:
+        if not dev <= tol * scale:                       # NaN fails too
             raise NotAFirstIntegralSolution(
                 f"first integrals drift by {dev:.3e} (> {tol:.1e} relative)"
             )
@@ -567,10 +549,14 @@ def classify(t: TripleField, tol=DEFAULT_CLASSIFY_TOL) -> Classification:
         elif eps_hat == -1 and C < -abs_tol and t.delta == ALL_MINUS_DELTA:
             delta_ok = True
         if delta_ok:
-            branches = tuple(
-                TildeBranch(e, t.spec.c - e * C, SpaceFormSpec(t.spec.c - e * C, (1 - e) // 2))
-                for e in (1, -1)
-            )
+            c_tilde = {e: t.spec.c - e * C for e in (1, -1)}
+            if not np.isfinite(list(c_tilde.values())).all():
+                raise NotAFirstIntegralSolution(
+                    f"first integrals K = {K.as_tuple()} give a target curvature "
+                    f"c - eps_tilde K3 that is not finite"
+                )
+            branches = tuple(TildeBranch(e, ct, SpaceFormSpec(ct, (1 - e) // 2))
+                             for e, ct in c_tilde.items())
             return Classification("ProblemStar", K, drift, eps_hat=eps_hat, C=C,
                                   branches=branches, permutation=perm)
 

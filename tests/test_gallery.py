@@ -72,6 +72,14 @@ class TestTrivialSeeds:
         with pytest.raises(InvalidParams):
             closed_form_frame(kind, SpaceFormSpec(0.0, 0), C=math.nan)
 
+    @pytest.mark.parametrize("C", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["problemstar_e1_Cneg", "problemstar_e1_Cpos"])
+    def test_non_finite_C_rejected(self, kind, C, grid21):
+        with pytest.raises(InvalidParams, match="finite C"):
+            trivial_seed(kind, grid21, C=C)
+        with pytest.raises(InvalidParams, match="finite C"):
+            closed_form_frame(kind, SpaceFormSpec(1.0, 0), C=C)
+
     def test_cflat_needs_flat_ambient(self, grid21):
         with pytest.raises(InvalidParams):
             trivial_seed("cflat", grid21, c=1.0, s=0)

@@ -549,6 +549,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "delta = (1, -1, 1)" in out
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--at", "a,b,c"], "--at needs three finite"),
+        (["--at", "1,2,nan"], "--at needs three finite"),
+        (["--at", "1,2,inf"], "--at needs three finite"),
+        (["--theta", "nan"], "--theta must be finite"),
+    ], ids=["not_numbers", "nan_at", "inf_at", "nan_theta"])
+    def test_gallery_eval_bad_numbers(self, extra, message, capsys):
+        assert run(["gallery", "eval", "--name", "r4_pair"] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_gallery_unknown_item(self):
         assert run(["gallery", "eval", "--name", "nonsense"]) == 1
 

@@ -57,6 +57,23 @@ def test_one_sweep_engine():
                        "triple_residuals": {"cli.py"}}
 
 
+def test_triples_built_by_their_constructors():
+    """Only ``triples.py`` calls ``TripleField(...)`` itself: every other
+    module, demo, script and benchmark builds a triple with ``from_samples``
+    or ``constant``, the two representations a triple has."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "triples.py"]
+    paths += DEMOS + sorted((ROOT / "scripts").glob("*.py"))
+    paths += sorted((ROOT / "bench").glob("*.py"))
+    callers = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "TripleField":
+                    callers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not callers, callers
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # demos write their exports to the temporary directory

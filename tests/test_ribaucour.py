@@ -359,6 +359,27 @@ class TestParallelTriple:
         tp = parallel_triple(tt_sphere, 0.2)
         assert np.array_equal(tp.h, tt_sphere.h)
 
+    @pytest.mark.parametrize("spec", [SpaceFormSpec(2.0, 0), SpaceFormSpec(-0.5, 0),
+                                      SpaceFormSpec(0.5, 1)], ids=["rotation", "boost",
+                                                                    "lorentz"])
+    def test_constant_matches_sampled(self, spec):
+        """A constant triple's parallel triple is constant, with the bytes of
+        the parallel triple of its sampled copy at every node."""
+        grid = ParameterGrid.centered(1.0, (5, 6, 7))
+        t = TripleField.constant(grid, (1, -1, 1), spec, v=(0.3, -1.2, 0.0),
+                                 V=(2.0, 0.7, -0.4))
+        ts = TripleField.from_samples(grid, t.delta, spec, t.v, t.h, t.V)
+        nodes = grid.points()
+        for tau in (0.0, 0.37, -1.3):
+            tc, tp = parallel_triple(t, tau), parallel_triple(ts, tau)
+            assert tc.closed_form and not tp.closed_form
+            for got, ref in ((tc.v, tp.v), (tc.h, tp.h), (tc.V, tp.V)):
+                assert got.tobytes() == ref.tobytes()
+            v, h, V = tc.eval_at(nodes)
+            assert v.tobytes() == np.moveaxis(tp.v, 0, -1).tobytes()
+            assert V.tobytes() == np.moveaxis(tp.V, 0, -1).tobytes()
+            assert h.tobytes() == np.moveaxis(tp.h, (0, 1), (-2, -1)).tobytes()
+
     def test_flat_ambient_rejected(self, grid21):
         t = trivial_seed("problemstar_e1_Cneg", grid21, c=0.0, s=0, C=-1.0)
         with pytest.raises(FlatAmbientUnsupported):

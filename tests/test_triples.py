@@ -276,6 +276,32 @@ class TestClassify:
         with pytest.raises(NotAFirstIntegralSolution):
             classify(t)
 
+    @pytest.mark.parametrize("v, V", [((math.nan, 0, 0), (0, 0, 0)),
+                                      ((1, 0, 0), (0, math.nan, 0)),
+                                      ((1, 0, 0), (0, 1e200, 0))],
+                             ids=["nan_v", "nan_V", "K3_overflows"])
+    def test_non_finite_first_integrals_raise(self, v, V):
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=v, V=V)
+        with pytest.raises(NotAFirstIntegralSolution, match="K = .* not finite"):
+            classify(t)
+
+    def test_nan_off_the_base_node_is_drift(self):
+        g = grid9()
+        v = np.zeros((3,) + g.n)
+        v[0] = 1.0
+        v[0, 0, 0, 0] = math.nan
+        t = TripleField.from_samples(g, (1, -1, 1), FLAT, v, np.zeros((3, 3) + g.n),
+                                     np.zeros((3,) + g.n))
+        with pytest.raises(NotAFirstIntegralSolution, match="drift by nan"):
+            classify(t)
+
+    def test_overflowing_target_curvature_raises(self):
+        # K = (1, 0, 1e308) with c = 1e308: c + K3 overflows on the eps_tilde = -1 branch
+        t = TripleField.constant(grid9(), (1, -1, 1), SpaceFormSpec(1e308, 0), v=(1, 0, 0),
+                                 V=(0, 0, 1e154))
+        with pytest.raises(NotAFirstIntegralSolution, match="target curvature"):
+            classify(t)
+
     def test_permuted_delta_classifies_identically(self):
         t = seedcf(grid9())
         t_s = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
@@ -483,32 +509,29 @@ class TestFirstIntegralDriftBound:
 
 
 class TestSampledEvaluation:
-    def _smooth_triple(self, closed_form=True, n=21):
+    @staticmethod
+    def _exact(u1, u2, u3):
+        """A smooth (v, h, V), components first, at broadcastable coordinates."""
+        shape = np.broadcast(u1, u2, u3).shape
+        v = np.stack([1.0 + 0.2 * np.sin(u1), np.cosh(0.3 * u2), 1.0 + 0.1 * u3**2])
+        V = np.stack([0.5 * np.cos(u1), 0.2 * u2 + 0 * u1, np.sin(0.4 * u3)])
+        h = np.zeros((3, 3) + shape)
+        h[0, 1] = 0.3 * np.cos(u1) * np.ones(shape)
+        h[2, 0] = 0.1 * u3 * np.ones(shape)
+        return v, h, V
+
+    def _exact_at(self, points):
+        """``_exact`` at points (..., 3), components last."""
+        v, h, V = self._exact(points[..., 0], points[..., 1], points[..., 2])
+        return np.moveaxis(v, 0, -1), np.moveaxis(h, (0, 1), (-2, -1)), np.moveaxis(V, 0, -1)
+
+    def _smooth_triple(self, n=21):
+        """``_exact`` sampled on the nodes of an n^3 grid."""
         grid = ParameterGrid.centered(1.0, n)
-
-        def v_fn(u1, u2, u3):
-            return np.stack([1.0 + 0.2 * np.sin(u1), np.cosh(0.3 * u2),
-                             1.0 + 0.1 * u3**2])
-
-        def V_fn(u1, u2, u3):
-            return np.stack([0.5 * np.cos(u1), 0.2 * u2 + 0 * u1,
-                             np.sin(0.4 * u3)])
-
-        def h_fn(u1, u2, u3):
-            shape = np.broadcast(u1, u2, u3).shape
-            out = np.zeros((3, 3) + shape)
-            out[0, 1] = 0.3 * np.cos(u1) * np.ones(shape)
-            out[2, 0] = 0.1 * u3 * np.ones(shape)
-            return out
-
-        t = TripleField.from_functions(grid, (1, -1, 1), FLAT, v_fn, V_fn, h_fn)
-        if closed_form:
-            return t, (v_fn, h_fn, V_fn)
-        ts = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
-        return ts, (v_fn, h_fn, V_fn)
+        return TripleField.from_samples(grid, (1, -1, 1), FLAT, *self._exact(*grid.meshes()))
 
     def test_cubic_interpolation_matches_callables(self):
-        ts, (v_fn, h_fn, V_fn) = self._smooth_triple(closed_form=False)
+        ts = self._smooth_triple()
         rng = np.random.default_rng(5)
 
         def check(reach, tol):
@@ -519,14 +542,8 @@ class TestSampledEvaluation:
             for axis in range(3):
                 pts = rng.choice(nodes, size=(40, 3))
                 pts[:, axis] = rng.uniform(-reach, reach, size=40)
-                v, h, V = ts.eval_at(pts)
-                u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-                v_ref = np.moveaxis(v_fn(u1, u2, u3), 0, -1)
-                V_ref = np.moveaxis(V_fn(u1, u2, u3), 0, -1)
-                h_ref = np.moveaxis(np.moveaxis(h_fn(u1, u2, u3), 0, -1), 0, -1)
-                assert np.abs(v - v_ref).max() < tol
-                assert np.abs(V - V_ref).max() < tol
-                assert np.abs(h - h_ref).max() < tol
+                for got, ref in zip(ts.eval_at(pts), self._exact_at(pts)):
+                    assert np.abs(got - ref).max() < tol
 
         # the not-a-knot end pieces keep the edge layer at the interior's h^4
         check(0.95, 5e-6)
@@ -537,15 +554,14 @@ class TestSampledEvaluation:
         included, the spline error falls like h^4 under refinement."""
         errors = []
         for n in (11, 21, 41):
-            ts, _ = self._smooth_triple(closed_form=False, n=n)
-            tc, _ = self._smooth_triple(closed_form=True, n=n)
+            ts = self._smooth_triple(n=n)
             error = 0.0
             for axis in range(3):
                 coords = [ts.grid.axis(a) for a in range(3)]
                 coords[axis] = 0.5 * (coords[axis][:-1] + coords[axis][1:])
                 pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, 3)
                 error = max(error, np.abs(_rows(ts.eval_at(pts), pts)
-                                          - _rows(tc.eval_at(pts), pts)).max())
+                                          - _rows(self._exact_at(pts), pts)).max())
             errors.append(error)
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert (orders >= 3.5).all(), (errors, orders)
@@ -561,36 +577,37 @@ class TestSampledEvaluation:
         with pytest.raises(GridTooCoarse):
             t.eval_at(np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 5, 3)])
-    def test_closed_form_eval_matches_moveaxis(self, shape):
-        t, (v_fn, h_fn, V_fn) = self._smooth_triple(closed_form=True)
-        pts = np.random.default_rng(2).uniform(-1, 1, size=shape)
-        u = pts[..., 0], pts[..., 1], pts[..., 2]
-        v, h, V = t.eval_at(pts)
-        assert np.array_equal(v, np.moveaxis(v_fn(*u), 0, -1))
-        assert np.array_equal(V, np.moveaxis(V_fn(*u), 0, -1))
-        assert np.array_equal(h, np.moveaxis(np.moveaxis(h_fn(*u), 0, -1), 0, -1))
-
     @pytest.mark.parametrize("u", [
         (0.5, -0.25, 1.0),
         (np.linspace(0, 1, 4), 0.5, np.zeros(4)),
         (np.zeros((2, 1)), np.ones((1, 5)), 0.0),
+        (np.array([0.123]), np.array([-0.456]), np.array([0.789])),
+        tuple(np.random.default_rng(2).uniform(-1, 1, size=(3, 4, 5))),
     ])
     def test_constant_triple_bytes(self, u):
+        """``eval_at`` at points of shape lead + (3,) gives v and V repeated
+        over lead, components last and stored components first, and h = 0."""
         v, V = np.array([1.0, -0.0, 2.5]), np.array([np.sqrt(2.0), 0.0, -3.0])
         t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=v, V=V)
-        shape = np.broadcast(*u).shape
-        for fn, ref in ((t.v_fn, v), (t.V_fn, V)):
-            want = np.broadcast_to(ref.reshape((3,) + (1,) * len(shape)), (3,) + shape).copy()
-            got = fn(*u)
+        pts = np.stack(np.broadcast_arrays(*u), axis=-1)
+        lead = pts.shape[:-1]
+        got_v, got_h, got_V = t.eval_at(pts)
+        for got, ref in ((got_v, v), (got_V, V)):
+            want = np.broadcast_to(ref, lead + (3,)).copy()
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.moveaxis(got, -1, 0).flags.c_contiguous
+        assert got_h.shape == lead + (3, 3)
+        assert got_h.tobytes() == np.zeros(lead + (3, 3)).tobytes()
 
-    def test_closed_form_eval_is_exact(self):
-        t, (v_fn, _, _) = self._smooth_triple(closed_form=True)
-        pts = np.array([[0.123, -0.456, 0.789]])
-        v, _, _ = t.eval_at(pts)
-        ref = np.moveaxis(v_fn(pts[:, 0], pts[:, 1], pts[:, 2]), 0, -1)
-        assert np.array_equal(v, ref)
+    def test_constant_grid_arrays(self):
+        """The grid arrays of a constant triple hold its values at every node."""
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=(1.0, -0.0, 2.5),
+                                 V=(0.5, 0.0, -3.0))
+        n = t.grid.n
+        for got, ref in ((t.v, (1.0, -0.0, 2.5)), (t.V, (0.5, 0.0, -3.0))):
+            want = np.broadcast_to(np.reshape(ref, (3, 1, 1, 1)), (3,) + n).copy()
+            assert got.tobytes() == want.tobytes()
+        assert t.h.tobytes() == np.zeros((3, 3) + n).tobytes()
 
 
 def _components(t):
