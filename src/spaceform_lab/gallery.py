@@ -66,10 +66,15 @@ def _seed_C(kind, C):
     return C
 
 
-def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
-    """Constant solution with h = 0 from the menu of known starting data."""
+def _check_seed_kind(kind):
+    """Raise InvalidParams naming SEED_KINDS unless ``kind`` is one of them."""
     if kind not in _SEED_TABLE:
         raise InvalidParams(f"unknown seed kind {kind!r}; choose from {SEED_KINDS}")
+
+
+def trivial_seed(kind, grid: ParameterGrid, c=0.0, s=0, C=None) -> TripleField:
+    """Constant solution with h = 0 from the menu of known starting data."""
+    _check_seed_kind(kind)
     spec = SpaceFormSpec(c, s)
     if kind == "cflat":
         if c != 0:
@@ -101,6 +106,7 @@ def closed_form_frame(kind, spec: SpaceFormSpec, C=None):
     literature's flat conformally-flat boost branch carries an inconsistent
     sign; the returned frames always solve the system).
     """
+    _check_seed_kind(kind)
     if kind == "cflat":
         if spec.c != 0:
             raise InvalidParams("the conformally flat seed requires c = 0")

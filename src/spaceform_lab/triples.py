@@ -347,11 +347,15 @@ def compatibility_residuals(v, h, V, spacing, eps, c):
 _TRIPLE_ENTRIES = (("3.i", 6), ("3.ii", 6), ("3.iii", 3), ("3.iv", 6), ("4", 3), ("5", 3))
 
 
-def _triple_rows(t: TripleField):
+def _triple_rows(t: TripleField, values=None):
     """Residual rows of every equation of ``triple_residuals``, one grid plane
-    at a time, in the order of ``_TRIPLE_ENTRIES``."""
+    at a time, in the order of ``_TRIPLE_ENTRIES``.
+
+    ``values`` replaces (t.v, t.h, t.V) by arrays of another shape; the
+    derivatives still take the spacing of ``t.grid``.
+    """
     t.grid.require_resolution(5)
-    v, h, V = t.v, t.h, t.V
+    v, h, V = (t.v, t.h, t.V) if values is None else values
     delta = t.delta
     sp = t.grid.spacing
 
@@ -386,10 +390,19 @@ def triple_residuals(t: TripleField) -> ResidualReport:
 
 
 def _largest_residual(t: TripleField) -> float:
-    """``triple_residuals(t).overall_max``, read one residual row at a time."""
-    keep = _stencil_safe_mask(t)
+    """``triple_residuals(t).overall_max``, read one residual row at a time.
+
+    A constant triple with no mask is read on a 5 x 5 x 5 stand-in of its
+    values: the stencils are pointwise, so each residual row takes at a node
+    the value fixed by the stencil on each axis (low face, interior, high
+    face), and a 5-node axis has all three.
+    """
+    if t.closed_form and t.masked is None:
+        rows, keep = _triple_rows(t, t._filled((5, 5, 5))), True
+    else:
+        rows, keep = _triple_rows(t), _stencil_safe_mask(t)
     worst = 0.0
-    for row in _triple_rows(t):
+    for row in rows:
         # NaN propagates through np.maximum; no kept node leaves 0.0
         worst = np.maximum(worst, np.max(np.abs(row, out=row), where=keep, initial=0.0))
         del row                                     # hold one row while the next is made
@@ -406,17 +419,23 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     ``triple_residuals(t).overall_max``, read from the same residual rows one
     grid plane at a time, with no report built.
 
-    Sampled data must be finite at every node (else PreconditionFailed).  A
-    sweep reads them through ``_CubicSpline``, where a non-finite sample
-    spreads along the grid lines through its node, and the sweep carries it
-    on from there.
+    Sampled data must be finite at every node, and the two 3-vectors of a
+    constant triple finite (else PreconditionFailed).  A sweep reads sampled
+    data through ``_CubicSpline``, where a non-finite sample spreads along the
+    grid lines through its node, and the sweep carries it on from there.
     """
     if not grid.same_as(t.grid):
         raise GridMismatch(
             f"sweep grid {grid.lo}..{grid.hi} x {grid.n} is not the triple's grid "
             f"{t.grid.lo}..{t.grid.hi} x {t.grid.n}"
         )
-    if not t.closed_form:
+    if t.closed_form:
+        v, V = t.constant_values
+        if not (np.isfinite(v).all() and np.isfinite(V).all()):
+            raise PreconditionFailed(
+                f"constant triple is not finite: v = {v.tolist()}, V = {V.tolist()}"
+            )
+    else:
         finite = (np.isfinite(t.v).all(axis=0) & np.isfinite(t.h).all(axis=(0, 1))
                   & np.isfinite(t.V).all(axis=0))
         if not finite.all():

@@ -92,6 +92,14 @@ class TestTrivialSeeds:
         with pytest.raises(InvalidParams):
             trivial_seed("moebius", grid21)
 
+    def test_unknown_kind_named_by_both(self, grid21):
+        # trivial_seed and closed_form_frame share one kind check
+        message = r"unknown seed kind 'moebius'; choose from \('problemstar_e1_Cneg'"
+        with pytest.raises(InvalidParams, match=message):
+            trivial_seed("moebius", grid21, C=1.0)
+        with pytest.raises(InvalidParams, match=message):
+            closed_form_frame("moebius", SpaceFormSpec(0.0, 0), C=1.0)
+
     def test_seeds_valid_for_any_c(self):
         grid = ParameterGrid.centered(0.5, 7)
         for c in (1.0, -1.0, 0.5):

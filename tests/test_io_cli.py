@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spaceform_lab import cli as cli_module
+from spaceform_lab import io as io_module
 from spaceform_lab.cli import run
 from spaceform_lab.errors import BadProjection, IoError, SchemaError
 from spaceform_lab.grid import ParameterGrid
@@ -222,6 +224,157 @@ class TestExportCsvBytes:
         path = tmp_path / "out.csv"
         export_csv(values, self.GRID, str(path), masked)
         assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+class TestExportCsvSplit:
+    """Above ``io._SPLIT_ROWS`` kept rows on more than one CPU, a forked child
+    formats the upper slabs; both ways write the bytes of ``_per_node_csv``,
+    leave no child process and print nothing."""
+
+    GRID = ParameterGrid((-1.0, 0.0, 0.25), (1.0, 0.3, 2.0), (8, 4, 5))
+
+    def _values(self):
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=self.GRID.n + (3,)) * 10.0 ** rng.integers(
+            -8, 9, size=self.GRID.n + (3,))
+        special = TestExportCsvBytes.SPECIAL
+        values.reshape(-1)[[11 * k + 2 for k in range(len(special))]] = special
+        values[-1].reshape(-1)[:len(special)] = special      # and in the child's slabs
+        return values
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the split on two CPUs; collect the pid of every fork."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(io_module, "_SPLIT_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def _mask(kind):
+        n = TestExportCsvSplit.GRID.n
+        if kind == "none":
+            return None
+        if kind == "random":
+            return np.random.default_rng(7).uniform(size=n) < 0.3
+        masked = np.zeros(n, dtype=bool)
+        if kind == "upper_half":
+            masked[n[0] // 2:] = True
+        else:                               # only the slab the kept rows split in
+            masked[:] = True
+            masked[5] = False
+        return masked
+
+    @staticmethod
+    def _assert_quiet_and_reaped(capfd):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("mask", ["none", "random", "upper_half", "split_slab"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_both_paths_match_per_node(self, tmp_path, forks, monkeypatch, capfd, mask, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        values, masked = self._values(), self._mask(mask)
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path), masked)
+        assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
+        assert len(forks) == (cpus == 2)
+        self._assert_quiet_and_reaped(capfd)
+
+    def test_without_fork_one_process_writes(self, tmp_path, forks, monkeypatch, capfd):
+        monkeypatch.delattr(os, "fork")
+        values = self._values()
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path))
+        assert path.read_bytes() == _per_node_csv(values, self.GRID)
+        assert forks == []
+        self._assert_quiet_and_reaped(capfd)
+
+    def test_below_the_threshold_one_process_writes(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(io_module, "_SPLIT_ROWS", int(np.prod(self.GRID.n)) + 1)
+        values = self._values()
+        path = tmp_path / "out.csv"
+        export_csv(values, self.GRID, str(path))
+        assert path.read_bytes() == _per_node_csv(values, self.GRID)
+        assert forks == []
+
+    def test_beside_another_thread_one_process_writes(self, tmp_path, forks):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10.0,))
+        waiter.start()
+        try:
+            values = self._values()
+            path = tmp_path / "out.csv"
+            export_csv(values, self.GRID, str(path))
+        finally:
+            release.set()
+            waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert path.read_bytes() == _per_node_csv(values, self.GRID)
+        assert forks == []
+
+    @pytest.mark.parametrize("mask, own", [("none", [0, 1, 2, 3]), ("upper_half", [0, 1])])
+    def test_parent_formats_slabs_up_to_half_the_rows(self, tmp_path, forks, monkeypatch,
+                                                      mask, own):
+        parent, slab_text, formatted = os.getpid(), io_module._slab_text, []
+
+        def recorded(table, i):
+            if os.getpid() == parent:
+                formatted.append(i)
+            return slab_text(table, i)
+
+        monkeypatch.setattr(io_module, "_slab_text", recorded)
+        export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"), self._mask(mask))
+        assert formatted == own
+
+    def test_failed_fork_raises_io_error(self, tmp_path, forks, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        with pytest.raises(IoError, match="Resource temporarily unavailable"):
+            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
+        for fd in pipes[0]:                                     # both ends are closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def _fail_in(self, monkeypatch, child):
+        parent, slab_text = os.getpid(), io_module._slab_text
+
+        def failing(table, i):
+            if (os.getpid() != parent) == child:
+                raise RuntimeError("formatting failed")
+            return slab_text(table, i)
+
+        monkeypatch.setattr(io_module, "_slab_text", failing)
+
+    def test_child_failure_raises_io_error(self, tmp_path, forks, monkeypatch, capfd):
+        self._fail_in(monkeypatch, child=True)
+        with pytest.raises(IoError, match="exited with code 1"):
+            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
+        assert len(forks) == 1
+        self._assert_quiet_and_reaped(capfd)
+
+    def test_parent_failure_kills_the_child(self, tmp_path, forks, monkeypatch, capfd):
+        self._fail_in(monkeypatch, child=False)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
+        assert len(forks) == 1
+        self._assert_quiet_and_reaped(capfd)
 
 
 class TestMaskShape:

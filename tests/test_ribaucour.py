@@ -313,6 +313,18 @@ class TestMasking:
             transformed_triple(t, rf)
 
 
+@pytest.mark.parametrize("v, V", [((math.nan, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, math.inf, 0))])
+def test_non_finite_constant_triple_refused(v, V):
+    # refused before any step, with no residual gate to catch it
+    t = TripleField.constant(ParameterGrid.centered(1.0, 5), (1, -1, 1), FLAT, v=v, V=V)
+    with pytest.raises(PreconditionFailed, match="constant triple is not finite"):
+        integrate_frame(t, seed_frame_state("problemstar_e1_Cneg", FLAT),
+                        integrability_tol=None)
+    init = RibaucourState((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0, 0.5, 0.0)
+    with pytest.raises(PreconditionFailed, match="constant triple is not finite"):
+        integrate_ribaucour(t, init, integrability_tol=None)
+
+
 class TestParallelTriple:
     def _ps_triple(self, c, grid):
         C = 1.0 * (1 if c > 0 else -1)

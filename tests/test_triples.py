@@ -180,6 +180,17 @@ class TestSweepGate:
         with pytest.raises(PreconditionFailed, match="seed residual nan exceeds"):
             check_sweep_input(t, t.grid, 1e-8)
 
+    @pytest.mark.parametrize("n", [(5, 6, 41), (41, 41, 41)])
+    def test_constant_one_sided_rounding(self, n):
+        # -1.5 x + 2 x - 0.5 x rounds to nonzero for these values, so only the
+        # one-sided face stencils carry a residual; the gate reads them on its
+        # 5 x 5 x 5 stand-in with this grid's spacing on each axis
+        grid = ParameterGrid((-1.0, -0.3, 0.0), (1.0, 0.7, 2.5), n)
+        t = TripleField.constant(grid, (1, -1, 1), FLAT, v=(0.1, 0.3, 0.7), V=(0.0, 0.7, 0.0))
+        argmax = [e.argmax[1:] for e in triple_residuals(t).entries.values() if e.max > 0]
+        assert argmax and all(any(i in (0, m - 1) for i, m in zip(idx, n)) for idx in argmax)
+        assert self._assert_gate_is_report_max(t) > 0
+
     def test_gate_holds_few_grid_planes(self):
         import tracemalloc
 
