@@ -1,22 +1,38 @@
 """Deterministic lattice sweep integration: the one engine for every system a
 triple drives.
 
-A sweep integrates axis by axis: along the first axis from the base node,
-then along the second axis from every node of the first line, then along the
-third from every node of that sheet.  Lines advance node to node with classic
-4th-order Runge-Kutta substeps so the effective step never exceeds
-``max_step``.  Within each line the evaluation order is fixed, so outputs are
-byte-identical for identical inputs.
+March order.  A sweep integrates axis by axis in ``order``: along the first
+axis from the base node (one line), then along the second axis from every
+node of that line, then along the third from every node of that sheet.  Each
+axis phase marches its lines in two directions from the same start nodes,
++ (increasing node index) and - (decreasing).  A direction advances node to
+node with classic 4th-order Runge-Kutta substeps: a node interval of span s
+takes ``max(1, ceil(|s| / max_step))`` equal substeps.  The evaluation order
+is fixed, so outputs are byte-identical for identical inputs.
+
+Lanes.  The two directions of a phase never read each other, so they can
+march as one batch: ``rk4_march`` takes one or two lanes, a lane being one
+direction's lines with its own substep schedule, and advances every live
+lane by one of its own substeps per step.  The lanes' columns lie side by
+side; the coefficients dt/2, dt and dt/6 are per column, the triple is still
+evaluated lane by lane, and when a lane's schedule ends the batch shrinks to
+the other lane.  Each column sees the same floating-point operations as in
+a march of its direction alone, so states do not depend on how directions
+are grouped.  The first two phases (1 and n_a lines) are dispatch-bound: a
+call of the right-hand side costs nearly as much for one line as for many,
+so their two directions march together and every ufunc call serves both.
+The last phase (n_a n_b lines) marches its directions one after the other:
+there a doubled batch no longer fits in cache and marched slower.
 
 Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 ``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
 are driven by the same holonomic data (v, h, V).  Their states are stacked:
-each y0 is flattened into a block of consecutive rows, in list order, so the
-lines of one axis phase march together as one batch state of shape (R, B).
-The batch axis is last, so every row a body reads or writes is a contiguous
-run of B values.  On arrival at a node, each system's rows are written to the
-node layer through a basic-index view of that system's own state array, which
-comes back as a contiguous ``grid.n + y0.shape`` array.
+each y0 is flattened into a block of consecutive rows, in list order, so a
+march carries one batch state of shape (R, B).  The batch axis is last, so
+every row a body reads or writes is a contiguous run of B values.  On
+arrival at a node, each system's rows are written to the node layer through
+a basic-index view of that system's own state array, which comes back as a
+contiguous ``grid.n + y0.shape`` array.
 
 In-place bodies.  ``make_body(triple, y0)`` is called once per sweep, after
 the triple is checked, and returns the system's body (it may reject y0).
@@ -28,16 +44,20 @@ same order as the expression form, so states are unchanged bit for bit, and a
 system's rows are bit for bit those of a sweep of its own.
 
 Right-hand side.  ``stacked_rhs`` builds the one right-hand side.  Per RK
-stage it evaluates the triple once (``triple.eval_at``, looked up at call
-time), allocates one dY and runs each body on its row blocks of Y and dY.  It
-leaves Y unmodified; the march reuses dY as an accumulator.  A sweep makes
-the same ``eval_at`` calls however many systems it carries.
+stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
+call time, with that lane's B points), allocates one dY and runs each body on
+its row blocks of Y and dY.  It leaves Y unmodified; the march reuses dY as
+an accumulator.  A sweep makes the same ``eval_at`` calls however many
+systems it carries and however its directions are grouped: four per substep
+of each direction.
 
 Masked rows.  With a ``node_check``, masking governs the first system's rows.
 A ``node_check`` flag or a non-finite value in those rows masks the line: the
 flag propagates along the sweep, and the line's masked rows freeze while its
 other rows keep integrating, as they would in a sweep of their own.  A
-non-finite value in any other row raises NonFiniteState.
+non-finite value in any other row raises NonFiniteState naming the axis and
+node; when both directions overflow, the + direction's node is named, as if
+it had marched first.
 """
 
 from __future__ import annotations
@@ -51,52 +71,127 @@ from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
 
 
-def rk4_march(rhs, pts, axis, u_from, u_to, y, max_step, frozen, rows=None):
-    """Advance the batch state y (R, B) from u_from to u_to along one axis;
-    ``y`` itself is not modified.  ``rhs(points (B, 3), Y, axis)`` returns a
-    fresh dY.  The lines flagged in ``frozen`` keep their first ``rows`` state
-    rows (all rows when None).
+def node_intervals(ax_vals, i0, step, max_step):
+    """One direction's schedule from node ``i0`` along the axis values
+    ``ax_vals``, one node interval at a time: (node reached, u_from, dt,
+    substeps), the span split into ``max(1, ceil(|span| / max_step))``
+    substeps of dt.  Nothing is listed ahead, so a tiny ``max_step`` costs
+    time, not memory."""
+    idx = i0
+    while 0 <= idx + step < len(ax_vals):
+        nxt = idx + step
+        span = ax_vals[nxt] - ax_vals[idx]
+        nsub = max(1, math.ceil(abs(span) / max_step))
+        yield nxt, ax_vals[idx], span / nsub, nsub
+        idx = nxt
 
-    Stages and the combine run in place: one ``stage`` buffer per march, and
-    the k arrays returned by ``rhs`` are reused as accumulators, in the order
-    y + (dt/2) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  Overflow inside
-    a step is tolerated here; callers detect non-finite states on node arrival.
+
+class _Lane:
+    """A lane of ``rk4_march``: its stage points and its place in its schedule."""
+
+    __slots__ = ("k", "bad", "intervals", "p0", "pm", "p1", "node", "u", "dt", "left")
+
+    def __init__(self, k, pts, bad, intervals):
+        self.k, self.bad, self.intervals = k, bad, intervals
+        self.p0, self.pm, self.p1 = pts.copy(), pts.copy(), pts.copy()
+        self.left = 0
+
+    def next_interval(self):
+        """Start the next node interval; False when the schedule has ended."""
+        for self.node, self.u, self.dt, self.left in self.intervals:
+            return True
+        return False
+
+
+def rk4_march(rhs, lanes, axis, rows=None):
+    """March one or two lanes of lines along ``axis`` as one batch state,
+    every live lane one RK4 substep of its own schedule per step.
+
+    A lane is ``(pts, y, bad, intervals)``: the (B, 3) start points of its
+    lines, their (R, B) states (not modified), the (B,) bool lines that keep
+    their first ``rows`` state rows (all rows when None), and its schedule
+    from ``node_intervals``.  The live lanes' columns lie side by side in
+    lane order; dt/2, dt and dt/6 are per column when two lanes are live,
+    and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
+    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose
+    schedule has ended leaves the batch.
+
+    Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
+    (R, B) state there; the caller may flag more of that lane's ``bad``
+    before resuming.  Between arrivals, the stages and the combine run in
+    place in one ``stage`` buffer, and the k arrays returned by ``rhs`` are
+    reused as accumulators, in the order y + (dt/2) k and
+    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  Overflow inside a step is left
+    to the caller's ``np.errstate`` and checked on node arrival.
     """
-    span = u_to - u_from
-    nsub = max(1, math.ceil(abs(span) / max_step))
-    dt = span / nsub
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    hold = frozen is not None and frozen.any()
-    stage = np.empty_like(y)
-    u = u_from
-    p0 = pts.copy()
-    p0[:, axis] = u
-    pm = pts.copy()
-    p1 = pts.copy()
-    for _ in range(nsub):
-        pm[:, axis] = u + half
-        p1[:, axis] = u + dt
-        k1 = rhs(p0, y, axis)
-        k2 = rhs(pm, np.add(y, np.multiply(half, k1, out=stage), out=stage), axis)
-        k3 = rhs(pm, np.add(y, np.multiply(half, k2, out=stage), out=stage), axis)
-        k4 = rhs(p1, np.add(y, np.multiply(dt, k3, out=stage), out=stage), axis)
-        k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-        k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
-        k4 = np.add(k3, k4, out=k4)
-        y_new = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
-        if hold:
-            y_new[:rows, frozen] = y[:rows, frozen]
-        y = y_new
-        u += dt
-        p0, p1 = p1, p0        # this substep's end points start the next one
-    return y
+    live = [_Lane(k, pts, bad, intervals) for k, (pts, _, bad, intervals) in enumerate(lanes)]
+    live = [lane for lane in live if lane.next_interval()]
+    y = np.concatenate([lanes[lane.k][1] for lane in live], axis=1) if live else None
+    while live:
+        if len(live) == 1:
+            dt = live[0].dt
+            half, sixth = 0.5 * dt, dt / 6.0
+            p0, pm, p1 = live[0].p0, live[0].pm, live[0].p1
+        else:
+            widths = [len(lane.bad) for lane in live]
+            dt = np.repeat([lane.dt for lane in live], widths)
+            half = np.repeat([0.5 * lane.dt for lane in live], widths)
+            sixth = np.repeat([lane.dt / 6.0 for lane in live], widths)
+            p0, pm, p1 = ([lane.p0 for lane in live], [lane.pm for lane in live],
+                          [lane.p1 for lane in live])
+        frozen = np.concatenate([lane.bad for lane in live])
+        hold = frozen.any()
+        stage = np.empty_like(y)
+        steps = min(lane.left for lane in live)     # up to the next arrival
+        for _ in range(steps):
+            for lane in live:
+                lane.p0[:, axis] = lane.u
+                lane.pm[:, axis] = lane.u + 0.5 * lane.dt
+                lane.u += lane.dt
+                lane.p1[:, axis] = lane.u
+            k1 = rhs(p0, y, axis)
+            k2 = rhs(pm, np.add(y, np.multiply(half, k1, out=stage), out=stage), axis)
+            k3 = rhs(pm, np.add(y, np.multiply(half, k2, out=stage), out=stage), axis)
+            k4 = rhs(p1, np.add(y, np.multiply(dt, k3, out=stage), out=stage), axis)
+            k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+            k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
+            k4 = np.add(k3, k4, out=k4)
+            y_new = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
+            if hold:
+                y_new[:rows, frozen] = y[:rows, frozen]
+            y = y_new
+        del k1, k2, k3, stage      # the caller's node work reuses this memory
+
+        cols, lo = [], 0
+        for lane in live:
+            hi = lo + len(lane.bad)
+            lane.left -= steps
+            if not lane.left:
+                yield lane.k, lane.node, y[:, lo:hi]
+                lane.next_interval()
+            if lane.left:
+                cols.append(slice(lo, hi))
+            lo = hi
+        if len(cols) < len(live):
+            live = [lane for lane in live if lane.left]
+            y = np.concatenate([y[:, c] for c in cols], axis=1) if live else None
+
+
+def _lane_values(triple, pts):
+    """(v, h, V) at a list of lanes' points, evaluated lane by lane and laid
+    side by side, components first: every column a body reads (v[:, a],
+    h[:, j, a], V[:, a]) is contiguous."""
+    v, h, V = zip(*map(triple.eval_at, pts))
+    return (np.concatenate([x.T for x in v], axis=1).T,
+            np.concatenate([x.transpose(1, 2, 0) for x in h], axis=2).transpose(2, 0, 1),
+            np.concatenate([x.T for x in V], axis=1).T)
 
 
 def stacked_rhs(triple, systems):
     """(rhs, y0, blocks) for ``systems`` stacked on one state: the right-hand
-    side ``rhs(points (B, 3), Y (R, B), axis) -> dY``, the stacked initial
-    state (R,) and each system's row slice (module docstring)."""
+    side ``rhs(points, Y (R, B), axis) -> dY``, the stacked initial state (R,)
+    and each system's row slice (module docstring).  ``points`` is one (B, 3)
+    array, or a list of one per lane whose columns lie side by side in Y."""
     systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
     parts, start = [], 0
     for make_body, y0 in systems:
@@ -104,7 +199,7 @@ def stacked_rhs(triple, systems):
         start += y0.size
 
     def rhs(pts, Y, axis):
-        v, h, V = triple.eval_at(pts)
+        v, h, V = _lane_values(triple, pts) if isinstance(pts, list) else triple.eval_at(pts)
         dY = np.empty(Y.shape)
         for body, rows in parts:
             body(v, h, V, Y[rows], dY[rows], axis)
@@ -163,30 +258,36 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
-
-        for direction in (+1, -1):
-            y = y_start.copy()
-            bad = bad_start.copy()
-            idx = i0
-            while 0 <= idx + direction < n[axis]:
-                nxt = idx + direction
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    y = rk4_march(rhs, pts_start, axis, ax_vals[idx], ax_vals[nxt],
-                                  y, max_step, bad, mask_rows)
-                if mask_rows < R and not np.isfinite(y[mask_rows:]).all():
-                    raise NonFiniteState(
-                        f"state overflowed along axis {axis} at node {nxt}"
-                    )
-                if mask_rows:
-                    bad |= ~np.isfinite(y[:mask_rows]).all(axis=0)
-                if node_check is not None:
-                    bad |= node_check(y)
-                at[axis] = nxt
-                for part, rows in zip(states, blocks):
-                    part[tuple(at)] = np.moveaxis(y[rows].reshape((-1,) + done_shape),
-                                                  trail, lead)
-                masked[tuple(at)] |= bad.reshape(done_shape)
-                idx = nxt
+        lanes = [(+1, bad_start.copy()), (-1, bad_start.copy())]
+        # the narrow first two phases march both directions as one batch
+        for group in [lanes] if len(done) < 2 else [[lane] for lane in lanes]:
+            plus_open = group[0][0] > 0 and i0 < n[axis] - 1
+            held = None         # a - direction overflow, raised once + has ended
+            march = rk4_march(rhs, [(pts_start, y_start, bad,
+                                     node_intervals(ax_vals, i0, step, max_step))
+                                    for step, bad in group], axis, mask_rows)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for k, nxt, y in march:
+                    step, bad = group[k]
+                    if mask_rows < R and not np.isfinite(y[mask_rows:]).all():
+                        err = NonFiniteState(
+                            f"state overflowed along axis {axis} at node {nxt}")
+                        if step > 0 or not plus_open:
+                            raise err
+                        held = held or err
+                    if mask_rows:
+                        bad |= ~np.isfinite(y[:mask_rows]).all(axis=0)
+                    if node_check is not None:
+                        bad |= node_check(y)
+                    at[axis] = nxt
+                    for part, rows in zip(states, blocks):
+                        part[tuple(at)] = np.moveaxis(y[rows].reshape((-1,) + done_shape),
+                                                      trail, lead)
+                    masked[tuple(at)] |= bad.reshape(done_shape)
+                    if step > 0 and nxt == n[axis] - 1:
+                        plus_open = False
+                        if held:
+                            raise held
         done.append(axis)
     return [part.reshape(tuple(n) + np.shape(y0))
             for part, (_, y0) in zip(states, systems)], masked

@@ -290,13 +290,14 @@ def invariant_fields(rf: RibaucourField):
     """K1, K2, Omega evaluated at every node."""
     t = rf.source
     eps, c = t.spec.eps, t.spec.c
+    v, _, V = t.grid_values()
     g, vp = rf.gamma, rf.vprime
     phi, psi, beta = rf.phi, rf.psi, rf.beta
     with np.errstate(invalid="ignore", over="ignore"):
         K1 = np.sum(g * g, axis=0) + eps * beta**2 + c * phi**2 - 2.0 * phi * psi
         K2 = delta_inner(t.delta, vp, vp)
-        omega = phi * delta_inner(t.delta, vp, t.V) - eps * beta * (
-            rf.K2target - delta_inner(t.delta, t.v, vp)
+        omega = phi * delta_inner(t.delta, vp, V) - eps * beta * (
+            rf.K2target - delta_inner(t.delta, v, vp)
         )
     return K1, K2, omega
 
@@ -350,12 +351,12 @@ def transformed_triple(t: TripleField, rf: RibaucourField) -> TripleField:
     if not ok.any():
         raise EmptyDomain("every node of the transformation field is masked")
     eps = t.spec.eps
-    v, h, V = t.v, t.h, t.V
+    v, h, V = t.grid_values()
     vp = rf.vprime
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = eps * rf.beta / rf.phi
         Vp = V + (v - vp) * ratio
-        hp = np.empty_like(h)
+        hp = np.empty(h.shape)
         for i in range(3):
             for j in range(3):
                 hp[i, j] = h[i, j] + (vp[j] - v[j]) * rf.gamma[i] / rf.phi

@@ -255,10 +255,22 @@ class TripleField:
         self._sample()
         return self._V
 
+    def grid_values(self):
+        """(v, h, V) over the grid, components first, without filling a
+        constant triple's arrays: for it, read-only broadcast views of its
+        two 3-vectors and of h = 0."""
+        if not self.closed_form:
+            return self.v, self.h, self.V
+        v, V = self._vV
+        n = tuple(self.grid.n)
+        return tuple(np.broadcast_to(x.reshape(x.shape + (1, 1, 1)), x.shape + n)
+                     for x in (v, np.zeros((3, 3)), V))
+
     def at(self, idx):
         """(v, h, V) at one grid node."""
         i, j, k = idx
-        return self.v[:, i, j, k], self.h[:, :, i, j, k], self.V[:, i, j, k]
+        v, h, V = self.grid_values()
+        return v[:, i, j, k], h[:, :, i, j, k], V[:, i, j, k]
 
     def eval_at(self, points):
         """(v, h, V) at points, shape (..., 3) -> components last.

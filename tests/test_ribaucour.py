@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,6 +262,68 @@ class TestTransformedTriple:
         tt = transformed_triple(t, rf)
         ok = rf.valid_mask()
         assert np.abs((tt.V - t.V)[:, ok]).max() < 1e-12
+
+
+class TestConstantSeedUnfilled:
+    """A constant seed's 15 grid planes are never filled on the Ribaucour
+    route; each step gives the bytes it gives on the planes, read from a
+    sampled copy of the seed."""
+
+    CASES = {
+        "r4_problemstar": (PhiFamily("problemstar", K=1.0, a=1.0, c=0.0, eps=1,
+                                     theta=THETA), None),
+        "s4_problemstar_sphere": (PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1,
+                                            theta=THETA), None),
+        "r4_problemstar_eps_minus1": (PhiFamily("problemstar", K=2.0, a=1.0, c=0.0,
+                                                eps=-1, theta=THETA), None),
+        "masked": (None, 0.05),
+    }
+
+    @staticmethod
+    def _same(a, b):
+        assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_route_leaves_planes_unfilled(self, name):
+        fam, mask_tol = self.CASES[name]
+        grid = ParameterGrid.centered(1.0, 11)
+        if fam is None:
+            t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+            req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0,
+                                 beta=0.3)
+            init, K2, frame_init = (seed_state(t, grid.base, req, K2target=1.0), 1.0,
+                                    seed_frame_state("problemstar_e1_Cneg", t.spec))
+        else:
+            t = fam.seed_triple(grid)
+            init, K2, frame_init = phi_state(fam, grid.base_point), fam.K2target, \
+                fam.frame_init()
+        assert t.closed_form
+
+        def unfilled(result):
+            assert t._v is None and t._h is None and t._V is None
+            return result
+
+        rf = unfilled(integrate_ribaucour(t, init, mask_tol=mask_tol, K2target=K2))
+        ff = unfilled(integrate_frame(t, frame_init))
+        F = unfilled(transform_immersion(ff, rf))
+        drift = unfilled(invariant_drift(rf))
+        fields = unfilled(invariant_fields(rf))
+        tt = unfilled(transformed_triple(t, rf))
+        node = unfilled(t.at(grid.base))
+        if fam is None:
+            assert rf.masked is not None and rf.masked.any() and tt.masked is not None
+
+        planes = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
+        rf_planes = dataclasses.replace(rf, source=planes)
+        assert drift == invariant_drift(rf_planes)
+        for got, want in zip(fields, invariant_fields(rf_planes)):
+            self._same(got, want)
+        tt_planes = transformed_triple(planes, rf)
+        for got, want in zip((tt.v, tt.h, tt.V), (tt_planes.v, tt_planes.h, tt_planes.V)):
+            self._same(got, want)
+        for got, want in zip(node, planes.at(grid.base)):
+            self._same(got, want)
+        assert np.isfinite(F.positions[rf.valid_mask()]).all()
 
 
 class TestMasking:

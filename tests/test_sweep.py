@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from spaceform_lab._sweep import rk4_march, stacked_rhs
+from spaceform_lab._sweep import node_intervals, rk4_march, stacked_rhs, sweep_integrate
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     DimensionError,
@@ -175,19 +175,19 @@ def _ref_ribaucour_rhs(triple):
     return rhs
 
 
-def ref_frame(triple, init, sweep_order=(0, 1, 2)):
+def ref_frame(triple, init, sweep_order=(0, 1, 2), max_step=DEFAULT_MAX_STEP):
     return _ref_sweep(triple.grid, sweep_order, init.as_array(), _ref_frame_rhs(triple),
-                      DEFAULT_MAX_STEP)
+                      max_step)
 
 
-def ref_ribaucour(triple, init, mask_tol=None):
+def ref_ribaucour(triple, init, mask_tol=None, sweep_order=(0, 1, 2)):
     grid = triple.grid
     tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
 
     def node_check(Y):
         return (np.abs(Y[..., 6]) < tol) | (np.abs(Y[..., 7]) < tol)
 
-    return _ref_sweep(grid, (0, 1, 2), init.as_array(), _ref_ribaucour_rhs(triple),
+    return _ref_sweep(grid, sweep_order, init.as_array(), _ref_ribaucour_rhs(triple),
                       DEFAULT_MAX_STEP, node_check, "mask")
 
 
@@ -231,10 +231,16 @@ def _layer_case(name, where, sampled):
     (base (2, 3, 1)) or on the same box with its base on two faces (0, 3, 5),
     where one direction of axes 0 and 2 is empty.  The sampled triple is the
     family's transformed triple, so h != 0 there."""
-    fam = FAMILIES[name]
     grid = TestEvalCount.GRID
     if where == "face":
         grid = ParameterGrid(grid.lo, grid.hi, grid.n, (0, 3, 5))
+    return _family_case(name, grid, sampled)
+
+
+def _family_case(name, grid, sampled):
+    """A family's triple on ``grid`` and its Ribaucour seed at the base; the
+    sampled triple is the family's transformed triple, so h != 0 there."""
+    fam = FAMILIES[name]
     t = fam.seed_triple(grid)
     init = phi_state(fam, grid.base_point)
     if sampled:
@@ -379,7 +385,7 @@ class TestInputsUntouched:
         frozen = np.arange(self.B) % 3 == 0
         before = Y.tobytes()
         u = t.grid.axis(1)
-        y = rk4_march(rhs, pts, 1, u[4], u[5], Y, 0.02, frozen)
+        [(_, _, y)] = rk4_march(rhs, [(pts, Y, frozen, node_intervals(u[4:6], 0, 1, 0.02))], 1)
         assert Y.tobytes() == before
         assert not np.shares_memory(y, Y)
         assert y[..., frozen].tobytes() == Y[..., frozen].tobytes()
@@ -609,3 +615,200 @@ class TestStackedSweep:
         assert len(seen["stacked"]) == calls
         assert sum(len(p) for p in seen["stacked"]) == points
         assert [p.tobytes() for p in seen["stacked"]] == [p.tobytes() for p in seen["separate"]]
+
+
+# ---------------------------------------------------------------------------
+# the two directions of a narrow phase marched as one batch
+# ---------------------------------------------------------------------------
+
+
+def _engine_ribaucour(t, init, order):
+    """``integrate_ribaucour``'s sweep in any axis order (it sweeps (0, 1, 2))."""
+    tol = default_mask_tol(t.grid)
+
+    def node_check(Y):
+        return (np.abs(Y[6]) < tol) | (np.abs(Y[7]) < tol)
+
+    (states,), masked = sweep_integrate(t, t.grid, order, [(_ribaucour_body, init.as_array())],
+                                        DEFAULT_MAX_STEP, None, node_check)
+    return states, masked
+
+
+def _schedules(grid, axis, max_step=DEFAULT_MAX_STEP):
+    """Substeps per node interval of the + and the - direction along ``axis``."""
+    return [[nsub for *_, nsub in node_intervals(grid.axis(axis), grid.base[axis], step,
+                                                 max_step)]
+            for step in (+1, -1)]
+
+
+class TestLockstep:
+    """The first two axis phases march their + and - directions as one batch,
+    each on its own substep schedule; states, masks and errors are bit for bit
+    those of the batch-first reference, which marches + and then -."""
+
+    # max_step 0.01 splits the intervals of the 41-node axis on [-1, 1] into 5
+    # or 6 substeps (spacings 0.05 and 0.050000000000000044)
+    BOX = ((-1.0, -0.1, -0.15), (1.0, 0.1, 0.15), (41, 5, 4))
+    BASES = {"asymmetric": (7, 1, 2),       # + and - differ in length and schedule
+             "axis41": (20, 2, 1),          # centred: mixed 5- and 6-substep intervals
+             "face": (0, 2, 3)}             # + of axis 0 and - of axis 2 are empty
+
+    @classmethod
+    def grid(cls, where):
+        return ParameterGrid(*cls.BOX, cls.BASES[where])
+
+    def test_schedules(self):
+        plus, minus = _schedules(self.grid("asymmetric"), 0)
+        assert (len(plus), len(minus)) == (33, 7)
+        assert plus[:7] != minus and set(plus) == set(minus) == {5, 6}
+        plus, minus = _schedules(self.grid("axis41"), 0)
+        assert len(plus) == len(minus) and sum(plus) != sum(minus)
+        face = self.grid("face")
+        assert _schedules(face, 0)[1] == [] and _schedules(face, 2)[0] == []
+
+    def test_tiny_max_step_streams(self):
+        # 1e-300 asks for about 5e298 substeps per interval: the march starts
+        # at once, with nothing listed ahead
+        grid = self.grid("axis41")
+        ((_, _, _, nsub),) = itertools.islice(node_intervals(grid.axis(0), 20, 1, 1e-300), 1)
+        assert nsub > 1e298
+        t = FAMILIES["r4_problemstar"].seed_triple(grid)
+        rhs, y0, _ = stacked_rhs(t, [(_frame_body, np.zeros((5, t.spec.dim)))])
+        calls = []
+
+        class Enough(Exception):
+            pass
+
+        def counted(pts, Y, axis):
+            calls.append(len(pts))
+            if len(calls) == 16:
+                raise Enough
+            return rhs(pts, Y, axis)
+
+        pts = np.array([grid.base_point])
+        y = np.zeros((len(y0), 1))
+        lanes = [(pts, y, np.zeros(1, bool), node_intervals(grid.axis(0), 20, step, 1e-300))
+                 for step in (+1, -1)]
+        with pytest.raises(Enough):
+            next(rk4_march(counted, lanes, 0))
+        assert calls == [2] * 16            # two lanes of one line each
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("where", sorted(BASES))
+    def test_frame(self, where, order, sampled):
+        fam, t, _ = _family_case("r4_problemstar", self.grid(where), sampled)
+        ff = integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), order))
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("where", sorted(BASES))
+    def test_ribaucour(self, where, order, sampled):
+        _, t, init = _family_case("s4_problemstar_sphere", self.grid(where), sampled)
+        _assert_same(_engine_ribaucour(t, init, order),
+                     ref_ribaucour(t, init, sweep_order=order))
+
+    @staticmethod
+    def _growing_triple(lo, hi, n, base):
+        """Frame rows grow like exp(int V_1 du_1) along axis 0 (eps = -1), with
+        V_1 = 60 - u_1: faster below u_1 = 0 than above."""
+        grid = ParameterGrid((lo, 0, 0), (hi, 1, 1), (n, 4, 4), (base, 1, 1))
+        u = np.broadcast_to(grid.axis(0)[:, None, None], grid.n)
+        zero, one = np.zeros(grid.n), np.ones(grid.n)
+        return TripleField.from_samples(grid, (1, -1, 1), SpaceFormSpec(0.0, 1),
+                                        np.stack([zero, one, one]),
+                                        np.zeros((3, 3) + grid.n),
+                                        np.stack([60.0 - u, zero, zero]))
+
+    @staticmethod
+    def _overflow_message(t, max_step):
+        init = standard_frame_state(t.spec)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, init, max_step=max_step)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_frame(t, init, max_step=max_step, integrability_tol=None)
+        assert str(err.value) == str(ref_err.value)
+        return str(err.value)
+
+    def test_overflow_in_both_directions_names_the_plus_node(self):
+        # alone, - overflows 16 nodes from the base and + 20 nodes: marched
+        # together, - overflows first and its error waits for + to raise
+        assert self._overflow_message(self._growing_triple(-40.0, 0.0, 21, 20),
+                                      0.5).endswith("axis 0 at node 4")
+        assert self._overflow_message(self._growing_triple(0.0, 40.0, 21, 0),
+                                      0.5).endswith("axis 0 at node 20")
+        assert self._overflow_message(self._growing_triple(-40.0, 40.0, 41, 20),
+                                      0.5).endswith("axis 0 at node 40")
+
+    def test_overflow_in_minus_direction_names_its_node(self):
+        # + ends two nodes from the base, before anything overflows
+        t = TestBitIdentity()._overflowing_triple()
+        t = TripleField.constant(ParameterGrid(t.grid.lo, t.grid.hi, t.grid.n, (28, 2, 2)),
+                                 t.delta, t.spec, *t.constant_values)
+        message = self._overflow_message(t, DEFAULT_MAX_STEP)
+        assert message.startswith("state overflowed along axis 0 at node ")
+        assert int(message.rsplit(" ", 1)[1]) < 28
+
+    def test_masked_direction_leaves_the_other_integrating(self):
+        # along the base line phi falls from 0.3 to 0.05 < mask_tol one node
+        # into the - direction, which freezes there, and rises in the + direction
+        grid = ParameterGrid.centered(1.0, 9)
+        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
+        init = seed_state(t, grid.base, req, K2target=1.0)
+        rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
+        line = rf.masked[:, 4, 4]
+        assert line[:4].all() and not line[4:].any()
+        minus, plus = rf.states[:4, 4, 4], rf.states[4:, 4, 4]
+        assert np.isfinite(minus).all() and {row.tobytes() for row in minus} == {
+            minus[3].tobytes()}
+        assert np.isfinite(plus).all() and len({row.tobytes() for row in plus}) == len(plus)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init, mask_tol=0.1))
+
+
+class TestEvalAtPerDirection:
+    """``eval_at`` never sees a merged batch: each call carries the B lines of
+    one direction, all on its side of the base along the phase axis, and in
+    the merged phases + is evaluated before - at every stage.  This keeps the
+    number of evaluations at four per RK substep of each direction."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("where", ["asymmetric", "face"])
+    def test_one_direction_per_call(self, where, order, sampled):
+        grid = TestLockstep.grid(where)
+        fam = FAMILIES["r4_problemstar"]
+        t = fam.seed_triple(grid)
+        if sampled:
+            t = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
+        calls = []
+        inner = t.eval_at
+
+        def eval_at(points):
+            calls.append(np.array(points))
+            return inner(points)
+
+        t.eval_at = eval_at
+        integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
+
+        pos = 0
+        for k, axis in enumerate(order):
+            done = order[:k]
+            starts = np.array(list(itertools.product(
+                *[grid.axis(a) if a in done else [grid.base_point[a]] for a in range(3)])))
+            plus, minus = (4 * sum(s) for s in _schedules(grid, axis))
+            if k < 2:       # one stage of each live direction in turn, + first
+                signs = [sign for i in range(max(plus, minus))
+                         for sign, stages in ((1, plus), (-1, minus)) if i < stages]
+            else:           # all of + before all of -
+                signs = [1] * plus + [-1] * minus
+            others = [a for a in range(3) if a != axis]
+            u0 = grid.base_point[axis]
+            for sign, points in zip(signs, calls[pos:pos + len(signs)]):
+                assert points.shape == starts.shape
+                assert np.array_equal(points[:, others], starts[:, others])
+                u = points[:, axis]
+                assert (u == u[0]).all() and sign * (u[0] - u0) >= 0
+            pos += len(signs)
+        assert pos == len(calls)
