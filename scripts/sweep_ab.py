@@ -1,0 +1,240 @@
+"""Time two checkouts' sweeps in one process, alternating, and compare their bytes.
+
+Loads ``src/spaceform_lab`` of this checkout (``--root``) and of another
+(``--against``) under two package names, ``ab_root`` and ``ab_against``, and
+runs the inputs of the benchmark's ``sweep_closed`` workload on both: the
+problemstar family (K = a = 1, seed problemstar_e1_Cneg with C = -1) in R^4
+on the unit box with n^3 nodes, base at the centre, max_step 1e-2.  Each
+round runs, on one side and then the other (the side that goes first
+alternates):
+
+    frame      integrate_frame of the seed triple
+    ribaucour  integrate_ribaucour of the seed triple and its phi-state
+    pass       the Ribaucour sweep, the frame sweep, transform_immersion,
+               invariant_drift, transformed_triple and classify
+
+and times each with ``time.perf_counter``.  While the two sweeps run,
+``_sweep.rk4_march`` is wrapped to add up the time spent inside the march of
+each axis phase (the node writes between arrivals are left out); a phase is
+named by its lines per direction, B = 1, n and n^2.
+
+Prints a sha256 per run kind and side (the frame states; the Ribaucour states
+and mask; everything the pass returns), and per timing the median of each
+side, the median, least and largest of the per-round ratios root/against, and
+the rounds in which root was faster.  Exits 1 if the digests differ.
+
+    python scripts/sweep_ab.py --against OTHER_DIR
+    python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
+
+``_sweep.rk4_march`` may be the lane generator, ``rk4_march(rhs, lanes,
+axis, rows)``, or the older function that marched one direction's lines
+over one node interval per call, ``rk4_march(rhs, pts, ...)``.
+Separate benchmark processes cannot attribute a change of a few percent:
+one process and interleaved rounds share the host's state.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
+import inspect
+import json
+import math
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("root", "against")
+RUNS = {"frame": "frame", "ribaucour": "ribaucour", "pass": "run_pass"}   # run -> Side method
+
+
+def load_package(checkout, name):
+    """``checkout``'s src/spaceform_lab imported as the package ``name``."""
+    src = Path(checkout).resolve() / "src" / "spaceform_lab"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def theta_for(seed):
+    """The family parameter the benchmark draws from ``seed`` (bench/workloads.py)."""
+    return math.pi / 8 + math.pi / 32 * random.Random(seed).random()
+
+
+class Side:
+    """One checkout's package, its inputs and its per-phase march times."""
+
+    def __init__(self, checkout, name, n, theta):
+        load_package(checkout, name)
+        self.mod = {m: importlib.import_module(f"{name}.{m}")
+                    for m in ("_sweep", "frames", "gallery", "grid", "ribaucour", "triples")}
+        grid = self.mod["grid"].ParameterGrid((-1.0,) * 3, (1.0,) * 3, (n,) * 3, (n // 2,) * 3)
+        gal = self.mod["gallery"]
+        self.fam = gal.PhiFamily("problemstar", K=1.0, a=1.0, rho=1.0, theta=theta,
+                                 c=0.0, eps=1)
+        self.grid = grid
+        self.triple = self.fam.seed_triple(grid)
+        self.init = gal.phi_state(self.fam, grid.base_point)
+        self.phases = {}
+        sweep = self.mod["_sweep"]
+        sweep.rk4_march = self._timed(sweep.rk4_march)
+
+    def _timed(self, march):
+        if not inspect.isgeneratorfunction(march):
+            return self._timed_calls(march)
+        phases = self.phases
+
+        def rk4_march(rhs, lanes, *args, **kwargs):
+            key = len(lanes[0][0])
+            inner = march(rhs, lanes, *args, **kwargs)
+            while True:
+                t0 = time.perf_counter()
+                try:
+                    item = next(inner)
+                except StopIteration:
+                    phases[key] = phases.get(key, 0.0) + time.perf_counter() - t0
+                    return
+                phases[key] = phases.get(key, 0.0) + time.perf_counter() - t0
+                yield item
+
+        return rk4_march
+
+    def _timed_calls(self, march):
+        """The older ``rk4_march(rhs, pts, ...)``, one direction's lines over
+        one node interval per call."""
+        phases = self.phases
+
+        def rk4_march(rhs, pts, *args, **kwargs):
+            t0 = time.perf_counter()
+            y = march(rhs, pts, *args, **kwargs)
+            phases[len(pts)] = phases.get(len(pts), 0.0) + time.perf_counter() - t0
+            return y
+
+        return rk4_march
+
+    def frame(self):
+        ff = self.mod["frames"].integrate_frame(self.triple, self.fam.frame_init(), self.grid)
+        return ff, [ff.states]
+
+    def ribaucour(self):
+        rf = self.mod["ribaucour"].integrate_ribaucour(self.triple, self.init, self.grid,
+                                                       K2target=self.fam.K2target)
+        return rf, [rf.states, rf.valid_mask()]
+
+    def run_pass(self):
+        rib = self.mod["ribaucour"]
+        rf, _ = self.ribaucour()
+        ff, _ = self.frame()
+        fprime = rib.transform_immersion(ff, rf)
+        drift = rib.invariant_drift(rf)
+        tt = rib.transformed_triple(self.triple, rf)
+        cls = self.mod["triples"].classify(tt, 1e-6)
+        return None, [rf.states, ff.states, fprime.positions, tt.v, tt.h, tt.V,
+                      repr((drift.K1, drift.K2, drift.Omega)).encode(),
+                      repr(cls).encode()]
+
+
+def digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.tobytes())
+    return h.hexdigest()
+
+
+def timed(fn):
+    gc.collect()
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def one_round(sides, order):
+    """Each run kind on both sides, ``order`` first; returns the times and the
+    digests of this round."""
+    times = {side: {} for side in sides}
+    digests = {side: {} for side in sides}
+    for run in RUNS:
+        for name in order:
+            side = sides[name]
+            side.phases.clear()
+            times[name][run], (_, parts) = timed(getattr(side, RUNS[run]))
+            digests[name][run] = digest(parts)
+            if run != "pass":
+                for key, s in side.phases.items():
+                    times[name][f"{run} B={key}"] = s
+    return times, digests
+
+
+def summary(rounds, label):
+    root = [r["root"][label] for r in rounds]
+    against = [r["against"][label] for r in rounds]
+    ratios = [a / b for a, b in zip(root, against)]
+    return {"root_median_s": statistics.median(root),
+            "against_median_s": statistics.median(against),
+            "ratio_median": statistics.median(ratios), "ratio_min": min(ratios),
+            "ratio_max": max(ratios),
+            "root_faster": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+            "ratios": ratios}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout timed as 'root' (default: this one)")
+    parser.add_argument("--against", required=True, metavar="OTHER_DIR",
+                        help="checkout timed as 'against'")
+    parser.add_argument("--n", type=int, default=41, help="nodes per axis (default 41)")
+    parser.add_argument("--rounds", type=int, default=12, help="timed rounds (default 12)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="benchmark seed that draws theta (default 0)")
+    parser.add_argument("--json", metavar="PATH", help="also write every time to PATH")
+    args = parser.parse_args(argv)
+    if args.n < 3 or args.rounds < 1:
+        parser.error("--n must be at least 3 and --rounds at least 1")
+
+    theta = theta_for(args.seed)
+    sides = {"root": Side(args.root, "ab_root", args.n, theta),
+             "against": Side(args.against, "ab_against", args.n, theta)}
+    one_round(sides, SIDES)                         # warm-up, not timed
+    rounds, digests = [], None
+    for k in range(args.rounds):
+        times, digests = one_round(sides, SIDES if k % 2 == 0 else SIDES[::-1])
+        rounds.append(times)
+
+    print(f"root     {Path(args.root).resolve()}")
+    print(f"against  {Path(args.against).resolve()}")
+    print(f"inputs   sweep_closed family, theta {theta!r}, {args.n}^3 unit box, "
+          f"{args.rounds} rounds")
+    same = True
+    for run in RUNS:
+        a, b = digests["root"][run], digests["against"][run]
+        same &= a == b
+        print(f"sha256 {run:<10} root {a[:16]}  against {b[:16]}  "
+              f"{'same' if a == b else 'DIFFER'}")
+    labels = [label for label in rounds[0]["root"] if label in rounds[0]["against"]]
+    print(f"{'timing':<22}{'root s':>10}{'against s':>11}{'ratio':>8}"
+          f"{'min':>8}{'max':>8}  root faster")
+    results = {}
+    for label in labels:
+        s = results[label] = summary(rounds, label)
+        print(f"{label:<22}{s['root_median_s']:>10.4f}{s['against_median_s']:>11.4f}"
+              f"{s['ratio_median']:>8.3f}{s['ratio_min']:>8.3f}{s['ratio_max']:>8.3f}"
+              f"  {s['root_faster']}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"n": args.n, "rounds": args.rounds, "seed": args.seed, "theta": theta,
+                       "digests_same": same, "digests": digests, "summary": results,
+                       "times": rounds}, fh, indent=1)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

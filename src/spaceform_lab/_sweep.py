@@ -39,9 +39,26 @@ the triple is checked, and returns the system's body (it may reject y0).
 ``body(v, h, V, Y, dY, axis)`` reads the triple values (v, h, V) of the stage
 points and its own row block Y, and writes every row of its block dY once, in
 place (a ufunc ``out=`` into a row slice); scratch products live in rows that
-are not yet written.  A body does the same floating-point operations in the
-same order as the expression form, so states are unchanged bit for bit, and a
-system's rows are bit for bit those of a sweep of its own.
+are not yet written.  A body is built for its inputs: it leaves out the terms
+that are exactly zero at every stage of the sweep, the h terms of a constant
+triple (h = +0.0) and the c terms when c = 0, and writes a derivative row that
+has no other term as the exact 0.0 times its factor.  With finite operands a
+dropped term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x unless x is a
+zero, so a derivative changes at most in the sign of a zero.  A state row
+takes it in only through y + (+-0) in the stages and the combine, which is y
+unless y = -0.0; and a row that does not start at -0.0 never becomes -0.0,
+since x + y is -0.0 only when x and y both are.  So a term is dropped only
+when y0 has no -0.0 in the rows it reaches (``vanishing_terms``);
+otherwise the body keeps it.  The states are then bit for bit those of the
+expression form, which keeps every term, and a system's rows are bit for bit
+those of a sweep of its own; dY may differ from the expression form's in the
+signs of zeros.  The guarantee is weaker where a dropped term would have been
+0 * inf or 0 * NaN = NaN.  That needs a non-finite stage value, so it happens
+on a line whose state has gone non-finite, where the values frozen at the
+masked nodes may differ (NaN in one form, +-inf or a number in the other) and
+no output reads them, and on a line where an RK stage overflows while the
+node values around it stay finite, which takes a state within a factor of
+about two of the largest double.
 
 Right-hand side.  ``stacked_rhs`` builds the one right-hand side.  Per RK
 stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
@@ -69,6 +86,16 @@ import numpy as np
 
 from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
+
+
+def vanishing_terms(triple, reached):
+    """(h, c): whether a body may leave out its h terms and its c terms, whose
+    values are exactly zero when the triple is constant (h = +0.0) and when
+    c = 0, given the rows of y0 those terms reach.  Either may go only when
+    ``reached`` holds no -0.0 (module docstring, "In-place bodies")."""
+    reached = np.asarray(reached)
+    exact = not (np.signbit(reached) & (reached == 0)).any()
+    return triple.closed_form and exact, triple.spec.c == 0 and exact
 
 
 def node_intervals(ax_vals, i0, step, max_step):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep_integrate
+from ._sweep import sweep_integrate, vanishing_terms
 from .ambient import SpaceFormSpec, sig_inner
 from .errors import DimensionError
 from .grid import ParameterGrid, grid_partials, induced_metric_tensor
@@ -85,7 +85,21 @@ class FrameField:
 
 def _frame_body(triple: TripleField, y0):
     """In-place frame body on the (5 dim, B) rows of f, X1, X2, X3, N (``_sweep``
-    module docstring); a y0 of another shape than (5, dim) raises DimensionError."""
+    module docstring); a y0 of another shape than (5, dim) raises DimensionError.
+
+    The body is built for its inputs (``_sweep`` module docstring, "In-place
+    bodies").  Its droppable terms all land in dX_a: the h_ia X_i of a constant
+    triple, whose h is +0.0, and the c v_a f when c = 0.  With finite operands
+    each is +-0, so dropping it changes dX_a at most in the sign of a zero,
+    and a vanished dX_i = h_ia X_a (i != a) is written as the exact 0.0 X_a.
+    The X rows take that zero in only through y + (+-0), which is y unless
+    y = -0.0, and an X row that does not start at -0.0 never becomes -0.0.
+    So the terms are dropped only when y0's X rows hold no -0.0; otherwise
+    every term is kept.  The N = (-0, -0, -0, -1) of a Lorentzian standard
+    frame does not matter: no dropped term reaches N.  Where a dropped term
+    would have been 0 * inf = NaN, at a non-finite stage value, a value may
+    differ from the full body's (``_sweep`` module docstring).
+    """
     dim = triple.spec.dim
     if y0.shape != (5, dim):
         raise DimensionError(f"frame state has shape {y0.shape}; the triple's "
@@ -94,6 +108,7 @@ def _frame_body(triple: TripleField, y0):
     c = float(triple.spec.c)
     f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
     X = (X1, X2, X3)
+    h_vanishes, c_vanishes = vanishing_terms(triple, y0[1:4])
 
     def body(v, h, V, Y, dY, axis):
         a = axis
@@ -104,13 +119,17 @@ def _frame_body(triple: TripleField, y0):
         tmp = dY[N]                      # scratch until dN is written last
         np.multiply(va, Xa, out=dY[f])
         np.multiply(eps * Va, Y[N], out=dXa)
-        np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
+        if not c_vanishes:
+            np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
         for i in range(3):
             if i == a:
                 continue
-            hia = h[:, i, a]
-            np.multiply(hia, Xa, out=dY[X[i]])
-            np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
+            if h_vanishes:
+                np.multiply(0.0, Xa, out=dY[X[i]])
+            else:
+                hia = h[:, i, a]
+                np.multiply(hia, Xa, out=dY[X[i]])
+                np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
         np.multiply(-Va, Xa, out=dY[N])
 
     return body

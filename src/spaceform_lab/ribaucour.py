@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep_integrate
+from ._sweep import sweep_integrate, vanishing_terms
 from .errors import (
     ConstraintUnsatisfiable,
     EmptyDomain,
@@ -168,10 +168,30 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
 
 def _ribaucour_body(triple: TripleField, y0):
     """In-place Ribaucour body on (9, B) rows (``_sweep`` module docstring);
-    y0 is any RibaucourState's 9 values, so it needs no check."""
+    y0 is any RibaucourState's 9 values, so it needs no check.
+
+    The body is built for its inputs (``_sweep`` module docstring, "In-place
+    bodies").  Its droppable terms all land in dgamma_a: the h_ja gamma_j of
+    a constant triple, whose h is +0.0, and the c phi v_a when c = 0.  With
+    finite operands each is +-0, so dropping it changes dgamma_a at most in
+    the sign of a zero, and a vanished dgamma_j = h_ja gamma_a (j != a) is
+    written as the exact 0.0 gamma_a.  The gamma rows take that zero in only
+    through y + (+-0), which is y unless y = -0.0, and a gamma row that does
+    not start at -0.0 never becomes -0.0.  So the terms are dropped only when
+    y0's gamma rows hold no -0.0; otherwise every term is kept.  The cflat
+    family's phi-state has gamma_1 = -0.0 and gets the full body.
+
+    The h_aj of h'_aj = h_aj + (v'_j - v_j) gamma_a / phi is not dropped: it
+    reaches the v' rows, and the phi-states of both problemstar families have
+    v'_2 = -0.0 at u = 0.  The add is kept as 0.0 + h', which turns a -0.0 h'
+    into +0.0 as h_aj + h' does.  Where a dropped term would have been
+    0 * inf = NaN, at a non-finite stage value, a value may differ from the
+    full body's (``_sweep`` module docstring).
+    """
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
     delta = np.asarray(triple.delta, dtype=float)
+    h_vanishes, c_vanishes = vanishing_terms(triple, y0[_G])
 
     def body(v, h, V, Y, dY, axis):
         g = Y[_G]
@@ -195,17 +215,22 @@ def _ribaucour_body(triple: TripleField, y0):
 
         np.multiply(np.subtract(va, vpa, out=dga), psi, out=dga)
         np.add(dga, np.multiply(beta, Va, out=tmp), out=dga)
-        np.subtract(dga, np.multiply(np.multiply(c, phi, out=tmp), va, out=tmp), out=dga)
+        if not c_vanishes:
+            np.subtract(dga, np.multiply(np.multiply(c, phi, out=tmp), va, out=tmp),
+                        out=dga)
         acc.fill(0.0)
         for j in range(3):
             if j == a:
                 continue
-            hja = h[:, j, a]
-            np.multiply(hja, ga, out=dY[j])                          # (ii) with i = j, j = a
-            np.subtract(dga, np.multiply(hja, g[j], out=tmp), out=dga)
+            if h_vanishes:
+                np.multiply(0.0, ga, out=dY[j])
+            else:
+                hja = h[:, j, a]
+                np.multiply(hja, ga, out=dY[j])                      # (ii) with i = j, j = a
+                np.subtract(dga, np.multiply(hja, g[j], out=tmp), out=dga)
             hp = dvp[j]                                              # h'_aj
             np.multiply(np.subtract(vp[j], v[:, j], out=hp), ratio, out=hp)
-            np.add(h[:, a, j], hp, out=hp)
+            np.add(0.0 if h_vanishes else h[:, a, j], hp, out=hp)
             np.multiply(np.multiply(delta[j], hp, out=tmp), vp[j], out=tmp)
             np.add(acc, tmp, out=acc)
             np.multiply(hp, vpa, out=hp)                             # (vi)

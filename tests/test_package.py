@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -143,3 +144,18 @@ def test_benchmark_family_parser_matches_cli(monkeypatch):
                     assert workloads.family(cfg) == cli._family(cfg)
                     checked += 1
     assert checked
+
+
+def test_sweep_ab_against_itself(tmp_path):
+    """``scripts/sweep_ab.py`` loads one checkout twice under two names,
+    finds equal digests, times the three phases of each sweep and exits 0."""
+    out_json = tmp_path / "ab.json"
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_ab.py"),
+                          "--against", str(ROOT), "--n", "5", "--rounds", "1",
+                          "--json", str(out_json)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.count(" same") == 3
+    result = json.loads(out_json.read_text(encoding="utf-8"))
+    assert result["digests_same"]
+    assert {"frame B=1", "frame B=5", "frame B=25", "ribaucour B=25", "pass"} <= set(
+        result["summary"])

@@ -15,7 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from spaceform_lab._sweep import node_intervals, rk4_march, stacked_rhs, sweep_integrate
+from spaceform_lab._sweep import (
+    node_intervals,
+    rk4_march,
+    stacked_rhs,
+    sweep_integrate,
+    vanishing_terms,
+)
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     DimensionError,
@@ -26,11 +32,18 @@ from spaceform_lab.errors import (
 )
 from spaceform_lab.frames import (
     DEFAULT_MAX_STEP,
+    FrameState,
     _frame_body,
     integrate_frame,
     standard_frame_state,
 )
-from spaceform_lab.gallery import PhiFamily, phi_state, trivial_seed
+from spaceform_lab.gallery import (
+    SEED_KINDS,
+    PhiFamily,
+    phi_state,
+    seed_frame_state,
+    trivial_seed,
+)
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     RibaucourState,
@@ -210,6 +223,11 @@ def _assert_same(states_masked, ref):
     assert states.shape == ref_states.shape
     assert states.tobytes() == ref_states.tobytes()
     assert np.array_equal(masked, ref_masked)
+
+
+def _negative_zero(values):
+    values = np.asarray(values)
+    return bool((np.signbit(values) & (values == 0)).any())
 
 
 def _frame_result(ff):
@@ -812,3 +830,142 @@ class TestEvalAtPerDirection:
                 assert (u == u[0]).all() and sign * (u[0] - u0) >= 0
             pos += len(signs)
         assert pos == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# bodies built for their inputs
+# ---------------------------------------------------------------------------
+
+
+class TestBodiesBuiltForInputs:
+    """The bodies leave out the h terms of a constant triple and the c terms
+    when c = 0, unless y0 holds a -0.0 in the rows those terms reach.  States
+    must be the bytes of the expression-form references, which keep every
+    term.  The derivatives are not compared: a reduced body's dY may differ
+    from the reference's in the signs of zeros."""
+
+    GRID = TestEvalCount.GRID           # base (2, 3, 1): both directions on every axis
+    # the conformally flat seed requires c = 0
+    SEEDS = [(kind, c, s) for kind in SEED_KINDS for c in (-1.0, 0.0, 1.0) for s in (0, 1)
+             if kind != "cflat" or c == 0]
+
+    @staticmethod
+    def _seed(kind, c, s, grid):
+        if kind == "cflat":
+            return trivial_seed(kind, grid, c=c, s=s)
+        return trivial_seed(kind, grid, c=c, s=s, C=-1.0 if kind.endswith("Cneg") else 1.0)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("kind,c,s", SEEDS)
+    def test_frame_over_seeds(self, kind, c, s, order):
+        t = self._seed(kind, c, s, self.GRID)
+        init = seed_frame_state(kind, t.spec)
+        ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+
+    def test_lorentzian_frame_gets_the_reduced_body(self):
+        # N = -E4 holds -0.0, but no dropped term reaches N
+        t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
+        y0 = seed_frame_state("problemstar_e1_Cneg", t.spec).as_array()
+        assert _negative_zero(y0[4]) and vanishing_terms(t, y0[1:4]) == (True, True)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_ribaucour_over_families(self, name):
+        fam, t, init = _family_case(name, self.GRID, False)
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_with_frame_over_families(self, name):
+        fam, t, init = _family_case(name, self.GRID, False)
+        rf, ff = integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init()))
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_every_gamma_nonzero(self, c):
+        t = self._seed("problemstar_e1_Cneg", c, 0, self.GRID)
+        req = RibaucourState((0.3, -0.2, 0.1), (1.0, 0.1, 0.0), phi=0.8, psi=0.0, beta=0.3)
+        init = seed_state(t, self.GRID.base, req, K2target=1.0)
+        assert all(init.gamma)
+        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_same(_frame_result(ff), ref_frame(t, standard_frame_state(t.spec)))
+
+    # The gate: a -0.0 in a row that a dropped term reaches keeps the full
+    # body.  A reduced body that also dropped the h'_aj add (h_aj + h' -> h')
+    # failed TestBitIdentity::test_closed_form_seeds[r4_problemstar] at byte
+    # 2631, v'_2 at node (0, 4, 0): the reference turns the phi-state's
+    # v'_2 = -0.0 into +0.0 there, and without the add it stayed -0.0.  The
+    # add reaches the v' rows, so the rule keeps it.
+
+    def test_cflat_phi_state_negative_gamma(self):
+        fam, t, init = _family_case("r4_cflat", self.GRID, False)
+        assert t.closed_form and fam.spec.c == 0
+        assert math.copysign(1.0, init.gamma[0]) < 0 and init.gamma[0] == 0
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    # On the seed v = (1, 0, 0), V = (0, 1, 0) with psi, beta < 0, each state
+    # makes dgamma_a = (v_a - v'_a) psi + beta V_a (- c phi v_a) = -0.0 along
+    # an axis a with gamma_a = -0.0, where the full body then subtracts a
+    # dropped -0.0, and -0.0 - (-0.0) = +0.0.
+    NEGATIVE_GAMMA = {
+        # c phi v_1 with c = 0, phi < 0, along u_1
+        "c_term": (0.0, RibaucourState((-0.0, 1.0, 0.5), (1.0, 0.1, 0.0), phi=-0.5,
+                                       psi=-0.8, beta=-0.3)),
+        # h_21 gamma_2 with gamma_2 < 0, along u_1
+        "h_term": (0.0, RibaucourState((-0.0, -1.0, 0.5), (1.0, 0.1, 0.0), phi=0.5,
+                                       psi=-0.8, beta=-0.3)),
+        # h_13 gamma_1 with gamma_1 < 0, along u_3, where c phi v_3 = +0.0
+        "h_term_c1": (1.0, RibaucourState((-1.0, 0.5, -0.0), (0.1, 0.2, 0.0), phi=0.5,
+                                          psi=-0.8, beta=-0.3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_GAMMA))
+    def test_hand_built_negative_gamma(self, case):
+        c, init = self.NEGATIVE_GAMMA[case]
+        t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
+        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_same(_frame_result(ff), ref_frame(t, standard_frame_state(t.spec)))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_reflected_frame(self, c, order):
+        # X_i = -E_i holds -0.0 in every X row
+        t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
+        init = seed_frame_state("problemstar_e1_Cneg", t.spec).scaled_frame(-1.0)
+        assert _negative_zero(init.as_array()[1:4])
+        ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+
+    @pytest.mark.parametrize("term", ["c", "h"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_one_negative_zero_in_an_x_row(self, r, term):
+        # X_r holds one -0.0, in component k: along axis r, dX_r,k =
+        # eps V_r N_k = -0.0 (eps = -1, N = E4), and the full body subtracts
+        # c v_r f_k = -0.0 (c = 0, f_k < 0) or h_kr X_k,k = -0.0 (X_k = E_k
+        # reflected, +0.0 elsewhere)
+        t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
+        k = (r + 1) % 3
+        f, X = np.zeros(4), np.eye(4)[:3]
+        if term == "c":
+            f[k] = -2.0
+        else:
+            X[k, k] = -1.0
+        X[r, k] = -0.0
+        init = FrameState(f, *X, np.eye(4)[3])
+        assert [_negative_zero(row) for row in X] == [i == r for i in range(3)]
+        ff = integrate_frame(t, init, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, init))
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_vanishing_terms(self, c):
+        t = self._seed("problemstar_e1_Cneg", c, 0, self.GRID)
+        sampled = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
+        clean = [0.0, -1.0, math.nan, -math.inf, -math.nan]
+        assert vanishing_terms(t, clean) == (True, c == 0)
+        assert vanishing_terms(sampled, clean) == (False, c == 0)
+        assert vanishing_terms(t, [1.0, -0.0]) == vanishing_terms(sampled, [-0.0]) == (
+            False, False)
