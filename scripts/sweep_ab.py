@@ -16,7 +16,10 @@ alternates):
 and times each with ``time.perf_counter``.  While the two sweeps run,
 ``_sweep.rk4_march`` is wrapped to add up the time spent inside the march of
 each axis phase (the node writes between arrivals are left out); a phase is
-named by its lines per direction, B = 1, n and n^2.
+named by its lines per direction, B = 1, n and n^2.  Within the pass, the
+four steps after the sweeps are also timed each on its own line, as
+``pass transform_immersion``, ``pass invariant_drift``, ``pass
+transformed_triple`` and ``pass classify``.
 
 Prints a sha256 per run kind and side (the frame states; the Ribaucour states
 and mask; everything the pass returns), and per timing the median of each
@@ -84,6 +87,7 @@ class Side:
         self.triple = self.fam.seed_triple(grid)
         self.init = gal.phi_state(self.fam, grid.base_point)
         self.phases = {}
+        self.steps = {}
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
 
@@ -129,14 +133,21 @@ class Side:
                                                        K2target=self.fam.K2target)
         return rf, [rf.states, rf.valid_mask()]
 
+    def _step(self, fn, *args):
+        """``fn(*args)``, its time kept in ``steps`` under its name."""
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.steps[fn.__name__] = time.perf_counter() - t0
+        return out
+
     def run_pass(self):
         rib = self.mod["ribaucour"]
         rf, _ = self.ribaucour()
         ff, _ = self.frame()
-        fprime = rib.transform_immersion(ff, rf)
-        drift = rib.invariant_drift(rf)
-        tt = rib.transformed_triple(self.triple, rf)
-        cls = self.mod["triples"].classify(tt, 1e-6)
+        fprime = self._step(rib.transform_immersion, ff, rf)
+        drift = self._step(rib.invariant_drift, rf)
+        tt = self._step(rib.transformed_triple, self.triple, rf)
+        cls = self._step(self.mod["triples"].classify, tt, 1e-6)
         return None, [rf.states, ff.states, fprime.positions, tt.v, tt.h, tt.V,
                       repr((drift.K1, drift.K2, drift.Omega)).encode(),
                       repr(cls).encode()]
@@ -170,6 +181,9 @@ def one_round(sides, order):
             if run != "pass":
                 for key, s in side.phases.items():
                     times[name][f"{run} B={key}"] = s
+            else:
+                for step, s in side.steps.items():
+                    times[name][f"pass {step}"] = s
     return times, digests
 
 
@@ -220,12 +234,12 @@ def main(argv=None) -> int:
         print(f"sha256 {run:<10} root {a[:16]}  against {b[:16]}  "
               f"{'same' if a == b else 'DIFFER'}")
     labels = [label for label in rounds[0]["root"] if label in rounds[0]["against"]]
-    print(f"{'timing':<22}{'root s':>10}{'against s':>11}{'ratio':>8}"
+    print(f"{'timing':<26}{'root s':>10}{'against s':>11}{'ratio':>8}"
           f"{'min':>8}{'max':>8}  root faster")
     results = {}
     for label in labels:
         s = results[label] = summary(rounds, label)
-        print(f"{label:<22}{s['root_median_s']:>10.4f}{s['against_median_s']:>11.4f}"
+        print(f"{label:<26}{s['root_median_s']:>10.4f}{s['against_median_s']:>11.4f}"
               f"{s['ratio_median']:>8.3f}{s['ratio_min']:>8.3f}{s['ratio_max']:>8.3f}"
               f"  {s['root_faster']}")
     if args.json:

@@ -29,10 +29,15 @@ Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 are driven by the same holonomic data (v, h, V).  Their states are stacked:
 each y0 is flattened into a block of consecutive rows, in list order, so a
 march carries one batch state of shape (R, B).  The batch axis is last, so
-every row a body reads or writes is a contiguous run of B values.  On
-arrival at a node, each system's rows are written to the node layer through
-a basic-index view of that system's own state array, which comes back as a
-contiguous ``grid.n + y0.shape`` array.
+every row a body reads or writes is a contiguous run of B values.  Each
+system's states are stored as contiguous component planes, one array of
+shape ``y0.shape + grid.n``, so every post-sweep step that reads one
+component reads contiguous memory.  On arrival at a node, each system's rows
+are written to the node layer through a basic-index view of its planes,
+(rows,) + the done axes.  Along axis 2, the last phase of a (0, 1, 2) sweep,
+such a layer is one value every n_2 doubles, so those writes scatter.  The
+planes come back as a ``grid.n + y0.shape`` view, with the shape, values and
+``tobytes()`` of a node-major array.
 
 In-place bodies.  ``make_body(triple, y0)`` is called once per sweep, after
 the triple is checked, and returns the system's body (it may reject y0).
@@ -248,8 +253,9 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     ``node_check(Y (R, B)) -> (B,) bool`` flags lines to mask, evaluated on
     arrival; masking governs the first system's rows.  Without it, a
     non-finite value in any row raises NonFiniteState.
-    Returns (states, masked): one contiguous grid.n + y0.shape array per
-    system, in list order, and the grid.n bool mask.
+    Returns (states, masked): per system, in list order, a grid.n + y0.shape
+    view of its own contiguous y0.shape + grid.n component planes (moving the
+    component axes first gives the planes back); and the grid.n bool mask.
     """
     check_sweep_input(triple, grid, integrability_tol)
     rhs, y0, blocks = stacked_rhs(triple, systems)
@@ -258,10 +264,10 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     mask_rows = blocks[0].stop if node_check is not None else 0
     n = grid.n
     R = len(y0)
-    # each system's states live in their own grid.n + (rows,) array
-    states = [np.full(tuple(n) + (rows.stop - rows.start,), np.nan) for rows in blocks]
+    # each system's states live in their own (rows,) + grid.n component planes
+    states = [np.full((rows.stop - rows.start,) + tuple(n), np.nan) for rows in blocks]
     for part, rows in zip(states, blocks):
-        part[grid.base] = y0[rows]
+        part[(slice(None),) + grid.base] = y0[rows]
     masked = np.zeros(n, dtype=bool)
 
     if node_check is not None and node_check(y0[:, None])[0]:
@@ -272,14 +278,12 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
         starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
         B = len(starts)
-        # a node layer of this phase is the basic-index view part[at] of
-        # shape done_shape + (rows,) in each system's array; its lines are in
+        # a node layer of this phase is the basic-index view part[:, at] of
+        # shape (rows,) + done_shape in each system's planes; its lines are in
         # C order over the done axes, as in ``starts``
         done_shape = tuple(n[a] for a in sorted(done))
-        lead = tuple(range(len(done)))
-        trail = tuple(range(-len(done), 0))
         at = [slice(None) if a in done else grid.base[a] for a in range(3)]
-        y_start = np.concatenate([np.moveaxis(part[tuple(at)], lead, trail).reshape(-1, B)
+        y_start = np.concatenate([part[(slice(None),) + tuple(at)].reshape(-1, B)
                                   for part in states])
         bad_start = masked[tuple(at)].reshape(B)
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
@@ -308,13 +312,16 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
                         bad |= node_check(y)
                     at[axis] = nxt
                     for part, rows in zip(states, blocks):
-                        part[tuple(at)] = np.moveaxis(y[rows].reshape((-1,) + done_shape),
-                                                      trail, lead)
+                        part[(slice(None),) + tuple(at)] = y[rows].reshape((-1,) + done_shape)
                     masked[tuple(at)] |= bad.reshape(done_shape)
                     if step > 0 and nxt == n[axis] - 1:
                         plus_open = False
                         if held:
                             raise held
         done.append(axis)
-    return [part.reshape(tuple(n) + np.shape(y0))
-            for part, (_, y0) in zip(states, systems)], masked
+    views = []
+    for part, (_, y0) in zip(states, systems):
+        k = np.ndim(y0)
+        views.append(np.moveaxis(part.reshape(np.shape(y0) + tuple(n)), tuple(range(k)),
+                                 tuple(range(-k, 0))))
+    return views, masked

@@ -18,7 +18,7 @@ import numpy as np
 from ._sweep import sweep_integrate, vanishing_terms
 from .ambient import SpaceFormSpec, sig_inner
 from .errors import DimensionError
-from .grid import ParameterGrid, grid_partials, induced_metric_tensor
+from .grid import ParameterGrid, induced_metric_tensor, partial_derivative
 from .report import ResidualReport
 from .triples import TripleField
 
@@ -61,7 +61,7 @@ class FrameField:
     """Grid-sampled moving frame together with its source data and scheme metadata."""
 
     grid: ParameterGrid
-    states: np.ndarray                  # grid.n + (5, dim)
+    states: np.ndarray                  # grid.n + (5, dim), a view of (5, dim) + grid.n planes
     triple: TripleField
     sweep_order: tuple = (0, 1, 2)
     max_step: float = DEFAULT_MAX_STEP
@@ -156,16 +156,17 @@ def frame_gram_residual(ff: FrameField) -> ResidualReport:
     """Deviation of the moving frame's Gram matrix from its orthonormal target."""
     spec = ff.triple.spec
     sig = spec.ambient.sig_array
-    vectors = [ff.X[..., i, :] for i in range(3)] + [ff.N]
+    planes = np.moveaxis(ff.states, (-2, -1), (0, 1))      # (5, dim) + grid.n
+    vectors = list(planes[1:])
     target = [1.0, 1.0, 1.0, float(spec.eps)]
     if spec.c != 0:
-        vectors.append(math.sqrt(abs(spec.c)) * ff.f)
+        vectors.append(math.sqrt(abs(spec.c)) * planes[0])
         target.append(math.copysign(1.0, spec.c))
     m = len(vectors)
     dev = np.zeros((m, m) + tuple(ff.grid.n))
     for a in range(m):
         for b in range(a, m):
-            g = sig_inner(vectors[a], vectors[b], sig)
+            g = sig_inner(vectors[a], vectors[b], sig, axis=0)
             t = target[a] if a == b else 0.0
             dev[a, b] = dev[b, a] = g - t
     report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": "RK4 sweep"})
@@ -196,8 +197,11 @@ def induced_metric(ff: FrameField):
 
     Returns (g, report) with g of shape (3, 3) + grid.n.
     """
-    ff.grid.require_resolution(5)
-    g = induced_metric_tensor(grid_partials(ff.f, ff.grid), ff.triple.spec.ambient.sig_array)
+    grid = ff.grid
+    grid.require_resolution(5)
+    f = np.moveaxis(ff.f, -1, 0)                              # (dim,) + grid.n
+    df = [partial_derivative(f, a + 1, grid.spacing[a]) for a in range(3)]
+    g = induced_metric_tensor(df, ff.triple.spec.ambient.sig_array, axis=0)
     v = ff.triple.v
     report = ResidualReport(metadata={"stencil": "order-2 central/one-sided"})
     off = np.stack([g[i, j] for i in range(3) for j in range(3) if i != j])

@@ -64,7 +64,7 @@ class RibaucourField:
     """Grid-sampled solution of the transformation system."""
 
     grid: ParameterGrid
-    states: np.ndarray              # grid.n + (9,)
+    states: np.ndarray              # grid.n + (9,), a view of (9,) + grid.n planes
     source: TripleField
     K2target: float
     mask_tol: float
@@ -330,12 +330,13 @@ def invariant_fields(rf: RibaucourField):
 def invariant_drift(rf: RibaucourField) -> InvariantDrift:
     """Max deviation of K1, K2, Omega from their targets over unmasked nodes.
 
-    The K1 target is 0: ``seed_state`` forces it.
+    The K1 target is 0: ``seed_state`` forces it.  A field with no unmasked
+    node has no drift to report and raises EmptyDomain.
     """
-    K1, K2, omega = invariant_fields(rf)
     ok = rf.valid_mask()
     if not ok.any():
-        return InvariantDrift(0.0, 0.0, 0.0)
+        raise EmptyDomain("every node of the transformation field is masked")
+    K1, K2, omega = invariant_fields(rf)
     return InvariantDrift(
         float(np.abs(K1[ok]).max()),
         float(np.abs(K2[ok] - rf.K2target).max()),

@@ -159,3 +159,7 @@ def test_sweep_ab_against_itself(tmp_path):
     assert result["digests_same"]
     assert {"frame B=1", "frame B=5", "frame B=25", "ribaucour B=25", "pass"} <= set(
         result["summary"])
+    steps = ("transform_immersion", "invariant_drift", "transformed_triple", "classify")
+    assert {f"pass {step}" for step in steps} <= set(result["summary"])
+    for step in steps:
+        assert f"\npass {step} " in out.stdout

@@ -13,14 +13,22 @@ from spaceform_lab.errors import (
     PreconditionFailed,
     SingularPhi,
     SingularPsi,
+    SpaceformLabError,
 )
-from spaceform_lab.frames import integrate_frame
+from spaceform_lab.frames import (
+    FrameState,
+    frame_gram_residual,
+    induced_metric,
+    integrate_frame,
+    path_independence_residual,
+)
 from spaceform_lab.gallery import PhiFamily, phi_state, seed_frame_state, trivial_seed
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     InvariantDrift,
     RibaucourState,
     integrate_ribaucour,
+    integrate_with_frame,
     invariant_drift,
     invariant_fields,
     parallel_triple,
@@ -28,6 +36,7 @@ from spaceform_lab.ribaucour import (
     transform_immersion,
     transformed_triple,
 )
+from spaceform_lab.report import ResidualReport
 from spaceform_lab.triples import TripleField, classify, first_integrals
 from spaceform_lab.verify import fundamental_forms, ImmersionSample
 
@@ -374,6 +383,100 @@ class TestMasking:
         rf.masked = np.ones(grid.n, dtype=bool)
         with pytest.raises(EmptyDomain):
             transformed_triple(t, rf)
+
+    def test_empty_domain_drift_raises(self):
+        # no unmasked node leaves no drift to report, not a drift of 0
+        grid = ParameterGrid.centered(1.0, 5)
+        t, rf = self._masked_run(grid)
+        rf.masked = np.ones(grid.n, dtype=bool)
+        with pytest.raises(EmptyDomain, match="every node"):
+            invariant_drift(rf)
+
+
+def _result_bytes(result):
+    """Every number a consumer returns, arrays and floats bit for bit."""
+    if isinstance(result, TripleField):
+        return _result_bytes((result.v, result.h, result.V, result.masked))
+    if isinstance(result, ResidualReport):
+        return _result_bytes(list(result.entries.items()))
+    if dataclasses.is_dataclass(result):
+        return _result_bytes([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, (tuple, list)):
+        return b"|".join(map(_result_bytes, result))
+    if isinstance(result, (float, np.ndarray)):
+        result = np.asarray(result)
+        return repr((result.dtype, result.shape)).encode() + result.tobytes()
+    return repr(result).encode()
+
+
+def _outcome(consumer, *fields):
+    try:
+        return _result_bytes(consumer(*fields))
+    except SpaceformLabError as exc:
+        return repr(exc).encode()
+
+
+class TestPlaneBackedConsumers:
+    """Each consumer of sweep states gives the same bytes on a sweep's
+    plane-backed fields as on the same fields rebuilt from
+    ``np.ascontiguousarray(states)``, node-major as the states were once
+    stored; where a consumer raises, it raises the same error.
+
+    On the non-finite case the states' NaNs all come from invalid operations
+    and carry one bit pattern (checked below), so no entry's bits depend on
+    which NaN operand a contiguous or a strided loop returns: every entry is
+    compared, masked nodes included."""
+
+    CONSUMERS = {
+        "transform_immersion": lambda t, rf, ff: transform_immersion(ff, rf),
+        "invariant_fields": lambda t, rf, ff: invariant_fields(rf),
+        "invariant_drift": lambda t, rf, ff: invariant_drift(rf),
+        "transformed_triple": lambda t, rf, ff: transformed_triple(t, rf),
+        "classify": lambda t, rf, ff: classify(transformed_triple(t, rf)),
+        "frame_gram_residual": lambda t, rf, ff: frame_gram_residual(ff),
+        "path_independence_residual": lambda t, rf, ff: path_independence_residual(ff),
+        "induced_metric": lambda t, rf, ff: induced_metric(ff),
+    }
+
+    @staticmethod
+    def _case(name):
+        if name == "clean":
+            fam = PhiFamily("problemstar_sphere", K=-2.0, c=1.0, eps=1, rho=1.0,
+                            theta=THETA)
+            grid = ParameterGrid.centered(1.0, 11)
+            t = fam.seed_triple(grid)
+            rf, ff = integrate_with_frame(t, phi_state(fam, grid.base_point),
+                                          fam.frame_init(), K2target=fam.K2target)
+        elif name == "masked":
+            grid = ParameterGrid.centered(1.0, 11)
+            t, rf = TestMasking()._masked_run(grid)
+            ff = integrate_frame(t, seed_frame_state("problemstar_e1_Cneg", t.spec), grid)
+        else:
+            # the overflowing triple of test_sweep's TestBitIdentity: the
+            # Ribaucour rows go non-finite on masked lines; the frame's X1 and
+            # N, which would overflow too, start at 0 and stay there
+            grid = ParameterGrid((0, 0, 0), (60.0, 1, 1), (31, 5, 5))
+            t = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1),
+                                     v=(0, 1, 1), V=(30.0, 0, 0))
+            init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3,
+                                  beta=0.3)
+            zero, E = np.zeros(4), np.eye(4)
+            rf, ff = integrate_with_frame(t, init, FrameState(zero, zero, E[1], E[2], zero),
+                                          K2target=1.0)
+            nan = np.isnan(rf.states)
+            assert nan.any() and len(np.unique(rf.states.view(np.uint64)[nan])) == 1
+        return t, rf, ff
+
+    @pytest.mark.parametrize("name", ["clean", "masked", "nonfinite"])
+    def test_same_bytes_as_node_major(self, name):
+        t, rf, ff = self._case(name)
+        assert (rf.masked is not None) == (name != "clean")
+        rebuilt = (dataclasses.replace(rf, states=np.ascontiguousarray(rf.states)),
+                   dataclasses.replace(ff, states=np.ascontiguousarray(ff.states)))
+        assert not rf.states.flags.c_contiguous and rebuilt[0].states.flags.c_contiguous
+        with np.errstate(all="ignore"):
+            for consumer in self.CONSUMERS.values():
+                assert _outcome(consumer, t, rf, ff) == _outcome(consumer, t, *rebuilt)
 
 
 @pytest.mark.parametrize("v, V", [((math.nan, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, math.inf, 0))])

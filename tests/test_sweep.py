@@ -969,3 +969,50 @@ class TestBodiesBuiltForInputs:
         assert vanishing_terms(sampled, clean) == (False, c == 0)
         assert vanishing_terms(t, [1.0, -0.0]) == vanishing_terms(sampled, [-0.0]) == (
             False, False)
+
+
+# ---------------------------------------------------------------------------
+# states stored as component planes
+# ---------------------------------------------------------------------------
+
+
+class TestPlaneLayout:
+    """Every system's states are grid.n + y0.shape views of one contiguous
+    y0.shape + grid.n block of component planes: moved to component-first
+    order they are C-contiguous, and they hold no second copy of the states."""
+
+    @staticmethod
+    def _states(kind, t, init, fam, order):
+        """(states, component axes) of each system a ``kind`` sweep returns;
+        the Ribaucour sweeps run ``order`` through ``sweep_integrate`` when it
+        is not the (0, 1, 2) of ``integrate_ribaucour``."""
+        frame_init = fam.frame_init()
+        if kind == "frame":
+            ff = integrate_frame(t, frame_init, sweep_order=order, integrability_tol=None)
+            return [(ff.states, 2)]
+        systems = [(_ribaucour_body, init.as_array())]
+        if kind == "with_frame":
+            systems.append((_frame_body, frame_init.as_array()))
+        if order != (0, 1, 2):
+            states, _ = sweep_integrate(t, t.grid, order, systems, DEFAULT_MAX_STEP, None)
+            return list(zip(states, (1, 2)))
+        if kind == "ribaucour":
+            return [(integrate_ribaucour(t, init, K2target=fam.K2target).states, 1)]
+        rf, ff = integrate_with_frame(t, init, frame_init, K2target=fam.K2target)
+        return [(rf.states, 1), (ff.states, 2)]
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    @pytest.mark.parametrize("kind", ["frame", "ribaucour", "with_frame"])
+    def test_component_planes(self, kind, order, sampled):
+        fam, t, init = _layer_case("r4_problemstar", "off_centre", sampled)
+        results = self._states(kind, t, init, fam, order)
+        for states, comps in results:
+            assert states.shape[:3] == t.grid.n
+            planes = np.moveaxis(states, tuple(range(3, 3 + comps)), tuple(range(comps)))
+            assert planes.flags.c_contiguous
+            assert planes.shape == states.shape[3:] + t.grid.n
+            assert states.base is not None and states.base.flags.owndata
+            assert states.base.nbytes == states.nbytes
+        if len(results) == 2:
+            assert not np.shares_memory(results[0][0], results[1][0])
