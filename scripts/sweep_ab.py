@@ -12,19 +12,29 @@ alternates):
     ribaucour  integrate_ribaucour of the seed triple and its phi-state
     pass       the Ribaucour sweep, the frame sweep, transform_immersion,
                invariant_drift, transformed_triple and classify
+    sampled    the steps of the benchmark's ``sampled_retransform`` workload,
+               always on the 11^3 unit box: the seed's Ribaucour sweep,
+               transformed_triple, triple_residuals and classify, then on
+               that sampled triple the frame sweep (no integrability gate),
+               frame_gram_residual, seed_state of the second request, the
+               second Ribaucour sweep, transform_immersion and invariant_drift
 
 and times each with ``time.perf_counter``.  While the two sweeps run,
 ``_sweep.rk4_march`` is wrapped to add up the time spent inside the march of
 each axis phase (the node writes between arrivals are left out); a phase is
-named by its lines per direction, B = 1, n and n^2.  Within the pass, the
+named by its lines per direction, B = 1, n and n^2 (1, 11 and 121 for
+``sampled``, whose three sweeps add up per phase).  Within the pass, the
 four steps after the sweeps are also timed each on its own line, as
 ``pass transform_immersion``, ``pass invariant_drift``, ``pass
 transformed_triple`` and ``pass classify``.
 
 Prints a sha256 per run kind and side (the frame states; the Ribaucour states
-and mask; everything the pass returns), and per timing the median of each
-side, the median, least and largest of the per-round ratios root/against, and
-the rounds in which root was faster.  Exits 1 if the digests differ.
+and mask; everything the pass returns; every sweep state, the transformed
+triple, F' and the drift of ``sampled``), the Omega drift of the second
+transform in ``sampled`` per side (the benchmark's ``result_err`` there), and
+per timing the median of each side, the median, least and largest of the
+per-round ratios root/against, and the rounds in which root was faster.
+Exits 1 if the digests differ.
 
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
@@ -53,7 +63,9 @@ import time
 from pathlib import Path
 
 SIDES = ("root", "against")
-RUNS = {"frame": "frame", "ribaucour": "ribaucour", "pass": "run_pass"}   # run -> Side method
+RUNS = {"frame": "frame", "ribaucour": "ribaucour", "pass": "run_pass",
+        "sampled": "sampled"}                                   # run -> Side method
+SAMPLED_N = 11              # nodes per axis of the sampled_retransform workload
 
 
 def load_package(checkout, name):
@@ -79,17 +91,26 @@ class Side:
         load_package(checkout, name)
         self.mod = {m: importlib.import_module(f"{name}.{m}")
                     for m in ("_sweep", "frames", "gallery", "grid", "ribaucour", "triples")}
-        grid = self.mod["grid"].ParameterGrid((-1.0,) * 3, (1.0,) * 3, (n,) * 3, (n // 2,) * 3)
         gal = self.mod["gallery"]
         self.fam = gal.PhiFamily("problemstar", K=1.0, a=1.0, rho=1.0, theta=theta,
                                  c=0.0, eps=1)
-        self.grid = grid
-        self.triple = self.fam.seed_triple(grid)
-        self.init = gal.phi_state(self.fam, grid.base_point)
+        self.grid, self.triple, self.init = self._inputs(n)
+        self.sampled_inputs = self._inputs(SAMPLED_N)
+        # bench/workloads.RETRANSFORM_REQUEST, the second transform's request
+        self.request = self.mod["ribaucour"].RibaucourState(
+            gamma=(0.1, 0.1, 0.1), vprime=(0.5, 0.5, 0.5), phi=2.0, psi=0.0, beta=0.1)
+        self.omega = None
         self.phases = {}
         self.steps = {}
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
+
+    def _inputs(self, n):
+        """The unit box with n^3 nodes and its base at the centre, the seed
+        triple on it and the family's phi-state at the base."""
+        grid = self.mod["grid"].ParameterGrid((-1.0,) * 3, (1.0,) * 3, (n,) * 3, (n // 2,) * 3)
+        return (grid, self.fam.seed_triple(grid),
+                self.mod["gallery"].phi_state(self.fam, grid.base_point))
 
     def _timed(self, march):
         if not inspect.isgeneratorfunction(march):
@@ -151,6 +172,25 @@ class Side:
         return None, [rf.states, ff.states, fprime.positions, tt.v, tt.h, tt.V,
                       repr((drift.K1, drift.K2, drift.Omega)).encode(),
                       repr(cls).encode()]
+
+    def sampled(self):
+        """The ``sampled_retransform`` steps (module docstring)."""
+        frames, rib, tri = self.mod["frames"], self.mod["ribaucour"], self.mod["triples"]
+        grid, seed, init = self.sampled_inputs
+        rf = rib.integrate_ribaucour(seed, init, grid, K2target=self.fam.K2target)
+        tt = rib.transformed_triple(seed, rf)
+        tri.triple_residuals(tt)
+        cls = tri.classify(tt, 1e-6)
+        ff = frames.integrate_frame(tt, self.fam.frame_init(), grid, integrability_tol=None)
+        frames.frame_gram_residual(ff)
+        k2 = float(cls.eps_hat)
+        rf2 = rib.integrate_ribaucour(tt, rib.seed_state(tt, grid.base, self.request, k2), grid,
+                                      K2target=k2)
+        fprime = rib.transform_immersion(ff, rf2)
+        drift = rib.invariant_drift(rf2)
+        self.omega = drift.Omega
+        return None, [rf.states, tt.v, tt.h, tt.V, ff.states, rf2.states, rf2.valid_mask(),
+                      fprime.positions, repr((drift.K1, drift.K2, drift.Omega)).encode()]
 
 
 def digest(parts):
@@ -233,6 +273,8 @@ def main(argv=None) -> int:
         same &= a == b
         print(f"sha256 {run:<10} root {a[:16]}  against {b[:16]}  "
               f"{'same' if a == b else 'DIFFER'}")
+    omega = {name: side.omega for name, side in sides.items()}
+    print(f"sampled Omega drift  root {omega['root']!r}  against {omega['against']!r}")
     labels = [label for label in rounds[0]["root"] if label in rounds[0]["against"]]
     print(f"{'timing':<26}{'root s':>10}{'against s':>11}{'ratio':>8}"
           f"{'min':>8}{'max':>8}  root faster")
@@ -245,7 +287,8 @@ def main(argv=None) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"n": args.n, "rounds": args.rounds, "seed": args.seed, "theta": theta,
-                       "digests_same": same, "digests": digests, "summary": results,
+                       "digests_same": same, "digests": digests, "omega_drift": omega,
+                       "summary": results,
                        "times": rounds}, fh, indent=1)
     return 0 if same else 1
 

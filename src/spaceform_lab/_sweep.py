@@ -68,10 +68,13 @@ about two of the largest double.
 Right-hand side.  ``stacked_rhs`` builds the one right-hand side.  Per RK
 stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
 call time, with that lane's B points), allocates one dY and runs each body on
-its row blocks of Y and dY.  It leaves Y unmodified; the march reuses dY as
-an accumulator.  A sweep makes the same ``eval_at`` calls however many
-systems it carries and however its directions are grouped: four per substep
-of each direction.
+its row blocks of Y and dY.  Two lanes' values are laid side by side in new
+read-only arrays, except when every lane hands back the same read-only
+arrays as in the call before, as a constant triple does for a batch shape:
+then the last call's side-by-side arrays serve again.  It leaves Y
+unmodified; the march reuses dY as an accumulator.  A sweep makes the same
+``eval_at`` calls however many systems it carries and however its directions
+are grouped: four per substep of each direction.
 
 Masked rows.  With a ``node_check``, masking governs the first system's rows.
 A ``node_check`` flag or a non-finite value in those rows masks the line: the
@@ -86,6 +89,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -209,14 +213,17 @@ def rk4_march(rhs, lanes, axis, rows=None):
             y = np.concatenate([y[:, c] for c in cols], axis=1) if live else None
 
 
-def _lane_values(triple, pts):
-    """(v, h, V) at a list of lanes' points, evaluated lane by lane and laid
-    side by side, components first: every column a body reads (v[:, a],
-    h[:, j, a], V[:, a]) is contiguous."""
-    v, h, V = zip(*map(triple.eval_at, pts))
-    return (np.concatenate([x.T for x in v], axis=1).T,
-            np.concatenate([x.transpose(1, 2, 0) for x in h], axis=2).transpose(2, 0, 1),
-            np.concatenate([x.T for x in V], axis=1).T)
+def _lane_values(lanes):
+    """The lanes' (v, h, V), one triple per lane, laid side by side as
+    read-only arrays stored components first: every column a body reads
+    (v[:, a], h[:, j, a], V[:, a]) is contiguous."""
+    v, h, V = zip(*lanes)
+    out = (np.concatenate([x.T for x in v], axis=1).T,
+           np.concatenate([x.transpose(1, 2, 0) for x in h], axis=2).transpose(2, 0, 1),
+           np.concatenate([x.T for x in V], axis=1).T)
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def stacked_rhs(triple, systems):
@@ -230,8 +237,23 @@ def stacked_rhs(triple, systems):
         parts.append((make_body(triple, y0), slice(start, start + y0.size)))
         start += y0.size
 
+    last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
+
+    def values(pts):
+        nonlocal last
+        if not isinstance(pts, list):
+            return triple.eval_at(pts)
+        lanes = [triple.eval_at(p) for p in pts]
+        arrays = [x for lane in lanes for x in lane]
+        if (last is not None and len(arrays) == len(last[0])
+                and all(map(operator.is_, arrays, last[0]))):
+            return last[1]
+        out = _lane_values(lanes)
+        last = None if any(x.flags.writeable for x in arrays) else (arrays, out)
+        return out
+
     def rhs(pts, Y, axis):
-        v, h, V = _lane_values(triple, pts) if isinstance(pts, list) else triple.eval_at(pts)
+        v, h, V = values(pts)
         dY = np.empty(Y.shape)
         for body, rows in parts:
             body(v, h, V, Y[rows], dY[rows], axis)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,22 +144,14 @@ def second_derivative(values, axis, spacing):
     return out
 
 
-def grid_partials(field, grid: ParameterGrid):
-    """First derivatives of a sampled field along all three grid axes.
-
-    ``field`` has shape grid.n + trailing; returns a list of three arrays.
-    """
-    return [partial_derivative(field, a, grid.spacing[a]) for a in range(3)]
-
-
 def induced_metric_tensor(df, sig, axis=-1):
     """g_ij = sum over the component axis of df_i df_j sig, shape (3, 3) + grid.n.
 
     ``df`` holds the three first partials of a position field, each with its
-    components on ``axis``: the trailing axis of ``grid_partials`` of
-    ``grid.n + (dim,)`` positions, or axis 0 on ``(dim,) + grid.n`` component
-    planes.  Entries with i <= j are computed and mirrored, which is exact:
-    products commute.
+    components on ``axis``: the trailing axis of ``partial_derivative`` on
+    axes 0-2 of ``grid.n + (dim,)`` positions, or axis 0 of the partials on
+    axes 1-3 of ``(dim,) + grid.n`` component planes.  Entries with i <= j
+    are computed and mirrored, which is exact: products commute.
     """
     shape = list(df[0].shape)
     del shape[axis]

@@ -8,6 +8,7 @@ index is the differentiation direction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +48,23 @@ def delta_inner(delta, x, y, axis=0):
     return np.sum(d.reshape(shape) * np.asarray(x) * np.asarray(y), axis=axis)
 
 
-# Cubic B-spline weights of the stencil nodes base - 1 .. base + 2 as
-# polynomials in t = x - base: weights = [1, t, t^2, t^3] @ _BSPLINE.
-_BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
-                     [-3.0, 0.0, 3.0, 0.0],
-                     [3.0, -6.0, 3.0, 0.0],
-                     [-1.0, 3.0, -3.0, 1.0]]) / 6.0
+def _weights(t):
+    """The cubic B-spline weights of the stencil nodes base - 1 .. base + 2 at
+    the offset t = x - base, as Horner forms of the four cubics.
+
+    One elementwise formula for a float and for an array of any shape, so a
+    weight has the same bits whether it is computed once for many points or
+    once per point."""
+    s = 1.0 - t
+    return (s * s * s / 6.0,
+            (4.0 + t * t * (3.0 * t - 6.0)) / 6.0,
+            (1.0 + t * (3.0 + t * (3.0 - 3.0 * t))) / 6.0,
+            t * t * t / 6.0)
+
+
+def _combine(w, rows):
+    """sum_k w[k] rows[k] over the four stencil rows, in a fixed order."""
+    return ((w[0] * rows[0] + w[1] * rows[1]) + w[2] * rows[2]) + w[3] * rows[3]
 
 
 class _CubicSpline:
@@ -73,9 +85,32 @@ class _CubicSpline:
     For each axis a the coefficients of every line are the samples contracted
     on axis a with the inverse of that system (``_not_a_knot``), stored as an
     (n_b, n_c, n_a + 2, 15) table (b < c the other axes) in the order v (3),
-    h (9, row-major), V (3).  A point costs one gather of 4 adjacent rows and
-    a 4-weight sum.  The tables hold 3 n^2 (n + 2) 15 doubles on an n^3 grid,
-    about 26 MB at 41^3.
+    h (9, row-major), V (3).  The tables hold 3 n^2 (n + 2) 15 doubles on an
+    n^3 grid, about 26 MB at 41^3.
+
+    Two paths give a call its values, a point's value being the 4-weight sum
+    ``_combine`` of 4 adjacent coefficient rows of its line:
+
+    - Line path.  A call whose points all lie on the lines along one axis a
+      at one finite coordinate u along a, as every call of a sweep's march
+      between nodes does, computes the 4 weights once from u and contracts
+      them with 4 rows of the lines' coefficients: about 20 numpy calls
+      whatever the number of points, 7 of them over (points, 15) arrays.
+      The lines' rows are gathered once, when a call first reaches them,
+      into a (n_a + 2, points, 15) slab that the spline keeps for the calls
+      after it; it keeps one such slab, the last one gathered, and no other
+      state between calls.  A call whose points all sit on nodes is
+      evaluated along axis 0, so it takes this path only on lines along
+      axis 0.
+    - Point path.  Every other call (points on nodes, on lines other than the
+      slab's, spread along their axis, non-finite) locates each point and
+      computes its own weights and rows: about 50 numpy calls, each over
+      every point.
+
+    A call's values depend on its own points only, never on earlier calls:
+    both paths compute the weights with one elementwise formula
+    (``_weights``) and contract them in one order, so the line path gives
+    each point the bits the point path gives it.
 
     Outside the box the end pieces extend: the stencil's base index floor(x)
     is clamped to [0, n - 2], so a point below the box evaluates the first
@@ -97,7 +132,8 @@ class _CubicSpline:
         self._lo = np.asarray(grid.lo, dtype=float)
         self._spacing = np.asarray(grid.spacing, dtype=float)
         self._n = np.asarray(n, dtype=float)
-        self._nodes = np.concatenate([grid.axis(a) for a in range(3)])
+        self._axes = [grid.axis(a) for a in range(3)]
+        self._nodes = np.concatenate(self._axes)
         self._offset = np.cumsum((0,) + n[:2])
         self._top = self._n - 1.0
         self._lines = []
@@ -108,12 +144,16 @@ class _CubicSpline:
             stride[[i for i in range(3) if i != a]] = (line.shape[1] * line.shape[2],
                                                        line.shape[2])
             self._lines.append((np.ascontiguousarray(line).reshape(-1, 15), stride))
-        self._line_step = np.arange(4)
+        self._slab = None       # (a, points (B, 3), coefficient rows (n_a + 2, B, 15))
 
     def __call__(self, points):
         """Values at points (..., 3) on grid lines along one axis, as a
         (points, 15) array."""
         p = points.reshape(-1, 3)
+        if self._slab is not None and p.shape == self._slab[1].shape:
+            out = self._on_slab(p, *self._slab)
+            if out is not None:
+                return out
         x = (p - self._lo) / self._spacing
         # clamped before the cast: a NaN or infinite coordinate gets some index,
         # then fails the node test
@@ -127,9 +167,36 @@ class _CubicSpline:
             )
         a = off[0] if off else 0
         table, stride = self._lines[a]
-        base, w = _stencil(x[:, a], self._n[a])                           # w (B, 4)
-        rows = np.take(table, (node @ stride + base)[:, None] + self._line_step, axis=0)
-        return (w[:, None, :] @ rows)[:, 0, :]
+        lines = node @ stride
+        if off and (p[:, a] == p[0, a]).all():
+            slab = (a, p.copy(), np.take(table, lines + np.arange(len(self._axes[a]) + 2)[:, None],
+                                         axis=0))
+            out = self._on_slab(p, *slab)
+            if out is not None:
+                self._slab = slab
+                return out
+        base, t = _stencil(x[:, a], self._n[a])
+        rows = np.take(table, lines + base + np.arange(4)[:, None], axis=0)   # (4, B, 15)
+        return _combine(_weights(t[:, None]), rows)
+
+    def _on_slab(self, p, a, key, slab):
+        """The line path (class docstring): the values at ``p`` from the
+        coefficient rows ``slab`` of the lines along axis ``a`` through the
+        points ``key``, or None when ``p`` is not on those lines at one finite
+        coordinate, or sits on a node of an axis a > 0."""
+        u = float(p[0, a])
+        key[:, a] = u
+        if not (p == key).all():
+            return None
+        # the point path's x, base and t for one coordinate, in the same operations
+        x = float((u - self._lo[a]) / self._spacing[a])
+        if not math.isfinite(x):
+            return None
+        nodes = self._axes[a]
+        if a and nodes[min(max(round(x), 0), len(nodes) - 1)] == u:
+            return None
+        base = min(max(math.floor(x), 0), len(nodes) - 2)
+        return _combine(_weights(x - base), slab[base:base + 4])
 
 
 def _not_a_knot(n):
@@ -137,13 +204,14 @@ def _not_a_knot(n):
     of their not-a-knot cubic B-spline interpolant.
 
     It is the inverse of the system whose rows 1..n interpolate the samples
-    ([1, 4, 1]/6 on coefficients i .. i + 2) and whose rows 0 and n + 1 make
-    the third-derivative jump at the nodes 1 and n - 2 vanish ([1, -4, 6, -4, 1]
-    on coefficients 0 .. 4 and n - 3 .. n + 1), restricted to its sample columns.
+    (the weights at t = 0, [1, 4, 1]/6, on coefficients i .. i + 2) and whose
+    rows 0 and n + 1 make the third-derivative jump at the nodes 1 and n - 2
+    vanish ([1, -4, 6, -4, 1] on coefficients 0 .. 4 and n - 3 .. n + 1),
+    restricted to its sample columns.
     """
     system = np.zeros((n + 2, n + 2))
     rows = np.arange(n)
-    for k, w in enumerate(_BSPLINE[0, :3]):
+    for k, w in enumerate(_weights(0.0)[:3]):
         system[rows + 1, rows + k] = w
     jump = [1.0, -4.0, 6.0, -4.0, 1.0]
     system[0, :5] = jump
@@ -152,17 +220,16 @@ def _not_a_knot(n):
 
 
 def _stencil(x, n):
-    """Stencil base index floor(x), clamped to [0, n - 2], and the cubic
-    B-spline weights (x.shape + (4,)) of coordinates x in node units.
+    """Stencil base index floor(x), clamped to [0, n - 2], and the offset
+    t = x - base of coordinates x in node units, one of each per point.
 
-    Outside [0, n - 1] the weights are the end piece's polynomial.  NaN and
-    infinite coordinates get a valid base and NaN weights."""
+    Outside [0, n - 1], t leaves [0, 1] and the weights are the end piece's
+    polynomial.  NaN and infinite coordinates get a valid base and t = NaN."""
     # fmax/fmin send a NaN coordinate to a valid stencil
     base = np.fmin(np.fmax(np.floor(x), 0.0), n - 2.0)
     t = x - base
     t[np.isinf(t)] = np.nan                      # inf weights would turn 0 * inf into warnings
-    w = (t[..., None] ** np.arange(4)) @ _BSPLINE
-    return base.astype(np.intp), w
+    return base.astype(np.intp), t
 
 
 @dataclass
@@ -279,8 +346,16 @@ class TripleField:
         the same read-only arrays out again while the shape repeats, as it
         does for every call of a sweep's axis phase.  A sampled triple is
         read through ``_CubicSpline``, built on the first call, whose
-        docstring states where it can be evaluated, its accuracy and its
-        costs.
+        docstring states where it can be evaluated and its accuracy.  Its
+        costs: a call whose points lie on one set of grid lines at one
+        coordinate along them, as a sweep's calls between node arrivals do,
+        takes about 20 numpy calls however many points it has, once the
+        lines' coefficient rows are gathered on the first such call; every
+        other call, a node arrival off axis 0 among them, about 50.  Either
+        way the values depend on the call's own points only, not on the
+        calls before it.  Between calls the spline keeps the coefficient rows
+        of the last line set it gathered, at most one (n_a + 2, points, 15)
+        slab.
         """
         points = np.asarray(points, dtype=float)
         lead = points.shape[:-1]

@@ -5,7 +5,7 @@ import pytest
 
 from spaceform_lab.frames import integrate_frame
 from spaceform_lab.gallery import PhiFamily, phi_state
-from spaceform_lab.grid import ParameterGrid
+from spaceform_lab.grid import ParameterGrid, partial_derivative
 from spaceform_lab.ribaucour import integrate_ribaucour, transform_immersion
 
 THETA = math.pi / 4
@@ -55,6 +55,12 @@ def pipeline_s4(fam_s4, grid21):
 @pytest.fixture(scope="session")
 def pipelinecf(famcf, grid21):
     return run_pipeline(famcf, grid21)
+
+
+def grid_partials(field, grid):
+    """Reference first derivatives of a grid.n + trailing field along the
+    three grid axes, the trailing axes kept last."""
+    return [partial_derivative(field, a, grid.spacing[a]) for a in range(3)]
 
 
 # small boxes for the finite-difference-limited comparisons

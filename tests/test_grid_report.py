@@ -4,13 +4,14 @@ import pytest
 from spaceform_lab.errors import GridTooCoarse, InvalidParams
 from spaceform_lab.grid import (
     ParameterGrid,
-    grid_partials,
     induced_metric_tensor,
     partial_derivative,
     second_derivative,
     stencil_halo,
 )
 from spaceform_lab.report import ResidualReport
+
+from conftest import grid_partials
 
 
 class TestParameterGrid:

@@ -148,17 +148,23 @@ def test_benchmark_family_parser_matches_cli(monkeypatch):
 
 def test_sweep_ab_against_itself(tmp_path):
     """``scripts/sweep_ab.py`` loads one checkout twice under two names,
-    finds equal digests, times the three phases of each sweep and exits 0."""
+    finds equal digests for its four run kinds, times the three phases of
+    each sweep, prints the sampled run's Omega drift and exits 0."""
     out_json = tmp_path / "ab.json"
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_ab.py"),
                           "--against", str(ROOT), "--n", "5", "--rounds", "1",
                           "--json", str(out_json)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.count(" same") == 3
+    assert out.stdout.count(" same") == 4
     result = json.loads(out_json.read_text(encoding="utf-8"))
     assert result["digests_same"]
     assert {"frame B=1", "frame B=5", "frame B=25", "ribaucour B=25", "pass"} <= set(
         result["summary"])
+    # the sampled run is the 11^3 sampled_retransform pass whatever --n is
+    assert {"sampled", "sampled B=1", "sampled B=11", "sampled B=121"} <= set(result["summary"])
+    omega = result["omega_drift"]
+    assert omega["root"] == omega["against"] and 0 < omega["root"] < 1e-2
+    assert f"sampled Omega drift  root {omega['root']!r}" in out.stdout
     steps = ("transform_immersion", "invariant_drift", "transformed_triple", "classify")
     assert {f"pass {step}" for step in steps} <= set(result["summary"])
     for step in steps:

@@ -9,12 +9,14 @@ batch-last engine performs the same floating-point operations in the same
 order, so its states must match the reference's byte for byte.
 """
 
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from spaceform_lab import triples
 from spaceform_lab._sweep import (
     node_intervals,
     rk4_march,
@@ -54,7 +56,7 @@ from spaceform_lab.ribaucour import (
     seed_state,
     transformed_triple,
 )
-from spaceform_lab.triples import TripleField
+from spaceform_lab.triples import TripleField, _CubicSpline
 
 # ---------------------------------------------------------------------------
 # batch-first reference engine
@@ -505,6 +507,67 @@ class TestSampledSweepsOnLines:
         rf = integrate_ribaucour(self._sampled(fam), phi_state(fam, self.GRID.base_point),
                                  max_step=TestEvalCount.STEP, K2target=fam.K2target)
         assert np.isfinite(rf.states).all()
+
+
+class TestSplineLinePath:
+    """A sampled sweep's calls between node arrivals take the spline's line
+    path, and every call's bytes depend on its own points only."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_call_matches_a_fresh_spline(self, name):
+        fam, t, init = _closed_form_case(name)
+        rf = integrate_ribaucour(t, init, K2target=fam.K2target)
+        tt = transformed_triple(t, rf)
+        fresh = _CubicSpline(tt.v, tt.h, tt.V, tt.grid)     # never called: copied per call
+        calls, differ = [], []
+        inner = tt.eval_at
+
+        def eval_at(points):
+            out = inner(points)
+            got = np.concatenate([x.reshape(len(points), -1) for x in out], axis=1)
+            calls.append(len(points))
+            if got.tobytes() != copy.copy(fresh)(points).tobytes():
+                differ.append(points.copy())
+            return out
+
+        tt.eval_at = eval_at
+        integrate_frame(tt, fam.frame_init(), integrability_tol=None)
+        integrate_ribaucour(tt, rf.state_at(tt.grid.base), K2target=fam.K2target)
+        assert len(calls) == 2 * 4 * sum(_axis_substeps(tt.grid, a, DEFAULT_MAX_STEP)
+                                         for a in range(3))
+        assert not differ, f"{len(differ)} of {len(calls)} calls differ"
+
+    @pytest.mark.parametrize("sweep, order", [("frame", (0, 1, 2)), ("frame", (2, 0, 1)),
+                                              ("ribaucour", None)])
+    def test_point_path_only_at_node_arrivals(self, sweep, order, monkeypatch):
+        """The per-point ``_stencil`` runs only for calls whose points all sit
+        on nodes, the first stage of each node interval."""
+        fam = FAMILIES["r4_problemstar" if sweep == "frame" else "s4_problemstar_sphere"]
+        grid = TestEvalCount.GRID
+        t = fam.seed_triple(grid)
+        t = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
+        stencils = []
+        real_stencil = triples._stencil
+        monkeypatch.setattr(triples, "_stencil",
+                            lambda x, n: stencils.append(1) or real_stencil(x, n))
+        calls = []                  # (all points on nodes, _stencil ran)
+        inner = t.eval_at
+
+        def eval_at(points):
+            before = len(stencils)
+            out = inner(points)
+            nodal = all(np.isin(points[:, a], grid.axis(a)).all() for a in range(3))
+            calls.append((nodal, len(stencils) > before))
+            return out
+
+        t.eval_at = eval_at
+        if sweep == "ribaucour":
+            integrate_ribaucour(t, phi_state(fam, grid.base_point), max_step=TestEvalCount.STEP,
+                                K2target=fam.K2target)
+        else:
+            integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=TestEvalCount.STEP)
+        point_path = [nodal for nodal, ran in calls if ran]
+        assert point_path and all(point_path)
 
 
 # ---------------------------------------------------------------------------

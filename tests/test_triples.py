@@ -836,3 +836,92 @@ class TestLinePath:
         assert np.isnan(line[2]).all()
         keep = [0, 1, 3, 4]
         _assert_close(line[keep], self._values(t, pts)[keep])
+
+
+class TestCallsIndependentOfEarlierCalls:
+    """Once a call has primed the spline's line path on the lines along an
+    axis a > 0, every later call gives the bytes it gives on a fresh spline,
+    or raises as it does there."""
+
+    GRID = TestFusedSplineEquivalence.GRID
+
+    @classmethod
+    def _primed(cls, axis, points=None):
+        """A triple whose last call was on every line along ``axis`` (or at
+        ``points``) at one coordinate between two nodes."""
+        t = TestFusedSplineEquivalence._triple(nan=False)
+        t.eval_at(cls._lines(axis, 2.5) if points is None else points)
+        return t
+
+    @classmethod
+    def _lines(cls, axis, k):
+        """Every grid line along ``axis`` at the coordinate of node k (k may
+        be fractional: linear between the nodes, or outside the box)."""
+        nodes = cls.GRID.axis(axis)
+        lo, step = nodes[0], nodes[1] - nodes[0]
+        u = nodes[k] if isinstance(k, int) else lo + k * step
+        return _line_points(cls.GRID, axis, [u])
+
+    @staticmethod
+    def _assert_fresh(t, pts):
+        got = t.eval_at(pts)
+        ref = TestFusedSplineEquivalence._triple(nan=False).eval_at(pts)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        return got
+
+    @pytest.mark.parametrize("k", [2.5, 0.25, 5.75, -3.0, 14.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_same_lines_at_another_coordinate(self, axis, k):
+        self._assert_fresh(self._primed(axis), self._lines(axis, k))
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_nodal_batch(self, axis, k):
+        # every point is a node, so the batch is evaluated along axis 0
+        self._assert_fresh(self._primed(axis), self._lines(axis, k))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("every_point", [True, False], ids=["all", "one"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_non_finite_free_coordinate(self, axis, bad, every_point):
+        pts = self._lines(axis, 2.5)
+        pts[slice(None) if every_point else slice(1), axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._assert_fresh(self._primed(axis), pts)
+        nan = np.isnan(_rows(got, pts)).all(axis=1)
+        assert nan.all() if every_point else nan.tolist() == [True] + [False] * (len(pts) - 1)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_non_uniform_batch(self, axis):
+        pts = self._lines(axis, 2.5)
+        pts[:, axis] += np.random.default_rng(3).uniform(-0.2, 0.2, len(pts))
+        self._assert_fresh(self._primed(axis), pts)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_empty_batch(self, axis):
+        v, h, V = self._assert_fresh(self._primed(axis), np.empty((0, 3)))
+        assert (v.shape, h.shape, V.shape) == ((0, 3), (0, 3, 3), (0, 3))
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_single_point(self, axis):
+        line = self._lines(axis, 2.5)[:1]
+        t = self._primed(axis, line)
+        point = self._lines(axis, 4.5)[0]
+        v, h, V = self._assert_fresh(t, point)
+        assert (v.shape, h.shape, V.shape) == ((3,), (3, 3), (3,))
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_two_axes_off_the_nodes_raise(self, axis):
+        t = self._primed(axis)
+        other = 2 if axis == 1 else 0
+        pts = self._lines(axis, 3.5)
+        pts[1, other] += 0.01
+        with pytest.raises(PreconditionFailed, match="grid lines"):
+            t.eval_at(pts)
+        pts = self._lines(axis, 3.5)
+        pts[:, other] += 0.01
+        with pytest.raises(PreconditionFailed, match="grid lines"):
+            t.eval_at(pts)
+        self._assert_fresh(t, self._lines(axis, 4.5))

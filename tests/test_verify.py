@@ -18,7 +18,6 @@ from spaceform_lab.errors import (
 from spaceform_lab.gallery import PhiFamily, closed_form_transform, phi_state
 from spaceform_lab.grid import (
     ParameterGrid,
-    grid_partials,
     induced_metric_tensor,
     partial_derivative,
     second_derivative,
@@ -39,6 +38,8 @@ from spaceform_lab.verify import (
     principal_curvature_fields,
     schouten_codazzi_residual,
 )
+
+from conftest import grid_partials
 
 FLAT = SpaceFormSpec(0.0, 0)
 
