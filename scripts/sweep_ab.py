@@ -31,10 +31,13 @@ transformed_triple`` and ``pass classify``.
 Prints a sha256 per run kind and side (the frame states; the Ribaucour states
 and mask; everything the pass returns; every sweep state, the transformed
 triple, F' and the drift of ``sampled``), the Omega drift of the second
-transform in ``sampled`` per side (the benchmark's ``result_err`` there), and
-per timing the median of each side, the median, least and largest of the
-per-round ratios root/against, and the rounds in which root was faster.
-Exits 1 if the digests differ.
+transform in ``sampled`` per side (the benchmark's ``result_err`` there), per
+run kind and side the ``TripleField.eval_at`` calls and the spline
+evaluations actually made (``triples._CubicSpline`` calls; a constant triple
+makes none), counted in the untimed warm-up round, and per timing the median
+of each side, the median, least and largest of the per-round ratios
+root/against, and the rounds in which root was faster.  Exits 1 if the
+digests differ.
 
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
@@ -49,6 +52,7 @@ one process and interleaved rounds share the host's state.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -102,6 +106,7 @@ class Side:
         self.omega = None
         self.phases = {}
         self.steps = {}
+        self.evals = None           # {"eval_at": calls, "spline": calls} while counting
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
 
@@ -111,6 +116,31 @@ class Side:
         grid = self.mod["grid"].ParameterGrid((-1.0,) * 3, (1.0,) * 3, (n,) * 3, (n // 2,) * 3)
         return (grid, self.fam.seed_triple(grid),
                 self.mod["gallery"].phi_state(self.fam, grid.base_point))
+
+    @contextlib.contextmanager
+    def counting(self):
+        """Count ``TripleField.eval_at`` calls and spline evaluations into
+        ``evals`` while inside (class attributes, wrapped and then restored)."""
+        tri = self.mod["triples"]
+        patched = [(cls, attr, getattr(cls, attr), key) for cls, attr, key in (
+            (tri.TripleField, "eval_at", "eval_at"),
+            (getattr(tri, "_CubicSpline", None), "__call__", "spline")) if cls is not None]
+        self.evals = dict.fromkeys(("eval_at", "spline"), 0)
+
+        def counted(inner, key):
+            def call(obj, *args, **kwargs):
+                self.evals[key] += 1
+                return inner(obj, *args, **kwargs)
+            return call
+
+        for cls, attr, inner, key in patched:
+            setattr(cls, attr, counted(inner, key))
+        try:
+            yield
+        finally:
+            for cls, attr, inner, _ in patched:
+                setattr(cls, attr, inner)
+            self.evals = None
 
     def _timed(self, march):
         if not inspect.isgeneratorfunction(march):
@@ -212,19 +242,24 @@ def one_round(sides, order):
     digests of this round."""
     times = {side: {} for side in sides}
     digests = {side: {} for side in sides}
+    evals = {side: {} for side in sides}
     for run in RUNS:
         for name in order:
             side = sides[name]
             side.phases.clear()
+            if side.evals is not None:
+                side.evals.update(eval_at=0, spline=0)
             times[name][run], (_, parts) = timed(getattr(side, RUNS[run]))
             digests[name][run] = digest(parts)
+            if side.evals is not None:
+                evals[name][run] = dict(side.evals)
             if run != "pass":
                 for key, s in side.phases.items():
                     times[name][f"{run} B={key}"] = s
             else:
                 for step, s in side.steps.items():
                     times[name][f"pass {step}"] = s
-    return times, digests
+    return times, digests, evals
 
 
 def summary(rounds, label):
@@ -257,10 +292,11 @@ def main(argv=None) -> int:
     theta = theta_for(args.seed)
     sides = {"root": Side(args.root, "ab_root", args.n, theta),
              "against": Side(args.against, "ab_against", args.n, theta)}
-    one_round(sides, SIDES)                         # warm-up, not timed
+    with sides["root"].counting(), sides["against"].counting():
+        _, _, evals = one_round(sides, SIDES)       # warm-up, not timed
     rounds, digests = [], None
     for k in range(args.rounds):
-        times, digests = one_round(sides, SIDES if k % 2 == 0 else SIDES[::-1])
+        times, digests, _ = one_round(sides, SIDES if k % 2 == 0 else SIDES[::-1])
         rounds.append(times)
 
     print(f"root     {Path(args.root).resolve()}")
@@ -273,6 +309,11 @@ def main(argv=None) -> int:
         same &= a == b
         print(f"sha256 {run:<10} root {a[:16]}  against {b[:16]}  "
               f"{'same' if a == b else 'DIFFER'}")
+    for run in RUNS:
+        root, against = evals["root"][run], evals["against"][run]
+        print(f"evals  {run:<10} eval_at root {root['eval_at']:>6} against "
+              f"{against['eval_at']:>6}  spline root {root['spline']:>6} against "
+              f"{against['spline']:>6}")
     omega = {name: side.omega for name, side in sides.items()}
     print(f"sampled Omega drift  root {omega['root']!r}  against {omega['against']!r}")
     labels = [label for label in rounds[0]["root"] if label in rounds[0]["against"]]
@@ -287,7 +328,8 @@ def main(argv=None) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"n": args.n, "rounds": args.rounds, "seed": args.seed, "theta": theta,
-                       "digests_same": same, "digests": digests, "omega_drift": omega,
+                       "digests_same": same, "digests": digests, "evals": evals,
+                       "omega_drift": omega,
                        "summary": results,
                        "times": rounds}, fh, indent=1)
     return 0 if same else 1

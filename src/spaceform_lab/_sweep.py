@@ -18,11 +18,13 @@ side; the coefficients dt/2, dt and dt/6 are per column, the triple is still
 evaluated lane by lane, and when a lane's schedule ends the batch shrinks to
 the other lane.  Each column sees the same floating-point operations as in
 a march of its direction alone, so states do not depend on how directions
-are grouped.  The first two phases (1 and n_a lines) are dispatch-bound: a
-call of the right-hand side costs nearly as much for one line as for many,
-so their two directions march together and every ufunc call serves both.
-The last phase (n_a n_b lines) marches its directions one after the other:
-there a doubled batch no longer fits in cache and marched slower.
+are grouped.  A phase of at most ``_LANE_LINES`` lines per direction marches
+its two directions together, so every ufunc call serves both: such a phase
+is dispatch-bound, a call of the right-hand side costing nearly as much for
+one line as for many.  That is always the first two phases (1 and n_a
+lines) and the last one (n_a n_b lines) up to 22 x 22 lines.  A wider phase
+marches its directions one after the other: there a doubled batch no longer
+fits in cache and marched slower.
 
 Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 ``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
@@ -70,8 +72,11 @@ stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
 call time, with that lane's B points), allocates one dY and runs each body on
 its row blocks of Y and dY.  Two lanes' values are laid side by side in new
 read-only arrays, except when every lane hands back the same read-only
-arrays as in the call before, as a constant triple does for a batch shape:
-then the last call's side-by-side arrays serve again.  It leaves Y
+arrays as in the call before: then the last call's side-by-side arrays serve
+again.  ``eval_at`` hands back the arrays of either of its last two calls
+when the points repeat, as they do at the second midpoint stage (k3) and at
+the first stage of a substep inside a node interval, and a constant triple
+hands back the same arrays for every call of a batch shape.  It leaves Y
 unmodified; the march reuses dY as an accumulator.  A sweep makes the same
 ``eval_at`` calls however many systems it carries and however its directions
 are grouped: four per substep of each direction.
@@ -95,6 +100,16 @@ import numpy as np
 
 from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
+
+# A phase of at most this many lines per direction marches both directions as
+# one batch (module docstring, "Lanes").  Merged against split last phases on
+# the sweep_closed inputs (scripts/sweep_ab.py, 12 interleaved rounds, median
+# ratio of the phase's march time, one process on a shared 2-vCPU host):
+#     lines      441 (21^3)  625 (25^3)  961 (31^3)  1681 (41^3)
+#     frame      1.01        1.07        1.17        1.35
+#     Ribaucour  0.74        0.69        0.84        0.93
+# The frame sweep crosses over between 441 and 625 lines.
+_LANE_LINES = 512
 
 
 def vanishing_terms(triple, reached):
@@ -150,7 +165,12 @@ def rk4_march(rhs, lanes, axis, rows=None):
     lane order; dt/2, dt and dt/6 are per column when two lanes are live,
     and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
     one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose
-    schedule has ended leaves the batch.
+    schedule has ended leaves the batch.  A substep's stages are at u,
+    u + dt/2 (twice, k2 and k3) and u + dt, u advancing by dt per substep
+    and starting each node interval at the node, so inside an interval the
+    first stage of a substep is at the bits of the last stage before it: a
+    right-hand side that keeps its last calls computes each distinct point
+    set once (``TripleField.eval_at``).
 
     Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
     (R, B) state there; the caller may flag more of that lane's ``bad``
@@ -312,8 +332,7 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
         lanes = [(+1, bad_start.copy()), (-1, bad_start.copy())]
-        # the narrow first two phases march both directions as one batch
-        for group in [lanes] if len(done) < 2 else [[lane] for lane in lanes]:
+        for group in [lanes] if B <= _LANE_LINES else [[lane] for lane in lanes]:
             plus_open = group[0][0] > 0 and i0 < n[axis] - 1
             held = None         # a - direction overflow, raised once + has ended
             march = rk4_march(rhs, [(pts_start, y_start, bad,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import shutil
 import threading
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadProjection, IoError, SchemaError
+from .errors import BadProjection, InvalidParams, IoError, SchemaError
 from .grid import ParameterGrid
 
 _NUM = {"type": "number"}
@@ -326,10 +327,11 @@ def export_obj(positions, grid: ParameterGrid, axis, value, projection, path,
                masked=None):
     """Export one grid slice as a triangulated OBJ mesh.
 
-    ``axis``/``value`` select the slice (nearest node); ``projection`` picks
-    three distinct ambient coordinates for x, y, z, each an int in
-    [0, positions.shape[-1]) (else BadProjection).  Masked nodes drop every
-    incident face.
+    ``axis``/``value`` select the slice (nearest node): ``axis`` an int in
+    {0, 1, 2} and ``value`` a finite real number (else InvalidParams).
+    ``projection`` picks three distinct ambient coordinates for x, y, z, each
+    an int in [0, positions.shape[-1]) (else BadProjection).  Masked nodes
+    drop every incident face.
     """
     positions = np.asarray(positions, dtype=float)
     dim = positions.shape[-1]
@@ -338,6 +340,10 @@ def export_obj(positions, grid: ParameterGrid, axis, value, projection, path,
         raise BadProjection(
             f"projection must be three distinct coordinates in [0, {dim}), got {projection}"
         )
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis < 3:
+        raise InvalidParams(f"slice axis must be 0, 1 or 2, got {axis!r}")
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidParams(f"slice value must be a finite number, got {value!r}")
     ax_vals = grid.axis(axis)
     sl = int(np.argmin(np.abs(ax_vals - value)))
     index = [slice(None)] * 3

@@ -256,7 +256,7 @@ class TripleField:
     def __post_init__(self):
         self.delta = _check_delta(self.delta)
         self._interp = None         # a sampled triple's spline
-        self._batch = None          # a constant triple's (shape, (v, h, V)) of its last batch
+        self._recent = []           # eval_at's last two (key, (v, h, V)), newest first
 
     # --- constructors ---------------------------------------------------
 
@@ -340,37 +340,64 @@ class TripleField:
         return v[:, i, j, k], h[:, :, i, j, k], V[:, i, j, k]
 
     def eval_at(self, points):
-        """(v, h, V) at points, shape (..., 3) -> components last.
+        """(v, h, V) at points, shape (..., 3) -> components last, as read-only
+        arrays.
 
-        A constant triple fills its values once per batch shape and hands
-        the same read-only arrays out again while the shape repeats, as it
-        does for every call of a sweep's axis phase.  A sampled triple is
-        read through ``_CubicSpline``, built on the first call, whose
-        docstring states where it can be evaluated and its accuracy.  Its
-        costs: a call whose points lie on one set of grid lines at one
-        coordinate along them, as a sweep's calls between node arrivals do,
-        takes about 20 numpy calls however many points it has, once the
-        lines' coefficient rows are gathered on the first such call; every
-        other call, a node arrival off axis 0 among them, about 50.  Either
-        way the values depend on the call's own points only, not on the
-        calls before it.  Between calls the spline keeps the coefficient rows
-        of the last line set it gathered, at most one (n_a + 2, points, 15)
-        slab.
+        The triple keeps its last two calls, each as a key and its values, and
+        hands a call that repeats a kept one the same arrays again.  For a
+        sampled triple the key is the shape and the bytes of the points: bits
+        are compared, not values, so -0.0 and +0.0 or two NaN payloads are
+        different points, and changing the caller's array in place between
+        calls changes the key.  A constant triple's values depend on the
+        batch shape only, so its key is the shape and its values are filled
+        once while the shape repeats, as it does for every call of a sweep's
+        axis phase.  Two calls are kept because a sweep marching two lanes
+        alternates between them: RK4 evaluates each substep's midpoint twice,
+        and inside a node interval the first stage of a substep is at the
+        bits of the last stage of the substep before, so a sampled sweep
+        computes about half its calls.  The memory kept is, per kept call, a
+        copy of the points and the values, 18 doubles per point of a sampled
+        triple and 15 of a constant one.
+
+        A sampled triple is read through ``_CubicSpline``, built on the first
+        call, whose docstring states where it can be evaluated and its
+        accuracy.  Its costs: a call whose points lie on one set of grid lines
+        at one coordinate along them, as a sweep's calls between node
+        arrivals do, takes about 20 numpy calls however many points it has,
+        once the lines' coefficient rows are gathered on the first such call;
+        every other call, a node arrival off axis 0 among them, about 50.
+        Either way the values depend on the call's own points only, not on
+        the calls before it.  Between calls the spline keeps the coefficient
+        rows of the last line set it gathered, at most one
+        (n_a + 2, points, 15) slab.
         """
         points = np.asarray(points, dtype=float)
-        lead = points.shape[:-1]
+        key = (points.shape, None if self.closed_form else points.tobytes())
+        for seen, values in self._recent:
+            if seen == key:
+                return values
         if self.closed_form:
-            if self._batch is None or self._batch[0] != lead:
-                v, h, V = self._filled(lead)
-                axes = tuple(range(1, len(lead) + 1))
-                self._batch = lead, (v.transpose(axes + (0,)),
-                                     h.transpose(tuple(a + 1 for a in axes) + (0, 1)),
-                                     V.transpose(axes + (0,)))
-            return self._batch[1]
+            values = self._constant_at(points.shape[:-1])
+        else:
+            values = self._spline_at(points)
+        self._recent = [(key, values)] + self._recent[:1]
+        return values
+
+    def _constant_at(self, lead):
+        """A constant triple's read-only (v, h, V) at ``lead`` points, components last."""
+        v, h, V = self._filled(lead)
+        axes = tuple(range(1, len(lead) + 1))
+        return (v.transpose(axes + (0,)), h.transpose(tuple(a + 1 for a in axes) + (0, 1)),
+                V.transpose(axes + (0,)))
+
+    def _spline_at(self, points):
+        """A sampled triple's read-only (v, h, V) at ``points``, components last."""
         if self._interp is None:
             self._sample()
             self._interp = _CubicSpline(self._v, self._h, self._V, self.grid)
         out = self._interp(points)
+        out.flags.writeable = False
+        lead = points.shape[:-1]
         return (out[:, :3].reshape(lead + (3,)), out[:, 3:12].reshape(lead + (3, 3)),
                 out[:, 12:].reshape(lead + (3,)))
 

@@ -12,7 +12,7 @@ import pytest
 from spaceform_lab import cli as cli_module
 from spaceform_lab import io as io_module
 from spaceform_lab.cli import run
-from spaceform_lab.errors import BadProjection, IoError, SchemaError
+from spaceform_lab.errors import BadProjection, InvalidParams, IoError, SchemaError
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.io import (
     export_csv,
@@ -425,6 +425,28 @@ class TestExportObj:
         pos = np.concatenate([grid.points(), np.zeros(grid.n + (2,))], axis=-1)
         with pytest.raises(BadProjection):
             export_obj(pos, grid, 2, 0.0, projection, str(tmp_path / "x.obj"))
+
+    @pytest.mark.parametrize("axis, value, argument", [
+        (2, math.nan, "value"), (2, math.inf, "value"), (2, -math.inf, "value"),
+        (2, "0.0", "value"), (-1, 0.0, "axis"), (3, 0.0, "axis"), (1.5, 0.0, "axis"),
+        (True, 0.0, "axis")],
+        ids=["nan", "inf", "minus_inf", "str_value", "axis_minus1", "axis3", "axis_float",
+             "axis_bool"])
+    def test_bad_slice(self, tmp_path, axis, value, argument):
+        # argmin of a NaN array is 0 and axis -1 would index axis 2: both are refused
+        grid = self._grid()
+        pos = np.concatenate([grid.points(), np.zeros(grid.n + (1,))], axis=-1)
+        path = tmp_path / "x.obj"
+        with pytest.raises(InvalidParams, match=f"slice {argument} "):
+            export_obj(pos, grid, axis, value, (0, 1, 2), str(path))
+        assert not path.exists()
+
+    def test_numpy_slice_arguments(self, tmp_path):
+        grid = self._grid()
+        pos = np.concatenate([grid.points(), np.zeros(grid.n + (1,))], axis=-1)
+        export_obj(pos, grid, 2, 0.0, (0, 1, 2), str(tmp_path / "a.obj"))
+        export_obj(pos, grid, np.int64(2), np.float64(0.0), (0, 1, 2), str(tmp_path / "b.obj"))
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
 def _per_node_obj(positions, grid, axis, value, projection, masked=None):

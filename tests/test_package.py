@@ -149,7 +149,8 @@ def test_benchmark_family_parser_matches_cli(monkeypatch):
 def test_sweep_ab_against_itself(tmp_path):
     """``scripts/sweep_ab.py`` loads one checkout twice under two names,
     finds equal digests for its four run kinds, times the three phases of
-    each sweep, prints the sampled run's Omega drift and exits 0."""
+    each sweep, counts the eval_at calls and spline evaluations of each run
+    kind, prints the sampled run's Omega drift and exits 0."""
     out_json = tmp_path / "ab.json"
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_ab.py"),
                           "--against", str(ROOT), "--n", "5", "--rounds", "1",
@@ -169,3 +170,15 @@ def test_sweep_ab_against_itself(tmp_path):
     assert {f"pass {step}" for step in steps} <= set(result["summary"])
     for step in steps:
         assert f"\npass {step} " in out.stdout
+    # only the sampled run evaluates a spline: two of its three sweeps are on
+    # the sampled triple, and they compute a little over half of their calls
+    evals = result["evals"]
+    assert evals["root"] == evals["against"] and set(evals["root"]) == {
+        "frame", "ribaucour", "pass", "sampled"}
+    for run, counts in evals["root"].items():
+        assert counts["eval_at"] > 0
+        assert f"evals  {run:<10} eval_at root {counts['eval_at']:>6}" in out.stdout
+        if run != "sampled":
+            assert counts["spline"] == 0
+    sampled = evals["root"]["sampled"]
+    assert sampled["eval_at"] // 3 < sampled["spline"] < sampled["eval_at"] // 2

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from spaceform_lab import triples
+from spaceform_lab import _sweep, triples
 from spaceform_lab._sweep import (
     node_intervals,
     rk4_march,
@@ -484,6 +484,36 @@ class TestEvalCount:
         calls, points = self._expected((0, 1, 2))
         assert (counts["calls"], counts["points"]) == (calls, points)
 
+    @pytest.mark.parametrize("sweep, order", [("frame", (0, 1, 2)), ("frame", (2, 0, 1)),
+                                              ("ribaucour", (0, 1, 2))])
+    def test_spline_evaluated_once_per_distinct_points(self, sweep, order, monkeypatch):
+        """``eval_at`` keeps its last two calls, so a sampled sweep evaluates
+        its spline once per distinct point set: RK4's second midpoint stage
+        and the first stage of a substep inside a node interval repeat the
+        bits of a call before them."""
+        fam = FAMILIES["r4_problemstar" if sweep == "frame" else "s4_problemstar_sphere"]
+        t, _ = self._counted_triple(fam, True)
+        seen = set()
+        inner = t.eval_at
+
+        def eval_at(points):
+            seen.add((points.shape, points.tobytes()))
+            return inner(points)
+
+        t.eval_at = eval_at
+        spline = []
+        real_call = triples._CubicSpline.__call__
+        monkeypatch.setattr(triples._CubicSpline, "__call__",
+                            lambda self, points: spline.append(1) or real_call(self, points))
+        if sweep == "frame":
+            integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=self.STEP)
+        else:
+            integrate_ribaucour(t, phi_state(fam, self.GRID.base_point), max_step=self.STEP,
+                                K2target=fam.K2target)
+        calls, _ = self._expected(order)
+        # about one call in two, plus the first stage of each node interval
+        assert len(spline) == len(seen) < calls // 2 + calls // 8
+
 
 class TestSampledSweepsOnLines:
     """A sweep evaluates a sampled triple only on grid lines: the spline
@@ -851,13 +881,28 @@ class TestLockstep:
 class TestEvalAtPerDirection:
     """``eval_at`` never sees a merged batch: each call carries the B lines of
     one direction, all on its side of the base along the phase axis, and in
-    the merged phases + is evaluated before - at every stage.  This keeps the
-    number of evaluations at four per RK substep of each direction."""
+    the merged phases, those of at most ``_LANE_LINES`` lines per direction,
+    + is evaluated before - at every stage.  This keeps the number of
+    evaluations at four per RK substep of each direction."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
     @pytest.mark.parametrize("where", ["asymmetric", "face"])
     def test_one_direction_per_call(self, where, order, sampled):
+        # the phases have 1, 41, 205 and 1, 4, 164 lines: all merged
+        self._check(where, order, sampled)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    @pytest.mark.parametrize("lane_lines", [0, 40, 41, 164])
+    def test_either_side_of_the_lane_rule(self, lane_lines, order, sampled, monkeypatch):
+        # 0: every phase split; 40 and 41 split or merge the 41-line phase;
+        # 164 merges the 164-line phase of (2, 0, 1) and splits the 205-line one
+        monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
+        self._check("asymmetric", order, sampled)
+
+    @staticmethod
+    def _check(where, order, sampled):
         grid = TestLockstep.grid(where)
         fam = FAMILIES["r4_problemstar"]
         t = fam.seed_triple(grid)
@@ -879,7 +924,8 @@ class TestEvalAtPerDirection:
             starts = np.array(list(itertools.product(
                 *[grid.axis(a) if a in done else [grid.base_point[a]] for a in range(3)])))
             plus, minus = (4 * sum(s) for s in _schedules(grid, axis))
-            if k < 2:       # one stage of each live direction in turn, + first
+            # merged: one stage of each live direction in turn, + first
+            if len(starts) <= _sweep._LANE_LINES:
                 signs = [sign for i in range(max(plus, minus))
                          for sign, stages in ((1, plus), (-1, minus)) if i < stages]
             else:           # all of + before all of -
@@ -893,6 +939,86 @@ class TestEvalAtPerDirection:
                 assert (u == u[0]).all() and sign * (u[0] - u0) >= 0
             pos += len(signs)
         assert pos == len(calls)
+
+
+class TestLaneRule:
+    """A phase of at most ``_LANE_LINES`` lines per direction marches both
+    directions as one batch, a wider one + and then -.  Sweeps forced to
+    merge every phase and forced to split every phase give the same bytes,
+    masks and errors."""
+
+    SPLIT, MERGED = 0, 10**9
+
+    @staticmethod
+    def _forced(monkeypatch, sweep):
+        """``sweep()`` run with every phase split and then every phase merged:
+        its two results, or its two NonFiniteState messages."""
+        out = []
+        for lane_lines in (TestLaneRule.SPLIT, TestLaneRule.MERGED):
+            monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
+            try:
+                out.append(sweep())
+            except NonFiniteState as err:
+                out.append(str(err))
+        return out
+
+    def test_rule(self, monkeypatch):
+        # a 41 x 5 x 4 box: (0, 1, 2) has phases of 1, 41 and 205 lines
+        grid = TestLockstep.grid("asymmetric")
+        fam = FAMILIES["r4_problemstar"]
+        t = fam.seed_triple(grid)
+        widths = []
+        real_march = _sweep.rk4_march
+
+        def march(rhs, lanes, *args):
+            widths.append([len(lane[0]) for lane in lanes])
+            return real_march(rhs, lanes, *args)
+
+        monkeypatch.setattr(_sweep, "rk4_march", march)
+        for lane_lines, expect in ((205, [[1, 1], [41, 41], [205, 205]]),
+                                   (204, [[1, 1], [41, 41], [205], [205]])):
+            monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
+            widths.clear()
+            integrate_frame(t, fam.frame_init(), integrability_tol=None)
+            assert widths == expect
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_frame(self, order, sampled, monkeypatch):
+        fam, t, _ = _layer_case("r4_problemstar", "off_centre", sampled)
+        split, merged = self._forced(monkeypatch, lambda: _frame_result(integrate_frame(
+            t, fam.frame_init(), sweep_order=order, integrability_tol=None)))
+        _assert_same(merged, split)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_ribaucour(self, order, sampled, monkeypatch):
+        _, t, init = _layer_case("s4_problemstar_sphere", "off_centre", sampled)
+        split, merged = self._forced(monkeypatch, lambda: _engine_ribaucour(t, init, order))
+        _assert_same(merged, split)
+
+    def test_masked_line(self, monkeypatch):
+        # the - direction of the base line freezes one node from the base
+        # (TestLockstep.test_masked_direction_leaves_the_other_integrating),
+        # and the lines started from its nodes stay masked
+        grid = ParameterGrid.centered(1.0, 9)
+        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
+        init = seed_state(t, grid.base, req, K2target=1.0)
+        split, merged = self._forced(monkeypatch, lambda: _ribaucour_result(
+            integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)))
+        _assert_same(merged, split)
+        assert merged[1][:4].all() and not merged[1][4:].any()
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)])
+    def test_overflow_in_both_directions_names_the_plus_node(self, order, monkeypatch):
+        # the frame rows overflow both ways along axis 0, in the first phase
+        # of (0, 1, 2) and in the 16-line last phase of (1, 2, 0)
+        t = TestLockstep._growing_triple(-40.0, 40.0, 41, 20)
+        init = standard_frame_state(t.spec)
+        split, merged = self._forced(monkeypatch, lambda: integrate_frame(
+            t, init, sweep_order=order, max_step=0.5, integrability_tol=None))
+        assert merged == split == "state overflowed along axis 0 at node 40"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
+from spaceform_lab import triples
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     BranchViolation,
@@ -925,3 +926,106 @@ class TestCallsIndependentOfEarlierCalls:
         with pytest.raises(PreconditionFailed, match="grid lines"):
             t.eval_at(pts)
         self._assert_fresh(t, self._lines(axis, 4.5))
+
+
+class TestRecentCalls:
+    """``eval_at`` keeps its last two calls and serves a call whose points
+    have the shape and the bytes of a kept one with the same read-only
+    arrays; any other call is computed."""
+
+    GRID = TestFusedSplineEquivalence.GRID
+
+    @pytest.fixture
+    def spline_calls(self, monkeypatch):
+        """The points of every call that reaches a ``_CubicSpline``."""
+        calls = []
+        real_call = triples._CubicSpline.__call__
+
+        def call(spline, points):
+            calls.append(points.copy())
+            return real_call(spline, points)
+
+        monkeypatch.setattr(triples._CubicSpline, "__call__", call)
+        return calls
+
+    @classmethod
+    def _lines(cls, u, axis=1):
+        return _line_points(cls.GRID, axis, [u])
+
+    @staticmethod
+    def _triple():
+        return TestFusedSplineEquivalence._triple(nan=False)
+
+    def test_repeat_returns_the_same_read_only_arrays(self, spline_calls):
+        t = self._triple()
+        pts = self._lines(0.123)
+        first = t.eval_at(pts)
+        again = t.eval_at(pts.copy())
+        assert len(spline_calls) == 1
+        fresh = self._triple().eval_at(pts)
+        for a, b, ref in zip(first, again, fresh):
+            assert a is b and not a.flags.writeable
+            assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_bits_not_values(self, spline_calls):
+        t = self._triple()
+        # 0.0 lies between two nodes of axis 1
+        plus, minus = self._lines(0.0), self._lines(-0.0)
+        assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+        assert t.eval_at(plus)[0] is not t.eval_at(minus)[0]
+        assert len(spline_calls) == 2
+        # two NaN payloads are two keys; one payload repeated is one
+        quiet, payload = self._lines(np.nan), self._lines(np.nan)
+        payload[:, 1] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
+        assert payload.tobytes() != quiet.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nan_v = t.eval_at(quiet)[0]
+            other = t.eval_at(payload)[0]
+            assert other is not nan_v and t.eval_at(payload.copy())[0] is other
+        assert len(spline_calls) == 4 and np.isnan(nan_v).all() and np.isnan(other).all()
+
+    def test_points_changed_in_place_are_computed(self, spline_calls):
+        t = self._triple()
+        pts = self._lines(0.123)
+        first = t.eval_at(pts)
+        pts[:, 1] = 0.321
+        got = t.eval_at(pts)
+        assert len(spline_calls) == 2 and got[0] is not first[0]
+        for g, ref in zip(got, self._triple().eval_at(self._lines(0.321))):
+            assert g.tobytes() == ref.tobytes()
+
+    def test_two_calls_kept(self, spline_calls):
+        t = self._triple()
+        a, b, c = (self._lines(u) for u in (0.1, 0.2, 0.3))
+        for pts in (a, b, c, a, c):
+            t.eval_at(pts)
+        # a was pushed out by c and computed again; c was still kept
+        assert [p[0, 1] for p in spline_calls] == [0.1, 0.2, 0.3, 0.1]
+        assert len(t._recent) == 2
+
+    def test_alternating_lanes_hit(self, spline_calls):
+        # two lanes of a merged phase: k1 (+, -), k2, k3 = k2, k4, then the
+        # next substep's k1 = k4, at u and u + dt/2 and u + dt per lane
+        t = self._triple()
+        stages = []
+        for start, dt in ((0.1, 0.05), (0.4, -0.05)):
+            stages.append([self._lines(u) for u in (start, start + dt / 2, start + dt)])
+        plus, minus = stages
+        order = [0, 1, 1, 2, 2]             # the stages of k1, k2, k3, k4 and the next k1
+        values = [(t.eval_at(plus[k]), t.eval_at(minus[k])) for k in order]
+        assert len(spline_calls) == 6
+        for i, j in ((1, 2), (3, 4)):
+            for lane in (0, 1):
+                assert all(x is y for x, y in zip(values[i][lane], values[j][lane]))
+
+    def test_constant_triple_keeps_two_shapes(self):
+        t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=(1.0, -0.5, 2.0), V=(0, 3, -1))
+        small, wide = t.eval_at(np.zeros((7, 3))), t.eval_at(np.ones((41, 3)))
+        for _ in range(2):
+            assert t.eval_at(np.full((7, 3), 0.5))[0] is small[0]
+            assert t.eval_at(np.full((41, 3), 0.5))[2] is wide[2]
+        t.eval_at(np.zeros((5, 3)))
+        assert t.eval_at(np.zeros((7, 3)))[0] is not small[0]
