@@ -34,10 +34,13 @@ triple, F' and the drift of ``sampled``), the Omega drift of the second
 transform in ``sampled`` per side (the benchmark's ``result_err`` there), per
 run kind and side the ``TripleField.eval_at`` calls and the spline
 evaluations actually made (``triples._CubicSpline`` calls; a constant triple
-makes none), counted in the untimed warm-up round, and per timing the median
-of each side, the median, least and largest of the per-round ratios
-root/against, and the rounds in which root was faster.  Exits 1 if the
-digests differ.
+makes none), counted in the untimed warm-up round, per run kind, phase and
+side the state rows marched against the state rows of its sweeps (e.g.
+``frame B=1681  root 12/20``: a constant triple's frame carries X_i, i != a,
+through the phase along u_a; a run's sweeps add up per phase), and per
+timing the median of each side, the median, least and largest of the
+per-round ratios root/against, and the rounds in which root was faster.
+Exits 1 if the digests differ.
 
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
@@ -107,8 +110,12 @@ class Side:
         self.phases = {}
         self.steps = {}
         self.evals = None           # {"eval_at": calls, "spline": calls} while counting
+        self.rows = {}              # phase -> {sweep: (rows marched, state rows)}
+        self.sweep = (0, None)      # (sweeps begun, state rows of the last)
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
+        if hasattr(sweep, "stacked_rhs"):
+            sweep.stacked_rhs = self._sized(sweep.stacked_rhs)
 
     def _inputs(self, n):
         """The unit box with n^3 nodes and its base at the centre, the seed
@@ -142,6 +149,25 @@ class Side:
                 setattr(cls, attr, inner)
             self.evals = None
 
+    def _sized(self, stacked_rhs):
+        """``stacked_rhs``, called once per sweep, noting its state rows."""
+        def sized(*args, **kwargs):
+            out = stacked_rhs(*args, **kwargs)
+            self.sweep = (self.sweep[0] + 1, len(out[1]))
+            return out
+        return sized
+
+    def _marched(self, key, y):
+        """Note the rows of ``y`` as the rows the current sweep marches in phase ``key``."""
+        sweep, rows = self.sweep
+        if rows is not None:
+            self.rows.setdefault(key, {})[sweep] = (len(y), rows)
+
+    def marched_rows(self):
+        """Per phase, the rows marched and the state rows, added over the sweeps."""
+        return {key: [sum(r[i] for r in sweeps.values()) for i in (0, 1)]
+                for key, sweeps in self.rows.items()}
+
     def _timed(self, march):
         if not inspect.isgeneratorfunction(march):
             return self._timed_calls(march)
@@ -149,6 +175,7 @@ class Side:
 
         def rk4_march(rhs, lanes, *args, **kwargs):
             key = len(lanes[0][0])
+            self._marched(key, lanes[0][1])
             inner = march(rhs, lanes, *args, **kwargs)
             while True:
                 t0 = time.perf_counter()
@@ -168,6 +195,7 @@ class Side:
         phases = self.phases
 
         def rk4_march(rhs, pts, *args, **kwargs):
+            self._marched(len(pts), args[3])           # (axis, u_from, u_to, y, ...)
             t0 = time.perf_counter()
             y = march(rhs, pts, *args, **kwargs)
             phases[len(pts)] = phases.get(len(pts), 0.0) + time.perf_counter() - t0
@@ -238,28 +266,32 @@ def timed(fn):
 
 
 def one_round(sides, order):
-    """Each run kind on both sides, ``order`` first; returns the times and the
-    digests of this round."""
+    """Each run kind on both sides, ``order`` first; returns the times, the
+    digests, the evaluation counts and the marched rows of this round."""
     times = {side: {} for side in sides}
     digests = {side: {} for side in sides}
     evals = {side: {} for side in sides}
+    rows = {side: {} for side in sides}
     for run in RUNS:
         for name in order:
             side = sides[name]
             side.phases.clear()
+            side.rows.clear()
             if side.evals is not None:
                 side.evals.update(eval_at=0, spline=0)
             times[name][run], (_, parts) = timed(getattr(side, RUNS[run]))
             digests[name][run] = digest(parts)
             if side.evals is not None:
                 evals[name][run] = dict(side.evals)
+            for key, marched in sorted(side.marched_rows().items()):
+                rows[name][f"{run} B={key}"] = marched
             if run != "pass":
                 for key, s in side.phases.items():
                     times[name][f"{run} B={key}"] = s
             else:
                 for step, s in side.steps.items():
                     times[name][f"pass {step}"] = s
-    return times, digests, evals
+    return times, digests, evals, rows
 
 
 def summary(rounds, label):
@@ -293,10 +325,10 @@ def main(argv=None) -> int:
     sides = {"root": Side(args.root, "ab_root", args.n, theta),
              "against": Side(args.against, "ab_against", args.n, theta)}
     with sides["root"].counting(), sides["against"].counting():
-        _, _, evals = one_round(sides, SIDES)       # warm-up, not timed
+        _, _, evals, rows = one_round(sides, SIDES)     # warm-up, not timed
     rounds, digests = [], None
     for k in range(args.rounds):
-        times, digests, _ = one_round(sides, SIDES if k % 2 == 0 else SIDES[::-1])
+        times, digests, _, _ = one_round(sides, SIDES if k % 2 == 0 else SIDES[::-1])
         rounds.append(times)
 
     print(f"root     {Path(args.root).resolve()}")
@@ -314,6 +346,9 @@ def main(argv=None) -> int:
         print(f"evals  {run:<10} eval_at root {root['eval_at']:>6} against "
               f"{against['eval_at']:>6}  spline root {root['spline']:>6} against "
               f"{against['spline']:>6}")
+    for label in dict.fromkeys([*rows["root"], *rows["against"]]):
+        root, against = ("/".join(map(str, rows[side].get(label, ("-", "-")))) for side in SIDES)
+        print(f"rows   {label:<22} root {root:>7}  against {against:>7}")
     omega = {name: side.omega for name, side in sides.items()}
     print(f"sampled Omega drift  root {omega['root']!r}  against {omega['against']!r}")
     labels = [label for label in rounds[0]["root"] if label in rounds[0]["against"]]
@@ -329,6 +364,7 @@ def main(argv=None) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"n": args.n, "rounds": args.rounds, "seed": args.seed, "theta": theta,
                        "digests_same": same, "digests": digests, "evals": evals,
+                       "rows": rows,
                        "omega_drift": omega,
                        "summary": results,
                        "times": rounds}, fh, indent=1)

@@ -28,49 +28,60 @@ fits in cache and marched slower.
 
 Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 ``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
-are driven by the same holonomic data (v, h, V).  Their states are stacked:
-each y0 is flattened into a block of consecutive rows, in list order, so a
-march carries one batch state of shape (R, B).  The batch axis is last, so
-every row a body reads or writes is a contiguous run of B values.  Each
-system's states are stored as contiguous component planes, one array of
-shape ``y0.shape + grid.n``, so every post-sweep step that reads one
-component reads contiguous memory.  On arrival at a node, each system's rows
-are written to the node layer through a basic-index view of its planes,
-(rows,) + the done axes.  Along axis 2, the last phase of a (0, 1, 2) sweep,
-such a layer is one value every n_2 doubles, so those writes scatter.  The
-planes come back as a ``grid.n + y0.shape`` view, with the shape, values and
-``tobytes()`` of a node-major array.
+are driven by the same holonomic data (v, h, V).  Each y0 is flattened into
+a block of rows.  Along each axis a system's rows are moving rows, which
+the march integrates, or carried rows, whose derivative along that axis is
+exactly zero at every stage: a body names its moving rows per axis
+(``body.moving``, None for all of them).  A phase marches one batch state of
+shape (R_a, B), the moving rows of every system stacked in list order; the
+batch axis is last, so every row a body reads or writes is a contiguous run
+of B values.  Each system's states are stored as contiguous component
+planes, one array of shape ``y0.shape + grid.n``, so every post-sweep step
+that reads one component reads contiguous memory.  Before a phase marches,
+each carried row is written once along the whole axis, its start value at
+every node.  On arrival at a node, the moving rows are written to the node
+layer through basic-index views of the planes, (rows,) + the done axes, one
+per run of consecutive rows.  Along axis 2, the last phase of a (0, 1, 2)
+sweep, such a layer is one value every n_2 doubles, so those writes
+scatter.  The planes come back as a ``grid.n + y0.shape`` view, with the
+shape, values and ``tobytes()`` of a node-major array.
 
 In-place bodies.  ``make_body(triple, y0)`` is called once per sweep, after
 the triple is checked, and returns the system's body (it may reject y0).
 ``body(v, h, V, Y, dY, axis)`` reads the triple values (v, h, V) of the stage
-points and its own row block Y, and writes every row of its block dY once, in
-place (a ufunc ``out=`` into a row slice); scratch products live in rows that
-are not yet written.  A body is built for its inputs: it leaves out the terms
-that are exactly zero at every stage of the sweep, the h terms of a constant
-triple (h = +0.0) and the c terms when c = 0, and writes a derivative row that
-has no other term as the exact 0.0 times its factor.  With finite operands a
+points and its own moving rows Y along ``axis``, in the order of
+``body.moving[axis]``, and writes every row of its block dY once, in place (a
+ufunc ``out=`` into a row slice); scratch products live in rows that are not
+yet written.  A body is built for its inputs: it leaves out the terms that
+are exactly zero at every stage of the sweep, the h terms of a constant
+triple (h = +0.0) and the c terms when c = 0.  A derivative row that has no
+other term is carried (the frame's X_i along u_a, i != a) or written as the
+exact 0.0 times its factor (the Ribaucour gamma_j).  With finite operands a
 dropped term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x unless x is a
 zero, so a derivative changes at most in the sign of a zero.  A state row
 takes it in only through y + (+-0) in the stages and the combine, which is y
 unless y = -0.0; and a row that does not start at -0.0 never becomes -0.0,
-since x + y is -0.0 only when x and y both are.  So a term is dropped only
-when y0 has no -0.0 in the rows it reaches (``vanishing_terms``);
-otherwise the body keeps it.  The states are then bit for bit those of the
-expression form, which keeps every term, and a system's rows are bit for bit
-those of a sweep of its own; dY may differ from the expression form's in the
-signs of zeros.  The guarantee is weaker where a dropped term would have been
-0 * inf or 0 * NaN = NaN.  That needs a non-finite stage value, so it happens
-on a line whose state has gone non-finite, where the values frozen at the
-masked nodes may differ (NaN in one form, +-inf or a number in the other) and
-no output reads them, and on a line where an RK stage overflows while the
-node values around it stay finite, which takes a state within a factor of
-about two of the largest double.
+since x + y is -0.0 only when x and y both are.  So a term is dropped, and a
+row carried, only when y0 has no -0.0 in the rows it reaches
+(``vanishing_terms``); otherwise the body keeps it.  The states are then bit
+for bit those of the expression form, which keeps every term and marches
+every row, and a system's rows are bit for bit those of a sweep of its own;
+dY may differ from the expression form's in the signs of zeros.  The
+guarantee is weaker where a dropped term would have been 0 * inf or
+0 * NaN = NaN.  That needs a non-finite stage value, so it happens on a line
+whose state has gone non-finite, where the values frozen at the masked nodes
+may differ (NaN in one form, +-inf or a number in the other) and no output
+reads them, and on a line where an RK stage overflows while the node values
+around it stay finite, which takes a state within a factor of about two of
+the largest double.  A carried row stays its finite start value where the
+expression form would turn it into 0 * inf = NaN; the factor (X_a) is then
+non-finite at that node itself, so the sweep raises at the same axis and
+node.  Every y0 must be finite, so a carried row is finite by construction.
 
 Right-hand side.  ``stacked_rhs`` builds the one right-hand side.  Per RK
 stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
 call time, with that lane's B points), allocates one dY and runs each body on
-its row blocks of Y and dY.  Two lanes' values are laid side by side in new
+its moving rows of Y and dY.  Two lanes' values are laid side by side in new
 read-only arrays, except when every lane hands back the same read-only
 arrays as in the call before: then the last call's side-by-side arrays serve
 again.  ``eval_at`` hands back the arrays of either of its last two calls
@@ -81,13 +92,15 @@ unmodified; the march reuses dY as an accumulator.  A sweep makes the same
 ``eval_at`` calls however many systems it carries and however its directions
 are grouped: four per substep of each direction.
 
-Masked rows.  With a ``node_check``, masking governs the first system's rows.
-A ``node_check`` flag or a non-finite value in those rows masks the line: the
-flag propagates along the sweep, and the line's masked rows freeze while its
-other rows keep integrating, as they would in a sweep of their own.  A
-non-finite value in any other row raises NonFiniteState naming the axis and
-node; when both directions overflow, the + direction's node is named, as if
-it had marched first.
+Masked rows.  With a ``node_check``, masking governs the first system's rows,
+and that system must carry no rows: ``node_check`` and the freeze read its
+whole block at the top of the batch state.  A ``node_check`` flag or a
+non-finite value in those rows masks the line: the flag propagates along the
+sweep, and the line's masked rows freeze while its other rows keep
+integrating, as they would in a sweep of their own.  A non-finite value in
+any other moving row raises NonFiniteState naming the axis and node; when
+both directions overflow, the + direction's node is named, as if it had
+marched first.
 """
 
 from __future__ import annotations
@@ -104,10 +117,13 @@ from .triples import check_sweep_input
 # A phase of at most this many lines per direction marches both directions as
 # one batch (module docstring, "Lanes").  Merged against split last phases on
 # the sweep_closed inputs (scripts/sweep_ab.py, 12 interleaved rounds, median
-# ratio of the phase's march time, one process on a shared 2-vCPU host):
-#     lines      441 (21^3)  625 (25^3)  961 (31^3)  1681 (41^3)
-#     frame      1.01        1.07        1.17        1.35
-#     Ribaucour  0.74        0.69        0.84        0.93
+# ratio of the phase's march time, one process on a shared 2-vCPU host; the
+# range of two or three runs; the frame of a constant triple marches 12 of its
+# 20 rows):
+#     grid       21^3       25^3       27^3       29^3       31^3       41^3
+#     lines      441        625        729        841        961        1681
+#     frame      0.90-0.95  0.97-1.05  1.05-1.08  1.02-1.06  1.06-1.12  1.27-1.35
+#     Ribaucour  0.73-0.80  0.69-0.73  0.76-0.80  0.80-0.85  0.79-0.84  0.97-1.01
 # The frame sweep crosses over between 441 and 625 lines.
 _LANE_LINES = 512
 
@@ -161,16 +177,19 @@ def rk4_march(rhs, lanes, axis, rows=None):
     A lane is ``(pts, y, bad, intervals)``: the (B, 3) start points of its
     lines, their (R, B) states (not modified), the (B,) bool lines that keep
     their first ``rows`` state rows (all rows when None), and its schedule
-    from ``node_intervals``.  The live lanes' columns lie side by side in
-    lane order; dt/2, dt and dt/6 are per column when two lanes are live,
-    and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
-    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose
-    schedule has ended leaves the batch.  A substep's stages are at u,
-    u + dt/2 (twice, k2 and k3) and u + dt, u advancing by dt per substep
-    and starting each node interval at the node, so inside an interval the
-    first stage of a substep is at the bits of the last stage before it: a
-    right-hand side that keeps its last calls computes each distinct point
-    set once (``TripleField.eval_at``).
+    from ``node_intervals``.  The R rows are whatever the caller marches:
+    ``sweep_integrate`` hands over the rows that move along ``axis`` and
+    keeps the carried ones out of the march (module docstring, "Systems").
+    The live lanes' columns lie side by side in lane order; dt/2, dt and
+    dt/6 are per column when two lanes are live, and ``rhs(points, Y,
+    axis)`` gets the lanes' points as a list then, as one (B, 3) array
+    otherwise.  It returns a fresh dY.  A lane whose schedule has ended
+    leaves the batch.  A substep's stages are at u, u + dt/2 (twice, k2 and
+    k3) and u + dt, u advancing by dt per substep and starting each node
+    interval at the node, so inside an interval the first stage of a
+    substep is at the bits of the last stage before it: a right-hand side
+    that keeps its last calls computes each distinct point set once
+    (``TripleField.eval_at``).
 
     Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
     (R, B) state there; the caller may flag more of that lane's ``bad``
@@ -248,14 +267,19 @@ def _lane_values(lanes):
 
 def stacked_rhs(triple, systems):
     """(rhs, y0, blocks) for ``systems`` stacked on one state: the right-hand
-    side ``rhs(points, Y (R, B), axis) -> dY``, the stacked initial state (R,)
-    and each system's row slice (module docstring).  ``points`` is one (B, 3)
-    array, or a list of one per lane whose columns lie side by side in Y."""
+    side ``rhs(points, Y (R_a, B), axis) -> dY`` on the rows that move along
+    ``axis``, the stacked initial state (R,) and each system's row slice of it
+    (module docstring, "Systems").  ``rhs.moving[axis]`` holds, per system,
+    the sorted rows of its own block that move along ``axis``; Y lays them
+    out system by system in list order.  ``points`` is one (B, 3) array, or
+    a list of one per lane whose columns lie side by side in Y."""
     systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
-    parts, start = [], 0
-    for make_body, y0 in systems:
-        parts.append((make_body(triple, y0), slice(start, start + y0.size)))
-        start += y0.size
+    bodies = [make_body(triple, y0) for make_body, y0 in systems]
+    moving = [[np.arange(y0.size) if body.moving is None else body.moving[axis]
+               for body, (_, y0) in zip(bodies, systems)] for axis in range(3)]
+    # per axis, each body with its rows of Y
+    parts = [list(zip(bodies, _blocks([len(rows) for rows in per_system])))
+             for per_system in moving]
 
     last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
 
@@ -275,12 +299,52 @@ def stacked_rhs(triple, systems):
     def rhs(pts, Y, axis):
         v, h, V = values(pts)
         dY = np.empty(Y.shape)
-        for body, rows in parts:
+        for body, rows in parts[axis]:
             body(v, h, V, Y[rows], dY[rows], axis)
         return dY
 
-    y0 = np.concatenate([y0.ravel() for _, y0 in systems])
-    return rhs, y0, [rows for _, rows in parts]
+    rhs.moving = moving
+    return (rhs, np.concatenate([y0.ravel() for _, y0 in systems]),
+            _blocks([y0.size for _, y0 in systems]))
+
+
+def _blocks(sizes):
+    """Consecutive row slices of the given sizes, from row 0."""
+    stops = list(itertools.accumulate(sizes))
+    return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+
+
+def _runs(flags):
+    """Slices of the consecutive rows whose ``flags`` are true."""
+    runs, row = [], 0
+    for flag, group in itertools.groupby(flags):
+        size = len(list(group))
+        if flag:
+            runs.append(slice(row, row + size))
+        row += size
+    return runs
+
+
+def _check_order(order):
+    """``order`` as a list of axes; InvalidParams unless it is a permutation
+    of (0, 1, 2)."""
+    try:
+        axes = [operator.index(a) for a in order]
+    except TypeError:
+        axes = None
+    if axes is None or sorted(axes) != [0, 1, 2]:
+        raise InvalidParams(f"sweep order must be a permutation of (0, 1, 2), got {order!r}")
+    return axes
+
+
+def _check_finite(systems):
+    """InvalidParams naming the first system and row whose y0 is not finite."""
+    for k, (make_body, y0) in enumerate(systems):
+        y0 = np.asarray(y0, dtype=float)
+        if not np.isfinite(y0).all():
+            row = tuple(int(i) for i in np.argwhere(~np.isfinite(y0))[0])
+            raise InvalidParams(f"system {k} ({make_body.__name__}): y0{list(row)} = "
+                                f"{float(y0[row])}; a sweep starts from finite values")
 
 
 def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
@@ -291,10 +355,12 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     the sweep starts at ``grid``'s base node and runs the axes in ``order``.
     The triple is checked first (``check_sweep_input``: GridMismatch,
     PreconditionFailed), then each ``make_body`` sees its y0, then ``max_step``
-    must be positive and finite (InvalidParams).
+    must be positive and finite, ``order`` a permutation of (0, 1, 2) and
+    every y0 finite (InvalidParams, naming the system and the row).
     ``node_check(Y (R, B)) -> (B,) bool`` flags lines to mask, evaluated on
-    arrival; masking governs the first system's rows.  Without it, a
-    non-finite value in any row raises NonFiniteState.
+    arrival; masking governs the first system's rows, and that system must
+    carry no rows.  Without it, a non-finite value in any row raises
+    NonFiniteState.
     Returns (states, masked): per system, in list order, a grid.n + y0.shape
     view of its own contiguous y0.shape + grid.n component planes (moving the
     component axes first gives the planes back); and the grid.n bool mask.
@@ -303,9 +369,10 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     rhs, y0, blocks = stacked_rhs(triple, systems)
     if not (math.isfinite(max_step) and max_step > 0):
         raise InvalidParams(f"max_step must be positive and finite, got {max_step}")
+    axes = _check_order(order)
+    _check_finite(systems)
     mask_rows = blocks[0].stop if node_check is not None else 0
     n = grid.n
-    R = len(y0)
     # each system's states live in their own (rows,) + grid.n component planes
     states = [np.full((rows.stop - rows.start,) + tuple(n), np.nan) for rows in blocks]
     for part, rows in zip(states, blocks):
@@ -316,17 +383,36 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         masked[grid.base] = True
 
     done = []
-    for axis in order:
+    for axis in axes:
         ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
         starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
         B = len(starts)
-        # a node layer of this phase is the basic-index view part[:, at] of
+        # a node layer of this phase is the basic-index view part[run, at] of
         # shape (rows,) + done_shape in each system's planes; its lines are in
         # C order over the done axes, as in ``starts``
         done_shape = tuple(n[a] for a in sorted(done))
         at = [slice(None) if a in done else grid.base[a] for a in range(3)]
-        y_start = np.concatenate([part[(slice(None),) + tuple(at)].reshape(-1, B)
-                                  for part in states])
+        start = tuple(at)
+        moving = [np.zeros(len(part), dtype=bool) for part in states]
+        for flags, rows in zip(moving, rhs.moving[axis]):
+            flags[rows] = True
+        # the carried rows keep their start values along the whole axis; the
+        # start layer is copied out, or numpy would buffer the whole
+        # overlapping destination
+        line = list(at)
+        line[axis] = slice(None)
+        gap = 1 + sum(a < axis for a in done)
+        for part, flags in zip(states, moving):
+            for run in _runs(~flags):
+                part[(run,) + tuple(line)] = np.expand_dims(part[(run,) + start].copy(), gap)
+        # the moving rows: (planes, their rows there, their rows of the march)
+        writes, lo = [], 0
+        for part, flags in zip(states, moving):
+            for run in _runs(flags):
+                writes.append((part, run, slice(lo, lo + run.stop - run.start)))
+                lo += run.stop - run.start
+        y_start = np.concatenate([part[(run,) + start].reshape(-1, B)
+                                  for part, run, _ in writes])
         bad_start = masked[tuple(at)].reshape(B)
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         ax_vals = grid.axis(axis)
@@ -341,7 +427,7 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for k, nxt, y in march:
                     step, bad = group[k]
-                    if mask_rows < R and not np.isfinite(y[mask_rows:]).all():
+                    if mask_rows < len(y) and not np.isfinite(y[mask_rows:]).all():
                         err = NonFiniteState(
                             f"state overflowed along axis {axis} at node {nxt}")
                         if step > 0 or not plus_open:
@@ -352,9 +438,10 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
                     if node_check is not None:
                         bad |= node_check(y)
                     at[axis] = nxt
-                    for part, rows in zip(states, blocks):
-                        part[(slice(None),) + tuple(at)] = y[rows].reshape((-1,) + done_shape)
-                    masked[tuple(at)] |= bad.reshape(done_shape)
+                    layer = tuple(at)
+                    for part, run, cols in writes:
+                        part[(run,) + layer] = y[cols].reshape((-1,) + done_shape)
+                    masked[layer] |= bad.reshape(done_shape)
                     if step > 0 and nxt == n[axis] - 1:
                         plus_open = False
                         if held:

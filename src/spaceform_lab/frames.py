@@ -84,21 +84,25 @@ class FrameField:
 
 
 def _frame_body(triple: TripleField, y0):
-    """In-place frame body on the (5 dim, B) rows of f, X1, X2, X3, N (``_sweep``
-    module docstring); a y0 of another shape than (5, dim) raises DimensionError.
+    """In-place frame body on the rows of f, X1, X2, X3, N, dim rows each
+    (``_sweep`` module docstring); a y0 of another shape than (5, dim) raises
+    DimensionError.
 
     The body is built for its inputs (``_sweep`` module docstring, "In-place
     bodies").  Its droppable terms all land in dX_a: the h_ia X_i of a constant
     triple, whose h is +0.0, and the c v_a f when c = 0.  With finite operands
-    each is +-0, so dropping it changes dX_a at most in the sign of a zero,
-    and a vanished dX_i = h_ia X_a (i != a) is written as the exact 0.0 X_a.
-    The X rows take that zero in only through y + (+-0), which is y unless
+    each is +-0, so dropping it changes dX_a at most in the sign of a zero.
+    Without its h terms, dX_i = h_ia X_a (i != a) vanishes along u_a, so the
+    body's moving rows along u_a are f, X_a and N (3 dim rows, in that order)
+    and the sweep carries X_i through that phase.  In the expression form the
+    X_i take 0 X_a = +-0 in only through y + (+-0), which is y unless
     y = -0.0, and an X row that does not start at -0.0 never becomes -0.0.
-    So the terms are dropped only when y0's X rows hold no -0.0; otherwise
-    every term is kept.  The N = (-0, -0, -0, -1) of a Lorentzian standard
-    frame does not matter: no dropped term reaches N.  Where a dropped term
-    would have been 0 * inf = NaN, at a non-finite stage value, a value may
-    differ from the full body's (``_sweep`` module docstring).
+    So the terms are dropped and the X_i carried only when y0's X rows hold
+    no -0.0; otherwise every term is kept and every row moves.  The
+    N = (-0, -0, -0, -1) of a Lorentzian standard frame does not matter: no
+    dropped term reaches N.  Where a dropped term would have been
+    0 * inf = NaN, at a non-finite stage value, a value may differ from the
+    full body's (``_sweep`` module docstring).
     """
     dim = triple.spec.dim
     if y0.shape != (5, dim):
@@ -109,29 +113,34 @@ def _frame_body(triple: TripleField, y0):
     f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
     X = (X1, X2, X3)
     h_vanishes, c_vanishes = vanishing_terms(triple, y0[1:4])
+    # along axis a: the rows of f, X_a and N in Y, all 5 dim rows, or only
+    # those 3 dim when the X_i (i != a) are carried
+    if h_vanishes:
+        rows = [(slice(0, dim), slice(dim, 2 * dim), slice(2 * dim, 3 * dim))] * 3
+    else:
+        rows = [(f, X[a], N) for a in range(3)]
 
     def body(v, h, V, Y, dY, axis):
         a = axis
+        fr, Xr, Nr = rows[a]
         va = v[:, a]
         Va = V[:, a]
-        Xa = Y[X[a]]
-        dXa = dY[X[a]]
-        tmp = dY[N]                      # scratch until dN is written last
-        np.multiply(va, Xa, out=dY[f])
-        np.multiply(eps * Va, Y[N], out=dXa)
+        Xa = Y[Xr]
+        dXa = dY[Xr]
+        tmp = dY[Nr]                     # scratch until dN is written last
+        np.multiply(va, Xa, out=dY[fr])
+        np.multiply(eps * Va, Y[Nr], out=dXa)
         if not c_vanishes:
-            np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
-        for i in range(3):
-            if i == a:
-                continue
-            if h_vanishes:
-                np.multiply(0.0, Xa, out=dY[X[i]])
-            else:
-                hia = h[:, i, a]
-                np.multiply(hia, Xa, out=dY[X[i]])
-                np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
-        np.multiply(-Va, Xa, out=dY[N])
+            np.subtract(dXa, np.multiply(c * va, Y[fr], out=tmp), out=dXa)
+        if not h_vanishes:
+            for i in range(3):
+                if i != a:
+                    hia = h[:, i, a]
+                    np.multiply(hia, Xa, out=dY[X[i]])
+                    np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
+        np.multiply(-Va, Xa, out=dY[Nr])
 
+    body.moving = [np.r_[f, X[a], N] for a in range(3)] if h_vanishes else None
     return body
 
 

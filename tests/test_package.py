@@ -150,7 +150,8 @@ def test_sweep_ab_against_itself(tmp_path):
     """``scripts/sweep_ab.py`` loads one checkout twice under two names,
     finds equal digests for its four run kinds, times the three phases of
     each sweep, counts the eval_at calls and spline evaluations of each run
-    kind, prints the sampled run's Omega drift and exits 0."""
+    kind and the state rows each phase marches, prints the sampled run's
+    Omega drift and exits 0."""
     out_json = tmp_path / "ab.json"
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_ab.py"),
                           "--against", str(ROOT), "--n", "5", "--rounds", "1",
@@ -182,3 +183,17 @@ def test_sweep_ab_against_itself(tmp_path):
             assert counts["spline"] == 0
     sampled = evals["root"]["sampled"]
     assert sampled["eval_at"] // 3 < sampled["spline"] < sampled["eval_at"] // 2
+    # the constant triple's frame sweep carries X_i (i != a) along u_a and
+    # marches 12 of its 20 rows; the Ribaucour sweeps and the sampled triple's
+    # frame sweep march every row, and a run's sweeps add up per phase
+    rows = result["rows"]
+    assert rows["root"] == rows["against"]
+    for lines in (1, 5, 25):
+        for run, marched in (("frame", [12, 20]), ("ribaucour", [9, 9]),
+                             ("pass", [21, 29])):
+            assert rows["root"][f"{run} B={lines}"] == marched
+            text = f"{marched[0]}/{marched[1]}"
+            assert (f"rows   {run + ' B=' + str(lines):<22} root {text:>7}  "
+                    f"against {text:>7}") in out.stdout
+    for lines in (1, 11, 121):
+        assert rows["root"][f"sampled B={lines}"] == [38, 38]

@@ -1205,3 +1205,140 @@ class TestPlaneLayout:
             assert states.base.nbytes == states.nbytes
         if len(results) == 2:
             assert not np.shares_memory(results[0][0], results[1][0])
+
+
+# ---------------------------------------------------------------------------
+# rows carried through an axis phase
+# ---------------------------------------------------------------------------
+
+
+class TestCarriedRows:
+    """Along u_a a constant triple's frame moves only f, X_a and N, so the
+    sweep marches those 3 dim rows and carries X_i (i != a) through the
+    phase.  States must be the bytes of the expression-form reference, which
+    marches all 5 dim rows, and an overflow must name the same axis and node.
+    A sampled triple and a frame with -0.0 in its X rows march every row."""
+
+    GRIDS = {"off_centre": TestEvalCount.GRID,
+             "face": ParameterGrid(TestEvalCount.GRID.lo, TestEvalCount.GRID.hi,
+                                   TestEvalCount.GRID.n, (0, 3, 5))}
+    ORDERS = [(0, 1, 2), (2, 1, 0), (2, 0, 1)]
+
+    @pytest.mark.parametrize("where", sorted(GRIDS))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("kind,c,s", TestBodiesBuiltForInputs.SEEDS)
+    def test_frame_over_seeds(self, kind, c, s, order, where):
+        t = TestBodiesBuiltForInputs._seed(kind, c, s, self.GRIDS[where])
+        init = seed_frame_state(kind, t.spec)
+        ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
+        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+
+    @pytest.mark.parametrize("where", sorted(GRIDS))
+    @pytest.mark.parametrize("name", sorted(TestStackedSweep.FAMILIES))
+    def test_with_frame_equals_separate_sweeps(self, name, where):
+        fam = TestStackedSweep.FAMILIES[name]
+        grid = self.GRIDS[where]
+        t = fam.seed_triple(grid)
+        _, ff = TestStackedSweep._assert_separate(t, phi_state(fam, grid.base_point),
+                                                  fam.frame_init(), K2target=fam.K2target)
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init()))
+
+    @staticmethod
+    def _marched_rows(monkeypatch, sweep):
+        """The state rows of each lane of every ``rk4_march`` call ``sweep()`` makes."""
+        rows = []
+        real_march = _sweep.rk4_march
+
+        def march(rhs, lanes, *args):
+            rows.append({len(lane[1]) for lane in lanes})
+            return real_march(rhs, lanes, *args)
+
+        monkeypatch.setattr(_sweep, "rk4_march", march)
+        sweep()
+        return rows
+
+    @pytest.mark.parametrize("case", ["constant", "sampled", "reflected"])
+    def test_marched_rows(self, case, monkeypatch):
+        fam, t, init = _layer_case("r4_problemstar", "off_centre", case == "sampled")
+        frame_init = fam.frame_init()
+        if case == "reflected":
+            frame_init = frame_init.scaled_frame(-1.0)
+            assert _negative_zero(frame_init.as_array()[1:4])
+        dim = t.spec.dim
+        frame_rows = 3 * dim if case == "constant" else 5 * dim
+        # three merged phases (1, 5 and 35 lines)
+        assert self._marched_rows(monkeypatch, lambda: integrate_frame(
+            t, frame_init, integrability_tol=None)) == [{frame_rows}] * 3
+        # stacked after the Ribaucour rows, which are marched whole
+        assert self._marched_rows(monkeypatch, lambda: integrate_with_frame(
+            t, init, frame_init, K2target=fam.K2target)) == [{9 + frame_rows}] * 3
+
+    @pytest.mark.parametrize("base", [(2, 2, 2), (0, 0, 0)])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_overflow_names_the_reference_node(self, axis, order, base):
+        # on 5^3 nodes, the frame rows grow like exp(30 u_a) (eps = -1) along
+        # u_a in [0, 60]: both directions overflow from the centre, + from the corner
+        hi, v, V = [1.0] * 3, [1.0] * 3, [0.0] * 3
+        hi[axis], v[axis], V[axis] = 60.0, 0.0, 30.0
+        grid = ParameterGrid((0.0,) * 3, tuple(hi), (5, 5, 5), base)
+        t = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1), v=tuple(v),
+                                 V=tuple(V))
+        init = standard_frame_state(t.spec)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, init, order, max_step=0.1)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_frame(t, init, sweep_order=order, max_step=0.1, integrability_tol=None)
+        assert str(err.value) == str(ref_err.value)
+        assert str(err.value).startswith(f"state overflowed along axis {axis} at node ")
+
+    # -- the sweep's inputs, checked before any march ------------------------
+
+    @staticmethod
+    def _uncalled(t):
+        """``t`` with an ``eval_at`` that fails the test if a sweep calls it."""
+        def eval_at(points):
+            raise AssertionError("the sweep marched")
+
+        t.eval_at = eval_at
+        return t
+
+    @pytest.mark.parametrize("order", [(0, 1), (0, 0, 2), (0, 1, 3), (2.0, 1, 0),
+                                       (0, 1, -1), (0, 1, 2, 0), "012", 3, None])
+    def test_invalid_sweep_order(self, order):
+        fam, t, _ = _closed_form_case("r4_problemstar")
+        t = self._uncalled(t)
+        with pytest.raises(InvalidParams, match=r"permutation of \(0, 1, 2\)"):
+            sweep_integrate(t, t.grid, order, [(_frame_body, fam.frame_init().as_array())],
+                            DEFAULT_MAX_STEP, None)
+        if isinstance(order, tuple):
+            with pytest.raises(InvalidParams, match="permutation"):
+                integrate_frame(t, fam.frame_init(), sweep_order=order)
+
+    def test_sweep_order_of_numpy_integers(self):
+        fam, t, _ = _closed_form_case("r4_problemstar")
+        ff = integrate_frame(t, fam.frame_init(), sweep_order=np.array([2, 1, 0]))
+        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), (2, 1, 0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_frame_init(self, value):
+        # a value in X_2 (row 2, component 2) of the frame on a 5^3 seed
+        grid = ParameterGrid.centered(1.0, 5)
+        t = self._uncalled(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        X = np.eye(4)[:3]
+        X[1, 2] = value
+        init = FrameState(np.zeros(4), *X, np.eye(4)[3])
+        message = rf"system 0 \(_frame_body\): y0\[2, 2\] = {value}"
+        with pytest.raises(InvalidParams, match=message):
+            integrate_frame(t, init)
+        ribaucour = RibaucourState((0.1,) * 3, (0.5, 0.5, 0.5), phi=2.0, psi=0.3, beta=0.1)
+        with pytest.raises(InvalidParams, match=message.replace("0", "1", 1)):
+            integrate_with_frame(t, ribaucour, init, K2target=1.0)
+
+    def test_nonfinite_ribaucour_init(self):
+        # a NaN v'_2 (row 4) masked every node but the base, which kept the NaN
+        grid = ParameterGrid.centered(1.0, 5)
+        t = self._uncalled(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        init = RibaucourState((0.1,) * 3, (0.5, math.nan, 0.5), 2.0, 0.3, 0.1)
+        with pytest.raises(InvalidParams, match=r"system 0 \(_ribaucour_body\): y0\[4\] = nan"):
+            integrate_ribaucour(t, init, K2target=1.0)
