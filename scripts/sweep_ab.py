@@ -35,12 +35,13 @@ transform in ``sampled`` per side (the benchmark's ``result_err`` there), per
 run kind and side the ``TripleField.eval_at`` calls and the spline
 evaluations actually made (``triples._CubicSpline`` calls; a constant triple
 makes none), counted in the untimed warm-up round, per run kind, phase and
-side the state rows marched against the state rows of its sweeps (e.g.
-``frame B=1681  root 12/20``: a constant triple's frame carries X_i, i != a,
-through the phase along u_a; a run's sweeps add up per phase), and per
-timing the median of each side, the median, least and largest of the
-per-round ratios root/against, and the rounds in which root was faster.
-Exits 1 if the digests differ.
+side the state rows marched with RK4 against the state rows of its sweeps
+(e.g. ``frame B=1681  root 0/20``: a constant triple's frame is propagated
+exactly and marches none of its rows; ``pass B=1681  root 9/29``: only the
+Ribaucour rows march; a run's sweeps add up per phase), and per timing the
+median of each side, the median, least and largest of the per-round ratios
+root/against, and the rounds in which root was faster.  A phase that marches
+nothing has no march time.  Exits 1 if the digests differ.
 
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
@@ -114,8 +115,9 @@ class Side:
         self.sweep = (0, None)      # (sweeps begun, state rows of the last)
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
-        if hasattr(sweep, "stacked_rhs"):
-            sweep.stacked_rhs = self._sized(sweep.stacked_rhs)
+        for name in ("frames", "ribaucour"):
+            if hasattr(self.mod[name], "sweep_integrate"):
+                self.mod[name].sweep_integrate = self._sized(self.mod[name].sweep_integrate)
 
     def _inputs(self, n):
         """The unit box with n^3 nodes and its base at the centre, the seed
@@ -149,12 +151,16 @@ class Side:
                 setattr(cls, attr, inner)
             self.evals = None
 
-    def _sized(self, stacked_rhs):
-        """``stacked_rhs``, called once per sweep, noting its state rows."""
-        def sized(*args, **kwargs):
-            out = stacked_rhs(*args, **kwargs)
-            self.sweep = (self.sweep[0] + 1, len(out[1]))
-            return out
+    def _sized(self, sweep_integrate):
+        """``sweep_integrate``, noting the sweep's state rows in each of its
+        phases, none of them marched until ``rk4_march`` says otherwise."""
+        def sized(triple, grid, order, systems, *args, **kwargs):
+            index, rows = self.sweep[0] + 1, sum(y0.size for _, y0 in systems)
+            self.sweep = (index, rows)
+            for k in range(3):
+                key = math.prod(grid.n[a] for a in list(order)[:k])
+                self.rows.setdefault(key, {})[index] = (0, rows)
+            return sweep_integrate(triple, grid, order, systems, *args, **kwargs)
         return sized
 
     def _marched(self, key, y):

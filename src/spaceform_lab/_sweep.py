@@ -5,10 +5,12 @@ March order.  A sweep integrates axis by axis in ``order``: along the first
 axis from the base node (one line), then along the second axis from every
 node of that line, then along the third from every node of that sheet.  Each
 axis phase marches its lines in two directions from the same start nodes,
-+ (increasing node index) and - (decreasing).  A direction advances node to
-node with classic 4th-order Runge-Kutta substeps: a node interval of span s
-takes ``max(1, ceil(|s| / max_step))`` equal substeps.  The evaluation order
-is fixed, so outputs are byte-identical for identical inputs.
++ (increasing node index) and - (decreasing).  A marched system advances
+node to node with classic 4th-order Runge-Kutta substeps: a node interval of
+span s takes ``max(1, ceil(|s| / max_step))`` equal substeps.  A propagated
+system takes the exact step from the phase's start nodes instead ("Propagated
+systems").  The evaluation order is fixed, so outputs are byte-identical for
+identical inputs.
 
 Lanes.  The two directions of a phase never read each other, so they can
 march as one batch: ``rk4_march`` takes one or two lanes, a lane being one
@@ -22,85 +24,95 @@ are grouped.  A phase of at most ``_LANE_LINES`` lines per direction marches
 its two directions together, so every ufunc call serves both: such a phase
 is dispatch-bound, a call of the right-hand side costing nearly as much for
 one line as for many.  That is always the first two phases (1 and n_a
-lines) and the last one (n_a n_b lines) up to 22 x 22 lines.  A wider phase
+lines) and the last one (n_a n_b lines) up to 40 x 40 lines.  A wider phase
 marches its directions one after the other: there a doubled batch no longer
 fits in cache and marched slower.
 
 Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 ``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
-are driven by the same holonomic data (v, h, V).  Each y0 is flattened into
-a block of rows.  Along each axis a system's rows are moving rows, which
-the march integrates, or carried rows, whose derivative along that axis is
-exactly zero at every stage: a body names its moving rows per axis
-(``body.moving``, None for all of them).  A phase marches one batch state of
-shape (R_a, B), the moving rows of every system stacked in list order; the
-batch axis is last, so every row a body reads or writes is a contiguous run
-of B values.  Each system's states are stored as contiguous component
-planes, one array of shape ``y0.shape + grid.n``, so every post-sweep step
-that reads one component reads contiguous memory.  Before a phase marches,
-each carried row is written once along the whole axis, its start value at
-every node.  On arrival at a node, the moving rows are written to the node
-layer through basic-index views of the planes, (rows,) + the done axes, one
-per run of consecutive rows.  Along axis 2, the last phase of a (0, 1, 2)
-sweep, such a layer is one value every n_2 doubles, so those writes
-scatter.  The planes come back as a ``grid.n + y0.shape`` view, with the
-shape, values and ``tobytes()`` of a node-major array.
+are driven by the same holonomic data (v, h, V).  ``make_body(triple, y0)``
+is called once per sweep, after the triple is checked, and may reject y0.
+It returns either an in-place body, and the system is marched with RK4
+substeps, or the three constant generators of a linear system, and the
+system is propagated exactly.  Each system's states are stored as
+contiguous component planes, one array of shape ``y0.shape + grid.n``, so
+every post-sweep step that reads one component reads contiguous memory;
+they come back as a ``grid.n + y0.shape`` view, with the shape, values and
+``tobytes()`` of a node-major array.  A phase marches one batch state of
+shape (R, B), the rows of every marched system stacked in list order, each
+y0 flattened into a block of rows; the batch axis is last, so every row a
+body reads or writes is a contiguous run of B values.  On arrival at a
+node, each marched system's rows are written to the node layer through a
+basic-index view of its planes, (rows,) + the done axes.  Along axis 2, the
+last phase of a (0, 1, 2) sweep, such a layer is one value every n_2
+doubles, so those writes scatter.
 
-In-place bodies.  ``make_body(triple, y0)`` is called once per sweep, after
-the triple is checked, and returns the system's body (it may reject y0).
-``body(v, h, V, Y, dY, axis)`` reads the triple values (v, h, V) of the stage
-points and its own moving rows Y along ``axis``, in the order of
-``body.moving[axis]``, and writes every row of its block dY once, in place (a
-ufunc ``out=`` into a row slice); scratch products live in rows that are not
-yet written.  A body is built for its inputs: it leaves out the terms that
-are exactly zero at every stage of the sweep, the h terms of a constant
-triple (h = +0.0) and the c terms when c = 0.  A derivative row that has no
-other term is carried (the frame's X_i along u_a, i != a) or written as the
-exact 0.0 times its factor (the Ribaucour gamma_j).  With finite operands a
-dropped term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x unless x is a
-zero, so a derivative changes at most in the sign of a zero.  A state row
-takes it in only through y + (+-0) in the stages and the combine, which is y
-unless y = -0.0; and a row that does not start at -0.0 never becomes -0.0,
-since x + y is -0.0 only when x and y both are.  So a term is dropped, and a
-row carried, only when y0 has no -0.0 in the rows it reaches
-(``vanishing_terms``); otherwise the body keeps it.  The states are then bit
-for bit those of the expression form, which keeps every term and marches
-every row, and a system's rows are bit for bit those of a sweep of its own;
-dY may differ from the expression form's in the signs of zeros.  The
-guarantee is weaker where a dropped term would have been 0 * inf or
-0 * NaN = NaN.  That needs a non-finite stage value, so it happens on a line
-whose state has gone non-finite, where the values frozen at the masked nodes
-may differ (NaN in one form, +-inf or a number in the other) and no output
-reads them, and on a line where an RK stage overflows while the node values
-around it stay finite, which takes a state within a factor of about two of
-the largest double.  A carried row stays its finite start value where the
-expression form would turn it into 0 * inf = NaN; the factor (X_a) is then
-non-finite at that node itself, so the sweep raises at the same axis and
-node.  Every y0 must be finite, so a carried row is finite by construction.
+Propagated systems.  A linear system dY/du_a = M_a Y whose generators are
+constant over the grid (the frame of a constant triple, ``frames`` module
+docstring) is solved exactly: ``make_body`` returns the (3, k, k) array of
+M_0, M_1 and M_2, acting on the first axis of y0.  Each M must satisfy
+M^3 = -w^2 M with w^2 = -tr(M^2) / 2, so exp(M t) = I + s M + q M^2
+(``propagators``).  Before a phase marches, every node layer of the phase
+is written from the phase's start layer: Y_m = exp(M_a (u_m - u_start))
+Y_start.  The product runs with elementwise ufuncs in a fixed order, the
+terms by increasing source row, leaving out the entries of exp(M t) that
+vanish for every t and copying a row that exp(M t) keeps.  Each product is
+written with ``out=`` into the planes, one component and one side of the
+start node at a time, so no temporary exceeds one component plane, and a
+node's bytes depend only on its own u_m - u_start and start values.  A
+propagated system makes no ``eval_at`` call and takes no RK substep.
 
-Right-hand side.  ``stacked_rhs`` builds the one right-hand side.  Per RK
-stage it evaluates the triple once per lane (``triple.eval_at``, looked up at
-call time, with that lane's B points), allocates one dY and runs each body on
-its moving rows of Y and dY.  Two lanes' values are laid side by side in new
-read-only arrays, except when every lane hands back the same read-only
-arrays as in the call before: then the last call's side-by-side arrays serve
-again.  ``eval_at`` hands back the arrays of either of its last two calls
-when the points repeat, as they do at the second midpoint stage (k3) and at
-the first stage of a substep inside a node interval, and a constant triple
-hands back the same arrays for every call of a batch shape.  It leaves Y
-unmodified; the march reuses dY as an accumulator.  A sweep makes the same
-``eval_at`` calls however many systems it carries and however its directions
-are grouped: four per substep of each direction.
+In-place bodies.  A marched system's ``body(v, h, V, Y, dY, axis)`` reads
+the triple values (v, h, V) of the stage points and its own rows Y along
+``axis``, and writes every row of its block dY once, in place (a ufunc
+``out=`` into a row slice); scratch products live in rows that are not yet
+written.  A body is built for its inputs: it leaves out the terms that are
+exactly zero at every stage of the sweep, the h terms of a constant triple
+(h = +0.0) and the c terms when c = 0.  A derivative row that has no other
+term is written as the exact 0.0 times its factor (the Ribaucour gamma_j).
+With finite operands a dropped term is +0.0 or -0.0, and x - (+-0) or
+x + (+-0) is x unless x is a zero, so a derivative changes at most in the
+sign of a zero.  A state row takes it in only through y + (+-0) in the
+stages and the combine, which is y unless y = -0.0; and a row that does not
+start at -0.0 never becomes -0.0, since x + y is -0.0 only when x and y
+both are.  So a term is dropped only when y0 has no -0.0 in the rows it
+reaches (``vanishing_terms``); otherwise the body keeps it.  The states are
+then bit for bit those of the expression form, which keeps every term, and
+a system's rows are bit for bit those of a sweep of its own; dY may differ
+from the expression form's in the signs of zeros.  The guarantee is weaker
+where a dropped term would have been 0 * inf or 0 * NaN = NaN.  That needs
+a non-finite stage value, so it happens on a line whose state has gone
+non-finite, where the values frozen at the masked nodes may differ (NaN in
+one form, +-inf or a number in the other) and no output reads them, and on
+a line where an RK stage overflows while the node values around it stay
+finite, which takes a state within a factor of about two of the largest
+double.
 
-Masked rows.  With a ``node_check``, masking governs the first system's rows,
-and that system must carry no rows: ``node_check`` and the freeze read its
-whole block at the top of the batch state.  A ``node_check`` flag or a
-non-finite value in those rows masks the line: the flag propagates along the
-sweep, and the line's masked rows freeze while its other rows keep
+Right-hand side.  ``stacked_rhs`` builds the one right-hand side of the
+marched systems.  Per RK stage it evaluates the triple once per lane
+(``triple.eval_at``, looked up at call time, with that lane's B points),
+allocates one dY and runs each body on its rows of Y and dY.  Two lanes'
+values are laid side by side in new read-only arrays, except when every
+lane hands back the same read-only arrays as in the call before: then the
+last call's side-by-side arrays serve again.  ``eval_at`` hands back the
+arrays of either of its last two calls when the points repeat, as they do
+at the second midpoint stage (k3) and at the first stage of a substep
+inside a node interval, and a constant triple hands back the same arrays
+for every call of a batch shape.  It leaves Y unmodified; the march reuses
+dY as an accumulator.  A sweep makes the same ``eval_at`` calls however
+many marched systems it carries and however its directions are grouped:
+four per substep of each direction, and none when nothing is marched.
+
+Masked rows.  With a ``node_check``, masking governs the first system's
+rows, and that system must be marched: ``node_check`` and the freeze read
+its whole block at the top of the batch state.  A ``node_check`` flag or a
+non-finite value in those rows masks the line: the flag propagates along
+the sweep, and the line's masked rows freeze while its other rows keep
 integrating, as they would in a sweep of their own.  A non-finite value in
-any other moving row raises NonFiniteState naming the axis and node; when
-both directions overflow, the + direction's node is named, as if it had
-marched first.
+any other marched row, or at any node a propagated system writes, raises
+NonFiniteState naming the axis and node; when both directions overflow,
+the + direction's node is named, as if it had marched first.  A phase's
+propagated systems are written and checked before its march.
 """
 
 from __future__ import annotations
@@ -115,17 +127,16 @@ from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
 
 # A phase of at most this many lines per direction marches both directions as
-# one batch (module docstring, "Lanes").  Merged against split last phases on
-# the sweep_closed inputs (scripts/sweep_ab.py, 12 interleaved rounds, median
-# ratio of the phase's march time, one process on a shared 2-vCPU host; the
-# range of two or three runs; the frame of a constant triple marches 12 of its
-# 20 rows):
-#     grid       21^3       25^3       27^3       29^3       31^3       41^3
-#     lines      441        625        729        841        961        1681
-#     frame      0.90-0.95  0.97-1.05  1.05-1.08  1.02-1.06  1.06-1.12  1.27-1.35
-#     Ribaucour  0.73-0.80  0.69-0.73  0.76-0.80  0.80-0.85  0.79-0.84  0.97-1.01
-# The frame sweep crosses over between 441 and 625 lines.
-_LANE_LINES = 512
+# one batch (module docstring, "Lanes").  Only RK4 systems march, so the rule
+# follows the Ribaucour sweep's last phase, merged against split on the
+# sweep_closed inputs (scripts/sweep_ab.py, 12 or 20 interleaved rounds,
+# median ratio of the phase's march time, one process on a shared 2-vCPU
+# host; the range of two runs where there were two):
+#     grid       21^3   25^3   31^3   35^3   37^3   39^3        41^3
+#     lines      441    625    961    1225   1369   1521        1681
+#     Ribaucour  0.81   0.73   0.79   0.91   0.92   0.94-0.98   1.00-1.02
+# The crossover lies between 1521 and 1681 lines.
+_LANE_LINES = 1600
 
 
 def vanishing_terms(triple, reached):
@@ -177,13 +188,11 @@ def rk4_march(rhs, lanes, axis, rows=None):
     A lane is ``(pts, y, bad, intervals)``: the (B, 3) start points of its
     lines, their (R, B) states (not modified), the (B,) bool lines that keep
     their first ``rows`` state rows (all rows when None), and its schedule
-    from ``node_intervals``.  The R rows are whatever the caller marches:
-    ``sweep_integrate`` hands over the rows that move along ``axis`` and
-    keeps the carried ones out of the march (module docstring, "Systems").
-    The live lanes' columns lie side by side in lane order; dt/2, dt and
-    dt/6 are per column when two lanes are live, and ``rhs(points, Y,
-    axis)`` gets the lanes' points as a list then, as one (B, 3) array
-    otherwise.  It returns a fresh dY.  A lane whose schedule has ended
+    from ``node_intervals``.  The R rows are those of the marched systems
+    (module docstring, "Systems").  The live lanes' columns lie side by side
+    in lane order; dt/2, dt and dt/6 are per column when two lanes are live,
+    and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
+    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose schedule has ended
     leaves the batch.  A substep's stages are at u, u + dt/2 (twice, k2 and
     k3) and u + dt, u advancing by dt per substep and starting each node
     interval at the node, so inside an interval the first stage of a
@@ -266,20 +275,14 @@ def _lane_values(lanes):
 
 
 def stacked_rhs(triple, systems):
-    """(rhs, y0, blocks) for ``systems`` stacked on one state: the right-hand
-    side ``rhs(points, Y (R_a, B), axis) -> dY`` on the rows that move along
-    ``axis``, the stacked initial state (R,) and each system's row slice of it
-    (module docstring, "Systems").  ``rhs.moving[axis]`` holds, per system,
-    the sorted rows of its own block that move along ``axis``; Y lays them
-    out system by system in list order.  ``points`` is one (B, 3) array, or
-    a list of one per lane whose columns lie side by side in Y."""
-    systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
-    bodies = [make_body(triple, y0) for make_body, y0 in systems]
-    moving = [[np.arange(y0.size) if body.moving is None else body.moving[axis]
-               for body, (_, y0) in zip(bodies, systems)] for axis in range(3)]
-    # per axis, each body with its rows of Y
-    parts = [list(zip(bodies, _blocks([len(rows) for rows in per_system])))
-             for per_system in moving]
+    """(rhs, y0, blocks) for the marched ``systems``, ``(body, y0)`` pairs,
+    stacked on one state: the right-hand side ``rhs(points, Y (R, B), axis)
+    -> dY``, the stacked initial state (R,) and each system's row slice of it
+    (module docstring, "Systems").  ``points`` is one (B, 3) array, or a list
+    of one per lane whose columns lie side by side in Y."""
+    systems = [(body, np.asarray(y0, dtype=float)) for body, y0 in systems]
+    blocks = _blocks([y0.size for _, y0 in systems])
+    parts = [(body, rows) for (body, _), rows in zip(systems, blocks)]
 
     last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
 
@@ -299,13 +302,11 @@ def stacked_rhs(triple, systems):
     def rhs(pts, Y, axis):
         v, h, V = values(pts)
         dY = np.empty(Y.shape)
-        for body, rows in parts[axis]:
+        for body, rows in parts:
             body(v, h, V, Y[rows], dY[rows], axis)
         return dY
 
-    rhs.moving = moving
-    return (rhs, np.concatenate([y0.ravel() for _, y0 in systems]),
-            _blocks([y0.size for _, y0 in systems]))
+    return rhs, np.concatenate([y0.ravel() for _, y0 in systems] or [np.empty(0)]), blocks
 
 
 def _blocks(sizes):
@@ -314,15 +315,76 @@ def _blocks(sizes):
     return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
 
 
-def _runs(flags):
-    """Slices of the consecutive rows whose ``flags`` are true."""
-    runs, row = [], 0
-    for flag, group in itertools.groupby(flags):
-        size = len(list(group))
-        if flag:
-            runs.append(slice(row, row + size))
-        row += size
-    return runs
+def propagators(M, t):
+    """exp(M t) at each time of ``t``, shape (k, k, len(t)), for a (k, k)
+    generator with M^3 = -w^2 M, w^2 = -tr(M^2) / 2: (I + s M) + q M^2 with
+    s = sin(w t) / w and q = 2 sin^2(w t / 2) / w^2, sinh for w^2 < 0, and
+    s = t, q = t^2 / 2 for w = 0.  The half-angle q keeps its relative
+    accuracy for small w t, which (1 - cos w t) / w^2 loses."""
+    M = np.asarray(M, dtype=float)
+    M2 = M @ M
+    w2 = -0.5 * float(np.trace(M2))
+    t = np.asarray(t, dtype=float)
+    if w2:
+        w, sin = math.sqrt(abs(w2)), np.sin if w2 > 0 else np.sinh
+        s, q = sin(w * t) / w, 2.0 * np.square(sin(0.5 * w * t) / w)
+    else:
+        s, q = t, 0.5 * t * t
+    # a zero entry of M or M^2 adds 0, also where s or q has overflowed
+    with np.errstate(invalid="ignore"):
+        Ms = np.where(M[..., None] != 0, M[..., None] * s, 0.0)
+        M2q = np.where(M2[..., None] != 0, M2[..., None] * q, 0.0)
+    return (np.eye(len(M))[..., None] + Ms) + M2q
+
+
+def _term(c, y, out):
+    """``c * y`` into ``out``, where 0 times an overflowed entry c = +-inf of
+    exp(M t) is 0: the entry is a finite number too large for a double."""
+    np.multiply(c, y, out=out)
+    if not np.isfinite(c).all():
+        np.copyto(out, 0.0, where=~np.isfinite(c) & (y == 0))
+    return out
+
+
+def _propagate(planes, M, at, axis, t):
+    """Write every node layer of one propagated system's phase along ``axis``
+    from the phase's start layer (module docstring, "Propagated systems").
+
+    ``planes`` holds the system's (rows,) + grid.n component planes, ``M``
+    its (k, k) generator along ``axis`` on k blocks of rows, ``at`` the
+    start layer's index into grid.n (the done axes whole) and ``t`` the
+    offsets u_m - u_start of every node m along ``axis``.  Returns the
+    (n_axis,) bool nodes where a written value is not finite."""
+    k = len(M)
+    pos = sum(isinstance(a, slice) for a in at[:axis])     # axis's place in a layer
+    Y = planes.reshape((k, -1) + planes.shape[1:])
+    i0 = at[axis]
+    # the start layer is copied out, so no write reads what another wrote
+    start = np.expand_dims(Y[(slice(None), slice(None)) + tuple(at)], 2 + pos).copy()
+    P = propagators(M, t)
+    M2 = M @ M
+    trailing = (1,) * (start.ndim - 3 - pos)
+    sides = [side for side in (slice(i0 + 1, len(t)), slice(0, i0)) if side.start < side.stop]
+    bad = np.zeros(len(t), dtype=bool)
+    line = list(at)
+    for r in range(k):
+        if not (M[r].any() or M2[r].any()):         # exp(M t) keeps row r
+            line[axis] = slice(None)
+            Y[(r, slice(None)) + tuple(line)] = start[r]
+            continue
+        terms = [j for j in range(k) if j == r or M[r, j] or M2[r, j]]
+        for side in sides:
+            line[axis] = side
+            coef = [P[r, j, side].reshape((-1,) + trailing) for j in terms]
+            tmp = None
+            for comp in range(Y.shape[1]):
+                out = _term(coef[0], start[terms[0], comp], Y[(r, comp) + tuple(line)])
+                for c, j in zip(coef[1:], terms[1:]):
+                    tmp = np.empty(out.shape) if tmp is None else tmp
+                    np.add(out, _term(c, start[j, comp], tmp), out=out)
+                others = tuple(a for a in range(out.ndim) if a != pos)
+                bad[side] |= ~np.isfinite(out).all(axis=others)
+    return bad
 
 
 def _check_order(order):
@@ -359,64 +421,64 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     every y0 finite (InvalidParams, naming the system and the row).
     ``node_check(Y (R, B)) -> (B,) bool`` flags lines to mask, evaluated on
     arrival; masking governs the first system's rows, and that system must
-    carry no rows.  Without it, a non-finite value in any row raises
-    NonFiniteState.
+    be marched (InvalidParams otherwise).  Without it, a non-finite value in
+    any row raises NonFiniteState.
     Returns (states, masked): per system, in list order, a grid.n + y0.shape
     view of its own contiguous y0.shape + grid.n component planes (moving the
     component axes first gives the planes back); and the grid.n bool mask.
     """
     check_sweep_input(triple, grid, integrability_tol)
-    rhs, y0, blocks = stacked_rhs(triple, systems)
+    systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
+    bodies = [make_body(triple, y0) for make_body, y0 in systems]
     if not (math.isfinite(max_step) and max_step > 0):
         raise InvalidParams(f"max_step must be positive and finite, got {max_step}")
     axes = _check_order(order)
     _check_finite(systems)
+    marched = [k for k, body in enumerate(bodies) if callable(body)]
+    if node_check is not None and marched[:1] != [0]:
+        raise InvalidParams("node_check masks the first system, which must be marched")
+    rhs, y0, blocks = stacked_rhs(triple, [(bodies[k], systems[k][1]) for k in marched])
     mask_rows = blocks[0].stop if node_check is not None else 0
     n = grid.n
-    # each system's states live in their own (rows,) + grid.n component planes
-    states = [np.full((rows.stop - rows.start,) + tuple(n), np.nan) for rows in blocks]
-    for part, rows in zip(states, blocks):
-        part[(slice(None),) + grid.base] = y0[rows]
+    # each system's states live in their own (rows,) + grid.n component
+    # planes; every node is written by one of the phases
+    states = [np.empty((y.size,) + tuple(n)) for _, y in systems]
+    for part, (_, y) in zip(states, systems):
+        part[(slice(None),) + grid.base] = y.ravel()
     masked = np.zeros(n, dtype=bool)
 
     if node_check is not None and node_check(y0[:, None])[0]:
         masked[grid.base] = True
 
-    done = []
-    for axis in axes:
-        ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
-        starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
-        B = len(starts)
-        # a node layer of this phase is the basic-index view part[run, at] of
+    for phase, axis in enumerate(axes):
+        done = axes[:phase]
+        # a node layer of this phase is the basic-index view part[:, at] of
         # shape (rows,) + done_shape in each system's planes; its lines are in
         # C order over the done axes, as in ``starts``
         done_shape = tuple(n[a] for a in sorted(done))
         at = [slice(None) if a in done else grid.base[a] for a in range(3)]
         start = tuple(at)
-        moving = [np.zeros(len(part), dtype=bool) for part in states]
-        for flags, rows in zip(moving, rhs.moving[axis]):
-            flags[rows] = True
-        # the carried rows keep their start values along the whole axis; the
-        # start layer is copied out, or numpy would buffer the whole
-        # overlapping destination
-        line = list(at)
-        line[axis] = slice(None)
-        gap = 1 + sum(a < axis for a in done)
-        for part, flags in zip(states, moving):
-            for run in _runs(~flags):
-                part[(run,) + tuple(line)] = np.expand_dims(part[(run,) + start].copy(), gap)
-        # the moving rows: (planes, their rows there, their rows of the march)
-        writes, lo = [], 0
-        for part, flags in zip(states, moving):
-            for run in _runs(flags):
-                writes.append((part, run, slice(lo, lo + run.stop - run.start)))
-                lo += run.stop - run.start
-        y_start = np.concatenate([part[(run,) + start].reshape(-1, B)
-                                  for part, run, _ in writes])
-        bad_start = masked[tuple(at)].reshape(B)
-        pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = np.zeros(n[axis], dtype=bool)
+            for part, body in zip(states, bodies):
+                if not callable(body):
+                    overflow |= _propagate(part, body[axis], at, axis, ax_vals - ax_vals[i0])
+        if overflow.any():
+            plus, minus = np.flatnonzero(overflow[i0 + 1:]), np.flatnonzero(overflow[:i0])
+            node = i0 + 1 + plus[0] if len(plus) else minus[-1]
+            raise NonFiniteState(f"state overflowed along axis {axis} at node {int(node)}")
+        if not marched:
+            continue
+        ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
+        starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
+        B = len(starts)
+        writes = [(states[k], rows) for k, rows in zip(marched, blocks)]
+        y_start = np.concatenate([part[(slice(None),) + start].reshape(-1, B)
+                                  for part, _ in writes])
+        bad_start = masked[start].reshape(B)
+        pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         lanes = [(+1, bad_start.copy()), (-1, bad_start.copy())]
         for group in [lanes] if B <= _LANE_LINES else [[lane] for lane in lanes]:
             plus_open = group[0][0] > 0 and i0 < n[axis] - 1
@@ -439,17 +501,16 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
                         bad |= node_check(y)
                     at[axis] = nxt
                     layer = tuple(at)
-                    for part, run, cols in writes:
-                        part[(run,) + layer] = y[cols].reshape((-1,) + done_shape)
+                    for part, rows in writes:
+                        part[(slice(None),) + layer] = y[rows].reshape((-1,) + done_shape)
                     masked[layer] |= bad.reshape(done_shape)
                     if step > 0 and nxt == n[axis] - 1:
                         plus_open = False
                         if held:
                             raise held
-        done.append(axis)
     views = []
-    for part, (_, y0) in zip(states, systems):
-        k = np.ndim(y0)
-        views.append(np.moveaxis(part.reshape(np.shape(y0) + tuple(n)), tuple(range(k)),
+    for part, (_, y) in zip(states, systems):
+        k = y.ndim
+        views.append(np.moveaxis(part.reshape(y.shape + tuple(n)), tuple(range(k)),
                                  tuple(range(-k, 0))))
     return views, masked

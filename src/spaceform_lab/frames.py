@@ -6,6 +6,23 @@ Along the u_a line the state (f, X1, X2, X3, N) evolves by
     dX_i/du_a = h_ia X_a                                   (i != a)
     dX_a/du_a = -sum_{k != a} h_ka X_k + eps V_a N - c v_a f
     dN/du_a   = -V_a X_a
+
+Exact steps for a constant triple.  When h = 0 and v, V are constant (every
+seed of the gallery and the CLI), the system along u_a is dY = M_a Y with a
+constant 5 x 5 generator on the rows (f, X1, X2, X3, N): M[f, X_a] = v_a,
+M[X_a, f] = -c v_a, M[X_a, N] = eps V_a, M[N, X_a] = -V_a, every other entry
+0.  Then M^3 = -w^2 M with w^2 = c v_a^2 + eps V_a^2, and the sweep
+propagates the frame exactly, Y(u_a + t) = exp(M_a t) Y(u_a) with
+
+    exp(M t) = I + (sin w t / w) M + (2 sin^2(w t / 2) / w^2) M^2,
+
+sinh in place of sin when w^2 < 0 (w = sqrt(-w^2) there) and
+I + t M + (t^2 / 2) M^2 when w = 0.  The half-angle form keeps the M^2
+coefficient accurate to rounding for small w t, where (1 - cos w t) / w^2
+cancels.  Each node's frame is its phase start's frame times one such
+exponential (``_sweep`` module docstring, "Propagated systems"): no RK4
+error, no right-hand side evaluation.  A sampled triple's frame is marched
+with RK4 (``FrameField.scheme`` says which).
 """
 
 from __future__ import annotations
@@ -82,25 +99,23 @@ class FrameField:
     def state_at(self, idx) -> FrameState:
         return FrameState.from_array(self.states[tuple(idx)])
 
+    @property
+    def scheme(self) -> str:
+        """How the sweep builds this triple's frame (module docstring)."""
+        return "exact propagator" if self.triple.closed_form else "RK4 sweep"
+
 
 def _frame_body(triple: TripleField, y0):
-    """In-place frame body on the rows of f, X1, X2, X3, N, dim rows each
+    """The frame system on the rows of f, X1, X2, X3, N, dim rows each
     (``_sweep`` module docstring); a y0 of another shape than (5, dim) raises
     DimensionError.
 
-    The body is built for its inputs (``_sweep`` module docstring, "In-place
-    bodies").  Its droppable terms all land in dX_a: the h_ia X_i of a constant
-    triple, whose h is +0.0, and the c v_a f when c = 0.  With finite operands
-    each is +-0, so dropping it changes dX_a at most in the sign of a zero.
-    Without its h terms, dX_i = h_ia X_a (i != a) vanishes along u_a, so the
-    body's moving rows along u_a are f, X_a and N (3 dim rows, in that order)
-    and the sweep carries X_i through that phase.  In the expression form the
-    X_i take 0 X_a = +-0 in only through y + (+-0), which is y unless
-    y = -0.0, and an X row that does not start at -0.0 never becomes -0.0.
-    So the terms are dropped and the X_i carried only when y0's X rows hold
-    no -0.0; otherwise every term is kept and every row moves.  The
-    N = (-0, -0, -0, -1) of a Lorentzian standard frame does not matter: no
-    dropped term reaches N.  Where a dropped term would have been
+    For a constant triple it returns the three generators M_a, propagated
+    exactly (module docstring).  Otherwise it returns the in-place RK4 body,
+    built for its inputs (``_sweep`` module docstring, "In-place bodies"):
+    its one droppable term is the c v_a f of dX_a when c = 0, kept when y0's
+    X rows hold a -0.0.  With finite operands it is +-0, so dropping it
+    changes dX_a at most in the sign of a zero.  Where it would have been
     0 * inf = NaN, at a non-finite stage value, a value may differ from the
     full body's (``_sweep`` module docstring).
     """
@@ -110,37 +125,37 @@ def _frame_body(triple: TripleField, y0):
                              f"space form needs {(5, dim)}")
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
+    if triple.closed_form:
+        v, V = triple.constant_values
+        M = np.zeros((3, 5, 5))
+        for a in range(3):
+            M[a, 0, 1 + a] = v[a]
+            M[a, 1 + a, 0] = -c * v[a]
+            M[a, 1 + a, 4] = eps * V[a]
+            M[a, 4, 1 + a] = -V[a]
+        return M
     f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
     X = (X1, X2, X3)
-    h_vanishes, c_vanishes = vanishing_terms(triple, y0[1:4])
-    # along axis a: the rows of f, X_a and N in Y, all 5 dim rows, or only
-    # those 3 dim when the X_i (i != a) are carried
-    if h_vanishes:
-        rows = [(slice(0, dim), slice(dim, 2 * dim), slice(2 * dim, 3 * dim))] * 3
-    else:
-        rows = [(f, X[a], N) for a in range(3)]
+    _, c_vanishes = vanishing_terms(triple, y0[1:4])
 
     def body(v, h, V, Y, dY, axis):
         a = axis
-        fr, Xr, Nr = rows[a]
         va = v[:, a]
         Va = V[:, a]
-        Xa = Y[Xr]
-        dXa = dY[Xr]
-        tmp = dY[Nr]                     # scratch until dN is written last
-        np.multiply(va, Xa, out=dY[fr])
-        np.multiply(eps * Va, Y[Nr], out=dXa)
+        Xa = Y[X[a]]
+        dXa = dY[X[a]]
+        tmp = dY[N]                      # scratch until dN is written last
+        np.multiply(va, Xa, out=dY[f])
+        np.multiply(eps * Va, Y[N], out=dXa)
         if not c_vanishes:
-            np.subtract(dXa, np.multiply(c * va, Y[fr], out=tmp), out=dXa)
-        if not h_vanishes:
-            for i in range(3):
-                if i != a:
-                    hia = h[:, i, a]
-                    np.multiply(hia, Xa, out=dY[X[i]])
-                    np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
-        np.multiply(-Va, Xa, out=dY[Nr])
+            np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
+        for i in range(3):
+            if i != a:
+                hia = h[:, i, a]
+                np.multiply(hia, Xa, out=dY[X[i]])
+                np.subtract(dXa, np.multiply(hia, Y[X[i]], out=tmp), out=dXa)
+        np.multiply(-Va, Xa, out=dY[N])
 
-    body.moving = [np.r_[f, X[a], N] for a in range(3)] if h_vanishes else None
     return body
 
 
@@ -178,7 +193,7 @@ def frame_gram_residual(ff: FrameField) -> ResidualReport:
             g = sig_inner(vectors[a], vectors[b], sig, axis=0)
             t = target[a] if a == b else 0.0
             dev[a, b] = dev[b, a] = g - t
-    report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": "RK4 sweep"})
+    report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": ff.scheme})
     report.add("gram", dev)
     return report
 
@@ -195,7 +210,7 @@ def path_independence_residual(ff: FrameField) -> ResidualReport:
     rev = integrate_frame(ff.triple, ff.state_at(grid.base), grid,
                           tuple(reversed(ff.sweep_order)), ff.max_step, None)
     diff = np.abs(ff.f - rev.f)
-    report = ResidualReport(metadata={"max_step": ff.max_step})
+    report = ResidualReport(metadata={"max_step": ff.max_step, "scheme": ff.scheme})
     report.add("far_corner", diff[grid.far_corner])
     report.add("grid", diff)
     return report

@@ -561,22 +561,6 @@ def helix(c_h, c_model, s_samples, amplitude, phase=0.0, slope=0.0,
     return HelixProfile(c_h, c_model, s_samples, coords, gv, dgv, d2gv)
 
 
-def latitude_circle(c_model, height, s_samples) -> HelixProfile:
-    """Constant-height circle on the round model (geodesic circle about the axis)."""
-    R2 = 1.0 / c_model
-    r2 = R2 - height * height
-    if r2 <= 0:
-        raise InvalidParams("height exceeds the model radius")
-    r = math.sqrt(r2)
-    s_samples = np.asarray(s_samples, dtype=float)
-    coords = np.stack([
-        np.full_like(s_samples, height),
-        r * np.cos(s_samples / r),
-        r * np.sin(s_samples / r),
-    ], axis=-1)
-    return HelixProfile(0.0, c_model, s_samples, coords)
-
-
 def height_ode_residual(profile: HelixProfile, c_h=None) -> ResidualReport:
     """Residual of gv'' + c_h gv along the profile.
 
@@ -642,28 +626,6 @@ def rotation_hypersurface(rtype, profile: HelixProfile, s_idx, u1, u2):
         out[k, ..., 2] = g1[k] * p[2]
         out[k, ..., 3] = g4[k]
         out[k, ..., 4] = g5[k]
-    return out
-
-
-def parabolic_gram(s_plus_eps0):
-    """Gram matrix of the pseudo-orthonormal basis of the parabolic chart."""
-    G = np.zeros((5, 5))
-    G[0, 3] = G[3, 0] = 1.0
-    G[1, 1] = G[2, 2] = 1.0
-    G[4, 4] = -2.0 * s_plus_eps0 + 3.0
-    return G
-
-
-def parabolic_to_orthonormal(coords):
-    """Rewrite parabolic-chart coordinates in an orthonormal basis.
-
-    e1 -> (e+ + e-)/sqrt2, e4 -> (e+ - e-)/sqrt2 with <e+,e+> = 1, <e-,e-> = -1.
-    """
-    coords = np.asarray(coords, dtype=float)
-    out = coords.copy()
-    r2 = math.sqrt(2.0)
-    out[..., 0] = (coords[..., 0] + coords[..., 3]) / r2
-    out[..., 3] = (coords[..., 0] - coords[..., 3]) / r2
     return out
 
 

@@ -374,22 +374,6 @@ def write_report(report_dict, path):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def triple_to_config(t) -> dict:
-    """Inline-seed form of a constant triple (the config format's "triple" object)."""
-    v, h, V = t.at(t.grid.base)
-    if (np.abs(t.v - v.reshape(3, 1, 1, 1)).max() > 0
-            or np.abs(t.V - V.reshape(3, 1, 1, 1)).max() > 0
-            or np.abs(t.h).max() > 0):
-        raise IoError("only constant triples fit the inline config form")
-    return {
-        "seed": {"triple": {"v": list(v), "V": list(V), "delta": list(t.delta)}},
-        "ambient": {"c": t.spec.c, "s": t.spec.s},
-        "grid": {"lo": list(t.grid.lo), "hi": list(t.grid.hi),
-                 "n": list(t.grid.n), "base": list(t.grid.base)},
-    }
-
-
 def dump_schema(path):
     """Write the config JSON schema (shipped documentation of the format)."""
     write_report(CONFIG_SCHEMA, path)
-

@@ -241,7 +241,6 @@ def _ribaucour_body(triple: TripleField, y0):
         np.multiply(tmp, inv_phi, out=dY[_PSI])                      # (v), non-log form
         np.multiply(-eps * Va, ga, out=dY[_BETA])                    # (iv)
 
-    body.moving = None          # every row is marched along every axis
     return body
 
 

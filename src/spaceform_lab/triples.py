@@ -762,28 +762,3 @@ def triple_from_curvatures(lams, delta, spec: SpaceFormSpec, grid: ParameterGrid
 
     V = lam * v
     return TripleField.from_samples(grid, delta, spec, v, h_from_v(v, grid.spacing), V)
-
-
-def permute_triple(t: TripleField, perm) -> TripleField:
-    """Relabel coordinates, components, and delta by one permutation.
-
-    ``perm[a]`` is the old index that becomes new index a.
-    """
-    perm = tuple(perm)
-    v, h, V = t.v, t.h, t.V
-    axes = tuple(perm)
-    v_new = np.transpose(v[list(perm)], (0,) + tuple(1 + p for p in perm))
-    V_new = np.transpose(V[list(perm)], (0,) + tuple(1 + p for p in perm))
-    h_new = h[np.ix_(list(perm), list(perm))]
-    h_new = np.transpose(h_new, (0, 1) + tuple(2 + p for p in perm))
-    grid = ParameterGrid(
-        tuple(t.grid.lo[p] for p in perm),
-        tuple(t.grid.hi[p] for p in perm),
-        tuple(t.grid.n[p] for p in perm),
-        tuple(t.grid.base[p] for p in perm),
-    )
-    delta = tuple(t.delta[p] for p in perm)
-    masked = None
-    if t.masked is not None:
-        masked = np.transpose(t.masked, axes)
-    return TripleField.from_samples(grid, delta, t.spec, v_new, h_new, V_new, masked)

@@ -21,9 +21,6 @@ from spaceform_lab.gallery import (
     generalized_cone,
     height_ode_residual,
     helix,
-    latitude_circle,
-    parabolic_gram,
-    parabolic_to_orthonormal,
     phi_state,
     rotation_hypersurface,
     seed_frame_state,
@@ -32,6 +29,8 @@ from spaceform_lab.gallery import (
 )
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.triples import classify, first_integrals, triple_residuals
+
+from conftest import latitude_circle, parabolic_gram, parabolic_to_orthonormal
 
 THETA = math.pi / 4
 

@@ -768,7 +768,7 @@ class TestCli:
 class TestConfigRoundTrip:
     def test_triple_to_config_round_trip(self):
         from spaceform_lab.ambient import SpaceFormSpec
-        from spaceform_lab.io import triple_to_config
+        from conftest import triple_to_config
         from spaceform_lab.triples import TripleField
 
         grid = ParameterGrid.centered(1.0, 5)
@@ -781,7 +781,7 @@ class TestConfigRoundTrip:
 
     def test_nonconstant_rejected(self):
         from spaceform_lab.ambient import SpaceFormSpec
-        from spaceform_lab.io import triple_to_config
+        from conftest import triple_to_config
         from spaceform_lab.triples import TripleField
 
         grid = ParameterGrid.centered(1.0, 5)

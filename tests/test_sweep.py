@@ -6,7 +6,9 @@ The reference below is the engine as it was before sweep states were carried
 batch-last: lines march as (B,) + state_shape arrays, every RK4 stage is a
 fresh array, and the two right-hand sides slice per-line columns.  The
 batch-last engine performs the same floating-point operations in the same
-order, so its states must match the reference's byte for byte.
+order, so its marched states must match the reference's byte for byte.  A
+constant triple's frame is not marched but propagated exactly: it is checked
+against ``exact_frame``, composed from scipy's ``expm``, to 1e-14 relative.
 """
 
 import copy
@@ -19,6 +21,7 @@ import pytest
 from spaceform_lab import _sweep, triples
 from spaceform_lab._sweep import (
     node_intervals,
+    propagators,
     rk4_march,
     stacked_rhs,
     sweep_integrate,
@@ -36,12 +39,15 @@ from spaceform_lab.frames import (
     DEFAULT_MAX_STEP,
     FrameState,
     _frame_body,
+    frame_gram_residual,
     integrate_frame,
+    path_independence_residual,
     standard_frame_state,
 )
 from spaceform_lab.gallery import (
     SEED_KINDS,
     PhiFamily,
+    closed_form_frame,
     phi_state,
     seed_frame_state,
     trivial_seed,
@@ -207,6 +213,66 @@ def ref_ribaucour(triple, init, mask_tol=None, sweep_order=(0, 1, 2)):
 
 
 # ---------------------------------------------------------------------------
+# exact reference of a constant triple's frame
+# ---------------------------------------------------------------------------
+
+
+def frame_generators(triple):
+    """The constant generators M_a of a constant triple's frame system on the
+    rows (f, X1, X2, X3, N), from its equations (``frames`` module docstring)."""
+    v, V = triple.constant_values
+    c, eps = float(triple.spec.c), float(triple.spec.eps)
+    M = np.zeros((3, 5, 5))
+    for a in range(3):
+        M[a, 0, 1 + a] = v[a]
+        M[a, 1 + a, 0] = -c * v[a]
+        M[a, 1 + a, 4] = eps * V[a]
+        M[a, 4, 1 + a] = -V[a]
+    return M
+
+
+def exact_frame(triple, init, sweep_order=(0, 1, 2)):
+    """The frame of a constant triple at every node, composed from scipy's
+    ``expm`` in the sweep order (a, b, c): exp(M_c t_c) exp(M_b t_b)
+    exp(M_a t_a) Y0, t being the node's offsets from the base node."""
+    from scipy.linalg import expm
+
+    grid = triple.grid
+    M = frame_generators(triple)
+    Y = np.broadcast_to(init.as_array(), tuple(grid.n) + init.as_array().shape)
+    with np.errstate(all="ignore"):
+        for a in sweep_order:
+            u = grid.axis(a)
+            E = np.stack([expm(M[a] * (x - u[grid.base[a]])) for x in u])
+            Y = np.einsum(f"{'ijk'[a]}rs,ijksd->ijkrd", E, Y)
+    return Y
+
+
+def assert_exact(states, ref, tol=1e-14):
+    """``states`` within ``tol`` of ``ref``, relative to ref's largest entry."""
+    assert states.shape == ref.shape
+    assert np.abs(states - ref).max() <= tol * np.abs(ref).max()
+
+
+def exact_overflow_message(triple, init, sweep_order=(0, 1, 2)):
+    """The NonFiniteState message of a sweep whose exact frame overflows: the
+    first phase with a non-finite node, at its first such node in the +
+    direction, else at its first in the - direction."""
+    grid = triple.grid
+    finite = np.isfinite(exact_frame(triple, init, sweep_order)).all(axis=(-2, -1))
+    for k, axis in enumerate(sweep_order):
+        index = [slice(None) if a in sweep_order[:k + 1] else grid.base[a] for a in range(3)]
+        rest = [a for a in range(3) if a in sweep_order[:k + 1] and a != axis]
+        ok = np.moveaxis(finite[tuple(index)], sum(a < axis for a in rest), 0)
+        ok = ok.reshape(len(ok), -1).all(axis=1)
+        i0 = grid.base[axis]
+        for node in [*range(i0 + 1, grid.n[axis]), *range(i0 - 1, -1, -1)]:
+            if not ok[node]:
+                return f"state overflowed along axis {axis} at node {node}"
+    raise AssertionError("the exact frame is finite at every node")
+
+
+# ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
 
@@ -234,6 +300,20 @@ def _negative_zero(values):
 
 def _frame_result(ff):
     return ff.states, np.zeros(ff.grid.n, dtype=bool)
+
+
+def _assert_frame(ff, t, init, order=(0, 1, 2)):
+    """A constant triple's frame against its exact reference, a sampled
+    triple's against the bytes of the RK4 reference."""
+    if t.closed_form:
+        assert_exact(ff.states, exact_frame(t, init, order))
+    else:
+        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+
+
+def _sampled_copy(t):
+    """``t`` as a sampled triple: the same values, swept with RK4."""
+    return TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
 
 
 def _ribaucour_result(rf):
@@ -275,15 +355,14 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_closed_form_seeds(self, name):
         fam, t, init = _closed_form_case(name)
-        _assert_same(_frame_result(integrate_frame(t, fam.frame_init())),
-                     ref_frame(t, fam.frame_init()))
+        _assert_frame(integrate_frame(t, fam.frame_init()), t, fam.frame_init())
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
 
     def test_reversed_sweep_order(self):
         fam, t, _ = _closed_form_case("s4_problemstar_sphere")
         ff = integrate_frame(t, fam.frame_init(), sweep_order=(2, 1, 0))
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), (2, 1, 0)))
+        _assert_frame(ff, t, fam.frame_init(), (2, 1, 0))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_transformed_triple(self, name):
@@ -325,10 +404,14 @@ class TestBitIdentity:
     def test_nonfinite_state_raises(self):
         t = self._overflowing_triple()
         init = standard_frame_state(t.spec)
-        with pytest.raises(NonFiniteState) as ref_err:
-            ref_frame(t, init)
         with pytest.raises(NonFiniteState) as err:
             integrate_frame(t, init, integrability_tol=None)
+        assert str(err.value) == exact_overflow_message(t, init)
+        # marched with RK4, the sampled copy overflows at the reference's node
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(_sampled_copy(t), init)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_frame(_sampled_copy(t), init, integrability_tol=None)
         assert str(err.value) == str(ref_err.value)
 
     # node layers are written through basic-index views of the state array:
@@ -339,7 +422,7 @@ class TestBitIdentity:
     def test_layer_write_frame(self, where, order, sampled):
         fam, t, _ = _layer_case("r4_problemstar", where, sampled)
         ff = integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), order))
+        _assert_frame(ff, t, fam.frame_init(), order)
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("where", ["off_centre", "face"])
@@ -379,7 +462,8 @@ class TestInputsUntouched:
         systems = {"frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
                    "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}
         parts = [systems[name] for name in engine.split("+")]
-        rhs, y0, blocks = stacked_rhs(t, [(body, np.zeros(shape)) for body, _, shape in parts])
+        rhs, y0, blocks = stacked_rhs(t, [(make_body(t, np.zeros(shape)), np.zeros(shape))
+                                          for make_body, _, shape in parts])
         Ys = [self._state(rng, shape + (self.B,)) for _, _, shape in parts]
         if engine.startswith("ribaucour"):
             # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
@@ -400,7 +484,7 @@ class TestInputsUntouched:
     def test_rk4_march(self):
         t, pts, rng = self._case()
         shape = (5, t.spec.dim)
-        rhs, _, _ = stacked_rhs(t, [(_frame_body, np.zeros(shape))])
+        rhs, _, _ = stacked_rhs(t, [(_frame_body(t, np.zeros(shape)), np.zeros(shape))])
         Y = rng.normal(size=(math.prod(shape), self.B))
         frozen = np.arange(self.B) % 3 == 0
         before = Y.tobytes()
@@ -449,7 +533,8 @@ def _count_eval_at(triple):
 
 class TestEvalCount:
     """Each RK4 substep evaluates the triple four times, once per stage, for
-    all lines of the axis phase at once."""
+    all lines of the axis phase at once.  A constant triple's frame is
+    propagated exactly and evaluates it never."""
 
     GRID = ParameterGrid((-0.2, -0.25, -0.15), (0.2, 0.15, 0.25), (5, 7, 6), (2, 3, 1))
     STEP = 0.03
@@ -472,7 +557,7 @@ class TestEvalCount:
         fam = FAMILIES["r4_problemstar"]
         t, counts = self._counted_triple(fam, sampled)
         integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=self.STEP)
-        calls, points = self._expected(order)
+        calls, points = self._expected(order) if sampled else (0, 0)
         assert (counts["calls"], counts["points"]) == (calls, points)
 
     @pytest.mark.parametrize("sampled", [False, True])
@@ -783,8 +868,9 @@ class TestLockstep:
         grid = self.grid("axis41")
         ((_, _, _, nsub),) = itertools.islice(node_intervals(grid.axis(0), 20, 1, 1e-300), 1)
         assert nsub > 1e298
-        t = FAMILIES["r4_problemstar"].seed_triple(grid)
-        rhs, y0, _ = stacked_rhs(t, [(_frame_body, np.zeros((5, t.spec.dim)))])
+        t = _sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
+        y0 = np.zeros((5, t.spec.dim))
+        rhs, y0, _ = stacked_rhs(t, [(_frame_body(t, y0), y0)])
         calls = []
 
         class Enough(Exception):
@@ -810,7 +896,7 @@ class TestLockstep:
     def test_frame(self, where, order, sampled):
         fam, t, _ = _family_case("r4_problemstar", self.grid(where), sampled)
         ff = integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), order))
+        _assert_frame(ff, t, fam.frame_init(), order)
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
@@ -834,11 +920,16 @@ class TestLockstep:
 
     @staticmethod
     def _overflow_message(t, max_step):
+        """The sweep's overflow message, checked against the exact frame's for
+        a constant triple and against the RK4 reference's otherwise."""
         init = standard_frame_state(t.spec)
-        with pytest.raises(NonFiniteState) as ref_err:
-            ref_frame(t, init, max_step=max_step)
         with pytest.raises(NonFiniteState) as err:
             integrate_frame(t, init, max_step=max_step, integrability_tol=None)
+        if t.closed_form:
+            assert str(err.value) == exact_overflow_message(t, init)
+            return str(err.value)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, init, max_step=max_step)
         assert str(err.value) == str(ref_err.value)
         return str(err.value)
 
@@ -903,6 +994,8 @@ class TestEvalAtPerDirection:
 
     @staticmethod
     def _check(where, order, sampled):
+        """The calls of the frame sweep of a sampled triple, of the Ribaucour
+        sweep of a constant one (whose frame sweep makes none)."""
         grid = TestLockstep.grid(where)
         fam = FAMILIES["r4_problemstar"]
         t = fam.seed_triple(grid)
@@ -917,6 +1010,9 @@ class TestEvalAtPerDirection:
 
         t.eval_at = eval_at
         integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
+        if not sampled:
+            assert calls == []
+            _engine_ribaucour(t, phi_state(fam, grid.base_point), order)
 
         pos = 0
         for k, axis in enumerate(order):
@@ -967,6 +1063,7 @@ class TestLaneRule:
         grid = TestLockstep.grid("asymmetric")
         fam = FAMILIES["r4_problemstar"]
         t = fam.seed_triple(grid)
+        init = phi_state(fam, grid.base_point)
         widths = []
         real_march = _sweep.rk4_march
 
@@ -979,7 +1076,7 @@ class TestLaneRule:
                                    (204, [[1, 1], [41, 41], [205], [205]])):
             monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
             widths.clear()
-            integrate_frame(t, fam.frame_init(), integrability_tol=None)
+            _engine_ribaucour(t, init, (0, 1, 2))
             assert widths == expect
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
@@ -1027,11 +1124,13 @@ class TestLaneRule:
 
 
 class TestBodiesBuiltForInputs:
-    """The bodies leave out the h terms of a constant triple and the c terms
-    when c = 0, unless y0 holds a -0.0 in the rows those terms reach.  States
-    must be the bytes of the expression-form references, which keep every
-    term.  The derivatives are not compared: a reduced body's dY may differ
-    from the reference's in the signs of zeros."""
+    """The Ribaucour body leaves out the h terms of a constant triple, and
+    both RK4 bodies the c terms when c = 0, unless y0 holds a -0.0 in the
+    rows those terms reach.  Marched states must be the bytes of the
+    expression-form references, which keep every term; the derivatives are
+    not compared, as a reduced body's dY may differ from the reference's in
+    the signs of zeros.  A constant triple's frame is propagated exactly and
+    checked against its exact reference."""
 
     GRID = TestEvalCount.GRID           # base (2, 3, 1): both directions on every axis
     # the conformally flat seed requires c = 0
@@ -1050,13 +1149,16 @@ class TestBodiesBuiltForInputs:
         t = self._seed(kind, c, s, self.GRID)
         init = seed_frame_state(kind, t.spec)
         ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
-        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+        assert_exact(ff.states, exact_frame(t, init, order))
 
     def test_lorentzian_frame_gets_the_reduced_body(self):
-        # N = -E4 holds -0.0, but no dropped term reaches N
+        # N = -E4 holds -0.0, but the dropped c term does not reach N
         t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
         y0 = seed_frame_state("problemstar_e1_Cneg", t.spec).as_array()
         assert _negative_zero(y0[4]) and vanishing_terms(t, y0[1:4]) == (True, True)
+        assert vanishing_terms(_sampled_copy(t), y0[1:4]) == (False, True)
+        assert callable(_frame_body(_sampled_copy(t), y0))
+        assert not callable(_frame_body(t, y0))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_ribaucour_over_families(self, name):
@@ -1069,7 +1171,7 @@ class TestBodiesBuiltForInputs:
         fam, t, init = _family_case(name, self.GRID, False)
         rf, ff = integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init()))
+        _assert_frame(ff, t, fam.frame_init())
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_every_gamma_nonzero(self, c):
@@ -1079,7 +1181,7 @@ class TestBodiesBuiltForInputs:
         assert all(init.gamma)
         rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
-        _assert_same(_frame_result(ff), ref_frame(t, standard_frame_state(t.spec)))
+        _assert_frame(ff, t, standard_frame_state(t.spec))
 
     # The gate: a -0.0 in a row that a dropped term reaches keeps the full
     # body.  A reduced body that also dropped the h'_aj add (h_aj + h' -> h')
@@ -1117,17 +1219,19 @@ class TestBodiesBuiltForInputs:
         t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
         rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
-        _assert_same(_frame_result(ff), ref_frame(t, standard_frame_state(t.spec)))
+        _assert_frame(ff, t, standard_frame_state(t.spec))
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_reflected_frame(self, c, order):
-        # X_i = -E_i holds -0.0 in every X row
+        # X_i = -E_i holds -0.0 in every X row: the constant triple's frame is
+        # exact, and its sampled copy's RK4 body keeps its c term
         t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
         init = seed_frame_state("problemstar_e1_Cneg", t.spec).scaled_frame(-1.0)
         assert _negative_zero(init.as_array()[1:4])
-        ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
-        _assert_same(_frame_result(ff), ref_frame(t, init, order))
+        for triple in (t, _sampled_copy(t)):
+            ff = integrate_frame(triple, init, sweep_order=order, integrability_tol=None)
+            _assert_frame(ff, triple, init, order)
 
     @pytest.mark.parametrize("term", ["c", "h"])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -1135,7 +1239,8 @@ class TestBodiesBuiltForInputs:
         # X_r holds one -0.0, in component k: along axis r, dX_r,k =
         # eps V_r N_k = -0.0 (eps = -1, N = E4), and the full body subtracts
         # c v_r f_k = -0.0 (c = 0, f_k < 0) or h_kr X_k,k = -0.0 (X_k = E_k
-        # reflected, +0.0 elsewhere)
+        # reflected, +0.0 elsewhere).  The constant triple's frame is exact,
+        # and its sampled copy's RK4 body keeps its c term
         t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
         k = (r + 1) % 3
         f, X = np.zeros(4), np.eye(4)[:3]
@@ -1146,8 +1251,9 @@ class TestBodiesBuiltForInputs:
         X[r, k] = -0.0
         init = FrameState(f, *X, np.eye(4)[3])
         assert [_negative_zero(row) for row in X] == [i == r for i in range(3)]
-        ff = integrate_frame(t, init, integrability_tol=None)
-        _assert_same(_frame_result(ff), ref_frame(t, init))
+        for triple in (t, _sampled_copy(t)):
+            ff = integrate_frame(triple, init, integrability_tol=None)
+            _assert_frame(ff, triple, init)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_vanishing_terms(self, c):
@@ -1208,16 +1314,15 @@ class TestPlaneLayout:
 
 
 # ---------------------------------------------------------------------------
-# rows carried through an axis phase
+# a constant triple's frame, propagated with no row marched
 # ---------------------------------------------------------------------------
 
 
 class TestCarriedRows:
-    """Along u_a a constant triple's frame moves only f, X_a and N, so the
-    sweep marches those 3 dim rows and carries X_i (i != a) through the
-    phase.  States must be the bytes of the expression-form reference, which
-    marches all 5 dim rows, and an overflow must name the same axis and node.
-    A sampled triple and a frame with -0.0 in its X rows march every row."""
+    """A constant triple's frame is propagated exactly, with no row marched:
+    its states are within rounding of the expm-composed reference, and an
+    overflow names the node where the exact frame overflows.  A sampled
+    triple's frame marches every row, bit for bit the RK4 reference."""
 
     GRIDS = {"off_centre": TestEvalCount.GRID,
              "face": ParameterGrid(TestEvalCount.GRID.lo, TestEvalCount.GRID.hi,
@@ -1231,6 +1336,15 @@ class TestCarriedRows:
         t = TestBodiesBuiltForInputs._seed(kind, c, s, self.GRIDS[where])
         init = seed_frame_state(kind, t.spec)
         ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
+        assert_exact(ff.states, exact_frame(t, init, order))
+
+    @pytest.mark.parametrize("where", sorted(GRIDS))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("kind,c,s", TestBodiesBuiltForInputs.SEEDS)
+    def test_sampled_frame_over_seeds(self, kind, c, s, order, where):
+        t = _sampled_copy(TestBodiesBuiltForInputs._seed(kind, c, s, self.GRIDS[where]))
+        init = seed_frame_state(kind, t.spec)
+        ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
         _assert_same(_frame_result(ff), ref_frame(t, init, order))
 
     @pytest.mark.parametrize("where", sorted(GRIDS))
@@ -1241,7 +1355,7 @@ class TestCarriedRows:
         t = fam.seed_triple(grid)
         _, ff = TestStackedSweep._assert_separate(t, phi_state(fam, grid.base_point),
                                                   fam.frame_init(), K2target=fam.K2target)
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init()))
+        assert_exact(ff.states, exact_frame(t, fam.frame_init()))
 
     @staticmethod
     def _marched_rows(monkeypatch, sweep):
@@ -1264,11 +1378,11 @@ class TestCarriedRows:
         if case == "reflected":
             frame_init = frame_init.scaled_frame(-1.0)
             assert _negative_zero(frame_init.as_array()[1:4])
-        dim = t.spec.dim
-        frame_rows = 3 * dim if case == "constant" else 5 * dim
-        # three merged phases (1, 5 and 35 lines)
+        # a sampled triple's frame marches its 5 dim rows in three merged
+        # phases (1, 5 and 35 lines); a constant triple's marches none
+        frame_rows = 5 * t.spec.dim if case == "sampled" else 0
         assert self._marched_rows(monkeypatch, lambda: integrate_frame(
-            t, frame_init, integrability_tol=None)) == [{frame_rows}] * 3
+            t, frame_init, integrability_tol=None)) == ([{frame_rows}] * 3 if frame_rows else [])
         # stacked after the Ribaucour rows, which are marched whole
         assert self._marched_rows(monkeypatch, lambda: integrate_with_frame(
             t, init, frame_init, K2target=fam.K2target)) == [{9 + frame_rows}] * 3
@@ -1285,11 +1399,9 @@ class TestCarriedRows:
         t = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1), v=tuple(v),
                                  V=tuple(V))
         init = standard_frame_state(t.spec)
-        with pytest.raises(NonFiniteState) as ref_err:
-            ref_frame(t, init, order, max_step=0.1)
         with pytest.raises(NonFiniteState) as err:
             integrate_frame(t, init, sweep_order=order, max_step=0.1, integrability_tol=None)
-        assert str(err.value) == str(ref_err.value)
+        assert str(err.value) == exact_overflow_message(t, init, order)
         assert str(err.value).startswith(f"state overflowed along axis {axis} at node ")
 
     # -- the sweep's inputs, checked before any march ------------------------
@@ -1318,7 +1430,9 @@ class TestCarriedRows:
     def test_sweep_order_of_numpy_integers(self):
         fam, t, _ = _closed_form_case("r4_problemstar")
         ff = integrate_frame(t, fam.frame_init(), sweep_order=np.array([2, 1, 0]))
-        _assert_same(_frame_result(ff), ref_frame(t, fam.frame_init(), (2, 1, 0)))
+        _assert_same(_frame_result(ff), _frame_result(integrate_frame(
+            t, fam.frame_init(), sweep_order=(2, 1, 0))))
+        _assert_frame(ff, t, fam.frame_init(), (2, 1, 0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_frame_init(self, value):
@@ -1342,3 +1456,120 @@ class TestCarriedRows:
         init = RibaucourState((0.1,) * 3, (0.5, math.nan, 0.5), 2.0, 0.3, 0.1)
         with pytest.raises(InvalidParams, match=r"system 0 \(_ribaucour_body\): y0\[4\] = nan"):
             integrate_ribaucour(t, init, K2target=1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact steps for a constant triple's frame
+# ---------------------------------------------------------------------------
+
+
+class TestPropagators:
+    """``propagators`` is exp(M t) for the frame generators, and a constant
+    triple's frame sweep is exact to rounding, byte-identical on a rerun and
+    evaluates nothing."""
+
+    GRID = ParameterGrid.centered(1.0, 5)
+    # (v_a, V_a): each sign of w^2 = c v_a^2 + eps V_a^2 where (c, eps) allows
+    # it, w = 0 with M != 0, and |w t| about 1e-9 (the last three pairs)
+    PAIRS = [(1.3, 0.4), (0.4, 1.3), (0.7, 0.7), (0.9, 0.0), (0.0, 0.8),
+             (1e-9, 0.0), (0.0, 2e-9), (1.0, 1.0 - 2.0**-52)]
+    TIMES = np.array([-0.8, -0.3, 0.05, 0.45, 0.7])
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_against_expm(self, c, s, axis):
+        from scipy.linalg import expm
+
+        signs, small = set(), []
+        for va, Va in self.PAIRS:
+            v, V = [0.3, -0.2, 0.5], [-0.4, 0.6, 0.1]
+            v[axis], V[axis] = va, Va
+            t = TripleField.constant(self.GRID, (1, 1, 1), SpaceFormSpec(c, s), v, V)
+            M = frame_generators(t)[axis]
+            assert np.array_equal(_frame_body(t, np.zeros((5, t.spec.dim)))[axis], M)
+            w2 = c * va * va + t.spec.eps * Va * Va
+            signs.add(np.sign(w2) if M.any() else None)
+            small += [abs(w2) ** 0.5 * abs(x) for x in self.TIMES if 0 < abs(w2) < 1e-14]
+            P = propagators(M, self.TIMES)
+            for k, x in enumerate(self.TIMES):
+                E = expm(M * x)
+                assert np.abs(P[:, :, k] - E).max() <= 1e-15 * max(1.0, np.abs(E).max())
+        possible = {1.0} if c > 0 or s == 0 else set()
+        possible |= {-1.0} if c < 0 or s == 1 else set()
+        possible |= {0.0} if c * (1 - 2 * s) <= 0 else set()
+        assert possible <= signs
+        assert min(small) <= 1.1e-9
+
+    @pytest.mark.parametrize("kind,c,s", TestBodiesBuiltForInputs.SEEDS)
+    def test_exact_at_41(self, kind, c, s):
+        grid = ParameterGrid.centered(1.0, 41)
+        t = TestBodiesBuiltForInputs._seed(kind, c, s, grid)
+        init = seed_frame_state(kind, t.spec)
+        ff = integrate_frame(t, init, integrability_tol=None)
+        C = None if kind == "cflat" else (-1.0 if kind.endswith("Cneg") else 1.0)
+        exact = closed_form_frame(kind, t.spec, C)(grid.points())
+        assert np.abs(ff.states - exact).max() <= 1e-14 * np.abs(exact).max()
+        gram = frame_gram_residual(ff)
+        assert gram.overall_max <= 1e-14
+        assert gram.metadata["scheme"] == "exact propagator" == ff.scheme
+        again = integrate_frame(t, init, integrability_tol=None)
+        assert again.states.tobytes() == ff.states.tobytes()
+
+    def test_sampled_frame_reports_rk4(self):
+        fam = FAMILIES["r4_problemstar"]
+        t = _sampled_copy(fam.seed_triple(self.GRID))
+        ff = integrate_frame(t, fam.frame_init(), integrability_tol=None)
+        assert ff.scheme == "RK4 sweep"
+        assert frame_gram_residual(ff).metadata["scheme"] == "RK4 sweep"
+        assert path_independence_residual(ff).metadata["scheme"] == "RK4 sweep"
+
+    def test_broken_seed_path_dependence(self):
+        # demos/01: V = (1, 0.5, 0.2) leaves 0.5 in equation (3.iii), so the
+        # generators do not commute and the two sweep orders part
+        grid = ParameterGrid.centered(1.0, 21)
+        broken = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
+                                      v=(0, 1, 1), V=(1, 0.5, 0.2))
+        init = seed_frame_state("cflat", broken.spec)
+        rep = path_independence_residual(integrate_frame(broken, init, integrability_tol=None))
+        assert rep.metadata["scheme"] == "exact propagator"
+        diff = np.abs(exact_frame(broken, init, (0, 1, 2))[..., 0, :]
+                      - exact_frame(broken, init, (2, 1, 0))[..., 0, :])
+        assert abs(rep["grid"].max - diff.max()) <= 1e-12
+        assert abs(rep["far_corner"].max - diff[grid.far_corner].max()) <= 1e-12
+        seed = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        integrable = path_independence_residual(integrate_frame(
+            seed, seed_frame_state("problemstar_e1_Cneg", seed.spec)))
+        assert rep["grid"].max > 1e-2 > 1e10 * integrable["grid"].max
+
+    def test_no_evaluation(self):
+        t = FAMILIES["s4_problemstar_sphere"].seed_triple(TestEvalCount.GRID)
+        counts = _count_eval_at(t)
+        marched = []
+        real_march = _sweep.rk4_march
+        _sweep.rk4_march = lambda *args: marched.append(1) or real_march(*args)
+        try:
+            integrate_frame(t, FAMILIES["s4_problemstar_sphere"].frame_init())
+            path_independence_residual(integrate_frame(
+                t, FAMILIES["s4_problemstar_sphere"].frame_init()))
+        finally:
+            _sweep.rk4_march = real_march
+        assert counts == {"calls": 0, "points": 0} and not marched
+
+    def test_zero_times_an_overflowed_entry(self):
+        # along u_1, exp(M t) overflows (eps = -1, V_1 = 30 on [0, 60]); X_1
+        # and N start at 0, so their exact values stay 0 at every node
+        t = TestBitIdentity()._overflowing_triple()
+        zero, E = np.zeros(4), np.eye(4)
+        ff = integrate_frame(t, FrameState(zero, zero, E[1], E[2], zero),
+                             integrability_tol=None)
+        assert not ff.X[..., 0, :].any() and not ff.N.any()
+        assert np.isfinite(ff.states).all()
+
+    def test_node_check_needs_a_marched_first_system(self):
+        fam, t, init = _closed_form_case("r4_problemstar")
+        t = TestCarriedRows._uncalled(t)
+        with pytest.raises(InvalidParams, match="must be marched"):
+            sweep_integrate(t, t.grid, (0, 1, 2), [(_frame_body, fam.frame_init().as_array()),
+                                                   (_ribaucour_body, init.as_array())],
+                            DEFAULT_MAX_STEP, None, lambda Y: np.zeros(Y.shape[1], bool))

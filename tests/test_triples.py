@@ -32,11 +32,12 @@ from spaceform_lab.triples import (
     delta_inner,
     first_integral_fields,
     first_integrals,
-    permute_triple,
     principal_curvatures,
     triple_from_curvatures,
     triple_residuals,
 )
+
+from conftest import permute_triple
 
 FLAT = SpaceFormSpec(0.0, 0)
 

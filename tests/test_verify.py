@@ -25,7 +25,7 @@ from spaceform_lab.grid import (
 )
 from spaceform_lab.report import ResidualReport
 from spaceform_lab.ribaucour import integrate_ribaucour, transformed_triple
-from spaceform_lab.triples import TripleField, permute_triple
+from spaceform_lab.triples import TripleField
 from spaceform_lab.verify import (
     ImmersionSample,
     companion_curvatures,
@@ -39,7 +39,7 @@ from spaceform_lab.verify import (
     schouten_codazzi_residual,
 )
 
-from conftest import grid_partials
+from conftest import grid_partials, permute_triple
 
 FLAT = SpaceFormSpec(0.0, 0)
 
