@@ -36,9 +36,11 @@ run kind and side the ``TripleField.eval_at`` calls and the spline
 evaluations actually made (``triples._CubicSpline`` calls; a constant triple
 makes none), counted in the untimed warm-up round, per run kind, phase and
 side the state rows marched with RK4 against the state rows of its sweeps
-(e.g. ``frame B=1681  root 0/20``: a constant triple's frame is propagated
-exactly and marches none of its rows; ``pass B=1681  root 9/29``: only the
-Ribaucour rows march; a run's sweeps add up per phase), and per timing the
+(e.g. ``frame B=1681  root 0/20`` and ``pass B=1681  root 0/29``: a
+constant triple's frame and Ribaucour system are propagated exactly and
+march none of their rows; ``sampled B=121  root 29/38``: the sampled
+triple's frame and Ribaucour sweeps march, the seed's does not; a run's
+sweeps add up per phase), and per timing the
 median of each side, the median, least and largest of the per-round ratios
 root/against, and the rounds in which root was faster.  A phase that marches
 nothing has no march time.  Exits 1 if the digests differ.

@@ -49,6 +49,7 @@ doubles, so those writes scatter.
 
 Propagated systems.  A linear system dY/du_a = M_a Y whose generators are
 constant over the grid (the frame of a constant triple, ``frames`` module
+docstring, and its Ribaucour system in the linear form, ``ribaucour`` module
 docstring) is solved exactly: ``make_body`` returns the (3, k, k) array of
 M_0, M_1 and M_2, acting on the first axis of y0.  Each M must satisfy
 M^3 = -w^2 M with w^2 = -tr(M^2) / 2, so exp(M t) = I + s M + q M^2
@@ -66,13 +67,11 @@ In-place bodies.  A marched system's ``body(v, h, V, Y, dY, axis)`` reads
 the triple values (v, h, V) of the stage points and its own rows Y along
 ``axis``, and writes every row of its block dY once, in place (a ufunc
 ``out=`` into a row slice); scratch products live in rows that are not yet
-written.  A body is built for its inputs: it leaves out the terms that are
-exactly zero at every stage of the sweep, the h terms of a constant triple
-(h = +0.0) and the c terms when c = 0.  A derivative row that has no other
-term is written as the exact 0.0 times its factor (the Ribaucour gamma_j).
-With finite operands a dropped term is +0.0 or -0.0, and x - (+-0) or
-x + (+-0) is x unless x is a zero, so a derivative changes at most in the
-sign of a zero.  A state row takes it in only through y + (+-0) in the
+written.  A body is built for its inputs: it leaves out the c terms when
+c = 0, which are exactly zero at every stage of the sweep.  With finite
+operands a dropped term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x
+unless x is a zero, so a derivative changes at most in the sign of a zero.
+A state row takes it in only through y + (+-0) in the
 stages and the combine, which is y unless y = -0.0; and a row that does not
 start at -0.0 never becomes -0.0, since x + y is -0.0 only when x and y
 both are.  So a term is dropped only when y0 has no -0.0 in the rows it
@@ -108,7 +107,10 @@ rows, and that system must be marched: ``node_check`` and the freeze read
 its whole block at the top of the batch state.  A ``node_check`` flag or a
 non-finite value in those rows masks the line: the flag propagates along
 the sweep, and the line's masked rows freeze while its other rows keep
-integrating, as they would in a sweep of their own.  A non-finite value in
+integrating, as they would in a sweep of their own.  A propagated system is
+never masked: every node of it is written.  A caller that needs its mask
+builds it from the node values after the sweep (the Ribaucour system of a
+constant triple, ``ribaucour`` module docstring).  A non-finite value in
 any other marched row, or at any node a propagated system writes, raises
 NonFiniteState naming the axis and node; when both directions overflow,
 the + direction's node is named, as if it had marched first.  A phase's
@@ -129,9 +131,10 @@ from .triples import check_sweep_input
 # A phase of at most this many lines per direction marches both directions as
 # one batch (module docstring, "Lanes").  Only RK4 systems march, so the rule
 # follows the Ribaucour sweep's last phase, merged against split on the
-# sweep_closed inputs (scripts/sweep_ab.py, 12 or 20 interleaved rounds,
-# median ratio of the phase's march time, one process on a shared 2-vCPU
-# host; the range of two runs where there were two):
+# sweep_closed inputs, measured while their seed's Ribaucour system was still
+# marched as a sampled triple's is (scripts/sweep_ab.py, 12 or 20 interleaved
+# rounds, median ratio of the phase's march time, one process on a shared
+# 2-vCPU host; the range of two runs where there were two):
 #     grid       21^3   25^3   31^3   35^3   37^3   39^3        41^3
 #     lines      441    625    961    1225   1369   1521        1681
 #     Ribaucour  0.81   0.73   0.79   0.91   0.92   0.94-0.98   1.00-1.02
@@ -140,13 +143,11 @@ _LANE_LINES = 1600
 
 
 def vanishing_terms(triple, reached):
-    """(h, c): whether a body may leave out its h terms and its c terms, whose
-    values are exactly zero when the triple is constant (h = +0.0) and when
-    c = 0, given the rows of y0 those terms reach.  Either may go only when
+    """Whether a body may leave out its c terms, whose values are exactly zero
+    when c = 0, given the rows of y0 those terms reach: only when
     ``reached`` holds no -0.0 (module docstring, "In-place bodies")."""
     reached = np.asarray(reached)
-    exact = not (np.signbit(reached) & (reached == 0)).any()
-    return triple.closed_form and exact, triple.spec.c == 0 and exact
+    return triple.spec.c == 0 and not (np.signbit(reached) & (reached == 0)).any()
 
 
 def node_intervals(ax_vals, i0, step, max_step):

@@ -185,6 +185,7 @@ def _cmd_ribaucour(cfg) -> int:
     out = {
         "invariant_drift": {"K1": drift.K1, "K2": drift.K2, "Omega": drift.Omega},
         "masked_nodes": int(0 if rf.masked is None else rf.masked.sum()),
+        "scheme": rf.scheme,
     }
     try:
         cls = classify(tt, cfg.tolerances["report"])

@@ -136,7 +136,7 @@ def _frame_body(triple: TripleField, y0):
         return M
     f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
     X = (X1, X2, X3)
-    _, c_vanishes = vanishing_terms(triple, y0[1:4])
+    c_vanishes = vanishing_terms(triple, y0[1:4])
 
     def body(v, h, V, Y, dY, axis):
         a = axis

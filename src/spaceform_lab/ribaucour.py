@@ -1,14 +1,57 @@
 """The Ribaucour transformation engine.
 
-Integrates the completely integrable linear system for
-(gamma_1..3, v'_1..3, phi, psi, beta) over the grid, monitors its first
-integrals K1, K2 and the bilinear obstruction Omega, applies the rational
-point transform to the frame field, and emits the transformed holonomic pair.
+Integrates the transformation system for (gamma_1..3, v'_1..3, phi, psi, beta)
+over the grid, monitors its first integrals K1, K2 and the bilinear
+obstruction Omega, applies the rational point transform to the frame field,
+and emits the transformed holonomic pair.
 
-psi is evolved in the algebraically equivalent non-log form
-d(psi)/du_i = -gamma_i v'_i psi / phi so signed psi is allowed; nodes where
-|phi| or |psi| fall under the mask tolerance are excluded rather than
-extrapolated.
+In these variables the system is not linear.  Along u_a, with
+h'_aj = h_aj + (v'_j - v_j) gamma_a / phi,
+
+    dgamma_a = (v_a - v'_a) psi + V_a beta - c v_a phi - sum_{j != a} h_ja gamma_j
+    dgamma_j = h_ja gamma_a                                         (j != a)
+    dv'_j    = h'_aj v'_a                                           (j != a)
+    dv'_a    = -delta_a sum_{j != a} delta_j h'_aj v'_j
+    dphi     = v_a gamma_a
+    dpsi     = -gamma_a v'_a psi / phi
+    dbeta    = -eps V_a gamma_a
+
+and v', psi take products of state rows over phi.  psi is evolved in this
+non-log form, so signed psi is allowed.  Along every line,
+K1 = |gamma|^2 + eps beta^2 + c phi^2 - 2 phi psi and K2 = <v', v'>_delta are
+first integrals.  A sampled triple's system is marched with RK4.
+
+The linear form of a constant triple.  When h = 0 and v, V are constant
+(every seed of the gallery and the CLI), write rho = psi (v - v').  Then
+drho_j = 0 for j != a and drho_a = delta_a gamma_a psi (K2 - <v, v'>_delta) / phi.
+If the init has K2_0 = <v'_0, v'_0>_delta equal to kappa = <v, v>_delta, then
+psi (K2 - <v, v'>_delta) = <v, rho>_delta, lambda = <v, rho>_delta / phi is a
+first integral, and the system on (gamma, rho, phi, beta) is linear, with the
+constant generator M_a:
+
+    dgamma_a = rho_a + V_a beta - c v_a phi
+    drho_a   = lambda delta_a gamma_a
+    dphi     = v_a gamma_a
+    dbeta    = -eps V_a gamma_a
+
+and every other row 0.  M_a^3 = (lambda delta_a - eps V_a^2 - c v_a^2) M_a,
+so the sweep propagates it exactly (``_sweep`` module docstring, "Propagated
+systems"); [M_a, M_b] is proportional to eps V_a V_b + c v_a v_b, which the
+seed's compatibility makes 0.  The sweep carries rho in the v' rows and psi_0
+in the psi row, a zero row of M.  Afterwards psi is recovered node by node
+from K1, psi = (|gamma|^2 + eps beta^2 + c phi^2 - K1_0) / (2 phi), and
+v' = v - rho / psi; the base node keeps the init.  The route is chosen from
+the triple and the init alone: a sampled triple, a non-finite init or
+lambda, and an init with |K2_0 - kappa| > ``_K2_ROUNDING`` (|v'_0|^2 + |v|^2)
+take the RK4 sweep, and so does a system whose exact values overflow a
+double somewhere on the grid (the propagation raises NonFiniteState; RK4
+masks the lines that overflow).  ``RibaucourField.scheme`` says which.
+
+Masking.  On either route a node is masked where |phi| or |psi| falls under
+the mask tolerance or a value is not finite, and every node the sweep
+reaches through it is masked with it.  The RK4 sweep freezes a masked line's
+values; the exact route keeps the propagated values there.  No consumer
+reads a masked node.
 """
 
 from __future__ import annotations
@@ -24,6 +67,7 @@ from .errors import (
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
+    NonFiniteState,
     SingularPhi,
     SingularPsi,
 )
@@ -32,8 +76,14 @@ from .grid import ParameterGrid
 from .triples import TripleField, delta_inner
 from .verify import ImmersionSample
 
-# state layout: [gamma1, gamma2, gamma3, v'1, v'2, v'3, phi, psi, beta]
+# state layout: [gamma1, gamma2, gamma3, v'1, v'2, v'3, phi, psi, beta]; the
+# linear form carries rho = psi (v - v') in the v' rows
 _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
+
+# |K2_0 - kappa| / (|v'_0|^2 + |v|^2) up to which an init is on the quadric
+# K2 = kappa, so a constant triple's system is propagated in its linear form
+# (module docstring): a few hundred units of rounding of a delta-product
+_K2_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
@@ -69,6 +119,7 @@ class RibaucourField:
     K2target: float
     mask_tol: float
     masked: np.ndarray = None       # True = singular / contaminated
+    scheme: str = None              # "exact propagator" or "RK4 sweep" (module docstring)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -171,27 +222,18 @@ def _ribaucour_body(triple: TripleField, y0):
     y0 is any RibaucourState's 9 values, so it needs no check.
 
     The body is built for its inputs (``_sweep`` module docstring, "In-place
-    bodies").  Its droppable terms all land in dgamma_a: the h_ja gamma_j of
-    a constant triple, whose h is +0.0, and the c phi v_a when c = 0.  With
-    finite operands each is +-0, so dropping it changes dgamma_a at most in
-    the sign of a zero, and a vanished dgamma_j = h_ja gamma_a (j != a) is
-    written as the exact 0.0 gamma_a.  The gamma rows take that zero in only
-    through y + (+-0), which is y unless y = -0.0, and a gamma row that does
-    not start at -0.0 never becomes -0.0.  So the terms are dropped only when
-    y0's gamma rows hold no -0.0; otherwise every term is kept.  The cflat
-    family's phi-state has gamma_1 = -0.0 and gets the full body.
-
-    The h_aj of h'_aj = h_aj + (v'_j - v_j) gamma_a / phi is not dropped: it
-    reaches the v' rows, and the phi-states of both problemstar families have
-    v'_2 = -0.0 at u = 0.  The add is kept as 0.0 + h', which turns a -0.0 h'
-    into +0.0 as h_aj + h' does.  Where a dropped term would have been
-    0 * inf = NaN, at a non-finite stage value, a value may differ from the
-    full body's (``_sweep`` module docstring).
+    bodies").  Its one droppable term is the c phi v_a of dgamma_a when
+    c = 0, kept when y0's gamma rows hold a -0.0: the cflat family's
+    phi-state has gamma_1 = -0.0 and gets the full body.  With finite
+    operands it is +-0, so dropping it changes dgamma_a at most in the sign of
+    a zero.  Where it would have been 0 * inf = NaN, at a non-finite stage
+    value, a value may differ from the full body's (``_sweep`` module
+    docstring).
     """
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
     delta = np.asarray(triple.delta, dtype=float)
-    h_vanishes, c_vanishes = vanishing_terms(triple, y0[_G])
+    c_vanishes = vanishing_terms(triple, y0[_G])
 
     def body(v, h, V, Y, dY, axis):
         g = Y[_G]
@@ -222,15 +264,12 @@ def _ribaucour_body(triple: TripleField, y0):
         for j in range(3):
             if j == a:
                 continue
-            if h_vanishes:
-                np.multiply(0.0, ga, out=dY[j])
-            else:
-                hja = h[:, j, a]
-                np.multiply(hja, ga, out=dY[j])                      # (ii) with i = j, j = a
-                np.subtract(dga, np.multiply(hja, g[j], out=tmp), out=dga)
+            hja = h[:, j, a]
+            np.multiply(hja, ga, out=dY[j])                          # (ii) with i = j, j = a
+            np.subtract(dga, np.multiply(hja, g[j], out=tmp), out=dga)
             hp = dvp[j]                                              # h'_aj
             np.multiply(np.subtract(vp[j], v[:, j], out=hp), ratio, out=hp)
-            np.add(0.0 if h_vanishes else h[:, a, j], hp, out=hp)
+            np.add(h[:, a, j], hp, out=hp)
             np.multiply(np.multiply(delta[j], hp, out=tmp), vp[j], out=tmp)
             np.add(acc, tmp, out=acc)
             np.multiply(hp, vpa, out=hp)                             # (vi)
@@ -244,24 +283,117 @@ def _ribaucour_body(triple: TripleField, y0):
     return body
 
 
+def _linear_init(triple: TripleField, y):
+    """The init ``y`` in the linear form, rho = psi (v - v') in the v' rows,
+    when ``triple`` is constant, y and lambda are finite and K2_0 = kappa up
+    to ``_K2_ROUNDING``; else None (module docstring)."""
+    if not (triple.closed_form and np.isfinite(y).all()):
+        return None
+    v, _ = triple.constant_values
+    delta = np.asarray(triple.delta, dtype=float)
+    vp = y[_VP]
+    gap = abs(float(delta_inner(delta, vp, vp)) - float(delta_inner(delta, v, v)))
+    with np.errstate(all="ignore"):
+        rho = y[_PSI] * (v - vp)
+        lam = float(delta_inner(delta, v, rho)) / y[_PHI]
+    if not (math.isfinite(lam) and gap <= _K2_ROUNDING * float(vp @ vp + v @ v)):
+        return None
+    linear = y.copy()
+    linear[_VP] = rho
+    return linear
+
+
+def _ribaucour_generators(triple: TripleField, y0):
+    """The three constant generators M_a of a constant triple's Ribaucour
+    system in its linear form, on the 9 rows of ``_linear_init`` (module
+    docstring); the psi row is a zero row."""
+    v, V = triple.constant_values
+    delta = np.asarray(triple.delta, dtype=float)
+    eps, c = float(triple.spec.eps), float(triple.spec.c)
+    lam = float(delta_inner(delta, v, y0[_VP])) / y0[_PHI]
+    M = np.zeros((3, 9, 9))
+    for a in range(3):
+        rho_a = _VP.start + a
+        M[a, a, rho_a] = 1.0
+        M[a, a, _BETA] = V[a]
+        M[a, a, _PHI] = -c * v[a]
+        M[a, rho_a, a] = lam * delta[a]
+        M[a, _PHI, a] = v[a]
+        M[a, _BETA, a] = -eps * V[a]
+    return M
+
+
+def _recover(planes, triple: TripleField, linear):
+    """Turn the linear form's (9,) + grid.n ``planes``, swept from the init
+    ``linear``, back into the state in place: psi from K1, v' = v - rho / psi
+    (module docstring)."""
+    eps, c = float(triple.spec.eps), float(triple.spec.c)
+    v, _ = triple.constant_values
+
+    def quad(g, phi, beta):                     # |gamma|^2 + eps beta^2 + c phi^2
+        return np.sum(g * g, axis=0) + eps * beta**2 + c * phi**2
+
+    K1 = quad(linear[_G], linear[_PHI], linear[_BETA]) - 2.0 * linear[_PHI] * linear[_PSI]
+    g, rho, phi, psi = planes[_G], planes[_VP], planes[_PHI], planes[_PSI]
+    np.divide(quad(g, phi, planes[_BETA]) - K1, 2.0 * phi, out=psi)
+    for j in range(3):
+        np.subtract(v[j], np.divide(rho[j], psi, out=rho[j]), out=rho[j])
+
+
+def _mask(planes, base, mask_tol):
+    """The nodes of a swept field to mask: where |phi| or |psi| is under
+    ``mask_tol`` or a value is not finite, and every node a (0, 1, 2) sweep
+    from ``base`` reaches through one (``_sweep`` module docstring, "March
+    order").  A line's flag carries on away from its start node, and a
+    flagged start node flags its whole line in the next phase."""
+    masked = ((np.abs(planes[_PHI]) < mask_tol) | (np.abs(planes[_PSI]) < mask_tol)
+              | ~np.isfinite(planes).all(axis=0))
+    for axis in range(3):
+        # the nodes of this phase: every index of the axes done and this one
+        line = np.moveaxis(masked[tuple(slice(None) if a <= axis else base[a]
+                                        for a in range(3))], axis, 0)
+        i0 = base[axis]
+        line[i0:] = np.logical_or.accumulate(line[i0:], axis=0)
+        line[i0::-1] = np.logical_or.accumulate(line[i0::-1], axis=0)
+    return masked
+
+
 def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                      integrability_tol, *others):
     """The Ribaucour field of ``triple`` and the states of the ``others``
-    systems (``_sweep`` module docstring), stacked after its rows in one sweep."""
+    systems (``_sweep`` module docstring), stacked after its rows in one
+    sweep, by the route the module docstring describes."""
     grid = grid or triple.grid
     mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
     if K2target is None:
         K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
                                      np.asarray(init.vprime)))
+    y0 = init.as_array()
+    linear = _linear_init(triple, y0)
+    if linear is not None:
+        try:
+            (states, *other_states), _ = sweep_integrate(
+                triple, grid, (0, 1, 2), [(_ribaucour_generators, linear), *others],
+                max_step, integrability_tol)
+        except NonFiniteState:
+            linear = None           # values beyond a double: RK4 masks their lines
+    if linear is None:
+        def node_check(Y):
+            return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
 
-    def node_check(Y):
-        return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
-
-    (states, *other_states), masked = sweep_integrate(
-        triple, grid, (0, 1, 2), [(_ribaucour_body, init.as_array()), *others],
-        max_step, integrability_tol, node_check)
+        (states, *other_states), masked = sweep_integrate(
+            triple, grid, (0, 1, 2), [(_ribaucour_body, y0), *others],
+            max_step, integrability_tol, node_check)
+        scheme = "RK4 sweep"
+    else:
+        planes = np.moveaxis(states, -1, 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _recover(planes, triple, linear)
+        planes[(slice(None),) + grid.base] = y0
+        masked = _mask(planes, grid.base, mask_tol)
+        scheme = "exact propagator"
     rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
-                        masked if masked.any() else None)
+                        masked if masked.any() else None, scheme)
     return rf, other_states
 
 
@@ -272,8 +404,11 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     """Sweep-integrate the transformation system from the base node.
 
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
-    Nodes where |phi| or |psi| falls below ``mask_tol`` are masked and their
-    sweep descendants with them; integration continues on the other lines.
+    A constant triple whose init has K2_0 = kappa is propagated exactly,
+    any other is marched with RK4 (module docstring, ``RibaucourField.scheme``).
+    Nodes where |phi| or |psi| falls below ``mask_tol`` or a value is not
+    finite are masked, and their sweep descendants with them; the other
+    lines' values do not depend on the masked ones.
     """
     rf, _ = _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                              integrability_tol)
@@ -289,9 +424,10 @@ def integrate_with_frame(triple: TripleField, init: RibaucourState,
     Returns (RibaucourField, FrameField): bit for bit what
     ``integrate_ribaucour(triple, init, ...)`` and ``integrate_frame(triple,
     frame_init, sweep_order=(0, 1, 2), max_step=max_step)`` return, from one
-    evaluation of the triple per RK stage.  The seed is checked once.  Masked
-    Ribaucour lines freeze the Ribaucour rows only: the frame is integrated
-    at every node, and a frame overflow raises NonFiniteState.
+    evaluation of the triple per RK stage (none when both are propagated).
+    The seed is checked once.  Masking covers the
+    Ribaucour rows only: the frame is integrated at every node, and a frame
+    overflow raises NonFiniteState.
     """
     rf, (frame_states,) = _ribaucour_sweep(triple, init, grid, max_step, mask_tol,
                                            K2target, integrability_tol,

@@ -13,6 +13,7 @@ from spaceform_lab import cli as cli_module
 from spaceform_lab import io as io_module
 from spaceform_lab.cli import run
 from spaceform_lab.errors import BadProjection, InvalidParams, IoError, SchemaError
+from spaceform_lab.gallery import closed_form_transform
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.io import (
     export_csv,
@@ -845,6 +846,18 @@ def test_raw_state_k2_target_from_classification(tmp_path):
     assert rep["invariant_drift"]["K2"] <= 1e-8
 
 
+@pytest.mark.parametrize("k2, scheme", [(None, "exact propagator"), (1.0, "exact propagator"),
+                                        (0.5, "RK4 sweep")])
+def test_raw_state_route(tmp_path, k2, scheme):
+    # the seed's kappa = <v, v>_delta is 1: a k2_target off it puts the init
+    # off the quadric K2 = kappa, and the constant seed is marched with RK4
+    doc = _raw_state_doc(tmp_path)
+    if k2 is not None:
+        doc["ribaucour"]["k2_target"] = k2
+    run(["ribaucour", "--config", write_config(tmp_path, doc)])
+    assert json.loads((tmp_path / "rep.json").read_text())["scheme"] == scheme
+
+
 def test_raw_state_psi_rejected(tmp_path, capsys):
     # seed_state forces psi from K1 = 0, so a requested psi would be ignored
     doc = _raw_state_doc(tmp_path)
@@ -950,7 +963,8 @@ class TestSweepCount:
         from spaceform_lab import frames, ribaucour
 
         calls = []
-        names = {frames._frame_body: "frame", ribaucour._ribaucour_body: "ribaucour"}
+        names = {frames._frame_body: "frame", ribaucour._ribaucour_body: "ribaucour",
+                 ribaucour._ribaucour_generators: "ribaucour"}
         for module in (frames, ribaucour):
             def counted(triple, grid, order, systems, *args,
                         _inner=module.sweep_integrate, **kwargs):
@@ -1024,3 +1038,31 @@ class TestSweepCount:
         assert run(["integrate-frame", "--config", write_config(tmp_path, doc)]) == 1
         assert "/tolerances/integrability" in capsys.readouterr().err
         assert sweeps == []
+
+
+class TestLorentzianReproducer:
+    """demos/configs/pipeline62.json in Q^4_1(c) with K = 2 at 11^3, c = 0 and
+    c = -1.  On the base's axis-1 line the closed-form psi changes sign
+    between u2 = -0.7 and -0.8, where v' has a pole.  An RK4 sweep stepped
+    over it and reported drifts of 9.2e160 (c = 0) and 5.5e3 (c = -1); the
+    constant seed's system is now propagated exactly."""
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_fprime_against_closed_form(self, tmp_path, c):
+        doc = json.loads((DEMO_CONFIGS / "pipeline62.json").read_text())
+        doc["ambient"] = {"c": c, "s": 1}
+        doc["ribaucour"]["family"]["K"] = 2.0
+        doc["grid"]["n"] = [11, 11, 11]
+        doc["grid"]["base"] = [5, 5, 5]
+        doc["outputs"] = {"report": str(tmp_path / "rep.json")}
+        path = write_config(tmp_path, doc)
+        assert run(["ribaucour", "--config", path]) == 0
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["scheme"] == "exact propagator" and rep["masked_nodes"] == 0
+        assert max(rep["invariant_drift"].values()) <= 1e-10
+        cfg = load_config(path)
+        _, _, fprime = cli_module._run_ribaucour_pipeline(cfg, fprime=True)
+        ref = closed_form_transform(cli_module._family(cfg))(cfg.grid.points())
+        ok = fprime.valid_mask()
+        assert ok.all()
+        assert np.abs(fprime.positions[ok] - ref[ok]).max() <= 1e-12 * np.abs(ref[ok]).max()

@@ -9,6 +9,9 @@ batch-last engine performs the same floating-point operations in the same
 order, so its marched states must match the reference's byte for byte.  A
 constant triple's frame is not marched but propagated exactly: it is checked
 against ``exact_frame``, composed from scipy's ``expm``, to 1e-14 relative.
+So is its Ribaucour system from an init on K2 = kappa, in its linear form:
+it is checked against ``exact_ribaucour`` to 1e-13 relative, with the same
+mask.
 """
 
 import copy
@@ -48,6 +51,7 @@ from spaceform_lab.gallery import (
     SEED_KINDS,
     PhiFamily,
     closed_form_frame,
+    closed_form_transform,
     phi_state,
     seed_frame_state,
     trivial_seed,
@@ -60,6 +64,7 @@ from spaceform_lab.ribaucour import (
     integrate_ribaucour,
     integrate_with_frame,
     seed_state,
+    transform_immersion,
     transformed_triple,
 )
 from spaceform_lab.triples import TripleField, _CubicSpline
@@ -248,6 +253,65 @@ def exact_frame(triple, init, sweep_order=(0, 1, 2)):
     return Y
 
 
+def ribaucour_generators(triple, lam):
+    """The constant generators M_a of a constant triple's Ribaucour system in
+    its linear form on the rows (gamma, rho, phi, psi, beta), rho = psi (v - v'),
+    with the first integral lambda (``ribaucour`` module docstring)."""
+    v, V = triple.constant_values
+    c, eps = float(triple.spec.c), float(triple.spec.eps)
+    M = np.zeros((3, 9, 9))
+    for a in range(3):
+        M[a, a, 3 + a] = 1.0                        # dgamma_a = rho_a + V_a beta - c v_a phi
+        M[a, a, 8] = V[a]
+        M[a, a, 6] = -c * v[a]
+        M[a, 3 + a, a] = lam * triple.delta[a]      # drho_a = lambda delta_a gamma_a
+        M[a, 6, a] = v[a]                           # dphi = v_a gamma_a
+        M[a, 8, a] = -eps * V[a]                    # dbeta = -eps V_a gamma_a
+    return M
+
+
+def exact_ribaucour(triple, init, mask_tol=None):
+    """(states, masked) of a constant triple's Ribaucour field from an init on
+    K2 = kappa: the linear form composed from scipy's ``expm`` along axes 0,
+    1 and 2, psi from K1 and v' = v - rho / psi, the base node the init.  A
+    node is masked where |phi| or |psi| < mask_tol or a value is not finite,
+    or where one is on its sweep path from the base."""
+    from scipy.linalg import expm
+
+    grid = triple.grid
+    tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
+    v, _ = triple.constant_values
+    d = np.asarray(triple.delta, dtype=float)
+    y = init.as_array()
+    rho = y[7] * (v - y[3:6])
+    lam = float(np.sum(d * v * rho)) / y[6]
+    M = ribaucour_generators(triple, lam)
+    Y = np.broadcast_to(np.concatenate([y[:3], rho, y[6:]]), tuple(grid.n) + (9,))
+    for a in range(3):
+        u = grid.axis(a)
+        E = np.stack([expm(M[a] * (x - u[grid.base[a]])) for x in u])
+        Y = np.einsum(f"{'ijk'[a]}rs,ijks->ijkr", E, Y)
+    eps, c = float(triple.spec.eps), float(triple.spec.c)
+    K1 = np.sum(y[:3] ** 2) + eps * y[8] ** 2 + c * y[6] ** 2 - 2.0 * y[6] * y[7]
+    states = Y.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        states[..., 7] = (np.sum(Y[..., :3] ** 2, axis=-1) + eps * Y[..., 8] ** 2
+                          + c * Y[..., 6] ** 2 - K1) / (2.0 * Y[..., 6])
+        states[..., 3:6] = v - Y[..., 3:6] / states[..., 7:8]
+    states[grid.base] = y
+    flagged = ((np.abs(states[..., 6]) < tol) | (np.abs(states[..., 7]) < tol)
+               | ~np.isfinite(states).all(axis=-1))
+    masked = np.zeros(grid.n, dtype=bool)
+    b = grid.base
+    for node in itertools.product(*map(range, grid.n)):
+        path = [(i, b[1], b[2]) for i in range(min(b[0], node[0]), max(b[0], node[0]) + 1)]
+        path += [(node[0], j, b[2]) for j in range(min(b[1], node[1]), max(b[1], node[1]) + 1)]
+        path += [(node[0], node[1], k) for k in range(min(b[2], node[2]),
+                                                     max(b[2], node[2]) + 1)]
+        masked[node] = any(flagged[p] for p in path)
+    return states, masked
+
+
 def assert_exact(states, ref, tol=1e-14):
     """``states`` within ``tol`` of ``ref``, relative to ref's largest entry."""
     assert states.shape == ref.shape
@@ -320,6 +384,22 @@ def _ribaucour_result(rf):
     return rf.states, rf.masked if rf.masked is not None else np.zeros(rf.grid.n, bool)
 
 
+def _assert_ribaucour(rf, t, init, mask_tol=None, tol=1e-13):
+    """A constant triple's Ribaucour field from an init on K2 = kappa against
+    its exact reference on the unmasked nodes, with the same mask; a sampled
+    triple's against the bytes of the RK4 reference."""
+    if not t.closed_form:
+        assert rf.scheme == "RK4 sweep"
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init, mask_tol))
+        return
+    assert rf.scheme == "exact propagator"
+    states, masked = _ribaucour_result(rf)
+    ref, ref_masked = exact_ribaucour(t, init, mask_tol)
+    assert np.array_equal(masked, ref_masked)
+    ok = ~masked
+    assert np.abs(states[ok] - ref[ok]).max() <= tol * np.abs(ref[ok]).max()
+
+
 def _closed_form_case(name):
     fam = FAMILIES[name]
     grid = ParameterGrid.centered(1.0, 9)
@@ -357,7 +437,7 @@ class TestBitIdentity:
         fam, t, init = _closed_form_case(name)
         _assert_frame(integrate_frame(t, fam.frame_init()), t, fam.frame_init())
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
-        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_ribaucour(rf, t, init)
 
     def test_reversed_sweep_order(self):
         fam, t, _ = _closed_form_case("s4_problemstar_sphere")
@@ -379,8 +459,9 @@ class TestBitIdentity:
         _assert_same(_ribaucour_result(rf2), ref_ribaucour(tt, init2))
 
     def test_mask_tol_freezes_lines(self):
+        # marched with RK4 on a sampled copy: the constant seed is propagated
         grid = ParameterGrid.centered(1.0, 9)
-        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=0.05, K2target=1.0)
@@ -430,7 +511,7 @@ class TestBitIdentity:
     def test_layer_write_ribaucour(self, name, where, sampled):
         fam, t, init = _layer_case(name, where, sampled)
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
-        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_ribaucour(rf, t, init)
 
 
 class TestInputsUntouched:
@@ -533,8 +614,9 @@ def _count_eval_at(triple):
 
 class TestEvalCount:
     """Each RK4 substep evaluates the triple four times, once per stage, for
-    all lines of the axis phase at once.  A constant triple's frame is
-    propagated exactly and evaluates it never."""
+    all lines of the axis phase at once.  A constant triple's frame, and its
+    Ribaucour system from a phi-state, are propagated exactly and evaluate it
+    never."""
 
     GRID = ParameterGrid((-0.2, -0.25, -0.15), (0.2, 0.15, 0.25), (5, 7, 6), (2, 3, 1))
     STEP = 0.03
@@ -566,7 +648,7 @@ class TestEvalCount:
         t, counts = self._counted_triple(fam, sampled)
         integrate_ribaucour(t, phi_state(fam, self.GRID.base_point), max_step=self.STEP,
                             K2target=fam.K2target)
-        calls, points = self._expected((0, 1, 2))
+        calls, points = self._expected((0, 1, 2)) if sampled else (0, 0)
         assert (counts["calls"], counts["points"]) == (calls, points)
 
     @pytest.mark.parametrize("sweep, order", [("frame", (0, 1, 2)), ("frame", (2, 0, 1)),
@@ -732,8 +814,9 @@ class TestStackedSweep:
         assert rf2.masked is not None and rf2.masked.any()
 
     def test_masked_nodes_keep_integrating_the_frame(self):
+        # marched with RK4 on a sampled copy: the constant seed is propagated
         grid = ParameterGrid.centered(1.0, 9)
-        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf, ff = self._assert_separate(t, init, standard_frame_state(t.spec),
@@ -807,7 +890,7 @@ class TestStackedSweep:
             else:
                 integrate_with_frame(t, init, fam.frame_init(), max_step=TestEvalCount.STEP,
                                      K2target=fam.K2target)
-        calls, points = TestEvalCount()._expected((0, 1, 2))
+        calls, points = TestEvalCount()._expected((0, 1, 2)) if sampled else (0, 0)
         assert len(seen["stacked"]) == calls
         assert sum(len(p) for p in seen["stacked"]) == points
         assert [p.tobytes() for p in seen["stacked"]] == [p.tobytes() for p in seen["separate"]]
@@ -955,8 +1038,9 @@ class TestLockstep:
     def test_masked_direction_leaves_the_other_integrating(self):
         # along the base line phi falls from 0.3 to 0.05 < mask_tol one node
         # into the - direction, which freezes there, and rises in the + direction
+        # (marched with RK4 on a sampled copy: the constant seed is propagated)
         grid = ParameterGrid.centered(1.0, 9)
-        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
@@ -1124,13 +1208,13 @@ class TestLaneRule:
 
 
 class TestBodiesBuiltForInputs:
-    """The Ribaucour body leaves out the h terms of a constant triple, and
-    both RK4 bodies the c terms when c = 0, unless y0 holds a -0.0 in the
-    rows those terms reach.  Marched states must be the bytes of the
-    expression-form references, which keep every term; the derivatives are
-    not compared, as a reduced body's dY may differ from the reference's in
-    the signs of zeros.  A constant triple's frame is propagated exactly and
-    checked against its exact reference."""
+    """Both RK4 bodies leave out the c terms when c = 0, unless y0 holds a
+    -0.0 in the rows those terms reach.  Marched states must be the bytes of
+    the expression-form references, which keep every term; the derivatives
+    are not compared, as a reduced body's dY may differ from the reference's
+    in the signs of zeros.  A constant triple's frame, and its Ribaucour
+    system from an init on K2 = kappa, are propagated exactly and checked
+    against their exact references."""
 
     GRID = TestEvalCount.GRID           # base (2, 3, 1): both directions on every axis
     # the conformally flat seed requires c = 0
@@ -1155,8 +1239,8 @@ class TestBodiesBuiltForInputs:
         # N = -E4 holds -0.0, but the dropped c term does not reach N
         t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
         y0 = seed_frame_state("problemstar_e1_Cneg", t.spec).as_array()
-        assert _negative_zero(y0[4]) and vanishing_terms(t, y0[1:4]) == (True, True)
-        assert vanishing_terms(_sampled_copy(t), y0[1:4]) == (False, True)
+        assert _negative_zero(y0[4]) and vanishing_terms(t, y0[1:4])
+        assert vanishing_terms(_sampled_copy(t), y0[1:4])
         assert callable(_frame_body(_sampled_copy(t), y0))
         assert not callable(_frame_body(t, y0))
 
@@ -1164,53 +1248,45 @@ class TestBodiesBuiltForInputs:
     def test_ribaucour_over_families(self, name):
         fam, t, init = _family_case(name, self.GRID, False)
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
-        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_ribaucour(rf, t, init)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_with_frame_over_families(self, name):
         fam, t, init = _family_case(name, self.GRID, False)
         rf, ff = integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
-        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        _assert_ribaucour(rf, t, init)
         _assert_frame(ff, t, fam.frame_init())
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_every_gamma_nonzero(self, c):
+        # K2 = 0.5 off kappa = 1 keeps the constant seed on RK4
         t = self._seed("problemstar_e1_Cneg", c, 0, self.GRID)
         req = RibaucourState((0.3, -0.2, 0.1), (1.0, 0.1, 0.0), phi=0.8, psi=0.0, beta=0.3)
-        init = seed_state(t, self.GRID.base, req, K2target=1.0)
+        init = seed_state(t, self.GRID.base, req, K2target=0.5)
         assert all(init.gamma)
-        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
+        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=0.5)
+        assert rf.scheme == "RK4 sweep"
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
         _assert_frame(ff, t, standard_frame_state(t.spec))
 
-    # The gate: a -0.0 in a row that a dropped term reaches keeps the full
-    # body.  A reduced body that also dropped the h'_aj add (h_aj + h' -> h')
-    # failed TestBitIdentity::test_closed_form_seeds[r4_problemstar] at byte
-    # 2631, v'_2 at node (0, 4, 0): the reference turns the phi-state's
-    # v'_2 = -0.0 into +0.0 there, and without the add it stayed -0.0.  The
-    # add reaches the v' rows, so the rule keeps it.
-
     def test_cflat_phi_state_negative_gamma(self):
+        # the gate: the -0.0 gamma_1 keeps the c term (marched with RK4 on a
+        # sampled copy: the constant seed is propagated)
         fam, t, init = _family_case("r4_cflat", self.GRID, False)
-        assert t.closed_form and fam.spec.c == 0
+        t = _sampled_copy(t)
+        assert fam.spec.c == 0 and not vanishing_terms(t, init.as_array()[:3])
         assert math.copysign(1.0, init.gamma[0]) < 0 and init.gamma[0] == 0
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
 
-    # On the seed v = (1, 0, 0), V = (0, 1, 0) with psi, beta < 0, each state
-    # makes dgamma_a = (v_a - v'_a) psi + beta V_a (- c phi v_a) = -0.0 along
-    # an axis a with gamma_a = -0.0, where the full body then subtracts a
-    # dropped -0.0, and -0.0 - (-0.0) = +0.0.
+    # On the seed v = (1, 0, 0), V = (0, 1, 0) with psi, beta < 0, the state
+    # makes dgamma_1 = (v_1 - v'_1) psi + beta V_1 - c phi v_1 = -0.0 along
+    # u_1 with gamma_1 = -0.0, where the full body then subtracts a dropped
+    # -0.0, and -0.0 - (-0.0) = +0.0.  K2 = 0.99 off kappa = 1 keeps it on RK4.
     NEGATIVE_GAMMA = {
         # c phi v_1 with c = 0, phi < 0, along u_1
         "c_term": (0.0, RibaucourState((-0.0, 1.0, 0.5), (1.0, 0.1, 0.0), phi=-0.5,
                                        psi=-0.8, beta=-0.3)),
-        # h_21 gamma_2 with gamma_2 < 0, along u_1
-        "h_term": (0.0, RibaucourState((-0.0, -1.0, 0.5), (1.0, 0.1, 0.0), phi=0.5,
-                                       psi=-0.8, beta=-0.3)),
-        # h_13 gamma_1 with gamma_1 < 0, along u_3, where c phi v_3 = +0.0
-        "h_term_c1": (1.0, RibaucourState((-1.0, 0.5, -0.0), (0.1, 0.2, 0.0), phi=0.5,
-                                          psi=-0.8, beta=-0.3)),
     }
 
     @pytest.mark.parametrize("case", sorted(NEGATIVE_GAMMA))
@@ -1260,10 +1336,8 @@ class TestBodiesBuiltForInputs:
         t = self._seed("problemstar_e1_Cneg", c, 0, self.GRID)
         sampled = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
         clean = [0.0, -1.0, math.nan, -math.inf, -math.nan]
-        assert vanishing_terms(t, clean) == (True, c == 0)
-        assert vanishing_terms(sampled, clean) == (False, c == 0)
-        assert vanishing_terms(t, [1.0, -0.0]) == vanishing_terms(sampled, [-0.0]) == (
-            False, False)
+        assert vanishing_terms(t, clean) == vanishing_terms(sampled, clean) == (c == 0)
+        assert not vanishing_terms(t, [1.0, -0.0]) and not vanishing_terms(sampled, [-0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1383,9 +1457,11 @@ class TestCarriedRows:
         frame_rows = 5 * t.spec.dim if case == "sampled" else 0
         assert self._marched_rows(monkeypatch, lambda: integrate_frame(
             t, frame_init, integrability_tol=None)) == ([{frame_rows}] * 3 if frame_rows else [])
-        # stacked after the Ribaucour rows, which are marched whole
+        # stacked after the Ribaucour rows, which a sampled triple marches
+        # whole and a constant triple propagates from its phi-state
         assert self._marched_rows(monkeypatch, lambda: integrate_with_frame(
-            t, init, frame_init, K2target=fam.K2target)) == [{9 + frame_rows}] * 3
+            t, init, frame_init, K2target=fam.K2target)) == (
+                [{9 + frame_rows}] * 3 if frame_rows else [])
 
     @pytest.mark.parametrize("base", [(2, 2, 2), (0, 0, 0)])
     @pytest.mark.parametrize("order", ORDERS)
@@ -1573,3 +1649,117 @@ class TestPropagators:
             sweep_integrate(t, t.grid, (0, 1, 2), [(_frame_body, fam.frame_init().as_array()),
                                                    (_ribaucour_body, init.as_array())],
                             DEFAULT_MAX_STEP, None, lambda Y: np.zeros(Y.shape[1], bool))
+
+
+# ---------------------------------------------------------------------------
+# exact steps for a constant triple's Ribaucour system
+# ---------------------------------------------------------------------------
+
+
+class TestRibaucourPropagators:
+    """A constant triple's Ribaucour system from an init on K2 = kappa is
+    propagated in its linear form: exact to rounding against the families'
+    closed forms and against the expm-composed reference, byte-identical on a
+    rerun and inside ``integrate_with_frame``, and free of triple
+    evaluations.  Any other input is marched with RK4."""
+
+    # each family kind with every (c, s) it admits: with K = 2 and a = 1,
+    # problemstar's branch signs hold in every ambient
+    FAMILY_CASES = [("problemstar", c, s) for c in (-1.0, 0.0, 1.0) for s in (0, 1)] + [
+        ("problemstar_sphere", 1.0, 0), ("cflat", 0.0, 0)]
+    FAMILY_K = {"problemstar": 2.0, "problemstar_sphere": -2.0, "cflat": -1.0}
+
+    @pytest.mark.parametrize("kind,c,s", FAMILY_CASES)
+    def test_family_against_closed_form(self, kind, c, s):
+        # on the 11^3 unit box: the Lorentzian problemstar's psi comes within
+        # 4e-3 of 0 there, and v' grows to 1e2
+        fam = PhiFamily(kind, K=self.FAMILY_K[kind], c=c, eps=1 - 2 * s, theta=THETA)
+        grid = ParameterGrid.centered(1.0, 11)
+        t = fam.seed_triple(grid)
+        rf, ff = integrate_with_frame(t, phi_state(fam, grid.base_point), fam.frame_init(),
+                                      K2target=fam.K2target)
+        assert rf.scheme == "exact propagator" and rf.masked is None
+        gamma, vprime, phi, psi, beta = fam.state_arrays(grid.points())
+        assert_exact(rf.states, np.concatenate(
+            [gamma, vprime, np.stack([phi, psi, beta], axis=-1)], axis=-1), 1e-13)
+        assert_exact(transform_immersion(ff, rf).positions,
+                     closed_form_transform(fam)(grid.points()), 1e-13)
+
+    @staticmethod
+    def _seed_init(kind, c, s, grid):
+        """A seed triple and a ``seed_state`` init on its K2 = kappa."""
+        t = TestBodiesBuiltForInputs._seed(kind, c, s, grid)
+        v, _ = t.constant_values
+        kappa = float(np.sum(np.asarray(t.delta) * v * v))
+        req = RibaucourState((0.3, -0.2, 0.1), tuple(1.2 * v + (0.1, -0.1, 0.2)), phi=0.8,
+                             psi=0.0, beta=0.3)
+        return t, seed_state(t, grid.base, req, K2target=kappa), kappa
+
+    @pytest.mark.parametrize("kind,c,s", TestBodiesBuiltForInputs.SEEDS)
+    def test_seed_against_expm(self, kind, c, s):
+        t, init, kappa = self._seed_init(kind, c, s, TestEvalCount.GRID)
+        rf = integrate_ribaucour(t, init, K2target=kappa)
+        _assert_ribaucour(rf, t, init)
+        again = integrate_ribaucour(t, init, K2target=kappa)
+        _assert_same(_ribaucour_result(again), _ribaucour_result(rf))
+        with_frame, _ = integrate_with_frame(t, init, seed_frame_state(kind, t.spec),
+                                             K2target=kappa)
+        _assert_same(_ribaucour_result(with_frame), _ribaucour_result(rf))
+        assert with_frame.scheme == rf.scheme == "exact propagator"
+
+    @pytest.mark.parametrize("mask_tol", [None, 0.05])
+    def test_phi_wall_masks_as_rk4(self, mask_tol):
+        # phi(u1) = 0.2 + u1 vanishes at the node u1 = -0.2 (``TestMasking``)
+        grid = ParameterGrid.centered(1.0, 21)
+        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
+        init = seed_state(t, grid.base, req, K2target=1.0)
+        rf = integrate_ribaucour(t, init, mask_tol=mask_tol, K2target=1.0)
+        _assert_ribaucour(rf, t, init, mask_tol)
+        rk4 = integrate_ribaucour(_sampled_copy(t), init, mask_tol=mask_tol, K2target=1.0)
+        assert rk4.scheme == "RK4 sweep"
+        assert np.array_equal(rf.masked, rk4.masked)
+        assert rf.masked.sum() == (3969 if mask_tol is None else rk4.masked.sum())
+
+    def test_no_evaluation(self, monkeypatch):
+        fam = FAMILIES["s4_problemstar_sphere"]
+        t = fam.seed_triple(TestEvalCount.GRID)
+        counts = _count_eval_at(t)
+        marched = []
+        real_march = _sweep.rk4_march
+        monkeypatch.setattr(_sweep, "rk4_march",
+                            lambda *args: marched.append(1) or real_march(*args))
+        init = phi_state(fam, t.grid.base_point)
+        integrate_ribaucour(t, init, K2target=fam.K2target)
+        integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
+        assert counts == {"calls": 0, "points": 0} and not marched
+
+    # kappa = 1 on the seed v = (1, 0, 0), delta = (1, -1, 1); the rounding
+    # bound is 1e-13 (|v'|^2 + |v|^2) = 2.5e-13 for v' about (1, 0.5, 0.5)
+    ROUTES = {
+        "on_quadric": ((1.0, 0.5, 0.5), 0.8, False, "exact propagator"),
+        "one_ulp_off": ((1.0 + 2.0**-52, 0.5, 0.5), 0.8, False, "exact propagator"),
+        "off_quadric": ((1.0 + 1e-12, 0.5, 0.5), 0.8, False, "RK4 sweep"),
+        "sampled": ((1.0, 0.5, 0.5), 0.8, True, "RK4 sweep"),
+        "phi_zero": ((1.0, 0.5, 0.5), 0.0, False, "RK4 sweep"),       # lambda = inf
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROUTES))
+    def test_route(self, case):
+        vprime, phi, sampled, scheme = self.ROUTES[case]
+        t = trivial_seed("problemstar_e1_Cneg", TestEvalCount.GRID, c=0.0, s=0, C=-1.0)
+        t = _sampled_copy(t) if sampled else t
+        init = RibaucourState((0.3, -0.2, 0.1), vprime, phi=phi, psi=0.7, beta=0.3)
+        rf = integrate_ribaucour(t, init, K2target=1.0)
+        assert rf.scheme == scheme
+        if scheme == "RK4 sweep":
+            _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    def test_overflow_marches(self):
+        # on K2 = kappa = 0, the exact values along u_1 overflow (eps = -1,
+        # V_1 = 30 on [0, 60]): the system is marched, masking those lines
+        t = TestBitIdentity()._overflowing_triple()
+        init = RibaucourState((1.0, 0.0, 0.0), (0.0, 0.5, 0.5), phi=0.2, psi=0.3, beta=0.3)
+        rf = integrate_ribaucour(t, init, K2target=0.0)
+        assert rf.scheme == "RK4 sweep" and rf.masked.any()
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
