@@ -49,8 +49,9 @@ nothing has no march time.  Exits 1 if the digests differ.
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
 
 ``_sweep.rk4_march`` may be the lane generator, ``rk4_march(rhs, lanes,
-axis, rows)``, or the older function that marched one direction's lines
-over one node interval per call, ``rk4_march(rhs, pts, ...)``.
+axis)`` (``rk4_march(rhs, lanes, axis, rows)`` before masking moved out of
+the sweep), or the older function that marched one direction's lines over
+one node interval per call, ``rk4_march(rhs, pts, ...)``.
 Separate benchmark processes cannot attribute a change of a few percent:
 one process and interleaved rounds share the host's state.
 """

@@ -23,10 +23,11 @@ a march of its direction alone, so states do not depend on how directions
 are grouped.  A phase of at most ``_LANE_LINES`` lines per direction marches
 its two directions together, so every ufunc call serves both: such a phase
 is dispatch-bound, a call of the right-hand side costing nearly as much for
-one line as for many.  That is always the first two phases (1 and n_a
-lines) and the last one (n_a n_b lines) up to 40 x 40 lines.  A wider phase
-marches its directions one after the other: there a doubled batch no longer
-fits in cache and marched slower.
+one line as for many.  That is the first two phases (1 and n_a lines) on
+any grid of up to 400 nodes per axis, and the last one (n_a n_b lines) up
+to 20 x 20 lines.  A wider phase marches its directions one after the
+other: there a merged batch marched no faster, or slower (the measurements
+at ``_LANE_LINES``).
 
 Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
 ``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
@@ -81,11 +82,11 @@ a system's rows are bit for bit those of a sweep of its own; dY may differ
 from the expression form's in the signs of zeros.  The guarantee is weaker
 where a dropped term would have been 0 * inf or 0 * NaN = NaN.  That needs
 a non-finite stage value, so it happens on a line whose state has gone
-non-finite, where the values frozen at the masked nodes may differ (NaN in
-one form, +-inf or a number in the other) and no output reads them, and on
-a line where an RK stage overflows while the node values around it stay
-finite, which takes a state within a factor of about two of the largest
-double.
+non-finite, where the values from that node on may differ (NaN in one form,
++-inf or a number in the other) and the sweep raises or the caller masks
+them ("Masking"), and on a line where an RK stage overflows while the node
+values around it stay finite, which takes a state within a factor of about
+two of the largest double.
 
 Right-hand side.  ``stacked_rhs`` builds the one right-hand side of the
 marched systems.  Per RK stage it evaluates the triple once per lane
@@ -102,19 +103,18 @@ dY as an accumulator.  A sweep makes the same ``eval_at`` calls however
 many marched systems it carries and however its directions are grouped:
 four per substep of each direction, and none when nothing is marched.
 
-Masked rows.  With a ``node_check``, masking governs the first system's
-rows, and that system must be marched: ``node_check`` and the freeze read
-its whole block at the top of the batch state.  A ``node_check`` flag or a
-non-finite value in those rows masks the line: the flag propagates along
-the sweep, and the line's masked rows freeze while its other rows keep
-integrating, as they would in a sweep of their own.  A propagated system is
-never masked: every node of it is written.  A caller that needs its mask
-builds it from the node values after the sweep (the Ribaucour system of a
-constant triple, ``ribaucour`` module docstring).  A non-finite value in
-any other marched row, or at any node a propagated system writes, raises
-NonFiniteState naming the axis and node; when both directions overflow,
-the + direction's node is named, as if it had marched first.  A phase's
-propagated systems are written and checked before its march.
+Masking.  A sweep writes every node of every system and masks none.  With
+``first_masked``, the first system's values may go non-finite: neither its
+marched rows nor the nodes it propagates raise, and its caller builds the
+mask from the node values after the sweep, with ``sweep_descendants`` for
+the nodes the sweep reaches through a flagged one (the Ribaucour field,
+``ribaucour`` module docstring).  Every line is its own column in each RK4
+operation, so a line that goes non-finite leaves the others' values as they
+would be without it.  A non-finite value in any other marched row, or at any
+node another propagated system writes, raises NonFiniteState naming the
+axis and node; when both directions overflow, the + direction's node is
+named, as if it had marched first.  A phase's propagated systems are written
+and checked before its march.
 """
 
 from __future__ import annotations
@@ -129,17 +129,20 @@ from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
 
 # A phase of at most this many lines per direction marches both directions as
-# one batch (module docstring, "Lanes").  Only RK4 systems march, so the rule
-# follows the Ribaucour sweep's last phase, merged against split on the
-# sweep_closed inputs, measured while their seed's Ribaucour system was still
-# marched as a sampled triple's is (scripts/sweep_ab.py, 12 or 20 interleaved
-# rounds, median ratio of the phase's march time, one process on a shared
-# 2-vCPU host; the range of two runs where there were two):
-#     grid       21^3   25^3   31^3   35^3   37^3   39^3        41^3
-#     lines      441    625    961    1225   1369   1521        1681
-#     Ribaucour  0.81   0.73   0.79   0.91   0.92   0.94-0.98   1.00-1.02
-# The crossover lies between 1521 and 1681 lines.
-_LANE_LINES = 1600
+# one batch (module docstring, "Lanes").  Merged against split (_LANE_LINES =
+# 0) on sampled sweeps, from_samples copies of the sweep_closed seed triple:
+# the median ratio of the last phase's march time over 20 interleaved
+# rounds in one process (14 at 31^3 and 41^3), on a shared 2-vCPU host,
+# for integrate_with_frame and integrate_ribaucour; the range of two runs
+# where there were two.  At 41^3 both sides split, so that column is the
+# noise of identical code.
+#     grid        15^3   17^3   19^3   21^3        25^3   31^3   41^3
+#     lines       225    289    361    441         625    961    1681
+#     with frame  0.88   0.95   1.00   1.05-1.06   1.04   1.04   1.03
+#     Ribaucour   0.89   0.98   0.98   1.01-1.03   1.03   1.15   1.00
+# The first two phases (1 and n lines) merged at 0.56-0.61 and 0.70-0.84.
+# The crossover lies between 361 and 441 lines.
+_LANE_LINES = 400
 
 
 def vanishing_terms(triple, reached):
@@ -168,10 +171,10 @@ def node_intervals(ax_vals, i0, step, max_step):
 class _Lane:
     """A lane of ``rk4_march``: its stage points and its place in its schedule."""
 
-    __slots__ = ("k", "bad", "intervals", "p0", "pm", "p1", "node", "u", "dt", "left")
+    __slots__ = ("k", "width", "intervals", "p0", "pm", "p1", "node", "u", "dt", "left")
 
-    def __init__(self, k, pts, bad, intervals):
-        self.k, self.bad, self.intervals = k, bad, intervals
+    def __init__(self, k, pts, intervals):
+        self.k, self.width, self.intervals = k, len(pts), intervals
         self.p0, self.pm, self.p1 = pts.copy(), pts.copy(), pts.copy()
         self.left = 0
 
@@ -182,34 +185,32 @@ class _Lane:
         return False
 
 
-def rk4_march(rhs, lanes, axis, rows=None):
+def rk4_march(rhs, lanes, axis):
     """March one or two lanes of lines along ``axis`` as one batch state,
     every live lane one RK4 substep of its own schedule per step.
 
-    A lane is ``(pts, y, bad, intervals)``: the (B, 3) start points of its
-    lines, their (R, B) states (not modified), the (B,) bool lines that keep
-    their first ``rows`` state rows (all rows when None), and its schedule
-    from ``node_intervals``.  The R rows are those of the marched systems
+    A lane is ``(pts, y, intervals)``: the (B, 3) start points of its lines,
+    their (R, B) states (not modified) and its schedule from
+    ``node_intervals``.  The R rows are those of the marched systems
     (module docstring, "Systems").  The live lanes' columns lie side by side
     in lane order; dt/2, dt and dt/6 are per column when two lanes are live,
     and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
-    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose schedule has ended
-    leaves the batch.  A substep's stages are at u, u + dt/2 (twice, k2 and
-    k3) and u + dt, u advancing by dt per substep and starting each node
-    interval at the node, so inside an interval the first stage of a
-    substep is at the bits of the last stage before it: a right-hand side
-    that keeps its last calls computes each distinct point set once
-    (``TripleField.eval_at``).
+    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose
+    schedule has ended leaves the batch.  A substep's stages are at u,
+    u + dt/2 (twice, k2 and k3) and u + dt, u advancing by dt per substep
+    and starting each node interval at the node, so inside an interval the
+    first stage of a substep is at the bits of the last stage before it: a
+    right-hand side that keeps its last calls computes each distinct point
+    set once (``TripleField.eval_at``).
 
     Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
-    (R, B) state there; the caller may flag more of that lane's ``bad``
-    before resuming.  Between arrivals, the stages and the combine run in
+    (R, B) state there.  Between arrivals, the stages and the combine run in
     place in one ``stage`` buffer, and the k arrays returned by ``rhs`` are
     reused as accumulators, in the order y + (dt/2) k and
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  Overflow inside a step is left
     to the caller's ``np.errstate`` and checked on node arrival.
     """
-    live = [_Lane(k, pts, bad, intervals) for k, (pts, _, bad, intervals) in enumerate(lanes)]
+    live = [_Lane(k, pts, intervals) for k, (pts, _, intervals) in enumerate(lanes)]
     live = [lane for lane in live if lane.next_interval()]
     y = np.concatenate([lanes[lane.k][1] for lane in live], axis=1) if live else None
     while live:
@@ -218,14 +219,12 @@ def rk4_march(rhs, lanes, axis, rows=None):
             half, sixth = 0.5 * dt, dt / 6.0
             p0, pm, p1 = live[0].p0, live[0].pm, live[0].p1
         else:
-            widths = [len(lane.bad) for lane in live]
+            widths = [lane.width for lane in live]
             dt = np.repeat([lane.dt for lane in live], widths)
             half = np.repeat([0.5 * lane.dt for lane in live], widths)
             sixth = np.repeat([lane.dt / 6.0 for lane in live], widths)
             p0, pm, p1 = ([lane.p0 for lane in live], [lane.pm for lane in live],
                           [lane.p1 for lane in live])
-        frozen = np.concatenate([lane.bad for lane in live])
-        hold = frozen.any()
         stage = np.empty_like(y)
         steps = min(lane.left for lane in live)     # up to the next arrival
         for _ in range(steps):
@@ -241,15 +240,12 @@ def rk4_march(rhs, lanes, axis, rows=None):
             k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
             k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
             k4 = np.add(k3, k4, out=k4)
-            y_new = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
-            if hold:
-                y_new[:rows, frozen] = y[:rows, frozen]
-            y = y_new
+            y = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
         del k1, k2, k3, stage      # the caller's node work reuses this memory
 
         cols, lo = [], 0
         for lane in live:
-            hi = lo + len(lane.bad)
+            hi = lo + lane.width
             lane.left -= steps
             if not lane.left:
                 yield lane.k, lane.node, y[:, lo:hi]
@@ -276,13 +272,12 @@ def _lane_values(lanes):
 
 
 def stacked_rhs(triple, systems):
-    """(rhs, y0, blocks) for the marched ``systems``, ``(body, y0)`` pairs,
+    """(rhs, blocks) for the marched ``systems``, ``(body, y0)`` pairs,
     stacked on one state: the right-hand side ``rhs(points, Y (R, B), axis)
-    -> dY``, the stacked initial state (R,) and each system's row slice of it
-    (module docstring, "Systems").  ``points`` is one (B, 3) array, or a list
-    of one per lane whose columns lie side by side in Y."""
-    systems = [(body, np.asarray(y0, dtype=float)) for body, y0 in systems]
-    blocks = _blocks([y0.size for _, y0 in systems])
+    -> dY`` and each system's row slice of Y, its y0 flattened (module
+    docstring, "Systems").  ``points`` is one (B, 3) array, or a list of one
+    per lane whose columns lie side by side in Y."""
+    blocks = _blocks([np.size(y0) for _, y0 in systems])
     parts = [(body, rows) for (body, _), rows in zip(systems, blocks)]
 
     last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
@@ -307,7 +302,7 @@ def stacked_rhs(triple, systems):
             body(v, h, V, Y[rows], dY[rows], axis)
         return dY
 
-    return rhs, np.concatenate([y0.ravel() for _, y0 in systems] or [np.empty(0)]), blocks
+    return rhs, blocks
 
 
 def _blocks(sizes):
@@ -410,8 +405,25 @@ def _check_finite(systems):
                                 f"{float(y0[row])}; a sweep starts from finite values")
 
 
+def sweep_descendants(flagged, base, order):
+    """``flagged``, a grid.n bool array, with every node that a sweep from
+    ``base`` in ``order`` reaches through a flagged node flagged too (module
+    docstring, "March order"): a line's flag carries on away from its start
+    node, and a flagged start node flags its whole line in the next phase.
+    Works in place and returns ``flagged``."""
+    axes = _check_order(order)
+    for phase, axis in enumerate(axes):
+        done = axes[:phase + 1]
+        layer = flagged[tuple(slice(None) if a in done else base[a] for a in range(3))]
+        line = np.moveaxis(layer, sum(a < axis for a in done), 0)
+        i0 = base[axis]
+        line[i0:] = np.logical_or.accumulate(line[i0:], axis=0)
+        line[i0::-1] = np.logical_or.accumulate(line[i0::-1], axis=0)
+    return flagged
+
+
 def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
-                    node_check=None):
+                    first_masked=False):
     """Integrate the ``systems`` that ``triple`` drives over ``grid`` in one sweep.
 
     ``systems`` is an ordered list of ``(make_body, y0)`` (module docstring);
@@ -419,14 +431,12 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     The triple is checked first (``check_sweep_input``: GridMismatch,
     PreconditionFailed), then each ``make_body`` sees its y0, then ``max_step``
     must be positive and finite, ``order`` a permutation of (0, 1, 2) and
-    every y0 finite (InvalidParams, naming the system and the row).
-    ``node_check(Y (R, B)) -> (B,) bool`` flags lines to mask, evaluated on
-    arrival; masking governs the first system's rows, and that system must
-    be marched (InvalidParams otherwise).  Without it, a non-finite value in
-    any row raises NonFiniteState.
-    Returns (states, masked): per system, in list order, a grid.n + y0.shape
-    view of its own contiguous y0.shape + grid.n component planes (moving the
-    component axes first gives the planes back); and the grid.n bool mask.
+    every y0 finite (InvalidParams, naming the system and the row).  A
+    non-finite value raises NonFiniteState, except in the first system when
+    ``first_masked``: its caller masks its nodes (module docstring,
+    "Masking").  Returns per system, in list order, a grid.n + y0.shape view
+    of its own contiguous y0.shape + grid.n component planes (moving the
+    component axes first gives the planes back).
     """
     check_sweep_input(triple, grid, integrability_tol)
     systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
@@ -436,20 +446,15 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
     axes = _check_order(order)
     _check_finite(systems)
     marched = [k for k, body in enumerate(bodies) if callable(body)]
-    if node_check is not None and marched[:1] != [0]:
-        raise InvalidParams("node_check masks the first system, which must be marched")
-    rhs, y0, blocks = stacked_rhs(triple, [(bodies[k], systems[k][1]) for k in marched])
-    mask_rows = blocks[0].stop if node_check is not None else 0
+    rhs, blocks = stacked_rhs(triple, [(bodies[k], systems[k][1]) for k in marched])
+    # the marched rows checked on arrival: all but a masked first system's
+    checked = blocks[0].stop if first_masked and marched[:1] == [0] else 0
     n = grid.n
     # each system's states live in their own (rows,) + grid.n component
     # planes; every node is written by one of the phases
     states = [np.empty((y.size,) + tuple(n)) for _, y in systems]
     for part, (_, y) in zip(states, systems):
         part[(slice(None),) + grid.base] = y.ravel()
-    masked = np.zeros(n, dtype=bool)
-
-    if node_check is not None and node_check(y0[:, None])[0]:
-        masked[grid.base] = True
 
     for phase, axis in enumerate(axes):
         done = axes[:phase]
@@ -463,9 +468,11 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         i0 = grid.base[axis]
         with np.errstate(over="ignore", invalid="ignore"):
             overflow = np.zeros(n[axis], dtype=bool)
-            for part, body in zip(states, bodies):
+            for k, (part, body) in enumerate(zip(states, bodies)):
                 if not callable(body):
-                    overflow |= _propagate(part, body[axis], at, axis, ax_vals - ax_vals[i0])
+                    bad = _propagate(part, body[axis], at, axis, ax_vals - ax_vals[i0])
+                    if k or not first_masked:
+                        overflow |= bad
         if overflow.any():
             plus, minus = np.flatnonzero(overflow[i0 + 1:]), np.flatnonzero(overflow[:i0])
             node = i0 + 1 + plus[0] if len(plus) else minus[-1]
@@ -478,33 +485,26 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         writes = [(states[k], rows) for k, rows in zip(marched, blocks)]
         y_start = np.concatenate([part[(slice(None),) + start].reshape(-1, B)
                                   for part, _ in writes])
-        bad_start = masked[start].reshape(B)
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
-        lanes = [(+1, bad_start.copy()), (-1, bad_start.copy())]
-        for group in [lanes] if B <= _LANE_LINES else [[lane] for lane in lanes]:
-            plus_open = group[0][0] > 0 and i0 < n[axis] - 1
+        for group in [(+1, -1)] if B <= _LANE_LINES else [(+1,), (-1,)]:
+            plus_open = group[0] > 0 and i0 < n[axis] - 1
             held = None         # a - direction overflow, raised once + has ended
-            march = rk4_march(rhs, [(pts_start, y_start, bad,
+            march = rk4_march(rhs, [(pts_start, y_start,
                                      node_intervals(ax_vals, i0, step, max_step))
-                                    for step, bad in group], axis, mask_rows)
+                                    for step in group], axis)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for k, nxt, y in march:
-                    step, bad = group[k]
-                    if mask_rows < len(y) and not np.isfinite(y[mask_rows:]).all():
+                    step = group[k]
+                    if not np.isfinite(y[checked:]).all():
                         err = NonFiniteState(
                             f"state overflowed along axis {axis} at node {nxt}")
                         if step > 0 or not plus_open:
                             raise err
                         held = held or err
-                    if mask_rows:
-                        bad |= ~np.isfinite(y[:mask_rows]).all(axis=0)
-                    if node_check is not None:
-                        bad |= node_check(y)
                     at[axis] = nxt
                     layer = tuple(at)
                     for part, rows in writes:
                         part[(slice(None),) + layer] = y[rows].reshape((-1,) + done_shape)
-                    masked[layer] |= bad.reshape(done_shape)
                     if step > 0 and nxt == n[axis] - 1:
                         plus_open = False
                         if held:
@@ -514,4 +514,4 @@ def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
         k = y.ndim
         views.append(np.moveaxis(part.reshape(y.shape + tuple(n)), tuple(range(k)),
                                  tuple(range(-k, 0))))
-    return views, masked
+    return views

@@ -43,15 +43,14 @@ from K1, psi = (|gamma|^2 + eps beta^2 + c phi^2 - K1_0) / (2 phi), and
 v' = v - rho / psi; the base node keeps the init.  The route is chosen from
 the triple and the init alone: a sampled triple, a non-finite init or
 lambda, and an init with |K2_0 - kappa| > ``_K2_ROUNDING`` (|v'_0|^2 + |v|^2)
-take the RK4 sweep, and so does a system whose exact values overflow a
-double somewhere on the grid (the propagation raises NonFiniteState; RK4
-masks the lines that overflow).  ``RibaucourField.scheme`` says which.
+take the RK4 sweep.  Exact values that overflow a double stay on the exact
+route and are masked.  ``RibaucourField.scheme`` says which route ran.
 
-Masking.  On either route a node is masked where |phi| or |psi| falls under
-the mask tolerance or a value is not finite, and every node the sweep
-reaches through it is masked with it.  The RK4 sweep freezes a masked line's
-values; the exact route keeps the propagated values there.  No consumer
-reads a masked node.
+Masking.  Both routes sweep every node and mask after the sweep, with one
+function (``_mask``): a node is masked where |phi| or |psi| falls under the
+mask tolerance or a value is not finite, and every node the sweep reaches
+through it is masked with it.  The values at masked nodes are whatever the
+sweep left there, and no consumer reads them.
 """
 
 from __future__ import annotations
@@ -61,13 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep_integrate, vanishing_terms
+from ._sweep import sweep_descendants, sweep_integrate, vanishing_terms
 from .errors import (
     ConstraintUnsatisfiable,
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
-    NonFiniteState,
     SingularPhi,
     SingularPsi,
 )
@@ -342,20 +340,11 @@ def _recover(planes, triple: TripleField, linear):
 
 def _mask(planes, base, mask_tol):
     """The nodes of a swept field to mask: where |phi| or |psi| is under
-    ``mask_tol`` or a value is not finite, and every node a (0, 1, 2) sweep
-    from ``base`` reaches through one (``_sweep`` module docstring, "March
-    order").  A line's flag carries on away from its start node, and a
-    flagged start node flags its whole line in the next phase."""
-    masked = ((np.abs(planes[_PHI]) < mask_tol) | (np.abs(planes[_PSI]) < mask_tol)
-              | ~np.isfinite(planes).all(axis=0))
-    for axis in range(3):
-        # the nodes of this phase: every index of the axes done and this one
-        line = np.moveaxis(masked[tuple(slice(None) if a <= axis else base[a]
-                                        for a in range(3))], axis, 0)
-        i0 = base[axis]
-        line[i0:] = np.logical_or.accumulate(line[i0:], axis=0)
-        line[i0::-1] = np.logical_or.accumulate(line[i0::-1], axis=0)
-    return masked
+    ``mask_tol`` or a value is not finite, and every node the (0, 1, 2)
+    sweep from ``base`` reaches through one (``sweep_descendants``)."""
+    flagged = ((np.abs(planes[_PHI]) < mask_tol) | (np.abs(planes[_PSI]) < mask_tol)
+               | ~np.isfinite(planes).all(axis=0))
+    return sweep_descendants(flagged, base, (0, 1, 2))
 
 
 def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
@@ -370,30 +359,18 @@ def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                                      np.asarray(init.vprime)))
     y0 = init.as_array()
     linear = _linear_init(triple, y0)
+    system = (_ribaucour_body, y0) if linear is None else (_ribaucour_generators, linear)
+    states, *other_states = sweep_integrate(triple, grid, (0, 1, 2), [system, *others],
+                                            max_step, integrability_tol, first_masked=True)
+    planes = np.moveaxis(states, -1, 0)
     if linear is not None:
-        try:
-            (states, *other_states), _ = sweep_integrate(
-                triple, grid, (0, 1, 2), [(_ribaucour_generators, linear), *others],
-                max_step, integrability_tol)
-        except NonFiniteState:
-            linear = None           # values beyond a double: RK4 masks their lines
-    if linear is None:
-        def node_check(Y):
-            return (np.abs(Y[_PHI]) < mask_tol) | (np.abs(Y[_PSI]) < mask_tol)
-
-        (states, *other_states), masked = sweep_integrate(
-            triple, grid, (0, 1, 2), [(_ribaucour_body, y0), *others],
-            max_step, integrability_tol, node_check)
-        scheme = "RK4 sweep"
-    else:
-        planes = np.moveaxis(states, -1, 0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _recover(planes, triple, linear)
         planes[(slice(None),) + grid.base] = y0
-        masked = _mask(planes, grid.base, mask_tol)
-        scheme = "exact propagator"
+    masked = _mask(planes, grid.base, mask_tol)
     rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
-                        masked if masked.any() else None, scheme)
+                        masked if masked.any() else None,
+                        "RK4 sweep" if linear is None else "exact propagator")
     return rf, other_states
 
 
@@ -406,9 +383,9 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
     A constant triple whose init has K2_0 = kappa is propagated exactly,
     any other is marched with RK4 (module docstring, ``RibaucourField.scheme``).
-    Nodes where |phi| or |psi| falls below ``mask_tol`` or a value is not
-    finite are masked, and their sweep descendants with them; the other
-    lines' values do not depend on the masked ones.
+    After the sweep, nodes where |phi| or |psi| falls below ``mask_tol`` or a
+    value is not finite are masked, and their sweep descendants with them;
+    the unmasked nodes' values do not depend on the masked ones.
     """
     rf, _ = _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                              integrability_tol)
@@ -425,9 +402,9 @@ def integrate_with_frame(triple: TripleField, init: RibaucourState,
     ``integrate_ribaucour(triple, init, ...)`` and ``integrate_frame(triple,
     frame_init, sweep_order=(0, 1, 2), max_step=max_step)`` return, from one
     evaluation of the triple per RK stage (none when both are propagated).
-    The seed is checked once.  Masking covers the
-    Ribaucour rows only: the frame is integrated at every node, and a frame
-    overflow raises NonFiniteState.
+    The seed is checked once.  Only the Ribaucour field is masked: the frame
+    is never masked, and a frame overflow raises NonFiniteState at the node
+    ``integrate_frame`` names.
     """
     rf, (frame_states,) = _ribaucour_sweep(triple, init, grid, max_step, mask_tol,
                                            K2target, integrability_tol,

@@ -6,7 +6,10 @@ The reference below is the engine as it was before sweep states were carried
 batch-last: lines march as (B,) + state_shape arrays, every RK4 stage is a
 fresh array, and the two right-hand sides slice per-line columns.  The
 batch-last engine performs the same floating-point operations in the same
-order, so its marched states must match the reference's byte for byte.  A
+order, so its marched states must match the reference's byte for byte.  The
+reference masks the Ribaucour field while it marches and freezes a masked
+line; the engine marches every line and the field is masked after the
+sweep, so the masks must be equal and the bytes equal at unmasked nodes.  A
 constant triple's frame is not marched but propagated exactly: it is checked
 against ``exact_frame``, composed from scipy's ``expm``, to 1e-14 relative.
 So is its Ribaucour system from an init on K2 = kappa, in its linear form:
@@ -27,6 +30,7 @@ from spaceform_lab._sweep import (
     propagators,
     rk4_march,
     stacked_rhs,
+    sweep_descendants,
     sweep_integrate,
     vanishing_terms,
 )
@@ -63,6 +67,7 @@ from spaceform_lab.ribaucour import (
     default_mask_tol,
     integrate_ribaucour,
     integrate_with_frame,
+    invariant_drift,
     seed_state,
     transform_immersion,
     transformed_triple,
@@ -301,15 +306,22 @@ def exact_ribaucour(triple, init, mask_tol=None):
     states[grid.base] = y
     flagged = ((np.abs(states[..., 6]) < tol) | (np.abs(states[..., 7]) < tol)
                | ~np.isfinite(states).all(axis=-1))
-    masked = np.zeros(grid.n, dtype=bool)
-    b = grid.base
-    for node in itertools.product(*map(range, grid.n)):
-        path = [(i, b[1], b[2]) for i in range(min(b[0], node[0]), max(b[0], node[0]) + 1)]
-        path += [(node[0], j, b[2]) for j in range(min(b[1], node[1]), max(b[1], node[1]) + 1)]
-        path += [(node[0], node[1], k) for k in range(min(b[2], node[2]),
-                                                     max(b[2], node[2]) + 1)]
+    return states, path_masked(flagged, grid.base)
+
+
+def path_masked(flagged, base, order=(0, 1, 2)):
+    """The nodes with a flagged node on their sweep path: from ``base`` along
+    each axis of ``order`` in turn to the node's index on that axis."""
+    masked = np.zeros(flagged.shape, dtype=bool)
+    for node in itertools.product(*map(range, flagged.shape)):
+        at, path = list(base), []
+        for a in order:
+            for i in range(min(base[a], node[a]), max(base[a], node[a]) + 1):
+                at[a] = i
+                path.append(tuple(at))
+            at[a] = node[a]
         masked[node] = any(flagged[p] for p in path)
-    return states, masked
+    return masked
 
 
 def assert_exact(states, ref, tol=1e-14):
@@ -350,11 +362,12 @@ FAMILIES = {
 
 
 def _assert_same(states_masked, ref):
+    """The same mask, and the same bytes at every unmasked node."""
     states, masked = states_masked
     ref_states, ref_masked = ref
     assert states.shape == ref_states.shape
-    assert states.tobytes() == ref_states.tobytes()
     assert np.array_equal(masked, ref_masked)
+    assert states[~masked].tobytes() == ref_states[~masked].tobytes()
 
 
 def _negative_zero(values):
@@ -458,7 +471,7 @@ class TestBitIdentity:
         rf2 = integrate_ribaucour(tt, init2, K2target=fam.K2target)
         _assert_same(_ribaucour_result(rf2), ref_ribaucour(tt, init2))
 
-    def test_mask_tol_freezes_lines(self):
+    def test_mask_tol_masks_lines(self):
         # marched with RK4 on a sampled copy: the constant seed is propagated
         grid = ParameterGrid.centered(1.0, 9)
         t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
@@ -543,8 +556,8 @@ class TestInputsUntouched:
         systems = {"frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
                    "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}
         parts = [systems[name] for name in engine.split("+")]
-        rhs, y0, blocks = stacked_rhs(t, [(make_body(t, np.zeros(shape)), np.zeros(shape))
-                                          for make_body, _, shape in parts])
+        rhs, blocks = stacked_rhs(t, [(make_body(t, np.zeros(shape)), np.zeros(shape))
+                                      for make_body, _, shape in parts])
         Ys = [self._state(rng, shape + (self.B,)) for _, _, shape in parts]
         if engine.startswith("ribaucour"):
             # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
@@ -558,23 +571,21 @@ class TestInputsUntouched:
                     for (_, ref_rhs, _), part in zip(parts, Ys)]
         assert Y.tobytes() == before
         assert not np.shares_memory(dY, Y)
-        assert dY.shape == Y.shape == (len(y0), self.B)
+        assert dY.shape == Y.shape == (blocks[-1].stop, self.B)
         for rows, ref in zip(blocks, refs):
             assert dY[rows].tobytes() == np.moveaxis(ref, 0, -1).tobytes()
 
     def test_rk4_march(self):
         t, pts, rng = self._case()
         shape = (5, t.spec.dim)
-        rhs, _, _ = stacked_rhs(t, [(_frame_body(t, np.zeros(shape)), np.zeros(shape))])
+        rhs, _ = stacked_rhs(t, [(_frame_body(t, np.zeros(shape)), np.zeros(shape))])
         Y = rng.normal(size=(math.prod(shape), self.B))
-        frozen = np.arange(self.B) % 3 == 0
         before = Y.tobytes()
         u = t.grid.axis(1)
-        [(_, _, y)] = rk4_march(rhs, [(pts, Y, frozen, node_intervals(u[4:6], 0, 1, 0.02))], 1)
+        [(_, _, y)] = rk4_march(rhs, [(pts, Y, node_intervals(u[4:6], 0, 1, 0.02))], 1)
         assert Y.tobytes() == before
         assert not np.shares_memory(y, Y)
-        assert y[..., frozen].tobytes() == Y[..., frozen].tobytes()
-        assert not np.array_equal(y[..., ~frozen], Y[..., ~frozen])
+        assert (y != Y).any(axis=0).all()
 
 
 class TestMaxStep:
@@ -774,8 +785,8 @@ class TestSplineLinePath:
 
 class TestStackedSweep:
     """``integrate_with_frame`` marches the Ribaucour and frame rows as one
-    state: both fields must have the bytes of the separate sweeps, masking must
-    freeze the Ribaucour rows only, and the triple is evaluated once per stage."""
+    state: both fields must have the bytes of the separate sweeps, masking
+    covers the Ribaucour field only, and the triple is evaluated once per stage."""
 
     FAMILIES = dict(FAMILIES, r4_problemstar_eps_minus1=PhiFamily(
         "problemstar", K=2.0, a=1.0, c=0.0, eps=-1, theta=THETA))
@@ -824,14 +835,12 @@ class TestStackedSweep:
         masked = rf.masked
         assert masked is not None and masked.any() and not masked.all()
         # the axis-1 line from a masked node of the base line: its Ribaucour
-        # rows are frozen, its frame rows turn (V_2 = 1)
+        # nodes are masked, its frame rows turn (V_2 = 1)
         i = int(np.argmax(masked[:, 4, 4]))
         line = (i, slice(4, None), 4)
         assert masked[line].all()
-        rows = rf.states[line]
-        assert {r.tobytes() for r in rows} == {rows[0].tobytes()}
         assert np.isfinite(ff.states[line]).all()
-        assert len(np.unique(ff.N[line], axis=0)) == len(rows)
+        assert len(np.unique(ff.N[line], axis=0)) == len(ff.N[line])
 
     def test_frame_overflow_raises(self):
         # the Ribaucour rows overflow too and are masked; the frame rows raise
@@ -902,15 +911,15 @@ class TestStackedSweep:
 
 
 def _engine_ribaucour(t, init, order):
-    """``integrate_ribaucour``'s sweep in any axis order (it sweeps (0, 1, 2))."""
+    """``integrate_ribaucour``'s sweep and mask in any axis order (it sweeps
+    (0, 1, 2)): nodes where |phi| or |psi| < mask_tol or a value is not
+    finite, and the nodes the sweep reaches through them."""
     tol = default_mask_tol(t.grid)
-
-    def node_check(Y):
-        return (np.abs(Y[6]) < tol) | (np.abs(Y[7]) < tol)
-
-    (states,), masked = sweep_integrate(t, t.grid, order, [(_ribaucour_body, init.as_array())],
-                                        DEFAULT_MAX_STEP, None, node_check)
-    return states, masked
+    (states,) = sweep_integrate(t, t.grid, order, [(_ribaucour_body, init.as_array())],
+                                DEFAULT_MAX_STEP, None, first_masked=True)
+    flagged = ((np.abs(states[..., 6]) < tol) | (np.abs(states[..., 7]) < tol)
+               | ~np.isfinite(states).all(axis=-1))
+    return states, sweep_descendants(flagged, t.grid.base, order)
 
 
 def _schedules(grid, axis, max_step=DEFAULT_MAX_STEP):
@@ -918,6 +927,25 @@ def _schedules(grid, axis, max_step=DEFAULT_MAX_STEP):
     return [[nsub for *_, nsub in node_intervals(grid.axis(axis), grid.base[axis], step,
                                                  max_step)]
             for step in (+1, -1)]
+
+
+class TestSweepDescendants:
+    """``sweep_descendants`` flags the nodes with a flagged node on their
+    sweep path, in any axis order and from any base."""
+
+    @pytest.mark.parametrize("base", [(2, 3, 1), (0, 3, 5), (4, 0, 0)])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_against_paths(self, order, base):
+        rng = np.random.default_rng(7)
+        for density in (0.01, 0.05, 0.2):
+            flagged = rng.random((5, 7, 6)) < density
+            ref = path_masked(flagged, base, order)
+            assert np.array_equal(sweep_descendants(flagged.copy(), base, order), ref)
+
+    def test_flagged_base_flags_every_node(self):
+        flagged = np.zeros((5, 7, 6), dtype=bool)
+        flagged[2, 3, 1] = True
+        assert sweep_descendants(flagged, (2, 3, 1), (1, 0, 2)).all()
 
 
 class TestLockstep:
@@ -953,7 +981,7 @@ class TestLockstep:
         assert nsub > 1e298
         t = _sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
         y0 = np.zeros((5, t.spec.dim))
-        rhs, y0, _ = stacked_rhs(t, [(_frame_body(t, y0), y0)])
+        rhs, _ = stacked_rhs(t, [(_frame_body(t, y0), y0)])
         calls = []
 
         class Enough(Exception):
@@ -966,9 +994,8 @@ class TestLockstep:
             return rhs(pts, Y, axis)
 
         pts = np.array([grid.base_point])
-        y = np.zeros((len(y0), 1))
-        lanes = [(pts, y, np.zeros(1, bool), node_intervals(grid.axis(0), 20, step, 1e-300))
-                 for step in (+1, -1)]
+        y = np.zeros((y0.size, 1))
+        lanes = [(pts, y, node_intervals(grid.axis(0), 20, step, 1e-300)) for step in (+1, -1)]
         with pytest.raises(Enough):
             next(rk4_march(counted, lanes, 0))
         assert calls == [2] * 16            # two lanes of one line each
@@ -1037,8 +1064,9 @@ class TestLockstep:
 
     def test_masked_direction_leaves_the_other_integrating(self):
         # along the base line phi falls from 0.3 to 0.05 < mask_tol one node
-        # into the - direction, which freezes there, and rises in the + direction
-        # (marched with RK4 on a sampled copy: the constant seed is propagated)
+        # into the - direction, which is masked from there, and rises in the +
+        # direction (marched with RK4 on a sampled copy: the constant seed is
+        # propagated)
         grid = ParameterGrid.centered(1.0, 9)
         t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
@@ -1046,9 +1074,7 @@ class TestLockstep:
         rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
         line = rf.masked[:, 4, 4]
         assert line[:4].all() and not line[4:].any()
-        minus, plus = rf.states[:4, 4, 4], rf.states[4:, 4, 4]
-        assert np.isfinite(minus).all() and {row.tobytes() for row in minus} == {
-            minus[3].tobytes()}
+        plus = rf.states[4:, 4, 4]
         assert np.isfinite(plus).all() and len({row.tobytes() for row in plus}) == len(plus)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init, mask_tol=0.1))
 
@@ -1179,7 +1205,7 @@ class TestLaneRule:
         _assert_same(merged, split)
 
     def test_masked_line(self, monkeypatch):
-        # the - direction of the base line freezes one node from the base
+        # the - direction of the base line is masked from one node from the base
         # (TestLockstep.test_masked_direction_leaves_the_other_integrating),
         # and the lines started from its nodes stay masked
         grid = ParameterGrid.centered(1.0, 9)
@@ -1363,7 +1389,7 @@ class TestPlaneLayout:
         if kind == "with_frame":
             systems.append((_frame_body, frame_init.as_array()))
         if order != (0, 1, 2):
-            states, _ = sweep_integrate(t, t.grid, order, systems, DEFAULT_MAX_STEP, None)
+            states = sweep_integrate(t, t.grid, order, systems, DEFAULT_MAX_STEP, None)
             return list(zip(states, (1, 2)))
         if kind == "ribaucour":
             return [(integrate_ribaucour(t, init, K2target=fam.K2target).states, 1)]
@@ -1642,14 +1668,6 @@ class TestPropagators:
         assert not ff.X[..., 0, :].any() and not ff.N.any()
         assert np.isfinite(ff.states).all()
 
-    def test_node_check_needs_a_marched_first_system(self):
-        fam, t, init = _closed_form_case("r4_problemstar")
-        t = TestCarriedRows._uncalled(t)
-        with pytest.raises(InvalidParams, match="must be marched"):
-            sweep_integrate(t, t.grid, (0, 1, 2), [(_frame_body, fam.frame_init().as_array()),
-                                                   (_ribaucour_body, init.as_array())],
-                            DEFAULT_MAX_STEP, None, lambda Y: np.zeros(Y.shape[1], bool))
-
 
 # ---------------------------------------------------------------------------
 # exact steps for a constant triple's Ribaucour system
@@ -1755,11 +1773,38 @@ class TestRibaucourPropagators:
         if scheme == "RK4 sweep":
             _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
 
-    def test_overflow_marches(self):
+    OVERFLOW_INIT = RibaucourState((1.0, 0.0, 0.0), (0.0, 0.5, 0.5), phi=0.2, psi=0.3,
+                                   beta=0.3)
+
+    def test_overflow_masks(self):
         # on K2 = kappa = 0, the exact values along u_1 overflow (eps = -1,
-        # V_1 = 30 on [0, 60]): the system is marched, masking those lines
+        # V_1 = 30 on [0, 60]): the system stays on the exact route, masking
+        # the nodes whose recovered values are not finite and their sweep
+        # descendants, and K1 keeps the init's value on every kept node
         t = TestBitIdentity()._overflowing_triple()
-        init = RibaucourState((1.0, 0.0, 0.0), (0.0, 0.5, 0.5), phi=0.2, psi=0.3, beta=0.3)
+        init = self.OVERFLOW_INIT
         rf = integrate_ribaucour(t, init, K2target=0.0)
-        assert rf.scheme == "RK4 sweep" and rf.masked.any()
-        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+        assert rf.scheme == "exact propagator"
+        assert (int(rf.masked.sum()), rf.masked.size) == (625, 775)
+        # the values kept reach 1e130, where recovering psi from K1 cancels
+        # squares of 1e260: only the masks are compared
+        with np.errstate(all="ignore"):
+            _, ref_masked = exact_ribaucour(t, init)
+        assert np.array_equal(rf.masked, ref_masked)
+        flagged = ~np.isfinite(rf.states).all(axis=-1)
+        assert np.array_equal(rf.masked, sweep_descendants(flagged, t.grid.base, (0, 1, 2)))
+        K1 = (np.sum(np.square(init.gamma)) + t.spec.eps * init.beta**2 + t.spec.c * init.phi**2
+              - 2.0 * init.phi * init.psi)
+        drift = invariant_drift(rf)
+        assert abs(drift.K1 - abs(K1)) <= 1e-12 and abs(K1 - 0.79) <= 1e-15
+
+    def test_frame_overflow_is_not_masked(self):
+        # the Ribaucour rows of the case above are masked; the frame, also
+        # propagated, overflows and raises at the node integrate_frame names
+        t = TestBitIdentity()._overflowing_triple()
+        frame_init = standard_frame_state(t.spec)
+        with pytest.raises(NonFiniteState) as ref_err:
+            integrate_frame(t, frame_init, integrability_tol=None)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_with_frame(t, self.OVERFLOW_INIT, frame_init, K2target=0.0)
+        assert str(err.value) == str(ref_err.value) == exact_overflow_message(t, frame_init)
