@@ -2,22 +2,19 @@
 
 Config documents are strict JSON validated against a schema (unknown keys
 rejected, exclusive seed forms enforced); doubles are serialized with
-shortest round-trip formatting so identical runs give byte-identical files.
-That formatting is most of the cost of a large CSV, so ``export_csv`` of at
-least ``_SPLIT_ROWS`` kept rows, where ``os.fork`` exists, more than one CPU
-is usable and no other Python thread runs, formats the upper half of the
-rows in a forked child; the bytes written do not depend on it.
+shortest round-trip formatting, the text of ``repr``, so identical runs give
+byte-identical files.  That formatting is most of the cost of a large CSV,
+so ``export_csv`` hands each axis-0 slab's table to orjson's numpy writer in
+one call; orjson writes ``repr``'s text for 1e-4 <= |x| < 1e16 and +-0.0,
+and a row holding any other value (NaN, +-inf, a smaller or larger
+magnitude) is formatted with ``repr`` instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
-import os
-import shutil
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,111 +194,61 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
-# Kept rows from which export_csv formats the upper half of its slabs in a
-# forked child.  On a 2-vCPU Xeon the split broke even between 13^3 and 15^3
-# rows of 4 values and took 0.79x the serial time at 17^3.
-_SPLIT_ROWS = 4096
-
-
 def export_csv(field_values, grid: ParameterGrid, path, masked=None):
     """Write one row per node: u1,u2,u3,x1,...,xm in lexicographic node order.
 
     Masked nodes are skipped; a fully masked field writes the header only.
-    With at least ``_SPLIT_ROWS`` kept rows, ``os.fork``, more than one
-    usable CPU and no other Python thread running, a forked child formats
-    the axis-0 slabs past the point where the kept rows reach half and the
-    parent formats the rest; otherwise one process formats every slab.  Both
-    ways write the same bytes.
+    Every double is written as ``repr`` writes it.  The kept rows of one
+    axis-0 slab at a time, which keeps memory flat, are formatted by one
+    orjson call; orjson's text is ``repr``'s for +-0.0 and 1e-4 <= |x| < 1e16,
+    and a row holding any other value is formatted with ``repr`` instead
+    (``_csv_rows``).
     """
     field_values = _as_node_table(field_values, grid)
-    keep = ~_node_mask(masked, grid)
+    keep = ~_node_mask(masked, grid).reshape(grid.n[0], -1)
     m = field_values.shape[-1]
     header = "u1,u2,u3," + ",".join(f"x{i + 1}" for i in range(m))
-    u1, u2, u3 = ([repr(x) for x in grid.axis(a).tolist()] for a in range(3))
-    table = field_values, keep, u1, list(map(",".join, itertools.product(u2, u3)))
-    n0 = grid.n[0]
-    rows = np.cumsum(keep.reshape(n0, -1).sum(axis=1))        # kept rows up to each slab
-    split = int(np.searchsorted(rows, rows[-1] / 2)) + 1 if _forks(rows[-1]) else n0
+    u1 = grid.axis(0)
+    tails = np.stack(np.meshgrid(grid.axis(1), grid.axis(2), indexing="ij"), axis=-1)
+    tails = tails.reshape(-1, 2)                            # (u2, u3) of a slab's nodes
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
-            if split < n0:
-                _write_split(fh, table, split, n0, path)
-            else:
-                # one axis-0 slab at a time, which keeps memory flat
-                for i in range(n0):
-                    fh.write(_slab_text(table, i).encode())
+            for i, rows in enumerate(keep):
+                table = np.empty((np.count_nonzero(rows), 3 + m))
+                table[:, 0] = u1[i]
+                table[:, 1:3] = tails[rows]
+                table[:, 3:] = field_values[i].reshape(-1, m)[rows]
+                fh.write(_csv_rows(table))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _forks(rows) -> bool:
-    """Whether export_csv formats ``rows`` kept rows in two processes.
+# orjson writes a double as repr does for +-0.0 and for LO <= |x| < HI
+_ORJSON_BAND = (1e-4, 1e16)
 
-    Not while another Python thread runs: a forked child would inherit the
-    locks that thread holds, but not the thread that releases them.
+
+def _csv_rows(table):
+    """The CSV rows of a C-contiguous float64 ``table``, each ending in a newline.
+
+    orjson's numpy writer formats the table in one call.  It writes the
+    shortest round-trip digits, as ``repr`` does, and the same text for +-0.0
+    and 1e-4 <= |x| < 1e16; outside that band it writes NaN and +-inf as
+    ``null``, 5e-05 as ``0.00005`` and 1e+16 as ``1e16``.  A row holding any
+    value outside the band is formatted with ``repr`` instead.
     """
-    if not hasattr(os, "fork") or rows < _SPLIT_ROWS or threading.active_count() > 1:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
+    import orjson                   # only export needs it
 
-
-def _slab_text(table, i):
-    """CSV rows of the kept nodes of axis-0 slab i, each ending in a newline."""
-    values, keep, u1, tails = table
-    # C iterators join each row from the "u2,u3" tails and the value columns
-    columns = values[i].reshape(-1, values.shape[-1]).T.tolist()
-    rows = zip(itertools.repeat(u1[i]), tails, *(map(repr, c) for c in columns))
-    text = "\n".join(itertools.compress(map(",".join, rows), keep[i].ravel().tolist()))
-    return text + "\n" if text else ""
-
-
-def _write_split(fh, table, split, n0, path):
-    """Write slabs 0 .. split-1 here and slabs split .. n0-1 from a forked child.
-
-    The child formats all its slabs before it writes them to a pipe, since a
-    full pipe blocks it until the parent has written its own slabs (one at a
-    time) and streams the pipe into ``fh``.  It leaves only through
-    ``os._exit``, so it never returns into the caller, flushes no inherited
-    buffer and runs no exit handler.  A failed child raises IoError; a
-    failure here kills the child.  Either way the child is reaped before
-    this returns.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            texts = [_slab_text(table, i).encode() for i in range(split, n0)]
-            with open(w, "wb") as upper:
-                upper.writelines(texts)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        with open(r, "rb") as upper:
-            for i in range(split):
-                fh.write(_slab_text(table, i).encode())
-            shutil.copyfileobj(upper, fh)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-        if status:
-            raise IoError(f"cannot write {path}: the process formatting slabs "
-                          f"{split}..{n0 - 1} exited with code {status}")
-    finally:
-        if pid is not None:
-            import signal           # only a failed export needs it
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    if not len(table):
+        return b""
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = np.abs(table)
+    lo, hi = _ORJSON_BAND
+    off = ~(((size >= lo) & (size < hi)) | (table == 0.0)).all(axis=1)
+    for j in np.flatnonzero(off).tolist():
+        rows[j] = ",".join(map(repr, table[j].tolist())).encode()
+    rows.append(b"")
+    return b"\n".join(rows)
 
 
 def _node_mask(masked, grid):

@@ -49,7 +49,14 @@ route and are masked.  ``RibaucourField.scheme`` says which route ran.
 Masking.  Both routes sweep every node and mask after the sweep, with one
 function (``_mask``): a node is masked where |phi| or |psi| falls under the
 mask tolerance or a value is not finite, and every node the sweep reaches
-through it is masked with it.  The values at masked nodes are whatever the
+through it is masked with it.  On the exact route a node is also masked
+where the recovered psi may have lost its accuracy.  psi = gap / (2 phi),
+gap = |gamma|^2 + eps beta^2 + c phi^2 - K1_0, cancels once the terms of gap
+are large against gap.  A node is masked where the rounding bound
+2^-53 (|gamma|^2 + beta^2 + |c| phi^2 + |K1_0|), the unit roundoff times the
+terms' magnitudes, exceeds ``_PSI_ACCURACY`` = 1e-8 times |gap|, so that psi
+may have fewer than 8 correct digits.  The drift of K1 cannot show this,
+since psi is solved from K1.  The values at masked nodes are whatever the
 sweep left there, and no consumer reads them.
 """
 
@@ -82,6 +89,10 @@ _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
 # K2 = kappa, so a constant triple's system is propagated in its linear form
 # (module docstring): a few hundred units of rounding of a delta-product
 _K2_ROUNDING = 1e-13
+
+# relative accuracy a psi recovered from K1 must have by its rounding bound,
+# else its node is masked (module docstring, "Masking")
+_PSI_ACCURACY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -324,26 +335,39 @@ def _ribaucour_generators(triple: TripleField, y0):
 def _recover(planes, triple: TripleField, linear):
     """Turn the linear form's (9,) + grid.n ``planes``, swept from the init
     ``linear``, back into the state in place: psi from K1, v' = v - rho / psi
-    (module docstring)."""
+    (module docstring).  Returns the nodes whose psi is not accurate to
+    ``_PSI_ACCURACY`` by its rounding bound (module docstring, "Masking")."""
     eps, c = float(triple.spec.eps), float(triple.spec.c)
     v, _ = triple.constant_values
 
-    def quad(g, phi, beta):                     # |gamma|^2 + eps beta^2 + c phi^2
-        return np.sum(g * g, axis=0) + eps * beta**2 + c * phi**2
+    def squares(g, phi, beta):                  # |gamma|^2, beta^2, phi^2
+        return np.sum(g * g, axis=0), beta**2, phi**2
 
-    K1 = quad(linear[_G], linear[_PHI], linear[_BETA]) - 2.0 * linear[_PHI] * linear[_PSI]
+    gg, bb, pp = squares(linear[_G], linear[_PHI], linear[_BETA])
+    K1 = gg + eps * bb + c * pp - 2.0 * linear[_PHI] * linear[_PSI]
     g, rho, phi, psi = planes[_G], planes[_VP], planes[_PHI], planes[_PSI]
-    np.divide(quad(g, phi, planes[_BETA]) - K1, 2.0 * phi, out=psi)
+    gg, bb, pp = squares(g, phi, planes[_BETA])
+    gap = gg + eps * bb + c * pp - K1           # 2 phi psi
+    # 2^-53 (gg + bb + |c| pp + |K1|) > _PSI_ACCURACY |gap|, in place
+    size = np.add(gg, bb, out=gg)
+    size += np.multiply(abs(c), pp, out=pp)
+    size += abs(K1)
+    lossy = size > np.multiply(_PSI_ACCURACY * 2.0**53, np.abs(gap, out=bb), out=bb)
+    np.divide(gap, 2.0 * phi, out=psi)
     for j in range(3):
         np.subtract(v[j], np.divide(rho[j], psi, out=rho[j]), out=rho[j])
+    return lossy
 
 
-def _mask(planes, base, mask_tol):
+def _mask(planes, base, mask_tol, lossy=None):
     """The nodes of a swept field to mask: where |phi| or |psi| is under
-    ``mask_tol`` or a value is not finite, and every node the (0, 1, 2)
-    sweep from ``base`` reaches through one (``sweep_descendants``)."""
+    ``mask_tol``, a value is not finite or ``lossy`` (``_recover``) is set,
+    and every node the (0, 1, 2) sweep from ``base`` reaches through one
+    (``sweep_descendants``)."""
     flagged = ((np.abs(planes[_PHI]) < mask_tol) | (np.abs(planes[_PSI]) < mask_tol)
                | ~np.isfinite(planes).all(axis=0))
+    if lossy is not None:
+        flagged |= lossy
     return sweep_descendants(flagged, base, (0, 1, 2))
 
 
@@ -363,11 +387,13 @@ def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
     states, *other_states = sweep_integrate(triple, grid, (0, 1, 2), [system, *others],
                                             max_step, integrability_tol, first_masked=True)
     planes = np.moveaxis(states, -1, 0)
+    lossy = None
     if linear is not None:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _recover(planes, triple, linear)
+            lossy = _recover(planes, triple, linear)
         planes[(slice(None),) + grid.base] = y0
-    masked = _mask(planes, grid.base, mask_tol)
+        lossy[grid.base] = False
+    masked = _mask(planes, grid.base, mask_tol, lossy)
     rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
                         masked if masked.any() else None,
                         "RK4 sweep" if linear is None else "exact propagator")
@@ -383,9 +409,11 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
     A constant triple whose init has K2_0 = kappa is propagated exactly,
     any other is marched with RK4 (module docstring, ``RibaucourField.scheme``).
-    After the sweep, nodes where |phi| or |psi| falls below ``mask_tol`` or a
-    value is not finite are masked, and their sweep descendants with them;
-    the unmasked nodes' values do not depend on the masked ones.
+    After the sweep, nodes where |phi| or |psi| falls below ``mask_tol``, a
+    value is not finite or, on the exact route, psi recovered from K1 may
+    have lost its accuracy are masked, and their sweep descendants with them
+    (module docstring, "Masking"); the unmasked nodes' values do not depend
+    on the masked ones.
     """
     rf, _ = _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
                              integrability_tol)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -227,155 +226,52 @@ class TestExportCsvBytes:
         assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
 
 
-@pytest.mark.filterwarnings("error::ResourceWarning")
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-class TestExportCsvSplit:
-    """Above ``io._SPLIT_ROWS`` kept rows on more than one CPU, a forked child
-    formats the upper slabs; both ways write the bytes of ``_per_node_csv``,
-    leave no child process and print nothing."""
+def _repr_rows(table):
+    """The CSV rows of ``table`` formatted with ``repr``, each ending in a newline."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
 
-    GRID = ParameterGrid((-1.0, 0.0, 0.25), (1.0, 0.3, 2.0), (8, 4, 5))
 
-    def _values(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=self.GRID.n + (3,)) * 10.0 ** rng.integers(
-            -8, 9, size=self.GRID.n + (3,))
-        special = TestExportCsvBytes.SPECIAL
-        values.reshape(-1)[[11 * k + 2 for k in range(len(special))]] = special
-        values[-1].reshape(-1)[:len(special)] = special      # and in the child's slabs
-        return values
+class TestCsvRowsBand:
+    """``io._csv_rows`` writes ``repr``'s bytes on both sides of the band in
+    which it trusts orjson's text; a change to orjson's text fails here."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Force the split on two CPUs; collect the pid of every fork."""
-        pids = []
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(io_module, "_SPLIT_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
+    DECADES = [s * 10.0 ** k for k in range(-320, 301) for s in (1.0, -1.0)]
+    EDGES = [s * np.nextafter(x, to) for x in (1e-4, 1e16) for to in (0.0, np.inf)
+             for s in (1.0, -1.0)] + [1e-4, -1e-4, 1e16, -1e16]
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1 + 0.2]
 
     @staticmethod
-    def _mask(kind):
-        n = TestExportCsvSplit.GRID.n
-        if kind == "none":
-            return None
-        if kind == "random":
-            return np.random.default_rng(7).uniform(size=n) < 0.3
-        masked = np.zeros(n, dtype=bool)
-        if kind == "upper_half":
-            masked[n[0] // 2:] = True
-        else:                               # only the slab the kept rows split in
-            masked[:] = True
-            masked[5] = False
-        return masked
+    def _assert_repr(values, width=1):
+        table = np.ascontiguousarray(np.asarray(values, dtype=float).reshape(-1, width))
+        assert io_module._csv_rows(table) == _repr_rows(table)
 
-    @staticmethod
-    def _assert_quiet_and_reaped(capfd):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert capfd.readouterr() == ("", "")
+    def test_decades(self):
+        self._assert_repr(self.DECADES)
 
-    @pytest.mark.parametrize("mask", ["none", "random", "upper_half", "split_slab"])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_both_paths_match_per_node(self, tmp_path, forks, monkeypatch, capfd, mask, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        values, masked = self._values(), self._mask(mask)
-        path = tmp_path / "out.csv"
-        export_csv(values, self.GRID, str(path), masked)
-        assert path.read_bytes() == _per_node_csv(values, self.GRID, masked)
-        assert len(forks) == (cpus == 2)
-        self._assert_quiet_and_reaped(capfd)
+    def test_band_edges(self):
+        self._assert_repr(self.EDGES)
 
-    def test_without_fork_one_process_writes(self, tmp_path, forks, monkeypatch, capfd):
-        monkeypatch.delattr(os, "fork")
-        values = self._values()
-        path = tmp_path / "out.csv"
-        export_csv(values, self.GRID, str(path))
-        assert path.read_bytes() == _per_node_csv(values, self.GRID)
-        assert forks == []
-        self._assert_quiet_and_reaped(capfd)
+    def test_special_values(self):
+        self._assert_repr(self.SPECIAL)
 
-    def test_below_the_threshold_one_process_writes(self, tmp_path, forks, monkeypatch):
-        monkeypatch.setattr(io_module, "_SPLIT_ROWS", int(np.prod(self.GRID.n)) + 1)
-        values = self._values()
-        path = tmp_path / "out.csv"
-        export_csv(values, self.GRID, str(path))
-        assert path.read_bytes() == _per_node_csv(values, self.GRID)
-        assert forks == []
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(29)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        self._assert_repr(bits.view(np.float64))
+        # the same mantissas with exponents from 2^-14 to 2^53, mostly in the band
+        exponents = rng.integers(1023 - 14, 1023 + 54, size=bits.size).astype(np.uint64)
+        banded = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+        self._assert_repr(banded.view(np.float64))
 
-    def test_beside_another_thread_one_process_writes(self, tmp_path, forks):
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(10.0,))
-        waiter.start()
-        try:
-            values = self._values()
-            path = tmp_path / "out.csv"
-            export_csv(values, self.GRID, str(path))
-        finally:
-            release.set()
-            waiter.join(10.0)
-        assert not waiter.is_alive()
-        assert path.read_bytes() == _per_node_csv(values, self.GRID)
-        assert forks == []
-
-    @pytest.mark.parametrize("mask, own", [("none", [0, 1, 2, 3]), ("upper_half", [0, 1])])
-    def test_parent_formats_slabs_up_to_half_the_rows(self, tmp_path, forks, monkeypatch,
-                                                      mask, own):
-        parent, slab_text, formatted = os.getpid(), io_module._slab_text, []
-
-        def recorded(table, i):
-            if os.getpid() == parent:
-                formatted.append(i)
-            return slab_text(table, i)
-
-        monkeypatch.setattr(io_module, "_slab_text", recorded)
-        export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"), self._mask(mask))
-        assert formatted == own
-
-    def test_failed_fork_raises_io_error(self, tmp_path, forks, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        pipes, pipe = [], os.pipe
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
-        with pytest.raises(IoError, match="Resource temporarily unavailable"):
-            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
-        for fd in pipes[0]:                                     # both ends are closed
-            with pytest.raises(OSError):
-                os.fstat(fd)
-
-    def _fail_in(self, monkeypatch, child):
-        parent, slab_text = os.getpid(), io_module._slab_text
-
-        def failing(table, i):
-            if (os.getpid() != parent) == child:
-                raise RuntimeError("formatting failed")
-            return slab_text(table, i)
-
-        monkeypatch.setattr(io_module, "_slab_text", failing)
-
-    def test_child_failure_raises_io_error(self, tmp_path, forks, monkeypatch, capfd):
-        self._fail_in(monkeypatch, child=True)
-        with pytest.raises(IoError, match="exited with code 1"):
-            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
-        assert len(forks) == 1
-        self._assert_quiet_and_reaped(capfd)
-
-    def test_parent_failure_kills_the_child(self, tmp_path, forks, monkeypatch, capfd):
-        self._fail_in(monkeypatch, child=False)
-        with pytest.raises(RuntimeError, match="formatting failed"):
-            export_csv(self._values(), self.GRID, str(tmp_path / "out.csv"))
-        assert len(forks) == 1
-        self._assert_quiet_and_reaped(capfd)
+    def test_slab_partly_in_the_band(self):
+        rng = np.random.default_rng(31)
+        table = rng.uniform(-10.0, 10.0, size=(40, 7))
+        table[::5, 2] = self.SPECIAL                # +-0.0 stay in the band, the rest not
+        table[7, 0] = 3e-5
+        table[9, 6] = -2.5e17
+        self._assert_repr(table, width=7)
+        for rows in ([0], [1, 2], [5], [7, 9], []):
+            self._assert_repr(table[rows], width=7)
 
 
 class TestMaskShape:
@@ -812,11 +708,12 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_loads_no_scipy():
-    """Importing the CLI loads neither scipy nor jsonschema: the config
-    validator imports jsonschema when it first validates a document."""
+    """Importing the CLI loads no scipy, jsonschema or orjson: the config
+    validator imports jsonschema when it first validates a document, and the
+    CSV writer imports orjson when it first writes one."""
     code = ("import sys, spaceform_lab.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+            "if m.split('.')[0] in ('scipy', 'jsonschema', 'orjson')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

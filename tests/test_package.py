@@ -88,7 +88,8 @@ def test_demo_runs(demo, tmp_path):
 def test_package_runs_without_scipy():
     """Every module imports, a sampled triple evaluates on grid lines (and
     refuses a point off them), and a helix builds, with no scipy module
-    loaded."""
+    loaded; nor is orjson or jsonschema, which ``io.export_csv`` and
+    ``io.parse_config`` import when first called."""
     code = """
 import importlib, pkgutil, sys
 import numpy as np
@@ -116,7 +117,7 @@ except PreconditionFailed:
 else:
     raise AssertionError("a point off the grid lines evaluated")
 helix(2.0, 1.0, np.linspace(0.1, 0.6, 11), amplitude=0.6)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "orjson", "jsonschema")))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))

@@ -63,6 +63,8 @@ from spaceform_lab.gallery import (
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     RibaucourState,
+    _linear_init,
+    _recover,
     _ribaucour_body,
     default_mask_tol,
     integrate_ribaucour,
@@ -280,7 +282,9 @@ def exact_ribaucour(triple, init, mask_tol=None):
     K2 = kappa: the linear form composed from scipy's ``expm`` along axes 0,
     1 and 2, psi from K1 and v' = v - rho / psi, the base node the init.  A
     node is masked where |phi| or |psi| < mask_tol or a value is not finite,
-    or where one is on its sweep path from the base."""
+    where 2^-53 (|gamma|^2 + beta^2 + |c| phi^2 + |K1|) exceeds 1e-8 |2 phi psi|
+    (psi may have lost its accuracy to cancellation), or where one such node
+    is on its sweep path from the base."""
     from scipy.linalg import expm
 
     grid = triple.grid
@@ -300,13 +304,50 @@ def exact_ribaucour(triple, init, mask_tol=None):
     K1 = np.sum(y[:3] ** 2) + eps * y[8] ** 2 + c * y[6] ** 2 - 2.0 * y[6] * y[7]
     states = Y.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        states[..., 7] = (np.sum(Y[..., :3] ** 2, axis=-1) + eps * Y[..., 8] ** 2
-                          + c * Y[..., 6] ** 2 - K1) / (2.0 * Y[..., 6])
+        gg, bb, pp = np.sum(Y[..., :3] ** 2, axis=-1), Y[..., 8] ** 2, Y[..., 6] ** 2
+        gap = gg + eps * bb + c * pp - K1
+        states[..., 7] = gap / (2.0 * Y[..., 6])
         states[..., 3:6] = v - Y[..., 3:6] / states[..., 7:8]
+        lossy = 2.0**-53 * (gg + bb + abs(c) * pp + abs(K1)) > 1e-8 * np.abs(gap)
     states[grid.base] = y
+    lossy[grid.base] = False
     flagged = ((np.abs(states[..., 6]) < tol) | (np.abs(states[..., 7]) < tol)
-               | ~np.isfinite(states).all(axis=-1))
+               | ~np.isfinite(states).all(axis=-1) | lossy)
     return states, path_masked(flagged, grid.base)
+
+
+def mp_ribaucour_psi(triple, init, nodes, dps=300):
+    """psi of a constant triple's Ribaucour field at ``nodes`` in ``dps``-digit
+    arithmetic: ``exact_ribaucour``'s linear form, composed from mpmath's
+    ``expm``, and psi from K1, as floats."""
+    import mpmath
+
+    grid = triple.grid
+    v, _ = triple.constant_values
+    d = np.asarray(triple.delta, dtype=float)
+    y = init.as_array()
+    rho = y[7] * (v - y[3:6])
+    M = ribaucour_generators(triple, float(np.sum(d * v * rho)) / y[6])
+    eps, c = float(triple.spec.eps), float(triple.spec.c)
+
+    def quad(Y):                                # |gamma|^2 + eps beta^2 + c phi^2
+        return sum(Y[i] ** 2 for i in range(3)) + eps * Y[8] ** 2 + c * Y[6] ** 2
+
+    with mpmath.workdps(dps):
+        y0 = mpmath.matrix(np.concatenate([y[:3], rho, y[6:]]).tolist())
+        K1 = quad(y0) - 2 * y0[6] * mpmath.mpf(y[7])
+        E = {}
+        psi = []
+        for node in nodes:
+            Y = y0
+            for a in range(3):
+                if (a, node[a]) not in E:
+                    u = grid.axis(a)
+                    t = mpmath.mpf(float(u[node[a]])) - mpmath.mpf(float(u[grid.base[a]]))
+                    E[a, node[a]] = mpmath.expm(mpmath.matrix(M[a].tolist()) * t)
+                Y = E[a, node[a]] * Y
+            psi.append(float((quad(Y) - K1) / (2 * Y[6])))
+    return np.array(psi)
 
 
 def path_masked(flagged, base, order=(0, 1, 2)):
@@ -1779,24 +1820,51 @@ class TestRibaucourPropagators:
     def test_overflow_masks(self):
         # on K2 = kappa = 0, the exact values along u_1 overflow (eps = -1,
         # V_1 = 30 on [0, 60]): the system stays on the exact route, masking
-        # the nodes whose recovered values are not finite and their sweep
-        # descendants, and K1 keeps the init's value on every kept node
+        # the nodes whose recovered values are not finite (625 with their
+        # sweep descendants).  The slabs u_1 index 1 to 5 stay finite, but
+        # there psi is recovered from K1 by cancelling squares of 5e51 and
+        # more against K1_0 = 0.79 and has no correct digit: those nodes and
+        # their descendants are masked too, and the slab u_1 = 0 is kept
         t = TestBitIdentity()._overflowing_triple()
         init = self.OVERFLOW_INIT
         rf = integrate_ribaucour(t, init, K2target=0.0)
         assert rf.scheme == "exact propagator"
-        assert (int(rf.masked.sum()), rf.masked.size) == (625, 775)
-        # the values kept reach 1e130, where recovering psi from K1 cancels
-        # squares of 1e260: only the masks are compared
+        assert (int(rf.masked.sum()), rf.masked.size) == (750, 775)
+        assert not rf.masked[0].any() and rf.masked[1:].all()
         with np.errstate(all="ignore"):
             _, ref_masked = exact_ribaucour(t, init)
         assert np.array_equal(rf.masked, ref_masked)
-        flagged = ~np.isfinite(rf.states).all(axis=-1)
-        assert np.array_equal(rf.masked, sweep_descendants(flagged, t.grid.base, (0, 1, 2)))
+        non_finite = sweep_descendants(~np.isfinite(rf.states).all(axis=-1), t.grid.base,
+                                       (0, 1, 2))
+        assert non_finite.sum() == 625 and not (non_finite & ~rf.masked).any()
+        # every kept psi is accurate to 1e-8 against 300 digits; the masked
+        # finite psi are not
+        kept = [tuple(node) for node in np.argwhere(~rf.masked)]
+        assert np.allclose(rf.psi[~rf.masked], mp_ribaucour_psi(t, init, kept),
+                           rtol=1e-8, atol=0.0)
+        lossy = [(1, 0, 0), (3, 2, 2), (5, 4, 4)]
+        ref = mp_ribaucour_psi(t, init, lossy)
+        psi = np.array([rf.psi[node] for node in lossy])
+        assert np.isfinite(psi).all() and (np.abs(psi - ref) > np.abs(ref)).all()
         K1 = (np.sum(np.square(init.gamma)) + t.spec.eps * init.beta**2 + t.spec.c * init.phi**2
               - 2.0 * init.phi * init.psi)
         drift = invariant_drift(rf)
         assert abs(drift.K1 - abs(K1)) <= 1e-12 and abs(K1 - 0.79) <= 1e-15
+
+    @pytest.mark.parametrize("m, lossy", [(2.5e7, False), (3.6e8, True)])
+    def test_psi_accuracy_bound(self, m, lossy):
+        # gamma_1 = m + 1 and beta = m with eps = -1, c = 0 leave
+        # gap = 2m + 1 - K1_0 from squares near m^2: the rounding bound
+        # 2^-53 (2 m^2 + ...) / (2m) is about 2.8e-9 at m = 2.5e7 and 4.0e-8
+        # at m = 3.6e8, either side of 1e-8
+        t = TestBitIdentity()._overflowing_triple()
+        linear = _linear_init(t, self.OVERFLOW_INIT.as_array())
+        planes = np.broadcast_to(linear[:, None, None, None], (9,) + t.grid.n).copy()
+        node = (3, 2, 1)
+        planes[(0,) + node], planes[(8,) + node] = m + 1.0, m
+        flagged = np.zeros(t.grid.n, dtype=bool)
+        flagged[node] = lossy
+        assert np.array_equal(_recover(planes, t, linear), flagged)
 
     def test_frame_overflow_is_not_masked(self):
         # the Ribaucour rows of the case above are masked; the frame, also
