@@ -156,14 +156,17 @@ class Side:
 
     def _sized(self, sweep_integrate):
         """``sweep_integrate``, noting the sweep's state rows in each of its
-        phases, none of them marched until ``rk4_march`` says otherwise."""
-        def sized(triple, grid, order, systems, *args, **kwargs):
-            index, rows = self.sweep[0] + 1, sum(y0.size for _, y0 in systems)
+        phases, none of them marched until ``rk4_march`` says otherwise.  It
+        takes one system, ``(triple, grid, order, make_body, y0, ...)``, or
+        a list of them, ``(triple, grid, order, systems, ...)``."""
+        def sized(triple, grid, order, *args, **kwargs):
+            rows = args[1].size if callable(args[0]) else sum(y0.size for _, y0 in args[0])
+            index = self.sweep[0] + 1
             self.sweep = (index, rows)
             for k in range(3):
                 key = math.prod(grid.n[a] for a in list(order)[:k])
                 self.rows.setdefault(key, {})[index] = (0, rows)
-            return sweep_integrate(triple, grid, order, systems, *args, **kwargs)
+            return sweep_integrate(triple, grid, order, *args, **kwargs)
         return sized
 
     def _marched(self, key, y):

@@ -34,7 +34,6 @@ from .ribaucour import (
     RibaucourField,
     RibaucourState,
     integrate_ribaucour,
-    integrate_with_frame,
     invariant_drift,
     parallel_triple,
     seed_state,

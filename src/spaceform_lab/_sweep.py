@@ -12,40 +12,31 @@ system takes the exact step from the phase's start nodes instead ("Propagated
 systems").  The evaluation order is fixed, so outputs are byte-identical for
 identical inputs.
 
-Lanes.  The two directions of a phase never read each other, so they can
-march as one batch: ``rk4_march`` takes one or two lanes, a lane being one
-direction's lines with its own substep schedule, and advances every live
+Lanes.  The two directions of a phase never read each other, so every phase
+marches them as one batch: ``rk4_march`` takes one or two lanes, a lane being
+one direction's lines with its own substep schedule, and advances every live
 lane by one of its own substeps per step.  The lanes' columns lie side by
 side; the coefficients dt/2, dt and dt/6 are per column, the triple is still
 evaluated lane by lane, and when a lane's schedule ends the batch shrinks to
 the other lane.  Each column sees the same floating-point operations as in
-a march of its direction alone, so states do not depend on how directions
-are grouped.  A phase of at most ``_LANE_LINES`` lines per direction marches
-its two directions together, so every ufunc call serves both: such a phase
-is dispatch-bound, a call of the right-hand side costing nearly as much for
-one line as for many.  That is the first two phases (1 and n_a lines) on
-any grid of up to 400 nodes per axis, and the last one (n_a n_b lines) up
-to 20 x 20 lines.  A wider phase marches its directions one after the
-other: there a merged batch marched no faster, or slower (the measurements
-at ``_LANE_LINES``).
+a march of its direction alone, so states are those of marching + and then
+-.
 
-Systems.  ``sweep_integrate`` takes the triple and an ordered list of systems
-``(make_body, y0)``, e.g. the Ribaucour system and the moving frame, which
-are driven by the same holonomic data (v, h, V).  ``make_body(triple, y0)``
-is called once per sweep, after the triple is checked, and may reject y0.
-It returns either an in-place body, and the system is marched with RK4
-substeps, or the three constant generators of a linear system, and the
-system is propagated exactly.  Each system's states are stored as
-contiguous component planes, one array of shape ``y0.shape + grid.n``, so
-every post-sweep step that reads one component reads contiguous memory;
-they come back as a ``grid.n + y0.shape`` view, with the shape, values and
-``tobytes()`` of a node-major array.  A phase marches one batch state of
-shape (R, B), the rows of every marched system stacked in list order, each
-y0 flattened into a block of rows; the batch axis is last, so every row a
-body reads or writes is a contiguous run of B values.  On arrival at a
-node, each marched system's rows are written to the node layer through a
-basic-index view of its planes, (rows,) + the done axes.  Along axis 2, the
-last phase of a (0, 1, 2) sweep, such a layer is one value every n_2
+Systems.  ``sweep_integrate`` sweeps one system ``(make_body, y0)`` that the
+triple drives, e.g. the moving frame or the Ribaucour system, both driven by
+the holonomic data (v, h, V).  ``make_body(triple, y0)`` is called once per
+sweep, after the triple is checked, and may reject y0.  It returns either an
+in-place body, and the system is marched with RK4 substeps, or the three
+constant generators of a linear system, and the system is propagated
+exactly.  The states are stored as contiguous component planes, one array of
+shape ``y0.shape + grid.n``, so every post-sweep step that reads one
+component reads contiguous memory; they come back as a ``grid.n + y0.shape``
+view, with the shape, values and ``tobytes()`` of a node-major array.  A
+phase marches one batch state of shape (R, B), y0 flattened into R rows; the
+batch axis is last, so every row a body reads or writes is a contiguous run
+of B values.  On arrival at a node, the rows are written to the node layer
+through a basic-index view of the planes, (R,) + the done axes.  Along axis
+2, the last phase of a (0, 1, 2) sweep, such a layer is one value every n_2
 doubles, so those writes scatter.
 
 Propagated systems.  A linear system dY/du_a = M_a Y whose generators are
@@ -54,67 +45,62 @@ docstring, and its Ribaucour system in the linear form, ``ribaucour`` module
 docstring) is solved exactly: ``make_body`` returns the (3, k, k) array of
 M_0, M_1 and M_2, acting on the first axis of y0.  Each M must satisfy
 M^3 = -w^2 M with w^2 = -tr(M^2) / 2, so exp(M t) = I + s M + q M^2
-(``propagators``).  Before a phase marches, every node layer of the phase
-is written from the phase's start layer: Y_m = exp(M_a (u_m - u_start))
-Y_start.  The product runs with elementwise ufuncs in a fixed order, the
-terms by increasing source row, leaving out the entries of exp(M t) that
-vanish for every t and copying a row that exp(M t) keeps.  Each product is
+(``propagators``).  Each phase writes every node layer of the phase from
+the phase's start layer: Y_m = exp(M_a (u_m - u_start)) Y_start.  The
+product runs with elementwise ufuncs in a fixed order, the terms by
+increasing source row, leaving out the entries of exp(M t) that vanish for
+every t and copying a row that exp(M t) keeps.  Each product is
 written with ``out=`` into the planes, one component and one side of the
 start node at a time, so no temporary exceeds one component plane, and a
 node's bytes depend only on its own u_m - u_start and start values.  A
-propagated system makes no ``eval_at`` call and takes no RK substep.
+propagated sweep makes no ``eval_at`` call and takes no RK substep.
 
 In-place bodies.  A marched system's ``body(v, h, V, Y, dY, axis)`` reads
-the triple values (v, h, V) of the stage points and its own rows Y along
-``axis``, and writes every row of its block dY once, in place (a ufunc
-``out=`` into a row slice); scratch products live in rows that are not yet
-written.  A body is built for its inputs: it leaves out the c terms when
-c = 0, which are exactly zero at every stage of the sweep.  With finite
-operands a dropped term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x
-unless x is a zero, so a derivative changes at most in the sign of a zero.
-A state row takes it in only through y + (+-0) in the
-stages and the combine, which is y unless y = -0.0; and a row that does not
-start at -0.0 never becomes -0.0, since x + y is -0.0 only when x and y
-both are.  So a term is dropped only when y0 has no -0.0 in the rows it
-reaches (``vanishing_terms``); otherwise the body keeps it.  The states are
-then bit for bit those of the expression form, which keeps every term, and
-a system's rows are bit for bit those of a sweep of its own; dY may differ
-from the expression form's in the signs of zeros.  The guarantee is weaker
-where a dropped term would have been 0 * inf or 0 * NaN = NaN.  That needs
-a non-finite stage value, so it happens on a line whose state has gone
-non-finite, where the values from that node on may differ (NaN in one form,
-+-inf or a number in the other) and the sweep raises or the caller masks
-them ("Masking"), and on a line where an RK stage overflows while the node
-values around it stay finite, which takes a state within a factor of about
-two of the largest double.
+the triple values (v, h, V) of the stage points and the rows Y along
+``axis``, and writes every row of dY once, in place (a ufunc ``out=`` into a
+row slice); scratch products live in rows that are not yet written.  A body
+is built for its inputs: it leaves out the c terms when c = 0, which are
+exactly zero at every stage of the sweep.  With finite operands a dropped
+term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x unless x is a zero, so
+a derivative changes at most in the sign of a zero.  A state row takes it in
+only through y + (+-0) in the stages and the combine, which is y unless
+y = -0.0; and a row that does not start at -0.0 never becomes -0.0, since
+x + y is -0.0 only when x and y both are.  So a term is dropped only when y0
+has no -0.0 in the rows it reaches (``vanishing_terms``); otherwise the body
+keeps it.  The states are then bit for bit those of the expression form,
+which keeps every term; dY may differ from the expression form's in the
+signs of zeros.  The guarantee is weaker where a dropped term would have
+been 0 * inf or 0 * NaN = NaN.  That needs a non-finite stage value, so it
+happens on a line whose state has gone non-finite, where the values from
+that node on may differ (NaN in one form, +-inf or a number in the other)
+and the sweep raises or the caller masks them ("Masking"), and on a line
+where an RK stage overflows while the node values around it stay finite,
+which takes a state within a factor of about two of the largest double.
 
-Right-hand side.  ``stacked_rhs`` builds the one right-hand side of the
-marched systems.  Per RK stage it evaluates the triple once per lane
+Right-hand side.  ``body_rhs`` builds the right-hand side of a marched
+body.  Per RK stage it evaluates the triple once per lane
 (``triple.eval_at``, looked up at call time, with that lane's B points),
-allocates one dY and runs each body on its rows of Y and dY.  Two lanes'
-values are laid side by side in new read-only arrays, except when every
-lane hands back the same read-only arrays as in the call before: then the
-last call's side-by-side arrays serve again.  ``eval_at`` hands back the
-arrays of either of its last two calls when the points repeat, as they do
-at the second midpoint stage (k3) and at the first stage of a substep
-inside a node interval, and a constant triple hands back the same arrays
-for every call of a batch shape.  It leaves Y unmodified; the march reuses
-dY as an accumulator.  A sweep makes the same ``eval_at`` calls however
-many marched systems it carries and however its directions are grouped:
-four per substep of each direction, and none when nothing is marched.
+allocates one dY and runs the body on Y and dY.  Two lanes' values are laid
+side by side in new read-only arrays, except when every lane hands back the
+same read-only arrays as in the call before: then the last call's
+side-by-side arrays serve again.  ``eval_at`` hands back the arrays of either
+of its last two calls when the points repeat, as they do at the second
+midpoint stage (k3) and at the first stage of a substep inside a node
+interval, and a constant triple hands back the same arrays for every call of
+a batch shape.  It leaves Y unmodified; the march reuses dY as an
+accumulator.  A marched sweep makes four ``eval_at`` calls per substep of
+each direction, a propagated one none.
 
-Masking.  A sweep writes every node of every system and masks none.  With
-``first_masked``, the first system's values may go non-finite: neither its
-marched rows nor the nodes it propagates raise, and its caller builds the
-mask from the node values after the sweep, with ``sweep_descendants`` for
-the nodes the sweep reaches through a flagged one (the Ribaucour field,
-``ribaucour`` module docstring).  Every line is its own column in each RK4
-operation, so a line that goes non-finite leaves the others' values as they
-would be without it.  A non-finite value in any other marched row, or at any
-node another propagated system writes, raises NonFiniteState naming the
-axis and node; when both directions overflow, the + direction's node is
-named, as if it had marched first.  A phase's propagated systems are written
-and checked before its march.
+Masking.  A sweep writes every node and masks none.  A non-finite value in a
+marched row on arrival at a node, or at a node a propagated phase writes,
+raises NonFiniteState naming the axis and node; when both directions
+overflow, the + direction's node is named, as if it had marched first.  With
+``masked``, the values may go non-finite and nothing raises: the caller
+builds the mask from the node values after the sweep, with
+``sweep_descendants`` for the nodes the sweep reaches through a flagged one
+(the Ribaucour field, ``ribaucour`` module docstring).  Every line is its
+own column in each RK4 operation, so a line that goes non-finite leaves the
+others' values as they would be without it.
 """
 
 from __future__ import annotations
@@ -127,22 +113,6 @@ import numpy as np
 
 from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
-
-# A phase of at most this many lines per direction marches both directions as
-# one batch (module docstring, "Lanes").  Merged against split (_LANE_LINES =
-# 0) on sampled sweeps, from_samples copies of the sweep_closed seed triple:
-# the median ratio of the last phase's march time over 20 interleaved
-# rounds in one process (14 at 31^3 and 41^3), on a shared 2-vCPU host,
-# for integrate_with_frame and integrate_ribaucour; the range of two runs
-# where there were two.  At 41^3 both sides split, so that column is the
-# noise of identical code.
-#     grid        15^3   17^3   19^3   21^3        25^3   31^3   41^3
-#     lines       225    289    361    441         625    961    1681
-#     with frame  0.88   0.95   1.00   1.05-1.06   1.04   1.04   1.03
-#     Ribaucour   0.89   0.98   0.98   1.01-1.03   1.03   1.15   1.00
-# The first two phases (1 and n lines) merged at 0.56-0.61 and 0.70-0.84.
-# The crossover lies between 361 and 441 lines.
-_LANE_LINES = 400
 
 
 def vanishing_terms(triple, reached):
@@ -191,17 +161,16 @@ def rk4_march(rhs, lanes, axis):
 
     A lane is ``(pts, y, intervals)``: the (B, 3) start points of its lines,
     their (R, B) states (not modified) and its schedule from
-    ``node_intervals``.  The R rows are those of the marched systems
-    (module docstring, "Systems").  The live lanes' columns lie side by side
-    in lane order; dt/2, dt and dt/6 are per column when two lanes are live,
-    and ``rhs(points, Y, axis)`` gets the lanes' points as a list then, as
-    one (B, 3) array otherwise.  It returns a fresh dY.  A lane whose
-    schedule has ended leaves the batch.  A substep's stages are at u,
-    u + dt/2 (twice, k2 and k3) and u + dt, u advancing by dt per substep
-    and starting each node interval at the node, so inside an interval the
-    first stage of a substep is at the bits of the last stage before it: a
-    right-hand side that keeps its last calls computes each distinct point
-    set once (``TripleField.eval_at``).
+    ``node_intervals``, R being y0's size (module docstring, "Systems").  The
+    live lanes' columns lie side by side in lane order; dt/2, dt and dt/6 are
+    per column when two lanes are live, and ``rhs(points, Y, axis)`` gets the
+    lanes' points as a list then, as one (B, 3) array otherwise.  It returns
+    a fresh dY.  A lane whose schedule has ended leaves the batch.  A
+    substep's stages are at u, u + dt/2 (twice, k2 and k3) and u + dt, u
+    advancing by dt per substep and starting each node interval at the node,
+    so inside an interval the first stage of a substep is at the bits of the
+    last stage before it: a right-hand side that keeps its last calls
+    computes each distinct point set once (``TripleField.eval_at``).
 
     Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
     (R, B) state there.  Between arrivals, the stages and the combine run in
@@ -271,15 +240,10 @@ def _lane_values(lanes):
     return out
 
 
-def stacked_rhs(triple, systems):
-    """(rhs, blocks) for the marched ``systems``, ``(body, y0)`` pairs,
-    stacked on one state: the right-hand side ``rhs(points, Y (R, B), axis)
-    -> dY`` and each system's row slice of Y, its y0 flattened (module
-    docstring, "Systems").  ``points`` is one (B, 3) array, or a list of one
-    per lane whose columns lie side by side in Y."""
-    blocks = _blocks([np.size(y0) for _, y0 in systems])
-    parts = [(body, rows) for (body, _), rows in zip(systems, blocks)]
-
+def body_rhs(triple, body):
+    """The right-hand side ``rhs(points, Y (R, B), axis) -> dY`` of the marched
+    ``body`` (module docstring, "Right-hand side").  ``points`` is one (B, 3)
+    array, or a list of one per lane whose columns lie side by side in Y."""
     last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
 
     def values(pts):
@@ -298,17 +262,10 @@ def stacked_rhs(triple, systems):
     def rhs(pts, Y, axis):
         v, h, V = values(pts)
         dY = np.empty(Y.shape)
-        for body, rows in parts:
-            body(v, h, V, Y[rows], dY[rows], axis)
+        body(v, h, V, Y, dY, axis)
         return dY
 
-    return rhs, blocks
-
-
-def _blocks(sizes):
-    """Consecutive row slices of the given sizes, from row 0."""
-    stops = list(itertools.accumulate(sizes))
-    return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+    return rhs
 
 
 def propagators(M, t):
@@ -343,13 +300,13 @@ def _term(c, y, out):
 
 
 def _propagate(planes, M, at, axis, t):
-    """Write every node layer of one propagated system's phase along ``axis``
-    from the phase's start layer (module docstring, "Propagated systems").
+    """Write every node layer of a propagated phase along ``axis`` from the
+    phase's start layer (module docstring, "Propagated systems").
 
-    ``planes`` holds the system's (rows,) + grid.n component planes, ``M``
-    its (k, k) generator along ``axis`` on k blocks of rows, ``at`` the
-    start layer's index into grid.n (the done axes whole) and ``t`` the
-    offsets u_m - u_start of every node m along ``axis``.  Returns the
+    ``planes`` holds the (rows,) + grid.n component planes, ``M`` the (k, k)
+    generator along ``axis`` on k blocks of rows, ``at`` the start layer's
+    index into grid.n (the done axes whole) and ``t`` the offsets
+    u_m - u_start of every node m along ``axis``.  Returns the
     (n_axis,) bool nodes where a written value is not finite."""
     k = len(M)
     pos = sum(isinstance(a, slice) for a in at[:axis])     # axis's place in a layer
@@ -395,14 +352,12 @@ def _check_order(order):
     return axes
 
 
-def _check_finite(systems):
-    """InvalidParams naming the first system and row whose y0 is not finite."""
-    for k, (make_body, y0) in enumerate(systems):
-        y0 = np.asarray(y0, dtype=float)
-        if not np.isfinite(y0).all():
-            row = tuple(int(i) for i in np.argwhere(~np.isfinite(y0))[0])
-            raise InvalidParams(f"system {k} ({make_body.__name__}): y0{list(row)} = "
-                                f"{float(y0[row])}; a sweep starts from finite values")
+def _check_finite(make_body, y0):
+    """InvalidParams naming the system and the first row whose y0 is not finite."""
+    if not np.isfinite(y0).all():
+        row = tuple(int(i) for i in np.argwhere(~np.isfinite(y0))[0])
+        raise InvalidParams(f"{make_body.__name__}: y0{list(row)} = {float(y0[row])}; "
+                            f"a sweep starts from finite values")
 
 
 def sweep_descendants(flagged, base, order):
@@ -422,96 +377,74 @@ def sweep_descendants(flagged, base, order):
     return flagged
 
 
-def sweep_integrate(triple, grid, order, systems, max_step, integrability_tol,
-                    first_masked=False):
-    """Integrate the ``systems`` that ``triple`` drives over ``grid`` in one sweep.
+def sweep_integrate(triple, grid, order, make_body, y0, max_step, integrability_tol,
+                    masked=False):
+    """Integrate the system ``(make_body, y0)`` that ``triple`` drives over
+    ``grid`` (module docstring, "Systems").
 
-    ``systems`` is an ordered list of ``(make_body, y0)`` (module docstring);
-    the sweep starts at ``grid``'s base node and runs the axes in ``order``.
+    The sweep starts at ``grid``'s base node and runs the axes in ``order``.
     The triple is checked first (``check_sweep_input``: GridMismatch,
-    PreconditionFailed), then each ``make_body`` sees its y0, then ``max_step``
-    must be positive and finite, ``order`` a permutation of (0, 1, 2) and
-    every y0 finite (InvalidParams, naming the system and the row).  A
-    non-finite value raises NonFiniteState, except in the first system when
-    ``first_masked``: its caller masks its nodes (module docstring,
-    "Masking").  Returns per system, in list order, a grid.n + y0.shape view
-    of its own contiguous y0.shape + grid.n component planes (moving the
-    component axes first gives the planes back).
+    PreconditionFailed), then ``make_body`` sees y0, then ``max_step`` must
+    be positive and finite, ``order`` a permutation of (0, 1, 2) and y0
+    finite (InvalidParams, naming the system and the row).  A non-finite
+    value raises NonFiniteState unless ``masked``: then the caller masks the
+    nodes (module docstring, "Masking").  Returns a grid.n + y0.shape view of
+    contiguous y0.shape + grid.n component planes (moving the component axes
+    first gives the planes back).
     """
     check_sweep_input(triple, grid, integrability_tol)
-    systems = [(make_body, np.asarray(y0, dtype=float)) for make_body, y0 in systems]
-    bodies = [make_body(triple, y0) for make_body, y0 in systems]
+    y0 = np.asarray(y0, dtype=float)
+    body = make_body(triple, y0)
     if not (math.isfinite(max_step) and max_step > 0):
         raise InvalidParams(f"max_step must be positive and finite, got {max_step}")
     axes = _check_order(order)
-    _check_finite(systems)
-    marched = [k for k, body in enumerate(bodies) if callable(body)]
-    rhs, blocks = stacked_rhs(triple, [(bodies[k], systems[k][1]) for k in marched])
-    # the marched rows checked on arrival: all but a masked first system's
-    checked = blocks[0].stop if first_masked and marched[:1] == [0] else 0
+    _check_finite(make_body, y0)
+    rhs = body_rhs(triple, body) if callable(body) else None
     n = grid.n
-    # each system's states live in their own (rows,) + grid.n component
-    # planes; every node is written by one of the phases
-    states = [np.empty((y.size,) + tuple(n)) for _, y in systems]
-    for part, (_, y) in zip(states, systems):
-        part[(slice(None),) + grid.base] = y.ravel()
+    # the states live in (rows,) + grid.n component planes; every node is
+    # written by one of the phases
+    planes = np.empty((y0.size,) + tuple(n))
+    planes[(slice(None),) + grid.base] = y0.ravel()
 
     for phase, axis in enumerate(axes):
         done = axes[:phase]
-        # a node layer of this phase is the basic-index view part[:, at] of
-        # shape (rows,) + done_shape in each system's planes; its lines are in
-        # C order over the done axes, as in ``starts``
-        done_shape = tuple(n[a] for a in sorted(done))
+        # a node layer of this phase is the basic-index view planes[:, at] of
+        # shape (rows,) + done_shape; its lines are in C order over the done
+        # axes, as in ``starts``
         at = [slice(None) if a in done else grid.base[a] for a in range(3)]
-        start = tuple(at)
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
-        with np.errstate(over="ignore", invalid="ignore"):
-            overflow = np.zeros(n[axis], dtype=bool)
-            for k, (part, body) in enumerate(zip(states, bodies)):
-                if not callable(body):
-                    bad = _propagate(part, body[axis], at, axis, ax_vals - ax_vals[i0])
-                    if k or not first_masked:
-                        overflow |= bad
-        if overflow.any():
-            plus, minus = np.flatnonzero(overflow[i0 + 1:]), np.flatnonzero(overflow[:i0])
-            node = i0 + 1 + plus[0] if len(plus) else minus[-1]
-            raise NonFiniteState(f"state overflowed along axis {axis} at node {int(node)}")
-        if not marched:
+        if rhs is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflow = _propagate(planes, body[axis], at, axis, ax_vals - ax_vals[i0])
+            if overflow.any() and not masked:
+                plus, minus = np.flatnonzero(overflow[i0 + 1:]), np.flatnonzero(overflow[:i0])
+                node = i0 + 1 + plus[0] if len(plus) else minus[-1]
+                raise NonFiniteState(f"state overflowed along axis {axis} at node {int(node)}")
             continue
+        done_shape = tuple(n[a] for a in sorted(done))
         ranges = [range(n[a]) if a in done else [grid.base[a]] for a in range(3)]
         starts = np.array(list(itertools.product(*ranges)), dtype=int)  # (B, 3)
-        B = len(starts)
-        writes = [(states[k], rows) for k, rows in zip(marched, blocks)]
-        y_start = np.concatenate([part[(slice(None),) + start].reshape(-1, B)
-                                  for part, _ in writes])
+        y_start = planes[(slice(None),) + tuple(at)].reshape(-1, len(starts))
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
-        for group in [(+1, -1)] if B <= _LANE_LINES else [(+1,), (-1,)]:
-            plus_open = group[0] > 0 and i0 < n[axis] - 1
-            held = None         # a - direction overflow, raised once + has ended
-            march = rk4_march(rhs, [(pts_start, y_start,
-                                     node_intervals(ax_vals, i0, step, max_step))
-                                    for step in group], axis)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for k, nxt, y in march:
-                    step = group[k]
-                    if not np.isfinite(y[checked:]).all():
-                        err = NonFiniteState(
-                            f"state overflowed along axis {axis} at node {nxt}")
-                        if step > 0 or not plus_open:
-                            raise err
-                        held = held or err
-                    at[axis] = nxt
-                    layer = tuple(at)
-                    for part, rows in writes:
-                        part[(slice(None),) + layer] = y[rows].reshape((-1,) + done_shape)
-                    if step > 0 and nxt == n[axis] - 1:
-                        plus_open = False
-                        if held:
-                            raise held
-    views = []
-    for part, (_, y) in zip(states, systems):
-        k = y.ndim
-        views.append(np.moveaxis(part.reshape(y.shape + tuple(n)), tuple(range(k)),
-                                 tuple(range(-k, 0))))
-    return views
+        plus_open = i0 < n[axis] - 1
+        held = None         # a - direction overflow, raised once + has ended
+        march = rk4_march(rhs, [(pts_start, y_start,
+                                 node_intervals(ax_vals, i0, step, max_step))
+                                for step in (+1, -1)], axis)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k, nxt, y in march:
+                if not (masked or np.isfinite(y).all()):
+                    err = NonFiniteState(f"state overflowed along axis {axis} at node {nxt}")
+                    if k == 0 or not plus_open:
+                        raise err
+                    held = held or err
+                at[axis] = nxt
+                planes[(slice(None),) + tuple(at)] = y.reshape((-1,) + done_shape)
+                if k == 0 and nxt == n[axis] - 1:
+                    plus_open = False
+                    if held:
+                        raise held
+    k = y0.ndim
+    return np.moveaxis(planes.reshape(y0.shape + tuple(n)), tuple(range(k)),
+                       tuple(range(-k, 0)))

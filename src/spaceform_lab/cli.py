@@ -18,7 +18,14 @@ import numpy as np
 from . import gallery as gal
 from .ambient import SpaceFormSpec
 from .errors import NonHolonomicSample, SchemaError, SpaceformLabError
-from .frames import integrate_frame, path_independence_residual, standard_frame_state
+from .frames import (
+    frame_gram_residual,
+    induced_metric,
+    integrate_frame,
+    path_independence_residual,
+    standard_frame_state,
+)
+from .grid import ParameterGrid
 from .io import (
     export_csv,
     export_obj,
@@ -28,7 +35,6 @@ from .io import (
 from .ribaucour import (
     RibaucourState,
     integrate_ribaucour,
-    integrate_with_frame,
     invariant_drift,
     seed_state,
     transform_immersion,
@@ -43,6 +49,7 @@ from .verify import (
     pair_gauss_relation,
     schouten_codazzi_residual,
 )
+
 
 def _fail(msg) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -124,8 +131,6 @@ def _cmd_integrate_frame(cfg) -> int:
     init = _frame_init(cfg, name, triple.spec)
     ff = integrate_frame(triple, init, cfg.grid, max_step=cfg.max_step,
                          integrability_tol=cfg.tolerances["integrability"])
-    from .frames import frame_gram_residual, induced_metric
-
     gram = frame_gram_residual(ff)
     path = path_independence_residual(ff)
     _, metric_rep = induced_metric(ff)
@@ -140,7 +145,8 @@ def _cmd_integrate_frame(cfg) -> int:
 def _run_ribaucour_pipeline(cfg, fam=None, fprime=False):
     """Seed triple, Ribaucour field and, with ``fprime``, the transformed
     immersion F' (else None); the seed must be integrable.  F' needs the
-    seed's frame, which the Ribaucour sweep then carries in its state."""
+    seed's frame, swept after the Ribaucour field with no second check of
+    the seed."""
     fam = fam or _family(cfg)
     if fam is not None:
         triple = fam.seed_triple(cfg.grid)
@@ -167,11 +173,13 @@ def _run_ribaucour_pipeline(cfg, fam=None, fprime=False):
                                  raw["phi"], 0.0, raw["beta"])
         init = seed_state(triple, cfg.grid.base, request, k2)
         frame_init = _frame_init(cfg, name, triple.spec)
-    kw = dict(grid=cfg.grid, max_step=cfg.max_step, mask_tol=cfg.tolerances["mask"],
-              K2target=k2, integrability_tol=cfg.tolerances["integrability"])
+    rf = integrate_ribaucour(triple, init, cfg.grid, cfg.max_step,
+                             mask_tol=cfg.tolerances["mask"], K2target=k2,
+                             integrability_tol=cfg.tolerances["integrability"])
     if not fprime:
-        return triple, integrate_ribaucour(triple, init, **kw), None
-    rf, ff = integrate_with_frame(triple, init, frame_init, **kw)
+        return triple, rf, None
+    ff = integrate_frame(triple, frame_init, cfg.grid, max_step=cfg.max_step,
+                         integrability_tol=None)
     return triple, rf, transform_immersion(ff, rf)
 
 
@@ -306,8 +314,6 @@ def _cmd_gallery(args) -> int:
         print("(" + ", ".join(repr(float(x) + 0.0) for x in vec) + ")")
         return 0
     if name in gal.SEED_KINDS:
-        from .grid import ParameterGrid
-
         grid = ParameterGrid.centered(1.0, (5, 5, 5))
         C = args.C
         sign = gal._SEED_TABLE[name][3]          # the default C is the unit of its sign

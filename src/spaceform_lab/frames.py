@@ -170,8 +170,8 @@ def integrate_frame(triple: TripleField, init: FrameState, grid: ParameterGrid =
     another dimension than the triple's space form raises DimensionError.
     """
     grid = grid or triple.grid
-    (states,) = sweep_integrate(triple, grid, tuple(sweep_order),
-                                [(_frame_body, init.as_array())], max_step, integrability_tol)
+    states = sweep_integrate(triple, grid, tuple(sweep_order), _frame_body, init.as_array(),
+                             max_step, integrability_tol)
     return FrameField(grid, states, triple, tuple(sweep_order), max_step)
 
 

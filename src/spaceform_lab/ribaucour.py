@@ -76,7 +76,7 @@ from .errors import (
     SingularPhi,
     SingularPsi,
 )
-from .frames import DEFAULT_MAX_STEP, FrameField, FrameState, _frame_body
+from .frames import DEFAULT_MAX_STEP, FrameField
 from .grid import ParameterGrid
 from .triples import TripleField, delta_inner
 from .verify import ImmersionSample
@@ -371,35 +371,6 @@ def _mask(planes, base, mask_tol, lossy=None):
     return sweep_descendants(flagged, base, (0, 1, 2))
 
 
-def _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
-                     integrability_tol, *others):
-    """The Ribaucour field of ``triple`` and the states of the ``others``
-    systems (``_sweep`` module docstring), stacked after its rows in one
-    sweep, by the route the module docstring describes."""
-    grid = grid or triple.grid
-    mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
-    if K2target is None:
-        K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
-                                     np.asarray(init.vprime)))
-    y0 = init.as_array()
-    linear = _linear_init(triple, y0)
-    system = (_ribaucour_body, y0) if linear is None else (_ribaucour_generators, linear)
-    states, *other_states = sweep_integrate(triple, grid, (0, 1, 2), [system, *others],
-                                            max_step, integrability_tol, first_masked=True)
-    planes = np.moveaxis(states, -1, 0)
-    lossy = None
-    if linear is not None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lossy = _recover(planes, triple, linear)
-        planes[(slice(None),) + grid.base] = y0
-        lossy[grid.base] = False
-    masked = _mask(planes, grid.base, mask_tol, lossy)
-    rf = RibaucourField(grid, states, triple, float(K2target), mask_tol,
-                        masked if masked.any() else None,
-                        "RK4 sweep" if linear is None else "exact propagator")
-    return rf, other_states
-
-
 def integrate_ribaucour(triple: TripleField, init: RibaucourState,
                         grid: ParameterGrid = None, max_step=DEFAULT_MAX_STEP,
                         mask_tol=None, K2target=None,
@@ -415,29 +386,27 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     (module docstring, "Masking"); the unmasked nodes' values do not depend
     on the masked ones.
     """
-    rf, _ = _ribaucour_sweep(triple, init, grid, max_step, mask_tol, K2target,
-                             integrability_tol)
-    return rf
-
-
-def integrate_with_frame(triple: TripleField, init: RibaucourState,
-                         frame_init: FrameState, grid: ParameterGrid = None,
-                         max_step=DEFAULT_MAX_STEP, mask_tol=None, K2target=None,
-                         integrability_tol=None):
-    """The Ribaucour field and the moving frame of ``triple`` from one sweep.
-
-    Returns (RibaucourField, FrameField): bit for bit what
-    ``integrate_ribaucour(triple, init, ...)`` and ``integrate_frame(triple,
-    frame_init, sweep_order=(0, 1, 2), max_step=max_step)`` return, from one
-    evaluation of the triple per RK stage (none when both are propagated).
-    The seed is checked once.  Only the Ribaucour field is masked: the frame
-    is never masked, and a frame overflow raises NonFiniteState at the node
-    ``integrate_frame`` names.
-    """
-    rf, (frame_states,) = _ribaucour_sweep(triple, init, grid, max_step, mask_tol,
-                                           K2target, integrability_tol,
-                                           (_frame_body, frame_init.as_array()))
-    return rf, FrameField(rf.grid, frame_states, triple, (0, 1, 2), max_step)
+    grid = grid or triple.grid
+    mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
+    if K2target is None:
+        K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
+                                     np.asarray(init.vprime)))
+    y0 = init.as_array()
+    linear = _linear_init(triple, y0)
+    system = (_ribaucour_body, y0) if linear is None else (_ribaucour_generators, linear)
+    states = sweep_integrate(triple, grid, (0, 1, 2), *system, max_step, integrability_tol,
+                             masked=True)
+    planes = np.moveaxis(states, -1, 0)
+    lossy = None
+    if linear is not None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lossy = _recover(planes, triple, linear)
+        planes[(slice(None),) + grid.base] = y0
+        lossy[grid.base] = False
+    masked = _mask(planes, grid.base, mask_tol, lossy)
+    return RibaucourField(grid, states, triple, float(K2target), mask_tol,
+                          masked if masked.any() else None,
+                          "RK4 sweep" if linear is None else "exact propagator")
 
 
 @dataclass(frozen=True)

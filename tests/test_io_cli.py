@@ -853,7 +853,8 @@ DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 class TestSweepCount:
     """Each subcommand integrates each field once, and only what it reports.
-    F' needs the frame and the Ribaucour field of one seed: they share a sweep."""
+    F' needs the frame and the Ribaucour field of one seed: one sweep each,
+    the Ribaucour field's first."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -863,12 +864,12 @@ class TestSweepCount:
         names = {frames._frame_body: "frame", ribaucour._ribaucour_body: "ribaucour",
                  ribaucour._ribaucour_generators: "ribaucour"}
         for module in (frames, ribaucour):
-            def counted(triple, grid, order, systems, *args,
+            def counted(triple, grid, order, make_body, *args,
                         _inner=module.sweep_integrate, **kwargs):
-                # the systems a sweep carries, told apart by their bodies; a
+                # the system a sweep integrates, told apart by its body; a
                 # sweep that refuses its triple raises and is not counted
-                out = _inner(triple, grid, order, systems, *args, **kwargs)
-                calls.append("+".join(names[body] for body, _ in systems))
+                out = _inner(triple, grid, order, make_body, *args, **kwargs)
+                calls.append(names[make_body])
                 return out
 
             monkeypatch.setattr(module, "sweep_integrate", counted)
@@ -877,20 +878,20 @@ class TestSweepCount:
     SYSTEMS = {
         "verify-triple": [],
         "integrate-frame": ["frame", "frame"],      # the frame and its reversed sweep
-        "ribaucour": ["ribaucour+frame"],
-        "pair-check": ["ribaucour+frame", "ribaucour+frame"],     # R^4, then S^4
+        "ribaucour": ["ribaucour", "frame"],
+        "pair-check": ["ribaucour", "frame", "ribaucour", "frame"],     # R^4, then S^4
         "cflat-check": ["ribaucour"],
-        "export": ["ribaucour+frame"],
+        "export": ["ribaucour", "frame"],
     }
 
     # pair-check exits 2 at 9^3: its pair-Gauss residual misses the 1e-5 gate
     @pytest.mark.parametrize("cmd, config, outputs, code, expected", [
         ("verify-triple", "seed62", (), 0, 0),
         ("integrate-frame", "seed62", (), 0, 2),
-        ("ribaucour", "pipeline62", ("csv", "obj"), 0, 1),
-        ("pair-check", "pair62", (), 2, 2),
+        ("ribaucour", "pipeline62", ("csv", "obj"), 0, 2),
+        ("pair-check", "pair62", (), 2, 4),
         ("cflat-check", "cflat", (), 0, 1),
-        ("export", "pipeline62", ("csv",), 0, 1),
+        ("export", "pipeline62", ("csv",), 0, 2),
     ])
     def test_demo_config_at_9(self, tmp_path, sweeps, cmd, config, outputs, code,
                               expected):

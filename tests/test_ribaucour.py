@@ -28,7 +28,6 @@ from spaceform_lab.ribaucour import (
     InvariantDrift,
     RibaucourState,
     integrate_ribaucour,
-    integrate_with_frame,
     invariant_drift,
     invariant_fields,
     parallel_triple,
@@ -445,8 +444,9 @@ class TestPlaneBackedConsumers:
                             theta=THETA)
             grid = ParameterGrid.centered(1.0, 11)
             t = fam.seed_triple(grid)
-            rf, ff = integrate_with_frame(t, phi_state(fam, grid.base_point),
-                                          fam.frame_init(), K2target=fam.K2target)
+            rf = integrate_ribaucour(t, phi_state(fam, grid.base_point),
+                                     K2target=fam.K2target)
+            ff = integrate_frame(t, fam.frame_init(), integrability_tol=None)
         elif name == "masked":
             grid = ParameterGrid.centered(1.0, 11)
             t, rf = TestMasking()._masked_run(grid)
@@ -461,8 +461,9 @@ class TestPlaneBackedConsumers:
             init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3,
                                   beta=0.3)
             zero, E = np.zeros(4), np.eye(4)
-            rf, ff = integrate_with_frame(t, init, FrameState(zero, zero, E[1], E[2], zero),
-                                          K2target=1.0)
+            rf = integrate_ribaucour(t, init, K2target=1.0)
+            ff = integrate_frame(t, FrameState(zero, zero, E[1], E[2], zero),
+                                 integrability_tol=None)
             nan = np.isnan(rf.states)
             assert nan.any() and len(np.unique(rf.states.view(np.uint64)[nan])) == 1
         return t, rf, ff

@@ -26,10 +26,10 @@ import pytest
 
 from spaceform_lab import _sweep, triples
 from spaceform_lab._sweep import (
+    body_rhs,
     node_intervals,
     propagators,
     rk4_march,
-    stacked_rhs,
     sweep_descendants,
     sweep_integrate,
     vanishing_terms,
@@ -68,7 +68,6 @@ from spaceform_lab.ribaucour import (
     _ribaucour_body,
     default_mask_tol,
     integrate_ribaucour,
-    integrate_with_frame,
     invariant_drift,
     seed_state,
     transform_immersion,
@@ -569,7 +568,7 @@ class TestBitIdentity:
 
 
 class TestInputsUntouched:
-    """``rk4_march`` and the right-hand side ``stacked_rhs`` builds only read the
+    """``rk4_march`` and the right-hand side ``body_rhs`` builds only read the
     state they are given; the right-hand side returns a fresh dY, bit for bit
     the batch-first reference's, also where the state holds -0.0, inf and NaN."""
 
@@ -591,35 +590,32 @@ class TestInputsUntouched:
         return Y
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    @pytest.mark.parametrize("engine", ["frame", "ribaucour", "ribaucour+frame"])
+    @pytest.mark.parametrize("engine", ["frame", "ribaucour"])
     def test_rhs(self, engine, axis):
         t, pts, rng = self._case()
-        systems = {"frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
-                   "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}
-        parts = [systems[name] for name in engine.split("+")]
-        rhs, blocks = stacked_rhs(t, [(make_body(t, np.zeros(shape)), np.zeros(shape))
-                                      for make_body, _, shape in parts])
-        Ys = [self._state(rng, shape + (self.B,)) for _, _, shape in parts]
-        if engine.startswith("ribaucour"):
+        make_body, ref_rhs, shape = {
+            "frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
+            "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}[engine]
+        rhs = body_rhs(t, make_body(t, np.zeros(shape)))
+        state = self._state(rng, shape + (self.B,))
+        if engine == "ribaucour":
             # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
             # start from +0.0 as the reference's does
-            Ys[0][3:6, 3:15] = -0.0
-        Y = np.concatenate([part.reshape(-1, self.B) for part in Ys])
+            state[3:6, 3:15] = -0.0
+        Y = state.reshape(-1, self.B)
         before = Y.tobytes()
         with np.errstate(all="ignore"):
             dY = rhs(pts, Y, axis)
-            refs = [ref_rhs(pts, np.moveaxis(part, -1, 0), axis)
-                    for (_, ref_rhs, _), part in zip(parts, Ys)]
+            ref = ref_rhs(pts, np.moveaxis(state, -1, 0), axis)
         assert Y.tobytes() == before
         assert not np.shares_memory(dY, Y)
-        assert dY.shape == Y.shape == (blocks[-1].stop, self.B)
-        for rows, ref in zip(blocks, refs):
-            assert dY[rows].tobytes() == np.moveaxis(ref, 0, -1).tobytes()
+        assert dY.shape == Y.shape == (math.prod(shape), self.B)
+        assert dY.tobytes() == np.moveaxis(ref, 0, -1).tobytes()
 
     def test_rk4_march(self):
         t, pts, rng = self._case()
         shape = (5, t.spec.dim)
-        rhs, _ = stacked_rhs(t, [(_frame_body(t, np.zeros(shape)), np.zeros(shape))])
+        rhs = body_rhs(t, _frame_body(t, np.zeros(shape)))
         Y = rng.normal(size=(math.prod(shape), self.B))
         before = Y.tobytes()
         u = t.grid.axis(1)
@@ -820,49 +816,31 @@ class TestSplineLinePath:
 
 
 # ---------------------------------------------------------------------------
-# the frame and Ribaucour systems stacked in one sweep
+# the Ribaucour field and the frame of one seed, one sweep each
 # ---------------------------------------------------------------------------
 
 
 class TestStackedSweep:
-    """``integrate_with_frame`` marches the Ribaucour and frame rows as one
-    state: both fields must have the bytes of the separate sweeps, masking
-    covers the Ribaucour field only, and the triple is evaluated once per stage."""
+    """The Ribaucour field and the frame of one seed, swept one after the
+    other as the CLI sweeps them for F' (the frame with no second check of
+    the seed): masking covers the Ribaucour field only, a frame overflow
+    raises, and each sweep checks its triple before its state."""
 
     FAMILIES = dict(FAMILIES, r4_problemstar_eps_minus1=PhiFamily(
         "problemstar", K=2.0, a=1.0, c=0.0, eps=-1, theta=THETA))
-    GRIDS = {"unit_box": ParameterGrid.centered(1.0, 9), "off_centre": TestEvalCount.GRID}
 
     @staticmethod
-    def _assert_separate(t, init, frame_init, **kw):
-        rf, ff = integrate_with_frame(t, init, frame_init, **kw)
-        ref_rf = integrate_ribaucour(t, init, **kw)
-        kw.pop("K2target", None)
-        kw.pop("mask_tol", None)
-        ref_ff = integrate_frame(t, frame_init, integrability_tol=None, **kw)
-        _assert_same(_ribaucour_result(rf), _ribaucour_result(ref_rf))
-        _assert_same(_frame_result(ff), _frame_result(ref_ff))
-        assert (rf.K2target, rf.mask_tol) == (ref_rf.K2target, ref_rf.mask_tol)
-        assert (ff.sweep_order, ff.max_step) == (ref_ff.sweep_order, ref_ff.max_step)
-        assert ff.triple is t and ff.grid.same_as(ref_ff.grid)
-        return rf, ff
-
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_bytes_of_separate_sweeps(self, name, grid):
-        fam = self.FAMILIES[name]
-        g = self.GRIDS[grid]
-        t = fam.seed_triple(g)
-        self._assert_separate(t, phi_state(fam, g.base_point), fam.frame_init(),
-                              K2target=fam.K2target)
+    def _both(t, init, frame_init, **kw):
+        rf = integrate_ribaucour(t, init, **kw)
+        return rf, integrate_frame(t, frame_init, integrability_tol=None)
 
     def test_sampled_retransform_with_masked_lines(self):
         # the S^4 re-transform masks lines where phi or psi vanish
         fam, t, init = _closed_form_case("s4_problemstar_sphere")
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
         tt = transformed_triple(t, rf)
-        rf2, _ = self._assert_separate(tt, rf.state_at(tt.grid.base), fam.frame_init(),
-                                       K2target=fam.K2target)
+        rf2, _ = self._both(tt, rf.state_at(tt.grid.base), fam.frame_init(),
+                            K2target=fam.K2target)
         assert rf2.masked is not None and rf2.masked.any()
 
     def test_masked_nodes_keep_integrating_the_frame(self):
@@ -871,8 +849,8 @@ class TestStackedSweep:
         t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
-        rf, ff = self._assert_separate(t, init, standard_frame_state(t.spec),
-                                       mask_tol=0.05, K2target=1.0)
+        rf, ff = self._both(t, init, standard_frame_state(t.spec), mask_tol=0.05,
+                            K2target=1.0)
         masked = rf.masked
         assert masked is not None and masked.any() and not masked.all()
         # the axis-1 line from a masked node of the base line: its Ribaucour
@@ -884,70 +862,43 @@ class TestStackedSweep:
         assert len(np.unique(ff.N[line], axis=0)) == len(ff.N[line])
 
     def test_frame_overflow_raises(self):
-        # the Ribaucour rows overflow too and are masked; the frame rows raise
+        # K2 = 0.99 off kappa = 0 marches the Ribaucour rows, which overflow
+        # and are masked; the propagated frame raises
         t = TestBitIdentity()._overflowing_triple()
         init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3, beta=0.3)
         frame_init = standard_frame_state(t.spec)
-        with pytest.raises(NonFiniteState) as ref_err:
-            integrate_frame(t, frame_init, integrability_tol=None)
         with pytest.raises(NonFiniteState) as err:
-            integrate_with_frame(t, init, frame_init, K2target=1.0)
-        assert str(err.value) == str(ref_err.value)
+            self._both(t, init, frame_init, K2target=1.0)
+        rf = integrate_ribaucour(t, init, K2target=1.0)
+        assert rf.scheme == "RK4 sweep" and not np.isfinite(rf.states).all()
+        assert rf.masked[~np.isfinite(rf.states).all(axis=-1)].all()
+        assert str(err.value) == exact_overflow_message(t, frame_init)
 
     def test_frame_of_another_dimension_raises(self):
         fam, t, init = _closed_form_case("s4_problemstar_sphere")
         r4_frame = FAMILIES["r4_problemstar"].frame_init()
         with pytest.raises(DimensionError, match=r"\(5, 5\)"):
-            integrate_with_frame(t, init, r4_frame, K2target=fam.K2target)
+            self._both(t, init, r4_frame, K2target=fam.K2target)
         with pytest.raises(DimensionError, match=r"\(5, 5\)"):
             integrate_frame(t, r4_frame)
 
     def test_triple_checked_before_frame_dimension(self):
-        # the sweep checks its triple before its systems see their states
+        # each sweep checks its triple before its system sees its state
         fam, t, init = _closed_form_case("s4_problemstar_sphere")
         r4_frame = FAMILIES["r4_problemstar"].frame_init()
         with pytest.raises(GridMismatch):
-            integrate_with_frame(t, init, r4_frame, ParameterGrid.centered(1.0, 7),
-                                 K2target=fam.K2target)
+            integrate_frame(t, r4_frame, ParameterGrid.centered(1.0, 7))
         # V = (1, 0.5, 0.2) leaves 0.5 in equation (3.iii)
         bad = TripleField.constant(t.grid, (1, -1, 1), SpaceFormSpec(0.0, 0),
                                    v=(0, 1, 1), V=(1, 0.5, 0.2))
         with pytest.raises(PreconditionFailed):
-            integrate_with_frame(bad, init, fam.frame_init(), K2target=1.0,
-                                 integrability_tol=1e-8)
-
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_eval_at_once_per_stage(self, sampled):
-        fam = FAMILIES["s4_problemstar_sphere"]
-        grid = TestEvalCount.GRID
-        init = phi_state(fam, grid.base_point)
-        seen = {}
-        for kind in ("separate", "stacked"):
-            t = fam.seed_triple(grid)
-            if sampled:
-                t = TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
-            calls = seen[kind] = []
-            inner = t.eval_at
-
-            def eval_at(points, _inner=inner, _calls=calls):
-                _calls.append(np.array(points))
-                return _inner(points)
-
-            t.eval_at = eval_at
-            if kind == "separate":
-                integrate_ribaucour(t, init, max_step=TestEvalCount.STEP,
-                                    K2target=fam.K2target)
-            else:
-                integrate_with_frame(t, init, fam.frame_init(), max_step=TestEvalCount.STEP,
-                                     K2target=fam.K2target)
-        calls, points = TestEvalCount()._expected((0, 1, 2)) if sampled else (0, 0)
-        assert len(seen["stacked"]) == calls
-        assert sum(len(p) for p in seen["stacked"]) == points
-        assert [p.tobytes() for p in seen["stacked"]] == [p.tobytes() for p in seen["separate"]]
+            integrate_ribaucour(bad, init, K2target=1.0, integrability_tol=1e-8)
+        with pytest.raises(PreconditionFailed):
+            integrate_frame(bad, fam.frame_init(), integrability_tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
-# the two directions of a narrow phase marched as one batch
+# the two directions of a phase marched as one batch
 # ---------------------------------------------------------------------------
 
 
@@ -956,8 +907,8 @@ def _engine_ribaucour(t, init, order):
     (0, 1, 2)): nodes where |phi| or |psi| < mask_tol or a value is not
     finite, and the nodes the sweep reaches through them."""
     tol = default_mask_tol(t.grid)
-    (states,) = sweep_integrate(t, t.grid, order, [(_ribaucour_body, init.as_array())],
-                                DEFAULT_MAX_STEP, None, first_masked=True)
+    states = sweep_integrate(t, t.grid, order, _ribaucour_body, init.as_array(),
+                             DEFAULT_MAX_STEP, None, masked=True)
     flagged = ((np.abs(states[..., 6]) < tol) | (np.abs(states[..., 7]) < tol)
                | ~np.isfinite(states).all(axis=-1))
     return states, sweep_descendants(flagged, t.grid.base, order)
@@ -990,8 +941,8 @@ class TestSweepDescendants:
 
 
 class TestLockstep:
-    """The first two axis phases march their + and - directions as one batch,
-    each on its own substep schedule; states, masks and errors are bit for bit
+    """Every axis phase marches its + and - directions as one batch, each on
+    its own substep schedule; states, masks and errors are bit for bit
     those of the batch-first reference, which marches + and then -."""
 
     # max_step 0.01 splits the intervals of the 41-node axis on [-1, 1] into 5
@@ -1022,7 +973,7 @@ class TestLockstep:
         assert nsub > 1e298
         t = _sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
         y0 = np.zeros((5, t.spec.dim))
-        rhs, _ = stacked_rhs(t, [(_frame_body(t, y0), y0)])
+        rhs = body_rhs(t, _frame_body(t, y0))
         calls = []
 
         class Enough(Exception):
@@ -1122,36 +1073,49 @@ class TestLockstep:
 
 class TestEvalAtPerDirection:
     """``eval_at`` never sees a merged batch: each call carries the B lines of
-    one direction, all on its side of the base along the phase axis, and in
-    the merged phases, those of at most ``_LANE_LINES`` lines per direction,
-    + is evaluated before - at every stage.  This keeps the number of
-    evaluations at four per RK substep of each direction."""
+    one direction, all on its side of the base along the phase axis, and +
+    is evaluated before - at every stage.  Taken one direction at a time,
+    the calls are those of the reference, which marches + and then -.  This
+    keeps the number of evaluations at four per RK substep of each
+    direction."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
     @pytest.mark.parametrize("where", ["asymmetric", "face"])
     def test_one_direction_per_call(self, where, order, sampled):
-        # the phases have 1, 41, 205 and 1, 4, 164 lines: all merged
+        # the phases have 1, 41, 205 and 1, 4, 164 lines
         self._check(where, order, sampled)
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
-    @pytest.mark.parametrize("lane_lines", [0, 40, 41, 164])
-    def test_either_side_of_the_lane_rule(self, lane_lines, order, sampled, monkeypatch):
-        # 0: every phase split; 40 and 41 split or merge the 41-line phase;
-        # 164 merges the 164-line phase of (2, 0, 1) and splits the 205-line one
-        monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
-        self._check("asymmetric", order, sampled)
+    def test_calls_of_the_reference(self, order, sampled):
+        # the engine's calls regrouped + and then - per phase are the
+        # reference's, bit for bit, the 205-line phase of (0, 1, 2) included
+        grid = TestLockstep.grid("asymmetric")
+        calls = self._check("asymmetric", order, sampled)
+        regrouped, pos = [], 0
+        for signs in self._signs(grid, order):
+            phase = calls[pos:pos + len(signs)]
+            regrouped += [p for sign in (1, -1) for s, p in zip(signs, phase) if s == sign]
+            pos += len(signs)
+        fam, t = self._triple("asymmetric", sampled)
+        ref_calls = self._calls(t)
+        if sampled:
+            ref_frame(t, fam.frame_init(), order)
+        else:
+            ref_ribaucour(t, phi_state(fam, grid.base_point), sweep_order=order)
+        assert [p.tobytes() for p in regrouped] == [p.tobytes() for p in ref_calls]
 
     @staticmethod
-    def _check(where, order, sampled):
-        """The calls of the frame sweep of a sampled triple, of the Ribaucour
-        sweep of a constant one (whose frame sweep makes none)."""
+    def _triple(where, sampled):
         grid = TestLockstep.grid(where)
         fam = FAMILIES["r4_problemstar"]
         t = fam.seed_triple(grid)
-        if sampled:
-            t = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
+        return fam, _sampled_copy(t) if sampled else t
+
+    @staticmethod
+    def _calls(t):
+        """The points of every ``eval_at`` call made on ``t`` from now on."""
         calls = []
         inner = t.eval_at
 
@@ -1160,23 +1124,34 @@ class TestEvalAtPerDirection:
             return inner(points)
 
         t.eval_at = eval_at
+        return calls
+
+    @staticmethod
+    def _signs(grid, order):
+        """Per phase, the direction of each call in turn: one stage of each
+        live direction, + first."""
+        for axis in order:
+            plus, minus = (4 * sum(s) for s in _schedules(grid, axis))
+            yield [sign for i in range(max(plus, minus))
+                   for sign, stages in ((1, plus), (-1, minus)) if i < stages]
+
+    @classmethod
+    def _check(cls, where, order, sampled):
+        """The calls of the frame sweep of a sampled triple, of the Ribaucour
+        sweep of a constant one (whose frame sweep makes none)."""
+        grid = TestLockstep.grid(where)
+        fam, t = cls._triple(where, sampled)
+        calls = cls._calls(t)
         integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
         if not sampled:
             assert calls == []
             _engine_ribaucour(t, phi_state(fam, grid.base_point), order)
 
         pos = 0
-        for k, axis in enumerate(order):
-            done = order[:k]
+        for axis, signs in zip(order, cls._signs(grid, order)):
+            done = order[:order.index(axis)]
             starts = np.array(list(itertools.product(
                 *[grid.axis(a) if a in done else [grid.base_point[a]] for a in range(3)])))
-            plus, minus = (4 * sum(s) for s in _schedules(grid, axis))
-            # merged: one stage of each live direction in turn, + first
-            if len(starts) <= _sweep._LANE_LINES:
-                signs = [sign for i in range(max(plus, minus))
-                         for sign, stages in ((1, plus), (-1, minus)) if i < stages]
-            else:           # all of + before all of -
-                signs = [1] * plus + [-1] * minus
             others = [a for a in range(3) if a != axis]
             u0 = grid.base_point[axis]
             for sign, points in zip(signs, calls[pos:pos + len(signs)]):
@@ -1186,28 +1161,13 @@ class TestEvalAtPerDirection:
                 assert (u == u[0]).all() and sign * (u[0] - u0) >= 0
             pos += len(signs)
         assert pos == len(calls)
+        return calls
 
 
 class TestLaneRule:
-    """A phase of at most ``_LANE_LINES`` lines per direction marches both
-    directions as one batch, a wider one + and then -.  Sweeps forced to
-    merge every phase and forced to split every phase give the same bytes,
-    masks and errors."""
-
-    SPLIT, MERGED = 0, 10**9
-
-    @staticmethod
-    def _forced(monkeypatch, sweep):
-        """``sweep()`` run with every phase split and then every phase merged:
-        its two results, or its two NonFiniteState messages."""
-        out = []
-        for lane_lines in (TestLaneRule.SPLIT, TestLaneRule.MERGED):
-            monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
-            try:
-                out.append(sweep())
-            except NonFiniteState as err:
-                out.append(str(err))
-        return out
+    """Every phase marches both directions as one batch, the widest too; its
+    states, masks and errors are those of the reference, which marches + and
+    then -."""
 
     def test_rule(self, monkeypatch):
         # a 41 x 5 x 4 box: (0, 1, 2) has phases of 1, 41 and 205 lines
@@ -1223,50 +1183,48 @@ class TestLaneRule:
             return real_march(rhs, lanes, *args)
 
         monkeypatch.setattr(_sweep, "rk4_march", march)
-        for lane_lines, expect in ((205, [[1, 1], [41, 41], [205, 205]]),
-                                   (204, [[1, 1], [41, 41], [205], [205]])):
-            monkeypatch.setattr(_sweep, "_LANE_LINES", lane_lines)
-            widths.clear()
-            _engine_ribaucour(t, init, (0, 1, 2))
-            assert widths == expect
+        states = _engine_ribaucour(t, init, (0, 1, 2))
+        assert widths == [[1, 1], [41, 41], [205, 205]]
+        _assert_same(states, ref_ribaucour(t, init))
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
-    def test_frame(self, order, sampled, monkeypatch):
+    def test_frame(self, order, sampled):
         fam, t, _ = _layer_case("r4_problemstar", "off_centre", sampled)
-        split, merged = self._forced(monkeypatch, lambda: _frame_result(integrate_frame(
-            t, fam.frame_init(), sweep_order=order, integrability_tol=None)))
-        _assert_same(merged, split)
+        ff = integrate_frame(t, fam.frame_init(), sweep_order=order, integrability_tol=None)
+        _assert_frame(ff, t, fam.frame_init(), order)
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
-    def test_ribaucour(self, order, sampled, monkeypatch):
+    def test_ribaucour(self, order, sampled):
         _, t, init = _layer_case("s4_problemstar_sphere", "off_centre", sampled)
-        split, merged = self._forced(monkeypatch, lambda: _engine_ribaucour(t, init, order))
-        _assert_same(merged, split)
+        _assert_same(_engine_ribaucour(t, init, order),
+                     ref_ribaucour(t, init, sweep_order=order))
 
-    def test_masked_line(self, monkeypatch):
+    def test_masked_line(self):
         # the - direction of the base line is masked from one node from the base
         # (TestLockstep.test_masked_direction_leaves_the_other_integrating),
-        # and the lines started from its nodes stay masked
+        # and the lines started from its nodes stay masked (marched with RK4
+        # on a sampled copy: the constant seed is propagated)
         grid = ParameterGrid.centered(1.0, 9)
-        t = trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0)
+        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
-        split, merged = self._forced(monkeypatch, lambda: _ribaucour_result(
-            integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)))
-        _assert_same(merged, split)
-        assert merged[1][:4].all() and not merged[1][4:].any()
+        rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
+        _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init, mask_tol=0.1))
+        assert rf.masked[:4].all() and not rf.masked[4:].any()
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)])
-    def test_overflow_in_both_directions_names_the_plus_node(self, order, monkeypatch):
+    def test_overflow_in_both_directions_names_the_plus_node(self, order):
         # the frame rows overflow both ways along axis 0, in the first phase
         # of (0, 1, 2) and in the 16-line last phase of (1, 2, 0)
         t = TestLockstep._growing_triple(-40.0, 40.0, 41, 20)
         init = standard_frame_state(t.spec)
-        split, merged = self._forced(monkeypatch, lambda: integrate_frame(
-            t, init, sweep_order=order, max_step=0.5, integrability_tol=None))
-        assert merged == split == "state overflowed along axis 0 at node 40"
+        with pytest.raises(NonFiniteState) as err:
+            integrate_frame(t, init, sweep_order=order, max_step=0.5, integrability_tol=None)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, init, order, max_step=0.5)
+        assert str(err.value) == str(ref_err.value) == "state overflowed along axis 0 at node 40"
 
 
 # ---------------------------------------------------------------------------
@@ -1320,7 +1278,7 @@ class TestBodiesBuiltForInputs:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_with_frame_over_families(self, name):
         fam, t, init = _family_case(name, self.GRID, False)
-        rf, ff = integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
+        rf, ff = TestStackedSweep._both(t, init, fam.frame_init(), K2target=fam.K2target)
         _assert_ribaucour(rf, t, init)
         _assert_frame(ff, t, fam.frame_init())
 
@@ -1331,7 +1289,7 @@ class TestBodiesBuiltForInputs:
         req = RibaucourState((0.3, -0.2, 0.1), (1.0, 0.1, 0.0), phi=0.8, psi=0.0, beta=0.3)
         init = seed_state(t, self.GRID.base, req, K2target=0.5)
         assert all(init.gamma)
-        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=0.5)
+        rf, ff = TestStackedSweep._both(t, init, standard_frame_state(t.spec), K2target=0.5)
         assert rf.scheme == "RK4 sweep"
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
         _assert_frame(ff, t, standard_frame_state(t.spec))
@@ -1360,7 +1318,7 @@ class TestBodiesBuiltForInputs:
     def test_hand_built_negative_gamma(self, case):
         c, init = self.NEGATIVE_GAMMA[case]
         t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
-        rf, ff = integrate_with_frame(t, init, standard_frame_state(t.spec), K2target=1.0)
+        rf, ff = TestStackedSweep._both(t, init, standard_frame_state(t.spec), K2target=1.0)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
         _assert_frame(ff, t, standard_frame_state(t.spec))
 
@@ -1413,29 +1371,29 @@ class TestBodiesBuiltForInputs:
 
 
 class TestPlaneLayout:
-    """Every system's states are grid.n + y0.shape views of one contiguous
+    """Every sweep's states are grid.n + y0.shape views of one contiguous
     y0.shape + grid.n block of component planes: moved to component-first
     order they are C-contiguous, and they hold no second copy of the states."""
 
     @staticmethod
     def _states(kind, t, init, fam, order):
-        """(states, component axes) of each system a ``kind`` sweep returns;
-        the Ribaucour sweeps run ``order`` through ``sweep_integrate`` when it
-        is not the (0, 1, 2) of ``integrate_ribaucour``."""
+        """(states, component axes) of each sweep a ``kind`` run makes, the
+        Ribaucour sweep before the frame's; the Ribaucour sweeps run
+        ``order`` through ``sweep_integrate`` when it is not the (0, 1, 2)
+        of ``integrate_ribaucour``."""
         frame_init = fam.frame_init()
-        if kind == "frame":
+        results = []
+        if kind != "frame":
+            if order != (0, 1, 2):
+                states = sweep_integrate(t, t.grid, order, _ribaucour_body, init.as_array(),
+                                         DEFAULT_MAX_STEP, None)
+            else:
+                states = integrate_ribaucour(t, init, K2target=fam.K2target).states
+            results.append((states, 1))
+        if kind != "ribaucour":
             ff = integrate_frame(t, frame_init, sweep_order=order, integrability_tol=None)
-            return [(ff.states, 2)]
-        systems = [(_ribaucour_body, init.as_array())]
-        if kind == "with_frame":
-            systems.append((_frame_body, frame_init.as_array()))
-        if order != (0, 1, 2):
-            states = sweep_integrate(t, t.grid, order, systems, DEFAULT_MAX_STEP, None)
-            return list(zip(states, (1, 2)))
-        if kind == "ribaucour":
-            return [(integrate_ribaucour(t, init, K2target=fam.K2target).states, 1)]
-        rf, ff = integrate_with_frame(t, init, frame_init, K2target=fam.K2target)
-        return [(rf.states, 1), (ff.states, 2)]
+            results.append((ff.states, 2))
+        return results
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
@@ -1463,7 +1421,8 @@ class TestCarriedRows:
     """A constant triple's frame is propagated exactly, with no row marched:
     its states are within rounding of the expm-composed reference, and an
     overflow names the node where the exact frame overflows.  A sampled
-    triple's frame marches every row, bit for bit the RK4 reference."""
+    triple's frame marches every row, bit for bit the RK4 reference.  The
+    sweep's inputs are checked before anything is swept."""
 
     GRIDS = {"off_centre": TestEvalCount.GRID,
              "face": ParameterGrid(TestEvalCount.GRID.lo, TestEvalCount.GRID.hi,
@@ -1491,11 +1450,17 @@ class TestCarriedRows:
     @pytest.mark.parametrize("where", sorted(GRIDS))
     @pytest.mark.parametrize("name", sorted(TestStackedSweep.FAMILIES))
     def test_with_frame_equals_separate_sweeps(self, name, where):
+        # the CLI's pair of sweeps for F': the frame swept after the
+        # Ribaucour field on the same triple, with no second seed check, has
+        # the bytes of a frame swept on its own
         fam = TestStackedSweep.FAMILIES[name]
         grid = self.GRIDS[where]
         t = fam.seed_triple(grid)
-        _, ff = TestStackedSweep._assert_separate(t, phi_state(fam, grid.base_point),
-                                                  fam.frame_init(), K2target=fam.K2target)
+        init = phi_state(fam, grid.base_point)
+        rf, ff = TestStackedSweep._both(t, init, fam.frame_init(), K2target=fam.K2target)
+        alone = integrate_frame(fam.seed_triple(grid), fam.frame_init())
+        _assert_same(_frame_result(ff), _frame_result(alone))
+        _assert_ribaucour(rf, t, init)
         assert_exact(ff.states, exact_frame(t, fam.frame_init()))
 
     @staticmethod
@@ -1524,11 +1489,10 @@ class TestCarriedRows:
         frame_rows = 5 * t.spec.dim if case == "sampled" else 0
         assert self._marched_rows(monkeypatch, lambda: integrate_frame(
             t, frame_init, integrability_tol=None)) == ([{frame_rows}] * 3 if frame_rows else [])
-        # stacked after the Ribaucour rows, which a sampled triple marches
-        # whole and a constant triple propagates from its phi-state
-        assert self._marched_rows(monkeypatch, lambda: integrate_with_frame(
-            t, init, frame_init, K2target=fam.K2target)) == (
-                [{9 + frame_rows}] * 3 if frame_rows else [])
+        # the Ribaucour rows: a sampled triple marches them whole, a constant
+        # triple propagates them from its phi-state
+        assert self._marched_rows(monkeypatch, lambda: integrate_ribaucour(
+            t, init, K2target=fam.K2target)) == ([{9}] * 3 if frame_rows else [])
 
     @pytest.mark.parametrize("base", [(2, 2, 2), (0, 0, 0)])
     @pytest.mark.parametrize("order", ORDERS)
@@ -1564,7 +1528,7 @@ class TestCarriedRows:
         fam, t, _ = _closed_form_case("r4_problemstar")
         t = self._uncalled(t)
         with pytest.raises(InvalidParams, match=r"permutation of \(0, 1, 2\)"):
-            sweep_integrate(t, t.grid, order, [(_frame_body, fam.frame_init().as_array())],
+            sweep_integrate(t, t.grid, order, _frame_body, fam.frame_init().as_array(),
                             DEFAULT_MAX_STEP, None)
         if isinstance(order, tuple):
             with pytest.raises(InvalidParams, match="permutation"):
@@ -1585,19 +1549,15 @@ class TestCarriedRows:
         X = np.eye(4)[:3]
         X[1, 2] = value
         init = FrameState(np.zeros(4), *X, np.eye(4)[3])
-        message = rf"system 0 \(_frame_body\): y0\[2, 2\] = {value}"
-        with pytest.raises(InvalidParams, match=message):
+        with pytest.raises(InvalidParams, match=rf"^_frame_body: y0\[2, 2\] = {value};"):
             integrate_frame(t, init)
-        ribaucour = RibaucourState((0.1,) * 3, (0.5, 0.5, 0.5), phi=2.0, psi=0.3, beta=0.1)
-        with pytest.raises(InvalidParams, match=message.replace("0", "1", 1)):
-            integrate_with_frame(t, ribaucour, init, K2target=1.0)
 
     def test_nonfinite_ribaucour_init(self):
         # a NaN v'_2 (row 4) masked every node but the base, which kept the NaN
         grid = ParameterGrid.centered(1.0, 5)
         t = self._uncalled(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         init = RibaucourState((0.1,) * 3, (0.5, math.nan, 0.5), 2.0, 0.3, 0.1)
-        with pytest.raises(InvalidParams, match=r"system 0 \(_ribaucour_body\): y0\[4\] = nan"):
+        with pytest.raises(InvalidParams, match=r"^_ribaucour_body: y0\[4\] = nan;"):
             integrate_ribaucour(t, init, K2target=1.0)
 
 
@@ -1719,8 +1679,7 @@ class TestRibaucourPropagators:
     """A constant triple's Ribaucour system from an init on K2 = kappa is
     propagated in its linear form: exact to rounding against the families'
     closed forms and against the expm-composed reference, byte-identical on a
-    rerun and inside ``integrate_with_frame``, and free of triple
-    evaluations.  Any other input is marched with RK4."""
+    rerun, and free of triple evaluations.  Any other input is marched with RK4."""
 
     # each family kind with every (c, s) it admits: with K = 2 and a = 1,
     # problemstar's branch signs hold in every ambient
@@ -1735,8 +1694,8 @@ class TestRibaucourPropagators:
         fam = PhiFamily(kind, K=self.FAMILY_K[kind], c=c, eps=1 - 2 * s, theta=THETA)
         grid = ParameterGrid.centered(1.0, 11)
         t = fam.seed_triple(grid)
-        rf, ff = integrate_with_frame(t, phi_state(fam, grid.base_point), fam.frame_init(),
-                                      K2target=fam.K2target)
+        rf, ff = TestStackedSweep._both(t, phi_state(fam, grid.base_point), fam.frame_init(),
+                                        K2target=fam.K2target)
         assert rf.scheme == "exact propagator" and rf.masked is None
         gamma, vprime, phi, psi, beta = fam.state_arrays(grid.points())
         assert_exact(rf.states, np.concatenate(
@@ -1761,10 +1720,7 @@ class TestRibaucourPropagators:
         _assert_ribaucour(rf, t, init)
         again = integrate_ribaucour(t, init, K2target=kappa)
         _assert_same(_ribaucour_result(again), _ribaucour_result(rf))
-        with_frame, _ = integrate_with_frame(t, init, seed_frame_state(kind, t.spec),
-                                             K2target=kappa)
-        _assert_same(_ribaucour_result(with_frame), _ribaucour_result(rf))
-        assert with_frame.scheme == rf.scheme == "exact propagator"
+        assert again.scheme == rf.scheme == "exact propagator"
 
     @pytest.mark.parametrize("mask_tol", [None, 0.05])
     def test_phi_wall_masks_as_rk4(self, mask_tol):
@@ -1790,7 +1746,7 @@ class TestRibaucourPropagators:
                             lambda *args: marched.append(1) or real_march(*args))
         init = phi_state(fam, t.grid.base_point)
         integrate_ribaucour(t, init, K2target=fam.K2target)
-        integrate_with_frame(t, init, fam.frame_init(), K2target=fam.K2target)
+        integrate_frame(t, fam.frame_init())
         assert counts == {"calls": 0, "points": 0} and not marched
 
     # kappa = 1 on the seed v = (1, 0, 0), delta = (1, -1, 1); the rounding
@@ -1868,11 +1824,9 @@ class TestRibaucourPropagators:
 
     def test_frame_overflow_is_not_masked(self):
         # the Ribaucour rows of the case above are masked; the frame, also
-        # propagated, overflows and raises at the node integrate_frame names
+        # propagated, overflows and raises at the exact frame's node
         t = TestBitIdentity()._overflowing_triple()
         frame_init = standard_frame_state(t.spec)
-        with pytest.raises(NonFiniteState) as ref_err:
-            integrate_frame(t, frame_init, integrability_tol=None)
         with pytest.raises(NonFiniteState) as err:
-            integrate_with_frame(t, self.OVERFLOW_INIT, frame_init, K2target=0.0)
-        assert str(err.value) == str(ref_err.value) == exact_overflow_message(t, frame_init)
+            TestStackedSweep._both(t, self.OVERFLOW_INIT, frame_init, K2target=0.0)
+        assert str(err.value) == exact_overflow_message(t, frame_init)
