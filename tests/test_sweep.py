@@ -1088,22 +1088,31 @@ class TestEvalAtPerDirection:
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
-    def test_calls_of_the_reference(self, order, sampled):
-        # the engine's calls regrouped + and then - per phase are the
-        # reference's, bit for bit, the 205-line phase of (0, 1, 2) included
+    @pytest.mark.parametrize("lane_lines", [0, 40, 41, 164])
+    def test_either_side_of_the_lane_rule(self, lane_lines, order, sampled):
+        # A lane rule at lane_lines lines per direction would march every
+        # wider phase + and then -: 0 every phase, 40 and 41 either side of
+        # the 41-line phase, 164 the 205-line phase of (0, 1, 2) but not the
+        # 164-line one of (2, 0, 1).  No phase is split: the wider ones
+        # interleave + and - as the others do, and the engine's calls
+        # regrouped + and then - per phase are the reference's, bit for bit.
         grid = TestLockstep.grid("asymmetric")
         calls = self._check("asymmetric", order, sampled)
-        regrouped, pos = [], 0
-        for signs in self._signs(grid, order):
-            phase = calls[pos:pos + len(signs)]
-            regrouped += [p for sign in (1, -1) for s, p in zip(signs, phase) if s == sign]
-            pos += len(signs)
         fam, t = self._triple("asymmetric", sampled)
         ref_calls = self._calls(t)
         if sampled:
             ref_frame(t, fam.frame_init(), order)
         else:
             ref_ribaucour(t, phi_state(fam, grid.base_point), sweep_order=order)
+        regrouped, pos = [], 0
+        for signs in self._signs(grid, order):
+            phase = calls[pos:pos + len(signs)]
+            split = [p for sign in (1, -1) for s, p in zip(signs, phase) if s == sign]
+            ref_phase = ref_calls[pos:pos + len(signs)]
+            if len(phase[0]) > lane_lines and -1 in signs:
+                assert [p.tobytes() for p in phase] != [p.tobytes() for p in ref_phase]
+            regrouped += split
+            pos += len(signs)
         assert [p.tobytes() for p in regrouped] == [p.tobytes() for p in ref_calls]
 
     @staticmethod
