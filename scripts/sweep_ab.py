@@ -34,7 +34,10 @@ triple, F' and the drift of ``sampled``), the Omega drift of the second
 transform in ``sampled`` per side (the benchmark's ``result_err`` there), per
 run kind and side the ``TripleField.eval_at`` calls and the spline
 evaluations actually made (``triples._CubicSpline`` calls; a constant triple
-makes none), counted in the untimed warm-up round, per run kind, phase and
+makes none), counted in the untimed warm-up round: the batched march makes
+one call per direction per batch of RK4 substeps, each reaching the spline,
+and the per-stage march four per substep, about half of them served from
+``eval_at``'s last two calls; per run kind, phase and
 side the state rows marched with RK4 against the state rows of its sweeps
 (e.g. ``frame B=1681  root 0/20`` and ``pass B=1681  root 0/29``: a
 constant triple's frame and Ribaucour system are propagated exactly and
@@ -48,10 +51,14 @@ nothing has no march time.  Exits 1 if the digests differ.
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
 
-``_sweep.rk4_march`` may be the lane generator, ``rk4_march(rhs, lanes,
-axis)`` (``rk4_march(rhs, lanes, axis, rows)`` before masking moved out of
-the sweep), or the older function that marched one direction's lines over
-one node interval per call, ``rk4_march(rhs, pts, ...)``.
+``_sweep.rk4_march`` may be the batched lane generator, ``rk4_march(triple,
+body, lanes, axis)``, which evaluates the triple once per lane per batch of
+substeps, the per-stage lane generator, ``rk4_march(rhs, lanes, axis)``
+(``rk4_march(rhs, lanes, axis, rows)`` before masking moved out of the
+sweep), whose right-hand side evaluated the triple at every RK stage, or the
+older function that marched one direction's lines over one node interval
+per call, ``rk4_march(rhs, pts, ...)``.  A generator's lanes are found by
+the name of its ``lanes`` parameter, so both sides are timed per phase.
 Separate benchmark processes cannot attribute a change of a few percent:
 one process and interleaved rounds share the host's state.
 """
@@ -184,11 +191,13 @@ class Side:
         if not inspect.isgeneratorfunction(march):
             return self._timed_calls(march)
         phases = self.phases
+        at = list(inspect.signature(march).parameters).index("lanes")
 
-        def rk4_march(rhs, lanes, *args, **kwargs):
+        def rk4_march(*args, **kwargs):
+            lanes = args[at]
             key = len(lanes[0][0])
             self._marched(key, lanes[0][1])
-            inner = march(rhs, lanes, *args, **kwargs)
+            inner = march(*args, **kwargs)
             while True:
                 t0 = time.perf_counter()
                 try:

@@ -16,11 +16,11 @@ Lanes.  The two directions of a phase never read each other, so every phase
 marches them as one batch: ``rk4_march`` takes one or two lanes, a lane being
 one direction's lines with its own substep schedule, and advances every live
 lane by one of its own substeps per step.  The lanes' columns lie side by
-side; the coefficients dt/2, dt and dt/6 are per column, the triple is still
-evaluated lane by lane, and when a lane's schedule ends the batch shrinks to
-the other lane.  Each column sees the same floating-point operations as in
-a march of its direction alone, so states are those of marching + and then
--.
+side; the coefficients dt/2, dt and dt/6 are per column, the triple is
+evaluated lane by lane ("Right-hand side"), and when a lane's schedule ends
+the batch shrinks to the other lane.  Each column sees the same
+floating-point operations as in a march of its direction alone, so states
+are those of marching + and then -.
 
 Systems.  ``sweep_integrate`` sweeps one system ``(make_body, y0)`` that the
 triple drives, e.g. the moving frame or the Ribaucour system, both driven by
@@ -77,19 +77,25 @@ and the sweep raises or the caller masks them ("Masking"), and on a line
 where an RK stage overflows while the node values around it stay finite,
 which takes a state within a factor of about two of the largest double.
 
-Right-hand side.  ``body_rhs`` builds the right-hand side of a marched
-body.  Per RK stage it evaluates the triple once per lane
-(``triple.eval_at``, looked up at call time, with that lane's B points),
-allocates one dY and runs the body on Y and dY.  Two lanes' values are laid
-side by side in new read-only arrays, except when every lane hands back the
-same read-only arrays as in the call before: then the last call's
-side-by-side arrays serve again.  ``eval_at`` hands back the arrays of either
-of its last two calls when the points repeat, as they do at the second
-midpoint stage (k3) and at the first stage of a substep inside a node
-interval, and a constant triple hands back the same arrays for every call of
-a batch shape.  It leaves Y unmodified; the march reuses dY as an
-accumulator.  A marched sweep makes four ``eval_at`` calls per substep of
-each direction, a propagated one none.
+Right-hand side.  The triple values a body reads at the stage points do
+not depend on the state, so ``rk4_march`` evaluates them ahead, a batch of
+substeps at a time.  A batch runs up to the next node arrival of either
+lane, and holds at most ``_BATCH_POINTS`` stage points per lane.  A lane's
+distinct stage coordinates in the batch are u, u + dt/2 and u + dt per
+substep, computed with the march's own arithmetic (u + 0.5 dt, u += dt), and
+they are one ``triple.eval_at`` call (looked up at call time) of K copies of
+the lane's B lines, (K B, 3) points.  The values go components first and
+side by side into one buffer per phase, a (15, columns) slot per
+coordinate, reused from batch to batch; the body reads read-only views of a
+slot, in which every column it reads (v[:, a], h[:, j, a], V[:, a]) is
+contiguous.  RK4 reads the midpoint slot twice (k2 and k3), and inside a
+node interval the first stage of a substep is the last slot of the substep
+before; a batch that continues a node interval takes its first slot from
+the batch before.  So every stage point is evaluated once: per lane, one
+call per batch and B (2 nsub + 1) points per node interval of nsub
+substeps.  Per RK stage the march allocates one dY and runs the body on Y
+and dY; the body leaves Y unmodified, and the march reuses dY as an
+accumulator.  A propagated sweep makes no ``eval_at`` call.
 
 Masking.  A sweep writes every node and masks none.  A non-finite value in a
 marched row on arrival at a node, or at a node a propagated phase writes,
@@ -138,78 +144,143 @@ def node_intervals(ax_vals, i0, step, max_step):
         idx = nxt
 
 
+# stage points per lane per batch, at least one substep's three (measured
+# in CHANGES.md: larger batches cost resident memory for little time)
+_BATCH_POINTS = 1024
+
+
 class _Lane:
-    """A lane of ``rk4_march``: its stage points and its place in its schedule."""
+    """A lane of ``rk4_march``: its stage points, its columns and its place in
+    its schedule."""
 
-    __slots__ = ("k", "width", "intervals", "p0", "pm", "p1", "node", "u", "dt", "left")
+    __slots__ = ("k", "width", "intervals", "points", "cols", "node", "u", "dt", "left",
+                 "fresh")
 
-    def __init__(self, k, pts, intervals):
+    def __init__(self, k, pts, intervals, slots):
         self.k, self.width, self.intervals = k, len(pts), intervals
-        self.p0, self.pm, self.p1 = pts.copy(), pts.copy(), pts.copy()
+        self.points = np.empty((slots,) + pts.shape)
+        self.points[...] = pts
         self.left = 0
 
     def next_interval(self):
         """Start the next node interval; False when the schedule has ended."""
         for self.node, self.u, self.dt, self.left in self.intervals:
+            self.fresh = True
             return True
         return False
 
+    def evaluate(self, triple, axis, substeps, values):
+        """Write the triple's values at the stage points of the lane's next
+        ``substeps`` substeps into its columns of ``values``, slots 0 .. 2
+        substeps, with one ``eval_at`` call; slot 0, the bits of the last
+        stage before, is kept unless the batch starts a node interval."""
+        first = 0 if self.fresh else 1
+        u, dt = self.u, self.dt
+        coords = [u]
+        for _ in range(substeps):
+            coords.append(u + 0.5 * dt)
+            u += dt
+            coords.append(u)
+        self.u, self.fresh = u, False
+        pts = self.points[first:2 * substeps + 1]
+        pts[:, :, axis] = np.array(coords[first:])[:, None]
+        v, h, V = triple.eval_at(pts.reshape(-1, 3))
+        shape = (len(pts), self.width, -1)
+        into = values[first:2 * substeps + 1, :, self.cols]
+        into[:, :3] = v.reshape(shape).transpose(0, 2, 1)
+        into[:, 3:12] = h.reshape(shape).transpose(0, 2, 1)
+        into[:, 12:] = V.reshape(shape).transpose(0, 2, 1)
 
-def rk4_march(rhs, lanes, axis):
+
+def _stage_values(slot):
+    """Read-only (v, h, V) of one stage slot (15, B) of the values buffer,
+    components last and stored components first."""
+    B = slot.shape[1]
+    out = slot[:3].T, slot[3:12].reshape(3, 3, B).transpose(2, 0, 1), slot[12:].T
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def rk4_march(triple, body, lanes, axis):
     """March one or two lanes of lines along ``axis`` as one batch state,
-    every live lane one RK4 substep of its own schedule per step.
+    every live lane one RK4 substep of its own schedule per step, and
+    evaluate the triple that drives the in-place ``body`` once per lane per
+    batch of substeps (module docstring, "Right-hand side").
 
     A lane is ``(pts, y, intervals)``: the (B, 3) start points of its lines,
     their (R, B) states (not modified) and its schedule from
     ``node_intervals``, R being y0's size (module docstring, "Systems").  The
     live lanes' columns lie side by side in lane order; dt/2, dt and dt/6 are
-    per column when two lanes are live, and ``rhs(points, Y, axis)`` gets the
-    lanes' points as a list then, as one (B, 3) array otherwise.  It returns
-    a fresh dY.  A lane whose schedule has ended leaves the batch.  A
+    per column when two lanes are live.  A lane whose schedule has ended
+    leaves the batch.  A batch of S substeps runs up to the next arrival of
+    any lane, S at most the most substeps whose 2 S + 1 stage coordinates
+    keep a lane's call within ``_BATCH_POINTS`` points (at least one).  A
     substep's stages are at u, u + dt/2 (twice, k2 and k3) and u + dt, u
     advancing by dt per substep and starting each node interval at the node,
     so inside an interval the first stage of a substep is at the bits of the
-    last stage before it: a right-hand side that keeps its last calls
-    computes each distinct point set once (``TripleField.eval_at``).
+    last stage before it.  A lane's call holds K = 2 S + 1 copies of its
+    lines in the first batch of a node interval and K = 2 S in the others,
+    whose first slot is the last of the batch before.
 
     Yields ``(k, node, y)`` each time lane k arrives at a node, y being its
     (R, B) state there.  Between arrivals, the stages and the combine run in
-    place in one ``stage`` buffer, and the k arrays returned by ``rhs`` are
-    reused as accumulators, in the order y + (dt/2) k and
+    place in one ``stage`` buffer, and the k arrays are reused as
+    accumulators, in the order y + (dt/2) k and
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  Overflow inside a step is left
     to the caller's ``np.errstate`` and checked on node arrival.
     """
-    live = [_Lane(k, pts, intervals) for k, (pts, _, intervals) in enumerate(lanes)]
+    lines = max([1] + [len(pts) for pts, _, _ in lanes])
+    cap = max(1, (_BATCH_POINTS // lines - 1) // 2)         # substeps per batch
+    live = [_Lane(k, pts, intervals, 2 * cap + 1) for k, (pts, _, intervals) in enumerate(lanes)]
     live = [lane for lane in live if lane.next_interval()]
-    y = np.concatenate([lanes[lane.k][1] for lane in live], axis=1) if live else None
+    if not live:
+        return
+    y = np.concatenate([lanes[lane.k][1] for lane in live], axis=1)
+    # one buffer per phase: a (15, B) slot of values per distinct stage point
+    values = np.empty((2 * cap + 1, 15, y.shape[1]))
+    stages = None           # read-only views of the slots, made as batches reach them
+
+    def rhs(vhV, Y):
+        dY = np.empty(Y.shape)
+        body(*vhV, Y, dY, axis)
+        return dY
+
     while live:
+        if stages is None:
+            lo = 0
+            for lane in live:
+                lane.cols = slice(lo, lo + lane.width)
+                lo += lane.width
+            width, stages = lo, []
         if len(live) == 1:
             dt = live[0].dt
             half, sixth = 0.5 * dt, dt / 6.0
-            p0, pm, p1 = live[0].p0, live[0].pm, live[0].p1
         else:
             widths = [lane.width for lane in live]
             dt = np.repeat([lane.dt for lane in live], widths)
             half = np.repeat([0.5 * lane.dt for lane in live], widths)
             sixth = np.repeat([lane.dt / 6.0 for lane in live], widths)
-            p0, pm, p1 = ([lane.p0 for lane in live], [lane.pm for lane in live],
-                          [lane.p1 for lane in live])
         stage = np.empty_like(y)
         steps = min(lane.left for lane in live)     # up to the next arrival
-        for _ in range(steps):
+        done = 0
+        while done < steps:
+            batch = min(cap, steps - done)
+            stages += map(_stage_values, values[len(stages):2 * batch + 1, :, :width])
             for lane in live:
-                lane.p0[:, axis] = lane.u
-                lane.pm[:, axis] = lane.u + 0.5 * lane.dt
-                lane.u += lane.dt
-                lane.p1[:, axis] = lane.u
-            k1 = rhs(p0, y, axis)
-            k2 = rhs(pm, np.add(y, np.multiply(half, k1, out=stage), out=stage), axis)
-            k3 = rhs(pm, np.add(y, np.multiply(half, k2, out=stage), out=stage), axis)
-            k4 = rhs(p1, np.add(y, np.multiply(dt, k3, out=stage), out=stage), axis)
-            k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-            k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
-            k4 = np.add(k3, k4, out=k4)
-            y = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
+                lane.evaluate(triple, axis, batch, values)
+            for i in range(0, 2 * batch, 2):
+                v0, vm, v1 = stages[i:i + 3]
+                k1 = rhs(v0, y)
+                k2 = rhs(vm, np.add(y, np.multiply(half, k1, out=stage), out=stage))
+                k3 = rhs(vm, np.add(y, np.multiply(half, k2, out=stage), out=stage))
+                k4 = rhs(v1, np.add(y, np.multiply(dt, k3, out=stage), out=stage))
+                k2 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+                k3 = np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
+                k4 = np.add(k3, k4, out=k4)
+                y = np.add(y, np.multiply(sixth, k4, out=k4), out=k4)
+            values[0] = values[2 * batch]       # the next batch's first stage
+            done += batch
         del k1, k2, k3, stage      # the caller's node work reuses this memory
 
         cols, lo = [], 0
@@ -224,48 +295,10 @@ def rk4_march(rhs, lanes, axis):
             lo = hi
         if len(cols) < len(live):
             live = [lane for lane in live if lane.left]
-            y = np.concatenate([y[:, c] for c in cols], axis=1) if live else None
-
-
-def _lane_values(lanes):
-    """The lanes' (v, h, V), one triple per lane, laid side by side as
-    read-only arrays stored components first: every column a body reads
-    (v[:, a], h[:, j, a], V[:, a]) is contiguous."""
-    v, h, V = zip(*lanes)
-    out = (np.concatenate([x.T for x in v], axis=1).T,
-           np.concatenate([x.transpose(1, 2, 0) for x in h], axis=2).transpose(2, 0, 1),
-           np.concatenate([x.T for x in V], axis=1).T)
-    for x in out:
-        x.flags.writeable = False
-    return out
-
-
-def body_rhs(triple, body):
-    """The right-hand side ``rhs(points, Y (R, B), axis) -> dY`` of the marched
-    ``body`` (module docstring, "Right-hand side").  ``points`` is one (B, 3)
-    array, or a list of one per lane whose columns lie side by side in Y."""
-    last = None     # the last two-lane call's arrays, all read-only, and their _lane_values
-
-    def values(pts):
-        nonlocal last
-        if not isinstance(pts, list):
-            return triple.eval_at(pts)
-        lanes = [triple.eval_at(p) for p in pts]
-        arrays = [x for lane in lanes for x in lane]
-        if (last is not None and len(arrays) == len(last[0])
-                and all(map(operator.is_, arrays, last[0]))):
-            return last[1]
-        out = _lane_values(lanes)
-        last = None if any(x.flags.writeable for x in arrays) else (arrays, out)
-        return out
-
-    def rhs(pts, Y, axis):
-        v, h, V = values(pts)
-        dY = np.empty(Y.shape)
-        body(v, h, V, Y, dY, axis)
-        return dY
-
-    return rhs
+            if live:
+                y = np.concatenate([y[:, c] for c in cols], axis=1)
+                values[0, :, :y.shape[1]] = np.concatenate([values[0, :, c] for c in cols], axis=1)
+                stages = None
 
 
 def propagators(M, t):
@@ -299,7 +332,7 @@ def _term(c, y, out):
     return out
 
 
-def _propagate(planes, M, at, axis, t):
+def _propagate(planes, M, at, axis, t, check):
     """Write every node layer of a propagated phase along ``axis`` from the
     phase's start layer (module docstring, "Propagated systems").
 
@@ -307,7 +340,8 @@ def _propagate(planes, M, at, axis, t):
     generator along ``axis`` on k blocks of rows, ``at`` the start layer's
     index into grid.n (the done axes whole) and ``t`` the offsets
     u_m - u_start of every node m along ``axis``.  Returns the
-    (n_axis,) bool nodes where a written value is not finite."""
+    (n_axis,) bool nodes where a written value is not finite, all False
+    unless ``check``."""
     k = len(M)
     pos = sum(isinstance(a, slice) for a in at[:axis])     # axis's place in a layer
     Y = planes.reshape((k, -1) + planes.shape[1:])
@@ -335,8 +369,9 @@ def _propagate(planes, M, at, axis, t):
                 for c, j in zip(coef[1:], terms[1:]):
                     tmp = np.empty(out.shape) if tmp is None else tmp
                     np.add(out, _term(c, start[j, comp], tmp), out=out)
-                others = tuple(a for a in range(out.ndim) if a != pos)
-                bad[side] |= ~np.isfinite(out).all(axis=others)
+                if check:
+                    others = tuple(a for a in range(out.ndim) if a != pos)
+                    bad[side] |= ~np.isfinite(out).all(axis=others)
     return bad
 
 
@@ -399,7 +434,6 @@ def sweep_integrate(triple, grid, order, make_body, y0, max_step, integrability_
         raise InvalidParams(f"max_step must be positive and finite, got {max_step}")
     axes = _check_order(order)
     _check_finite(make_body, y0)
-    rhs = body_rhs(triple, body) if callable(body) else None
     n = grid.n
     # the states live in (rows,) + grid.n component planes; every node is
     # written by one of the phases
@@ -414,10 +448,11 @@ def sweep_integrate(triple, grid, order, make_body, y0, max_step, integrability_
         at = [slice(None) if a in done else grid.base[a] for a in range(3)]
         ax_vals = grid.axis(axis)
         i0 = grid.base[axis]
-        if rhs is None:
+        if not callable(body):
             with np.errstate(over="ignore", invalid="ignore"):
-                overflow = _propagate(planes, body[axis], at, axis, ax_vals - ax_vals[i0])
-            if overflow.any() and not masked:
+                overflow = _propagate(planes, body[axis], at, axis, ax_vals - ax_vals[i0],
+                                      not masked)
+            if overflow.any():
                 plus, minus = np.flatnonzero(overflow[i0 + 1:]), np.flatnonzero(overflow[:i0])
                 node = i0 + 1 + plus[0] if len(plus) else minus[-1]
                 raise NonFiniteState(f"state overflowed along axis {axis} at node {int(node)}")
@@ -429,9 +464,9 @@ def sweep_integrate(triple, grid, order, make_body, y0, max_step, integrability_
         pts_start = np.stack([grid.axis(a)[starts[:, a]] for a in range(3)], axis=-1)
         plus_open = i0 < n[axis] - 1
         held = None         # a - direction overflow, raised once + has ended
-        march = rk4_march(rhs, [(pts_start, y_start,
-                                 node_intervals(ax_vals, i0, step, max_step))
-                                for step in (+1, -1)], axis)
+        march = rk4_march(triple, body, [(pts_start, y_start,
+                                          node_intervals(ax_vals, i0, step, max_step))
+                                         for step in (+1, -1)], axis)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k, nxt, y in march:
                 if not (masked or np.isfinite(y).all()):

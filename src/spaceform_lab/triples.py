@@ -8,7 +8,6 @@ index is the differentiation direction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,8 @@ CANONICAL_DELTA = (1, -1, 1)
 ALL_MINUS_DELTA = (-1, -1, -1)
 DEFAULT_CLASSIFY_TOL = 1e-6
 _DISTINCT_GAP = 1e-10   # principal-curvature gap under which triple_from_curvatures raises
+_ZERO_H = np.zeros((3, 3))      # h of a constant triple, broadcast by eval_at
+_ZERO_H.flags.writeable = False
 
 
 def _check_delta(delta):
@@ -62,9 +63,15 @@ def _weights(t):
             t * t * t / 6.0)
 
 
-def _combine(w, rows):
-    """sum_k w[k] rows[k] over the four stencil rows, in a fixed order."""
-    return ((w[0] * rows[0] + w[1] * rows[1]) + w[2] * rows[2]) + w[3] * rows[3]
+def _combine(w, rows, out=None):
+    """sum_k w[k] rows[k] over the four stencil rows, in a fixed order, into
+    ``out`` (a new array when None) with one temporary."""
+    out = np.multiply(w[0], rows[0], out=out)
+    tmp = np.multiply(w[1], rows[1])
+    np.add(out, tmp, out=out)
+    for k in (2, 3):
+        np.add(out, np.multiply(w[k], rows[k], out=tmp), out=out)
+    return out
 
 
 class _CubicSpline:
@@ -88,29 +95,30 @@ class _CubicSpline:
     h (9, row-major), V (3).  The tables hold 3 n^2 (n + 2) 15 doubles on an
     n^3 grid, about 26 MB at 41^3.
 
-    Two paths give a call its values, a point's value being the 4-weight sum
-    ``_combine`` of 4 adjacent coefficient rows of its line:
+    A point's value is the 4-weight sum ``_combine`` of 4 adjacent
+    coefficient rows of its line, along the axis where it leaves the nodes;
+    a point on a node is evaluated along axis 0.  Two paths compute it:
 
-    - Line path.  A call whose points all lie on the lines along one axis a
-      at one finite coordinate u along a, as every call of a sweep's march
-      between nodes does, computes the 4 weights once from u and contracts
-      them with 4 rows of the lines' coefficients: about 20 numpy calls
-      whatever the number of points, 7 of them over (points, 15) arrays.
-      The lines' rows are gathered once, when a call first reaches them,
-      into a (n_a + 2, points, 15) slab that the spline keeps for the calls
-      after it; it keeps one such slab, the last one gathered, and no other
-      state between calls.  A call whose points all sit on nodes is
-      evaluated along axis 0, so it takes this path only on lines along
-      axis 0.
-    - Point path.  Every other call (points on nodes, on lines other than the
-      slab's, spread along their axis, non-finite) locates each point and
-      computes its own weights and rows: about 50 numpy calls, each over
-      every point.
+    - Line path.  A call whose points are K copies of one set of B lines
+      along one axis a, copy k at one coordinate u_k along a (points
+      k B .. k B + B - 1), as a sweep's batch of RK4 stages is, gathers the
+      lines' rows once, when a call first reaches them, into a
+      (n_a + 2, B, 15) slab that the spline keeps for the calls after it;
+      it keeps one such slab, the last one gathered, and no other state
+      between calls.  It computes the 4 weights of each u_k, groups the
+      coordinates by stencil cell, and contracts each cell's weights with
+      the slab's 4 rows of that cell, with no per-point gather: about 20
+      numpy calls per call and 8 per cell, whatever K and B are.  A
+      coordinate on a node of an axis a > 0 takes the point path, so that
+      its points are evaluated along axis 0.
+    - Point path.  Every other call (points on nodes, on lines other than
+      the copies of one set) locates each point and gathers its own 4 rows:
+      about 30 numpy calls, each over every point.
 
-    A call's values depend on its own points only, never on earlier calls:
-    both paths compute the weights with one elementwise formula
-    (``_weights``) and contract them in one order, so the line path gives
-    each point the bits the point path gives it.
+    Both paths compute the weights with one elementwise formula
+    (``_weights``) and contract them in one order, so a point's value
+    depends on the point alone: not on the call's other points, nor on the
+    calls before it.
 
     Outside the box the end pieces extend: the stencil's base index floor(x)
     is clamped to [0, n - 2], so a point below the box evaluates the first
@@ -144,59 +152,100 @@ class _CubicSpline:
             stride[[i for i in range(3) if i != a]] = (line.shape[1] * line.shape[2],
                                                        line.shape[2])
             self._lines.append((np.ascontiguousarray(line).reshape(-1, 15), stride))
-        self._slab = None       # (a, points (B, 3), coefficient rows (n_a + 2, B, 15))
+        self._slab = None       # (a, lines' points (B, 3), coefficient rows (n_a + 2, B, 15))
 
     def __call__(self, points):
         """Values at points (..., 3) on grid lines along one axis, as a
         (points, 15) array."""
         p = points.reshape(-1, 3)
-        if self._slab is not None and p.shape == self._slab[1].shape:
-            out = self._on_slab(p, *self._slab)
-            if out is not None:
-                return out
-        x = (p - self._lo) / self._spacing
-        # clamped before the cast: a NaN or infinite coordinate gets some index,
-        # then fails the node test
-        node = np.fmin(np.fmax(np.rint(x), 0.0), self._top).astype(np.intp)
-        on = (self._nodes[node + self._offset] == p).all(axis=0).tolist()
-        off = [a for a in range(3) if not on[a]]
+        if self._slab is not None:
+            a, key, slab = self._slab
+            u = _copies(p, a, key)
+            if u is not None:
+                return self._on_slab(p, u, a, slab)
+        x, node, on = self._locate(p)
+        off = [a for a in range(3) if not on[:, a].all()]
         if len(off) > 1:
             raise PreconditionFailed(
                 f"points leave the grid nodes on axes {off}; a sampled triple is "
                 "evaluated only on grid lines along one axis"
             )
-        a = off[0] if off else 0
+        if not off:
+            return self._at_points(x, node, 0)
+        a = off[0]
+        moved = np.flatnonzero(p[:, a] != p[0, a])      # the first copy ends there
+        key = p[:moved[0] if len(moved) else len(p)]
+        u = _copies(p, a, key)
+        if u is None:
+            return self._at_points(x, node, a, on[:, a])
         table, stride = self._lines[a]
-        lines = node @ stride
-        if off and (p[:, a] == p[0, a]).all():
-            slab = (a, p.copy(), np.take(table, lines + np.arange(len(self._axes[a]) + 2)[:, None],
-                                         axis=0))
-            out = self._on_slab(p, *slab)
-            if out is not None:
-                self._slab = slab
-                return out
+        rows = node[:len(key)] @ stride + np.arange(len(self._axes[a]) + 2)[:, None]
+        self._slab = (a, key.copy(), np.take(table, rows, axis=0))
+        return self._on_slab(p, u, a, self._slab[2])
+
+    def _locate(self, p):
+        """Each point's coordinates x in node units, its nearest node and
+        whether it sits on that node, per axis."""
+        x = (p - self._lo) / self._spacing
+        # clamped before the cast: a NaN or infinite coordinate gets some index,
+        # then fails the node test
+        node = np.fmin(np.fmax(np.rint(x), 0.0), self._top).astype(np.intp)
+        return x, node, self._nodes[node + self._offset] == p
+
+    def _at_points(self, x, node, a, nodal=None):
+        """The point path (class docstring): the points at ``x`` evaluated
+        along axis ``a``, those ``nodal`` (on a node) along axis 0."""
+        if a and nodal.any():
+            out = np.empty((len(x), 15))
+            out[nodal] = self._along(0, x[nodal], node[nodal])
+            out[~nodal] = self._along(a, x[~nodal], node[~nodal])
+            return out
+        return self._along(a, x, node)
+
+    def _along(self, a, x, node):
+        """The points at ``x`` evaluated along axis ``a``, each from its own 4 rows."""
+        table, stride = self._lines[a]
         base, t = _stencil(x[:, a], self._n[a])
-        rows = np.take(table, lines + base + np.arange(4)[:, None], axis=0)   # (4, B, 15)
+        rows = np.take(table, node @ stride + base + np.arange(4)[:, None], axis=0)   # (4, B, 15)
         return _combine(_weights(t[:, None]), rows)
 
-    def _on_slab(self, p, a, key, slab):
-        """The line path (class docstring): the values at ``p`` from the
-        coefficient rows ``slab`` of the lines along axis ``a`` through the
-        points ``key``, or None when ``p`` is not on those lines at one finite
-        coordinate, or sits on a node of an axis a > 0."""
-        u = float(p[0, a])
-        key[:, a] = u
-        if not (p == key).all():
-            return None
-        # the point path's x, base and t for one coordinate, in the same operations
-        x = float((u - self._lo[a]) / self._spacing[a])
-        if not math.isfinite(x):
-            return None
+    def _on_slab(self, p, u, a, slab):
+        """The line path (class docstring): the values at ``p``, K copies of
+        the lines whose coefficient rows along axis ``a`` are ``slab``, copy
+        k at the coordinate ``u[k]``."""
+        K, B = len(u), slab.shape[1]
+        # the point path's x, base and t for one coordinate per copy, in the same operations
+        x = (u - self._lo[a]) / self._spacing[a]
+        base, t = _stencil(x, self._n[a])
         nodes = self._axes[a]
-        if a and nodes[min(max(round(x), 0), len(nodes) - 1)] == u:
-            return None
-        base = min(max(math.floor(x), 0), len(nodes) - 2)
-        return _combine(_weights(x - base), slab[base:base + 4])
+        own = np.ones(K, dtype=bool)
+        if a:
+            own = nodes[np.fmin(np.fmax(np.rint(x), 0.0), len(nodes) - 1.0).astype(np.intp)] != u
+        w = _weights(t[:, None, None])
+        out = np.empty((K, B, 15))
+        cuts = np.flatnonzero((base[1:] != base[:-1]) | (own[1:] != own[:-1])) + 1
+        bounds = [0, *cuts.tolist(), K] if K else []
+        for k0, k1 in zip(bounds[:-1], bounds[1:]):
+            if own[k0]:
+                cell = base[k0]
+                _combine([wk[k0:k1] for wk in w], slab[cell:cell + 4], out=out[k0:k1])
+            else:                       # on a node: along axis 0
+                x0, node0, _ = self._locate(p[k0 * B:k1 * B])
+                out[k0:k1] = self._along(0, x0, node0).reshape(k1 - k0, B, 15)
+        return out.reshape(K * B, 15)
+
+
+def _copies(p, a, key):
+    """The coordinates u_k along axis ``a`` when the points ``p`` are K copies
+    of the B points ``key``, copy k at u_k along ``a`` (points k B .. k B +
+    B - 1); else None."""
+    B = len(key)
+    if not B or len(p) % B:
+        return None
+    q = p.reshape(-1, B, 3)
+    same = q == key
+    same[:, :, a] = q[:, :, a] == q[:, :1, a]
+    return q[:, 0, a] if same.all() else None
 
 
 def _not_a_knot(n):
@@ -256,7 +305,6 @@ class TripleField:
     def __post_init__(self):
         self.delta = _check_delta(self.delta)
         self._interp = None         # a sampled triple's spline
-        self._recent = []           # eval_at's last two (key, (v, h, V)), newest first
 
     # --- constructors ---------------------------------------------------
 
@@ -343,52 +391,30 @@ class TripleField:
         """(v, h, V) at points, shape (..., 3) -> components last, as read-only
         arrays.
 
-        The triple keeps its last two calls, each as a key and its values, and
-        hands a call that repeats a kept one the same arrays again.  For a
-        sampled triple the key is the shape and the bytes of the points: bits
-        are compared, not values, so -0.0 and +0.0 or two NaN payloads are
-        different points, and changing the caller's array in place between
-        calls changes the key.  A constant triple's values depend on the
-        batch shape only, so its key is the shape and its values are filled
-        once while the shape repeats, as it does for every call of a sweep's
-        axis phase.  Two calls are kept because a sweep marching two lanes
-        alternates between them: RK4 evaluates each substep's midpoint twice,
-        and inside a node interval the first stage of a substep is at the
-        bits of the last stage of the substep before, so a sampled sweep
-        computes about half its calls.  The memory kept is, per kept call, a
-        copy of the points and the values, 18 doubles per point of a sampled
-        triple and 15 of a constant one.
-
-        A sampled triple is read through ``_CubicSpline``, built on the first
-        call, whose docstring states where it can be evaluated and its
-        accuracy.  Its costs: a call whose points lie on one set of grid lines
-        at one coordinate along them, as a sweep's calls between node
-        arrivals do, takes about 20 numpy calls however many points it has,
-        once the lines' coefficient rows are gathered on the first such call;
-        every other call, a node arrival off axis 0 among them, about 50.
-        Either way the values depend on the call's own points only, not on
-        the calls before it.  Between calls the spline keeps the coefficient
-        rows of the last line set it gathered, at most one
-        (n_a + 2, points, 15) slab.
+        A constant triple's are read-only broadcasts of its two 3-vectors and
+        of h = 0.  A sampled triple is read through ``_CubicSpline``, built on
+        the first call, whose docstring states where it can be evaluated and
+        its accuracy.  Its costs: a call whose points are K copies of one set
+        of grid lines, copy k at one coordinate along them, as a sweep's batch
+        of RK4 stages is, takes about 20 numpy calls plus 8 per stencil cell
+        the coordinates fall in, however many points it has, once the lines'
+        coefficient rows are gathered on the first such call; every other
+        call, and the coordinates on nodes of an axis other than 0, about 30
+        over every point.  Either way a point's value depends on the point
+        alone, not on the call's other points or the calls before it.  Between
+        calls the spline keeps the coefficient rows of the last line set it
+        gathered, at most one (n_a + 2, lines, 15) slab.
         """
         points = np.asarray(points, dtype=float)
-        key = (points.shape, None if self.closed_form else points.tobytes())
-        for seen, values in self._recent:
-            if seen == key:
-                return values
         if self.closed_form:
-            values = self._constant_at(points.shape[:-1])
-        else:
-            values = self._spline_at(points)
-        self._recent = [(key, values)] + self._recent[:1]
-        return values
+            return self._constant_at(points.shape[:-1])
+        return self._spline_at(points)
 
     def _constant_at(self, lead):
         """A constant triple's read-only (v, h, V) at ``lead`` points, components last."""
-        v, h, V = self._filled(lead)
-        axes = tuple(range(1, len(lead) + 1))
-        return (v.transpose(axes + (0,)), h.transpose(tuple(a + 1 for a in axes) + (0, 1)),
-                V.transpose(axes + (0,)))
+        v, V = self._vV
+        return (np.broadcast_to(v, lead + (3,)), np.broadcast_to(_ZERO_H, lead + (3, 3)),
+                np.broadcast_to(V, lead + (3,)))
 
     def _spline_at(self, points):
         """A sampled triple's read-only (v, h, V) at ``points``, components last."""

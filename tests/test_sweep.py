@@ -26,7 +26,6 @@ import pytest
 
 from spaceform_lab import _sweep, triples
 from spaceform_lab._sweep import (
-    body_rhs,
     node_intervals,
     propagators,
     rk4_march,
@@ -568,9 +567,10 @@ class TestBitIdentity:
 
 
 class TestInputsUntouched:
-    """``rk4_march`` and the right-hand side ``body_rhs`` builds only read the
-    state they are given; the right-hand side returns a fresh dY, bit for bit
-    the batch-first reference's, also where the state holds -0.0, inf and NaN."""
+    """``rk4_march`` and a marched body only read the state they are given;
+    the body, on stage values laid out as the march lays them out (read-only,
+    components first), writes dY bit for bit as the batch-first reference,
+    also where the state holds -0.0, inf and NaN."""
 
     B = 24
 
@@ -596,7 +596,7 @@ class TestInputsUntouched:
         make_body, ref_rhs, shape = {
             "frame": (_frame_body, _ref_frame_rhs(t), (5, t.spec.dim)),
             "ribaucour": (_ribaucour_body, _ref_ribaucour_rhs(t), (9,))}[engine]
-        rhs = body_rhs(t, make_body(t, np.zeros(shape)))
+        body = make_body(t, np.zeros(shape))
         state = self._state(rng, shape + (self.B,))
         if engine == "ribaucour":
             # v' = -0.0 makes the (vii) sum a sum of signed zeros: it must
@@ -604,22 +604,24 @@ class TestInputsUntouched:
             state[3:6, 3:15] = -0.0
         Y = state.reshape(-1, self.B)
         before = Y.tobytes()
+        v, h, V = t.eval_at(pts)
+        slot = np.concatenate([v.T, h.reshape(-1, 9).T, V.T])      # (15, B)
+        dY = np.empty(Y.shape)
         with np.errstate(all="ignore"):
-            dY = rhs(pts, Y, axis)
+            body(*_sweep._stage_values(slot), Y, dY, axis)
             ref = ref_rhs(pts, np.moveaxis(state, -1, 0), axis)
         assert Y.tobytes() == before
-        assert not np.shares_memory(dY, Y)
         assert dY.shape == Y.shape == (math.prod(shape), self.B)
         assert dY.tobytes() == np.moveaxis(ref, 0, -1).tobytes()
 
     def test_rk4_march(self):
         t, pts, rng = self._case()
         shape = (5, t.spec.dim)
-        rhs = body_rhs(t, _frame_body(t, np.zeros(shape)))
+        body = _frame_body(t, np.zeros(shape))
         Y = rng.normal(size=(math.prod(shape), self.B))
         before = Y.tobytes()
         u = t.grid.axis(1)
-        [(_, _, y)] = rk4_march(rhs, [(pts, Y, node_intervals(u[4:6], 0, 1, 0.02))], 1)
+        [(_, _, y)] = rk4_march(t, body, [(pts, Y, node_intervals(u[4:6], 0, 1, 0.02))], 1)
         assert Y.tobytes() == before
         assert not np.shares_memory(y, Y)
         assert (y != Y).any(axis=0).all()
@@ -640,10 +642,25 @@ class TestMaxStep:
 # ---------------------------------------------------------------------------
 
 
-def _axis_substeps(grid, axis, max_step):
-    """RK4 substeps over every node interval of one axis (both directions)."""
-    nodes = grid.axis(axis)
-    return sum(max(1, math.ceil(abs(b - a) / max_step)) for a, b in zip(nodes[:-1], nodes[1:]))
+def _eval_counts(grid, order, max_step):
+    """The ``eval_at`` calls and points of one marched sweep.  Per phase of B
+    lines: one call per live direction per batch, a batch ending at either
+    direction's node arrival or after ``cap`` substeps, the most whose
+    2 cap + 1 stage coordinates stay within ``_sweep._BATCH_POINTS`` points
+    (at least one); and B (2 nsub + 1) points per node interval of nsub
+    substeps, each distinct stage point once."""
+    calls = points = 0
+    for k, axis in enumerate(order):
+        lines = math.prod(grid.n[a] for a in order[:k])
+        cap = max(1, (_sweep._BATCH_POINTS // lines - 1) // 2)
+        schedules = [s for s in _schedules(grid, axis, max_step) if s]
+        points += lines * sum(2 * nsub + 1 for s in schedules for nsub in s)
+        while schedules:
+            steps = min(s[0] for s in schedules)       # up to the next arrival
+            calls += len(schedules) * -(-steps // cap)
+            schedules = [[s[0] - steps] + s[1:] if s[0] > steps else s[1:] for s in schedules]
+            schedules = [s for s in schedules if s]
+    return calls, points
 
 
 def _count_eval_at(triple):
@@ -661,19 +678,17 @@ def _count_eval_at(triple):
 
 
 class TestEvalCount:
-    """Each RK4 substep evaluates the triple four times, once per stage, for
-    all lines of the axis phase at once.  A constant triple's frame, and its
-    Ribaucour system from a phi-state, are propagated exactly and evaluate it
-    never."""
+    """A marched sweep evaluates the triple once per live direction per batch
+    of RK4 substeps, for all lines of the axis phase at once, at each
+    distinct stage point once (``_eval_counts``).  A constant triple's frame,
+    and its Ribaucour system from a phi-state, are propagated exactly and
+    evaluate it never."""
 
     GRID = ParameterGrid((-0.2, -0.25, -0.15), (0.2, 0.15, 0.25), (5, 7, 6), (2, 3, 1))
     STEP = 0.03
 
     def _expected(self, order):
-        grid = self.GRID
-        substeps = [_axis_substeps(grid, a, self.STEP) for a in order]
-        lines = [math.prod(grid.n[a] for a in order[:k]) for k in range(3)]
-        return 4 * sum(substeps), 4 * sum(s * b for s, b in zip(substeps, lines))
+        return _eval_counts(self.GRID, order, self.STEP)
 
     def _counted_triple(self, fam, sampled):
         t = fam.seed_triple(self.GRID)
@@ -702,32 +717,30 @@ class TestEvalCount:
     @pytest.mark.parametrize("sweep, order", [("frame", (0, 1, 2)), ("frame", (2, 0, 1)),
                                               ("ribaucour", (0, 1, 2))])
     def test_spline_evaluated_once_per_distinct_points(self, sweep, order, monkeypatch):
-        """``eval_at`` keeps its last two calls, so a sampled sweep evaluates
-        its spline once per distinct point set: RK4's second midpoint stage
-        and the first stage of a substep inside a node interval repeat the
-        bits of a call before them."""
+        """Every ``eval_at`` call of a sampled sweep reaches the spline once,
+        with the batch's distinct stage points: RK4's second midpoint stage
+        and the first stage of a substep inside a node interval, which
+        repeat the bits of a stage before them, are not in it again.  The
+        reference evaluates four stages per substep."""
         fam = FAMILIES["r4_problemstar" if sweep == "frame" else "s4_problemstar_sphere"]
-        t, _ = self._counted_triple(fam, True)
-        seen = set()
-        inner = t.eval_at
-
-        def eval_at(points):
-            seen.add((points.shape, points.tobytes()))
-            return inner(points)
-
-        t.eval_at = eval_at
+        t, counts = self._counted_triple(fam, True)
         spline = []
         real_call = triples._CubicSpline.__call__
         monkeypatch.setattr(triples._CubicSpline, "__call__",
-                            lambda self, points: spline.append(1) or real_call(self, points))
+                            lambda self, points: spline.append(len(points))
+                            or real_call(self, points))
         if sweep == "frame":
             integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=self.STEP)
         else:
             integrate_ribaucour(t, phi_state(fam, self.GRID.base_point), max_step=self.STEP,
                                 K2target=fam.K2target)
-        calls, _ = self._expected(order)
-        # about one call in two, plus the first stage of each node interval
-        assert len(spline) == len(seen) < calls // 2 + calls // 8
+        calls, points = self._expected(order)
+        assert (len(spline), sum(spline)) == (counts["calls"], counts["points"]) == (calls,
+                                                                                     points)
+        substeps = sum(math.prod(self.GRID.n[a] for a in order[:k]) * sum(map(sum, _schedules(
+            self.GRID, axis, self.STEP))) for k, axis in enumerate(order))
+        # a little over half the reference's 4 points per substep and line
+        assert 2 * substeps < points < 4 * substeps * 5 // 8
 
 
 class TestSampledSweepsOnLines:
@@ -778,32 +791,31 @@ class TestSplineLinePath:
         tt.eval_at = eval_at
         integrate_frame(tt, fam.frame_init(), integrability_tol=None)
         integrate_ribaucour(tt, rf.state_at(tt.grid.base), K2target=fam.K2target)
-        assert len(calls) == 2 * 4 * sum(_axis_substeps(tt.grid, a, DEFAULT_MAX_STEP)
-                                         for a in range(3))
+        assert len(calls) == 2 * _eval_counts(tt.grid, (0, 1, 2), DEFAULT_MAX_STEP)[0]
         assert not differ, f"{len(differ)} of {len(calls)} calls differ"
 
     @pytest.mark.parametrize("sweep, order", [("frame", (0, 1, 2)), ("frame", (2, 0, 1)),
                                               ("ribaucour", None)])
     def test_point_path_only_at_node_arrivals(self, sweep, order, monkeypatch):
-        """The per-point ``_stencil`` runs only for calls whose points all sit
-        on nodes, the first stage of each node interval."""
+        """The point path, which gathers each point's own rows, runs only for
+        points that sit on nodes, the first stage coordinate of each node
+        interval off axis 0, and evaluates them along axis 0; every other
+        stage point takes the line path."""
         fam = FAMILIES["r4_problemstar" if sweep == "frame" else "s4_problemstar_sphere"]
         grid = TestEvalCount.GRID
         t = fam.seed_triple(grid)
         t = TripleField.from_samples(grid, t.delta, t.spec, t.v, t.h, t.V)
-        stencils = []
-        real_stencil = triples._stencil
-        monkeypatch.setattr(triples, "_stencil",
-                            lambda x, n: stencils.append(1) or real_stencil(x, n))
-        calls = []                  # (all points on nodes, _stencil ran)
+        point_path = []             # (axis, coordinates in node units) per gather
+        real_along = triples._CubicSpline._along
+        monkeypatch.setattr(triples._CubicSpline, "_along", lambda self, a, x, node: (
+            point_path.append((a, x.copy())) or real_along(self, a, x, node)))
+        nodal = []                  # per call, its points on nodes if it marches off axis 0
         inner = t.eval_at
 
         def eval_at(points):
-            before = len(stencils)
-            out = inner(points)
-            nodal = all(np.isin(points[:, a], grid.axis(a)).all() for a in range(3))
-            calls.append((nodal, len(stencils) > before))
-            return out
+            on = np.stack([np.isin(points[:, a], grid.axis(a)) for a in range(3)], axis=1)
+            nodal.append(on.all(axis=1).sum() if on[:, 0].all() else 0)
+            return inner(points)
 
         t.eval_at = eval_at
         if sweep == "ribaucour":
@@ -811,8 +823,14 @@ class TestSplineLinePath:
                                 K2target=fam.K2target)
         else:
             integrate_frame(t, fam.frame_init(), sweep_order=order, max_step=TestEvalCount.STEP)
-        point_path = [nodal for nodal, ran in calls if ran]
-        assert point_path and all(point_path)
+        assert point_path
+        for a, x in point_path:
+            assert a == 0 and np.abs(x - np.rint(x)).max() < 1e-12
+        # at least the first copy of each node interval off axis 0
+        lines = [math.prod(grid.n[b] for b in (order or (0, 1, 2))[:k]) for k in range(3)]
+        intervals = [len(grid.axis(a)) - 1 for a in (order or (0, 1, 2))]
+        firsts = sum(b * m for b, m, a in zip(lines, intervals, order or (0, 1, 2)) if a)
+        assert sum(len(x) for _, x in point_path) == sum(nodal) >= firsts
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +968,8 @@ class TestLockstep:
     BOX = ((-1.0, -0.1, -0.15), (1.0, 0.1, 0.15), (41, 5, 4))
     BASES = {"asymmetric": (7, 1, 2),       # + and - differ in length and schedule
              "axis41": (20, 2, 1),          # centred: mixed 5- and 6-substep intervals
-             "face": (0, 2, 3)}             # + of axis 0 and - of axis 2 are empty
+             "face": (0, 2, 3),             # + of axis 0 and - of axis 2 are empty
+             "plus_first": (33, 2, 1)}      # + of axis 0 ends inside a node interval of -
 
     @classmethod
     def grid(cls, where):
@@ -964,6 +983,8 @@ class TestLockstep:
         assert len(plus) == len(minus) and sum(plus) != sum(minus)
         face = self.grid("face")
         assert _schedules(face, 0)[1] == [] and _schedules(face, 2)[0] == []
+        plus, minus = _schedules(self.grid("plus_first"), 0)
+        assert sum(plus) < sum(minus) and sum(plus) not in itertools.accumulate(minus)
 
     def test_tiny_max_step_streams(self):
         # 1e-300 asks for about 5e298 substeps per interval: the march starts
@@ -973,24 +994,31 @@ class TestLockstep:
         assert nsub > 1e298
         t = _sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
         y0 = np.zeros((5, t.spec.dim))
-        rhs = body_rhs(t, _frame_body(t, y0))
+        body = _frame_body(t, y0)
         calls = []
 
         class Enough(Exception):
             pass
 
-        def counted(pts, Y, axis):
-            calls.append(len(pts))
-            if len(calls) == 16:
-                raise Enough
-            return rhs(pts, Y, axis)
+        inner = t.eval_at
 
+        def eval_at(points):
+            calls.append(len(points))
+            if len(calls) == 4:
+                raise Enough
+            return inner(points)
+
+        t.eval_at = eval_at
         pts = np.array([grid.base_point])
         y = np.zeros((y0.size, 1))
         lanes = [(pts, y, node_intervals(grid.axis(0), 20, step, 1e-300)) for step in (+1, -1)]
         with pytest.raises(Enough):
-            next(rk4_march(counted, lanes, 0))
-        assert calls == [2] * 16            # two lanes of one line each
+            next(rk4_march(t, body, lanes, 0))
+        # two lanes of one line each, batches of the most substeps whose
+        # stage points fit _BATCH_POINTS, the first stage of the second
+        # batch carried over from the first
+        cap = (_sweep._BATCH_POINTS - 1) // 2
+        assert calls == [2 * cap + 1] * 2 + [2 * cap] * 2
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
@@ -1072,12 +1100,14 @@ class TestLockstep:
 
 
 class TestEvalAtPerDirection:
-    """``eval_at`` never sees a merged batch: each call carries the B lines of
-    one direction, all on its side of the base along the phase axis, and +
-    is evaluated before - at every stage.  Taken one direction at a time,
-    the calls are those of the reference, which marches + and then -.  This
-    keeps the number of evaluations at four per RK substep of each
-    direction."""
+    """``eval_at`` never sees a merged batch: each call carries K copies of
+    the B lines of one direction, copy k at one coordinate on its side of the
+    base along the phase axis, and in every batch + is evaluated before -.
+    Taken one direction at a time and split into its copies, the calls are
+    the reference's distinct stage points, bit for bit: the reference, which
+    marches + and then -, evaluates u, u + dt/2 twice and u + dt per
+    substep, and inside a node interval a substep's u is the last one's
+    u + dt."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["closed", "sampled"])
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
@@ -1094,26 +1124,21 @@ class TestEvalAtPerDirection:
         # wider phase + and then -: 0 every phase, 40 and 41 either side of
         # the 41-line phase, 164 the 205-line phase of (0, 1, 2) but not the
         # 164-line one of (2, 0, 1).  No phase is split: the wider ones
-        # interleave + and - as the others do, and the engine's calls
+        # interleave + and - as the others do, and the engine's stage points
         # regrouped + and then - per phase are the reference's, bit for bit.
         grid = TestLockstep.grid("asymmetric")
-        calls = self._check("asymmetric", order, sampled)
+        phases = self._check("asymmetric", order, sampled)
         fam, t = self._triple("asymmetric", sampled)
         ref_calls = self._calls(t)
         if sampled:
             ref_frame(t, fam.frame_init(), order)
         else:
             ref_ribaucour(t, phi_state(fam, grid.base_point), sweep_order=order)
-        regrouped, pos = [], 0
-        for signs in self._signs(grid, order):
-            phase = calls[pos:pos + len(signs)]
-            split = [p for sign in (1, -1) for s, p in zip(signs, phase) if s == sign]
-            ref_phase = ref_calls[pos:pos + len(signs)]
-            if len(phase[0]) > lane_lines and -1 in signs:
-                assert [p.tobytes() for p in phase] != [p.tobytes() for p in ref_phase]
-            regrouped += split
-            pos += len(signs)
-        assert [p.tobytes() for p in regrouped] == [p.tobytes() for p in ref_calls]
+        for (signs, stages), ref in zip(phases, self._distinct(ref_calls, grid, order)):
+            if 1 in signs and -1 in signs and len(stages[1][0]) > lane_lines:
+                assert signs[:2] == [1, -1]
+            for sign in (1, -1):
+                assert [p.tobytes() for p in stages[sign]] == [p.tobytes() for p in ref[sign]]
 
     @staticmethod
     def _triple(where, sampled):
@@ -1136,18 +1161,32 @@ class TestEvalAtPerDirection:
         return calls
 
     @staticmethod
-    def _signs(grid, order):
-        """Per phase, the direction of each call in turn: one stage of each
-        live direction, + first."""
+    def _distinct(ref_calls, grid, order):
+        """The reference's calls per phase and direction, each stage point
+        once: per node interval u, then u + dt/2 and u + dt of each substep."""
+        phases, pos = [], 0
         for axis in order:
-            plus, minus = (4 * sum(s) for s in _schedules(grid, axis))
-            yield [sign for i in range(max(plus, minus))
-                   for sign, stages in ((1, plus), (-1, minus)) if i < stages]
+            phase = {}
+            for sign, schedule in zip((1, -1), _schedules(grid, axis)):
+                phase[sign] = []
+                for nsub in schedule:
+                    block, pos = ref_calls[pos:pos + 4 * nsub], pos + 4 * nsub
+                    assert all(block[k + 1].tobytes() == block[k + 2].tobytes()
+                               for k in range(0, 4 * nsub, 4))
+                    assert all(block[k + 3].tobytes() == block[k + 4].tobytes()
+                               for k in range(0, 4 * nsub - 4, 4))
+                    phase[sign] += [block[0]] + [block[k] for j in range(nsub)
+                                                 for k in (4 * j + 1, 4 * j + 3)]
+            phases.append(phase)
+        assert pos == len(ref_calls)
+        return phases
 
     @classmethod
     def _check(cls, where, order, sampled):
         """The calls of the frame sweep of a sampled triple, of the Ribaucour
-        sweep of a constant one (whose frame sweep makes none)."""
+        sweep of a constant one (whose frame sweep makes none), per phase:
+        the direction of each call in turn, and each direction's stage
+        points, one (B, 3) array per stage coordinate."""
         grid = TestLockstep.grid(where)
         fam, t = cls._triple(where, sampled)
         calls = cls._calls(t)
@@ -1156,21 +1195,37 @@ class TestEvalAtPerDirection:
             assert calls == []
             _engine_ribaucour(t, phi_state(fam, grid.base_point), order)
 
-        pos = 0
-        for axis, signs in zip(order, cls._signs(grid, order)):
+        phases, pos = [], 0
+        for axis in order:
             done = order[:order.index(axis)]
             starts = np.array(list(itertools.product(
                 *[grid.axis(a) if a in done else [grid.base_point[a]] for a in range(3)])))
             others = [a for a in range(3) if a != axis]
             u0 = grid.base_point[axis]
-            for sign, points in zip(signs, calls[pos:pos + len(signs)]):
-                assert points.shape == starts.shape
-                assert np.array_equal(points[:, others], starts[:, others])
-                u = points[:, axis]
-                assert (u == u[0]).all() and sign * (u[0] - u0) >= 0
-            pos += len(signs)
+            # 2 nsub + 1 stage coordinates per node interval
+            want = {sign: sum(2 * nsub + 1 for nsub in schedule)
+                    for sign, schedule in zip((1, -1), _schedules(grid, axis))}
+            signs, stages = [], {1: [], -1: []}
+            while any(len(stages[sign]) < want[sign] for sign in stages):
+                points, pos = calls[pos], pos + 1
+                copies = points.reshape(-1, len(starts), 3)
+                assert copies.shape[0] * len(starts) == len(points) and len(copies) > 1
+                assert (copies[:, :, others] == starts[:, others]).all()
+                u = copies[:, :, axis]
+                assert (u == u[:, :1]).all()
+                sign = 1 if u[-1, 0] > u0 else -1
+                assert (sign * (u[:, 0] - u0) >= 0).all()
+                signs.append(sign)
+                stages[sign] += list(copies)
+            assert {sign: len(stages[sign]) for sign in stages} == want
+            # one call per live direction per batch, + first
+            i = 0
+            while signs[i:i + 2] == [1, -1]:
+                i += 2
+            assert len(set(signs[i:])) <= 1
+            phases.append((signs, stages))
         assert pos == len(calls)
-        return calls
+        return phases
 
 
 class TestLaneRule:
@@ -1187,9 +1242,9 @@ class TestLaneRule:
         widths = []
         real_march = _sweep.rk4_march
 
-        def march(rhs, lanes, *args):
+        def march(triple, body, lanes, *args):
             widths.append([len(lane[0]) for lane in lanes])
-            return real_march(rhs, lanes, *args)
+            return real_march(triple, body, lanes, *args)
 
         monkeypatch.setattr(_sweep, "rk4_march", march)
         states = _engine_ribaucour(t, init, (0, 1, 2))
@@ -1478,9 +1533,9 @@ class TestCarriedRows:
         rows = []
         real_march = _sweep.rk4_march
 
-        def march(rhs, lanes, *args):
+        def march(triple, body, lanes, *args):
             rows.append({len(lane[1]) for lane in lanes})
-            return real_march(rhs, lanes, *args)
+            return real_march(triple, body, lanes, *args)
 
         monkeypatch.setattr(_sweep, "rk4_march", march)
         sweep()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from spaceform_lab import triples
+from spaceform_lab._sweep import node_intervals
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     BranchViolation,
@@ -228,7 +229,7 @@ class TestConstantTriple:
         for a in first:
             with pytest.raises(ValueError):
                 a[...] = 0.0
-        # a new shape refills once, and the old shape's values come back intact
+        # every shape broadcasts the same two 3-vectors and h = 0
         for shape in ((7, 3), (41, 3)):
             got_v, got_h, got_V = t.eval_at(np.zeros(shape))
             lead = shape[:-1]
@@ -599,7 +600,7 @@ class TestSampledEvaluation:
     ])
     def test_constant_triple_bytes(self, u):
         """``eval_at`` at points of shape lead + (3,) gives v and V repeated
-        over lead, components last and stored components first, and h = 0."""
+        over lead, components last, and h = 0, as read-only broadcasts."""
         v, V = np.array([1.0, -0.0, 2.5]), np.array([np.sqrt(2.0), 0.0, -3.0])
         t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=v, V=V)
         pts = np.stack(np.broadcast_arrays(*u), axis=-1)
@@ -608,7 +609,7 @@ class TestSampledEvaluation:
         for got, ref in ((got_v, v), (got_V, V)):
             want = np.broadcast_to(ref, lead + (3,)).copy()
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert np.moveaxis(got, -1, 0).flags.c_contiguous
+            assert not got.flags.writeable and got.base is not None
         assert got_h.shape == lead + (3, 3)
         assert got_h.tobytes() == np.zeros(lead + (3, 3)).tobytes()
 
@@ -637,15 +638,36 @@ def _split(out, points):
             out[:, 12:].reshape(lead + (3,)))
 
 
+def _nodal(grid, p):
+    """Which points (P, 3) sit on a node of ``grid``."""
+    return np.all([np.isin(p[:, a], grid.axis(a)) for a in range(3)], axis=0)
+
+
+def _line_axes(grid, p, axis):
+    """The axis of the line each point is evaluated along: ``axis``, or 0
+    for a point on a node."""
+    return np.where(_nodal(grid, p), 0, axis)
+
+
 def _not_a_knot_eval(t, points, axis):
     """Reference (v, h, V), components last, at points on grid lines along
     ``axis``: scipy's not-a-knot interpolant (``make_interp_spline(k=3)``) of
     each point's line samples, which extends its end pieces outside the box.
+    A point on a node takes its line along axis 0, as the spline does.
 
     The interpolant is linear in the samples, so its value is the line's
     samples contracted with the 1-D interpolants of the unit vectors."""
-    g = t.grid
     p = points.reshape(-1, 3)
+    along = _line_axes(t.grid, p, axis)
+    out = np.empty((len(p), 15))
+    for a in set(along.tolist()):
+        out[along == a] = _rows(_along_line(t, p[along == a], a), p[along == a])
+    return _split(out, points)
+
+
+def _along_line(t, p, axis):
+    """``_not_a_knot_eval`` at points (P, 3) on grid lines along ``axis``."""
+    g = t.grid
     index = []                      # each point's node on the two other axes
     for b in range(3):
         if b != axis:
@@ -654,7 +676,7 @@ def _not_a_knot_eval(t, points, axis):
             index.append(i)
     lines = np.moveaxis(_components(t), 1 + axis, -1)[(slice(None), *index)]  # (15, points, n_a)
     w = make_interp_spline(g.axis(axis), np.eye(g.n[axis]), k=3)(p[:, axis])
-    return _split(np.einsum("pi,cpi->pc", w, lines), points)
+    return _split(np.einsum("pi,cpi->pc", w, lines), p)
 
 
 def _tensor_eval(t, points):
@@ -758,11 +780,15 @@ class TestFusedSplineEquivalence:
 
 def _assert_nan_on_lines_through(cls, t, pts, axis):
     """The NaN sample of ``cls`` is NaN on the lines along ``axis`` through its
-    node, in its component only, and every other value is finite."""
+    node (along axis 0 for a point on a node), in its component only, and
+    every other value is finite."""
     vhV = _rows(t.eval_at(pts), pts)
     node = np.array([cls.GRID.axis(a)[i] for a, i in enumerate(cls.NAN_NODE)])
-    others = [a for a in range(3) if a != axis]
-    through = (pts[:, others] == node[others]).all(axis=1)
+    along = _line_axes(cls.GRID, pts, axis)
+    through = np.zeros(len(pts), dtype=bool)
+    for a in (0, axis):
+        others = [b for b in range(3) if b != a]
+        through |= (along == a) & (pts[:, others] == node[others]).all(axis=1)
     assert through.any() and not through.all()
     column = 3 + 3 * cls.NAN_COMPONENT[0] + cls.NAN_COMPONENT[1]
     nan = np.isnan(vhV)
@@ -930,9 +956,8 @@ class TestCallsIndependentOfEarlierCalls:
 
 
 class TestRecentCalls:
-    """``eval_at`` keeps its last two calls and serves a call whose points
-    have the shape and the bytes of a kept one with the same read-only
-    arrays; any other call is computed."""
+    """``eval_at`` keeps no call: every call of a sampled triple reaches the
+    spline, and its read-only values depend on its own points only."""
 
     GRID = TestFusedSplineEquivalence.GRID
 
@@ -957,27 +982,28 @@ class TestRecentCalls:
     def _triple():
         return TestFusedSplineEquivalence._triple(nan=False)
 
-    def test_repeat_returns_the_same_read_only_arrays(self, spline_calls):
+    def test_repeat_computed_again(self, spline_calls):
+        # a repeat is computed again, into new read-only arrays of the same bytes
         t = self._triple()
         pts = self._lines(0.123)
         first = t.eval_at(pts)
         again = t.eval_at(pts.copy())
-        assert len(spline_calls) == 1
+        assert len(spline_calls) == 2
         fresh = self._triple().eval_at(pts)
         for a, b, ref in zip(first, again, fresh):
-            assert a is b and not a.flags.writeable
-            assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
+            assert a is not b and not a.flags.writeable and not b.flags.writeable
+            assert a.shape == ref.shape and a.tobytes() == b.tobytes() == ref.tobytes()
             with pytest.raises(ValueError):
                 a[...] = 0.0
 
     def test_bits_not_values(self, spline_calls):
         t = self._triple()
-        # 0.0 lies between two nodes of axis 1
+        # 0.0 lies between two nodes of axis 1: -0.0 is the same point
         plus, minus = self._lines(0.0), self._lines(-0.0)
         assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
-        assert t.eval_at(plus)[0] is not t.eval_at(minus)[0]
+        assert t.eval_at(plus)[0].tobytes() == t.eval_at(minus)[0].tobytes()
         assert len(spline_calls) == 2
-        # two NaN payloads are two keys; one payload repeated is one
+        # two NaN payloads: NaN everywhere, without a warning
         quiet, payload = self._lines(np.nan), self._lines(np.nan)
         payload[:, 1] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=float)[0]
         assert payload.tobytes() != quiet.tobytes()
@@ -985,7 +1011,6 @@ class TestRecentCalls:
             warnings.simplefilter("error")
             nan_v = t.eval_at(quiet)[0]
             other = t.eval_at(payload)[0]
-            assert other is not nan_v and t.eval_at(payload.copy())[0] is other
         assert len(spline_calls) == 4 and np.isnan(nan_v).all() and np.isnan(other).all()
 
     def test_points_changed_in_place_are_computed(self, spline_calls):
@@ -998,35 +1023,111 @@ class TestRecentCalls:
         for g, ref in zip(got, self._triple().eval_at(self._lines(0.321))):
             assert g.tobytes() == ref.tobytes()
 
-    def test_two_calls_kept(self, spline_calls):
+    def test_no_call_kept(self, spline_calls):
+        # none is kept: a call repeating one before it is computed again
         t = self._triple()
         a, b, c = (self._lines(u) for u in (0.1, 0.2, 0.3))
         for pts in (a, b, c, a, c):
             t.eval_at(pts)
-        # a was pushed out by c and computed again; c was still kept
-        assert [p[0, 1] for p in spline_calls] == [0.1, 0.2, 0.3, 0.1]
-        assert len(t._recent) == 2
+        assert [p[0, 1] for p in spline_calls] == [0.1, 0.2, 0.3, 0.1, 0.3]
+        assert not hasattr(t, "_recent")
 
-    def test_alternating_lanes_hit(self, spline_calls):
-        # two lanes of a merged phase: k1 (+, -), k2, k3 = k2, k4, then the
-        # next substep's k1 = k4, at u and u + dt/2 and u + dt per lane
+    def test_batched_lanes_match_stage_calls(self, spline_calls):
+        # two lanes of a phase: each lane's stages of two substeps, at u,
+        # u + dt/2 and u + dt per substep, are one call of 5 copies of its
+        # lines, with the bytes of one call per stage
         t = self._triple()
-        stages = []
         for start, dt in ((0.1, 0.05), (0.4, -0.05)):
-            stages.append([self._lines(u) for u in (start, start + dt / 2, start + dt)])
-        plus, minus = stages
-        order = [0, 1, 1, 2, 2]             # the stages of k1, k2, k3, k4 and the next k1
-        values = [(t.eval_at(plus[k]), t.eval_at(minus[k])) for k in order]
-        assert len(spline_calls) == 6
-        for i, j in ((1, 2), (3, 4)):
-            for lane in (0, 1):
-                assert all(x is y for x, y in zip(values[i][lane], values[j][lane]))
+            coords = [start, start + dt / 2, start + dt, start + dt + dt / 2, start + dt + dt]
+            batch = np.concatenate([self._lines(u) for u in coords])
+            got = _rows(t.eval_at(batch), batch)
+            stages = [_rows(t.eval_at(self._lines(u)), self._lines(u)) for u in coords]
+            assert got.tobytes() == np.concatenate(stages).tobytes()
+        assert [len(p) for p in spline_calls] == [5 * len(self._lines(0.1))] + [len(
+            self._lines(0.1))] * 5 + [5 * len(self._lines(0.1))] + [len(self._lines(0.1))] * 5
 
-    def test_constant_triple_keeps_two_shapes(self):
+    def test_constant_triple_broadcasts(self):
+        # a constant triple allocates nothing per call: every shape is a
+        # read-only broadcast of its two 3-vectors and of h = 0
         t = TripleField.constant(grid9(), (1, -1, 1), FLAT, v=(1.0, -0.5, 2.0), V=(0, 3, -1))
         small, wide = t.eval_at(np.zeros((7, 3))), t.eval_at(np.ones((41, 3)))
         for _ in range(2):
-            assert t.eval_at(np.full((7, 3), 0.5))[0] is small[0]
-            assert t.eval_at(np.full((41, 3), 0.5))[2] is wide[2]
-        t.eval_at(np.zeros((5, 3)))
-        assert t.eval_at(np.zeros((7, 3)))[0] is not small[0]
+            for got in (t.eval_at(np.full((7, 3), 0.5)), t.eval_at(np.full((41, 3), 0.5))):
+                for x, y, z in zip(got, small, wide):
+                    assert np.shares_memory(x, y) and np.shares_memory(x, z)
+                    assert not x.flags.writeable and x.strides[0] == 0
+
+
+class TestBatchedStages:
+    """One ``eval_at`` call of a sweep batch, K copies of a lane's lines at
+    the batch's stage coordinates (K B points), returns bit for bit what one
+    call per stage coordinate returns, on the same triple and on a fresh one."""
+
+    GRID = TestFusedSplineEquivalence.GRID         # 7 x 9 x 11, base (3, 4, 5)
+
+    @classmethod
+    def _stages(cls, ax_vals, i0, step, max_step):
+        """One lane's batches, one per node interval: its stage coordinates
+        as the march computes them, u, u + dt/2, ..., u + dt."""
+        for _, u, dt, nsub in node_intervals(ax_vals, i0, step, max_step):
+            coords = [u]
+            for _ in range(nsub):
+                coords.append(u + 0.5 * dt)
+                u += dt
+                coords.append(u)
+            yield coords
+
+    @classmethod
+    def _lines(cls, axis):
+        """The lines of one phase along ``axis``, through the base node's
+        layer, as (B, 3) start points."""
+        starts = _line_points(cls.GRID, axis, [cls.GRID.base_point[axis]])
+        return starts if axis == 0 else starts[::3]
+
+    def _assert_batches(self, axis, ax_vals, i0, max_step):
+        t = TestFusedSplineEquivalence._triple(nan=False)
+        lines = self._lines(axis)
+        counts = {+1: [], -1: []}           # stage coordinates per batch
+        for step in counts:
+            for coords in self._stages(ax_vals, i0, step, max_step):
+                batch = np.repeat(lines[None], len(coords), axis=0)
+                batch[:, :, axis] = np.array(coords)[:, None]
+                got = t.eval_at(batch.reshape(-1, 3))
+                for k, u in enumerate(coords):
+                    stage = batch[k]
+                    for ref in (t.eval_at(stage), self._fresh().eval_at(stage)):
+                        for g, r in zip(got, ref):
+                            B = len(lines)
+                            assert g[k * B:(k + 1) * B].tobytes() == r.tobytes(), (step, u)
+                counts[step].append(len(coords))
+        return counts
+
+    @staticmethod
+    def _fresh():
+        return TestFusedSplineEquivalence._triple(nan=False)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_lines_along_each_axis(self, axis):
+        # every batch starts on a node: off axis 0 that copy takes the point path
+        g = self.GRID
+        counts = self._assert_batches(axis, g.axis(axis), g.base[axis], 0.07)
+        assert len(counts[+1]) + len(counts[-1]) == g.n[axis] - 1
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_unequal_lanes(self, axis):
+        # from a base next to a face the + lane has many node intervals and
+        # the - lane one, so their substep counts differ
+        nodes = self.GRID.axis(axis)
+        counts = self._assert_batches(axis, nodes, 1, 0.031)
+        assert (len(counts[+1]), len(counts[-1])) == (len(nodes) - 2, 1)
+        assert sum(counts[+1]) > 5 * sum(counts[-1])
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_outside_the_box(self, axis):
+        # lanes that run on past both faces evaluate the extended end pieces
+        g = self.GRID
+        nodes = g.axis(axis)
+        span = nodes[-1] - nodes[0]
+        ax_vals = np.concatenate([[nodes[0] - 0.4 * span], nodes, [nodes[-1] + 0.3 * span]])
+        counts = self._assert_batches(axis, ax_vals, g.base[axis] + 1, 0.05)
+        assert len(counts[+1]) + len(counts[-1]) == len(ax_vals) - 1
