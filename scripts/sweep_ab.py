@@ -34,10 +34,9 @@ triple, F' and the drift of ``sampled``), the Omega drift of the second
 transform in ``sampled`` per side (the benchmark's ``result_err`` there), per
 run kind and side the ``TripleField.eval_at`` calls and the spline
 evaluations actually made (``triples._CubicSpline`` calls; a constant triple
-makes none), counted in the untimed warm-up round: the batched march makes
-one call per direction per batch of RK4 substeps, each reaching the spline,
-and the per-stage march four per substep, about half of them served from
-``eval_at``'s last two calls; per run kind, phase and
+makes none), counted in the untimed warm-up round: the march makes one call
+per direction per batch of RK4 substeps, each reaching the spline; per run
+kind, phase and
 side the state rows marched with RK4 against the state rows of its sweeps
 (e.g. ``frame B=1681  root 0/20`` and ``pass B=1681  root 0/29``: a
 constant triple's frame and Ribaucour system are propagated exactly and
@@ -51,16 +50,11 @@ nothing has no march time.  Exits 1 if the digests differ.
     python scripts/sweep_ab.py --against OTHER_DIR
     python scripts/sweep_ab.py --against OTHER_DIR --n 21 --rounds 30 --json out.json
 
-``_sweep.rk4_march`` may be the batched lane generator, ``rk4_march(triple,
-body, lanes, axis)``, which evaluates the triple once per lane per batch of
-substeps, the per-stage lane generator, ``rk4_march(rhs, lanes, axis)``
-(``rk4_march(rhs, lanes, axis, rows)`` before masking moved out of the
-sweep), whose right-hand side evaluated the triple at every RK stage, or the
-older function that marched one direction's lines over one node interval
-per call, ``rk4_march(rhs, pts, ...)``.  A generator's lanes are found by
-the name of its ``lanes`` parameter, so both sides are timed per phase.
-Separate benchmark processes cannot attribute a change of a few percent:
-one process and interleaved rounds share the host's state.
+Both checkouts must have the one-system sweep,
+``sweep_integrate(triple, grid, order, make_body, y0, ...)``, and the batched
+lane generator ``rk4_march(triple, body, lanes, axis)``.  Separate benchmark
+processes cannot attribute a change of a few percent: one process and
+interleaved rounds share the host's state.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ import gc
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import math
 import random
@@ -126,8 +119,7 @@ class Side:
         sweep = self.mod["_sweep"]
         sweep.rk4_march = self._timed(sweep.rk4_march)
         for name in ("frames", "ribaucour"):
-            if hasattr(self.mod[name], "sweep_integrate"):
-                self.mod[name].sweep_integrate = self._sized(self.mod[name].sweep_integrate)
+            self.mod[name].sweep_integrate = self._sized(self.mod[name].sweep_integrate)
 
     def _inputs(self, n):
         """The unit box with n^3 nodes and its base at the centre, the seed
@@ -142,8 +134,7 @@ class Side:
         ``evals`` while inside (class attributes, wrapped and then restored)."""
         tri = self.mod["triples"]
         patched = [(cls, attr, getattr(cls, attr), key) for cls, attr, key in (
-            (tri.TripleField, "eval_at", "eval_at"),
-            (getattr(tri, "_CubicSpline", None), "__call__", "spline")) if cls is not None]
+            (tri.TripleField, "eval_at", "eval_at"), (tri._CubicSpline, "__call__", "spline"))]
         self.evals = dict.fromkeys(("eval_at", "spline"), 0)
 
         def counted(inner, key):
@@ -163,17 +154,14 @@ class Side:
 
     def _sized(self, sweep_integrate):
         """``sweep_integrate``, noting the sweep's state rows in each of its
-        phases, none of them marched until ``rk4_march`` says otherwise.  It
-        takes one system, ``(triple, grid, order, make_body, y0, ...)``, or
-        a list of them, ``(triple, grid, order, systems, ...)``."""
-        def sized(triple, grid, order, *args, **kwargs):
-            rows = args[1].size if callable(args[0]) else sum(y0.size for _, y0 in args[0])
+        phases, none of them marched until ``rk4_march`` says otherwise."""
+        def sized(triple, grid, order, make_body, y0, *args, **kwargs):
             index = self.sweep[0] + 1
-            self.sweep = (index, rows)
+            self.sweep = (index, y0.size)
             for k in range(3):
                 key = math.prod(grid.n[a] for a in list(order)[:k])
-                self.rows.setdefault(key, {})[index] = (0, rows)
-            return sweep_integrate(triple, grid, order, *args, **kwargs)
+                self.rows.setdefault(key, {})[index] = (0, y0.size)
+            return sweep_integrate(triple, grid, order, make_body, y0, *args, **kwargs)
         return sized
 
     def _marched(self, key, y):
@@ -188,16 +176,12 @@ class Side:
                 for key, sweeps in self.rows.items()}
 
     def _timed(self, march):
-        if not inspect.isgeneratorfunction(march):
-            return self._timed_calls(march)
         phases = self.phases
-        at = list(inspect.signature(march).parameters).index("lanes")
 
-        def rk4_march(*args, **kwargs):
-            lanes = args[at]
+        def rk4_march(triple, body, lanes, axis):
             key = len(lanes[0][0])
             self._marched(key, lanes[0][1])
-            inner = march(*args, **kwargs)
+            inner = march(triple, body, lanes, axis)
             while True:
                 t0 = time.perf_counter()
                 try:
@@ -207,20 +191,6 @@ class Side:
                     return
                 phases[key] = phases.get(key, 0.0) + time.perf_counter() - t0
                 yield item
-
-        return rk4_march
-
-    def _timed_calls(self, march):
-        """The older ``rk4_march(rhs, pts, ...)``, one direction's lines over
-        one node interval per call."""
-        phases = self.phases
-
-        def rk4_march(rhs, pts, *args, **kwargs):
-            self._marched(len(pts), args[3])           # (axis, u_from, u_to, y, ...)
-            t0 = time.perf_counter()
-            y = march(rhs, pts, *args, **kwargs)
-            phases[len(pts)] = phases.get(len(pts), 0.0) + time.perf_counter() - t0
-            return y
 
         return rk4_march
 

@@ -151,30 +151,17 @@ def _run_ribaucour_pipeline(cfg, fam=None, fprime=False):
     if fam is not None:
         triple = fam.seed_triple(cfg.grid)
         init = gal.phi_state(fam, cfg.grid.base_point)
-        k2 = fam.K2target
         frame_init = fam.frame_init()
     else:
         triple, name = _seed_triple(cfg)
         raw = cfg.ribaucour["state"]
-        k2 = cfg.ribaucour.get("k2_target")
-        if k2 is None:
-            # target from the classification, never guessed
-            cls = classify(triple, cfg.tolerances["report"])
-            if cls.is_problem_star:
-                k2 = float(cls.eps_hat)
-            elif cls.is_conformally_flat:
-                k2 = 0.0
-            else:
-                raise SpaceformLabError(
-                    "seed classifies as Neither; set ribaucour.k2_target explicitly"
-                )
-        # psi is not requested: seed_state forces it from K1 = 0
+        # seed_state forces psi from K1 = 0 and takes K2 from the seed
         request = RibaucourState(tuple(raw["gamma"]), tuple(raw["vprime"]),
                                  raw["phi"], 0.0, raw["beta"])
-        init = seed_state(triple, cfg.grid.base, request, k2)
+        init = seed_state(triple, cfg.grid.base, request)
         frame_init = _frame_init(cfg, name, triple.spec)
     rf = integrate_ribaucour(triple, init, cfg.grid, cfg.max_step,
-                             mask_tol=cfg.tolerances["mask"], K2target=k2,
+                             mask_tol=cfg.tolerances["mask"],
                              integrability_tol=cfg.tolerances["integrability"])
     if not fprime:
         return triple, rf, None

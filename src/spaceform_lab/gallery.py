@@ -27,7 +27,7 @@ from .errors import (
 from .frames import FrameState, standard_frame_state
 from .grid import ParameterGrid
 from .report import ResidualReport
-from .ribaucour import RibaucourState, _point_transform
+from .ribaucour import RibaucourState, _point_transform, kappa
 from .triples import TripleField
 
 _PSI_TOL = 1e-12        # |psi| under which phi_state raises SingularPsi
@@ -200,22 +200,21 @@ class _FamilyKind(NamedTuple):
     ambient: tuple          # the fixed (c, eps), or None
     default_a: float        # a when none is given; None: the kind takes no a
     C: Callable             # family -> the seed's C (None: the seed has no C)
-    K2target: float
 
 
 _FAMILY_TABLE = {
     "problemstar": _FamilyKind(
         "problemstar_e1_Cneg",
         lambda f: (f.K * f.a - f.c, -(f.eps * f.a**2 + f.K * f.a), f.K * f.a),
-        (1, -1, 1), (_COSH, _SIN, _COSH), None, 1.0, lambda f: -f.a**2, 1.0),
+        (1, -1, 1), (_COSH, _SIN, _COSH), None, 1.0, lambda f: -f.a**2),
     "problemstar_sphere": _FamilyKind(
         "problemstar_e1_Cpos",
         lambda f: (-(1.0 + f.K), f.K, -(1.0 + f.K)),
-        (1, -1, 1), (_COSH, _SIN, _COSH), (1.0, 1), None, lambda f: 1.0, 1.0),
+        (1, -1, 1), (_COSH, _SIN, _COSH), (1.0, 1), None, lambda f: 1.0),
     "cflat": _FamilyKind(
         "cflat",
         lambda f: (f.K - f.eps, -f.K, f.K),
-        (-1, 1, -1), (_COS, _COSH, _COS), (0.0, 1), None, lambda f: None, 0.0),
+        (-1, 1, -1), (_COS, _COSH, _COS), (0.0, 1), None, lambda f: None),
 }
 FAMILY_KINDS = tuple(_FAMILY_TABLE)
 
@@ -320,7 +319,8 @@ class PhiFamily:
 
     @property
     def K2target(self) -> float:
-        return self._row.K2target
+        """kappa of the seed, its transforms' one K2 (``ribaucour.kappa``)."""
+        return kappa(self.seed_triple(ParameterGrid.centered(1.0, 2)))
 
     def seed_triple(self, grid: ParameterGrid) -> TripleField:
         return trivial_seed(self.seed_kind, grid, c=self.c,

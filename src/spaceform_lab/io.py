@@ -99,13 +99,11 @@ CONFIG_SCHEMA = {
                         "beta": _NUM,
                     },
                 },
-                "k2_target": _NUM,
             },
             "oneOf": [
                 {"required": ["family"], "not": {"required": ["state"]}},
                 {"required": ["state"], "not": {"required": ["family"]}},
             ],
-            "dependentRequired": {"k2_target": ["state"]},
         },
         "tolerances": {
             "type": "object",

@@ -19,15 +19,34 @@ h'_aj = h_aj + (v'_j - v_j) gamma_a / phi,
 and v', psi take products of state rows over phi.  psi is evolved in this
 non-log form, so signed psi is allowed.  Along every line,
 K1 = |gamma|^2 + eps beta^2 + c phi^2 - 2 phi psi and K2 = <v', v'>_delta are
-first integrals.  A sampled triple's system is marched with RK4.
+first integrals; ``seed_state`` starts at K1 = 0 and at
+Omega = phi <v', V>_delta - eps beta (K2 - <v, v'>_delta) = 0.  A sampled
+triple's system is marched with RK4, a constant triple's propagated.
 
-The linear form of a constant triple.  When h = 0 and v, V are constant
-(every seed of the gallery and the CLI), write rho = psi (v - v').  Then
+Why K2 = kappa.  For a constant triple (h = 0, v and V constant: every seed
+of the gallery and the CLI) and kappa = <v, v>_delta, the rows above give
+
+    dOmega = (gamma_a / phi) ((v_a + v'_a) Omega
+                              + v'_a (eps beta (K2 - kappa) - phi <v, V>_delta))
+
+along u_a (expand with phi h'_aj = (v'_j - v_j) gamma_a: the terms
+V_a gamma_a (K2 - <v, v'>_delta) and those in delta_a cancel).  Every
+gallery seed has <v, V>_delta = 0, so Omega stays 0 only where
+eps beta gamma_a v'_a (K2 - kappa) = 0: for a general init, on K2 = kappa
+(a stationary gamma = 0, a parallel or homothetic image, would keep it at
+any K2).  As measured (ROADMAP "Measured"), off-kappa inits drifted in
+Omega by 1.5e-3 to 1.5e47, flat from 11^3 to 41^3, and their transformed
+triples' residuals did not fall under refinement.  So a constant triple's
+K2 is ``kappa``: an explicit K2target or an init off it by more than
+``_K2_ROUNDING`` (|v'_0|^2 + |v|^2) raises ConstraintUnsatisfiable.  K1 = 0
+and Omega = 0 are not checked: a raw init off them is an initial value
+problem, and ``invariant_drift`` reports it.
+
+The linear form of a constant triple.  With rho = psi (v - v'),
 drho_j = 0 for j != a and drho_a = delta_a gamma_a psi (K2 - <v, v'>_delta) / phi.
-If the init has K2_0 = <v'_0, v'_0>_delta equal to kappa = <v, v>_delta, then
-psi (K2 - <v, v'>_delta) = <v, rho>_delta, lambda = <v, rho>_delta / phi is a
-first integral, and the system on (gamma, rho, phi, beta) is linear, with the
-constant generator M_a:
+On K2 = kappa, psi (K2 - <v, v'>_delta) = <v, rho>_delta,
+lambda = <v, rho>_delta / phi is a first integral, and the system on
+(gamma, rho, phi, beta) is linear, with the constant generator M_a:
 
     dgamma_a = rho_a + V_a beta - c v_a phi
     drho_a   = lambda delta_a gamma_a
@@ -40,11 +59,8 @@ systems"); [M_a, M_b] is proportional to eps V_a V_b + c v_a v_b, which the
 seed's compatibility makes 0.  The sweep carries rho in the v' rows and psi_0
 in the psi row, a zero row of M.  Afterwards psi is recovered node by node
 from K1, psi = (|gamma|^2 + eps beta^2 + c phi^2 - K1_0) / (2 phi), and
-v' = v - rho / psi; the base node keeps the init.  The route is chosen from
-the triple and the init alone: a sampled triple, a non-finite init or
-lambda, and an init with |K2_0 - kappa| > ``_K2_ROUNDING`` (|v'_0|^2 + |v|^2)
-take the RK4 sweep.  Exact values that overflow a double stay on the exact
-route and are masked.  ``RibaucourField.scheme`` says which route ran.
+v' = v - rho / psi; the base node keeps the init.  phi_0 = 0 raises
+SingularPhi; exact values that overflow a double are masked.
 
 Masking.  Both routes sweep every node and mask after the sweep, with one
 function (``_mask``): a node is masked where |phi| or |psi| falls under the
@@ -73,6 +89,7 @@ from .errors import (
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
+    InvalidParams,
     SingularPhi,
     SingularPsi,
 )
@@ -85,9 +102,9 @@ from .verify import ImmersionSample
 # linear form carries rho = psi (v - v') in the v' rows
 _G, _VP, _PHI, _PSI, _BETA = slice(0, 3), slice(3, 6), 6, 7, 8
 
-# |K2_0 - kappa| / (|v'_0|^2 + |v|^2) up to which an init is on the quadric
-# K2 = kappa, so a constant triple's system is propagated in its linear form
-# (module docstring): a few hundred units of rounding of a delta-product
+# |K2 - kappa| / (|v'_0|^2 + |v|^2) up to which a constant triple's K2 target
+# or init is on kappa, else ConstraintUnsatisfiable (module docstring, "Why
+# K2 = kappa"): a few hundred units of rounding of a delta-product
 _K2_ROUNDING = 1e-13
 
 # relative accuracy a psi recovered from K1 must have by its rounding bound,
@@ -128,7 +145,11 @@ class RibaucourField:
     K2target: float
     mask_tol: float
     masked: np.ndarray = None       # True = singular / contaminated
-    scheme: str = None              # "exact propagator" or "RK4 sweep" (module docstring)
+
+    @property
+    def scheme(self) -> str:
+        """How the sweep solved this triple's system (module docstring)."""
+        return "exact propagator" if self.source.closed_form else "RK4 sweep"
 
     @property
     def gamma(self) -> np.ndarray:
@@ -160,15 +181,39 @@ class RibaucourField:
         return RibaucourState.from_array(self.states[tuple(idx)])
 
 
+def kappa(triple: TripleField) -> float:
+    """<v, v>_delta of a constant triple, its transforms' one K2 (module docstring)."""
+    v, _ = triple.constant_values
+    return float(delta_inner(triple.delta, v, v))
+
+
+def _on_kappa(triple: TripleField, K2, size, what="K2target"):
+    """A constant triple's ``K2``, ``kappa`` if None; ConstraintUnsatisfiable
+    naming ``what`` if off kappa by more than ``_K2_ROUNDING`` (size + |v|^2)."""
+    v, _ = triple.constant_values
+    k = kappa(triple)
+    if K2 is not None and not abs(K2 - k) <= _K2_ROUNDING * (size + float(v @ v)):
+        raise ConstraintUnsatisfiable(
+            f"{what} {K2!r} is off kappa = <v, v>_delta = {k!r}: the init is not a "
+            f"Ribaucour transform (module docstring, \"Why K2 = kappa\")")
+    return k if K2 is None else float(K2)
+
+
 def seed_state(triple: TripleField, base_idx, request: RibaucourState,
-               K2target) -> RibaucourState:
+               K2target=None) -> RibaucourState:
     """Complete a partial state at the base node so that K1 = 0, K2 = K2target
     and Omega = 0.
 
-    gamma, beta, phi are taken from the request; psi is forced by K1 = 0;
-    the requested v' is projected onto the Omega = 0 hyperplane and then
-    rescaled inside it onto the K2 quadric (least change wins).
+    A constant triple's K2target is ``kappa`` (module docstring); a sampled
+    triple's must be given.  gamma, beta, phi are taken from the request; psi
+    is forced by K1 = 0; the requested v' is projected onto the Omega = 0
+    hyperplane and then rescaled inside it onto the K2 quadric (least change
+    wins).
     """
+    if triple.closed_form:
+        K2target = _on_kappa(triple, K2target, abs(K2target or 0.0))
+    elif K2target is None:
+        raise InvalidParams("a sampled triple's K2target must be given")
     eps, c = triple.spec.eps, triple.spec.c
     delta = np.asarray(triple.delta, dtype=float)
     v, _, V = triple.at(base_idx)
@@ -227,13 +272,13 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
 
 
 def _ribaucour_body(triple: TripleField, y0):
-    """In-place Ribaucour body on (9, B) rows (``_sweep`` module docstring);
-    y0 is any RibaucourState's 9 values, so it needs no check.
+    """In-place Ribaucour body of a sampled triple on (9, B) rows (``_sweep``
+    module docstring); y0 is any RibaucourState's 9 values.
 
     The body is built for its inputs (``_sweep`` module docstring, "In-place
     bodies").  Its one droppable term is the c phi v_a of dgamma_a when
-    c = 0, kept when y0's gamma rows hold a -0.0: the cflat family's
-    phi-state has gamma_1 = -0.0 and gets the full body.  With finite
+    c = 0, kept when y0's gamma rows hold a -0.0, as the cflat family's
+    phi-state does (swept on a sampled copy of its seed).  With finite
     operands it is +-0, so dropping it changes dgamma_a at most in the sign of
     a zero.  Where it would have been 0 * inf = NaN, at a non-finite stage
     value, a value may differ from the full body's (``_sweep`` module
@@ -293,22 +338,12 @@ def _ribaucour_body(triple: TripleField, y0):
 
 
 def _linear_init(triple: TripleField, y):
-    """The init ``y`` in the linear form, rho = psi (v - v') in the v' rows,
-    when ``triple`` is constant, y and lambda are finite and K2_0 = kappa up
-    to ``_K2_ROUNDING``; else None (module docstring)."""
-    if not (triple.closed_form and np.isfinite(y).all()):
-        return None
+    """A constant triple's init ``y`` in the linear form, rho = psi (v - v')
+    in the v' rows (module docstring)."""
     v, _ = triple.constant_values
-    delta = np.asarray(triple.delta, dtype=float)
-    vp = y[_VP]
-    gap = abs(float(delta_inner(delta, vp, vp)) - float(delta_inner(delta, v, v)))
-    with np.errstate(all="ignore"):
-        rho = y[_PSI] * (v - vp)
-        lam = float(delta_inner(delta, v, rho)) / y[_PHI]
-    if not (math.isfinite(lam) and gap <= _K2_ROUNDING * float(vp @ vp + v @ v)):
-        return None
     linear = y.copy()
-    linear[_VP] = rho
+    with np.errstate(all="ignore"):
+        linear[_VP] = y[_PSI] * (v - y[_VP])
     return linear
 
 
@@ -378,35 +413,42 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
     """Sweep-integrate the transformation system from the base node.
 
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
-    A constant triple whose init has K2_0 = kappa is propagated exactly,
-    any other is marched with RK4 (module docstring, ``RibaucourField.scheme``).
-    After the sweep, nodes where |phi| or |psi| falls below ``mask_tol``, a
-    value is not finite or, on the exact route, psi recovered from K1 may
-    have lost its accuracy are masked, and their sweep descendants with them
-    (module docstring, "Masking"); the unmasked nodes' values do not depend
-    on the masked ones.
+    phi_0 = 0 raises SingularPhi.  A constant triple is propagated exactly,
+    its K2target ``kappa``: once the sweep has checked the triple, an init or
+    K2target off it raises ConstraintUnsatisfiable (module docstring).  A
+    sampled triple is marched with RK4, its K2target the init's K2 by
+    default.  After the sweep, nodes where |phi| or |psi| falls below
+    ``mask_tol``, a value is not finite or, on the exact route, psi recovered
+    from K1 may have lost its accuracy are masked, and their sweep
+    descendants with them (module docstring, "Masking"); the unmasked nodes'
+    values do not depend on the masked ones.
     """
     grid = grid or triple.grid
     mask_tol = mask_tol if mask_tol is not None else default_mask_tol(grid)
-    if K2target is None:
-        K2target = float(delta_inner(triple.delta, np.asarray(init.vprime),
-                                     np.asarray(init.vprime)))
     y0 = init.as_array()
-    linear = _linear_init(triple, y0)
-    system = (_ribaucour_body, y0) if linear is None else (_ribaucour_generators, linear)
+    if y0[_PHI] == 0.0:
+        raise SingularPhi("phi must be nonzero at the base node")
+    system = ((_ribaucour_generators, _linear_init(triple, y0)) if triple.closed_form
+              else (_ribaucour_body, y0))
     states = sweep_integrate(triple, grid, (0, 1, 2), *system, max_step, integrability_tol,
                              masked=True)
     planes = np.moveaxis(states, -1, 0)
+    vp = y0[_VP]
+    K2_0 = float(delta_inner(triple.delta, vp, vp))
     lossy = None
-    if linear is not None:
+    if triple.closed_form:
+        # after the sweep has checked the triple: a failing one has no kappa
+        _on_kappa(triple, K2_0, vp @ vp, "the init's K2 = <v'_0, v'_0>_delta =")
+        K2target = _on_kappa(triple, K2target, vp @ vp)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lossy = _recover(planes, triple, linear)
+            lossy = _recover(planes, triple, system[1])
         planes[(slice(None),) + grid.base] = y0
         lossy[grid.base] = False
+    elif K2target is None:
+        K2target = K2_0
     masked = _mask(planes, grid.base, mask_tol, lossy)
     return RibaucourField(grid, states, triple, float(K2target), mask_tol,
-                          masked if masked.any() else None,
-                          "RK4 sweep" if linear is None else "exact propagator")
+                          masked if masked.any() else None)
 
 
 @dataclass(frozen=True)

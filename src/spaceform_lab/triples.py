@@ -340,20 +340,17 @@ class TripleField:
         """(v, V) of a constant triple, two 3-vectors."""
         return self._vV
 
-    def _filled(self, shape):
-        """Read-only (v, h, V) of a constant triple at every point of ``shape``,
-        components first."""
-        v, V = self._vV
-        out = np.empty((3,) + shape), np.zeros((3, 3) + shape), np.empty((3,) + shape)
-        out[0].reshape(3, -1)[...] = v[:, None]
-        out[2].reshape(3, -1)[...] = V[:, None]
-        for values in out:
-            values.flags.writeable = False
-        return out
-
     def _sample(self):
+        """Fill a constant triple's read-only grid arrays, components first."""
         if self._v is None:
-            self._v, self._h, self._V = self._filled(tuple(self.grid.n))
+            v, V = self._vV
+            n = tuple(self.grid.n)
+            out = np.empty((3,) + n), np.zeros((3, 3) + n), np.empty((3,) + n)
+            out[0].reshape(3, -1)[...] = v[:, None]
+            out[2].reshape(3, -1)[...] = V[:, None]
+            for values in out:
+                values.flags.writeable = False
+            self._v, self._h, self._V = out
 
     @property
     def v(self) -> np.ndarray:
@@ -450,17 +447,19 @@ def h_from_v(v, spacing):
     return h
 
 
-def _compatibility_rows(v, h, V, spacing, eps, c):
+def _along(spacing):
+    """d(values, a): the module stencil's derivative along u_a."""
+    return lambda values, a: partial_derivative(values, a, spacing[a])
+
+
+def _compatibility_rows(v, h, V, d, eps, c):
     """Residual rows of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
-    3.iv (6) of sampled (v, h, V) in a space form with (eps, c), one grid
-    plane at a time, in that order.
+    3.iv (6) of (v, h, V) in a space form with (eps, c), one grid plane at a
+    time, in that order; ``d(values, a)`` is the derivative along u_a.
 
     Only the derivatives the equations read are taken: 12 of the 27 dh_ij/du_a
     and the 6 off-diagonal dV_i/du_j.
     """
-    def d(values, a):
-        return partial_derivative(values, a, spacing[a])
-
     for i, k in itertools.permutations(range(3), 2):
         j = 3 - i - k
         yield d(h[i, k], j) - h[i, j] * h[j, k]
@@ -480,31 +479,29 @@ def _stacks(rows, counts):
 def compatibility_residuals(v, h, V, spacing, eps, c):
     """Residual stacks of the Gauss-Codazzi equations 3.ii (6), 3.iii (3) and
     3.iv (6) of sampled (v, h, V) in a space form with (eps, c)."""
-    return tuple(_stacks(_compatibility_rows(v, h, V, spacing, eps, c), (6, 3, 6)))
+    return tuple(_stacks(_compatibility_rows(v, h, V, _along(spacing), eps, c), (6, 3, 6)))
 
 
 # the entries of triple_residuals and their row counts, in the order of _triple_rows
 _TRIPLE_ENTRIES = (("3.i", 6), ("3.ii", 6), ("3.iii", 3), ("3.iv", 6), ("4", 3), ("5", 3))
 
 
-def _triple_rows(t: TripleField, values=None):
+def _triple_rows(t: TripleField, constant=False):
     """Residual rows of every equation of ``triple_residuals``, one grid plane
     at a time, in the order of ``_TRIPLE_ENTRIES``.
 
-    ``values`` replaces (t.v, t.h, t.V) by arrays of another shape; the
-    derivatives still take the spacing of ``t.grid``.
+    With ``constant``, a constant triple's rows are evaluated on its two
+    3-vectors and h = 0 with every derivative exactly 0, one number each.
     """
     t.grid.require_resolution(5)
-    v, h, V = (t.v, t.h, t.V) if values is None else values
     delta = t.delta
-    sp = t.grid.spacing
-
-    def d(values, a):
-        return partial_derivative(values, a, sp[a])
-
+    if constant:
+        (v, V), h, d = t.constant_values, _ZERO_H, lambda values, a: 0.0
+    else:
+        v, h, V, d = t.v, t.h, t.V, _along(t.grid.spacing)
     for i, j in itertools.permutations(range(3), 2):
         yield d(v[i], j) - h[j, i] * v[j]
-    yield from _compatibility_rows(v, h, V, sp, t.spec.eps, t.spec.c)
+    yield from _compatibility_rows(v, h, V, d, t.spec.eps, t.spec.c)
     for i in range(3):
         j, k = [a for a in range(3) if a != i]
         yield delta[i] * d(v[i], i) + delta[j] * h[i, j] * v[j] + delta[k] * h[i, k] * v[k]
@@ -532,15 +529,12 @@ def triple_residuals(t: TripleField) -> ResidualReport:
 def _largest_residual(t: TripleField) -> float:
     """``triple_residuals(t).overall_max``, read one residual row at a time.
 
-    A constant triple with no mask is read on a 5 x 5 x 5 stand-in of its
-    values: the stencils are pointwise, so each residual row takes at a node
-    the value fixed by the stencil on each axis (low face, interior, high
-    face), and a 5-node axis has all three.
+    A constant triple with no mask is read exactly, every derivative 0,
+    where the report's stencils on constant planes add rounding.
     """
     if t.closed_form and t.masked is None:
-        rows, keep = _triple_rows(t, t._filled((5, 5, 5))), True
-    else:
-        rows, keep = _triple_rows(t), _stencil_safe_mask(t)
+        return float(np.max(np.abs(list(_triple_rows(t, constant=True)))))
+    rows, keep = _triple_rows(t), _stencil_safe_mask(t)
     worst = 0.0
     for row in rows:
         # NaN propagates through np.maximum; no kept node leaves 0.0
@@ -556,8 +550,8 @@ def check_sweep_input(t: TripleField, grid: ParameterGrid, integrability_tol):
     GridMismatch, whether ``t`` is sampled or constant.  With
     ``integrability_tol`` set, the largest triple residual must not exceed it
     either (else PreconditionFailed).  That one number is
-    ``triple_residuals(t).overall_max``, read from the same residual rows one
-    grid plane at a time, with no report built.
+    ``triple_residuals(t).overall_max`` from the same residual rows, with no
+    report built (``_largest_residual``).
 
     Sampled data must be finite at every node, and the two 3-vectors of a
     constant triple finite (else PreconditionFailed).  A sweep reads sampled

@@ -33,6 +33,13 @@ def famcf():
     return PhiFamily("cflat", K=-1.0, c=0.0, eps=1, rho=1.0, theta=THETA)
 
 
+def sampled_copy(t):
+    """``t`` as a sampled triple: the same values, swept with RK4.  A constant
+    triple is always propagated, so tests that march it, or march an init
+    off its K2 = kappa, use this copy."""
+    return TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
+
+
 def run_pipeline(fam, grid, max_step=1e-2):
     """Seed triple -> frame + transformation sweep -> transformed immersion."""
     triple = fam.seed_triple(grid)

@@ -11,7 +11,13 @@ import pytest
 from spaceform_lab import cli as cli_module
 from spaceform_lab import io as io_module
 from spaceform_lab.cli import run
-from spaceform_lab.errors import BadProjection, InvalidParams, IoError, SchemaError
+from spaceform_lab.errors import (
+    BadProjection,
+    ConstraintUnsatisfiable,
+    InvalidParams,
+    IoError,
+    SchemaError,
+)
 from spaceform_lab.gallery import closed_form_transform
 from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.io import (
@@ -20,6 +26,9 @@ from spaceform_lab.io import (
     load_config,
     parse_config,
 )
+from spaceform_lab.ribaucour import RibaucourState, integrate_ribaucour, kappa, seed_state
+
+from conftest import sampled_copy
 
 MINIMAL = {
     "seed": {"gallery": "problemstar_e1_Cneg", "C": -1.0},
@@ -112,7 +121,6 @@ class TestLoadConfig:
         ("/ribaucour/family/theta",
          {"ribaucour": {"family": {"kind": "problemstar", "K": 1.0, "theta": 0.5}}}),
         ("/ribaucour/state/gamma/0", {"ribaucour": {"state": FINITE_STATE}}),
-        ("/ribaucour/k2_target", {"ribaucour": {"state": FINITE_STATE, "k2_target": 1.0}}),
     ])
     def test_nonfinite_number_pointer(self, pointer, extra, value):
         doc = json.loads(json.dumps(dict(MINIMAL, **extra)))
@@ -655,8 +663,7 @@ class TestCli:
                      "n": [9, 9, 9], "base": [4, 4, 4]},
             "ribaucour": {"state": {"gamma": [0.0, -1.4142135623730951, 0.0],
                                     "vprime": [0.0, 0.0, -1.0],
-                                    "phi": 1.0, "beta": 0.0},
-                          "k2_target": 1.0},
+                                    "phi": 1.0, "beta": 0.0}},
         }
         cfg = write_config(tmp_path, doc)
         assert run(["ribaucour", "--config", cfg]) == 0
@@ -736,7 +743,8 @@ def _raw_state_doc(tmp_path):
 
 
 def test_raw_state_k2_target_from_classification(tmp_path):
-    # no explicit k2_target: the ProblemStar seed fixes it at eps_hat = 1
+    # K2 is no config key: the seed fixes it at kappa = <v, v>_delta = 1,
+    # which is also the classification's eps_hat
     cfg = write_config(tmp_path, _raw_state_doc(tmp_path))
     assert run(["ribaucour", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
@@ -745,14 +753,35 @@ def test_raw_state_k2_target_from_classification(tmp_path):
 
 @pytest.mark.parametrize("k2, scheme", [(None, "exact propagator"), (1.0, "exact propagator"),
                                         (0.5, "RK4 sweep")])
-def test_raw_state_route(tmp_path, k2, scheme):
-    # the seed's kappa = <v, v>_delta is 1: a k2_target off it puts the init
-    # off the quadric K2 = kappa, and the constant seed is marched with RK4
+def test_raw_state_route(tmp_path, capsys, k2, scheme):
+    # The route of the raw state at K2 = k2.  The seed's kappa = <v, v>_delta
+    # is 1, and the config takes K2 from it: an older config that sets
+    # ribaucour.k2_target, even to kappa, exits 1 at /ribaucour naming the
+    # key and writes no report.  From Python, K2target = kappa is propagated;
+    # off kappa the init is not a transform (ConstraintUnsatisfiable), and
+    # only a sampled copy of the seed marches it.
     doc = _raw_state_doc(tmp_path)
-    if k2 is not None:
-        doc["ribaucour"]["k2_target"] = k2
-    run(["ribaucour", "--config", write_config(tmp_path, doc)])
-    assert json.loads((tmp_path / "rep.json").read_text())["scheme"] == scheme
+    if k2 is None:
+        assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["scheme"] == scheme
+        return
+    doc["ribaucour"]["k2_target"] = k2
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/ribaucour"
+    assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
+    assert "'k2_target' was unexpected" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+    triple, _ = cli_module._seed_triple(parse_config(_raw_state_doc(tmp_path)))
+    raw = doc["ribaucour"]["state"]
+    request = RibaucourState(tuple(raw["gamma"]), tuple(raw["vprime"]), raw["phi"], 0.0,
+                             raw["beta"])
+    if k2 != kappa(triple):
+        with pytest.raises(ConstraintUnsatisfiable, match=f"^K2target {k2} is off kappa"):
+            seed_state(triple, triple.grid.base, request, k2)
+        triple = sampled_copy(triple)
+    init = seed_state(triple, triple.grid.base, request, k2)
+    assert integrate_ribaucour(triple, init, K2target=k2).scheme == scheme
 
 
 def test_raw_state_psi_rejected(tmp_path, capsys):
@@ -768,7 +797,7 @@ def test_raw_state_psi_rejected(tmp_path, capsys):
 
 
 def test_k2_target_beside_family_rejected(tmp_path, capsys):
-    # a family fixes its own K2 target: ribaucour.k2_target would be ignored
+    # ribaucour.k2_target is no key: K2 is the seed's kappa
     doc = _raw_state_doc(tmp_path)
     doc["ribaucour"] = {"family": {"kind": "problemstar", "K": 1.0, "a": 1.0},
                         "k2_target": 1.0}
@@ -915,8 +944,7 @@ class TestSweepCount:
             "grid": {"lo": [-1, -1, -1], "hi": [1, 1, 1], "n": [9, 9, 9],
                      "base": [4, 4, 4]},
             "ribaucour": {"state": {"gamma": [0.5, 0.0, 0.0], "vprime": [0.0, 0.0, 1.0],
-                                    "phi": 1.0, "beta": 0.0},
-                          "k2_target": 1.0},
+                                    "phi": 1.0, "beta": 0.0}},
         }
         assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
         assert "seed residual 5.000e-01 exceeds 1.0e-08" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from spaceform_lab.errors import (
     EmptyDomain,
     FlatAmbientUnsupported,
     GridMismatch,
+    InvalidParams,
     PreconditionFailed,
     SingularPhi,
     SingularPsi,
@@ -27,6 +28,7 @@ from spaceform_lab.grid import ParameterGrid
 from spaceform_lab.ribaucour import (
     InvariantDrift,
     RibaucourState,
+    _ribaucour_body,
     integrate_ribaucour,
     invariant_drift,
     invariant_fields,
@@ -38,6 +40,8 @@ from spaceform_lab.ribaucour import (
 from spaceform_lab.report import ResidualReport
 from spaceform_lab.triples import TripleField, classify, first_integrals
 from spaceform_lab.verify import fundamental_forms, ImmersionSample
+
+from conftest import sampled_copy
 
 FLAT = SpaceFormSpec(0.0, 0)
 THETA = math.pi / 4
@@ -99,6 +103,28 @@ class TestSeedState:
             1.0 - float(np.sum(d * v0 * vp)))
         assert abs(K1) < 1e-12 and abs(K2 - 1.0) < 1e-12 and abs(omega) < 1e-12
 
+    def test_K2target_defaults_to_kappa(self, fam62, grid21):
+        t = fam62.seed_triple(grid21)
+        st = phi_state(fam62, grid21.base_point)
+        assert seed_state(t, grid21.base, st) == seed_state(t, grid21.base, st, K2target=1.0)
+
+    @pytest.mark.parametrize("K2target", [0.5, 1.0 + 1e-12, math.nan])
+    def test_K2target_off_kappa_raises(self, fam62, grid21, K2target):
+        # an explicit K2target off kappa = 1 is not a Ribaucour transform
+        t = fam62.seed_triple(grid21)
+        st = phi_state(fam62, grid21.base_point)
+        with pytest.raises(ConstraintUnsatisfiable,
+                           match=f"^K2target {K2target!r} is off kappa = <v, v>_delta = 1.0"):
+            seed_state(t, grid21.base, st, K2target=K2target)
+
+    def test_sampled_triple_needs_K2target(self, fam62, grid21):
+        t = sampled_copy(fam62.seed_triple(grid21))
+        st = phi_state(fam62, grid21.base_point)
+        with pytest.raises(InvalidParams, match="K2target must be given"):
+            seed_state(t, grid21.base, st)
+        assert seed_state(t, grid21.base, st, 1.0) == seed_state(fam62.seed_triple(grid21),
+                                                                 grid21.base, st)
+
     def test_infeasible_quadric_raises(self, grid21):
         t = TripleField.constant(grid21, (1, -1, 1), FLAT, v=(1, 0, 0), V=(0, 0, 0))
         req = RibaucourState((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), phi=0.5, psi=0.0,
@@ -121,14 +147,16 @@ class TestIntegration:
 
     def test_parallel_degenerate_constant_state(self, grid21):
         # gamma = 0 with the stationary v' = v + (beta V - c phi v)/psi and
-        # psi from K1 = 0 stays constant over the whole box
-        t = trivial_seed("problemstar_e1_Cneg", grid21, c=0.0, s=0, C=-1.0)
+        # psi from K1 = 0 stays constant over the whole box.  Its K2 = -15 is
+        # off kappa = 1, so it is marched on a sampled copy of the seed
+        t = sampled_copy(trivial_seed("problemstar_e1_Cneg", grid21, c=0.0, s=0, C=-1.0))
         beta, phi = 0.5, 1.0
         psi = (t.spec.eps * beta**2) / (2 * phi)
         v0, _, V0 = t.at(grid21.base)
         vprime = v0 + (beta * V0 - t.spec.c * phi * v0) / psi
         init = RibaucourState((0, 0, 0), tuple(vprime), phi, psi, beta)
         rf = integrate_ribaucour(t, init, grid21, K2target=None)
+        assert rf.scheme == "RK4 sweep"
         assert np.abs(rf.gamma).max() < 1e-12
         assert np.abs(rf.phi - phi).max() < 1e-12
         assert np.abs(rf.psi - psi).max() < 1e-12
@@ -141,6 +169,11 @@ class TestIntegration:
         a = integrate_ribaucour(t, st, grid21, K2target=1.0)
         b = integrate_ribaucour(t, st, grid21, K2target=1.0)
         assert np.array_equal(a.states, b.states)
+
+
+def _bumped(st):
+    """``st`` with beta + 0.05: still on K2 = kappa, with Omega = -0.05 at the base."""
+    return RibaucourState(st.gamma, st.vprime, st.phi, st.psi, st.beta + 0.05)
 
 
 def _family_state_arrays(fam, grid):
@@ -170,21 +203,51 @@ class TestInvariants:
         assert np.abs(omega).max() == 0
 
     def test_nonzero_omega_never_crosses_zero(self, fam62, grid21):
-        # Omega solves a linear first-order equation, so its sign propagates
+        # on K2 = kappa, Omega solves a homogeneous linear first-order
+        # equation (ribaucour module docstring), so its sign propagates
         t = fam62.seed_triple(grid21)
-        st = phi_state(fam62, grid21.base_point)
-        bumped = RibaucourState(st.gamma, (0.0, 0.05, -1.0), st.phi, st.psi, st.beta)
-        rf = integrate_ribaucour(t, bumped, grid21, K2target=1.0)
+        rf = integrate_ribaucour(t, _bumped(phi_state(fam62, grid21.base_point)), grid21,
+                                 K2target=1.0)
         _, _, omega = invariant_fields(rf)
         omega0 = omega[grid21.base]
         assert abs(omega0) > 1e-3
         assert np.all(np.sign(omega) == np.sign(omega0))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_omega_derivative_of_a_constant_triple(self, seed):
+        # dOmega along u_a as the ribaucour module docstring derives it
+        # ("Why K2 = kappa"), against the derivative of Omega along the
+        # body's right-hand side, K2 held at its value (a first integral)
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(0, 2))
+        eps, c = 1 - 2 * s, float(rng.normal())
+        delta = tuple(int(x) for x in rng.choice([-1, 1], 3))
+        v, V = rng.normal(size=3), rng.normal(size=3)
+        t = TripleField.constant(ParameterGrid.centered(1.0, 5), delta, SpaceFormSpec(c, s),
+                                 v, V)
+        Y = rng.normal(size=9)
+        vp, phi, beta = Y[3:6], Y[6], Y[8]
+
+        def ip(x, y):
+            return float(np.sum(np.asarray(delta) * x * y))
+
+        K2, kappa = ip(vp, vp), ip(v, v)
+        omega = phi * ip(vp, V) - eps * beta * (K2 - ip(v, vp))
+        body = _ribaucour_body(t, Y)
+        for a in range(3):
+            dY = np.empty((9, 1))
+            body(v[None], np.zeros((1, 3, 3)), V[None], Y[:, None], dY, a)
+            dvp, dphi, dbeta = dY[3:6, 0], dY[6, 0], dY[8, 0]
+            along = (dphi * ip(vp, V) + phi * ip(dvp, V) - eps * dbeta * (K2 - ip(v, vp))
+                     + eps * beta * ip(v, dvp))
+            derived = Y[a] / phi * ((v[a] + vp[a]) * omega
+                                    + vp[a] * (eps * beta * (K2 - kappa) - phi * ip(v, V)))
+            assert along == pytest.approx(derived, rel=1e-10, abs=1e-12)
+
     def test_omega_matches_its_ode_along_a_line(self, fam62, grid21):
         t = fam62.seed_triple(grid21)
-        st = phi_state(fam62, grid21.base_point)
-        bumped = RibaucourState(st.gamma, (0.0, 0.05, -1.0), st.phi, st.psi, st.beta)
-        rf = integrate_ribaucour(t, bumped, grid21, K2target=1.0)
+        rf = integrate_ribaucour(t, _bumped(phi_state(fam62, grid21.base_point)), grid21,
+                                 K2target=1.0)
         _, _, omega = invariant_fields(rf)
         i0, j0, k0 = grid21.base
         line = omega[:, j0, k0]
@@ -217,7 +280,9 @@ class TestTransform:
             transform_immersion(ff2, rf)
 
     def test_homothety_degenerate_case(self):
-        # gamma = beta = 0, c != 0, v' = (1 - c phi/psi) v: F' = (1 - c phi/psi) F
+        # gamma = beta = 0, c != 0, v' = (1 - c phi/psi) v: F' = (1 - c phi/psi) F.
+        # Its K2 = 0.25 is off kappa = 1: the field is marched on a sampled
+        # copy of the seed, whose frame is propagated
         grid = ParameterGrid.centered(0.4, 7)
         spec = SpaceFormSpec(1.0, 0)
         t = trivial_seed("problemstar_e1_Cneg", grid, c=1.0, s=0, C=-1.0)
@@ -225,7 +290,7 @@ class TestTransform:
         factor = 1.0 - spec.c * phi / psi
         v0, _, _ = t.at(grid.base)
         init = RibaucourState((0, 0, 0), tuple(factor * v0), phi, psi, 0.0)
-        rf = integrate_ribaucour(t, init, grid, K2target=None)
+        rf = integrate_ribaucour(sampled_copy(t), init, grid, K2target=None)
         ff = integrate_frame(t, seed_frame_state("problemstar_e1_Cneg", spec), grid)
         fp = transform_immersion(ff, rf)
         assert np.abs(fp.positions - factor * ff.f).max() < 1e-9
@@ -452,12 +517,13 @@ class TestPlaneBackedConsumers:
             t, rf = TestMasking()._masked_run(grid)
             ff = integrate_frame(t, seed_frame_state("problemstar_e1_Cneg", t.spec), grid)
         else:
-            # the overflowing triple of test_sweep's TestBitIdentity: the
-            # Ribaucour rows go non-finite on masked lines; the frame's X1 and
-            # N, which would overflow too, start at 0 and stay there
+            # the overflowing triple of test_sweep's TestBitIdentity, sampled,
+            # as its init's K2 = 0.99 is off kappa = 0: the marched Ribaucour
+            # rows go non-finite on masked lines; the frame's X1 and N, which
+            # would overflow too, start at 0 and stay there
             grid = ParameterGrid((0, 0, 0), (60.0, 1, 1), (31, 5, 5))
-            t = TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1),
-                                     v=(0, 1, 1), V=(30.0, 0, 0))
+            t = sampled_copy(TripleField.constant(grid, (1, -1, 1), SpaceFormSpec(0.0, 1),
+                                                  v=(0, 1, 1), V=(30.0, 0, 0)))
             init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3,
                                   beta=0.3)
             zero, E = np.zeros(4), np.eye(4)

@@ -35,11 +35,13 @@ from spaceform_lab._sweep import (
 )
 from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
+    ConstraintUnsatisfiable,
     DimensionError,
     GridMismatch,
     InvalidParams,
     NonFiniteState,
     PreconditionFailed,
+    SingularPhi,
 )
 from spaceform_lab.frames import (
     DEFAULT_MAX_STEP,
@@ -68,11 +70,14 @@ from spaceform_lab.ribaucour import (
     default_mask_tol,
     integrate_ribaucour,
     invariant_drift,
+    kappa,
     seed_state,
     transform_immersion,
     transformed_triple,
 )
 from spaceform_lab.triples import TripleField, _CubicSpline
+
+from conftest import sampled_copy
 
 # ---------------------------------------------------------------------------
 # batch-first reference engine
@@ -427,11 +432,6 @@ def _assert_frame(ff, t, init, order=(0, 1, 2)):
         _assert_same(_frame_result(ff), ref_frame(t, init, order))
 
 
-def _sampled_copy(t):
-    """``t`` as a sampled triple: the same values, swept with RK4."""
-    return TripleField.from_samples(t.grid, t.delta, t.spec, t.v, t.h, t.V)
-
-
 def _ribaucour_result(rf):
     return rf.states, rf.masked if rf.masked is not None else np.zeros(rf.grid.n, bool)
 
@@ -513,7 +513,7 @@ class TestBitIdentity:
     def test_mask_tol_masks_lines(self):
         # marched with RK4 on a sampled copy: the constant seed is propagated
         grid = ParameterGrid.centered(1.0, 9)
-        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        t = sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=0.05, K2target=1.0)
@@ -527,7 +527,8 @@ class TestBitIdentity:
                                     v=(0, 1, 1), V=(30.0, 0, 0))
 
     def test_nonfinite_lines_masked(self):
-        t = self._overflowing_triple()
+        # K2 = 0.99 is off kappa = 0: the init is marched on a sampled copy
+        t = sampled_copy(self._overflowing_triple())
         init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3, beta=0.3)
         rf = integrate_ribaucour(t, init, K2target=1.0)
         assert rf.masked is not None and rf.masked.any()
@@ -542,9 +543,9 @@ class TestBitIdentity:
         assert str(err.value) == exact_overflow_message(t, init)
         # marched with RK4, the sampled copy overflows at the reference's node
         with pytest.raises(NonFiniteState) as ref_err:
-            ref_frame(_sampled_copy(t), init)
+            ref_frame(sampled_copy(t), init)
         with pytest.raises(NonFiniteState) as err:
-            integrate_frame(_sampled_copy(t), init, integrability_tol=None)
+            integrate_frame(sampled_copy(t), init, integrability_tol=None)
         assert str(err.value) == str(ref_err.value)
 
     # node layers are written through basic-index views of the state array:
@@ -864,7 +865,7 @@ class TestStackedSweep:
     def test_masked_nodes_keep_integrating_the_frame(self):
         # marched with RK4 on a sampled copy: the constant seed is propagated
         grid = ParameterGrid.centered(1.0, 9)
-        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        t = sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf, ff = self._both(t, init, standard_frame_state(t.spec), mask_tol=0.05,
@@ -880,9 +881,10 @@ class TestStackedSweep:
         assert len(np.unique(ff.N[line], axis=0)) == len(ff.N[line])
 
     def test_frame_overflow_raises(self):
-        # K2 = 0.99 off kappa = 0 marches the Ribaucour rows, which overflow
-        # and are masked; the propagated frame raises
-        t = TestBitIdentity()._overflowing_triple()
+        # on a sampled copy, as K2 = 0.99 is off kappa = 0: the marched
+        # Ribaucour rows overflow and are masked, and the marched frame raises
+        # at the RK4 reference's node
+        t = sampled_copy(TestBitIdentity()._overflowing_triple())
         init = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.2, psi=0.3, beta=0.3)
         frame_init = standard_frame_state(t.spec)
         with pytest.raises(NonFiniteState) as err:
@@ -890,7 +892,9 @@ class TestStackedSweep:
         rf = integrate_ribaucour(t, init, K2target=1.0)
         assert rf.scheme == "RK4 sweep" and not np.isfinite(rf.states).all()
         assert rf.masked[~np.isfinite(rf.states).all(axis=-1)].all()
-        assert str(err.value) == exact_overflow_message(t, frame_init)
+        with pytest.raises(NonFiniteState) as ref_err:
+            ref_frame(t, frame_init)
+        assert str(err.value) == str(ref_err.value)
 
     def test_frame_of_another_dimension_raises(self):
         fam, t, init = _closed_form_case("s4_problemstar_sphere")
@@ -992,7 +996,7 @@ class TestLockstep:
         grid = self.grid("axis41")
         ((_, _, _, nsub),) = itertools.islice(node_intervals(grid.axis(0), 20, 1, 1e-300), 1)
         assert nsub > 1e298
-        t = _sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
+        t = sampled_copy(FAMILIES["r4_problemstar"].seed_triple(grid))
         y0 = np.zeros((5, t.spec.dim))
         body = _frame_body(t, y0)
         calls = []
@@ -1088,7 +1092,7 @@ class TestLockstep:
         # direction (marched with RK4 on a sampled copy: the constant seed is
         # propagated)
         grid = ParameterGrid.centered(1.0, 9)
-        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        t = sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
@@ -1145,7 +1149,7 @@ class TestEvalAtPerDirection:
         grid = TestLockstep.grid(where)
         fam = FAMILIES["r4_problemstar"]
         t = fam.seed_triple(grid)
-        return fam, _sampled_copy(t) if sampled else t
+        return fam, sampled_copy(t) if sampled else t
 
     @staticmethod
     def _calls(t):
@@ -1271,7 +1275,7 @@ class TestLaneRule:
         # and the lines started from its nodes stay masked (marched with RK4
         # on a sampled copy: the constant seed is propagated)
         grid = ParameterGrid.centered(1.0, 9)
-        t = _sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
+        t = sampled_copy(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         req = RibaucourState((1.0, 0.0, 0.0), (1.0, 0.1, 0.0), phi=0.3, psi=0.0, beta=0.3)
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=0.1, K2target=1.0)
@@ -1329,8 +1333,8 @@ class TestBodiesBuiltForInputs:
         t = self._seed("problemstar_e1_Cneg", 0.0, 1, self.GRID)
         y0 = seed_frame_state("problemstar_e1_Cneg", t.spec).as_array()
         assert _negative_zero(y0[4]) and vanishing_terms(t, y0[1:4])
-        assert vanishing_terms(_sampled_copy(t), y0[1:4])
-        assert callable(_frame_body(_sampled_copy(t), y0))
+        assert vanishing_terms(sampled_copy(t), y0[1:4])
+        assert callable(_frame_body(sampled_copy(t), y0))
         assert not callable(_frame_body(t, y0))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -1348,8 +1352,8 @@ class TestBodiesBuiltForInputs:
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_every_gamma_nonzero(self, c):
-        # K2 = 0.5 off kappa = 1 keeps the constant seed on RK4
-        t = self._seed("problemstar_e1_Cneg", c, 0, self.GRID)
+        # K2 = 0.5 is off kappa = 1: marched on a sampled copy of the seed
+        t = sampled_copy(self._seed("problemstar_e1_Cneg", c, 0, self.GRID))
         req = RibaucourState((0.3, -0.2, 0.1), (1.0, 0.1, 0.0), phi=0.8, psi=0.0, beta=0.3)
         init = seed_state(t, self.GRID.base, req, K2target=0.5)
         assert all(init.gamma)
@@ -1362,7 +1366,7 @@ class TestBodiesBuiltForInputs:
         # the gate: the -0.0 gamma_1 keeps the c term (marched with RK4 on a
         # sampled copy: the constant seed is propagated)
         fam, t, init = _family_case("r4_cflat", self.GRID, False)
-        t = _sampled_copy(t)
+        t = sampled_copy(t)
         assert fam.spec.c == 0 and not vanishing_terms(t, init.as_array()[:3])
         assert math.copysign(1.0, init.gamma[0]) < 0 and init.gamma[0] == 0
         rf = integrate_ribaucour(t, init, K2target=fam.K2target)
@@ -1371,7 +1375,8 @@ class TestBodiesBuiltForInputs:
     # On the seed v = (1, 0, 0), V = (0, 1, 0) with psi, beta < 0, the state
     # makes dgamma_1 = (v_1 - v'_1) psi + beta V_1 - c phi v_1 = -0.0 along
     # u_1 with gamma_1 = -0.0, where the full body then subtracts a dropped
-    # -0.0, and -0.0 - (-0.0) = +0.0.  K2 = 0.99 off kappa = 1 keeps it on RK4.
+    # -0.0, and -0.0 - (-0.0) = +0.0.  K2 = 0.99 is off kappa = 1, so it is
+    # marched on a sampled copy of the seed.
     NEGATIVE_GAMMA = {
         # c phi v_1 with c = 0, phi < 0, along u_1
         "c_term": (0.0, RibaucourState((-0.0, 1.0, 0.5), (1.0, 0.1, 0.0), phi=-0.5,
@@ -1381,7 +1386,7 @@ class TestBodiesBuiltForInputs:
     @pytest.mark.parametrize("case", sorted(NEGATIVE_GAMMA))
     def test_hand_built_negative_gamma(self, case):
         c, init = self.NEGATIVE_GAMMA[case]
-        t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
+        t = sampled_copy(self._seed("problemstar_e1_Cneg", c, 1, self.GRID))
         rf, ff = TestStackedSweep._both(t, init, standard_frame_state(t.spec), K2target=1.0)
         _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
         _assert_frame(ff, t, standard_frame_state(t.spec))
@@ -1394,7 +1399,7 @@ class TestBodiesBuiltForInputs:
         t = self._seed("problemstar_e1_Cneg", c, 1, self.GRID)
         init = seed_frame_state("problemstar_e1_Cneg", t.spec).scaled_frame(-1.0)
         assert _negative_zero(init.as_array()[1:4])
-        for triple in (t, _sampled_copy(t)):
+        for triple in (t, sampled_copy(t)):
             ff = integrate_frame(triple, init, sweep_order=order, integrability_tol=None)
             _assert_frame(ff, triple, init, order)
 
@@ -1416,7 +1421,7 @@ class TestBodiesBuiltForInputs:
         X[r, k] = -0.0
         init = FrameState(f, *X, np.eye(4)[3])
         assert [_negative_zero(row) for row in X] == [i == r for i in range(3)]
-        for triple in (t, _sampled_copy(t)):
+        for triple in (t, sampled_copy(t)):
             ff = integrate_frame(triple, init, integrability_tol=None)
             _assert_frame(ff, triple, init)
 
@@ -1506,7 +1511,7 @@ class TestCarriedRows:
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("kind,c,s", TestBodiesBuiltForInputs.SEEDS)
     def test_sampled_frame_over_seeds(self, kind, c, s, order, where):
-        t = _sampled_copy(TestBodiesBuiltForInputs._seed(kind, c, s, self.GRIDS[where]))
+        t = sampled_copy(TestBodiesBuiltForInputs._seed(kind, c, s, self.GRIDS[where]))
         init = seed_frame_state(kind, t.spec)
         ff = integrate_frame(t, init, sweep_order=order, integrability_tol=None)
         _assert_same(_frame_result(ff), ref_frame(t, init, order))
@@ -1617,12 +1622,16 @@ class TestCarriedRows:
             integrate_frame(t, init)
 
     def test_nonfinite_ribaucour_init(self):
-        # a NaN v'_2 (row 4) masked every node but the base, which kept the NaN
+        # a NaN v'_2 (row 4) masked every node but the base, which kept the
+        # NaN; in the linear form row 4 is rho_2 = psi (v_2 - v'_2), and on a
+        # sampled copy the marched state's v'_2
         grid = ParameterGrid.centered(1.0, 5)
         t = self._uncalled(trivial_seed("problemstar_e1_Cneg", grid, c=0.0, s=0, C=-1.0))
         init = RibaucourState((0.1,) * 3, (0.5, math.nan, 0.5), 2.0, 0.3, 0.1)
-        with pytest.raises(InvalidParams, match=r"^_ribaucour_body: y0\[4\] = nan;"):
-            integrate_ribaucour(t, init, K2target=1.0)
+        for triple, system in ((t, "_ribaucour_generators"),
+                               (self._uncalled(sampled_copy(t)), "_ribaucour_body")):
+            with pytest.raises(InvalidParams, match=rf"^{system}: y0\[4\] = nan;"):
+                integrate_ribaucour(triple, init, K2target=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1685,7 +1694,7 @@ class TestPropagators:
 
     def test_sampled_frame_reports_rk4(self):
         fam = FAMILIES["r4_problemstar"]
-        t = _sampled_copy(fam.seed_triple(self.GRID))
+        t = sampled_copy(fam.seed_triple(self.GRID))
         ff = integrate_frame(t, fam.frame_init(), integrability_tol=None)
         assert ff.scheme == "RK4 sweep"
         assert frame_gram_residual(ff).metadata["scheme"] == "RK4 sweep"
@@ -1743,7 +1752,8 @@ class TestRibaucourPropagators:
     """A constant triple's Ribaucour system from an init on K2 = kappa is
     propagated in its linear form: exact to rounding against the families'
     closed forms and against the expm-composed reference, byte-identical on a
-    rerun, and free of triple evaluations.  Any other input is marched with RK4."""
+    rerun, and free of triple evaluations.  An init off kappa raises; only a
+    sampled triple is marched with RK4."""
 
     # each family kind with every (c, s) it admits: with K = 2 and a = 1,
     # problemstar's branch signs hold in every ambient
@@ -1795,7 +1805,7 @@ class TestRibaucourPropagators:
         init = seed_state(t, grid.base, req, K2target=1.0)
         rf = integrate_ribaucour(t, init, mask_tol=mask_tol, K2target=1.0)
         _assert_ribaucour(rf, t, init, mask_tol)
-        rk4 = integrate_ribaucour(_sampled_copy(t), init, mask_tol=mask_tol, K2target=1.0)
+        rk4 = integrate_ribaucour(sampled_copy(t), init, mask_tol=mask_tol, K2target=1.0)
         assert rk4.scheme == "RK4 sweep"
         assert np.array_equal(rf.masked, rk4.masked)
         assert rf.masked.sum() == (3969 if mask_tol is None else rk4.masked.sum())
@@ -1814,25 +1824,57 @@ class TestRibaucourPropagators:
         assert counts == {"calls": 0, "points": 0} and not marched
 
     # kappa = 1 on the seed v = (1, 0, 0), delta = (1, -1, 1); the rounding
-    # bound is 1e-13 (|v'|^2 + |v|^2) = 2.5e-13 for v' about (1, 0.5, 0.5)
+    # bound is 1e-13 (|v'|^2 + |v|^2) = 2.5e-13 for v' about (1, 0.5, 0.5).  A
+    # constant triple is always propagated: an init off kappa is not a
+    # Ribaucour transform, and phi_0 = 0 has no lambda, so both raise a typed
+    # error, never a drift verdict.  A sampled copy marches the first and
+    # refuses phi_0 = 0 too.
     ROUTES = {
         "on_quadric": ((1.0, 0.5, 0.5), 0.8, False, "exact propagator"),
         "one_ulp_off": ((1.0 + 2.0**-52, 0.5, 0.5), 0.8, False, "exact propagator"),
-        "off_quadric": ((1.0 + 1e-12, 0.5, 0.5), 0.8, False, "RK4 sweep"),
+        "off_quadric": ((1.0 + 1e-12, 0.5, 0.5), 0.8, False, ConstraintUnsatisfiable),
         "sampled": ((1.0, 0.5, 0.5), 0.8, True, "RK4 sweep"),
-        "phi_zero": ((1.0, 0.5, 0.5), 0.0, False, "RK4 sweep"),       # lambda = inf
+        "phi_zero": ((1.0, 0.5, 0.5), 0.0, False, SingularPhi),
     }
+    MESSAGES = {ConstraintUnsatisfiable: r"^the init's K2 = .* is off kappa = .* = 1\.0: "
+                                          r"the init is not a Ribaucour transform",
+                SingularPhi: "^phi must be nonzero at the base node$"}
 
     @pytest.mark.parametrize("case", sorted(ROUTES))
     def test_route(self, case):
-        vprime, phi, sampled, scheme = self.ROUTES[case]
+        vprime, phi, sampled, outcome = self.ROUTES[case]
         t = trivial_seed("problemstar_e1_Cneg", TestEvalCount.GRID, c=0.0, s=0, C=-1.0)
-        t = _sampled_copy(t) if sampled else t
         init = RibaucourState((0.3, -0.2, 0.1), vprime, phi=phi, psi=0.7, beta=0.3)
+        if outcome is SingularPhi:
+            for triple in (t, sampled_copy(t)):
+                with pytest.raises(SingularPhi, match=self.MESSAGES[SingularPhi]):
+                    integrate_ribaucour(triple, init, K2target=1.0)
+            return
+        if outcome is ConstraintUnsatisfiable:
+            with pytest.raises(outcome, match=self.MESSAGES[outcome]):
+                integrate_ribaucour(t, init, K2target=1.0)
+            sampled, outcome = True, "RK4 sweep"
+        t = sampled_copy(t) if sampled else t
         rf = integrate_ribaucour(t, init, K2target=1.0)
-        assert rf.scheme == scheme
-        if scheme == "RK4 sweep":
+        assert rf.scheme == outcome
+        if outcome == "RK4 sweep":
             _assert_same(_ribaucour_result(rf), ref_ribaucour(t, init))
+
+    @pytest.mark.parametrize("kind,c,s", FAMILY_CASES)
+    def test_family_K2target_is_kappa(self, kind, c, s):
+        # each family's K2target is kappa of its seed, and its run with no
+        # K2target takes the exact route with the same target; a K2target off
+        # kappa is refused
+        fam = PhiFamily(kind, K=self.FAMILY_K[kind], c=c, eps=1 - 2 * s, theta=THETA)
+        grid = ParameterGrid.centered(0.3, 5)
+        t = fam.seed_triple(grid)
+        v, _ = t.constant_values
+        assert fam.K2target == kappa(t) == float(np.sum(np.asarray(t.delta) * v * v))
+        init = phi_state(fam, grid.base_point)
+        rf = integrate_ribaucour(t, init)
+        assert rf.scheme == "exact propagator" and rf.K2target == fam.K2target
+        with pytest.raises(ConstraintUnsatisfiable, match="^K2target 0.5 is off kappa"):
+            integrate_ribaucour(t, init, K2target=0.5)
 
     OVERFLOW_INIT = RibaucourState((1.0, 0.0, 0.0), (0.0, 0.5, 0.5), phi=0.2, psi=0.3,
                                    beta=0.3)

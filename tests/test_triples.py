@@ -127,7 +127,8 @@ def _bits(x):
 
 class TestSweepGate:
     """The gate of ``check_sweep_input`` reads ``triple_residuals(t).overall_max``
-    bit for bit, one residual row at a time."""
+    bit for bit, one residual row at a time; a constant triple's gate reads
+    the rows' exact values, within rounding of the report's stencils."""
 
     def _assert_gate_is_report_max(self, t):
         worst = triple_residuals(t).overall_max
@@ -186,13 +187,46 @@ class TestSweepGate:
     @pytest.mark.parametrize("n", [(5, 6, 41), (41, 41, 41)])
     def test_constant_one_sided_rounding(self, n):
         # -1.5 x + 2 x - 0.5 x rounds to nonzero for these values, so only the
-        # one-sided face stencils carry a residual; the gate reads them on its
-        # 5 x 5 x 5 stand-in with this grid's spacing on each axis
+        # report's one-sided face stencils carry a residual; the gate reads
+        # the rows with exact derivatives, 0, and passes a zero tolerance
         grid = ParameterGrid((-1.0, -0.3, 0.0), (1.0, 0.7, 2.5), n)
         t = TripleField.constant(grid, (1, -1, 1), FLAT, v=(0.1, 0.3, 0.7), V=(0.0, 0.7, 0.0))
-        argmax = [e.argmax[1:] for e in triple_residuals(t).entries.values() if e.max > 0]
+        report = triple_residuals(t)
+        argmax = [e.argmax[1:] for e in report.entries.values() if e.max > 0]
         assert argmax and all(any(i in (0, m - 1) for i, m in zip(idx, n)) for idx in argmax)
-        assert self._assert_gate_is_report_max(t) > 0
+        assert 0 < report.overall_max <= 1e-14 and _largest_residual(t) == 0.0
+        check_sweep_input(t, t.grid, 0.0)
+
+    # every gallery seed in every ambient it admits, and the (3.iii) = 0.5
+    # triple of tests/test_io_cli.py
+    CONSTANT = [(kind, c, s) for kind in SEED_KINDS for c in (-1.0, 0.0, 1.0) for s in (0, 1)
+                if kind != "cflat" or c == 0] + [("violation", 0.0, 0)]
+
+    @pytest.mark.parametrize("kind,c,s", CONSTANT)
+    def test_constant_gate_is_exact(self, kind, c, s):
+        # the gate's number is the exact max |eps V_i V_j + c v_i v_j| (every
+        # other row of a constant triple is 0), within 1e-14 of the report's
+        # stencils, and its verdict at the default 1e-8 is the stencils' one
+        grid = ParameterGrid((-1.0, -0.3, 0.0), (1.0, 0.7, 2.5), (5, 6, 41))
+        if kind == "violation":
+            t = TripleField.constant(grid, (1, -1, 1), FLAT, v=(0, 1, 1), V=(1, 0.5, 0.2))
+        elif kind == "cflat":
+            t = trivial_seed(kind, grid, c=c, s=s)
+        else:
+            t = trivial_seed(kind, grid, c=c, s=s, C=-1.0 if kind.endswith("Cneg") else 1.0)
+        (v, V), eps = t.constant_values, t.spec.eps
+        exact = max(abs(eps * V[i] * V[j] + t.spec.c * v[i] * v[j])
+                    for i, j in itertools.combinations(range(3), 2))
+        worst = triple_residuals(t).overall_max
+        assert _largest_residual(t) == exact and abs(exact - worst) <= 1e-14
+        if kind == "violation":
+            assert exact == 0.5
+            with pytest.raises(PreconditionFailed,
+                               match="^seed residual 5.000e-01 exceeds 1.0e-08$"):
+                check_sweep_input(t, grid, 1e-8)
+        else:
+            assert exact == 0.0 and worst <= 1e-8
+            check_sweep_input(t, grid, 1e-8)
 
     def test_gate_holds_few_grid_planes(self):
         import tracemalloc
