@@ -58,24 +58,7 @@ propagated sweep makes no ``eval_at`` call and takes no RK substep.
 In-place bodies.  A marched system's ``body(v, h, V, Y, dY, axis)`` reads
 the triple values (v, h, V) of the stage points and the rows Y along
 ``axis``, and writes every row of dY once, in place (a ufunc ``out=`` into a
-row slice); scratch products live in rows that are not yet written.  A body
-is built for its inputs: it leaves out the c terms when c = 0, which are
-exactly zero at every stage of the sweep.  With finite operands a dropped
-term is +0.0 or -0.0, and x - (+-0) or x + (+-0) is x unless x is a zero, so
-a derivative changes at most in the sign of a zero.  A state row takes it in
-only through y + (+-0) in the stages and the combine, which is y unless
-y = -0.0; and a row that does not start at -0.0 never becomes -0.0, since
-x + y is -0.0 only when x and y both are.  So a term is dropped only when y0
-has no -0.0 in the rows it reaches (``vanishing_terms``); otherwise the body
-keeps it.  The states are then bit for bit those of the expression form,
-which keeps every term; dY may differ from the expression form's in the
-signs of zeros.  The guarantee is weaker where a dropped term would have
-been 0 * inf or 0 * NaN = NaN.  That needs a non-finite stage value, so it
-happens on a line whose state has gone non-finite, where the values from
-that node on may differ (NaN in one form, +-inf or a number in the other)
-and the sweep raises or the caller masks them ("Masking"), and on a line
-where an RK stage overflows while the node values around it stay finite,
-which takes a state within a factor of about two of the largest double.
+row slice); scratch products live in rows that are not yet written.
 
 Right-hand side.  The triple values a body reads at the stage points do
 not depend on the state, so ``rk4_march`` evaluates them ahead, a batch of
@@ -119,14 +102,6 @@ import numpy as np
 
 from .errors import InvalidParams, NonFiniteState
 from .triples import check_sweep_input
-
-
-def vanishing_terms(triple, reached):
-    """Whether a body may leave out its c terms, whose values are exactly zero
-    when c = 0, given the rows of y0 those terms reach: only when
-    ``reached`` holds no -0.0 (module docstring, "In-place bodies")."""
-    reached = np.asarray(reached)
-    return triple.spec.c == 0 and not (np.signbit(reached) & (reached == 0)).any()
 
 
 def node_intervals(ax_vals, i0, step, max_step):
@@ -212,10 +187,10 @@ def rk4_march(triple, body, lanes, axis):
     their (R, B) states (not modified) and its schedule from
     ``node_intervals``, R being y0's size (module docstring, "Systems").  The
     live lanes' columns lie side by side in lane order; dt/2, dt and dt/6 are
-    per column when two lanes are live.  A lane whose schedule has ended
-    leaves the batch.  A batch of S substeps runs up to the next arrival of
-    any lane, S at most the most substeps whose 2 S + 1 stage coordinates
-    keep a lane's call within ``_BATCH_POINTS`` points (at least one).  A
+    per column.  A lane whose schedule has ended leaves the batch.  A batch
+    of S substeps runs up to the next arrival of any lane, S at most the
+    most substeps whose 2 S + 1 stage coordinates keep a lane's call within
+    ``_BATCH_POINTS`` points (at least one).  A
     substep's stages are at u, u + dt/2 (twice, k2 and k3) and u + dt, u
     advancing by dt per substep and starting each node interval at the node,
     so inside an interval the first stage of a substep is at the bits of the
@@ -253,14 +228,10 @@ def rk4_march(triple, body, lanes, axis):
                 lane.cols = slice(lo, lo + lane.width)
                 lo += lane.width
             width, stages = lo, []
-        if len(live) == 1:
-            dt = live[0].dt
-            half, sixth = 0.5 * dt, dt / 6.0
-        else:
-            widths = [lane.width for lane in live]
-            dt = np.repeat([lane.dt for lane in live], widths)
-            half = np.repeat([0.5 * lane.dt for lane in live], widths)
-            sixth = np.repeat([lane.dt / 6.0 for lane in live], widths)
+        widths = [lane.width for lane in live]
+        dt = np.repeat([lane.dt for lane in live], widths)
+        half = np.repeat([0.5 * lane.dt for lane in live], widths)
+        sixth = np.repeat([lane.dt / 6.0 for lane in live], widths)
         stage = np.empty_like(y)
         steps = min(lane.left for lane in live)     # up to the next arrival
         done = 0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep_integrate, vanishing_terms
+from ._sweep import sweep_integrate
 from .ambient import SpaceFormSpec, sig_inner
 from .errors import DimensionError
 from .grid import ParameterGrid, induced_metric_tensor, partial_derivative
@@ -111,13 +111,8 @@ def _frame_body(triple: TripleField, y0):
     DimensionError.
 
     For a constant triple it returns the three generators M_a, propagated
-    exactly (module docstring).  Otherwise it returns the in-place RK4 body,
-    built for its inputs (``_sweep`` module docstring, "In-place bodies"):
-    its one droppable term is the c v_a f of dX_a when c = 0, kept when y0's
-    X rows hold a -0.0.  With finite operands it is +-0, so dropping it
-    changes dX_a at most in the sign of a zero.  Where it would have been
-    0 * inf = NaN, at a non-finite stage value, a value may differ from the
-    full body's (``_sweep`` module docstring).
+    exactly (module docstring).  Otherwise it returns the in-place RK4 body
+    (``_sweep`` module docstring, "In-place bodies").
     """
     dim = triple.spec.dim
     if y0.shape != (5, dim):
@@ -136,7 +131,6 @@ def _frame_body(triple: TripleField, y0):
         return M
     f, X1, X2, X3, N = (slice(k * dim, (k + 1) * dim) for k in range(5))
     X = (X1, X2, X3)
-    c_vanishes = vanishing_terms(triple, y0[1:4])
 
     def body(v, h, V, Y, dY, axis):
         a = axis
@@ -147,8 +141,7 @@ def _frame_body(triple: TripleField, y0):
         tmp = dY[N]                      # scratch until dN is written last
         np.multiply(va, Xa, out=dY[f])
         np.multiply(eps * Va, Y[N], out=dXa)
-        if not c_vanishes:
-            np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
+        np.subtract(dXa, np.multiply(c * va, Y[f], out=tmp), out=dXa)
         for i in range(3):
             if i != a:
                 hia = h[:, i, a]

@@ -38,7 +38,11 @@ any K2).  As measured (ROADMAP "Measured"), off-kappa inits drifted in
 Omega by 1.5e-3 to 1.5e47, flat from 11^3 to 41^3, and their transformed
 triples' residuals did not fall under refinement.  So a constant triple's
 K2 is ``kappa``: an explicit K2target or an init off it by more than
-``_K2_ROUNDING`` (|v'_0|^2 + |v|^2) raises ConstraintUnsatisfiable.  K1 = 0
+``_K2_ROUNDING`` (|v'_0|^2 + |v|^2) raises ConstraintUnsatisfiable.  With
+<v, V>_delta != 0 (beyond ``_K2_ROUNDING`` (|v|^2 + |V|^2)) Omega leaves 0
+on every K2, and ``integrate_ribaucour`` raises ConstraintUnsatisfiable
+too, as it does for v'_0 = 0, where the transformed metric diag(v'^2) is
+degenerate at the base node.  K1 = 0
 and Omega = 0 are not checked: a raw init off them is an initial value
 problem, and ``invariant_drift`` reports it.
 
@@ -83,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep_descendants, sweep_integrate, vanishing_terms
+from ._sweep import sweep_descendants, sweep_integrate
 from .errors import (
     ConstraintUnsatisfiable,
     EmptyDomain,
@@ -208,7 +212,9 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
     triple's must be given.  gamma, beta, phi are taken from the request; psi
     is forced by K1 = 0; the requested v' is projected onto the Omega = 0
     hyperplane and then rescaled inside it onto the K2 quadric (least change
-    wins).
+    wins).  On K2 = 0 the hyperplane passes through 0, and a request whose
+    projection onto it is not null is taken to v' = 0, which
+    ``integrate_ribaucour`` refuses.
     """
     if triple.closed_form:
         K2target = _on_kappa(triple, K2target, abs(K2target or 0.0))
@@ -273,21 +279,11 @@ def seed_state(triple: TripleField, base_idx, request: RibaucourState,
 
 def _ribaucour_body(triple: TripleField, y0):
     """In-place Ribaucour body of a sampled triple on (9, B) rows (``_sweep``
-    module docstring); y0 is any RibaucourState's 9 values.
-
-    The body is built for its inputs (``_sweep`` module docstring, "In-place
-    bodies").  Its one droppable term is the c phi v_a of dgamma_a when
-    c = 0, kept when y0's gamma rows hold a -0.0, as the cflat family's
-    phi-state does (swept on a sampled copy of its seed).  With finite
-    operands it is +-0, so dropping it changes dgamma_a at most in the sign of
-    a zero.  Where it would have been 0 * inf = NaN, at a non-finite stage
-    value, a value may differ from the full body's (``_sweep`` module
-    docstring).
-    """
+    module docstring, "In-place bodies"); y0 is any RibaucourState's 9
+    values."""
     eps = float(triple.spec.eps)
     c = float(triple.spec.c)
     delta = np.asarray(triple.delta, dtype=float)
-    c_vanishes = vanishing_terms(triple, y0[_G])
 
     def body(v, h, V, Y, dY, axis):
         g = Y[_G]
@@ -311,9 +307,7 @@ def _ribaucour_body(triple: TripleField, y0):
 
         np.multiply(np.subtract(va, vpa, out=dga), psi, out=dga)
         np.add(dga, np.multiply(beta, Va, out=tmp), out=dga)
-        if not c_vanishes:
-            np.subtract(dga, np.multiply(np.multiply(c, phi, out=tmp), va, out=tmp),
-                        out=dga)
+        np.subtract(dga, np.multiply(np.multiply(c, phi, out=tmp), va, out=tmp), out=dga)
         acc.fill(0.0)
         for j in range(3):
             if j == a:
@@ -414,10 +408,11 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
 
     ``grid`` defaults to ``triple.grid``; any other grid raises GridMismatch.
     phi_0 = 0 raises SingularPhi.  A constant triple is propagated exactly,
-    its K2target ``kappa``: once the sweep has checked the triple, an init or
-    K2target off it raises ConstraintUnsatisfiable (module docstring).  A
-    sampled triple is marched with RK4, its K2target the init's K2 by
-    default.  After the sweep, nodes where |phi| or |psi| falls below
+    its K2target ``kappa``: once the sweep has checked the triple, a triple
+    with <v, V>_delta != 0, or an init or K2target off kappa, raises
+    ConstraintUnsatisfiable (module docstring).  So does v'_0 = 0 on either
+    route.  A sampled triple is marched with RK4, its K2target the init's K2
+    by default.  After the sweep, nodes where |phi| or |psi| falls below
     ``mask_tol``, a value is not finite or, on the exact route, psi recovered
     from K1 may have lost its accuracy are masked, and their sweep
     descendants with them (module docstring, "Masking"); the unmasked nodes'
@@ -434,10 +429,19 @@ def integrate_ribaucour(triple: TripleField, init: RibaucourState,
                              masked=True)
     planes = np.moveaxis(states, -1, 0)
     vp = y0[_VP]
+    if not vp.any():
+        raise ConstraintUnsatisfiable(
+            "v'_0 = 0: the transformed metric diag(v'^2) is degenerate at the base node")
     K2_0 = float(delta_inner(triple.delta, vp, vp))
     lossy = None
     if triple.closed_form:
         # after the sweep has checked the triple: a failing one has no kappa
+        v, V = triple.constant_values
+        vV = float(delta_inner(triple.delta, v, V))
+        if not abs(vV) <= _K2_ROUNDING * float(v @ v + V @ V):
+            raise ConstraintUnsatisfiable(
+                f"<v, V>_delta = {vV!r} is not 0: no Ribaucour transform of this "
+                f"constant triple keeps Omega = 0 (module docstring, \"Why K2 = kappa\")")
         _on_kappa(triple, K2_0, vp @ vp, "the init's K2 = <v'_0, v'_0>_delta =")
         K2target = _on_kappa(triple, K2target, vp @ vp)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

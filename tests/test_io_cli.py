@@ -796,6 +796,31 @@ def test_raw_state_psi_rejected(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("seed, beta, message", [
+    # <v, V>_delta = 1: no K2 keeps Omega = 0
+    ({"triple": {"v": [1, 0, 0], "V": [1, 0, 0], "delta": [1, -1, 1]}}, 0.1,
+     "<v, V>_delta = 1.0 is not 0"),
+    # kappa = 0: seed_state's only point on the K2 quadric is v' = 0
+    ({"gallery": "cflat"}, 0.0, "v'_0 = 0: the transformed metric"),
+], ids=["vV_nonzero", "vprime_zero"])
+def test_raw_state_not_a_transform(tmp_path, capsys, seed, beta, message):
+    # both seeds pass the sweep gate; the raw state is refused with exit 1,
+    # no drift verdict and no report
+    doc = {
+        "seed": seed,
+        "ambient": {"c": 0.0, "s": 0},
+        "grid": {"lo": [-0.3, -0.3, -0.3], "hi": [0.3, 0.3, 0.3], "n": [11, 11, 11],
+                 "base": [5, 5, 5]},
+        "ribaucour": {"state": {"gamma": [0.1, 0.1, 0.1], "vprime": [0.5, 0.2, 0.6],
+                                "phi": 2.0, "beta": beta}},
+        "outputs": {"report": str(tmp_path / "rep.json")},
+    }
+    assert run(["ribaucour", "--config", write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_k2_target_beside_family_rejected(tmp_path, capsys):
     # ribaucour.k2_target is no key: K2 is the seed's kappa
     doc = _raw_state_doc(tmp_path)

@@ -147,6 +147,16 @@ def test_benchmark_family_parser_matches_cli(monkeypatch):
     assert checked
 
 
+def test_demo_digests_against_itself():
+    """``scripts/demo_digests.py --against`` this checkout runs every demo
+    config twice, each time in its own process, and finds no output byte
+    that differs: it prints nothing and exits 0."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_digests.py"),
+                          "--against", str(ROOT)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == ""
+
+
 def test_sweep_ab_against_itself(tmp_path):
     """``scripts/sweep_ab.py`` loads one checkout twice under two names,
     finds equal digests for its four run kinds, times the three phases of

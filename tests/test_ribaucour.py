@@ -125,6 +125,35 @@ class TestSeedState:
         assert seed_state(t, grid21.base, st, 1.0) == seed_state(fam62.seed_triple(grid21),
                                                                  grid21.base, st)
 
+    REQUEST = RibaucourState((0.1, 0.1, 0.1), (0.5, 0.2, 0.6), phi=2.0, psi=0.0, beta=0.1)
+
+    def test_vV_nonzero_raises(self):
+        # the seed passes the sweep gate (its (3.iii) rows are 0), but
+        # <v, V>_delta = 1 drives Omega off 0 on every K2: integrate_ribaucour
+        # refuses the init seed_state builds for it on K2 = kappa = 1
+        grid = ParameterGrid.centered(0.3, 11)
+        t = TripleField.constant(grid, (1, -1, 1), FLAT, v=(1, 0, 0), V=(1, 0, 0))
+        init = seed_state(t, grid.base, self.REQUEST)
+        with pytest.raises(ConstraintUnsatisfiable, match=r"^<v, V>_delta = 1\.0 is not 0"):
+            integrate_ribaucour(t, init, integrability_tol=1e-8)
+        # a seed that also fails the gate raises the gate's error
+        bad = TripleField.constant(grid, (1, -1, 1), FLAT, v=(0, 1, 1), V=(1, 0.5, 0.2))
+        with pytest.raises(PreconditionFailed, match="seed residual 5.000e-01"):
+            integrate_ribaucour(bad, init, integrability_tol=1e-8)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_vprime_zero_raises(self, grid21, beta):
+        # on kappa = 0 the Omega = 0 plane passes through 0 (rho0 =
+        # eps beta K2 = 0), so the request's line meets the K2 = 0 quadric
+        # only at the double root v' = 0, where diag(v'^2) is degenerate
+        t = trivial_seed("cflat", grid21)
+        req = dataclasses.replace(self.REQUEST, beta=beta)
+        for triple, K2target in ((t, None), (sampled_copy(t), 0.0)):
+            init = seed_state(triple, grid21.base, req, K2target)
+            assert init.vprime == (0.0, 0.0, 0.0)
+            with pytest.raises(ConstraintUnsatisfiable, match="^v'_0 = 0: the transformed"):
+                integrate_ribaucour(triple, init, K2target=K2target)
+
     def test_infeasible_quadric_raises(self, grid21):
         t = TripleField.constant(grid21, (1, -1, 1), FLAT, v=(1, 0, 0), V=(0, 0, 0))
         req = RibaucourState((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), phi=0.5, psi=0.0,
