@@ -10,6 +10,7 @@ pair-check is a verdict too: exit 2, with the error in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -344,8 +345,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: ``run`` reuses it."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,13 +1,18 @@
 """Configuration ingestion and grid/mesh/report export.
 
-Config documents are strict JSON validated against a schema (unknown keys
-rejected, exclusive seed forms enforced); doubles are serialized with
-shortest round-trip formatting, the text of ``repr``, so identical runs give
-byte-identical files.  That formatting is most of the cost of a large CSV,
-so ``export_csv`` hands each axis-0 slab's table to orjson's numpy writer in
-one call; orjson writes ``repr``'s text for 1e-4 <= |x| < 1e16 and +-0.0,
-and a row holding any other value (NaN, +-inf, a smaller or larger
-magnitude) is formatted with ``repr`` instead.
+Config documents are strict JSON validated against ``CONFIG_SCHEMA`` (unknown
+keys rejected, exclusive seed forms enforced) by a small interpreter of the
+JSON Schema keywords that schema uses (``_errors``).  It yields the errors of
+a Draft 2020-12 validator, with its messages and in its order, and refuses a
+schema that uses any other keyword, so the document format needs no
+jsonschema at run time.
+
+Doubles are serialized with shortest round-trip formatting, the text of
+``repr``, so identical runs give byte-identical files.  That formatting is
+most of the cost of a large CSV, so ``export_csv`` hands each axis-0 slab's
+table to orjson's numpy writer in one call; orjson writes ``repr``'s text
+for 1e-4 <= |x| < 1e16 and +-0.0, and a row holding any other value (NaN,
++-inf, a smaller or larger magnitude) is formatted with ``repr`` instead.
 """
 
 from __future__ import annotations
@@ -146,8 +151,168 @@ class ExperimentConfig:
         self.tolerances = tol
 
 
-def _pointer(err) -> str:
-    return "/" + "/".join(str(p) for p in err.absolute_path)
+# The interpreter of CONFIG_SCHEMA.  An error is a tuple (path, message,
+# context): path the keys and indices from the document root to the failing
+# value, and context the errors of every branch of a failed oneOf (else ()).
+# The messages are jsonschema's.
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    # 3.0 is an integer; True is not
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _errors(schema, x, path=()):
+    """Every way ``x``, found at ``path``, breaks ``schema``: keyword by keyword
+    in the schema's key order, as jsonschema's Draft 2020-12 validator yields
+    them."""
+    for key, value in schema.items():
+        yield from _KEYWORDS[key](value, x, path, schema)
+
+
+def _valid(schema, x):
+    return next(_errors(schema, x), None) is None
+
+
+def _type(name, x, path, schema):
+    if not _TYPES[name](x):
+        yield path, f"{x!r} is not of type {name!r}", ()
+
+
+def _properties(properties, x, path, schema):
+    if isinstance(x, dict):
+        for key, sub in properties.items():
+            if key in x:
+                yield from _errors(sub, x[key], path + (key,))
+
+
+def _additional_properties(allowed, x, path, schema):
+    # only ``false`` is interpreted (_check_schema)
+    if isinstance(x, dict):
+        extras = sorted({k for k in x if k not in schema.get("properties", {})}, key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield (path, f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)", ())
+
+
+def _required(names, x, path, schema):
+    if isinstance(x, dict):
+        for name in names:
+            if name not in x:
+                yield path, f"{name!r} is a required property", ()
+
+
+def _dependent_required(dependencies, x, path, schema):
+    if isinstance(x, dict):
+        for key, names in dependencies.items():
+            if key in x:
+                for name in names:
+                    if name not in x:
+                        yield path, f"{name!r} is a dependency of {key!r}", ()
+
+
+def _items(sub, x, path, schema):
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _errors(sub, item, path + (i,))
+
+
+def _min_items(n, x, path, schema):
+    if isinstance(x, list) and len(x) < n:
+        yield path, f"{x!r} is too short", ()
+
+
+def _max_items(n, x, path, schema):
+    if isinstance(x, list) and len(x) > n:
+        yield path, f"{x!r} is too long", ()
+
+
+def _enum(values, x, path, schema):
+    # scalar members; as in JSON, a bool equals only a bool
+    if not any(v == x and isinstance(v, bool) == isinstance(x, bool) for v in values):
+        yield path, f"{x!r} is not one of {values!r}", ()
+
+
+def _exclusive_minimum(bound, x, path, schema):
+    if _TYPES["number"](x) and x <= bound:
+        yield path, f"{x!r} is less than or equal to the minimum of {bound!r}", ()
+
+
+def _one_of(branches, x, path, schema):
+    context = []
+    for i, branch in enumerate(branches):
+        errors = list(_errors(branch, x, path))
+        if not errors:
+            break
+        context += errors
+    else:
+        yield path, f"{x!r} is not valid under any of the given schemas", context
+        return
+    more = [b for b in branches[i + 1:] if _valid(b, x)]
+    if more:
+        reprs = ", ".join(map(repr, more + [branch]))
+        yield path, f"{x!r} is valid under each of {reprs}", ()
+
+
+def _not(sub, x, path, schema):
+    if _valid(sub, x):
+        yield path, f"{x!r} should not be valid under {sub!r}", ()
+
+
+_KEYWORDS = {
+    "$schema": lambda value, x, path, schema: (),
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+    "dependentRequired": _dependent_required,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "enum": _enum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "oneOf": _one_of,
+    "not": _not,
+}
+
+
+def _check_schema(schema):
+    """Raise ValueError where ``schema`` or any subschema uses a keyword, or an
+    ``additionalProperties`` other than false, that ``_errors`` does not
+    interpret: such a schema would be checked only in part."""
+    unknown = sorted(schema.keys() - _KEYWORDS.keys())
+    if unknown:
+        raise ValueError(f"schema keywords {unknown} are not interpreted")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("only additionalProperties: false is interpreted")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    subschemas += [schema[k] for k in ("items", "not") if k in schema]
+    for sub in subschemas:
+        _check_schema(sub)
+
+
+_check_schema(CONFIG_SCHEMA)
+
+
+def _first_error(schema, doc):
+    """(message, JSON pointer) of the error ``parse_config`` reports, or None.
+
+    That is the first error at the least path, and for a failed oneOf its
+    branch error at the deepest path, the first of equals.
+    """
+    errors = sorted(_errors(schema, doc), key=lambda e: e[0])
+    if not errors:
+        return None
+    path, message, context = errors[0]
+    if context:
+        path, message, _ = max(context, key=lambda e: len(e[0]))
+    return message, "/" + "/".join(map(str, path))
 
 
 def _non_finite(node, pointer=""):
@@ -160,16 +325,9 @@ def _non_finite(node, pointer=""):
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    import jsonschema               # slow to import, and only validation needs it
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        # prefer the deepest context of oneOf failures for a useful pointer
-        if err.context:
-            err = max(err.context, key=lambda e: len(list(e.absolute_path)))
-        raise SchemaError(err.message, _pointer(err))
+    error = _first_error(CONFIG_SCHEMA, doc)
+    if error is not None:
+        raise SchemaError(*error)
     pointer = next(_non_finite(doc), None)
     if pointer is not None:
         raise SchemaError("every number must be finite", pointer)
@@ -189,6 +347,8 @@ def load_config(path) -> ExperimentConfig:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", "/") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}", "/") from exc
     return parse_config(doc)
 
 

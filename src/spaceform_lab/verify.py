@@ -37,6 +37,7 @@ from .ambient import SpaceFormSpec, sig_inner
 from .errors import (
     DegenerateMetric,
     DegenerateTriple,
+    EmptyDomain,
     GridMismatch,
     NonHolonomicSample,
     UmbilicSetError,
@@ -77,11 +78,16 @@ class ImmersionSample:
         return ok
 
     def on_form_residual(self) -> float:
+        """max |<f, f> - 1/c| over valid nodes: 0 for c = 0, and EmptyDomain
+        where no node is valid."""
         if self.spec.c == 0:
             return 0.0
+        ok = self.valid_mask()
+        if not ok.any():
+            raise EmptyDomain("every node of the immersion sample is masked")
         ip = sig_inner(self.positions, self.positions, self.spec.ambient.sig_array)
         dev = np.abs(ip - 1.0 / self.spec.c)
-        return float(dev[self.valid_mask()].max())
+        return float(dev[ok].max())
 
 
 @dataclass
@@ -395,10 +401,14 @@ def schouten_codazzi_residual(t: TripleField) -> ResidualReport:
 
 
 def hj_relation_residual(t: TripleField) -> float:
-    """max |v_2^2 - v_1^2 - v_3^2| over the grid (the coordinate-cone condition)."""
+    """max |v_2^2 - v_1^2 - v_3^2| over the valid nodes (the coordinate-cone
+    condition); EmptyDomain where no node is valid."""
+    ok = t.valid_mask()
+    if not ok.any():
+        raise EmptyDomain("every node of the triple is masked")
     v = t.v
     dev = np.abs(v[1] ** 2 - v[0] ** 2 - v[2] ** 2)
-    return float(dev[t.valid_mask()].max())
+    return float(dev[ok].max())
 
 
 def isometry_check(a: ImmersionSample, b: ImmersionSample,

@@ -161,3 +161,30 @@ def parabolic_to_orthonormal(coords):
     out[..., 0] = (coords[..., 0] + coords[..., 3]) / r2
     out[..., 3] = (coords[..., 0] - coords[..., 3]) / r2
     return out
+
+
+def jsonschema_errors(schema, doc):
+    """jsonschema's Draft 2020-12 errors of ``doc`` in the order it yields them,
+    in ``io._errors``' form: (path, message, context) with absolute paths."""
+    import jsonschema
+
+    def flat(errors):
+        return [(tuple(e.absolute_path), e.message, flat(e.context)) for e in errors]
+
+    return flat(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+
+
+def jsonschema_first_error(schema, doc):
+    """(message, pointer) of the error jsonschema's validator reports first
+    under the config rule: errors sorted by path, stably, and for a failed
+    oneOf its deepest branch error; None for a valid ``doc``."""
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    err = errors[0]
+    if err.context:
+        err = max(err.context, key=lambda e: len(list(e.absolute_path)))
+    return err.message, "/" + "/".join(str(p) for p in err.absolute_path)

@@ -28,7 +28,20 @@ from spaceform_lab.io import (
 )
 from spaceform_lab.ribaucour import RibaucourState, integrate_ribaucour, kappa, seed_state
 
-from conftest import sampled_copy
+from conftest import jsonschema_first_error, sampled_copy
+
+
+@pytest.fixture(autouse=True)
+def _validator_agrees_with_jsonschema(monkeypatch):
+    """Every config these tests validate, good or bad, gets the verdict,
+    message and pointer that jsonschema's Draft 2020-12 validator gives it."""
+    def checked(schema, doc, _inner=io_module._first_error):
+        found = _inner(schema, doc)
+        assert found == jsonschema_first_error(schema, doc)
+        return found
+
+    monkeypatch.setattr(io_module, "_first_error", checked)
+
 
 MINIMAL = {
     "seed": {"gallery": "problemstar_e1_Cneg", "C": -1.0},
@@ -87,6 +100,18 @@ class TestLoadConfig:
         p.write_text("{not json")
         with pytest.raises(SchemaError):
             load_config(str(p))
+
+    def test_not_utf8(self, tmp_path, capsys):
+        # a byte 0xff inside a string: a config error at /, not a traceback
+        p = tmp_path / "latin.json"
+        p.write_bytes(json.dumps(MINIMAL).encode().replace(b"problemstar", b"problem\xffstar"))
+        with pytest.raises(SchemaError) as exc:
+            load_config(str(p))
+        assert exc.value.pointer == "/"
+        assert run(["verify-triple", "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not valid UTF-8: ")
+        assert err.endswith(" (at /)\n") and err.count("\n") == 1
 
     def test_nonfinite_grid_rejected(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -474,6 +499,23 @@ class TestCli:
     def test_no_subcommand_exit_one(self):
         assert run([]) == 1
 
+    def test_parser_built_once(self, monkeypatch):
+        # run builds the parser on first use and reuses it
+        built = []
+
+        def counted(_inner=cli_module.build_parser):
+            built.append(_inner())
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "build_parser", counted)
+        cli_module._parser.cache_clear()
+        try:
+            codes = [run(argv) for argv in (["gallery", "list"], ["bogus"], [],
+                                            ["gallery", "eval", "--name", "r4_pair"])]
+        finally:
+            cli_module._parser.cache_clear()
+        assert codes == [0, 1, 1, 0] and len(built) == 1
+
     def test_config_error_exit_one(self, tmp_path):
         doc = dict(MINIMAL)
         doc["ambient"] = {"c": "one", "s": 0}
@@ -715,18 +757,20 @@ class TestConfigRoundTrip:
 
 
 def test_cli_import_loads_no_scipy():
-    """Importing the CLI loads no scipy, jsonschema or orjson: the config
-    validator imports jsonschema when it first validates a document, and the
-    CSV writer imports orjson when it first writes one."""
-    code = ("import sys, spaceform_lab.cli; "
+    """Importing the CLI and loading every demo config loads no scipy,
+    jsonschema or orjson: ``io`` validates configs itself, and the CSV writer
+    imports orjson when it first writes one."""
+    code = ("import glob, sys, spaceform_lab.cli; "
+            "from spaceform_lab.io import load_config; "
+            "print(len([load_config(p) for p in glob.glob(sys.argv[1])])); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema', 'orjson')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS / "*.json")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == [str(len(list(DEMO_CONFIGS.glob("*.json")))), "[]"]
 
 
 def _raw_state_doc(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,19 @@ def test_no_unused_module_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unused, unused
+
+
+def test_runtime_dependencies():
+    """The package needs numpy and orjson at run time; jsonschema is the tests'
+    reference for the config validator and comes with the test extra."""
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+    assert names(project["dependencies"]) == {"numpy", "orjson"}
+    assert "jsonschema" in names(project["optional-dependencies"]["test"])
 
 
 def test_one_sweep_engine():
@@ -88,8 +102,8 @@ def test_demo_runs(demo, tmp_path):
 def test_package_runs_without_scipy():
     """Every module imports, a sampled triple evaluates on grid lines (and
     refuses a point off them), and a helix builds, with no scipy module
-    loaded; nor is orjson or jsonschema, which ``io.export_csv`` and
-    ``io.parse_config`` import when first called."""
+    loaded; nor is orjson, which ``io.export_csv`` imports when first called,
+    or jsonschema, which only the tests use."""
     code = """
 import importlib, pkgutil, sys
 import numpy as np

@@ -12,6 +12,7 @@ from spaceform_lab.ambient import SpaceFormSpec
 from spaceform_lab.errors import (
     DegenerateMetric,
     DegenerateTriple,
+    EmptyDomain,
     GridMismatch,
     NonHolonomicSample,
 )
@@ -242,6 +243,40 @@ class TestHJRelation:
     def test_pythagorean_triple(self, grid21):
         t = TripleField.constant(grid21, (1, -1, 1), FLAT, v=(3, 5, 4), V=(0, 0, 0))
         assert hj_relation_residual(t) == 0.0
+
+    def test_fully_masked_raises(self, grid21):
+        # no valid node leaves no residual to report, not a bare ValueError
+        t = TripleField.constant(grid21, (1, -1, 1), FLAT, v=(3, 5, 4), V=(0, 0, 0))
+        t.masked = np.ones(grid21.n, dtype=bool)
+        with pytest.raises(EmptyDomain, match="every node"):
+            hj_relation_residual(t)
+
+
+class TestOnFormResidual:
+    GRID = ParameterGrid.centered(0.5, 5)
+
+    def _sphere_sample(self, masked=None):
+        X1, X2, X3 = self.GRID.meshes()
+        pos = np.stack([X1, X2, X3, np.ones(self.GRID.n), 0.5 * np.ones(self.GRID.n)], -1)
+        pos /= np.linalg.norm(pos, axis=-1, keepdims=True)
+        return ImmersionSample(self.GRID, pos, SpaceFormSpec(1.0, 0), masked)
+
+    def test_unit_sphere(self):
+        assert self._sphere_sample().on_form_residual() <= 1e-15
+
+    def test_fully_masked_raises(self):
+        sample = self._sphere_sample(np.ones(self.GRID.n, dtype=bool))
+        with pytest.raises(EmptyDomain, match="every node"):
+            sample.on_form_residual()
+        sample = self._sphere_sample()
+        sample.positions[...] = math.nan
+        with pytest.raises(EmptyDomain, match="every node"):
+            sample.on_form_residual()
+
+    def test_flat_ambient_has_no_form(self):
+        grid = self.GRID
+        sample = ImmersionSample(grid, np.full(grid.n + (4,), math.nan), FLAT)
+        assert sample.on_form_residual() == 0.0
 
 
 class TestIsometryCheck:
